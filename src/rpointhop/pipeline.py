@@ -302,11 +302,8 @@ class _HopRun:
             _, flips, _ = _project_neighbors(self.coords, hop1_nbr, self.axes)
             normal = self.axes[:, 2, :] * flips[:, 2:3]
             aux = np.hstack([normal, _geometric_features_batch(self.eigenvalues)])
-        # neighborhoods of the current working points; downsampling
-        # invalidates it until the next hop rebuilds it
-        self.neighbors: np.ndarray | None = table[:, : hop1.k_neighbors]
         self.attrs, _, margins = build_hop1_attributes(
-            self.coords, self.neighbors, self.axes, aux
+            self.coords, table[:, : hop1.k_neighbors], self.axes, aux
         )
         self.min_margin = margins.min(axis=1)
         self.values: np.ndarray | None = None  # surviving coefficients, set per hop
@@ -320,16 +317,17 @@ class _HopRun:
         self.orig_indices = self.orig_indices[sel]
         self.min_margin = self.min_margin[sel]
         self.values = self.values[sel]
-        self.neighbors = None
 
-    def hop_attributes(self, k_neighbors: int) -> np.ndarray:
-        index = KnnIndex(self.coords)
-        self.neighbors = index.self_neighbor_table(k_neighbors)
+    def hop_attributes(self, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
+        """Octant means of the current points' neighborhoods, and the
+        (P, k_neighbors) neighbor table they were built from; the run keeps
+        neither, so training holds no per-cloud tables."""
+        neighbors = KnnIndex(self.coords).self_neighbor_table(k_neighbors)
         means, margins = build_later_hop_attributes(
-            self.coords, self.neighbors, self.axes, self.values
+            self.coords, neighbors, self.axes, self.values
         )
         np.minimum(self.min_margin, margins.min(axis=1), out=self.min_margin)
-        return means
+        return means, neighbors
 
 
 def _surviving_children(tree: FeatureTree, parent_ids: Sequence[int]) -> list[FeatureNode]:
@@ -407,7 +405,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
         means_per_cloud = []
         for run in runs:
             run.downsample(hop.num_points)
-            means_per_cloud.append(run.hop_attributes(hop.k_neighbors))
+            means_per_cloud.append(run.hop_attributes(hop.k_neighbors)[0])
         blocks = {
             pid: np.vstack([m[:, :, col] for m in means_per_cloud])
             for col, pid in enumerate(active)
@@ -449,18 +447,21 @@ def extract_features(model: RPointHopModel, cloud: PointCloud, seed: int = 0) ->
     run = _HopRun(cloud.coords, config, seed)
     run.values = _apply_hop1(model.hop1_layer, model.tree, run.attrs)
     active = sorted(n.node_id for n in model.tree.surviving(1))
+    neighbors = None
     for h in range(1, len(config.hops)):
         hop = config.hops[h]
         run.downsample(hop.num_points)
-        means = run.hop_attributes(hop.k_neighbors)
+        means, neighbors = run.hop_attributes(hop.k_neighbors)
         run.values, active = _apply_later_hop(model.later_hops[h - 1], model.tree, active, means)
+    if neighbors is None:  # one-hop model: the run does not keep hop 1's table
+        neighbors = KnnIndex(run.coords).self_neighbor_table(config.hops[0].k_neighbors)
     return FeatureSet(
         point_indices=run.orig_indices,
         coords=cloud.coords[run.orig_indices],
         features=run.values,
         sign_margins=run.min_margin,
         eigen_gaps=run.eigen_gaps,
-        neighbor_table=run.neighbors,
+        neighbor_table=neighbors,
     )
 
 

@@ -1,20 +1,33 @@
 """Exact k-nearest-neighbor queries and farthest point sampling.
 
 Both operations define a strict tie rule so results are reproducible:
-neighbors are ordered by ascending Euclidean distance with ties broken by
-ascending point index, and farthest point sampling breaks max-distance ties
-by ascending index. Queries are exact vectorized scans; at the cloud sizes
-this package targets (<= a few thousand points) that is both fast and free
-of the tie-order ambiguity an acceleration structure would introduce.
+neighbors are ordered by ascending squared Euclidean distance with ties
+broken by ascending point index, and farthest point sampling breaks
+max-distance ties by ascending index.
+
+Neighbor queries search a k-d tree, but the tree only proposes candidates;
+the answer is decided by the rule above on squared distances recomputed
+here as ``einsum`` over ``q - p``, the arithmetic of a brute-force scan.
+For each query row the tree returns its k + 1 nearest candidates, which
+are re-ranked by (recomputed d², index). A row is settled when k is the
+whole index or its k-th d² is below the (k+1)-th by a relative gap of
+1e-9, far above the few-ulp rounding difference between the tree's
+distances and ours, so no point outside the candidates can belong in the
+first k. Every other row has a tie or near-tie across the k boundary and
+is re-resolved exactly: a ball query just past its k-th distance returns
+every point that can belong in the first k, and those are ranked by the
+same rule. Indices and distances therefore equal a full stable sort of
+brute-force distances, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 
-_CHUNK = 256  # query rows per distance block, bounds peak memory
+_GAP = 1e-9  # relative d² gap across the k boundary that settles a row
 
 
 def _as_points(obj) -> np.ndarray:
@@ -29,14 +42,31 @@ class KnnIndex:
     """Read-only neighbor index over a fixed set of points.
 
     Thread-safe for concurrent queries (queries never mutate the index).
+    Points and queries must be finite (``ValueError`` otherwise).
     """
 
     def __init__(self, points) -> None:
         self.points = np.ascontiguousarray(_as_points(points))
         self.points.setflags(write=False)
+        self._tree = cKDTree(self.points)
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    def _ranked(self, q: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Candidates (M, C) of queries (M, 3) and their d², each row
+        ordered by (d², index)."""
+        diff = np.take(self.points, cand, axis=0)
+        np.subtract(q[:, None, :], diff, out=diff)
+        d2 = np.einsum("mkc,mkc->mk", diff, diff)
+        order = np.argsort(d2, axis=1, kind="stable")
+        cand, d2 = np.take_along_axis(cand, order, axis=1), np.take_along_axis(d2, order, axis=1)
+        tied = np.flatnonzero((d2[:, 1:] == d2[:, :-1]).any(axis=1))
+        if tied.size:  # equal d² keep the tree's order; put them in index order
+            order = np.lexsort((cand[tied], d2[tied]))
+            cand[tied] = np.take_along_axis(cand[tied], order, axis=1)
+            d2[tied] = np.take_along_axis(d2[tied], order, axis=1)
+        return cand, d2
 
     def query(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest points for each query row.
@@ -53,20 +83,20 @@ class KnnIndex:
         n = len(self)
         if not 1 <= k <= n:
             raise ValueError(f"k={k} out of range for index of {n} points")
-        idx = np.empty((q.shape[0], k), dtype=np.intp)
-        dist = np.empty((q.shape[0], k), dtype=np.float64)
-        for lo in range(0, q.shape[0], _CHUNK):
-            hi = min(lo + _CHUNK, q.shape[0])
-            diff = q[lo:hi, None, :] - self.points[None, :, :]
-            d2 = np.einsum("mnc,mnc->mn", diff, diff)
-            if k == 1:
-                # argmin takes the first minimum: the lowest index among ties
-                order = np.argmin(d2, axis=1)[:, None]
-            else:
-                # stable sort on distance keeps ascending-index order inside ties
-                order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            idx[lo:hi] = order
-            dist[lo:hi] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+        width = min(k + 1, n)
+        _, cand = self._tree.query(q, k=width)
+        idx, d2 = self._ranked(q, cand.reshape(q.shape[0], width).astype(np.intp, copy=False))
+        if k < n:
+            unsettled = np.flatnonzero(d2[:, k - 1] >= d2[:, k] * (1.0 - _GAP))
+            if unsettled.size:
+                radii = np.nextafter(np.sqrt(d2[unsettled, k - 1]) * (1.0 + _GAP), np.inf)
+                balls = self._tree.query_ball_point(q[unsettled], radii)
+                for row, ball in zip(unsettled, balls):
+                    ball_idx, ball_d2 = self._ranked(q[row : row + 1], np.array([ball], dtype=np.intp))
+                    idx[row, :k] = ball_idx[0, :k]
+                    d2[row, :k] = ball_d2[0, :k]
+        idx = np.ascontiguousarray(idx[:, :k])
+        dist = np.sqrt(d2[:, :k])
         if single:
             return idx[0], dist[0]
         return idx, dist
@@ -75,15 +105,6 @@ class KnnIndex:
         """(N, k) neighbor indices of the indexed points themselves."""
         indices, _ = self.query(self.points, k)
         return indices
-
-
-def build_index(cloud) -> KnnIndex:
-    return KnnIndex(cloud)
-
-
-def knn(index: KnnIndex, query, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Functional form of :meth:`KnnIndex.query`."""
-    return index.query(query, k)
 
 
 def fps_indices(points, m: int, start: int = 0) -> np.ndarray:
@@ -108,8 +129,3 @@ def fps_indices(points, m: int, start: int = 0) -> np.ndarray:
         diff = coords - coords[nxt]
         np.minimum(min_d2, np.einsum("nc,nc->n", diff, diff), out=min_d2)
     return selected
-
-
-def farthest_point_sample(cloud, m: int, start: int = 0) -> np.ndarray:
-    """FPS over a cloud or coordinate array; returns the selected indices."""
-    return fps_indices(cloud, m, start)

@@ -2,14 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rpointhop.spatial import (
-    KnnIndex,
-    build_index,
-    farthest_point_sample,
-    fps_indices,
-    knn,
-)
+from rpointhop.spatial import KnnIndex, fps_indices
 
 from conftest import fps_oracle, knn_oracle
 
@@ -22,7 +18,7 @@ from conftest import fps_oracle, knn_oracle
 class TestKnn:
     def test_trivial_two_points(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        idx, dist = knn(KnnIndex(pts), np.array([0.1, 0.0, 0.0]), 2)
+        idx, dist = KnnIndex(pts).query(np.array([0.1, 0.0, 0.0]), 2)
         assert idx.tolist() == [0, 1]
         assert np.allclose(dist, [0.1, 0.9])
 
@@ -82,7 +78,7 @@ class TestKnn:
             index.query(np.zeros((2, 2)), 1)
 
     def test_chunking_boundary_consistency(self):
-        # more queries than one internal chunk; results must match per-row queries
+        # a large batch must match per-row queries exactly
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(128, 3))
         queries = rng.normal(size=(300, 3))
@@ -93,11 +89,11 @@ class TestKnn:
             assert np.array_equal(idx_all[qi], oi)
             assert np.array_equal(dist_all[qi], od)
 
-    def test_build_index_accepts_cloud_and_array(self):
+    def test_index_accepts_cloud_and_array(self):
         from rpointhop import PointCloud
 
         pts = np.random.default_rng(6).normal(size=(12, 3))
-        for index in (build_index(pts), build_index(PointCloud(pts))):
+        for index in (KnnIndex(pts), KnnIndex(PointCloud(pts))):
             idx, _ = index.query(pts[0], 3)
             assert idx[0] == 0
             assert len(index) == 12
@@ -117,6 +113,81 @@ class TestSelfNeighborTable:
         for i in range(25):
             oi, _ = knn_oracle(pts, pts[i], 7)
             assert np.array_equal(table[i], oi)
+
+
+def _lattice(side: int) -> np.ndarray:
+    axis = np.arange(side, dtype=np.float64)
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _assert_rows_match_oracle(pts, queries, k):
+    idx, dist = KnnIndex(pts).query(queries, k)
+    for qi in range(queries.shape[0]):
+        oi, od = knn_oracle(pts, queries[qi], k)
+        assert np.array_equal(idx[qi], oi), f"query {qi}, k={k}"
+        assert np.allclose(dist[qi], od, rtol=0, atol=1e-12), f"query {qi}, k={k}"
+
+
+class TestTiesAcrossTheKBoundary:
+    """Equal distances that straddle the k-th and (k+1)-th neighbor."""
+
+    def test_lattice_point_shells_cut_at_every_k(self):
+        # around an inner lattice point the shells hold 6 points at distance
+        # 1, 12 at sqrt(2), 8 at sqrt(3), ...: most k cut through a shell
+        pts = _lattice(4)
+        inner = int(np.flatnonzero((pts == [1.0, 1.0, 2.0]).all(axis=1))[0])
+        for k in range(1, len(pts) + 1):
+            _assert_rows_match_oracle(pts, pts[inner : inner + 1], k)
+
+    def test_lattice_self_table(self):
+        pts = _lattice(4)
+        for k in (2, 4, 7, 11, 19, 27):
+            _assert_rows_match_oracle(pts, pts, k)
+
+    def test_off_lattice_query_equidistant_corners(self):
+        # the cube centre is equidistant from its 8 corners
+        pts = _lattice(3)
+        centre = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 1.5]])
+        for k in range(1, 12):
+            _assert_rows_match_oracle(pts, centre, k)
+
+    def test_duplicates_just_beyond_k(self):
+        rng = np.random.default_rng(16)
+        pts = rng.normal(size=(50, 3))
+        query = np.zeros((1, 3))
+        order, _ = knn_oracle(pts, query[0], 50)
+        k = 6
+        # copies of the (k+1)-th neighbor, one at a lower index than the
+        # original and one higher: positions k+1..k+3 tie, none belongs in k
+        boundary = int(order[k])
+        low, high = int(order[20]), int(order[30])
+        pts[low] = pts[boundary]
+        pts[high] = pts[boundary]
+        for kk in (k, k + 1, k + 2, k + 3):
+            _assert_rows_match_oracle(pts, query, kk)
+
+    @pytest.mark.parametrize("drop", [0, 1])
+    def test_k_equal_n_and_n_minus_one(self, drop):
+        pts = _lattice(3)
+        pts[5] = pts[20]  # a duplicate on top of the lattice ties
+        k = len(pts) - drop
+        _assert_rows_match_oracle(pts, pts, k)
+        _assert_rows_match_oracle(pts, np.array([[1.0, 1.0, 1.0], [0.5, 0.5, 0.5]]), k)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        coords=st.lists(
+            st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=30
+        ),
+        query=st.tuples(*[st.integers(-4, 4)] * 3),
+        data=st.data(),
+    )
+    def test_small_integer_lattice_clouds(self, coords, query, data):
+        pts = np.asarray(coords, dtype=np.float64)
+        k = data.draw(st.integers(1, len(pts)), label="k")
+        # half-integer queries sit equidistant between lattice points
+        queries = np.vstack([np.asarray(query, dtype=np.float64) / 2.0, pts[:3]])
+        _assert_rows_match_oracle(pts, queries, k)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +271,9 @@ class TestFps:
         with pytest.raises(ValueError, match="start"):
             fps_indices(pts, 2, start=4)
 
-    def test_farthest_point_sample_accepts_cloud(self):
+    def test_fps_accepts_cloud(self):
         from rpointhop import PointCloud
 
         pts = np.random.default_rng(15).normal(size=(16, 3))
-        got = farthest_point_sample(PointCloud(pts), 6)
+        got = fps_indices(PointCloud(pts), 6)
         assert np.array_equal(got, fps_indices(pts, 6, start=0))
