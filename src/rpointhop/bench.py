@@ -19,12 +19,12 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .cloud import PointCloud, RigidTransform, apply_transform, normalize_unit_sphere
-from .pipeline import RPointHopModel, extract_features
+from .pipeline import FeatureSet, RPointHopModel, extract_features
 from .registration import (
     MatchParams,
     RansacParams,
@@ -138,34 +138,70 @@ def _error_aggregates(rot_errors: list[np.ndarray], trans_errors: list[np.ndarra
     return {"rotation_deg": stats(rot_errors), "translation": stats(trans_errors)}
 
 
-def _match_params(spec: ExperimentSpec, ransac_seed: int) -> MatchParams:
-    return MatchParams(
+@dataclass(frozen=True)
+class _Trial:
+    """One synthesized trial: the clouds, the ground-truth motion and the
+    seeds its registration uses."""
+
+    index: int
+    cloud_index: int
+    source: PointCloud
+    target: PointCloud
+    truth: RigidTransform
+    extract_seed: int
+    ransac_seed: int
+
+
+def _trials(clouds: Sequence[PointCloud], spec: ExperimentSpec) -> Iterator[_Trial]:
+    """Synthesize ``spec.trials`` trials from the master seed ``spec.seed``.
+
+    Each trial draws, in order, its cloud index and the seeds of the motion,
+    the source crop, the target crop, the noise, the extraction and RANSAC;
+    every draw is made whether or not the spec uses it.
+    """
+    master = np.random.Generator(np.random.PCG64(spec.seed))
+    for trial in range(spec.trials):
+        cloud_index = int(master.integers(len(clouds)))
+        tf_seed, partial_seed_s, partial_seed_t, noise_seed, extract_seed, ransac_seed = (
+            int(master.integers(2**63)) for _ in range(6)
+        )
+        target = clouds[cloud_index]
+        tf_gt, _ = sample_rigid_transform(spec, tf_seed)
+        source = apply_transform(target, tf_gt)
+        if spec.partial_fraction < 1.0:
+            source = make_partial(source, spec.partial_fraction, partial_seed_s)
+            if spec.partial_both:
+                target = make_partial(target, spec.partial_fraction, partial_seed_t)
+        if spec.noise_std > 0.0:
+            source = add_noise(source, spec.noise_std, noise_seed)
+        yield _Trial(trial, cloud_index, source, target, tf_gt, extract_seed, ransac_seed)
+
+
+def _estimate(
+    target_fs: FeatureSet, source_fs: FeatureSet, trial: _Trial, spec: ExperimentSpec
+) -> RigidTransform:
+    """Match the trial's feature sets, estimate the motion (with RANSAC if
+    the spec asks for it) and optionally refine it with ICP."""
+    params = MatchParams(
         use_ratio_test=spec.use_ratio_test,
         use_ransac=spec.use_ransac,
-        ransac=RansacParams(seed=ransac_seed),
+        ransac=RansacParams(seed=trial.ransac_seed),
     )
+    corr = match(target_fs, source_fs, params)
+    tf = ransac_estimate(corr, params.ransac) if spec.use_ransac else estimate_transform(corr)
+    if spec.icp_refine:
+        tf = icp_refine(trial.source, trial.target, tf).transform
+    return tf
 
 
 def _register_trial(
-    model: RPointHopModel | None,
-    source: PointCloud,
-    target: PointCloud,
-    spec: ExperimentSpec,
-    extract_seed: int,
-    ransac_seed: int,
+    model: RPointHopModel | None, trial: _Trial, spec: ExperimentSpec
 ) -> RigidTransform:
     if spec.icp_only:
-        return icp_refine(source, target, RigidTransform.identity()).transform
-    target_fs = extract_features(model, target, seed=extract_seed)
-    source_fs = extract_features(model, source, seed=extract_seed)
-    corr = match(target_fs, source_fs, _match_params(spec, ransac_seed))
-    if spec.use_ransac:
-        tf = ransac_estimate(corr, RansacParams(seed=ransac_seed))
-    else:
-        tf = estimate_transform(corr)
-    if spec.icp_refine:
-        tf = icp_refine(source, target, tf).transform
-    return tf
+        return icp_refine(trial.source, trial.target, RigidTransform.identity()).transform
+    target_fs = extract_features(model, trial.target, seed=trial.extract_seed)
+    source_fs = extract_features(model, trial.source, seed=trial.extract_seed)
+    return _estimate(target_fs, source_fs, trial, spec)
 
 
 def run_benchmark(
@@ -186,40 +222,23 @@ def run_benchmark(
     if model is None and not spec.icp_only:
         raise ValueError("a model is required unless icp_only is set")
     t0 = time.perf_counter()
-    master = np.random.Generator(np.random.PCG64(spec.seed))
     results: list[TrialResult] = []
     rot_errors: list[np.ndarray] = []
     trans_errors: list[np.ndarray] = []
-    for trial in range(spec.trials):
-        cloud_index = int(master.integers(len(clouds)))
-        tf_seed = int(master.integers(2**63))
-        partial_seed_s = int(master.integers(2**63))
-        partial_seed_t = int(master.integers(2**63))
-        noise_seed = int(master.integers(2**63))
-        extract_seed = int(master.integers(2**63))
-        ransac_seed = int(master.integers(2**63))
-        target = clouds[cloud_index]
-        tf_gt, _ = sample_rigid_transform(spec, tf_seed)
-        source = apply_transform(target, tf_gt)
-        if spec.partial_fraction < 1.0:
-            source = make_partial(source, spec.partial_fraction, partial_seed_s)
-            if spec.partial_both:
-                target = make_partial(target, spec.partial_fraction, partial_seed_t)
-        if spec.noise_std > 0.0:
-            source = add_noise(source, spec.noise_std, noise_seed)
+    for trial in _trials(clouds, spec):
         try:
-            tf_pred = _register_trial(model, source, target, spec, extract_seed, ransac_seed)
+            tf_pred = _register_trial(model, trial, spec)
         except Exception as exc:  # noqa: BLE001 - failures are data here
             results.append(
-                TrialResult(trial, cloud_index, "failed", None, None, False, str(exc))
+                TrialResult(trial.index, trial.cloud_index, "failed", None, None, False, str(exc))
             )
             continue
-        rot = rotation_error(tf_pred.rotation, tf_gt.rotation)
-        trans = translation_error(tf_pred.translation, tf_gt.translation)
+        rot = rotation_error(tf_pred.rotation, trial.truth.rotation)
+        trans = translation_error(tf_pred.translation, trial.truth.translation)
         _, gimbal_pred = matrix_to_euler_xyz(tf_pred.rotation)
-        _, gimbal_gt = matrix_to_euler_xyz(tf_gt.rotation)
+        _, gimbal_gt = matrix_to_euler_xyz(trial.truth.rotation)
         results.append(
-            TrialResult(trial, cloud_index, "ok", rot, trans, gimbal_pred or gimbal_gt)
+            TrialResult(trial.index, trial.cloud_index, "ok", rot, trans, gimbal_pred or gimbal_gt)
         )
         rot_errors.append(rot)
         trans_errors.append(trans)
@@ -248,7 +267,6 @@ def run_ratio_ablation(
     if not clouds:
         raise ValueError("no test clouds supplied")
     t0 = time.perf_counter()
-    master = np.random.Generator(np.random.PCG64(spec.seed))
     variants = (
         ("with ratio test", replace(spec, use_ratio_test=True)),
         ("without ratio test", replace(spec, use_ratio_test=False)),
@@ -256,50 +274,27 @@ def run_ratio_ablation(
     results: dict[str, list[TrialResult]] = {lab: [] for lab, _ in variants}
     rots: dict[str, list[np.ndarray]] = {lab: [] for lab, _ in variants}
     trans: dict[str, list[np.ndarray]] = {lab: [] for lab, _ in variants}
-    for trial in range(spec.trials):
-        cloud_index = int(master.integers(len(clouds)))
-        tf_seed = int(master.integers(2**63))
-        partial_seed_s = int(master.integers(2**63))
-        partial_seed_t = int(master.integers(2**63))
-        noise_seed = int(master.integers(2**63))
-        extract_seed = int(master.integers(2**63))
-        ransac_seed = int(master.integers(2**63))
-        target = clouds[cloud_index]
-        tf_gt, _ = sample_rigid_transform(spec, tf_seed)
-        source = apply_transform(target, tf_gt)
-        if spec.partial_fraction < 1.0:
-            source = make_partial(source, spec.partial_fraction, partial_seed_s)
-            if spec.partial_both:
-                target = make_partial(target, spec.partial_fraction, partial_seed_t)
-        if spec.noise_std > 0.0:
-            source = add_noise(source, spec.noise_std, noise_seed)
+    for trial in _trials(clouds, spec):
         try:
-            target_fs = extract_features(model, target, seed=extract_seed)
-            source_fs = extract_features(model, source, seed=extract_seed)
+            target_fs = extract_features(model, trial.target, seed=trial.extract_seed)
+            source_fs = extract_features(model, trial.source, seed=trial.extract_seed)
         except Exception as exc:  # noqa: BLE001
             for lab, _ in variants:
                 results[lab].append(
-                    TrialResult(trial, cloud_index, "failed", None, None, False, str(exc))
+                    TrialResult(trial.index, trial.cloud_index, "failed", None, None, False, str(exc))
                 )
             continue
         for lab, vspec in variants:
             try:
-                corr = match(target_fs, source_fs, _match_params(vspec, ransac_seed))
-                tf_pred = (
-                    ransac_estimate(corr, RansacParams(seed=ransac_seed))
-                    if vspec.use_ransac
-                    else estimate_transform(corr)
-                )
-                if vspec.icp_refine:
-                    tf_pred = icp_refine(source, target, tf_pred).transform
+                tf_pred = _estimate(target_fs, source_fs, trial, vspec)
             except Exception as exc:  # noqa: BLE001
                 results[lab].append(
-                    TrialResult(trial, cloud_index, "failed", None, None, False, str(exc))
+                    TrialResult(trial.index, trial.cloud_index, "failed", None, None, False, str(exc))
                 )
                 continue
-            rot = rotation_error(tf_pred.rotation, tf_gt.rotation)
-            tr = translation_error(tf_pred.translation, tf_gt.translation)
-            results[lab].append(TrialResult(trial, cloud_index, "ok", rot, tr, False))
+            rot = rotation_error(tf_pred.rotation, trial.truth.rotation)
+            tr = translation_error(tf_pred.translation, trial.truth.translation)
+            results[lab].append(TrialResult(trial.index, trial.cloud_index, "ok", rot, tr, False))
             rots[lab].append(rot)
             trans[lab].append(tr)
     runtime = time.perf_counter() - t0

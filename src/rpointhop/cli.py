@@ -64,13 +64,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     logger.info("training on %d clouds", len(clouds))
     model = train(clouds, config)
     save_model(model, args.output)
-    per_hop = [
-        sum(1 for n in model.tree.nodes if n.hop == h + 1 and n.status != "discarded")
-        for h in range(len(config.hops))
-    ]
     print(f"model written to {args.output}")
     print(f"feature dimension: {model.feature_dim}")
-    print("surviving channels per hop: " + " ".join(str(c) for c in per_hop))
+    print("surviving channels per hop: " + " ".join(str(p.slots.size) for p in model.plans))
     sys.stdout.write(format_config(config))
     return 0
 

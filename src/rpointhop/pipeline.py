@@ -21,7 +21,11 @@ Training (unsupervised, one pass per hop):
    their descendants. Survivors at the last hop are the output feature
    dimensions.
 
-Extraction runs the same geometry with the frozen transforms and returns
+Hop 1 is the one-channel case of steps 3-4, with the tree's root as its
+only parent, so every hop is fit the same way and frozen into the same
+:class:`~rpointhop.saab.HopPlan`.
+
+Extraction runs the same geometry with the frozen plans and returns
 one feature row per final-hop point, carrying the point's index into the
 input cloud, its input coordinates, and degeneracy diagnostics (minimum
 sign-disambiguation margin seen across hops, minimum LRF eigenvalue gap).
@@ -42,14 +46,15 @@ import numpy as np
 from .cloud import PointCloud, normalize_unit_sphere, sample_indices
 from .lrf import local_pca_batch, resolve_signs_batch
 from .saab import (
-    STATUS_DISCARDED,
     FeatureNode,
     FeatureTree,
+    HopPlan,
     SaabLayer,
     cw_saab_fit,
+    freeze_hop,
     propagate_energy,
-    saab_apply,
-    saab_fit,
+    saab_apply,  # noqa: F401 - not called here; perfbench/spans.py traces it by this module path
+    saab_fit,  # noqa: F401 - likewise
 )
 from .spatial import KnnIndex, fps_indices
 
@@ -121,13 +126,39 @@ class ModelConfig:
 @dataclass(frozen=True)
 class RPointHopModel:
     """Frozen result of training: the hop-1 joint Saab layer, the per-node
-    channel-wise layers of later hops, and the pruned energy tree."""
+    channel-wise layers of later hops, and the pruned energy tree.
+
+    ``plans`` holds one :class:`~rpointhop.saab.HopPlan` per hop, frozen from
+    the tree and the layers on construction; a tree that does not fit the
+    layers raises ValueError there.
+    """
 
     config: ModelConfig
     hop1_layer: SaabLayer
     later_hops: tuple[dict[int, SaabLayer], ...]
     tree: FeatureTree
     format_version: int = MODEL_VERSION
+    plans: tuple[HopPlan, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        hops = ({0: self.hop1_layer}, *self.later_hops)
+        if len(hops) != len(self.config.hops):
+            raise ValueError(f"{len(hops)} hops of layers for {len(self.config.hops)} configured hops")
+        # octant means, then the aux normal and four eigenvalue features
+        hop1_width = 24 + 7 * self.config.use_aux_attributes
+        plans = []
+        parent_ids = [0]
+        for h, layers in enumerate(hops):
+            plan, parent_ids = freeze_hop(self.tree, layers, parent_ids)
+            width = plan.filters.shape[1]
+            if width != (8 if h else hop1_width):
+                raise ValueError(f"hop {h + 1} layers take {width}-wide inputs")
+            if not parent_ids:
+                raise ValueError(f"no channel survives hop {h + 1}")
+            plans.append(plan)
+        if len(parent_ids) != self.tree.output_dim():
+            raise ValueError(f"{len(parent_ids)} final channels but {self.tree.output_dim()} output nodes")
+        object.__setattr__(self, "plans", tuple(plans))
 
     @property
     def feature_dim(self) -> int:
@@ -184,14 +215,23 @@ class FeatureSet:
 # ---------------------------------------------------------------------------
 
 
-def _octant_onehot(proj: np.ndarray) -> np.ndarray:
-    """(P, k, 8) indicator of each projected neighbor's octant."""
+def _octant_means(proj: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(P, 8, C) per-octant means of (P, k, C) neighbor ``values``, octants
+    taken from the (P, k, 3) projected neighbors; empty octants give zeros.
+
+    The sums are a batched product of the transposed (P, 8, k) one-hot
+    octant indicator with the values, which adds each octant's values in
+    neighbor order.
+    """
     oct_id = (
         (proj[..., 0] < 0).astype(np.intp) * 4
         + (proj[..., 1] < 0) * 2
         + (proj[..., 2] < 0)
     )
-    return np.eye(8, dtype=np.float64)[oct_id]
+    onehot = np.eye(8, dtype=np.float64)[oct_id]
+    counts = onehot.sum(axis=1)
+    sums = np.matmul(onehot.transpose(0, 2, 1), values)
+    return sums / np.maximum(counts, 1.0)[:, :, None]
 
 
 def _project_neighbors(
@@ -222,11 +262,7 @@ def build_hop1_attributes(
     ... in the fixed octant order. Empty octants stay zero.
     """
     proj, flips, margins = _project_neighbors(coords, nbr_idx, axes)
-    onehot = _octant_onehot(proj)
-    counts = onehot.sum(axis=1)
-    sums = np.einsum("pko,pkc->poc", onehot, proj)
-    means = sums / np.maximum(counts, 1.0)[:, :, None]
-    attrs = means.reshape(coords.shape[0], 24)
+    attrs = _octant_means(proj, proj).reshape(coords.shape[0], 24)
     if aux is not None:
         attrs = np.hstack([attrs, aux])
     return attrs, flips, margins
@@ -242,11 +278,7 @@ def build_later_hop_attributes(
     attributes[:, :, c] is channel c's 8-wide sample block.
     """
     proj, _, margins = _project_neighbors(coords, nbr_idx, axes)
-    onehot = _octant_onehot(proj)
-    counts = onehot.sum(axis=1)
-    sums = np.einsum("pko,pkc->poc", onehot, values[nbr_idx])
-    means = sums / np.maximum(counts, 1.0)[:, :, None]
-    return means, margins
+    return _octant_means(proj, values[nbr_idx]), margins
 
 
 def _geometric_features_batch(eigenvalues: np.ndarray) -> np.ndarray:
@@ -318,54 +350,21 @@ class _HopRun:
         self.min_margin = self.min_margin[sel]
         self.values = self.values[sel]
 
-    def hop_attributes(self, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
-        """Octant means of the current points' neighborhoods, and the
-        (P, k_neighbors) neighbor table they were built from; the run keeps
-        neither, so training holds no per-cloud tables."""
-        neighbors = KnnIndex(self.coords).self_neighbor_table(k_neighbors)
+    def hop_inputs(self, h: int, hop: HopConfig) -> tuple[np.ndarray, np.ndarray | None]:
+        """Hop h's (P, N, C) Saab inputs, channel c's samples in ``[:, :, c]``,
+        and the neighbor table they were built from (None at hop 1, whose
+        one channel is the joint attribute built on construction). Later
+        hops shrink the working cloud first. The run keeps no tables, so
+        training holds none per cloud."""
+        if h == 0:
+            return self.attrs[:, :, None], None
+        self.downsample(hop.num_points)
+        neighbors = KnnIndex(self.coords).self_neighbor_table(hop.k_neighbors)
         means, margins = build_later_hop_attributes(
             self.coords, neighbors, self.axes, self.values
         )
         np.minimum(self.min_margin, margins.min(axis=1), out=self.min_margin)
         return means, neighbors
-
-
-def _surviving_children(tree: FeatureTree, parent_ids: Sequence[int]) -> list[FeatureNode]:
-    out: list[FeatureNode] = []
-    for pid in parent_ids:
-        out.extend(n for n in tree.children(pid) if n.status != STATUS_DISCARDED)
-    return out
-
-
-def _apply_hop1(model_layer: SaabLayer, tree: FeatureTree, attrs: np.ndarray) -> np.ndarray:
-    nodes = [n for n in tree.at_hop(1) if n.status != STATUS_DISCARDED]
-    cols = [n.channel for n in sorted(nodes, key=lambda n: n.node_id)]
-    return saab_apply(model_layer, attrs)[:, cols]
-
-
-def _apply_later_hop(
-    layers: dict[int, SaabLayer],
-    tree: FeatureTree,
-    parent_ids: Sequence[int],
-    means: np.ndarray,
-) -> tuple[np.ndarray, list[int]]:
-    """Transform per-channel octant means and keep surviving children.
-
-    ``means`` is (P, 8, C) with channel order matching ``parent_ids``.
-    Returns the next hop's (P, C') value matrix and its node id order.
-    """
-    blocks: list[np.ndarray] = []
-    next_ids: list[int] = []
-    for col, pid in enumerate(parent_ids):
-        keep = [n for n in tree.children(pid) if n.status != STATUS_DISCARDED]
-        if not keep:
-            continue
-        out = saab_apply(layers[pid], means[:, :, col])
-        blocks.append(out[:, [n.channel for n in keep]])
-        next_ids.extend(n.node_id for n in keep)
-    if not blocks:
-        return np.empty((means.shape[0], 0)), []
-    return np.hstack(blocks), next_ids
 
 
 def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> RPointHopModel:
@@ -389,44 +388,28 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
 
     n_hops = len(config.hops)
     tree = FeatureTree()
-    hop1_layer = saab_fit(np.vstack([run.attrs for run in runs]))
-    propagate_energy(
-        tree, {0: hop1_layer.energies}, config.energy_threshold, final=(n_hops == 1)
-    )
-    active = sorted(n.node_id for n in tree.surviving(1))
-    if not active:
-        raise TrainingError(_prune_message(1, n_hops))
-    for run in runs:
-        run.values = _apply_hop1(hop1_layer, tree, run.attrs)
-
-    later: list[dict[int, SaabLayer]] = []
-    for h in range(1, n_hops):
-        hop = config.hops[h]
-        means_per_cloud = []
-        for run in runs:
-            run.downsample(hop.num_points)
-            means_per_cloud.append(run.hop_attributes(hop.k_neighbors)[0])
-        blocks = {
-            pid: np.vstack([m[:, :, col] for m in means_per_cloud])
-            for col, pid in enumerate(active)
-        }
-        layers = cw_saab_fit(blocks)
+    hop_layers: list[dict[int, SaabLayer]] = []
+    parent_ids = [0]
+    for h, hop in enumerate(config.hops):
+        inputs = [run.hop_inputs(h, hop)[0] for run in runs]
+        layers = cw_saab_fit(
+            {pid: np.vstack([x[:, :, c] for x in inputs]) for c, pid in enumerate(parent_ids)}
+        )
         propagate_energy(
             tree,
-            {pid: layers[pid].energies for pid in active},
+            {pid: layers[pid].energies for pid in parent_ids},
             config.energy_threshold,
             final=(h == n_hops - 1),
         )
-        survivors = _surviving_children(tree, active)
-        if not survivors:
+        plan, parent_ids = freeze_hop(tree, layers, parent_ids)
+        if not parent_ids:
             raise TrainingError(_prune_message(h + 1, n_hops))
-        for run, means in zip(runs, means_per_cloud):
-            run.values, _ = _apply_later_hop(layers, tree, active, means)
-        active = sorted(n.node_id for n in survivors)
-        later.append(layers)
+        for run, x in zip(runs, inputs):
+            run.values = plan.apply(x)
+        hop_layers.append(layers)
 
     return RPointHopModel(
-        config=config, hop1_layer=hop1_layer, later_hops=tuple(later), tree=tree
+        config=config, hop1_layer=hop_layers[0][0], later_hops=tuple(hop_layers[1:]), tree=tree
     )
 
 
@@ -445,14 +428,9 @@ def extract_features(model: RPointHopModel, cloud: PointCloud, seed: int = 0) ->
     """
     config = model.config
     run = _HopRun(cloud.coords, config, seed)
-    run.values = _apply_hop1(model.hop1_layer, model.tree, run.attrs)
-    active = sorted(n.node_id for n in model.tree.surviving(1))
-    neighbors = None
-    for h in range(1, len(config.hops)):
-        hop = config.hops[h]
-        run.downsample(hop.num_points)
-        means, neighbors = run.hop_attributes(hop.k_neighbors)
-        run.values, active = _apply_later_hop(model.later_hops[h - 1], model.tree, active, means)
+    for h, (hop, plan) in enumerate(zip(config.hops, model.plans)):
+        x, neighbors = run.hop_inputs(h, hop)
+        run.values = plan.apply(x)
     if neighbors is None:  # one-hop model: the run does not keep hop 1's table
         neighbors = KnnIndex(run.coords).self_neighbor_table(config.hops[0].k_neighbors)
     return FeatureSet(
@@ -588,10 +566,13 @@ def load_model(path) -> RPointHopModel:
         trailing = fh.read(1)
         if trailing:
             raise ModelFormatError("corrupt model file: trailing bytes after arrays")
-    return RPointHopModel(
-        config=config, hop1_layer=hop1_layer, later_hops=tuple(later),
-        tree=tree, format_version=version,
-    )
+    try:
+        return RPointHopModel(
+            config=config, hop1_layer=hop1_layer, later_hops=tuple(later),
+            tree=tree, format_version=version,
+        )
+    except ValueError as exc:
+        raise ModelFormatError(f"corrupt model file: tree does not fit the layers ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ within-transform fraction. Nodes at or below the energy threshold are
 discarded outright, children and all; there is no leaf-collection of
 low-energy nodes. Surviving nodes at the last hop form the output feature
 dimensions.
+
+:func:`freeze_hop` freezes a trained hop into a :class:`HopPlan`, so that
+applying it is one batched matrix product, a bias add and a gather, with no
+tree walk.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ _EIG_CUTOFF = 1e-10  # relative eigenvalue floor: drops numerically-null dims
 STATUS_INTERMEDIATE = "intermediate"
 STATUS_DISCARDED = "discarded"
 STATUS_OUTPUT = "output"
+_STATUSES = (STATUS_INTERMEDIATE, STATUS_DISCARDED, STATUS_OUTPUT)
 
 
 @dataclass(frozen=True)
@@ -269,3 +274,78 @@ def propagate_energy(
                 )
             )
     return tree
+
+
+@dataclass(frozen=True)
+class HopPlan:
+    """One hop of the energy tree frozen into arrays.
+
+    ``filters[c]`` is the transposed (N, K) filter bank of the hop's c-th
+    parent channel, zero-padded to the widest layer of the hop, and
+    ``biases[c]`` its bias. ``slots`` holds ``c * K + channel`` for every
+    surviving child, in node-id order.
+    """
+
+    filters: np.ndarray  # (C, N, K)
+    biases: np.ndarray  # (C,)
+    slots: np.ndarray  # (C',)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Transform (P, N, C) inputs, channel c's samples in ``x[:, :, c]``,
+        into the (P, C') surviving outputs. As in :func:`saab_apply`, inputs
+        outside a layer's norm ball are transformed as-is but counted and
+        logged."""
+        c, _, k = self.filters.shape
+        xt = x.transpose(2, 0, 1)
+        over = int(np.count_nonzero(np.linalg.norm(xt, axis=2) > self.biases[:, None] + 1e-9))
+        if over:
+            logger.debug("hop plan: %d of %d inputs exceed the training norm ball", over, c * len(x))
+        # xt stays a view: each channel's product then takes the same numpy
+        # matmul path as saab_apply(layer, x[:, :, c]), and gives the same bits
+        out = np.matmul(xt, self.filters) + self.biases[:, None, None]
+        return out.transpose(1, 0, 2).reshape(len(x), c * k)[:, self.slots]
+
+
+def freeze_hop(
+    tree: FeatureTree, layers: Mapping[int, SaabLayer], parent_ids: Sequence[int]
+) -> tuple[HopPlan, list[int]]:
+    """Freeze the hop below ``parent_ids`` (the previous hop's surviving node
+    ids, ascending; ``[0]``, the root, for hop 1), whose transforms
+    ``layers`` maps by parent id. Returns the plan and the surviving
+    children's node ids, the next hop's parents. Raises ValueError when the
+    tree does not fit the layers.
+    """
+    parent_ids = list(parent_ids)
+    if sorted(layers) != parent_ids:
+        raise ValueError(
+            f"layers below nodes {sorted(layers)} do not match the surviving parents {parent_ids}"
+        )
+    widths = {layer.input_dim for layer in layers.values()}
+    if len(widths) != 1:
+        raise ValueError(f"layers of one hop differ in input width: {sorted(widths)}")
+    children: dict[int, list[FeatureNode]] = {pid: [] for pid in parent_ids}
+    for n in tree.nodes:
+        if n.parent in children:
+            if n.status not in _STATUSES:
+                raise ValueError(f"node {n.node_id} has unknown status {n.status!r}")
+            children[n.parent].append(n)
+    k = max(layer.kept_dim for layer in layers.values())
+    filters = np.zeros((len(parent_ids), widths.pop(), k))
+    biases = np.empty(len(parent_ids))
+    slots: dict[int, int] = {}  # surviving node id -> flat output slot
+    for c, pid in enumerate(parent_ids):
+        layer = layers[pid]
+        channels = [n.channel for n in children[pid]]
+        if channels != list(range(layer.kept_dim)):
+            raise ValueError(
+                f"children of node {pid} carry channels {channels}, "
+                f"but its layer keeps {layer.kept_dim} outputs"
+            )
+        filters[c, :, : layer.kept_dim] = layer.filters.T
+        biases[c] = layer.bias
+        slots.update(
+            (n.node_id, c * k + n.channel) for n in children[pid] if n.status != STATUS_DISCARDED
+        )
+    survivors = sorted(slots)
+    plan = HopPlan(filters, biases, np.array([slots[i] for i in survivors], dtype=np.intp))
+    return plan, survivors

@@ -12,6 +12,7 @@ import pytest
 
 from rpointhop import HopConfig, ModelConfig, train
 from rpointhop.bench import make_shape_corpus
+from rpointhop.saab import STATUS_DISCARDED, saab_apply
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +52,22 @@ def fps_oracle(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
             if d2 < min_d2[j]:
                 min_d2[j] = d2
     return np.asarray(selected, dtype=np.intp)
+
+
+def hop_oracle(tree, layers, parent_ids, x: np.ndarray):
+    """One hop by walking the energy tree: ``saab_apply`` per parent on
+    its samples ``x[:, :, c]``, then every surviving child's output column
+    in node-id order. Returns (values (P, C'), surviving node ids)."""
+    columns = {}
+    for c, pid in enumerate(parent_ids):
+        out = saab_apply(layers[pid], x[:, :, c])
+        for node in tree.children(pid):
+            if node.status != STATUS_DISCARDED:
+                columns[node.node_id] = out[:, node.channel]
+    ids = sorted(columns)
+    if not ids:
+        return np.empty((x.shape[0], 0)), ids
+    return np.stack([columns[i] for i in ids], axis=1), ids
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

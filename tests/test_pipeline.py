@@ -1,5 +1,9 @@
 """Multi-hop feature pipeline: attributes, training, extraction, model files."""
 
+import copy
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,16 +22,18 @@ from rpointhop import (
     train,
 )
 from rpointhop.cloud import RigidTransform
-from rpointhop.lrf import local_pca_batch
+from rpointhop.lrf import geometric_features, local_pca_batch
 from rpointhop.pipeline import (
-    _octant_onehot,
+    _geometric_features_batch,
+    _HopRun,
+    _octant_means,
     build_hop1_attributes,
     build_later_hop_attributes,
     format_config,
 )
 from rpointhop.spatial import KnnIndex
 
-from conftest import TINY_CONFIG, random_rotation
+from conftest import TINY_CONFIG, hop_oracle, random_rotation
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +89,13 @@ class TestOctants:
             ],
             dtype=np.float64,
         )
-        onehot = _octant_onehot(signs[None, :, :])
-        assert np.array_equal(onehot[0], np.eye(8))
+        # neighbor j carries the j-th unit vector, so octant o's mean is e_o
+        means = _octant_means(signs[None, :, :], np.eye(8)[None, :, :])
+        assert np.array_equal(means[0], np.eye(8))
 
     def test_zero_counts_as_positive(self):
-        onehot = _octant_onehot(np.zeros((1, 1, 3)))
-        assert onehot[0, 0].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+        means = _octant_means(np.zeros((1, 1, 3)), np.ones((1, 1, 1)))
+        assert means[0, :, 0].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
 class TestHop1Attributes:
@@ -189,6 +196,25 @@ class TestLaterHopAttributes:
         assert np.abs(m0[stable] - m1[stable]).max() < 1e-9
 
 
+class TestGeometricFeaturesBatch:
+    def test_rows_match_scalar_oracle(self):
+        rng = np.random.default_rng(12)
+        lam = -np.sort(-rng.uniform(0.0, 2.0, size=(300, 3)), axis=1)
+        lam[:40, 2] = 0.0  # planar rows: 0 ln 0 in the entropy
+        lam[40:60, 1:] = 0.0  # linear rows
+        lam[60:70] = lam[60:70, :1]  # isotropic rows
+        got = _geometric_features_batch(lam)
+        assert got.shape == (300, 4)
+        for row, out in zip(lam, got):
+            assert np.array_equal(out, geometric_features(row))
+
+    def test_all_zero_rows_give_zeros(self):
+        lam = np.array([[0.0, 0.0, 0.0], [3.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
+        got = _geometric_features_batch(lam)
+        assert np.array_equal(got[[0, 2]], np.zeros((2, 4)))
+        assert np.array_equal(got[1], geometric_features(lam[1]))
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -256,6 +282,42 @@ class TestTrain:
     def test_later_hop_layers_cover_surviving_parents(self, tiny_model):
         survivors = {n.node_id for n in tiny_model.tree.surviving(1)}
         assert set(tiny_model.later_hops[0]) == survivors
+
+
+# ---------------------------------------------------------------------------
+# frozen hop plans
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["tiny", "one_hop", "aux"])
+def plan_model(request, tiny_model, tiny_corpus):
+    if request.param == "tiny":
+        return tiny_model
+    hops = TINY_CONFIG.hops[:1] if request.param == "one_hop" else TINY_CONFIG.hops
+    cfg = ModelConfig(
+        hops=hops, k_lrf=TINY_CONFIG.k_lrf, use_aux_attributes=request.param == "aux"
+    )
+    return train(tiny_corpus[:3], cfg)
+
+
+class TestHopPlans:
+    def test_one_plan_per_hop(self, plan_model):
+        assert len(plan_model.plans) == len(plan_model.config.hops)
+        assert plan_model.plans[0].filters.shape[0] == 1  # hop 1: the root's one channel
+        assert plan_model.plans[-1].slots.size == plan_model.feature_dim
+
+    def test_plans_match_tree_walk_oracle(self, plan_model, tiny_corpus):
+        cloud = tiny_corpus[5]
+        run = _HopRun(cloud.coords, plan_model.config, seed=2)
+        hop_layers = ({0: plan_model.hop1_layer}, *plan_model.later_hops)
+        parent_ids = [0]
+        for h, (hop, plan) in enumerate(zip(plan_model.config.hops, plan_model.plans)):
+            x, _ = run.hop_inputs(h, hop)
+            want, parent_ids = hop_oracle(plan_model.tree, hop_layers[h], parent_ids, x)
+            run.values = plan.apply(x)
+            assert np.array_equal(run.values, want), f"hop {h + 1}"
+        fs = extract_features(plan_model, cloud, seed=2)
+        assert np.array_equal(fs.features, run.values)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +485,70 @@ class TestModelFile:
         save_model(tiny_model, path)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(ModelFormatError, match="trailing"):
+            load_model(path)
+
+    @staticmethod
+    def _unknown_status(model):
+        tree = copy.deepcopy(model.tree)
+        tree.nodes[-1].status = "pending"
+        return tree, model.later_hops
+
+    @staticmethod
+    def _discarded_parent_keeps_layer(model):
+        tree = copy.deepcopy(model.tree)
+        tree.node(min(model.later_hops[0])).status = "discarded"
+        return tree, model.later_hops
+
+    @staticmethod
+    def _surviving_parent_without_layer(model):
+        layers = dict(model.later_hops[0])
+        del layers[min(layers)]
+        return model.tree, (layers,)
+
+    @staticmethod
+    def _channel_past_kept_dim(model):
+        tree = copy.deepcopy(model.tree)
+        last = tree.nodes[-1]
+        last.channel = model.later_hops[0][last.parent].kept_dim
+        return tree, model.later_hops
+
+    @staticmethod
+    def _child_count_differs(model):
+        tree = copy.deepcopy(model.tree)
+        tree.nodes.pop()
+        return tree, model.later_hops
+
+    @staticmethod
+    def _later_width_not_eight(model):
+        def narrow(layer):
+            return dataclasses.replace(
+                layer, input_dim=4, dc_filter=layer.dc_filter[:4], ac_filters=layer.ac_filters[:, :4]
+            )
+
+        return model.tree, ({pid: narrow(layer) for pid, layer in model.later_hops[0].items()},)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            ("_unknown_status", "unknown status 'pending'"),
+            ("_discarded_parent_keeps_layer", "do not match the surviving parents"),
+            ("_surviving_parent_without_layer", "do not match the surviving parents"),
+            ("_channel_past_kept_dim", "carry channels"),
+            ("_child_count_differs", "carry channels"),
+            ("_later_width_not_eight", "hop 2 layers take 4-wide inputs"),
+        ],
+    )
+    def test_tree_must_fit_the_layers(self, tiny_model, tmp_path, corrupt, message):
+        tree, later_hops = getattr(self, corrupt)(tiny_model)
+        # save_model reads only these four attributes, so a plain namespace
+        # writes a well-formed file whose tree and layers disagree
+        fake = SimpleNamespace(
+            config=tiny_model.config, hop1_layer=tiny_model.hop1_layer,
+            later_hops=later_hops, tree=tree,
+        )
+        path = tmp_path / "m.rph"
+        save_model(fake, path)
+        with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
     def test_tiny_model_file_is_small(self, tiny_model, tmp_path):

@@ -13,10 +13,13 @@ from rpointhop.saab import (
     FeatureTree,
     SaabLayer,
     cw_saab_fit,
+    freeze_hop,
     propagate_energy,
     saab_apply,
     saab_fit,
 )
+
+from conftest import hop_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +328,54 @@ class TestFeatureTree:
         propagate_energy(tree, {0: [0.5, 0.5]}, threshold=0.0)
         with pytest.raises(ValueError, match="multiple hops"):
             propagate_energy(tree, {0: [1.0], 1: [1.0]}, threshold=0.0)
+
+
+# ---------------------------------------------------------------------------
+# frozen hops
+# ---------------------------------------------------------------------------
+
+
+class TestFreezeHop:
+    @staticmethod
+    def hop():
+        """Three parents whose layers keep 3, 5 and 2 filters, with some
+        children below the threshold."""
+        rng = np.random.default_rng(3)
+        tree = FeatureTree()
+        propagate_energy(tree, {0: [0.5, 0.3, 0.2]}, threshold=0.0)
+        layers = {
+            pid: saab_fit(rng.normal(size=(40, 8)) * rng.uniform(0.2, 2.0, size=8), max_dims=k)
+            for pid, k in ((1, 3), (2, 5), (3, 2))
+        }
+        propagate_energy(
+            tree, {pid: layer.energies for pid, layer in layers.items()}, threshold=0.05, final=True
+        )
+        return tree, layers, rng.normal(size=(30, 8, 3))
+
+    def test_matches_tree_walk_oracle(self):
+        tree, layers, x = self.hop()
+        plan, ids = freeze_hop(tree, layers, [1, 2, 3])
+        want, want_ids = hop_oracle(tree, layers, [1, 2, 3], x)
+        assert plan.filters.shape == (3, 8, 5)  # padded to the widest layer
+        assert ids == want_ids
+        assert 0 < len(ids) < 10  # the gather skips discarded children
+        assert np.array_equal(plan.apply(x), want)
+
+    def test_root_hop_is_the_joint_layer(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(50, 6))
+        tree = FeatureTree()
+        layers = cw_saab_fit({0: x})
+        propagate_energy(tree, {0: layers[0].energies}, threshold=0.05)
+        plan, ids = freeze_hop(tree, layers, [0])
+        cols = [tree.node(i).channel for i in ids]
+        assert np.array_equal(plan.apply(x[:, :, None]), saab_apply(saab_fit(x), x)[:, cols])
+
+    def test_norm_ball_logged_once_per_hop(self, caplog):
+        tree, layers, x = self.hop()
+        plan, _ = freeze_hop(tree, layers, [1, 2, 3])
+        with caplog.at_level(logging.DEBUG, logger="rpointhop.saab"):
+            plan.apply(x * 1e3)
+        assert [r.getMessage() for r in caplog.records] == [
+            "hop plan: 90 of 90 inputs exceed the training norm ball"
+        ]
