@@ -28,12 +28,10 @@ from .pipeline import FeatureSet, RPointHopModel, extract_features
 from .registration import (
     MatchParams,
     RansacParams,
-    estimate_transform,
     euler_xyz_to_matrix,
     icp_refine,
-    match,
     matrix_to_euler_xyz,
-    ransac_estimate,
+    register_features,
     rotation_error,
     translation_error,
 )
@@ -178,30 +176,76 @@ def _trials(clouds: Sequence[PointCloud], spec: ExperimentSpec) -> Iterator[_Tri
 
 
 def _estimate(
-    target_fs: FeatureSet, source_fs: FeatureSet, trial: _Trial, spec: ExperimentSpec
+    features: tuple[FeatureSet, FeatureSet] | None, trial: _Trial, spec: ExperimentSpec
 ) -> RigidTransform:
-    """Match the trial's feature sets, estimate the motion (with RANSAC if
-    the spec asks for it) and optionally refine it with ICP."""
+    """The trial's predicted motion: ICP from the identity for ``icp_only``
+    specs, otherwise the (target, source) feature sets matched and
+    estimated by :func:`~rpointhop.registration.register_features` (with
+    RANSAC and ICP if the spec asks for them)."""
+    if spec.icp_only:
+        return icp_refine(trial.source, trial.target, RigidTransform.identity()).transform
     params = MatchParams(
         use_ratio_test=spec.use_ratio_test,
         use_ransac=spec.use_ransac,
         ransac=RansacParams(seed=trial.ransac_seed),
     )
-    corr = match(target_fs, source_fs, params)
-    tf = ransac_estimate(corr, params.ransac) if spec.use_ransac else estimate_transform(corr)
-    if spec.icp_refine:
-        tf = icp_refine(trial.source, trial.target, tf).transform
-    return tf
+    return register_features(*features, trial.source, trial.target, params, spec.icp_refine)[0]
 
 
-def _register_trial(
-    model: RPointHopModel | None, trial: _Trial, spec: ExperimentSpec
-) -> RigidTransform:
-    if spec.icp_only:
-        return icp_refine(trial.source, trial.target, RigidTransform.identity()).transform
-    target_fs = extract_features(model, trial.target, seed=trial.extract_seed)
-    source_fs = extract_features(model, trial.source, seed=trial.extract_seed)
-    return _estimate(target_fs, source_fs, trial, spec)
+def _score(trial: _Trial, outcome: RigidTransform | Exception) -> TrialResult:
+    """Score a predicted motion against the trial's ground truth; an
+    exception instead of a prediction makes a failed result."""
+    if isinstance(outcome, Exception):
+        return TrialResult(trial.index, trial.cloud_index, "failed", None, None, False, str(outcome))
+    rot = rotation_error(outcome.rotation, trial.truth.rotation)
+    trans = translation_error(outcome.translation, trial.truth.translation)
+    _, gimbal_pred = matrix_to_euler_xyz(outcome.rotation)
+    _, gimbal_gt = matrix_to_euler_xyz(trial.truth.rotation)
+    return TrialResult(trial.index, trial.cloud_index, "ok", rot, trans, gimbal_pred or gimbal_gt)
+
+
+def _run_variants(
+    model: RPointHopModel | None,
+    test_clouds: Sequence[PointCloud],
+    spec: ExperimentSpec,
+    variants: Sequence[tuple[str, ExperimentSpec]],
+) -> tuple[BenchReport, ...]:
+    """Run the trials of ``spec``, extracting each trial's features once
+    and registering them with every (label, spec) variant; one report per
+    variant over the shared trials."""
+    clouds = list(test_clouds)
+    if not clouds:
+        raise ValueError("no test clouds supplied")
+    if model is None and not spec.icp_only:
+        raise ValueError("a model is required unless icp_only is set")
+    t0 = time.perf_counter()
+    results: list[list[TrialResult]] = [[] for _ in variants]
+    for trial in _trials(clouds, spec):
+        try:
+            features = None if spec.icp_only else (
+                extract_features(model, trial.target, seed=trial.extract_seed),
+                extract_features(model, trial.source, seed=trial.extract_seed),
+            )
+        except Exception as exc:  # noqa: BLE001 - failures are data here
+            for out in results:
+                out.append(_score(trial, exc))
+            continue
+        for out, (_, vspec) in zip(results, variants):
+            try:
+                outcome = _estimate(features, trial, vspec)
+            except Exception as exc:  # noqa: BLE001
+                outcome = exc
+            out.append(_score(trial, outcome))
+    runtime = time.perf_counter() - t0
+    logger.info("%s: %d trials in %.2fs", " / ".join(lab for lab, _ in variants), spec.trials, runtime)
+    reports = []
+    for (label, vspec), trials in zip(variants, results):
+        ok = [t for t in trials if t.status == "ok"]
+        aggregates = _error_aggregates(
+            [t.rotation_error_deg for t in ok], [t.translation_error for t in ok]
+        )
+        reports.append(BenchReport(vspec, label, tuple(trials), aggregates, runtime))
+    return tuple(reports)
 
 
 def run_benchmark(
@@ -216,41 +260,7 @@ def run_benchmark(
     recorded with their message and excluded from the aggregates rather
     than aborting the run.
     """
-    clouds = list(test_clouds)
-    if not clouds:
-        raise ValueError("no test clouds supplied")
-    if model is None and not spec.icp_only:
-        raise ValueError("a model is required unless icp_only is set")
-    t0 = time.perf_counter()
-    results: list[TrialResult] = []
-    rot_errors: list[np.ndarray] = []
-    trans_errors: list[np.ndarray] = []
-    for trial in _trials(clouds, spec):
-        try:
-            tf_pred = _register_trial(model, trial, spec)
-        except Exception as exc:  # noqa: BLE001 - failures are data here
-            results.append(
-                TrialResult(trial.index, trial.cloud_index, "failed", None, None, False, str(exc))
-            )
-            continue
-        rot = rotation_error(tf_pred.rotation, trial.truth.rotation)
-        trans = translation_error(tf_pred.translation, trial.truth.translation)
-        _, gimbal_pred = matrix_to_euler_xyz(tf_pred.rotation)
-        _, gimbal_gt = matrix_to_euler_xyz(trial.truth.rotation)
-        results.append(
-            TrialResult(trial.index, trial.cloud_index, "ok", rot, trans, gimbal_pred or gimbal_gt)
-        )
-        rot_errors.append(rot)
-        trans_errors.append(trans)
-    runtime = time.perf_counter() - t0
-    logger.info("%s: %d trials in %.2fs", label, spec.trials, runtime)
-    return BenchReport(
-        spec=spec,
-        label=label,
-        trials=tuple(results),
-        aggregates=_error_aggregates(rot_errors, trans_errors),
-        runtime_s=runtime,
-    )
+    return _run_variants(model, test_clouds, spec, [(label, spec)])[0]
 
 
 def run_ratio_ablation(
@@ -263,52 +273,11 @@ def run_ratio_ablation(
     Both variants share every trial's clouds, ground truth, and extracted
     features, so the comparison isolates the correspondence filter.
     """
-    clouds = list(test_clouds)
-    if not clouds:
-        raise ValueError("no test clouds supplied")
-    t0 = time.perf_counter()
-    variants = (
+    variants = [
         ("with ratio test", replace(spec, use_ratio_test=True)),
         ("without ratio test", replace(spec, use_ratio_test=False)),
-    )
-    results: dict[str, list[TrialResult]] = {lab: [] for lab, _ in variants}
-    rots: dict[str, list[np.ndarray]] = {lab: [] for lab, _ in variants}
-    trans: dict[str, list[np.ndarray]] = {lab: [] for lab, _ in variants}
-    for trial in _trials(clouds, spec):
-        try:
-            target_fs = extract_features(model, trial.target, seed=trial.extract_seed)
-            source_fs = extract_features(model, trial.source, seed=trial.extract_seed)
-        except Exception as exc:  # noqa: BLE001
-            for lab, _ in variants:
-                results[lab].append(
-                    TrialResult(trial.index, trial.cloud_index, "failed", None, None, False, str(exc))
-                )
-            continue
-        for lab, vspec in variants:
-            try:
-                tf_pred = _estimate(target_fs, source_fs, trial, vspec)
-            except Exception as exc:  # noqa: BLE001
-                results[lab].append(
-                    TrialResult(trial.index, trial.cloud_index, "failed", None, None, False, str(exc))
-                )
-                continue
-            rot = rotation_error(tf_pred.rotation, trial.truth.rotation)
-            tr = translation_error(tf_pred.translation, trial.truth.translation)
-            results[lab].append(TrialResult(trial.index, trial.cloud_index, "ok", rot, tr, False))
-            rots[lab].append(rot)
-            trans[lab].append(tr)
-    runtime = time.perf_counter() - t0
-    reports = tuple(
-        BenchReport(
-            spec=vspec,
-            label=lab,
-            trials=tuple(results[lab]),
-            aggregates=_error_aggregates(rots[lab], trans[lab]),
-            runtime_s=runtime,
-        )
-        for lab, vspec in variants
-    )
-    return reports[0], reports[1]
+    ]
+    return _run_variants(model, test_clouds, spec, variants)
 
 
 def render_report(report: BenchReport) -> str:

@@ -1,157 +1,30 @@
-"""Local reference frames with moment-based sign disambiguation.
+"""Local reference frames with moment-based sign disambiguation, batched
+over every point of a cloud.
 
-Each point gets an orthonormal frame (p, q, r) from the eigenvectors of the
-covariance of its k nearest neighbors, eigenvalues in descending order. An
-eigenvector's sign is arbitrary, so every axis is disambiguated against the
-neighborhood: project the neighbors onto the axis, split them at the median,
-and compare the total absolute deviation of the two sides. The side
-with the larger mass fixes the positive direction. Frames built this way
-rotate with the data: for a rigid copy of the neighborhood the sign-resolved
-frame is the rotated sign-resolved frame, so coordinates expressed in it are
-invariant to the motion (up to ties in the moment comparison).
+:func:`local_pca_batch` gives each point an orthonormal frame (p, q, r)
+from the eigenvectors of the covariance of its k nearest neighbors,
+eigenvalues in descending order. An eigenvector's sign is arbitrary, so
+:func:`resolve_signs_batch` disambiguates every axis against the
+neighborhood: project the neighbors onto the axis, split them at the
+median, and compare the total absolute deviation of the two sides. The
+side with the larger mass fixes the positive direction. Frames built this
+way rotate with the data: for a rigid copy of the neighborhood the
+sign-resolved frame is the rotated sign-resolved frame, so coordinates
+expressed in it are invariant to the motion (up to ties in the moment
+comparison). :func:`geometric_features` turns the eigenvalues into the
+covariance-shape attributes used as auxiliary hop-1 inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .cloud import PointCloud
-from .spatial import KnnIndex
-
-
-@dataclass(frozen=True)
-class Lrf:
-    """Local frame at ``origin``: ``axes`` rows are the unit eigenvectors
-    (largest eigenvalue first), ``eigenvalues`` sorted descending."""
-
-    origin: np.ndarray
-    axes: np.ndarray
-    eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
-class SignState:
-    """Per-axis orientation flips (+1 or -1) resolved for one neighborhood."""
-
-    flips: np.ndarray
-
-    def __post_init__(self) -> None:
-        flips = np.asarray(self.flips, dtype=np.float64).reshape(3)
-        if not np.all(np.abs(flips) == 1.0):
-            raise ValueError("flips must be +1 or -1 per axis")
-        object.__setattr__(self, "flips", flips)
-
-
-def local_pca(neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the 3x3 covariance of mean-centered neighbors.
-
-    Returns (axes, eigenvalues): ``axes`` rows are unit eigenvectors sorted
-    by descending eigenvalue. Population covariance (divide by n). The
-    reconstruction axes.T @ diag(eigenvalues) @ axes equals the covariance.
-    """
-    pts = np.atleast_2d(np.asarray(neighbors, dtype=np.float64))
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
-        raise ValueError(f"neighbors must be (k, 3) with k >= 3, got {pts.shape}")
-    with np.errstate(invalid="ignore"):
-        centered = pts - pts.mean(axis=0)
-        cov = centered.T @ centered / pts.shape[0]
-    if not np.isfinite(cov).all():
-        raise ValueError("neighbor covariance is not finite")
-    w, v = np.linalg.eigh(cov)  # ascending
-    return v[:, ::-1].T.copy(), w[::-1].copy()
-
-
-def _one_sided_moments(values: np.ndarray) -> tuple[float, float]:
-    vals = np.asarray(values, dtype=np.float64).reshape(-1)
-    if vals.size < 1:
-        raise ValueError("need at least one projected value")
-    # conventional median (average of the middles for even counts): exactly
-    # antisymmetric under negation, which the sign rule needs so that an
-    # arbitrary eigenvector orientation cancels out
-    med = float(np.median(vals))
-    left = vals < med
-    right = vals > med
-    return float(np.abs(vals[left] - med).sum()), float(np.abs(vals[right] - med).sum())
-
-
-def disambiguate_axis(values: np.ndarray) -> int:
-    """Sign for one axis from projected neighbor coordinates.
-
-    +1 when the absolute-deviation mass above the median exceeds the mass
-    below it, -1 otherwise (ties fall to -1). Antisymmetric: negating the
-    values negates the sign whenever the moments differ.
-    """
-    m_left, m_right = _one_sided_moments(values)
-    return 1 if m_left < m_right else -1
-
-
-def moment_margin(values: np.ndarray) -> float:
-    """|left - right| one-sided moment gap; ~0 means the sign is unstable."""
-    m_left, m_right = _one_sided_moments(values)
-    return abs(m_left - m_right)
-
-
-def compute_lrf(cloud: PointCloud, point_index: int, k_lrf: int, index: KnnIndex) -> Lrf:
-    """Frame at one point from its ``k_lrf`` nearest neighbors (the point
-    itself included, per the KNN contract)."""
-    if not 0 <= point_index < len(cloud):
-        raise ValueError(f"point index {point_index} out of range")
-    origin = cloud.coords[point_index]
-    nbr_idx, _ = index.query(origin, k_lrf)
-    axes, eigenvalues = local_pca(cloud.coords[nbr_idx])
-    return Lrf(origin=origin.copy(), axes=axes, eigenvalues=eigenvalues)
-
-
-def resolve_signs(lrf: Lrf, neighbors: np.ndarray) -> SignState:
-    """Disambiguate all three axes against a neighborhood of the origin."""
-    rel = np.atleast_2d(np.asarray(neighbors, dtype=np.float64)) - lrf.origin
-    proj = rel @ lrf.axes.T
-    flips = [disambiguate_axis(proj[:, a]) for a in range(3)]
-    return SignState(np.asarray(flips, dtype=np.float64))
-
-
-def project_to_lrf(points: np.ndarray, lrf: Lrf, signs: SignState) -> np.ndarray:
-    """Express points in the sign-resolved frame: diag(s) @ A @ (p - origin)."""
-    rel = np.atleast_2d(np.asarray(points, dtype=np.float64)) - lrf.origin
-    return (rel @ lrf.axes.T) * signs.flips
-
-
-def geometric_features(eigenvalues: np.ndarray) -> np.ndarray:
-    """Linearity, planarity, sphericity, eigen-entropy of a local covariance.
-
-    With normalized eigenvalues e_i = lam_i / sum(lam), descending:
-    linearity (e1-e2)/e1, planarity (e2-e3)/e1, sphericity e3/e1,
-    entropy -sum e_i ln e_i with 0 ln 0 := 0.
-    """
-    lam = np.asarray(eigenvalues, dtype=np.float64).reshape(3)
-    if np.any(lam < -1e-12):
-        raise ValueError("eigenvalues must be non-negative")
-    lam = np.maximum(lam, 0.0)
-    if np.any(np.diff(lam) > 1e-12):
-        raise ValueError("eigenvalues must be sorted descending")
-    total = lam.sum()
-    if total <= 0.0:
-        raise ValueError("all eigenvalues are zero; features undefined")
-    e = lam / total
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(e > 0.0, np.log(np.where(e > 0.0, e, 1.0)), 0.0)
-    entropy = float(-(e * logs).sum())
-    return np.array(
-        [(e[0] - e[1]) / e[0], (e[1] - e[2]) / e[0], e[2] / e[0], entropy],
-        dtype=np.float64,
-    )
-
-
-# ---------------------------------------------------------------------------
-# batched forms used by the feature pipeline (same math, many points at once)
-# ---------------------------------------------------------------------------
 
 
 def local_pca_batch(coords: np.ndarray, neighbor_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frames for every row of ``neighbor_idx``: returns (axes (N,3,3) rows
-    descending, eigenvalues (N,3) descending)."""
+    """Frames for every row of ``neighbor_idx``: returns (axes (N,3,3),
+    eigenvalues (N,3)). ``axes`` rows are unit eigenvectors sorted by
+    descending eigenvalue. Population covariance (divide by k), so
+    axes.T @ diag(eigenvalues) @ axes reconstructs the covariance."""
     nbrs = coords[neighbor_idx]  # (N, k, 3)
     centered = nbrs - nbrs.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / neighbor_idx.shape[1]
@@ -160,9 +33,16 @@ def local_pca_batch(coords: np.ndarray, neighbor_idx: np.ndarray) -> tuple[np.nd
 
 
 def resolve_signs_batch(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized sign resolution for projections of shape (N, k, 3).
+    """Sign resolution for neighbor projections of shape (N, k, 3).
 
-    Returns (flips (N,3) of +-1, margins (N,3) = |left - right| moments).
+    Per row and axis, +1 when the absolute-deviation mass above the median
+    exceeds the mass below it, -1 otherwise (ties fall to -1). The median
+    is the conventional one (the average of the middles for even k), which
+    is exactly antisymmetric under negation, so an arbitrary eigenvector
+    orientation cancels out whenever the two masses differ.
+
+    Returns (flips (N,3) of +-1, margins (N,3) = |left - right| moments);
+    a margin near 0 means the sign is unstable.
     """
     med = np.median(proj, axis=1, keepdims=True)
     dev = proj - med
@@ -170,3 +50,31 @@ def resolve_signs_batch(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m_right = np.where(proj > med, dev, 0.0).sum(axis=1)
     flips = np.where(m_left < m_right, 1.0, -1.0)
     return flips, np.abs(m_left - m_right)
+
+
+def geometric_features(eigenvalues: np.ndarray) -> np.ndarray:
+    """(P, 4) linearity, planarity, sphericity and eigen-entropy rows from
+    (P, 3) descending covariance eigenvalues.
+
+    With normalized eigenvalues e_i = lam_i / sum(lam), negatives clipped
+    to 0: linearity (e1-e2)/e1, planarity (e2-e3)/e1, sphericity e3/e1,
+    entropy -sum e_i ln e_i with 0 ln 0 := 0. Degenerate all-zero rows
+    come back as zeros.
+    """
+    lam = np.maximum(eigenvalues, 0.0)
+    total = lam.sum(axis=1, keepdims=True)
+    safe = np.where(total > 0.0, total, 1.0)
+    e = lam / safe
+    e1 = np.where(e[:, 0] > 0.0, e[:, 0], 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(e > 0.0, np.log(np.where(e > 0.0, e, 1.0)), 0.0)
+    out = np.stack(
+        [
+            (e[:, 0] - e[:, 1]) / e1,
+            (e[:, 1] - e[:, 2]) / e1,
+            e[:, 2] / e1,
+            -(e * logs).sum(axis=1),
+        ],
+        axis=1,
+    )
+    return np.where(total > 0.0, out, 0.0)

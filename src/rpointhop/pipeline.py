@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .cloud import PointCloud, normalize_unit_sphere, sample_indices
-from .lrf import local_pca_batch, resolve_signs_batch
+from .lrf import geometric_features, local_pca_batch, resolve_signs_batch
 from .saab import (
     FeatureNode,
     FeatureTree,
@@ -281,28 +281,6 @@ def build_later_hop_attributes(
     return _octant_means(proj, values[nbr_idx]), margins
 
 
-def _geometric_features_batch(eigenvalues: np.ndarray) -> np.ndarray:
-    """(P, 4) linearity/planarity/sphericity/entropy rows; degenerate
-    all-zero rows come back as zeros."""
-    lam = np.maximum(eigenvalues, 0.0)
-    total = lam.sum(axis=1, keepdims=True)
-    safe = np.where(total > 0.0, total, 1.0)
-    e = lam / safe
-    e1 = np.where(e[:, 0] > 0.0, e[:, 0], 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(e > 0.0, np.log(np.where(e > 0.0, e, 1.0)), 0.0)
-    out = np.stack(
-        [
-            (e[:, 0] - e[:, 1]) / e1,
-            (e[:, 1] - e[:, 2]) / e1,
-            e[:, 2] / e1,
-            -(e * logs).sum(axis=1),
-        ],
-        axis=1,
-    )
-    return np.where(total > 0.0, out, 0.0)
-
-
 class _HopRun:
     """Per-cloud working state shared by training and extraction.
 
@@ -333,7 +311,7 @@ class _HopRun:
             hop1_nbr = table[:, : hop1.k_neighbors]
             _, flips, _ = _project_neighbors(self.coords, hop1_nbr, self.axes)
             normal = self.axes[:, 2, :] * flips[:, 2:3]
-            aux = np.hstack([normal, _geometric_features_batch(self.eigenvalues)])
+            aux = np.hstack([normal, geometric_features(self.eigenvalues)])
         self.attrs, _, margins = build_hop1_attributes(
             self.coords, table[:, : hop1.k_neighbors], self.axes, aux
         )
@@ -561,8 +539,11 @@ def load_model(path) -> RPointHopModel:
                         fh, {"input_dim": input_dim, "n_ac": n_ac, "bias": bias}
                     )
                 later.append(layers)
-        except (KeyError, TypeError) as exc:
-            raise ModelFormatError(f"corrupt model file: missing field ({exc})") from None
+        except ModelFormatError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            # a missing field, or a field of the wrong type, arity or value
+            raise ModelFormatError(f"corrupt model file: bad field ({exc})") from None
         trailing = fh.read(1)
         if trailing:
             raise ModelFormatError("corrupt model file: trailing bytes after arrays")

@@ -107,6 +107,16 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return len(self.pairs)
 
+    def take(self, rows: np.ndarray) -> CorrespondenceSet:
+        """The pairs at ``rows`` (indices or a boolean mask), in that order."""
+        return CorrespondenceSet(
+            pairs=self.pairs[rows],
+            target_coords=self.target_coords[rows],
+            source_coords=self.source_coords[rows],
+            feature_distances=self.feature_distances[rows],
+            ratios=self.ratios[rows],
+        )
+
 
 def feature_distance_matrix(target: FeatureSet, source: FeatureSet) -> np.ndarray:
     """(N_target, N_source) Euclidean distances between feature rows."""
@@ -269,15 +279,8 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
         pick = _consistent_sample(rng, compatible, params.sample_size)
         if pick is None:
             continue  # no consistent sample grows from this first pair
-        sub = CorrespondenceSet(
-            pairs=corr.pairs[pick],
-            target_coords=corr.target_coords[pick],
-            source_coords=corr.source_coords[pick],
-            feature_distances=corr.feature_distances[pick],
-            ratios=corr.ratios[pick],
-        )
         try:
-            tf = estimate_transform(sub)
+            tf = estimate_transform(corr.take(pick))
         except EstimationError:
             continue  # degenerate minimal sample; try the next one
         res = _residuals(corr, tf)
@@ -290,15 +293,7 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
             best_count, best_rmse, best_inliers = count, rmse, inliers
     if best_inliers is None:
         raise EstimationError("no RANSAC iteration produced 3 or more inliers")
-    keep = np.flatnonzero(best_inliers)
-    final = CorrespondenceSet(
-        pairs=corr.pairs[keep],
-        target_coords=corr.target_coords[keep],
-        source_coords=corr.source_coords[keep],
-        feature_distances=corr.feature_distances[keep],
-        ratios=corr.ratios[keep],
-    )
-    return estimate_transform(final)
+    return estimate_transform(corr.take(best_inliers))
 
 
 X84_MADS = 5.2  # Hampel's X84 outlier cut, about 3.5 sigma for Gaussian data
@@ -348,18 +343,17 @@ def icp_refine(
         if len(residuals) >= 2 and abs(residuals[-2] - residuals[-1]) < tol:
             converged = True
             break
-        matched = source.coords[nbr_idx[:, 0]]
+        nearest = CorrespondenceSet(
+            pairs=np.stack([np.arange(len(moved)), nbr_idx[:, 0]], axis=1),
+            target_coords=moved,
+            source_coords=source.coords[nbr_idx[:, 0]],
+            feature_distances=dist[:, 0],
+            ratios=np.ones(len(moved)),
+        )
         median = np.median(dist[:, 0])
         keep = dist[:, 0] <= median + X84_MADS * np.median(np.abs(dist[:, 0] - median))
-        step = CorrespondenceSet(
-            pairs=np.stack([np.flatnonzero(keep), nbr_idx[keep, 0]], axis=1),
-            target_coords=moved[keep],
-            source_coords=matched[keep],
-            feature_distances=dist[keep, 0],
-            ratios=np.ones(int(keep.sum())),
-        )
         try:
-            delta = estimate_transform(step)
+            delta = estimate_transform(nearest.take(keep))
         except EstimationError:
             break  # degenerate pairing; keep the current transform
         current = delta.compose(current)
@@ -369,6 +363,28 @@ def icp_refine(
         iterations=len(residuals),
         converged=converged,
     )
+
+
+def register_features(
+    target_fs: FeatureSet,
+    source_fs: FeatureSet,
+    source: PointCloud,
+    target: PointCloud,
+    params: MatchParams = MatchParams(),
+    icp: bool = False,
+    icp_max_iters: int = 50,
+) -> tuple[RigidTransform, CorrespondenceSet, int]:
+    """Feature sets to transform: match, estimate in closed form (inside
+    RANSAC when ``params.use_ransac``), then optionally refine with ICP on
+    the clouds the feature sets were extracted from. Returns (transform
+    mapping target onto source, the matched pairs, ICP iterations run)."""
+    corr = match(target_fs, source_fs, params)
+    tf = ransac_estimate(corr, params.ransac) if params.use_ransac else estimate_transform(corr)
+    icp_iterations = 0
+    if icp:
+        result = icp_refine(source, target, tf, max_iters=icp_max_iters)
+        tf, icp_iterations = result.transform, result.iterations
+    return tf, corr, icp_iterations
 
 
 def register(
@@ -393,13 +409,9 @@ def register(
     extract_seed = int(rng.integers(2**63))
     target_fs = extract_features(model, target, seed=extract_seed)
     source_fs = extract_features(model, source, seed=extract_seed)
-    corr = match(target_fs, source_fs, params)
-    tf = ransac_estimate(corr, params.ransac) if params.use_ransac else estimate_transform(corr)
-    icp_iterations = 0
-    if icp:
-        result = icp_refine(source, target, tf, max_iters=icp_max_iters)
-        tf = result.transform
-        icp_iterations = result.iterations
+    tf, corr, icp_iterations = register_features(
+        target_fs, source_fs, source, target, params, icp, icp_max_iters
+    )
     aligned = align_inverse(source, tf)
     angles, gimbal = matrix_to_euler_xyz(tf.rotation)
     res = _residuals(corr, tf)

@@ -54,6 +54,35 @@ def fps_oracle(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
     return np.asarray(selected, dtype=np.intp)
 
 
+def pca_oracle(neighbors: np.ndarray):
+    """One neighborhood's frame: the population covariance of its centered
+    points by plain sums, then the eigenvectors as rows and the
+    eigenvalues, both by descending eigenvalue."""
+    k = len(neighbors)
+    mean = [sum(p[c] for p in neighbors) / k for c in range(3)]
+    cov = np.zeros((3, 3))
+    for p in neighbors:
+        d = [p[c] - mean[c] for c in range(3)]
+        for i in range(3):
+            for j in range(3):
+                cov[i, j] += d[i] * d[j]
+    w, v = np.linalg.eigh(cov / k)
+    return v[:, ::-1].T, w[::-1]
+
+
+def sign_oracle(values: np.ndarray):
+    """One-sided moment sign rule on one axis's projected values: split at
+    the median (the average of the middles for even counts) and compare the
+    absolute-deviation mass below and above it. Returns (+1.0 when the
+    mass above is larger, else -1.0; |below - above|)."""
+    vals = sorted(float(v) for v in values)
+    n = len(vals)
+    med = vals[n // 2] if n % 2 else (vals[n // 2 - 1] + vals[n // 2]) / 2
+    below = sum(med - v for v in vals if v < med)
+    above = sum(v - med for v in vals if v > med)
+    return (1.0 if below < above else -1.0), abs(below - above)
+
+
 def hop_oracle(tree, layers, parent_ids, x: np.ndarray):
     """One hop by walking the energy tree: ``saab_apply`` per parent on
     its samples ``x[:, :, c]``, then every surviving child's output column

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from rpointhop import PointCloud, euler_xyz_to_matrix
+from rpointhop import PointCloud, RigidTransform, euler_xyz_to_matrix
 from rpointhop.bench import (
     BenchReport,
     ExperimentSpec,
     TrialResult,
     _error_aggregates,
+    _score,
+    _Trial,
     add_noise,
     make_partial,
     make_shape_cloud,
@@ -180,6 +182,24 @@ class TestErrorAggregates:
         assert all(np.isnan(v) for v in agg["translation"].values())
 
 
+class TestScore:
+    @staticmethod
+    def _trial(angles_deg) -> _Trial:
+        cloud = PointCloud(np.zeros((1, 3)))
+        truth = RigidTransform(euler_xyz_to_matrix(angles_deg), np.array([0.1, 0.2, 0.3]))
+        return _Trial(4, 2, cloud, cloud, truth, extract_seed=0, ransac_seed=0)
+
+    def test_gimbal_lock_of_ground_truth_at_ty_90(self):
+        result = _score(self._trial([10.0, 90.0, 20.0]), RigidTransform.identity())
+        assert result.status == "ok"
+        assert result.gimbal_lock is True
+        assert _score(self._trial([10.0, 20.0, 30.0]), RigidTransform.identity()).gimbal_lock is False
+
+    def test_gimbal_lock_of_prediction(self):
+        pred = RigidTransform(euler_xyz_to_matrix([0.0, -90.0, 0.0]), np.zeros(3))
+        assert _score(self._trial([10.0, 20.0, 30.0]), pred).gimbal_lock is True
+
+
 # ---------------------------------------------------------------------------
 # synthetic shapes
 # ---------------------------------------------------------------------------
@@ -275,6 +295,13 @@ class TestRatioAblation:
         for a, b in zip(with_ratio.trials, without_ratio.trials):
             assert a.trial == b.trial
             assert a.cloud_index == b.cloud_index
+
+    def test_with_ratio_matches_plain_benchmark(self, cli_model, cli_corpus):
+        # one trial loop: the ablation's ratio-test arm is the plain run
+        spec = ExperimentSpec(max_angle_deg=30.0, trials=3, seed=3)
+        with_ratio, _ = run_ratio_ablation(cli_model, cli_corpus, spec)
+        plain = run_benchmark(cli_model, cli_corpus, spec, label="with ratio test")
+        assert render_report(with_ratio) == render_report(plain)
 
     def test_empty_clouds(self, cli_model):
         with pytest.raises(ValueError, match="no test clouds"):

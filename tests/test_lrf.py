@@ -3,23 +3,25 @@
 import numpy as np
 import pytest
 
-from rpointhop import PointCloud
-from rpointhop.lrf import (
-    Lrf,
-    SignState,
-    compute_lrf,
-    disambiguate_axis,
-    geometric_features,
-    local_pca,
-    local_pca_batch,
-    moment_margin,
-    project_to_lrf,
-    resolve_signs,
-    resolve_signs_batch,
-)
+from rpointhop.lrf import geometric_features, local_pca_batch, resolve_signs_batch
+from rpointhop.pipeline import _project_neighbors
 from rpointhop.spatial import KnnIndex
 
-from conftest import random_rotation
+from conftest import pca_oracle, random_rotation, sign_oracle
+
+
+def _pca(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame of one neighborhood as a one-row batch: (axes (3,3), eigenvalues (3,))."""
+    axes, lam = local_pca_batch(pts, np.arange(len(pts))[None, :])
+    return axes[0], lam[0]
+
+
+def _sign(values) -> tuple[float, float]:
+    """(flip, margin) of one axis: ``values`` fill axis 0 of a one-row batch."""
+    proj = np.zeros((1, len(values), 3))
+    proj[0, :, 0] = values
+    flips, margins = resolve_signs_batch(proj)
+    return flips[0, 0], margins[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -32,19 +34,19 @@ class TestLocalPca:
         # x-axis points {-1, 0, 1, 2}: mean 0.5, centered {-1.5,-0.5,0.5,1.5},
         # population variance 5/4 = 1.25 along x and 0 elsewhere
         pts = np.array([[-1.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        axes, lam = local_pca(pts)
+        axes, lam = _pca(pts)
         assert np.allclose(lam, [1.25, 0.0, 0.0], atol=1e-12)
         assert abs(abs(axes[0, 0]) - 1.0) < 1e-12  # first axis is +-x
 
     def test_axes_orthonormal_rows(self):
         rng = np.random.default_rng(0)
-        axes, _ = local_pca(rng.normal(size=(20, 3)))
+        axes, _ = _pca(rng.normal(size=(20, 3)))
         assert np.abs(axes @ axes.T - np.eye(3)).max() < 1e-12
 
     def test_eigenvalues_descending_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            _, lam = local_pca(rng.normal(size=(15, 3)) * [3.0, 1.0, 0.2])
+            _, lam = _pca(rng.normal(size=(15, 3)) * [3.0, 1.0, 0.2])
             assert lam[0] >= lam[1] >= lam[2] >= -1e-12
 
     def test_reconstructs_covariance(self):
@@ -52,26 +54,16 @@ class TestLocalPca:
         pts = rng.normal(size=(30, 3))
         centered = pts - pts.mean(axis=0)
         cov = centered.T @ centered / pts.shape[0]
-        axes, lam = local_pca(pts)
+        axes, lam = _pca(pts)
         assert np.abs(axes.T @ np.diag(lam) @ axes - cov).max() < 1e-12
 
     def test_eigenvalues_rotation_invariant(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(25, 3))
         r = random_rotation(rng)
-        _, lam0 = local_pca(pts)
-        _, lam1 = local_pca(pts @ r.T)
+        _, lam0 = _pca(pts)
+        _, lam1 = _pca(pts @ r.T)
         assert np.abs(lam0 - lam1).max() < 1e-10
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError, match="k >= 3"):
-            local_pca(np.zeros((2, 3)))
-
-    def test_non_finite_covariance(self):
-        pts = np.zeros((4, 3))
-        pts[0, 0] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            local_pca(pts)
 
 
 class TestLocalPcaBatch:
@@ -81,7 +73,7 @@ class TestLocalPcaBatch:
         nbr = np.stack([rng.permutation(50)[:12] for _ in range(8)])
         axes_b, lam_b = local_pca_batch(coords, nbr)
         for i in range(8):
-            axes_s, lam_s = local_pca(coords[nbr[i]])
+            axes_s, lam_s = pca_oracle(coords[nbr[i]])
             assert np.abs(lam_b[i] - lam_s).max() < 1e-12
             # eigenvectors match up to per-axis sign
             dots = np.abs(np.einsum("ij,ij->i", axes_b[i], axes_s))
@@ -104,20 +96,20 @@ class TestLocalPcaBatch:
 class TestDisambiguateAxis:
     def test_left_heavy_example(self):
         # median 0; left mass |-3|+|-1| = 4 beats right mass 1+2 = 3 -> -1
-        assert disambiguate_axis(np.array([-3.0, -1.0, 0.0, 1.0, 2.0])) == -1
+        assert _sign([-3.0, -1.0, 0.0, 1.0, 2.0])[0] == -1
 
     def test_right_heavy_example(self):
         # median 0; left mass 3, right mass 1+3 = 4 -> +1
-        assert disambiguate_axis(np.array([-3.0, 0.0, 1.0, 3.0, 0.0])) == 1
+        assert _sign([-3.0, 0.0, 1.0, 3.0, 0.0])[0] == 1
 
     def test_tie_falls_negative(self):
-        assert disambiguate_axis(np.array([-1.0, 0.0, 1.0])) == -1
+        assert _sign([-1.0, 0.0, 1.0])[0] == -1
 
     def test_even_count_hand_example(self):
         # median 1.5; left {0,1} mass 2, right {2,10} mass 9 -> +1
-        assert disambiguate_axis(np.array([0.0, 1.0, 2.0, 10.0])) == 1
+        assert _sign([0.0, 1.0, 2.0, 10.0])[0] == 1
         # negated: median -1.5; left {-10,-2} mass 9 beats right mass 2 -> -1
-        assert disambiguate_axis(np.array([0.0, -1.0, -2.0, -10.0])) == -1
+        assert _sign([0.0, -1.0, -2.0, -10.0])[0] == -1
 
     def test_antisymmetry_random(self):
         rng = np.random.default_rng(6)
@@ -125,9 +117,9 @@ class TestDisambiguateAxis:
         for _ in range(200):
             n = int(rng.integers(3, 65))
             v = rng.normal(size=n)
-            if moment_margin(v) < 1e-9:
+            if _sign(v)[1] < 1e-9:
                 continue  # documented unstable ties
-            assert disambiguate_axis(-v) == -disambiguate_axis(v)
+            assert _sign(-v)[0] == -_sign(v)[0]
             checked += 1
         assert checked > 150
 
@@ -136,61 +128,38 @@ class TestDisambiguateAxis:
         rng = np.random.default_rng(7)
         for _ in range(200):
             v = rng.normal(size=2 * int(rng.integers(2, 33)))
-            if moment_margin(v) < 1e-9:
+            if _sign(v)[1] < 1e-9:
                 continue
-            assert disambiguate_axis(-v) == -disambiguate_axis(v)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="one projected value"):
-            disambiguate_axis(np.array([]))
+            assert _sign(-v)[0] == -_sign(v)[0]
 
 
 class TestMomentMargin:
     def test_hand_example(self):
-        assert moment_margin(np.array([-3.0, -1.0, 0.0, 1.0, 2.0])) == pytest.approx(1.0)
+        assert _sign([-3.0, -1.0, 0.0, 1.0, 2.0])[1] == pytest.approx(1.0)
 
     def test_symmetric_set_is_zero(self):
-        assert moment_margin(np.array([-2.0, -1.0, 0.0, 1.0, 2.0])) == pytest.approx(0.0)
+        assert _sign([-2.0, -1.0, 0.0, 1.0, 2.0])[1] == pytest.approx(0.0)
 
     def test_negation_invariant(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             v = rng.normal(size=int(rng.integers(3, 40)))
-            assert moment_margin(v) == pytest.approx(moment_margin(-v), abs=1e-12)
-
-
-class TestSignState:
-    def test_valid(self):
-        s = SignState(np.array([1.0, -1.0, 1.0]))
-        assert s.flips.tolist() == [1.0, -1.0, 1.0]
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError, match="flips"):
-            SignState(np.array([0.5, 1.0, 1.0]))
+            assert _sign(v)[1] == pytest.approx(_sign(-v)[1], abs=1e-12)
 
 
 class TestResolveSignsBatch:
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(9)
         coords = rng.normal(size=(60, 3))
-        index = KnnIndex(coords)
-        cloud = PointCloud(coords)
-        proj_rows = []
-        scalar_flips = []
-        scalar_margins = []
+        table = KnnIndex(coords).self_neighbor_table(16)[:10]
+        axes, _ = local_pca_batch(coords, table)
+        proj = np.einsum("pkc,pac->pka", coords[table] - coords[:10, None, :], axes)
+        flips_b, margins_b = resolve_signs_batch(proj)
         for i in range(10):
-            lrf = compute_lrf(cloud, i, 16, index)
-            nbr_idx, _ = index.query(coords[i], 16)
-            nbrs = coords[nbr_idx]
-            state = resolve_signs(lrf, nbrs)
-            scalar_flips.append(state.flips)
-            scalar_margins.append(
-                [moment_margin(((nbrs - lrf.origin) @ lrf.axes.T)[:, a]) for a in range(3)]
-            )
-            proj_rows.append((nbrs - lrf.origin) @ lrf.axes.T)
-        flips_b, margins_b = resolve_signs_batch(np.stack(proj_rows))
-        assert np.array_equal(flips_b, np.stack(scalar_flips))
-        assert np.abs(margins_b - np.asarray(scalar_margins)).max() < 1e-12
+            for a in range(3):
+                flip, margin = sign_oracle(proj[i, :, a])
+                assert flips_b[i, a] == flip
+                assert abs(margins_b[i, a] - margin) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -202,56 +171,55 @@ class TestComputeLrf:
     def test_basic_frame(self):
         rng = np.random.default_rng(10)
         coords = rng.normal(size=(40, 3))
-        cloud = PointCloud(coords)
-        lrf = compute_lrf(cloud, 5, 12, KnnIndex(coords))
-        assert np.array_equal(lrf.origin, coords[5])
-        assert np.abs(lrf.axes @ lrf.axes.T - np.eye(3)).max() < 1e-12
-        assert lrf.eigenvalues[0] >= lrf.eigenvalues[1] >= lrf.eigenvalues[2]
-
-    def test_index_out_of_range(self):
-        coords = np.random.default_rng(11).normal(size=(10, 3))
-        with pytest.raises(ValueError, match="out of range"):
-            compute_lrf(PointCloud(coords), 10, 4, KnnIndex(coords))
+        table = KnnIndex(coords).self_neighbor_table(12)
+        axes, lam = local_pca_batch(coords, table)
+        # each frame's neighborhood holds its origin, the point itself
+        assert np.array_equal(table[:, 0], np.arange(40))
+        gram = np.einsum("nij,nkj->nik", axes, axes)
+        assert np.abs(gram - np.eye(3)).max() < 1e-12
+        assert (lam[:, 0] >= lam[:, 1]).all() and (lam[:, 1] >= lam[:, 2]).all()
 
 
 class TestProjectionInvariance:
     """Sign-resolved local coordinates must not change under rigid motion."""
 
-    def _resolved_projection(self, nbrs: np.ndarray) -> np.ndarray:
-        axes, lam = local_pca(nbrs)
-        lrf = Lrf(origin=nbrs[0].copy(), axes=axes, eigenvalues=lam)
-        state = resolve_signs(lrf, nbrs)
-        return project_to_lrf(nbrs, lrf, state)
-
     def test_rigid_invariance(self):
+        # the pipeline's path: frames from local_pca_batch, then the
+        # sign-resolved projection of every point's KNN neighborhood
         rng = np.random.default_rng(12)
-        worst = 0.0
+        worst, checked = 0.0, 0
         for _ in range(25):
             nbrs = rng.normal(size=(24, 3))
+            table = KnnIndex(nbrs).self_neighbor_table(16)
             r = random_rotation(rng)
             t = rng.normal(size=3) * 5
-            p0 = self._resolved_projection(nbrs)
-            p1 = self._resolved_projection(nbrs @ r.T + t)
-            worst = max(worst, float(np.abs(p0 - p1).max()))
+            moved = nbrs @ r.T + t
+            p0, _, margins = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0])
+            p1, _, _ = _project_neighbors(moved, table, local_pca_batch(moved, table)[0])
+            stable = margins.min(axis=1) > 1e-6  # sign ties may flip an axis
+            worst = max(worst, float(np.abs(p0[stable] - p1[stable]).max(initial=0.0)))
+            checked += int(stable.sum())
+        assert checked > 0.9 * 25 * 24
         assert worst < 1e-9, f"worst deviation {worst:.3e}"
 
     def test_projection_hand_example(self):
-        # identity frame at the origin with flips (+1, -1, +1)
-        lrf = Lrf(origin=np.zeros(3), axes=np.eye(3), eigenvalues=np.array([3.0, 2.0, 1.0]))
-        state = SignState(np.array([1.0, -1.0, 1.0]))
-        out = project_to_lrf(np.array([[1.0, 2.0, 3.0]]), lrf, state)
-        assert np.array_equal(out, [[1.0, -2.0, 3.0]])
+        # identity frames; at point 0 the neighbors' x, y and z values
+        # {0, 1, -0.5}, {0, 2, -3} and {0, 3, -1} split at median 0 into
+        # masses 0.5 < 1, 3 > 2 and 1 < 3, so the flips are (+1, -1, +1)
+        coords = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [-0.5, -3.0, -1.0]])
+        table = np.tile(np.arange(3), (3, 1))
+        proj, flips, _ = _project_neighbors(coords, table, np.tile(np.eye(3), (3, 1, 1)))
+        assert np.array_equal(flips[0], [1.0, -1.0, 1.0])
+        assert np.array_equal(proj[0, 1], [1.0, -2.0, 3.0])
 
     def test_projection_recovers_local_offsets(self):
         rng = np.random.default_rng(13)
         nbrs = rng.normal(size=(16, 3)) + 7.0
-        axes, lam = local_pca(nbrs)
-        lrf = Lrf(origin=nbrs[0].copy(), axes=axes, eigenvalues=lam)
-        state = SignState(np.array([1.0, 1.0, 1.0]))
-        out = project_to_lrf(nbrs, lrf, state)
+        table = np.tile(np.arange(16), (16, 1))
+        proj, _, _ = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0])
         # distances from the origin are preserved by the orthonormal map
-        d_in = np.linalg.norm(nbrs - nbrs[0], axis=1)
-        d_out = np.linalg.norm(out, axis=1)
+        d_in = np.linalg.norm(nbrs[table] - nbrs[:, None, :], axis=2)
+        d_out = np.linalg.norm(proj, axis=2)
         assert np.abs(d_in - d_out).max() < 1e-12
 
 
@@ -262,39 +230,29 @@ class TestProjectionInvariance:
 
 class TestGeometricFeatures:
     def test_perfect_line(self):
-        assert np.allclose(geometric_features([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0, 0.0])
+        assert np.allclose(geometric_features(np.array([[1.0, 0.0, 0.0]])), [[1.0, 0.0, 0.0, 0.0]])
 
     def test_perfect_plane(self):
-        f = geometric_features([1.0, 1.0, 0.0])
-        assert np.allclose(f, [0.0, 1.0, 0.0, np.log(2.0)])
+        f = geometric_features(np.array([[1.0, 1.0, 0.0]]))
+        assert np.allclose(f, [[0.0, 1.0, 0.0, np.log(2.0)]])
 
     def test_perfect_sphere(self):
-        f = geometric_features([1.0, 1.0, 1.0])
-        assert np.allclose(f, [0.0, 0.0, 1.0, np.log(3.0)])
+        f = geometric_features(np.array([[1.0, 1.0, 1.0]]))
+        assert np.allclose(f, [[0.0, 0.0, 1.0, np.log(3.0)]])
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(14)
-        for _ in range(20):
-            lam = np.sort(rng.uniform(0.1, 5.0, size=3))[::-1]
-            assert np.allclose(geometric_features(lam), geometric_features(lam * 37.0))
+        lam = -np.sort(-rng.uniform(0.1, 5.0, size=(20, 3)), axis=1)
+        assert np.allclose(geometric_features(lam), geometric_features(lam * 37.0))
 
     def test_entropy_bounds(self):
         rng = np.random.default_rng(15)
-        for _ in range(20):
-            lam = np.sort(rng.uniform(0.0, 1.0, size=3))[::-1]
-            if lam.sum() == 0:
-                continue
-            ent = geometric_features(lam)[3]
-            assert -1e-12 <= ent <= np.log(3.0) + 1e-12
+        lam = -np.sort(-rng.uniform(0.0, 1.0, size=(20, 3)), axis=1)
+        ent = geometric_features(lam[lam.sum(axis=1) > 0])[:, 3]
+        assert (-1e-12 <= ent).all() and (ent <= np.log(3.0) + 1e-12).all()
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            geometric_features([1.0, 0.5, -0.1])
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="descending"):
-            geometric_features([0.5, 1.0, 0.2])
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValueError, match="zero"):
-            geometric_features([0.0, 0.0, 0.0])
+    def test_all_zero_rows_give_zeros(self):
+        lam = np.array([[0.0, 0.0, 0.0], [3.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
+        got = geometric_features(lam)
+        assert np.array_equal(got[[0, 2]], np.zeros((2, 4)))
+        assert np.array_equal(got[1], geometric_features(lam[1:2])[0])

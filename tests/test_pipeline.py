@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,9 +24,8 @@ from rpointhop import (
     train,
 )
 from rpointhop.cloud import RigidTransform
-from rpointhop.lrf import geometric_features, local_pca_batch
+from rpointhop.lrf import local_pca_batch
 from rpointhop.pipeline import (
-    _geometric_features_batch,
     _HopRun,
     _octant_means,
     build_hop1_attributes,
@@ -194,25 +195,6 @@ class TestLaterHopAttributes:
 
         stable = margins.min(axis=1) > 1e-6
         assert np.abs(m0[stable] - m1[stable]).max() < 1e-9
-
-
-class TestGeometricFeaturesBatch:
-    def test_rows_match_scalar_oracle(self):
-        rng = np.random.default_rng(12)
-        lam = -np.sort(-rng.uniform(0.0, 2.0, size=(300, 3)), axis=1)
-        lam[:40, 2] = 0.0  # planar rows: 0 ln 0 in the entropy
-        lam[40:60, 1:] = 0.0  # linear rows
-        lam[60:70] = lam[60:70, :1]  # isotropic rows
-        got = _geometric_features_batch(lam)
-        assert got.shape == (300, 4)
-        for row, out in zip(lam, got):
-            assert np.array_equal(out, geometric_features(row))
-
-    def test_all_zero_rows_give_zeros(self):
-        lam = np.array([[0.0, 0.0, 0.0], [3.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
-        got = _geometric_features_batch(lam)
-        assert np.array_equal(got[[0, 2]], np.zeros((2, 4)))
-        assert np.array_equal(got[1], geometric_features(lam[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +530,31 @@ class TestModelFile:
         )
         path = tmp_path / "m.rph"
         save_model(fake, path)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("config", "k_lrf"), 2, "k_lrf must be >= 3"),
+            (("config", "hops", 0, 1), 7, "k_neighbors must be >= 8"),
+            (("tree", 0), [0, -1, 0, 1.0, 1.0], "not enough values to unpack"),
+            (("config", "seed"), "zero", "invalid literal for int"),
+        ],
+    )
+    def test_invalid_header_field(self, tiny_model, tmp_path, keys, value, message):
+        # each edit fails config validation, unpacking or int() inside load_model
+        path = tmp_path / "m.rph"
+        save_model(tiny_model, path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + blob_len])
+        node = header
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + blob_len :])
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 

@@ -13,6 +13,7 @@ from rpointhop import (
     apply_transform,
     estimate_transform,
     euler_xyz_to_matrix,
+    extract_features,
     icp_refine,
     load_transform,
     match,
@@ -30,6 +31,7 @@ from rpointhop.registration import (
     _wrap_degrees,
     feature_distance_matrix,
     format_report,
+    register_features,
 )
 
 from conftest import random_rotation
@@ -236,6 +238,24 @@ class TestMatch:
 # ---------------------------------------------------------------------------
 # closed-form estimation
 # ---------------------------------------------------------------------------
+
+
+class TestCorrespondenceSet:
+    def test_take_keeps_rows_in_order(self):
+        rng = np.random.default_rng(20)
+        corr = CorrespondenceSet(
+            pairs=np.arange(10).reshape(5, 2),
+            target_coords=rng.normal(size=(5, 3)),
+            source_coords=rng.normal(size=(5, 3)),
+            feature_distances=rng.uniform(size=5),
+            ratios=rng.uniform(size=5),
+        )
+        rows = np.array([3, 0, 4])
+        mask = np.array([True, False, False, True, True])
+        for sub, expected in ((corr.take(rows), rows), (corr.take(mask), [0, 3, 4])):
+            assert len(sub) == 3
+            for name in ("pairs", "target_coords", "source_coords", "feature_distances", "ratios"):
+                assert np.array_equal(getattr(sub, name), getattr(corr, name)[expected])
 
 
 class TestEstimateTransform:
@@ -503,6 +523,26 @@ class TestRegister:
         tf2, _, _ = register(tiny_model, source, target, SMALL_MATCH, seed=5)
         assert np.array_equal(tf1.rotation, tf2.rotation)
         assert np.array_equal(tf1.translation, tf2.translation)
+
+    def test_register_features_is_the_core(self, tiny_model, tiny_corpus):
+        # register() is extraction plus register_features on the same sets
+        rng = np.random.default_rng(18)
+        target = make_partial(tiny_corpus[6], 0.9, seed=1)
+        source = apply_transform(
+            tiny_corpus[6], RigidTransform(random_rotation(rng), rng.normal(size=3) * 0.2)
+        )
+        params = MatchParams(m1=96, m2=48, use_ransac=True)
+        tf, _, report = register(tiny_model, source, target, params, seed=7, icp=True)
+        extract_seed = int(np.random.Generator(np.random.PCG64(7)).integers(2**63))
+        target_fs = extract_features(tiny_model, target, seed=extract_seed)
+        source_fs = extract_features(tiny_model, source, seed=extract_seed)
+        core_tf, corr, icp_iterations = register_features(
+            target_fs, source_fs, source, target, params, icp=True
+        )
+        assert np.array_equal(core_tf.rotation, tf.rotation)
+        assert np.array_equal(core_tf.translation, tf.translation)
+        assert len(corr) == report["matched_pairs"]
+        assert icp_iterations == report["icp_iterations"] >= 1
 
     def test_format_report_loadable(self, tiny_model, tiny_corpus, tmp_path):
         rng = np.random.default_rng(17)

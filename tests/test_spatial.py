@@ -77,6 +77,14 @@ class TestKnn:
         with pytest.raises(ValueError, match="queries"):
             index.query(np.zeros((2, 2)), 1)
 
+    def test_non_finite_rejected(self):
+        pts = np.zeros((4, 3))
+        pts[0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            KnnIndex(pts)
+        with pytest.raises(ValueError, match="finite"):
+            KnnIndex(np.eye(3)).query(np.array([np.nan, 0.0, 0.0]), 1)
+
     def test_chunking_boundary_consistency(self):
         # a large batch must match per-row queries exactly
         rng = np.random.default_rng(5)
