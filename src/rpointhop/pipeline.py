@@ -16,6 +16,9 @@ Training (unsupervised, one pass per hop):
    then build an 8-wide attribute per point and surviving channel: the
    per-octant means of the neighbors' channel value. Each channel is fit
    with its own Saab transform (channel-wise), pooled over the corpus.
+   Sampling runs once per cloud: hop h's points are the first n_h of one
+   farthest point ordering of the hop-1 working cloud, which is exactly
+   what sampling each hop from the previous one gives.
 4. Channel energies multiply down a :class:`~rpointhop.saab.FeatureTree`;
    channels at or below the energy threshold are dropped together with
    their descendants. Survivors at the last hop are the output feature
@@ -26,9 +29,12 @@ only parent, so every hop is fit the same way and frozen into the same
 :class:`~rpointhop.saab.HopPlan`.
 
 Extraction runs the same geometry with the frozen plans and returns
-one feature row per final-hop point, carrying the point's index into the
-input cloud, its input coordinates, and degeneracy diagnostics (minimum
-sign-disambiguation margin seen across hops, minimum LRF eigenvalue gap).
+one feature row per final-hop point. Since the ordering fixes every hop's
+points in advance, hop h computes frames, signs, octant means and plan
+outputs only at the points hop h + 1 keeps. Each row carries the point's
+index into the input cloud, its input coordinates, and degeneracy
+diagnostics (minimum sign-disambiguation margin seen across hops, minimum
+LRF eigenvalue gap).
 Features are invariant to rigid motions of the input up to sign ties,
 because every quantity is expressed in the per-point resolved frames.
 """
@@ -235,15 +241,18 @@ def _octant_means(proj: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _project_neighbors(
-    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray
+    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sign-resolved frame coordinates of each point's neighbors.
 
-    Returns (proj (P,k,3), flips (P,3), margins (P,3)). Signs are resolved
-    against this neighborhood, so repeated calls at different hops may flip
-    axes differently, as intended.
+    Row i of ``nbr_idx`` and ``axes`` belongs to point ``rows[i]`` of
+    ``coords`` (to point i when ``rows`` is None). Returns (proj (P,k,3),
+    flips (P,3), margins (P,3)). Signs are resolved against this
+    neighborhood, so repeated calls at different hops may flip axes
+    differently, as intended.
     """
-    rel = coords[nbr_idx] - coords[:, None, :]
+    centers = coords if rows is None else coords[rows]
+    rel = coords[nbr_idx] - centers[:, None, :]
     proj0 = np.einsum("pkc,pac->pka", rel, axes)
     flips, margins = resolve_signs_batch(proj0)
     return proj0 * flips[:, None, :], flips, margins
@@ -254,95 +263,121 @@ def build_hop1_attributes(
     nbr_idx: np.ndarray,
     axes: np.ndarray,
     aux: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """24-wide octant-mean attributes (plus optional aux columns).
 
+    Row i of ``nbr_idx`` and ``axes`` belongs to point ``rows[i]`` of
+    ``coords``, or to point i when ``rows`` is None.
     Returns (attributes (P, 24 [+ aux width]), flips (P,3), margins (P,3)).
     Attribute layout is octant-major: octant 0 mean xyz, octant 1 mean xyz,
     ... in the fixed octant order. Empty octants stay zero.
     """
-    proj, flips, margins = _project_neighbors(coords, nbr_idx, axes)
-    attrs = _octant_means(proj, proj).reshape(coords.shape[0], 24)
+    proj, flips, margins = _project_neighbors(coords, nbr_idx, axes, rows)
+    attrs = _octant_means(proj, proj).reshape(nbr_idx.shape[0], 24)
     if aux is not None:
         attrs = np.hstack([attrs, aux])
     return attrs, flips, margins
 
 
 def build_later_hop_attributes(
-    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray, values: np.ndarray
+    coords: np.ndarray,
+    nbr_idx: np.ndarray,
+    axes: np.ndarray,
+    values: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel octant means of neighbor channel values.
 
-    ``values`` is (P, C): the previous hop's surviving coefficients at the
-    current hop's points. Returns (attributes (P, 8, C), margins (P, 3));
-    attributes[:, :, c] is channel c's 8-wide sample block.
+    ``values`` is (N, C): the previous hop's surviving coefficients at the
+    current hop's points ``coords``. Row i of ``nbr_idx`` and ``axes``
+    belongs to point ``rows[i]`` (to point i when ``rows`` is None).
+    Returns (attributes (P, 8, C), margins (P, 3)); attributes[:, :, c] is
+    channel c's 8-wide sample block.
     """
-    proj, _, margins = _project_neighbors(coords, nbr_idx, axes)
+    proj, _, margins = _project_neighbors(coords, nbr_idx, axes, rows)
     return _octant_means(proj, values[nbr_idx]), margins
 
 
 class _HopRun:
     """Per-cloud working state shared by training and extraction.
 
-    Holds the hop-1 sampled coordinates, the frames computed once on them,
-    and the arrays that shrink with each farthest-point downsampling.
+    The cloud is sampled down to the hop-1 budget, and farthest point
+    sampling runs once on that working cloud. Hop h >= 2 works on the first
+    n_h points of the ordering: sampling each hop's cloud from the previous
+    one gives the same points in the same order (see ``fps_indices``).
+
+    Frames, signs, octant means and plan outputs are computed only for the
+    ``counts[h]`` points of hop h that something reads. A fit reads every
+    point of every hop. Extraction reads at hop h only the points that hop
+    h + 1 keeps, the first n_{h + 1} of the ordering, and at the final hop
+    all of them. A hop's neighbor index always covers all of its points, so
+    the neighbor tables do not change. Hop-1 frames are computed once and
+    reused at all hops, with signs re-resolved per hop against the hop's
+    own neighborhood.
     """
 
-    def __init__(self, coords_full: np.ndarray, config: ModelConfig, seed: int) -> None:
-        hop1 = config.hops[0]
+    def __init__(
+        self, coords_full: np.ndarray, config: ModelConfig, seed: int, fit: bool = False
+    ) -> None:
+        budgets = [hop.num_points for hop in config.hops]
         n = coords_full.shape[0]
-        if n < hop1.num_points:
-            raise ValueError(
-                f"cloud has {n} points but hop 1 needs {hop1.num_points}"
-            )
-        self.orig_indices = sample_indices(n, hop1.num_points, seed)
+        if n < budgets[0]:
+            raise ValueError(f"cloud has {n} points but hop 1 needs {budgets[0]}")
+        self.config = config
+        self.fit = fit
+        self.counts = budgets if fit else budgets[1:] + budgets[-1:]
+        self.orig_indices = sample_indices(n, budgets[0], seed)
         self.coords = coords_full[self.orig_indices]
-        index = KnnIndex(self.coords)
-        table = index.self_neighbor_table(max(config.k_lrf, hop1.k_neighbors))
-        self.axes, self.eigenvalues = local_pca_batch(self.coords, table[:, : config.k_lrf])
-        self.eigen_gaps = np.minimum(
-            self.eigenvalues[:, 0] - self.eigenvalues[:, 1],
-            self.eigenvalues[:, 1] - self.eigenvalues[:, 2],
+        self.order = (
+            fps_indices(self.coords, budgets[1], start=0) if len(budgets) > 1 else np.arange(budgets[0])
         )
-        aux = None
-        if config.use_aux_attributes:
-            # indoor-style attributes: sign-resolved surface normal (the
-            # smallest-eigenvalue axis) plus the four eigenvalue features
-            hop1_nbr = table[:, : hop1.k_neighbors]
-            _, flips, _ = _project_neighbors(self.coords, hop1_nbr, self.axes)
-            normal = self.axes[:, 2, :] * flips[:, 2:3]
-            aux = np.hstack([normal, geometric_features(self.eigenvalues)])
-        self.attrs, _, margins = build_hop1_attributes(
-            self.coords, table[:, : hop1.k_neighbors], self.axes, aux
-        )
-        self.min_margin = margins.min(axis=1)
         self.values: np.ndarray | None = None  # surviving coefficients, set per hop
 
-    def downsample(self, num_points: int) -> None:
-        sel = fps_indices(self.coords, num_points, start=0)
-        self.coords = self.coords[sel]
-        self.axes = self.axes[sel]
-        self.eigenvalues = self.eigenvalues[sel]
-        self.eigen_gaps = self.eigen_gaps[sel]
-        self.orig_indices = self.orig_indices[sel]
-        self.min_margin = self.min_margin[sel]
-        self.values = self.values[sel]
-
-    def hop_inputs(self, h: int, hop: HopConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    def hop_inputs(self, h: int, hop: HopConfig) -> tuple[np.ndarray, np.ndarray]:
         """Hop h's (P, N, C) Saab inputs, channel c's samples in ``[:, :, c]``,
-        and the neighbor table they were built from (None at hop 1, whose
-        one channel is the joint attribute built on construction). Later
-        hops shrink the working cloud first. The run keeps no tables, so
-        training holds none per cloud."""
+        one row per computed point, and the neighbor table they were built
+        from. Later hops first cut the working cloud to their points. The
+        run keeps no tables, so training holds none per cloud."""
+        count = self.counts[h]
         if h == 0:
-            return self.attrs[:, :, None], None
-        self.downsample(hop.num_points)
-        neighbors = KnnIndex(self.coords).self_neighbor_table(hop.k_neighbors)
+            return self._hop1_inputs(hop, np.arange(count) if self.fit else self.order[:count])
+        # an index array, not a slice: the cut arrays are copies, so a fit's
+        # runs do not keep the previous hop's arrays alive as view bases
+        cut = self.order[: hop.num_points] if h == 1 else np.arange(hop.num_points)
+        self.coords = self.coords[cut]
+        self.orig_indices = self.orig_indices[cut]
+        if self.fit:  # the per-point arrays hold every point of hop h - 1
+            self.values, self.axes, self.eigen_gaps, self.min_margin = (
+                a[cut] for a in (self.values, self.axes, self.eigen_gaps, self.min_margin)
+            )
+        else:  # they hold this hop's points, whose frames are read at the first `count`
+            self.axes, self.eigen_gaps, self.min_margin = (
+                a[:count] for a in (self.axes, self.eigen_gaps, self.min_margin)
+            )
+        neighbors, _ = KnnIndex(self.coords).query(self.coords[:count], hop.k_neighbors)
         means, margins = build_later_hop_attributes(
-            self.coords, neighbors, self.axes, self.values
+            self.coords, neighbors, self.axes, self.values, np.arange(count)
         )
         np.minimum(self.min_margin, margins.min(axis=1), out=self.min_margin)
         return means, neighbors
+
+    def _hop1_inputs(self, hop: HopConfig, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        config = self.config
+        table, _ = KnnIndex(self.coords).query(self.coords[rows], max(config.k_lrf, hop.k_neighbors))
+        neighbors = table[:, : hop.k_neighbors]
+        self.axes, eigenvalues = local_pca_batch(self.coords, table[:, : config.k_lrf])
+        self.eigen_gaps = np.minimum(
+            eigenvalues[:, 0] - eigenvalues[:, 1], eigenvalues[:, 1] - eigenvalues[:, 2]
+        )
+        attrs, flips, margins = build_hop1_attributes(self.coords, neighbors, self.axes, None, rows)
+        if config.use_aux_attributes:
+            # indoor-style attributes: sign-resolved surface normal (the
+            # smallest-eigenvalue axis) plus the four eigenvalue features
+            normal = self.axes[:, 2, :] * flips[:, 2:3]
+            attrs = np.hstack([attrs, normal, geometric_features(eigenvalues)])
+        self.min_margin = margins.min(axis=1)
+        return attrs[:, :, None], neighbors
 
 
 def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> RPointHopModel:
@@ -362,7 +397,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
         coords = cloud.coords
         if config.normalize:
             coords = normalize_unit_sphere(cloud)[0].coords
-        runs.append(_HopRun(coords, config, seed))
+        runs.append(_HopRun(coords, config, seed, fit=True))
 
     n_hops = len(config.hops)
     tree = FeatureTree()
@@ -409,8 +444,6 @@ def extract_features(model: RPointHopModel, cloud: PointCloud, seed: int = 0) ->
     for h, (hop, plan) in enumerate(zip(config.hops, model.plans)):
         x, neighbors = run.hop_inputs(h, hop)
         run.values = plan.apply(x)
-    if neighbors is None:  # one-hop model: the run does not keep hop 1's table
-        neighbors = KnnIndex(run.coords).self_neighbor_table(config.hops[0].k_neighbors)
     return FeatureSet(
         point_indices=run.orig_indices,
         coords=cloud.coords[run.orig_indices],

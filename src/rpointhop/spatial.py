@@ -110,8 +110,15 @@ class KnnIndex:
 def fps_indices(points, m: int, start: int = 0) -> np.ndarray:
     """Greedy farthest point sampling over raw coordinates.
 
-    Repeatedly picks the point maximizing the distance to the selected set;
-    ties resolve to the lowest index (argmax returns the first maximum).
+    Repeatedly picks the unselected point maximizing the distance to the
+    selected set; ties resolve to the lowest index (argmax returns the first
+    maximum). No index is picked twice: once only duplicates of selected
+    points remain, every distance is 0 and the lowest unselected index wins.
+
+    The first m' picks of an m-point run are the m'-point run, and running
+    the sampler again on ``points[fps_indices(points, m)]`` from start 0
+    returns a prefix of ``arange(m)``: nested sampling is one ordering cut
+    at each budget.
     """
     coords = _as_points(points)
     n = coords.shape[0]
@@ -123,9 +130,11 @@ def fps_indices(points, m: int, start: int = 0) -> np.ndarray:
     selected[0] = start
     diff = coords - coords[start]
     min_d2 = np.einsum("nc,nc->n", diff, diff)
+    min_d2[start] = -1.0  # below every distance, and np.minimum keeps it there
     for i in range(1, m):
         nxt = int(np.argmax(min_d2))
         selected[i] = nxt
         diff = coords - coords[nxt]
         np.minimum(min_d2, np.einsum("nc,nc->n", diff, diff), out=min_d2)
+        min_d2[nxt] = -1.0
     return selected

@@ -33,7 +33,8 @@ def knn_oracle(points: np.ndarray, query: np.ndarray, k: int):
 
 
 def fps_oracle(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
-    """Greedy max-min selection; max-distance ties go to the lowest index."""
+    """Greedy max-min selection over the points not yet selected;
+    max-distance ties go to the lowest index."""
     n = points.shape[0]
     selected = [start]
     min_d2 = np.empty(n)
@@ -41,9 +42,9 @@ def fps_oracle(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
         d = points[j] - points[start]
         min_d2[j] = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
     for _ in range(1, m):
-        best, best_d2 = 0, -1.0
+        best, best_d2 = -1, -1.0
         for j in range(n):
-            if min_d2[j] > best_d2:  # strict: ties keep the lower index
+            if j not in selected and min_d2[j] > best_d2:  # strict: ties keep the lower index
                 best, best_d2 = j, min_d2[j]
         selected.append(best)
         for j in range(n):

@@ -23,7 +23,8 @@ from rpointhop import (
     save_model,
     train,
 )
-from rpointhop.cloud import RigidTransform
+from rpointhop import pipeline
+from rpointhop.cloud import RigidTransform, sample_indices
 from rpointhop.lrf import local_pca_batch
 from rpointhop.pipeline import (
     _HopRun,
@@ -32,9 +33,9 @@ from rpointhop.pipeline import (
     build_later_hop_attributes,
     format_config,
 )
-from rpointhop.spatial import KnnIndex
+from rpointhop.spatial import KnnIndex, fps_indices
 
-from conftest import TINY_CONFIG, hop_oracle, random_rotation
+from conftest import TINY_CONFIG, hop_oracle, random_rotation, sign_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,31 @@ class TestHop1Attributes:
         assert attrs.shape == (10, 31)
         assert np.array_equal(attrs[:, 24:], aux)
 
+    def test_rows_subset_matches_all_rows(self):
+        rng = np.random.default_rng(2)
+        coords = rng.normal(size=(30, 3))
+        table = KnnIndex(coords).self_neighbor_table(10)
+        axes, _ = local_pca_batch(coords, table)
+        aux = rng.normal(size=(30, 7))
+        full = build_hop1_attributes(coords, table, axes, aux)
+        rows = np.array([17, 3, 29, 0, 8])
+        part = build_hop1_attributes(coords, table[rows], axes[rows], aux[rows], rows)
+        for got, want in zip(part, full):
+            assert np.array_equal(got, want[rows])
+
+    def test_run_aux_normal_is_the_sign_resolved_third_axis(self, tiny_corpus):
+        cfg = ModelConfig(hops=TINY_CONFIG.hops[:1], k_lrf=TINY_CONFIG.k_lrf, use_aux_attributes=True)
+        run = _HopRun(tiny_corpus[0].coords, cfg, seed=1, fit=True)
+        x, neighbors = run.hop_inputs(0, cfg.hops[0])
+        checked = 0
+        for i in range(len(x)):
+            rel = run.coords[neighbors[i]] - run.coords[i]
+            flip, margin = sign_oracle(rel @ run.axes[i, 2])
+            if margin > 1e-9:
+                assert np.array_equal(x[i, 24:27, 0], flip * run.axes[i, 2]), f"row {i}"
+                checked += 1
+        assert checked > 0.9 * len(x)
+
     def test_rigid_invariance(self):
         rng = np.random.default_rng(1)
         coords = rng.normal(size=(40, 3))
@@ -166,6 +192,18 @@ class TestHop1Attributes:
 
 
 class TestLaterHopAttributes:
+    def test_rows_subset_matches_all_rows(self):
+        rng = np.random.default_rng(3)
+        coords = rng.normal(size=(30, 3))
+        table = KnnIndex(coords).self_neighbor_table(10)
+        axes, _ = local_pca_batch(coords, table)
+        values = rng.normal(size=(30, 4))
+        full = build_later_hop_attributes(coords, table, axes, values)
+        rows = np.arange(12)  # later hops compute a prefix of their points
+        part = build_later_hop_attributes(coords, table[rows], axes[rows], values, rows)
+        for got, want in zip(part, full):
+            assert np.array_equal(got, want[rows])
+
     def test_channel_means_hand_example(self):
         # 2 points, each the other's sole neighbor plus itself; scalar channel
         coords = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1.0, 0]])
@@ -271,13 +309,17 @@ class TestTrain:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module", params=["tiny", "one_hop", "aux"])
+@pytest.fixture(scope="module", params=["tiny", "one_hop", "aux", "three_hop_aux"])
 def plan_model(request, tiny_model, tiny_corpus):
     if request.param == "tiny":
         return tiny_model
-    hops = TINY_CONFIG.hops[:1] if request.param == "one_hop" else TINY_CONFIG.hops
+    hops = {
+        "one_hop": TINY_CONFIG.hops[:1],
+        "aux": TINY_CONFIG.hops,
+        "three_hop_aux": (*TINY_CONFIG.hops, HopConfig(64, 16)),
+    }[request.param]
     cfg = ModelConfig(
-        hops=hops, k_lrf=TINY_CONFIG.k_lrf, use_aux_attributes=request.param == "aux"
+        hops=hops, k_lrf=TINY_CONFIG.k_lrf, use_aux_attributes=request.param != "one_hop"
     )
     return train(tiny_corpus[:3], cfg)
 
@@ -289,17 +331,53 @@ class TestHopPlans:
         assert plan_model.plans[-1].slots.size == plan_model.feature_dim
 
     def test_plans_match_tree_walk_oracle(self, plan_model, tiny_corpus):
+        # the reference walk computes every point of every hop, as a fit
+        # does; extraction computes only the points a later hop reads
         cloud = tiny_corpus[5]
-        run = _HopRun(cloud.coords, plan_model.config, seed=2)
+        config = plan_model.config
+        run = _HopRun(cloud.coords, config, seed=2, fit=True)
         hop_layers = ({0: plan_model.hop1_layer}, *plan_model.later_hops)
         parent_ids = [0]
-        for h, (hop, plan) in enumerate(zip(plan_model.config.hops, plan_model.plans)):
-            x, _ = run.hop_inputs(h, hop)
+        for h, (hop, plan) in enumerate(zip(config.hops, plan_model.plans)):
+            x, neighbors = run.hop_inputs(h, hop)
+            assert len(x) == hop.num_points
             want, parent_ids = hop_oracle(plan_model.tree, hop_layers[h], parent_ids, x)
             run.values = plan.apply(x)
             assert np.array_equal(run.values, want), f"hop {h + 1}"
+        # each hop's points are farthest point sampled from the previous hop's
+        kept = sample_indices(len(cloud), config.hops[0].num_points, 2)
+        for hop in config.hops[1:]:
+            kept = kept[fps_indices(cloud.coords[kept], hop.num_points, start=0)]
+        assert np.array_equal(run.orig_indices, kept)
+        want = {
+            "point_indices": kept,
+            "coords": cloud.coords[kept],
+            "features": run.values,
+            "sign_margins": run.min_margin,
+            "eigen_gaps": run.eigen_gaps,
+            "neighbor_table": neighbors,
+        }
+        assert set(want) == {f.name for f in dataclasses.fields(FeatureSet)}
         fs = extract_features(plan_model, cloud, seed=2)
-        assert np.array_equal(fs.features, run.values)
+        for name, value in want.items():
+            assert np.array_equal(getattr(fs, name), value), name
+
+    def test_one_fps_run_per_cloud(self, plan_model, tiny_corpus, monkeypatch):
+        budgets = []
+        real = pipeline.fps_indices
+
+        def counting(points, m, start=0):
+            budgets.append(m)
+            return real(points, m, start)
+
+        monkeypatch.setattr(pipeline, "fps_indices", counting)
+        hops = plan_model.config.hops
+        want = [hops[1].num_points] if len(hops) > 1 else []
+        extract_features(plan_model, tiny_corpus[4], seed=1)
+        assert budgets == want
+        budgets.clear()
+        train(tiny_corpus[:2], plan_model.config)
+        assert budgets == 2 * want
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,15 @@ class TestFps:
         got = fps_indices(pts, 32, start=0)
         assert np.array_equal(got, fps_oracle(pts, 32, start=0))
         # 30 distinct positions: after they are exhausted the max-min distance
-        # is 0 everywhere and the tie rule keeps returning index 0
-        assert len(set(got[:30].tolist())) == 30
+        # is 0 everywhere and the lowest unselected index is picked
+        assert len(set(got.tolist())) == 32
+
+    def test_duplicate_hand_example(self):
+        # once the 3 distinct positions are taken, the copy of point 0 (index
+        # 2) is the only unselected point; the start is never picked again
+        pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert fps_indices(pts, 4, start=0).tolist() == [0, 1, 3, 2]
+        assert fps_oracle(pts, 4, start=0).tolist() == [0, 1, 3, 2]
 
     def test_full_sample_is_permutation(self):
         rng = np.random.default_rng(11)
@@ -256,6 +263,29 @@ class TestFps:
         long = fps_indices(pts, 30, start=0)
         short = fps_indices(pts, 10, start=0)
         assert np.array_equal(short, long[:10])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        coords=st.lists(
+            st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=30
+        ),
+        data=st.data(),
+    )
+    def test_nested_runs_are_prefixes_of_one_run(self, coords, data):
+        # lattice points tie on distance everywhere; with copies drawn on
+        # top, a budget can exceed the number of distinct positions
+        pts = np.asarray(coords, dtype=np.float64)
+        copies = data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=8), label="copies")
+        pts = np.vstack([pts, pts[copies]])
+        budgets = data.draw(
+            st.lists(st.integers(1, len(pts)), min_size=1, max_size=4), label="budgets"
+        )
+        budgets.sort(reverse=True)
+        once = fps_indices(pts, budgets[0], start=0)
+        kept = np.arange(len(pts))
+        for m in budgets:  # each hop samples the previous hop's points
+            kept = kept[fps_indices(pts[kept], m, start=0)]
+            assert np.array_equal(kept, once[:m]), f"budgets {budgets}"
 
     def test_min_distance_monotonicity(self):
         # each newly selected point's distance-to-set never increases
