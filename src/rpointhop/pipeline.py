@@ -56,11 +56,10 @@ from .saab import (
     FeatureTree,
     HopPlan,
     SaabLayer,
-    cw_saab_fit,
     freeze_hop,
     propagate_energy,
     saab_apply,  # noqa: F401 - not called here; perfbench/spans.py traces it by this module path
-    saab_fit,  # noqa: F401 - likewise
+    saab_fit,
 )
 from .spatial import KnnIndex, fps_indices
 
@@ -241,43 +240,33 @@ def _octant_means(proj: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _project_neighbors(
-    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray, rows: np.ndarray | None = None
+    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sign-resolved frame coordinates of each point's neighbors.
 
     Row i of ``nbr_idx`` and ``axes`` belongs to point ``rows[i]`` of
-    ``coords`` (to point i when ``rows`` is None). Returns (proj (P,k,3),
-    flips (P,3), margins (P,3)). Signs are resolved against this
-    neighborhood, so repeated calls at different hops may flip axes
-    differently, as intended.
+    ``coords``. Returns (proj (P,k,3), flips (P,3), margins (P,3)). Signs
+    are resolved against this neighborhood, so repeated calls at different
+    hops may flip axes differently, as intended.
     """
-    centers = coords if rows is None else coords[rows]
-    rel = coords[nbr_idx] - centers[:, None, :]
+    rel = coords[nbr_idx] - coords[rows][:, None, :]
     proj0 = np.einsum("pkc,pac->pka", rel, axes)
     flips, margins = resolve_signs_batch(proj0)
     return proj0 * flips[:, None, :], flips, margins
 
 
 def build_hop1_attributes(
-    coords: np.ndarray,
-    nbr_idx: np.ndarray,
-    axes: np.ndarray,
-    aux: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
+    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """24-wide octant-mean attributes (plus optional aux columns).
+    """24-wide octant-mean attributes.
 
     Row i of ``nbr_idx`` and ``axes`` belongs to point ``rows[i]`` of
-    ``coords``, or to point i when ``rows`` is None.
-    Returns (attributes (P, 24 [+ aux width]), flips (P,3), margins (P,3)).
+    ``coords``. Returns (attributes (P, 24), flips (P,3), margins (P,3)).
     Attribute layout is octant-major: octant 0 mean xyz, octant 1 mean xyz,
     ... in the fixed octant order. Empty octants stay zero.
     """
     proj, flips, margins = _project_neighbors(coords, nbr_idx, axes, rows)
-    attrs = _octant_means(proj, proj).reshape(nbr_idx.shape[0], 24)
-    if aux is not None:
-        attrs = np.hstack([attrs, aux])
-    return attrs, flips, margins
+    return _octant_means(proj, proj).reshape(nbr_idx.shape[0], 24), flips, margins
 
 
 def build_later_hop_attributes(
@@ -285,13 +274,13 @@ def build_later_hop_attributes(
     nbr_idx: np.ndarray,
     axes: np.ndarray,
     values: np.ndarray,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel octant means of neighbor channel values.
 
     ``values`` is (N, C): the previous hop's surviving coefficients at the
     current hop's points ``coords``. Row i of ``nbr_idx`` and ``axes``
-    belongs to point ``rows[i]`` (to point i when ``rows`` is None).
+    belongs to point ``rows[i]``.
     Returns (attributes (P, 8, C), margins (P, 3)); attributes[:, :, c] is
     channel c's 8-wide sample block.
     """
@@ -309,7 +298,7 @@ class _HopRun:
 
     Frames, signs, octant means and plan outputs are computed only for the
     ``counts[h]`` points of hop h that something reads. A fit reads every
-    point of every hop. Extraction reads at hop h only the points that hop
+    point of every hop, and no plan output of the final hop. Extraction reads at hop h only the points that hop
     h + 1 keeps, the first n_{h + 1} of the ordering, and at the final hop
     all of them. A hop's neighbor index always covers all of its points, so
     the neighbor tables do not change. Hop-1 frames are computed once and
@@ -370,7 +359,7 @@ class _HopRun:
         self.eigen_gaps = np.minimum(
             eigenvalues[:, 0] - eigenvalues[:, 1], eigenvalues[:, 1] - eigenvalues[:, 2]
         )
-        attrs, flips, margins = build_hop1_attributes(self.coords, neighbors, self.axes, None, rows)
+        attrs, flips, margins = build_hop1_attributes(self.coords, neighbors, self.axes, rows)
         if config.use_aux_attributes:
             # indoor-style attributes: sign-resolved surface normal (the
             # smallest-eigenvalue axis) plus the four eigenvalue features
@@ -405,9 +394,11 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     parent_ids = [0]
     for h, hop in enumerate(config.hops):
         inputs = [run.hop_inputs(h, hop)[0] for run in runs]
-        layers = cw_saab_fit(
-            {pid: np.vstack([x[:, :, c] for x in inputs]) for c, pid in enumerate(parent_ids)}
-        )
+        # each channel's corpus pool is built just before its fit, so no
+        # second copy of every channel's inputs exists at once
+        layers = {
+            pid: saab_fit(np.vstack([x[:, :, c] for x in inputs])) for c, pid in enumerate(parent_ids)
+        }
         propagate_energy(
             tree,
             {pid: layers[pid].energies for pid in parent_ids},
@@ -417,8 +408,10 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
         plan, parent_ids = freeze_hop(tree, layers, parent_ids)
         if not parent_ids:
             raise TrainingError(_prune_message(h + 1, n_hops))
-        for run, x in zip(runs, inputs):
-            run.values = plan.apply(x)
+        if h < n_hops - 1:  # nothing reads the final hop's outputs
+            for run, x in zip(runs, inputs):
+                run.values = plan.apply(x)
+        del inputs  # freed before the next hop builds its own
         hop_layers.append(layers)
 
     return RPointHopModel(
@@ -599,13 +592,18 @@ _CONFIG_KEYS = {
 }
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"config key {key}: expected a boolean, got {text!r}")
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+def _parse_ints(text: str) -> list[int]:
+    return [int(v) for v in text.replace(",", " ").split()]
 
 
 def parse_config(text: str) -> ModelConfig:
@@ -613,9 +611,10 @@ def parse_config(text: str) -> ModelConfig:
 
     ``num_points`` and ``k_neighbors`` take one integer per hop (whitespace
     or comma separated) and must have equal lengths; the remaining keys are
-    scalars. Unknown keys are an error.
+    scalars. Unknown keys and values that do not parse are errors naming
+    the line.
     """
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -626,27 +625,33 @@ def parse_config(text: str) -> ModelConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = val.strip()
+        values[key] = (lineno, val.strip())
 
-    kwargs: dict = {}
-    if "k_lrf" in values:
-        kwargs["k_lrf"] = int(values["k_lrf"])
+    def parsed(key: str, parse, expected: str):
+        lineno, val = values[key]
+        try:
+            return parse(val)
+        except ValueError:
+            raise ValueError(f"config line {lineno}: {key} expects {expected}, got {val!r}") from None
+
     if ("num_points" in values) != ("k_neighbors" in values):
         raise ValueError("num_points and k_neighbors must be given together")
+    kwargs: dict = {}
     if "num_points" in values:
-        pts = [int(v) for v in values["num_points"].replace(",", " ").split()]
-        ks = [int(v) for v in values["k_neighbors"].replace(",", " ").split()]
+        pts = parsed("num_points", _parse_ints, "one integer per hop")
+        ks = parsed("k_neighbors", _parse_ints, "one integer per hop")
         if len(pts) != len(ks):
             raise ValueError("num_points and k_neighbors must have one entry per hop")
         kwargs["hops"] = tuple(HopConfig(p, k) for p, k in zip(pts, ks))
-    if "energy_threshold" in values:
-        kwargs["energy_threshold"] = float(values["energy_threshold"])
-    if "use_aux_attributes" in values:
-        kwargs["use_aux_attributes"] = _parse_bool(values["use_aux_attributes"], "use_aux_attributes")
-    if "normalize" in values:
-        kwargs["normalize"] = _parse_bool(values["normalize"], "normalize")
-    if "seed" in values:
-        kwargs["seed"] = int(values["seed"])
+    for key, parse, expected in (
+        ("k_lrf", int, "an integer"),
+        ("energy_threshold", float, "a number"),
+        ("use_aux_attributes", _parse_bool, "a boolean"),
+        ("normalize", _parse_bool, "a boolean"),
+        ("seed", int, "an integer"),
+    ):
+        if key in values:
+            kwargs[key] = parsed(key, parse, expected)
     return ModelConfig(**kwargs)
 
 

@@ -34,7 +34,7 @@ from .spatial import KnnIndex
 
 
 class MatchingError(RuntimeError):
-    """No usable correspondences (thresholds too strict, m1 too large, ...)."""
+    """No usable correspondences: m1 exceeds the number of target points."""
 
 
 class EstimationError(RuntimeError):
@@ -61,36 +61,24 @@ class RansacParams:
 class MatchParams:
     """Correspondence selection parameters.
 
-    ``mode`` is ``"count"`` (keep m1 by distance, then m2 by ratio) or
-    ``"threshold"`` (keep distance < t1, then ratio < t2). Setting
-    ``use_ratio_test`` to False swaps the second-stage criterion: count mode
-    still keeps m2 pairs but picks them by smallest distance instead of
-    smallest ratio (so ratio-test comparisons hold the pair count fixed),
-    while threshold mode keeps everything under t1.
+    Matching keeps the m1 pairs of smallest feature distance, then the m2
+    of those with the smallest ratio. Setting ``use_ratio_test`` to False
+    swaps the second-stage criterion: m2 pairs are still kept, but picked by
+    smallest distance instead of smallest ratio, so ratio-test comparisons
+    hold the pair count fixed.
     """
 
     m1: int = 256
     m2: int = 128
-    mode: str = "count"
-    t1: float | None = None
-    t2: float | None = None
     use_ratio_test: bool = True
     use_ransac: bool = False
     ransac: RansacParams = field(default_factory=RansacParams)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("count", "threshold"):
-            raise ValueError(f"mode must be 'count' or 'threshold', got {self.mode!r}")
-        if self.mode == "count":
-            if self.m1 < 1 or self.m2 < 1:
-                raise ValueError("m1 and m2 must be positive")
-            if self.m2 > self.m1:
-                raise ValueError("m2 cannot exceed m1")
-        else:
-            if self.t1 is None or self.t1 <= 0.0:
-                raise ValueError("threshold mode needs t1 > 0")
-            if self.use_ratio_test and (self.t2 is None or self.t2 <= 0.0):
-                raise ValueError("threshold mode needs t2 > 0")
+        if self.m1 < 1 or self.m2 < 1:
+            raise ValueError("m1 and m2 must be positive")
+        if self.m2 > self.m1:
+            raise ValueError("m2 cannot exceed m1")
 
 
 @dataclass(frozen=True)
@@ -126,14 +114,15 @@ def feature_distance_matrix(target: FeatureSet, source: FeatureSet) -> np.ndarra
 
 
 def _nearest_two(
-    dist: np.ndarray, neighbor_table: np.ndarray | None = None
+    dist: np.ndarray, neighbor_table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row: nearest column index, its distance, and the distance to the
     nearest column outside that column's neighborhood.
 
     ``neighbor_table`` row j lists the columns in column j's neighborhood;
-    the nearest column itself is always left out. None means self-only
-    rows, which makes the second distance the plain second-nearest one.
+    the nearest column itself is always left out, so self-only rows
+    (``[[0], [1], ...]``) make the second distance the plain second-nearest
+    one.
     Ties on distance resolve to the lower column index. A row with no
     column left outside the neighborhood (a single-column matrix, say)
     reports the second distance as 0 (ratio falls to 1).
@@ -143,8 +132,7 @@ def _nearest_two(
     d1 = dist[rows, first]
     masked = dist.copy()
     masked[rows, first] = np.inf
-    if neighbor_table is not None:
-        masked[rows[:, None], neighbor_table[first]] = np.inf
+    masked[rows[:, None], neighbor_table[first]] = np.inf
     d2 = masked.min(axis=1)
     d2[np.isinf(d2)] = 0.0
     return first, d1, d2
@@ -154,11 +142,9 @@ def match(target: FeatureSet, source: FeatureSet, params: MatchParams = MatchPar
     """Select correspondences between two feature sets.
 
     Each pair's ratio is d1/d2, with d2 taken outside the matched source
-    point's neighborhood in ``source.neighbor_table`` (module docstring);
-    count and threshold mode both rank and cut by this ratio.
+    point's neighborhood in ``source.neighbor_table`` (module docstring).
     Deterministic: ties in every sort break on ascending target row index.
-    Raises :class:`MatchingError` when no pair survives or (count mode)
-    when m1 exceeds the number of target rows.
+    Raises :class:`MatchingError` when m1 exceeds the number of target rows.
     """
     dist = feature_distance_matrix(target, source)
     first, d1, d2 = _nearest_two(dist, source.neighbor_table)
@@ -166,30 +152,16 @@ def match(target: FeatureSet, source: FeatureSet, params: MatchParams = MatchPar
         ratios = np.where(d2 > 0.0, d1 / np.where(d2 > 0.0, d2, 1.0), 1.0)
 
     n_target = dist.shape[0]
-    rows = np.arange(n_target)
-    if params.mode == "count":
-        if params.m1 > n_target:
-            raise MatchingError(
-                f"m1={params.m1} exceeds the {n_target} available target points"
-            )
-        by_dist = np.lexsort((rows, d1))[: params.m1]
-        if params.use_ratio_test:
-            order = np.lexsort((by_dist, ratios[by_dist]))
-            selected = by_dist[order][: params.m2]
-        else:
-            # same final count, selected by distance: comparisons against the
-            # ratio test then measure the selection criterion, not the count
-            selected = by_dist[: params.m2]
+    if params.m1 > n_target:
+        raise MatchingError(f"m1={params.m1} exceeds the {n_target} available target points")
+    by_dist = np.lexsort((np.arange(n_target), d1))[: params.m1]
+    if params.use_ratio_test:
+        order = np.lexsort((by_dist, ratios[by_dist]))
+        selected = by_dist[order][: params.m2]
     else:
-        by_dist = rows[d1 < params.t1]
-        by_dist = by_dist[np.lexsort((by_dist, d1[by_dist]))]
-        if params.use_ratio_test:
-            kept = by_dist[ratios[by_dist] < params.t2]
-            selected = kept[np.lexsort((kept, ratios[kept]))]
-        else:
-            selected = by_dist
-    if selected.size == 0:
-        raise MatchingError("no correspondences survived the filters")
+        # same final count, selected by distance: comparisons against the
+        # ratio test then measure the selection criterion, not the count
+        selected = by_dist[: params.m2]
 
     pairs = np.stack([selected, first[selected]], axis=1).astype(np.intp)
     return CorrespondenceSet(
@@ -372,7 +344,6 @@ def register_features(
     target: PointCloud,
     params: MatchParams = MatchParams(),
     icp: bool = False,
-    icp_max_iters: int = 50,
 ) -> tuple[RigidTransform, CorrespondenceSet, int]:
     """Feature sets to transform: match, estimate in closed form (inside
     RANSAC when ``params.use_ransac``), then optionally refine with ICP on
@@ -382,7 +353,7 @@ def register_features(
     tf = ransac_estimate(corr, params.ransac) if params.use_ransac else estimate_transform(corr)
     icp_iterations = 0
     if icp:
-        result = icp_refine(source, target, tf, max_iters=icp_max_iters)
+        result = icp_refine(source, target, tf)
         tf, icp_iterations = result.transform, result.iterations
     return tf, corr, icp_iterations
 
@@ -394,7 +365,6 @@ def register(
     params: MatchParams = MatchParams(),
     seed: int = 0,
     icp: bool = False,
-    icp_max_iters: int = 50,
 ) -> tuple[RigidTransform, PointCloud, dict]:
     """Full registration: extract features, match, estimate, optionally
     refine with ICP. Returns (transform mapping target onto source,
@@ -409,9 +379,7 @@ def register(
     extract_seed = int(rng.integers(2**63))
     target_fs = extract_features(model, target, seed=extract_seed)
     source_fs = extract_features(model, source, seed=extract_seed)
-    tf, corr, icp_iterations = register_features(
-        target_fs, source_fs, source, target, params, icp, icp_max_iters
-    )
+    tf, corr, icp_iterations = register_features(target_fs, source_fs, source, target, params, icp)
     aligned = align_inverse(source, tf)
     angles, gimbal = matrix_to_euler_xyz(tf.rotation)
     res = _residuals(corr, tf)

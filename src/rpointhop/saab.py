@@ -66,17 +66,11 @@ class SaabLayer:
         return self.filters.size + 1
 
 
-def saab_fit(
-    samples: np.ndarray,
-    energy_keep: float = 1.0,
-    max_dims: int | None = None,
-) -> SaabLayer:
+def saab_fit(samples: np.ndarray) -> SaabLayer:
     """Fit one Saab layer to (S, N) training samples.
 
-    ``energy_keep`` keeps AC filters (in descending eigenvalue order) until
-    the cumulative within-transform energy reaches the given fraction;
-    the default 1.0 keeps every filter with numerically nonzero variance.
-    ``max_dims`` additionally caps the total kept dimensions (DC included).
+    Every AC filter with numerically nonzero variance is kept; channels are
+    pruned afterwards, by cumulative energy on the :class:`FeatureTree`.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
@@ -86,8 +80,6 @@ def saab_fit(
         raise ValueError("need at least 2 samples to fit a Saab layer")
     if not np.isfinite(x).all():
         raise ValueError("samples contain non-finite values")
-    if not 0.0 < energy_keep <= 1.0:
-        raise ValueError("energy_keep must lie in (0, 1]")
 
     dc = np.full(n, 1.0 / np.sqrt(n))
     dc_coeffs = x @ dc
@@ -98,24 +90,12 @@ def saab_fit(
     w = w[::-1]
     v = v[:, ::-1]
 
-    # eligible AC dims: positive eigenvalues above numerical noise, at most
+    # kept AC dims: positive eigenvalues above numerical noise, at most
     # n-1 of them (the DC direction always carries a spurious zero here)
     floor = max(w[0], 0.0) * _EIG_CUTOFF
-    eligible = min(int(np.count_nonzero(w > floor)), n - 1)
+    keep = min(int(np.count_nonzero(w > floor)), n - 1)
 
     dc_energy = float(dc_coeffs.var())
-    total = dc_energy + float(w[:eligible].sum())
-    keep = eligible
-    if energy_keep < 1.0 and total > 0.0:
-        # cumulative fraction after keeping DC plus the first j AC filters
-        levels = (dc_energy + np.concatenate([[0.0], np.cumsum(w[:eligible])])) / total
-        keep = int(np.searchsorted(levels, energy_keep - 1e-12))
-        keep = min(keep, eligible)
-    if max_dims is not None:
-        if max_dims < 1:
-            raise ValueError("max_dims must keep at least the DC filter")
-        keep = min(keep, max_dims - 1)
-
     ac_filters = v[:, :keep].T.copy()
     kept_energy = dc_energy + float(w[:keep].sum())
     if kept_energy <= 0.0:
@@ -154,11 +134,7 @@ def saab_apply(layer: SaabLayer, v: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def cw_saab_fit(
-    per_channel_samples: Mapping[int, np.ndarray],
-    energy_keep: float = 1.0,
-    max_dims: int | None = None,
-) -> dict[int, SaabLayer]:
+def cw_saab_fit(per_channel_samples: Mapping[int, np.ndarray]) -> dict[int, SaabLayer]:
     """Independent Saab fit per input channel (channel-wise Saab).
 
     Keys identify channels; each value is that channel's (S, N) sample
@@ -167,10 +143,7 @@ def cw_saab_fit(
     """
     if not per_channel_samples:
         raise ValueError("no channels to fit")
-    return {
-        ch: saab_fit(block, energy_keep=energy_keep, max_dims=max_dims)
-        for ch, block in sorted(per_channel_samples.items())
-    }
+    return {ch: saab_fit(block) for ch, block in sorted(per_channel_samples.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +181,8 @@ class FeatureTree:
                 )
             )
 
-    def node(self, node_id: int) -> FeatureNode:
-        return self.nodes[node_id]
-
     def children(self, parent_id: int) -> list[FeatureNode]:
         return [n for n in self.nodes if n.parent == parent_id]
-
-    def at_hop(self, hop: int, status: str | None = None) -> list[FeatureNode]:
-        return [
-            n for n in self.nodes
-            if n.hop == hop and (status is None or n.status == status)
-        ]
-
-    def surviving(self, hop: int) -> list[FeatureNode]:
-        """Hop nodes that were not discarded (intermediate or output)."""
-        return [n for n in self.nodes if n.hop == hop and n.status != STATUS_DISCARDED]
 
     def output_dim(self) -> int:
         return sum(1 for n in self.nodes if n.status == STATUS_OUTPUT)
@@ -250,12 +210,12 @@ def propagate_energy(
     if not transform_energies:
         raise ValueError("no parent transforms supplied")
     parent_ids = sorted(transform_energies)
-    hops = {tree.node(p).hop for p in parent_ids}
+    hops = {tree.nodes[p].hop for p in parent_ids}
     if len(hops) != 1:
         raise ValueError(f"parents span multiple hops: {sorted(hops)}")
     child_hop = hops.pop() + 1
     for pid in parent_ids:
-        parent = tree.node(pid)
+        parent = tree.nodes[pid]
         if parent.status == STATUS_DISCARDED:
             raise ValueError(f"node {pid} is discarded and cannot have children")
         fractions = np.asarray(transform_energies[pid], dtype=np.float64)

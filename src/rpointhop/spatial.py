@@ -101,11 +101,6 @@ class KnnIndex:
             return idx[0], dist[0]
         return idx, dist
 
-    def self_neighbor_table(self, k: int) -> np.ndarray:
-        """(N, k) neighbor indices of the indexed points themselves."""
-        indices, _ = self.query(self.points, k)
-        return indices
-
 
 def fps_indices(points, m: int, start: int = 0) -> np.ndarray:
     """Greedy farthest point sampling over raw coordinates.

@@ -151,7 +151,7 @@ class TestResolveSignsBatch:
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(9)
         coords = rng.normal(size=(60, 3))
-        table = KnnIndex(coords).self_neighbor_table(16)[:10]
+        table = KnnIndex(coords).query(coords[:10], 16)[0]
         axes, _ = local_pca_batch(coords, table)
         proj = np.einsum("pkc,pac->pka", coords[table] - coords[:10, None, :], axes)
         flips_b, margins_b = resolve_signs_batch(proj)
@@ -171,7 +171,7 @@ class TestComputeLrf:
     def test_basic_frame(self):
         rng = np.random.default_rng(10)
         coords = rng.normal(size=(40, 3))
-        table = KnnIndex(coords).self_neighbor_table(12)
+        table = KnnIndex(coords).query(coords, 12)[0]
         axes, lam = local_pca_batch(coords, table)
         # each frame's neighborhood holds its origin, the point itself
         assert np.array_equal(table[:, 0], np.arange(40))
@@ -190,12 +190,13 @@ class TestProjectionInvariance:
         worst, checked = 0.0, 0
         for _ in range(25):
             nbrs = rng.normal(size=(24, 3))
-            table = KnnIndex(nbrs).self_neighbor_table(16)
+            table = KnnIndex(nbrs).query(nbrs, 16)[0]
             r = random_rotation(rng)
             t = rng.normal(size=3) * 5
             moved = nbrs @ r.T + t
-            p0, _, margins = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0])
-            p1, _, _ = _project_neighbors(moved, table, local_pca_batch(moved, table)[0])
+            rows = np.arange(24)
+            p0, _, margins = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0], rows)
+            p1, _, _ = _project_neighbors(moved, table, local_pca_batch(moved, table)[0], rows)
             stable = margins.min(axis=1) > 1e-6  # sign ties may flip an axis
             worst = max(worst, float(np.abs(p0[stable] - p1[stable]).max(initial=0.0)))
             checked += int(stable.sum())
@@ -208,7 +209,7 @@ class TestProjectionInvariance:
         # masses 0.5 < 1, 3 > 2 and 1 < 3, so the flips are (+1, -1, +1)
         coords = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [-0.5, -3.0, -1.0]])
         table = np.tile(np.arange(3), (3, 1))
-        proj, flips, _ = _project_neighbors(coords, table, np.tile(np.eye(3), (3, 1, 1)))
+        proj, flips, _ = _project_neighbors(coords, table, np.tile(np.eye(3), (3, 1, 1)), np.arange(3))
         assert np.array_equal(flips[0], [1.0, -1.0, 1.0])
         assert np.array_equal(proj[0, 1], [1.0, -2.0, 3.0])
 
@@ -216,7 +217,7 @@ class TestProjectionInvariance:
         rng = np.random.default_rng(13)
         nbrs = rng.normal(size=(16, 3)) + 7.0
         table = np.tile(np.arange(16), (16, 1))
-        proj, _, _ = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0])
+        proj, _, _ = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0], np.arange(16))
         # distances from the origin are preserved by the orthonormal map
         d_in = np.linalg.norm(nbrs[table] - nbrs[:, None, :], axis=2)
         d_out = np.linalg.norm(proj, axis=2)

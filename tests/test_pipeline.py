@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import re
 import struct
 from types import SimpleNamespace
 
@@ -24,7 +25,7 @@ from rpointhop import (
     train,
 )
 from rpointhop import pipeline
-from rpointhop.cloud import RigidTransform, sample_indices
+from rpointhop.cloud import RigidTransform, normalize_unit_sphere, sample_indices
 from rpointhop.lrf import local_pca_batch
 from rpointhop.pipeline import (
     _HopRun,
@@ -33,6 +34,7 @@ from rpointhop.pipeline import (
     build_later_hop_attributes,
     format_config,
 )
+from rpointhop.saab import SaabLayer, cw_saab_fit
 from rpointhop.spatial import KnnIndex, fps_indices
 
 from conftest import TINY_CONFIG, hop_oracle, random_rotation, sign_oracle
@@ -115,7 +117,7 @@ class TestHop1Attributes:
         coords = np.vstack([np.zeros(3), corners])
         nbr_idx = np.tile(np.arange(1, 9), (9, 1))
         axes = np.tile(np.eye(3), (9, 1, 1))
-        attrs, flips, margins = build_hop1_attributes(coords, nbr_idx, axes)
+        attrs, flips, margins = build_hop1_attributes(coords, nbr_idx, axes, np.arange(9))
         assert attrs.shape == (9, 24)
         assert np.allclose(attrs[0], corners.ravel())
         assert np.all(np.abs(flips) == 1.0)
@@ -129,7 +131,7 @@ class TestHop1Attributes:
         )
         nbr_idx = np.tile(np.array([1, 2, 3]), (4, 1))
         axes = np.tile(np.eye(3), (4, 1, 1))
-        attrs, flips, _ = build_hop1_attributes(coords, nbr_idx, axes)
+        attrs, flips, _ = build_hop1_attributes(coords, nbr_idx, axes, np.arange(4))
         # x: median 2, left mass 1 < right mass 2 -> +1; y, z: all equal -> tie -> -1
         assert flips[0].tolist() == [1.0, -1.0, -1.0]
         # flipped projections (x, -y, -z) land in octant 3 (+, -, -)
@@ -138,25 +140,14 @@ class TestHop1Attributes:
         others = np.delete(row, 3, axis=0)
         assert np.abs(others).max() == 0.0
 
-    def test_aux_columns_appended(self):
-        rng = np.random.default_rng(0)
-        coords = rng.normal(size=(10, 3))
-        nbr_idx = KnnIndex(coords).self_neighbor_table(5)
-        axes = np.tile(np.eye(3), (10, 1, 1))
-        aux = rng.normal(size=(10, 7))
-        attrs, _, _ = build_hop1_attributes(coords, nbr_idx, axes, aux)
-        assert attrs.shape == (10, 31)
-        assert np.array_equal(attrs[:, 24:], aux)
-
     def test_rows_subset_matches_all_rows(self):
         rng = np.random.default_rng(2)
         coords = rng.normal(size=(30, 3))
-        table = KnnIndex(coords).self_neighbor_table(10)
+        table = KnnIndex(coords).query(coords, 10)[0]
         axes, _ = local_pca_batch(coords, table)
-        aux = rng.normal(size=(30, 7))
-        full = build_hop1_attributes(coords, table, axes, aux)
+        full = build_hop1_attributes(coords, table, axes, np.arange(30))
         rows = np.array([17, 3, 29, 0, 8])
-        part = build_hop1_attributes(coords, table[rows], axes[rows], aux[rows], rows)
+        part = build_hop1_attributes(coords, table[rows], axes[rows], rows)
         for got, want in zip(part, full):
             assert np.array_equal(got, want[rows])
 
@@ -176,15 +167,15 @@ class TestHop1Attributes:
     def test_rigid_invariance(self):
         rng = np.random.default_rng(1)
         coords = rng.normal(size=(40, 3))
-        table = KnnIndex(coords).self_neighbor_table(12)
+        table = KnnIndex(coords).query(coords, 12)[0]
         axes, _ = local_pca_batch(coords, table)
-        attrs0, _, margins = build_hop1_attributes(coords, table, axes)
+        attrs0, _, margins = build_hop1_attributes(coords, table, axes, np.arange(40))
 
         r = random_rotation(rng)
         t = rng.normal(size=3) * 3
         moved = coords @ r.T + t
         axes_m, _ = local_pca_batch(moved, table)
-        attrs1, _, _ = build_hop1_attributes(moved, table, axes_m)
+        attrs1, _, _ = build_hop1_attributes(moved, table, axes_m, np.arange(40))
 
         stable = margins.min(axis=1) > 1e-6
         assert stable.sum() > 30
@@ -195,10 +186,10 @@ class TestLaterHopAttributes:
     def test_rows_subset_matches_all_rows(self):
         rng = np.random.default_rng(3)
         coords = rng.normal(size=(30, 3))
-        table = KnnIndex(coords).self_neighbor_table(10)
+        table = KnnIndex(coords).query(coords, 10)[0]
         axes, _ = local_pca_batch(coords, table)
         values = rng.normal(size=(30, 4))
-        full = build_later_hop_attributes(coords, table, axes, values)
+        full = build_later_hop_attributes(coords, table, axes, values, np.arange(30))
         rows = np.arange(12)  # later hops compute a prefix of their points
         part = build_later_hop_attributes(coords, table[rows], axes[rows], values, rows)
         for got, want in zip(part, full):
@@ -210,7 +201,7 @@ class TestLaterHopAttributes:
         nbr_idx = np.array([[0, 1, 2]] * 3)
         axes = np.tile(np.eye(3), (3, 1, 1))
         values = np.array([[2.0], [4.0], [8.0]])
-        means, margins = build_later_hop_attributes(coords, nbr_idx, axes, values)
+        means, margins = build_later_hop_attributes(coords, nbr_idx, axes, values, np.arange(3))
         assert means.shape == (3, 8, 1)
         # point 0 neighborhood projections rel to itself: (0,0,0), (1,0,0), (0,1,0)
         # flips: x {0,1,0} median 0 -> left 0 < right 1 -> +1; same for y; z tie -> -1
@@ -221,15 +212,15 @@ class TestLaterHopAttributes:
     def test_rigid_invariance_of_channel_means(self):
         rng = np.random.default_rng(2)
         coords = rng.normal(size=(30, 3))
-        table = KnnIndex(coords).self_neighbor_table(10)
+        table = KnnIndex(coords).query(coords, 10)[0]
         axes, _ = local_pca_batch(coords, table)
         values = rng.normal(size=(30, 5))
-        m0, margins = build_later_hop_attributes(coords, table, axes, values)
+        m0, margins = build_later_hop_attributes(coords, table, axes, values, np.arange(30))
 
         r = random_rotation(rng)
         moved = coords @ r.T + rng.normal(size=3)
         axes_m, _ = local_pca_batch(moved, table)
-        m1, _ = build_later_hop_attributes(moved, table, axes_m, values)
+        m1, _ = build_later_hop_attributes(moved, table, axes_m, values, np.arange(30))
 
         stable = margins.min(axis=1) > 1e-6
         assert np.abs(m0[stable] - m1[stable]).max() < 1e-9
@@ -289,19 +280,42 @@ class TestTrain:
     def test_tree_structure_sound(self, tiny_model):
         tree = tiny_model.tree
         for node in tree.nodes[1:]:
-            parent = tree.node(node.parent)
+            parent = tree.nodes[node.parent]
             assert node.cumulative == pytest.approx(parent.cumulative * node.fraction)
             assert parent.status != "discarded"
         hops = {n.hop for n in tree.nodes}
         assert hops == {0, 1, 2}
         # final-hop survivors are exactly the output nodes
-        finals = [n for n in tree.at_hop(2) if n.status != "discarded"]
+        finals = [n for n in tree.nodes if n.hop == 2 and n.status != "discarded"]
         assert all(n.status == "output" for n in finals)
         assert len(finals) == tiny_model.feature_dim
 
     def test_later_hop_layers_cover_surviving_parents(self, tiny_model):
-        survivors = {n.node_id for n in tiny_model.tree.surviving(1)}
+        survivors = {n.node_id for n in tiny_model.tree.nodes if n.hop == 1 and n.status != "discarded"}
         assert set(tiny_model.later_hops[0]) == survivors
+
+    def test_layers_fit_corpus_pooled_inputs(self, tiny_model, tiny_corpus):
+        # replay train's runs with the model's own plans: each hop's layer
+        # below parent c is the Saab fit of channel c's samples, stacked
+        # cloud by cloud in corpus order
+        config = tiny_model.config
+        rng = np.random.Generator(np.random.PCG64(config.seed))
+        runs = [
+            _HopRun(normalize_unit_sphere(cloud)[0].coords, config, int(rng.integers(2**63)), fit=True)
+            for cloud in tiny_corpus
+        ]
+        hop_layers = ({0: tiny_model.hop1_layer}, *tiny_model.later_hops)
+        for h, (hop, plan, layers) in enumerate(zip(config.hops, tiny_model.plans, hop_layers)):
+            inputs = [run.hop_inputs(h, hop)[0] for run in runs]
+            want = cw_saab_fit(
+                {pid: np.vstack([x[:, :, c] for x in inputs]) for c, pid in enumerate(sorted(layers))}
+            )
+            assert sorted(want) == sorted(layers)
+            for pid, layer in layers.items():
+                for f in dataclasses.fields(SaabLayer):
+                    assert np.array_equal(getattr(layer, f.name), getattr(want[pid], f.name)), (h, pid, f.name)
+            for run, x in zip(runs, inputs):
+                run.values = plan.apply(x)
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +412,13 @@ class TestExtractFeatures:
     def test_neighbor_table_is_final_hop_neighborhood(self, tiny_model, tiny_corpus):
         fs = extract_features(tiny_model, tiny_corpus[0], seed=3)
         assert fs.neighbor_table.shape == (128, 16)
-        assert np.array_equal(fs.neighbor_table, KnnIndex(fs.coords).self_neighbor_table(16))
+        assert np.array_equal(fs.neighbor_table, KnnIndex(fs.coords).query(fs.coords, 16)[0])
 
     def test_one_hop_neighbor_table(self, tiny_corpus):
         model = train(tiny_corpus[:3], ModelConfig(hops=(HopConfig(192, 24),), k_lrf=16))
         fs = extract_features(model, tiny_corpus[0], seed=3)
         assert fs.neighbor_table.shape == (192, 24)
-        assert np.array_equal(fs.neighbor_table, KnnIndex(fs.coords).self_neighbor_table(24))
+        assert np.array_equal(fs.neighbor_table, KnnIndex(fs.coords).query(fs.coords, 24)[0])
 
     def test_deterministic_per_seed(self, tiny_model, tiny_corpus):
         a = extract_features(tiny_model, tiny_corpus[1], seed=9)
@@ -556,7 +570,7 @@ class TestModelFile:
     @staticmethod
     def _discarded_parent_keeps_layer(model):
         tree = copy.deepcopy(model.tree)
-        tree.node(min(model.later_hops[0])).status = "discarded"
+        tree.nodes[min(model.later_hops[0])].status = "discarded"
         return tree, model.later_hops
 
     @staticmethod
@@ -700,6 +714,20 @@ class TestConfigText:
             parse_config("num_points = 128 64\n")
         with pytest.raises(ValueError, match="one entry per hop"):
             parse_config("num_points = 128 64\nk_neighbors = 16\n")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("k_lrf = abc\n", "line 1: k_lrf expects an integer, got 'abc'"),
+            ("normalize = no\nseed = 1.5\n", "line 2: seed expects an integer, got '1.5'"),
+            ("energy_threshold = 1e-3x\n", "line 1: energy_threshold expects a number"),
+            ("num_points = 128 64\nk_neighbors = 16, eight\n", "line 2: k_neighbors expects one integer per hop"),
+            ("num_points = 12.5\nk_neighbors = 8\n", "line 1: num_points expects one integer per hop"),
+        ],
+    )
+    def test_bad_number_names_line_and_key(self, text, where):
+        with pytest.raises(ValueError, match=re.escape(where)):
+            parse_config(text)
 
     def test_empty_text_gives_defaults(self):
         assert parse_config("") == ModelConfig()

@@ -79,17 +79,6 @@ class TestParams:
             MatchParams(m1=0)
         with pytest.raises(ValueError, match="m2 cannot exceed m1"):
             MatchParams(m1=4, m2=5)
-        with pytest.raises(ValueError, match="mode"):
-            MatchParams(mode="fuzzy")
-
-    def test_match_params_threshold_mode(self):
-        MatchParams(mode="threshold", t1=0.5, t2=0.9)
-        with pytest.raises(ValueError, match="t1"):
-            MatchParams(mode="threshold")
-        with pytest.raises(ValueError, match="t2"):
-            MatchParams(mode="threshold", t1=0.5)
-        # no ratio test: t2 not required
-        MatchParams(mode="threshold", t1=0.5, use_ratio_test=False)
 
     def test_ransac_params(self):
         with pytest.raises(ValueError, match="iterations"):
@@ -117,7 +106,7 @@ class TestMatch:
         assert np.allclose(d, [[0.1, 0.9], [0.8, 0.2]], atol=1e-12)
 
     def test_nearest_two_hand_example(self):
-        first, d1, d2 = _nearest_two(np.array([[0.1, 0.9], [0.8, 0.2]]))
+        first, d1, d2 = _nearest_two(np.array([[0.1, 0.9], [0.8, 0.2]]), np.arange(2)[:, None])
         assert first.tolist() == [0, 1]
         assert np.allclose(d1, [0.1, 0.2])
         assert np.allclose(d2, [0.9, 0.8])
@@ -145,17 +134,6 @@ class TestMatch:
         without = match(target, source, MatchParams(m1=2, m2=1, use_ratio_test=False))
         assert len(without) == 1  # same count either way: m2 pairs
         assert without.pairs[:, 0].tolist() == [0]
-
-    def test_threshold_mode(self):
-        target = make_feature_set(self.T_FEATS)
-        source = make_feature_set(self.S_FEATS)
-        corr = match(
-            target, source, MatchParams(mode="threshold", t1=0.15, t2=0.5)
-        )
-        assert corr.pairs.tolist() == [[0, 0]]
-        # t2 below the surviving ratio: nothing left
-        with pytest.raises(MatchingError, match="no correspondences"):
-            match(target, source, MatchParams(mode="threshold", t1=0.15, t2=0.1))
 
     def test_m1_exceeding_targets(self):
         target = make_feature_set(self.T_FEATS)
@@ -186,7 +164,7 @@ class TestMatch:
         assert d1[0] == pytest.approx(0.1)
         assert d2[0] == pytest.approx(np.hypot(1.0, 0.1))  # source 2, not the twin
         # self-only rows keep the plain second-nearest distance: the twin
-        _, _, d2_plain = _nearest_two(dist)
+        _, _, d2_plain = _nearest_two(dist, np.arange(3)[:, None])
         assert d2_plain[0] == pytest.approx(np.hypot(0.01, 0.1))
 
         target = make_feature_set(target_feats)

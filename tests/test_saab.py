@@ -88,45 +88,13 @@ class TestSaabFit:
         back = (y - layer.bias) @ layer.filters
         assert np.abs(back - x).max() < 1e-9
 
-    def test_energy_keep_reduces_dims_monotonically(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(100, 8)) * np.array([5, 3, 2, 1, 0.5, 0.3, 0.2, 0.1])
-        kept = [saab_fit(x, energy_keep=e).kept_dim for e in (0.3, 0.6, 0.9, 1.0)]
-        assert kept == sorted(kept)
-        assert kept[-1] > kept[0]
-
-    def test_energy_keep_threshold_satisfied(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(100, 8)) * np.array([5, 3, 2, 1, 0.5, 0.3, 0.2, 0.1])
-        full = saab_fit(x)
-        # reconstruct unnormalized energies from the full fit
-        for target in (0.5, 0.8, 0.95):
-            part = saab_fit(x, energy_keep=target)
-            # cumulative normalized energy of the kept dims, measured on the
-            # full layer's scale, must reach the target
-            got = full.energies[: part.kept_dim].sum()
-            assert got >= target - 1e-9
-
-    def test_max_dims_cap(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(60, 7))
-        assert saab_fit(x, max_dims=3).kept_dim == 3
-        assert saab_fit(x, max_dims=1).kept_dim == 1  # DC only
-
     def test_errors(self):
-        rng = np.random.default_rng(9)
         with pytest.raises(ValueError, match="2 samples"):
             saab_fit(np.ones((1, 4)))
         with pytest.raises(ValueError, match="2-D"):
             saab_fit(np.ones(4))
         with pytest.raises(ValueError, match="non-finite"):
             saab_fit(np.array([[1.0, np.nan], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="energy_keep"):
-            saab_fit(rng.normal(size=(5, 3)), energy_keep=0.0)
-        with pytest.raises(ValueError, match="energy_keep"):
-            saab_fit(rng.normal(size=(5, 3)), energy_keep=1.5)
-        with pytest.raises(ValueError, match="max_dims"):
-            saab_fit(rng.normal(size=(5, 3)), max_dims=0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +195,6 @@ class TestCwSaabFit:
             joint = saab_fit(np.hstack([blocks[c] for c in range(k)]))
             assert cw_params < joint.param_count(), f"K={k}"
 
-    def test_kwargs_forwarded(self):
-        rng = np.random.default_rng(18)
-        blocks = {0: rng.normal(size=(50, 8))}
-        layers = cw_saab_fit(blocks, max_dims=2)
-        assert layers[0].kept_dim == 2
-
 
 # ---------------------------------------------------------------------------
 # energy tree
@@ -242,7 +204,7 @@ class TestCwSaabFit:
 class TestFeatureTree:
     def test_fresh_tree_has_root(self):
         tree = FeatureTree()
-        root = tree.node(0)
+        root = tree.nodes[0]
         assert root.parent == -1 and root.cumulative == 1.0
         assert root.status == STATUS_INTERMEDIATE
         assert tree.output_dim() == 0
@@ -261,11 +223,12 @@ class TestFeatureTree:
     def test_cumulative_multiplies_down(self):
         tree = FeatureTree()
         propagate_energy(tree, {0: [0.6, 0.3, 0.1]}, threshold=0.25)
-        survivors = [n.node_id for n in tree.surviving(1)]
+        survivors = [n.node_id for n in tree.children(0) if n.status != STATUS_DISCARDED]
+        assert survivors == [1, 2]
         propagate_energy(
             tree, {nid: [0.5, 0.5] for nid in survivors}, threshold=0.25, final=True,
         )
-        hop2 = tree.at_hop(2)
+        hop2 = tree.nodes[4:]
         assert [n.cumulative for n in hop2] == pytest.approx([0.3, 0.3, 0.15, 0.15])
         assert [n.status for n in hop2] == [
             STATUS_OUTPUT, STATUS_OUTPUT, STATUS_DISCARDED, STATUS_DISCARDED,
@@ -292,15 +255,10 @@ class TestFeatureTree:
         propagate_energy(tree, {0: [0.5, 0.5]}, threshold=0.0)
         # supply parents out of order; children must appear in parent-id order
         propagate_energy(tree, {2: [1.0], 1: [1.0]}, threshold=0.0, final=True)
-        hop2 = tree.at_hop(2)
+        hop2 = tree.nodes[3:]
+        assert [n.hop for n in hop2] == [2, 2]
         assert [n.parent for n in hop2] == [1, 2]
         assert [n.node_id for n in hop2] == [3, 4]
-
-    def test_at_hop_status_filter(self):
-        tree = FeatureTree()
-        propagate_energy(tree, {0: [0.9, 0.05, 0.05]}, threshold=0.1)
-        assert len(tree.at_hop(1, STATUS_DISCARDED)) == 2
-        assert len(tree.at_hop(1, STATUS_INTERMEDIATE)) == 1
 
     def test_errors(self):
         tree = FeatureTree()
@@ -319,9 +277,9 @@ class TestFeatureTree:
     def test_discarded_parent_rejected(self):
         tree = FeatureTree()
         propagate_energy(tree, {0: [0.99, 0.01]}, threshold=0.1)
-        discarded = tree.at_hop(1, STATUS_DISCARDED)[0]
+        assert tree.nodes[2].status == STATUS_DISCARDED
         with pytest.raises(ValueError, match="discarded"):
-            propagate_energy(tree, {discarded.node_id: [1.0]}, threshold=0.1)
+            propagate_energy(tree, {2: [1.0]}, threshold=0.1)
 
     def test_parents_spanning_hops_rejected(self):
         tree = FeatureTree()
@@ -337,14 +295,22 @@ class TestFeatureTree:
 
 class TestFreezeHop:
     @staticmethod
-    def hop():
+    def truncated(layer: SaabLayer, k: int) -> SaabLayer:
+        """The layer cut to its first k filters, energies renormalized."""
+        energies = layer.energies[:k]
+        return dataclasses.replace(
+            layer, ac_filters=layer.ac_filters[: k - 1], energies=energies / energies.sum()
+        )
+
+    @classmethod
+    def hop(cls):
         """Three parents whose layers keep 3, 5 and 2 filters, with some
         children below the threshold."""
         rng = np.random.default_rng(3)
         tree = FeatureTree()
         propagate_energy(tree, {0: [0.5, 0.3, 0.2]}, threshold=0.0)
         layers = {
-            pid: saab_fit(rng.normal(size=(40, 8)) * rng.uniform(0.2, 2.0, size=8), max_dims=k)
+            pid: cls.truncated(saab_fit(rng.normal(size=(40, 8)) * rng.uniform(0.2, 2.0, size=8)), k)
             for pid, k in ((1, 3), (2, 5), (3, 2))
         }
         propagate_energy(
@@ -368,7 +334,7 @@ class TestFreezeHop:
         layers = cw_saab_fit({0: x})
         propagate_energy(tree, {0: layers[0].energies}, threshold=0.05)
         plan, ids = freeze_hop(tree, layers, [0])
-        cols = [tree.node(i).channel for i in ids]
+        cols = [tree.nodes[i].channel for i in ids]
         assert np.array_equal(plan.apply(x[:, :, None]), saab_apply(saab_fit(x), x)[:, cols])
 
     def test_norm_ball_logged_once_per_hop(self, caplog):

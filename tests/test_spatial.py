@@ -110,14 +110,14 @@ class TestKnn:
 class TestSelfNeighborTable:
     def test_each_point_is_own_first_neighbor(self):
         pts = np.random.default_rng(7).normal(size=(30, 3))
-        table = KnnIndex(pts).self_neighbor_table(6)
+        table = KnnIndex(pts).query(pts, 6)[0]
         assert np.array_equal(table[:, 0], np.arange(30))
         assert table.shape == (30, 6)
 
     def test_matches_per_point_oracle(self):
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(25, 3))
-        table = KnnIndex(pts).self_neighbor_table(7)
+        table = KnnIndex(pts).query(pts, 7)[0]
         for i in range(25):
             oi, _ = knn_oracle(pts, pts[i], 7)
             assert np.array_equal(table[i], oi)
