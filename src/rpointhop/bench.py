@@ -59,10 +59,11 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.max_angle_deg <= 180.0:
             raise ValueError("max_angle_deg must lie in [0, 180]")
-        if self.translation_range < 0.0:
-            raise ValueError("translation_range must be non-negative")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be non-negative")
+        # NaN fails every range test below
+        if not 0.0 <= self.translation_range < np.inf:
+            raise ValueError("translation_range must be finite and non-negative")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be finite and non-negative")
         if not 0.0 < self.partial_fraction <= 1.0:
             raise ValueError("partial_fraction must lie in (0, 1]")
         if self.trials < 1:
@@ -119,8 +120,8 @@ def make_partial(cloud: PointCloud, fraction: float, seed: int) -> PointCloud:
 
 def add_noise(cloud: PointCloud, std: float, seed: int) -> PointCloud:
     """Isotropic Gaussian jitter on coordinates (std 0 is an exact no-op)."""
-    if std < 0.0:
-        raise ValueError("std must be non-negative")
+    if not 0.0 <= std < np.inf:  # NaN fails this too
+        raise ValueError("std must be finite and non-negative")
     rng = np.random.Generator(np.random.PCG64(seed))
     return PointCloud(cloud.coords + rng.normal(0.0, std, size=(len(cloud), 3)), cloud.aux)
 

@@ -5,9 +5,12 @@ stochastic behavior is seed-driven; stdout of ``train`` and ``benchmark``
 and every artifact file except register reports (which include a runtime
 line) are byte-identical across reruns with the same inputs and seeds.
 
-The ``RPH_THREADS`` environment variable caps the numeric worker count
-(0 or unset = automatic). It is applied before the numeric libraries
+The ``RPH_THREADS`` environment variable caps the BLAS/OpenMP threads of
+the numeric libraries (0 or unset = automatic). It is applied before they
 initialize, which is why the heavy imports below live inside functions.
+Apart from that cap, ``train`` and ``register`` always run their
+independent per-cloud work in two lanes: the calling thread and one
+persistent worker thread. Neither changes any output.
 """
 
 from __future__ import annotations

@@ -43,9 +43,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -124,8 +126,8 @@ class ModelConfig:
         for prev, nxt in zip(hops, hops[1:]):
             if nxt.num_points > prev.num_points:
                 raise ValueError("hop point budgets must be non-increasing")
-        if self.energy_threshold < 0.0:
-            raise ValueError("energy_threshold must be non-negative")
+        if not 0.0 <= self.energy_threshold < np.inf:  # NaN fails this too
+            raise ValueError("energy_threshold must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -216,27 +218,67 @@ class FeatureSet:
 
 
 # ---------------------------------------------------------------------------
+# two lanes
+# ---------------------------------------------------------------------------
+
+_LANE: ThreadPoolExecutor
+
+
+def _renew_lane() -> None:
+    """(Re)create the worker lane. numpy releases the GIL in its heavy
+    kernels, so per-cloud work on this one persistent thread overlaps the
+    caller's. The executor starts its thread on first use, and a forked
+    child inherits the executor but not the thread, so it gets a new one."""
+    global _LANE
+    _LANE = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rpointhop-lane")
+
+
+_renew_lane()
+os.register_at_fork(after_in_child=_renew_lane)
+
+
+def _two_lanes(fn: Callable, items: Iterable) -> list:
+    """``[fn(x) for x in items]``: the even-indexed items run on the calling
+    thread and the odd-indexed ones on the worker lane, in input order.
+
+    The items must be independent, and ``fn`` must not use the lanes itself.
+    When items fail, the earliest one's exception is raised, once the worker
+    lane's jobs are cancelled or finished.
+    """
+    items = list(items)
+    jobs = [_LANE.submit(fn, x) for x in items[1::2]]
+    try:
+        return [jobs[i // 2].result() if i % 2 else fn(x) for i, x in enumerate(items)]
+    finally:
+        for job in jobs:
+            job.cancel()
+        wait(jobs)
+
+
+# ---------------------------------------------------------------------------
 # attribute construction
 # ---------------------------------------------------------------------------
 
 
-def _octant_means(proj: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(P, 8, C) per-octant means of (P, k, C) neighbor ``values``, octants
-    taken from the (P, k, 3) projected neighbors; empty octants give zeros.
+def _octant_means(proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray) -> np.ndarray:
+    """(P, 8, C) per-octant means of the neighbors' rows of (N, C) ``values``:
+    row i averages ``values[nbr_idx[i]]`` by octant, octants taken from the
+    (P, k, 3) projected neighbors; empty octants give zeros.
 
-    The sums are a batched product of the transposed (P, 8, k) one-hot
-    octant indicator with the values, which adds each octant's values in
-    neighbor order.
+    Each octant's sum adds its neighbors' values one neighbor column at a
+    time, in neighbor order, so no (P, k, C) gather is ever held.
     """
-    oct_id = (
+    p, k = nbr_idx.shape
+    slot = (np.arange(p) * 8)[:, None] + (
         (proj[..., 0] < 0).astype(np.intp) * 4
         + (proj[..., 1] < 0) * 2
         + (proj[..., 2] < 0)
     )
-    onehot = np.eye(8, dtype=np.float64)[oct_id]
-    counts = onehot.sum(axis=1)
-    sums = np.matmul(onehot.transpose(0, 2, 1), values)
-    return sums / np.maximum(counts, 1.0)[:, :, None]
+    sums = np.zeros((p * 8, values.shape[1]))
+    for j in range(k):  # a column holds each row's slot once, so += adds every value
+        sums[slot[:, j]] += values[nbr_idx[:, j]]
+    counts = np.bincount(slot.ravel(), minlength=p * 8)
+    return (sums / np.maximum(counts, 1)[:, None]).reshape(p, 8, -1)
 
 
 def _project_neighbors(
@@ -266,7 +308,10 @@ def build_hop1_attributes(
     ... in the fixed octant order. Empty octants stay zero.
     """
     proj, flips, margins = _project_neighbors(coords, nbr_idx, axes, rows)
-    return _octant_means(proj, proj).reshape(nbr_idx.shape[0], 24), flips, margins
+    # each (point, neighbor) projection is its own value row
+    p, k = nbr_idx.shape
+    means = _octant_means(proj, proj.reshape(p * k, 3), np.arange(p * k).reshape(p, k))
+    return means.reshape(p, 24), flips, margins
 
 
 def build_later_hop_attributes(
@@ -285,7 +330,7 @@ def build_later_hop_attributes(
     channel c's 8-wide sample block.
     """
     proj, _, margins = _project_neighbors(coords, nbr_idx, axes, rows)
-    return _octant_means(proj, values[nbr_idx]), margins
+    return _octant_means(proj, values, nbr_idx), margins
 
 
 class _HopRun:
@@ -348,6 +393,7 @@ class _HopRun:
         means, margins = build_later_hop_attributes(
             self.coords, neighbors, self.axes, self.values, np.arange(count)
         )
+        self.values = None  # read only here; the caller sets the next hop's
         np.minimum(self.min_margin, margins.min(axis=1), out=self.min_margin)
         return means, neighbors
 
@@ -373,7 +419,10 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     """Fit all hop transforms on a corpus of clouds.
 
     Deterministic: the corpus order and ``config.seed`` fully determine the
-    model (refits are bit-identical in single-threaded execution).
+    model. Per-cloud runs, their hop inputs, the per-channel fits and the
+    plan applies are independent, so they share the two lanes
+    (:func:`_two_lanes`); every pool keeps corpus order, so the model's bits
+    do not depend on which lane ran what.
     """
     clouds = list(corpus)
     if not clouds:
@@ -381,24 +430,24 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     cloud_seeds = [int(rng.integers(2**63)) for _ in clouds]
 
-    runs: list[_HopRun] = []
-    for cloud, seed in zip(clouds, cloud_seeds):
-        coords = cloud.coords
-        if config.normalize:
-            coords = normalize_unit_sphere(cloud)[0].coords
-        runs.append(_HopRun(coords, config, seed, fit=True))
+    def start(item: tuple[PointCloud, int]) -> _HopRun:
+        cloud, seed = item
+        coords = normalize_unit_sphere(cloud)[0].coords if config.normalize else cloud.coords
+        return _HopRun(coords, config, seed, fit=True)
 
+    runs = _two_lanes(start, zip(clouds, cloud_seeds))
     n_hops = len(config.hops)
     tree = FeatureTree()
     hop_layers: list[dict[int, SaabLayer]] = []
     parent_ids = [0]
     for h, hop in enumerate(config.hops):
-        inputs = [run.hop_inputs(h, hop)[0] for run in runs]
+        inputs = _two_lanes(lambda run: run.hop_inputs(h, hop)[0], runs)
         # each channel's corpus pool is built just before its fit, so no
         # second copy of every channel's inputs exists at once
-        layers = {
-            pid: saab_fit(np.vstack([x[:, :, c] for x in inputs])) for c, pid in enumerate(parent_ids)
-        }
+        fits = _two_lanes(
+            lambda c: saab_fit(np.vstack([x[:, :, c] for x in inputs])), range(len(parent_ids))
+        )
+        layers = dict(zip(parent_ids, fits))
         propagate_energy(
             tree,
             {pid: layers[pid].energies for pid in parent_ids},
@@ -409,8 +458,8 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
         if not parent_ids:
             raise TrainingError(_prune_message(h + 1, n_hops))
         if h < n_hops - 1:  # nothing reads the final hop's outputs
-            for run, x in zip(runs, inputs):
-                run.values = plan.apply(x)
+            for run, values in zip(runs, _two_lanes(plan.apply, inputs)):
+                run.values = values
         del inputs  # freed before the next hop builds its own
         hop_layers.append(layers)
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .cloud import PointCloud, RigidTransform, align_inverse, apply_transform
-from .pipeline import FeatureSet, RPointHopModel, extract_features
+from .pipeline import FeatureSet, RPointHopModel, _two_lanes, extract_features
 from .spatial import KnnIndex
 
 
@@ -53,8 +53,8 @@ class RansacParams:
             raise ValueError("iterations must be positive")
         if self.sample_size < 3:
             raise ValueError("sample_size must be >= 3")
-        if self.inlier_radius <= 0.0:
-            raise ValueError("inlier_radius must be positive")
+        if not 0.0 < self.inlier_radius < np.inf:  # NaN fails this too
+            raise ValueError("inlier_radius must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -372,13 +372,16 @@ def register(
 
     One extraction seed (derived from ``seed``) is shared by both clouds,
     so fully-overlapping clouds of equal size retain the same physical
-    points and match near-exactly.
+    points and match near-exactly. The target and the source are extracted
+    at the same time, on the caller's thread and the worker lane.
     """
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(seed))
     extract_seed = int(rng.integers(2**63))
-    target_fs = extract_features(model, target, seed=extract_seed)
-    source_fs = extract_features(model, source, seed=extract_seed)
+    # the target comes first, so when both clouds fail its error is raised
+    target_fs, source_fs = _two_lanes(
+        lambda cloud: extract_features(model, cloud, seed=extract_seed), (target, source)
+    )
     tf, corr, icp_iterations = register_features(target_fs, source_fs, source, target, params, icp)
     aligned = align_inverse(source, tf)
     angles, gimbal = matrix_to_euler_xyz(tf.rotation)

@@ -203,8 +203,8 @@ def propagate_energy(
     output when ``final`` is set. Parents are processed in ascending node id
     order so child ids are deterministic.
     """
-    if threshold < 0.0:
-        raise ValueError("threshold must be non-negative")
+    if not 0.0 <= threshold < np.inf:  # NaN fails this too
+        raise ValueError("threshold must be finite and non-negative")
     if abs(tree.nodes[0].cumulative - 1.0) > 1e-12:
         raise ValueError("root energy must be 1")
     if not transform_energies:

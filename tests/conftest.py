@@ -84,6 +84,17 @@ def sign_oracle(values: np.ndarray):
     return (1.0 if below < above else -1.0), abs(below - above)
 
 
+def octant_oracle(proj: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(P, 8, C) per-octant means of (P, k, C) per-neighbor ``values`` by a
+    batched product of the transposed (P, 8, k) one-hot octant indicator
+    with the values; octant id 4*(x<0) + 2*(y<0) + (z<0) of the (P, k, 3)
+    projections, empty octants zero."""
+    oct_id = (proj[..., 0] < 0).astype(np.intp) * 4 + (proj[..., 1] < 0) * 2 + (proj[..., 2] < 0)
+    onehot = np.eye(8, dtype=np.float64)[oct_id]
+    sums = np.matmul(onehot.transpose(0, 2, 1), values)
+    return sums / np.maximum(onehot.sum(axis=1), 1.0)[:, :, None]
+
+
 def hop_oracle(tree, layers, parent_ids, x: np.ndarray):
     """One hop by walking the energy tree: ``saab_apply`` per parent on
     its samples ``x[:, :, c]``, then every surviving child's output column

@@ -48,6 +48,11 @@ class TestExperimentSpec:
             ExperimentSpec(translation_range=-0.1)
         with pytest.raises(ValueError, match="noise_std"):
             ExperimentSpec(noise_std=-0.1)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="translation_range must be finite"):
+                ExperimentSpec(translation_range=value)
+            with pytest.raises(ValueError, match="noise_std must be finite"):
+                ExperimentSpec(noise_std=value)
         with pytest.raises(ValueError, match="partial_fraction"):
             ExperimentSpec(partial_fraction=0.0)
         with pytest.raises(ValueError, match="partial_fraction"):
@@ -154,6 +159,11 @@ class TestAddNoise:
     def test_negative_std(self):
         with pytest.raises(ValueError, match="non-negative"):
             add_noise(make_shape_cloud(10, seed=7), -0.1, seed=0)
+
+    @pytest.mark.parametrize("std", [float("nan"), float("inf")])
+    def test_non_finite_std(self, std):
+        with pytest.raises(ValueError, match="std must be finite"):
+            add_noise(make_shape_cloud(10, seed=7), std, seed=0)
 
 
 class TestErrorAggregates:

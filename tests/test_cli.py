@@ -1,5 +1,10 @@
 """Command line interface: subcommands, artifacts, determinism, errors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -305,6 +310,9 @@ class TestBenchmark:
 # ---------------------------------------------------------------------------
 
 
+THREAD_VARS = ("RPH_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class TestPlumbing:
     def test_thread_cap_sets_env(self, monkeypatch):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -336,6 +344,30 @@ class TestPlumbing:
         monkeypatch.setenv("RPH_THREADS", "0")
         _apply_thread_cap()
         assert "OMP_NUM_THREADS" not in os.environ
+
+    def test_train_identical_at_any_thread_cap(self, workspace):
+        # the cap must be applied before numpy loads, so each run is its own
+        # process; unset, 1 and 2 must give the same model bytes and stdout
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        runs = []
+        for cap in (None, "1", "2"):
+            out = workspace["root"] / f"threads-{cap}.rph"
+            run_env = env if cap is None else {**env, "RPH_THREADS": cap}
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "rpointhop.cli", "train",
+                    "--input-dir", str(workspace["clouds_dir"]),
+                    "--config", str(workspace["config"]),
+                    "--output", str(workspace["root"] / "threads.rph"),
+                ],
+                env=run_env, capture_output=True, text=True, check=True,
+            )
+            # every run writes the same path, since stdout names it
+            (workspace["root"] / "threads.rph").rename(out)
+            runs.append((out.read_bytes(), proc.stdout))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == workspace["model"].read_bytes()
 
     def test_no_command_exits_with_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -37,7 +37,7 @@ from rpointhop.pipeline import (
 from rpointhop.saab import SaabLayer, cw_saab_fit
 from rpointhop.spatial import KnnIndex, fps_indices
 
-from conftest import TINY_CONFIG, hop_oracle, random_rotation, sign_oracle
+from conftest import TINY_CONFIG, hop_oracle, octant_oracle, random_rotation, sign_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,13 @@ class TestConfigs:
         with pytest.raises(ValueError, match="energy_threshold"):
             ModelConfig(energy_threshold=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_energy_threshold(self, value):
+        with pytest.raises(ValueError, match="energy_threshold must be finite"):
+            ModelConfig(energy_threshold=value)
+        with pytest.raises(ValueError, match="energy_threshold must be finite"):
+            parse_config(f"energy_threshold = {value}\n")
+
 
 # ---------------------------------------------------------------------------
 # octants and attributes
@@ -94,12 +101,39 @@ class TestOctants:
             dtype=np.float64,
         )
         # neighbor j carries the j-th unit vector, so octant o's mean is e_o
-        means = _octant_means(signs[None, :, :], np.eye(8)[None, :, :])
+        means = _octant_means(signs[None, :, :], np.eye(8), np.arange(8)[None, :])
         assert np.array_equal(means[0], np.eye(8))
 
     def test_zero_counts_as_positive(self):
-        means = _octant_means(np.zeros((1, 1, 3)), np.ones((1, 1, 1)))
+        means = _octant_means(np.zeros((1, 1, 3)), np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp))
         assert means[0, :, 0].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("p, n, k, c", [(40, 60, 13, 5), (16, 16, 8, 1), (24, 200, 48, 33)])
+    def test_matches_one_hot_oracle_bit_for_bit(self, p, n, k, c):
+        rng = np.random.default_rng(p * k + c)
+        proj = rng.normal(size=(p, k, 3))
+        proj[rng.random(proj.shape) < 0.1] = 0.0  # on an octant boundary
+        proj[rng.random(proj.shape) < 0.05] = -0.0
+        proj[0, :, :] = 1.0  # row 0: seven empty octants
+        values = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-6, 6, size=(n, c))
+        nbr_idx = rng.integers(0, n, size=(p, k))
+        means = _octant_means(proj, values, nbr_idx)
+        expected = octant_oracle(proj, values[nbr_idx])
+        assert means.shape == expected.shape == (p, 8, c)
+        assert means.tobytes() == expected.tobytes()
+        assert not means[0, 1:].any()
+
+    def test_hop1_layout_matches_one_hot_oracle(self):
+        # hop 1 averages the projections themselves, one value row per
+        # (point, neighbor)
+        rng = np.random.default_rng(4)
+        coords = rng.normal(size=(30, 3))
+        coords[5] = coords[0]  # a neighbor at the query point projects to 0
+        nbr_idx = np.argsort(((coords[:, None] - coords[None]) ** 2).sum(-1), axis=1)[:, :12]
+        axes = np.tile(np.eye(3), (30, 1, 1))
+        attrs, flips, _ = build_hop1_attributes(coords, nbr_idx, axes, np.arange(30))
+        proj = np.einsum("pkc,pac->pka", coords[nbr_idx] - coords[:, None], axes) * flips[:, None, :]
+        assert attrs.tobytes() == octant_oracle(proj, proj).reshape(30, 24).tobytes()
 
 
 class TestHop1Attributes:
@@ -355,6 +389,7 @@ class TestHopPlans:
         for h, (hop, plan) in enumerate(zip(config.hops, plan_model.plans)):
             x, neighbors = run.hop_inputs(h, hop)
             assert len(x) == hop.num_points
+            assert run.values is None  # the previous hop's outputs are dropped once read
             want, parent_ids = hop_oracle(plan_model.tree, hop_layers[h], parent_ids, x)
             run.values = plan.apply(x)
             assert np.array_equal(run.values, want), f"hop {h + 1}"
@@ -632,6 +667,7 @@ class TestModelFile:
             (("config", "hops", 0, 1), 7, "k_neighbors must be >= 8"),
             (("tree", 0), [0, -1, 0, 1.0, 1.0], "not enough values to unpack"),
             (("config", "seed"), "zero", "invalid literal for int"),
+            (("config", "energy_threshold"), float("nan"), "energy_threshold must be finite"),
         ],
     )
     def test_invalid_header_field(self, tiny_model, tmp_path, keys, value, message):

@@ -87,6 +87,9 @@ class TestParams:
             RansacParams(sample_size=2)
         with pytest.raises(ValueError, match="inlier_radius"):
             RansacParams(inlier_radius=0.0)
+        for radius in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="inlier_radius must be finite"):
+                RansacParams(inlier_radius=radius)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,9 @@ class TestFeatureTree:
         tree = FeatureTree()
         with pytest.raises(ValueError, match="non-negative"):
             propagate_energy(tree, {0: [1.0]}, threshold=-0.1)
+        for threshold in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="threshold must be finite"):
+                propagate_energy(tree, {0: [1.0]}, threshold=threshold)
         with pytest.raises(ValueError, match="no parent"):
             propagate_energy(tree, {}, threshold=0.1)
         with pytest.raises(ValueError, match="negative energy"):
