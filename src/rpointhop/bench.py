@@ -24,11 +24,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cloud import PointCloud, RigidTransform, apply_transform, normalize_unit_sphere
-from .pipeline import FeatureSet, RPointHopModel, extract_features
+from .pipeline import FeatureSet, RPointHopModel
 from .registration import (
     MatchParams,
     RansacParams,
     euler_xyz_to_matrix,
+    extract_pair,
     icp_refine,
     matrix_to_euler_xyz,
     register_features,
@@ -223,9 +224,8 @@ def _run_variants(
     results: list[list[TrialResult]] = [[] for _ in variants]
     for trial in _trials(clouds, spec):
         try:
-            features = None if spec.icp_only else (
-                extract_features(model, trial.target, seed=trial.extract_seed),
-                extract_features(model, trial.source, seed=trial.extract_seed),
+            features = None if spec.icp_only else extract_pair(
+                model, trial.target, trial.source, trial.extract_seed
             )
         except Exception as exc:  # noqa: BLE001 - failures are data here
             for out in results:

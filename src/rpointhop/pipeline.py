@@ -16,8 +16,8 @@ Training (unsupervised, one pass per hop):
    then build an 8-wide attribute per point and surviving channel: the
    per-octant means of the neighbors' channel value. Each channel is fit
    with its own Saab transform (channel-wise), pooled over the corpus.
-   Sampling runs once per cloud: hop h's points are the first n_h of one
-   farthest point ordering of the hop-1 working cloud, which is exactly
+   Sampling runs once per cloud, and the hop-1 working cloud is stored in
+   farthest point order, so hop h's points are its first n_h rows: exactly
    what sampling each hop from the previous one gives.
 4. Channel energies multiply down a :class:`~rpointhop.saab.FeatureTree`;
    channels at or below the energy threshold are dropped together with
@@ -29,12 +29,11 @@ only parent, so every hop is fit the same way and frozen into the same
 :class:`~rpointhop.saab.HopPlan`.
 
 Extraction runs the same geometry with the frozen plans and returns
-one feature row per final-hop point. Since the ordering fixes every hop's
-points in advance, hop h computes frames, signs, octant means and plan
-outputs only at the points hop h + 1 keeps. Each row carries the point's
-index into the input cloud, its input coordinates, and degeneracy
-diagnostics (minimum sign-disambiguation margin seen across hops, minimum
-LRF eigenvalue gap).
+one feature row per final-hop point. Hop h + 1 keeps the first n_{h+1}
+rows of hop h, so hop h computes frames, signs, octant means and plan
+outputs only at that prefix. Each row carries the point's index into the
+input cloud, its input coordinates, and degeneracy diagnostics (minimum
+sign-disambiguation margin seen across hops, minimum LRF eigenvalue gap).
 Features are invariant to rigid motions of the input up to sign ties,
 because every quantity is expressed in the per-point resolved frames.
 """
@@ -183,9 +182,7 @@ class FeatureSet:
     gap have unstable frames and their features need not be invariant.
     ``neighbor_table`` row i lists the rows of this set that form point i's
     final-hop spatial neighborhood; matching takes the ratio test's second
-    neighbor from outside it. Without a table every row is self-only
-    (``[[0], [1], ...]``), which makes the second neighbor the plain
-    second-nearest feature.
+    neighbor from outside it.
     """
 
     point_indices: np.ndarray
@@ -193,7 +190,7 @@ class FeatureSet:
     features: np.ndarray
     sign_margins: np.ndarray
     eigen_gaps: np.ndarray
-    neighbor_table: np.ndarray | None = None
+    neighbor_table: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.point_indices)
@@ -204,7 +201,7 @@ class FeatureSet:
             raise ValueError("feature set arrays must have one row per point")
         if not np.isfinite(self.features).all():
             raise ValueError("features contain non-finite values")
-        table = np.arange(n)[:, None] if self.neighbor_table is None else np.asarray(self.neighbor_table)
+        table = np.asarray(self.neighbor_table)
         if table.ndim != 2 or table.shape[0] != n:
             raise ValueError("neighbor table must have one row per point")
         if not np.issubdtype(table.dtype, np.integer):
@@ -282,32 +279,32 @@ def _octant_means(proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray) -> 
 
 
 def _project_neighbors(
-    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray, rows: np.ndarray
+    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sign-resolved frame coordinates of each point's neighbors.
 
-    Row i of ``nbr_idx`` and ``axes`` belongs to point ``rows[i]`` of
-    ``coords``. Returns (proj (P,k,3), flips (P,3), margins (P,3)). Signs
-    are resolved against this neighborhood, so repeated calls at different
-    hops may flip axes differently, as intended.
+    Row i of ``nbr_idx`` and ``axes`` belongs to point i of ``coords``; the
+    rows may cover a prefix of the points. Returns (proj (P,k,3), flips
+    (P,3), margins (P,3)). Signs are resolved against this neighborhood, so
+    repeated calls at different hops may flip axes differently, as intended.
     """
-    rel = coords[nbr_idx] - coords[rows][:, None, :]
+    rel = coords[nbr_idx] - coords[: len(nbr_idx), None, :]
     proj0 = np.einsum("pkc,pac->pka", rel, axes)
     flips, margins = resolve_signs_batch(proj0)
     return proj0 * flips[:, None, :], flips, margins
 
 
 def build_hop1_attributes(
-    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray, rows: np.ndarray
+    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """24-wide octant-mean attributes.
+    """24-wide octant-mean attributes of the first ``len(nbr_idx)`` points.
 
-    Row i of ``nbr_idx`` and ``axes`` belongs to point ``rows[i]`` of
-    ``coords``. Returns (attributes (P, 24), flips (P,3), margins (P,3)).
+    Row i of ``nbr_idx`` and ``axes`` belongs to point i of ``coords``.
+    Returns (attributes (P, 24), flips (P,3), margins (P,3)).
     Attribute layout is octant-major: octant 0 mean xyz, octant 1 mean xyz,
     ... in the fixed octant order. Empty octants stay zero.
     """
-    proj, flips, margins = _project_neighbors(coords, nbr_idx, axes, rows)
+    proj, flips, margins = _project_neighbors(coords, nbr_idx, axes)
     # each (point, neighbor) projection is its own value row
     p, k = nbr_idx.shape
     means = _octant_means(proj, proj.reshape(p * k, 3), np.arange(p * k).reshape(p, k))
@@ -315,21 +312,17 @@ def build_hop1_attributes(
 
 
 def build_later_hop_attributes(
-    coords: np.ndarray,
-    nbr_idx: np.ndarray,
-    axes: np.ndarray,
-    values: np.ndarray,
-    rows: np.ndarray,
+    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel octant means of neighbor channel values.
 
     ``values`` is (N, C): the previous hop's surviving coefficients at the
     current hop's points ``coords``. Row i of ``nbr_idx`` and ``axes``
-    belongs to point ``rows[i]``.
+    belongs to point i; the rows may cover a prefix of the points.
     Returns (attributes (P, 8, C), margins (P, 3)); attributes[:, :, c] is
     channel c's 8-wide sample block.
     """
-    proj, _, margins = _project_neighbors(coords, nbr_idx, axes, rows)
+    proj, _, margins = _project_neighbors(coords, nbr_idx, axes)
     return _octant_means(proj, values, nbr_idx), margins
 
 
@@ -337,18 +330,21 @@ class _HopRun:
     """Per-cloud working state shared by training and extraction.
 
     The cloud is sampled down to the hop-1 budget, and farthest point
-    sampling runs once on that working cloud. Hop h >= 2 works on the first
-    n_h points of the ordering: sampling each hop's cloud from the previous
-    one gives the same points in the same order (see ``fps_indices``).
+    sampling runs once on that working cloud. The working cloud is stored
+    farthest-first: the n_2 picks, then the other points in sampling order
+    (a one-hop run keeps sampling order). Hop h's points are its first n_h
+    rows, exactly what sampling each hop from the previous one gives (see
+    ``fps_indices``).
 
-    Frames, signs, octant means and plan outputs are computed only for the
-    ``counts[h]`` points of hop h that something reads. A fit reads every
-    point of every hop, and no plan output of the final hop. Extraction reads at hop h only the points that hop
-    h + 1 keeps, the first n_{h + 1} of the ordering, and at the final hop
-    all of them. A hop's neighbor index always covers all of its points, so
-    the neighbor tables do not change. Hop-1 frames are computed once and
-    reused at all hops, with signs re-resolved per hop against the hop's
-    own neighborhood.
+    Hop h computes frames, signs and octant means at its first
+    ``counts[h]`` points: a fit pools every point of every hop, and
+    extraction reads at hop h only the points that hop h + 1 keeps (all of
+    them at the final hop). Every per-point array thus holds a prefix of the
+    working cloud's rows, and each hop cuts them all to its count. The
+    caller sets ``values`` to hop h's plan outputs at the n_{h+1} points of
+    hop h + 1. A hop's neighbor index covers all of its points. Hop-1 frames
+    are computed once and reused at all hops, with signs re-resolved per hop
+    against the hop's own neighborhood.
     """
 
     def __init__(
@@ -359,53 +355,47 @@ class _HopRun:
         if n < budgets[0]:
             raise ValueError(f"cloud has {n} points but hop 1 needs {budgets[0]}")
         self.config = config
-        self.fit = fit
         self.counts = budgets if fit else budgets[1:] + budgets[-1:]
         self.orig_indices = sample_indices(n, budgets[0], seed)
+        if len(budgets) > 1:
+            picks = fps_indices(coords_full[self.orig_indices], budgets[1], start=0)
+            rest = np.ones(budgets[0], dtype=bool)
+            rest[picks] = False
+            self.orig_indices = self.orig_indices[np.concatenate([picks, np.flatnonzero(rest)])]
         self.coords = coords_full[self.orig_indices]
-        self.order = (
-            fps_indices(self.coords, budgets[1], start=0) if len(budgets) > 1 else np.arange(budgets[0])
-        )
         self.values: np.ndarray | None = None  # surviving coefficients, set per hop
 
-    def hop_inputs(self, h: int, hop: HopConfig) -> tuple[np.ndarray, np.ndarray]:
+    def hop_inputs(self, h: int) -> tuple[np.ndarray, np.ndarray]:
         """Hop h's (P, N, C) Saab inputs, channel c's samples in ``[:, :, c]``,
         one row per computed point, and the neighbor table they were built
-        from. Later hops first cut the working cloud to their points. The
-        run keeps no tables, so training holds none per cloud."""
-        count = self.counts[h]
+        from. Later hops first cut the working cloud and the per-point arrays
+        to their rows. The run keeps no tables, so training holds none per
+        cloud."""
+        hop, count = self.config.hops[h], self.counts[h]
         if h == 0:
-            return self._hop1_inputs(hop, np.arange(count) if self.fit else self.order[:count])
-        # an index array, not a slice: the cut arrays are copies, so a fit's
-        # runs do not keep the previous hop's arrays alive as view bases
-        cut = self.order[: hop.num_points] if h == 1 else np.arange(hop.num_points)
-        self.coords = self.coords[cut]
-        self.orig_indices = self.orig_indices[cut]
-        if self.fit:  # the per-point arrays hold every point of hop h - 1
-            self.values, self.axes, self.eigen_gaps, self.min_margin = (
-                a[cut] for a in (self.values, self.axes, self.eigen_gaps, self.min_margin)
-            )
-        else:  # they hold this hop's points, whose frames are read at the first `count`
-            self.axes, self.eigen_gaps, self.min_margin = (
-                a[:count] for a in (self.axes, self.eigen_gaps, self.min_margin)
-            )
-        neighbors, _ = KnnIndex(self.coords).query(self.coords[:count], hop.k_neighbors)
-        means, margins = build_later_hop_attributes(
-            self.coords, neighbors, self.axes, self.values, np.arange(count)
+            return self._hop1_inputs(hop, count)
+        # copies, not views: views would keep every fit run's hop-1 arrays
+        # alive, which raised the peak RSS of train(ModelConfig()) by ~10 MB
+        self.coords = self.coords[: hop.num_points].copy()
+        self.orig_indices = self.orig_indices[: hop.num_points].copy()
+        self.axes, self.eigen_gaps, self.min_margin = (
+            a[:count].copy() for a in (self.axes, self.eigen_gaps, self.min_margin)
         )
+        neighbors, _ = KnnIndex(self.coords).query(self.coords[:count], hop.k_neighbors)
+        means, margins = build_later_hop_attributes(self.coords, neighbors, self.axes, self.values)
         self.values = None  # read only here; the caller sets the next hop's
         np.minimum(self.min_margin, margins.min(axis=1), out=self.min_margin)
         return means, neighbors
 
-    def _hop1_inputs(self, hop: HopConfig, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _hop1_inputs(self, hop: HopConfig, count: int) -> tuple[np.ndarray, np.ndarray]:
         config = self.config
-        table, _ = KnnIndex(self.coords).query(self.coords[rows], max(config.k_lrf, hop.k_neighbors))
+        table, _ = KnnIndex(self.coords).query(self.coords[:count], max(config.k_lrf, hop.k_neighbors))
         neighbors = table[:, : hop.k_neighbors]
         self.axes, eigenvalues = local_pca_batch(self.coords, table[:, : config.k_lrf])
         self.eigen_gaps = np.minimum(
             eigenvalues[:, 0] - eigenvalues[:, 1], eigenvalues[:, 1] - eigenvalues[:, 2]
         )
-        attrs, flips, margins = build_hop1_attributes(self.coords, neighbors, self.axes, rows)
+        attrs, flips, margins = build_hop1_attributes(self.coords, neighbors, self.axes)
         if config.use_aux_attributes:
             # indoor-style attributes: sign-resolved surface normal (the
             # smallest-eigenvalue axis) plus the four eigenvalue features
@@ -440,8 +430,8 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     tree = FeatureTree()
     hop_layers: list[dict[int, SaabLayer]] = []
     parent_ids = [0]
-    for h, hop in enumerate(config.hops):
-        inputs = _two_lanes(lambda run: run.hop_inputs(h, hop)[0], runs)
+    for h in range(n_hops):
+        inputs = _two_lanes(lambda run: run.hop_inputs(h)[0], runs)
         # each channel's corpus pool is built just before its fit, so no
         # second copy of every channel's inputs exists at once
         fits = _two_lanes(
@@ -457,8 +447,9 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
         plan, parent_ids = freeze_hop(tree, layers, parent_ids)
         if not parent_ids:
             raise TrainingError(_prune_message(h + 1, n_hops))
-        if h < n_hops - 1:  # nothing reads the final hop's outputs
-            for run, values in zip(runs, _two_lanes(plan.apply, inputs)):
+        if h < n_hops - 1:  # hop h + 1 reads its first n_{h+1} rows, and nothing the final hop's
+            n_next = config.hops[h + 1].num_points
+            for run, values in zip(runs, _two_lanes(lambda x: plan.apply(x[:n_next]), inputs)):
                 run.values = values
         del inputs  # freed before the next hop builds its own
         hop_layers.append(layers)
@@ -481,10 +472,9 @@ def extract_features(model: RPointHopModel, cloud: PointCloud, seed: int = 0) ->
     preprocessing, not part of inference) so the returned coordinates live
     in the input frame and transforms estimated from them do too.
     """
-    config = model.config
-    run = _HopRun(cloud.coords, config, seed)
-    for h, (hop, plan) in enumerate(zip(config.hops, model.plans)):
-        x, neighbors = run.hop_inputs(h, hop)
+    run = _HopRun(cloud.coords, model.config, seed)
+    for h, plan in enumerate(model.plans):
+        x, neighbors = run.hop_inputs(h)
         run.values = plan.apply(x)
     return FeatureSet(
         point_indices=run.orig_indices,

@@ -337,6 +337,15 @@ def icp_refine(
     )
 
 
+def extract_pair(
+    model: RPointHopModel, target: PointCloud, source: PointCloud, seed: int
+) -> tuple[FeatureSet, FeatureSet]:
+    """(target, source) features, both extracted with ``seed`` at the same
+    time, on the caller's thread and the worker lane. When both clouds fail,
+    the target's error is raised."""
+    return tuple(_two_lanes(lambda cloud: extract_features(model, cloud, seed=seed), (target, source)))
+
+
 def register_features(
     target_fs: FeatureSet,
     source_fs: FeatureSet,
@@ -372,16 +381,12 @@ def register(
 
     One extraction seed (derived from ``seed``) is shared by both clouds,
     so fully-overlapping clouds of equal size retain the same physical
-    points and match near-exactly. The target and the source are extracted
-    at the same time, on the caller's thread and the worker lane.
+    points and match near-exactly. The two clouds are extracted at the same
+    time (:func:`extract_pair`).
     """
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(seed))
-    extract_seed = int(rng.integers(2**63))
-    # the target comes first, so when both clouds fail its error is raised
-    target_fs, source_fs = _two_lanes(
-        lambda cloud: extract_features(model, cloud, seed=extract_seed), (target, source)
-    )
+    target_fs, source_fs = extract_pair(model, target, source, int(rng.integers(2**63)))
     tf, corr, icp_iterations = register_features(target_fs, source_fs, source, target, params, icp)
     aligned = align_inverse(source, tf)
     angles, gimbal = matrix_to_euler_xyz(tf.rotation)

@@ -263,7 +263,8 @@ class HopPlan:
         # xt stays a view: each channel's product then takes the same numpy
         # matmul path as saab_apply(layer, x[:, :, c]), and gives the same bits
         out = np.matmul(xt, self.filters) + self.biases[:, None, None]
-        return out.transpose(1, 0, 2).reshape(len(x), c * k)[:, self.slots]
+        # np.take keeps the rows C-ordered, which the next hop's gathers read faster
+        return np.take(out.transpose(1, 0, 2).reshape(len(x), c * k), self.slots, axis=1)
 
 
 def freeze_hop(

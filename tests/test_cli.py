@@ -345,29 +345,46 @@ class TestPlumbing:
         _apply_thread_cap()
         assert "OMP_NUM_THREADS" not in os.environ
 
-    def test_train_identical_at_any_thread_cap(self, workspace):
-        # the cap must be applied before numpy loads, so each run is its own
-        # process; unset, 1 and 2 must give the same model bytes and stdout
+    @staticmethod
+    def _at_thread_caps(args, read_output=lambda: None):
+        """(stdout, read_output()) of the CLI run with RPH_THREADS unset, 1
+        and 2. The cap must be applied before numpy loads, so each run is
+        its own process."""
         env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         runs = []
         for cap in (None, "1", "2"):
-            out = workspace["root"] / f"threads-{cap}.rph"
-            run_env = env if cap is None else {**env, "RPH_THREADS": cap}
             proc = subprocess.run(
-                [
-                    sys.executable, "-m", "rpointhop.cli", "train",
-                    "--input-dir", str(workspace["clouds_dir"]),
-                    "--config", str(workspace["config"]),
-                    "--output", str(workspace["root"] / "threads.rph"),
-                ],
-                env=run_env, capture_output=True, text=True, check=True,
+                [sys.executable, "-m", "rpointhop.cli", *args],
+                env=env if cap is None else {**env, "RPH_THREADS": cap},
+                capture_output=True, text=True, check=True,
             )
-            # every run writes the same path, since stdout names it
-            (workspace["root"] / "threads.rph").rename(out)
-            runs.append((out.read_bytes(), proc.stdout))
+            runs.append((proc.stdout, read_output()))
+        return runs
+
+    def test_train_identical_at_any_thread_cap(self, workspace):
+        # every run writes the same path, since stdout names it
+        out = workspace["root"] / "threads.rph"
+        runs = self._at_thread_caps(
+            [
+                "train",
+                "--input-dir", str(workspace["clouds_dir"]),
+                "--config", str(workspace["config"]),
+                "--output", str(out),
+            ],
+            out.read_bytes,
+        )
         assert runs[0] == runs[1] == runs[2]
-        assert runs[0][0] == workspace["model"].read_bytes()
+        assert runs[0][1] == workspace["model"].read_bytes()
+
+    def test_benchmark_identical_at_any_thread_cap(self, workspace):
+        # benchmark trials extract their two clouds on the two lanes
+        runs = self._at_thread_caps(
+            ["benchmark", "--model", str(workspace["model"]), "--test-dir", str(workspace["clouds_dir"]),
+             *TestBenchmark.ARGS]
+        )
+        assert runs[0] == runs[1] == runs[2]
+        assert "aggregate\t" in runs[0][0]
 
     def test_no_command_exits_with_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

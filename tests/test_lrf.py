@@ -194,9 +194,8 @@ class TestProjectionInvariance:
             r = random_rotation(rng)
             t = rng.normal(size=3) * 5
             moved = nbrs @ r.T + t
-            rows = np.arange(24)
-            p0, _, margins = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0], rows)
-            p1, _, _ = _project_neighbors(moved, table, local_pca_batch(moved, table)[0], rows)
+            p0, _, margins = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0])
+            p1, _, _ = _project_neighbors(moved, table, local_pca_batch(moved, table)[0])
             stable = margins.min(axis=1) > 1e-6  # sign ties may flip an axis
             worst = max(worst, float(np.abs(p0[stable] - p1[stable]).max(initial=0.0)))
             checked += int(stable.sum())
@@ -209,7 +208,7 @@ class TestProjectionInvariance:
         # masses 0.5 < 1, 3 > 2 and 1 < 3, so the flips are (+1, -1, +1)
         coords = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [-0.5, -3.0, -1.0]])
         table = np.tile(np.arange(3), (3, 1))
-        proj, flips, _ = _project_neighbors(coords, table, np.tile(np.eye(3), (3, 1, 1)), np.arange(3))
+        proj, flips, _ = _project_neighbors(coords, table, np.tile(np.eye(3), (3, 1, 1)))
         assert np.array_equal(flips[0], [1.0, -1.0, 1.0])
         assert np.array_equal(proj[0, 1], [1.0, -2.0, 3.0])
 
@@ -217,7 +216,7 @@ class TestProjectionInvariance:
         rng = np.random.default_rng(13)
         nbrs = rng.normal(size=(16, 3)) + 7.0
         table = np.tile(np.arange(16), (16, 1))
-        proj, _, _ = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0], np.arange(16))
+        proj, _, _ = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0])
         # distances from the origin are preserved by the orthonormal map
         d_in = np.linalg.norm(nbrs[table] - nbrs[:, None, :], axis=2)
         d_out = np.linalg.norm(proj, axis=2)

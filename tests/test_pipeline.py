@@ -34,7 +34,7 @@ from rpointhop.pipeline import (
     build_later_hop_attributes,
     format_config,
 )
-from rpointhop.saab import SaabLayer, cw_saab_fit
+from rpointhop.saab import HopPlan, SaabLayer, cw_saab_fit
 from rpointhop.spatial import KnnIndex, fps_indices
 
 from conftest import TINY_CONFIG, hop_oracle, octant_oracle, random_rotation, sign_oracle
@@ -131,7 +131,7 @@ class TestOctants:
         coords[5] = coords[0]  # a neighbor at the query point projects to 0
         nbr_idx = np.argsort(((coords[:, None] - coords[None]) ** 2).sum(-1), axis=1)[:, :12]
         axes = np.tile(np.eye(3), (30, 1, 1))
-        attrs, flips, _ = build_hop1_attributes(coords, nbr_idx, axes, np.arange(30))
+        attrs, flips, _ = build_hop1_attributes(coords, nbr_idx, axes)
         proj = np.einsum("pkc,pac->pka", coords[nbr_idx] - coords[:, None], axes) * flips[:, None, :]
         assert attrs.tobytes() == octant_oracle(proj, proj).reshape(30, 24).tobytes()
 
@@ -151,7 +151,7 @@ class TestHop1Attributes:
         coords = np.vstack([np.zeros(3), corners])
         nbr_idx = np.tile(np.arange(1, 9), (9, 1))
         axes = np.tile(np.eye(3), (9, 1, 1))
-        attrs, flips, margins = build_hop1_attributes(coords, nbr_idx, axes, np.arange(9))
+        attrs, flips, margins = build_hop1_attributes(coords, nbr_idx, axes)
         assert attrs.shape == (9, 24)
         assert np.allclose(attrs[0], corners.ravel())
         assert np.all(np.abs(flips) == 1.0)
@@ -165,7 +165,7 @@ class TestHop1Attributes:
         )
         nbr_idx = np.tile(np.array([1, 2, 3]), (4, 1))
         axes = np.tile(np.eye(3), (4, 1, 1))
-        attrs, flips, _ = build_hop1_attributes(coords, nbr_idx, axes, np.arange(4))
+        attrs, flips, _ = build_hop1_attributes(coords, nbr_idx, axes)
         # x: median 2, left mass 1 < right mass 2 -> +1; y, z: all equal -> tie -> -1
         assert flips[0].tolist() == [1.0, -1.0, -1.0]
         # flipped projections (x, -y, -z) land in octant 3 (+, -, -)
@@ -179,16 +179,15 @@ class TestHop1Attributes:
         coords = rng.normal(size=(30, 3))
         table = KnnIndex(coords).query(coords, 10)[0]
         axes, _ = local_pca_batch(coords, table)
-        full = build_hop1_attributes(coords, table, axes, np.arange(30))
-        rows = np.array([17, 3, 29, 0, 8])
-        part = build_hop1_attributes(coords, table[rows], axes[rows], rows)
+        full = build_hop1_attributes(coords, table, axes)
+        part = build_hop1_attributes(coords, table[:12], axes[:12])  # extraction's hop-1 rows
         for got, want in zip(part, full):
-            assert np.array_equal(got, want[rows])
+            assert np.array_equal(got, want[:12])
 
     def test_run_aux_normal_is_the_sign_resolved_third_axis(self, tiny_corpus):
         cfg = ModelConfig(hops=TINY_CONFIG.hops[:1], k_lrf=TINY_CONFIG.k_lrf, use_aux_attributes=True)
         run = _HopRun(tiny_corpus[0].coords, cfg, seed=1, fit=True)
-        x, neighbors = run.hop_inputs(0, cfg.hops[0])
+        x, neighbors = run.hop_inputs(0)
         checked = 0
         for i in range(len(x)):
             rel = run.coords[neighbors[i]] - run.coords[i]
@@ -203,13 +202,13 @@ class TestHop1Attributes:
         coords = rng.normal(size=(40, 3))
         table = KnnIndex(coords).query(coords, 12)[0]
         axes, _ = local_pca_batch(coords, table)
-        attrs0, _, margins = build_hop1_attributes(coords, table, axes, np.arange(40))
+        attrs0, _, margins = build_hop1_attributes(coords, table, axes)
 
         r = random_rotation(rng)
         t = rng.normal(size=3) * 3
         moved = coords @ r.T + t
         axes_m, _ = local_pca_batch(moved, table)
-        attrs1, _, _ = build_hop1_attributes(moved, table, axes_m, np.arange(40))
+        attrs1, _, _ = build_hop1_attributes(moved, table, axes_m)
 
         stable = margins.min(axis=1) > 1e-6
         assert stable.sum() > 30
@@ -223,11 +222,10 @@ class TestLaterHopAttributes:
         table = KnnIndex(coords).query(coords, 10)[0]
         axes, _ = local_pca_batch(coords, table)
         values = rng.normal(size=(30, 4))
-        full = build_later_hop_attributes(coords, table, axes, values, np.arange(30))
-        rows = np.arange(12)  # later hops compute a prefix of their points
-        part = build_later_hop_attributes(coords, table[rows], axes[rows], values, rows)
+        full = build_later_hop_attributes(coords, table, axes, values)
+        part = build_later_hop_attributes(coords, table[:12], axes[:12], values)
         for got, want in zip(part, full):
-            assert np.array_equal(got, want[rows])
+            assert np.array_equal(got, want[:12])
 
     def test_channel_means_hand_example(self):
         # 2 points, each the other's sole neighbor plus itself; scalar channel
@@ -235,7 +233,7 @@ class TestLaterHopAttributes:
         nbr_idx = np.array([[0, 1, 2]] * 3)
         axes = np.tile(np.eye(3), (3, 1, 1))
         values = np.array([[2.0], [4.0], [8.0]])
-        means, margins = build_later_hop_attributes(coords, nbr_idx, axes, values, np.arange(3))
+        means, margins = build_later_hop_attributes(coords, nbr_idx, axes, values)
         assert means.shape == (3, 8, 1)
         # point 0 neighborhood projections rel to itself: (0,0,0), (1,0,0), (0,1,0)
         # flips: x {0,1,0} median 0 -> left 0 < right 1 -> +1; same for y; z tie -> -1
@@ -249,12 +247,12 @@ class TestLaterHopAttributes:
         table = KnnIndex(coords).query(coords, 10)[0]
         axes, _ = local_pca_batch(coords, table)
         values = rng.normal(size=(30, 5))
-        m0, margins = build_later_hop_attributes(coords, table, axes, values, np.arange(30))
+        m0, margins = build_later_hop_attributes(coords, table, axes, values)
 
         r = random_rotation(rng)
         moved = coords @ r.T + rng.normal(size=3)
         axes_m, _ = local_pca_batch(moved, table)
-        m1, _ = build_later_hop_attributes(moved, table, axes_m, values, np.arange(30))
+        m1, _ = build_later_hop_attributes(moved, table, axes_m, values)
 
         stable = margins.min(axis=1) > 1e-6
         assert np.abs(m0[stable] - m1[stable]).max() < 1e-9
@@ -339,8 +337,8 @@ class TestTrain:
             for cloud in tiny_corpus
         ]
         hop_layers = ({0: tiny_model.hop1_layer}, *tiny_model.later_hops)
-        for h, (hop, plan, layers) in enumerate(zip(config.hops, tiny_model.plans, hop_layers)):
-            inputs = [run.hop_inputs(h, hop)[0] for run in runs]
+        for h, (plan, layers) in enumerate(zip(tiny_model.plans, hop_layers)):
+            inputs = [run.hop_inputs(h)[0] for run in runs]
             want = cw_saab_fit(
                 {pid: np.vstack([x[:, :, c] for x in inputs]) for c, pid in enumerate(sorted(layers))}
             )
@@ -387,7 +385,7 @@ class TestHopPlans:
         hop_layers = ({0: plan_model.hop1_layer}, *plan_model.later_hops)
         parent_ids = [0]
         for h, (hop, plan) in enumerate(zip(config.hops, plan_model.plans)):
-            x, neighbors = run.hop_inputs(h, hop)
+            x, neighbors = run.hop_inputs(h)
             assert len(x) == hop.num_points
             assert run.values is None  # the previous hop's outputs are dropped once read
             want, parent_ids = hop_oracle(plan_model.tree, hop_layers[h], parent_ids, x)
@@ -411,6 +409,19 @@ class TestHopPlans:
         for name, value in want.items():
             assert np.array_equal(getattr(fs, name), value), name
 
+    def test_train_applies_each_plan_to_the_next_hops_rows(self, plan_model, tiny_corpus, monkeypatch):
+        rows = []
+        real = HopPlan.apply
+
+        def recording(plan, x):
+            rows.append(len(x))
+            return real(plan, x)
+
+        monkeypatch.setattr(HopPlan, "apply", recording)
+        train(tiny_corpus[:3], plan_model.config)
+        # the final hop's outputs are never read, so its plan is not applied
+        assert rows == [hop.num_points for hop in plan_model.config.hops[1:] for _ in range(3)]
+
     def test_one_fps_run_per_cloud(self, plan_model, tiny_corpus, monkeypatch):
         budgets = []
         real = pipeline.fps_indices
@@ -427,6 +438,38 @@ class TestHopPlans:
         budgets.clear()
         train(tiny_corpus[:2], plan_model.config)
         assert budgets == 2 * want
+
+
+class TestFarthestFirstRows:
+    @pytest.mark.parametrize("fit", [True, False], ids=["fit", "extract"])
+    @pytest.mark.parametrize(
+        "budgets", [(192,), (192, 192, 96), (192, 128, 64)], ids=["one_hop", "equal_budgets", "three_hop"]
+    )
+    def test_every_hop_is_a_prefix_of_nested_fps(self, tiny_corpus, budgets, fit):
+        cloud = tiny_corpus[1]
+        config = ModelConfig(hops=tuple(HopConfig(n, 16) for n in budgets), k_lrf=16)
+        run = _HopRun(cloud.coords, config, seed=3, fit=fit)
+        # sampling each hop's points from the previous hop's
+        nested = [sample_indices(len(cloud), budgets[0], 3)]
+        for n in budgets[1:]:
+            nested.append(nested[-1][fps_indices(cloud.coords[nested[-1]], n, start=0)])
+        # hop 2's points first, then the rest in sampling order; one hop keeps sampling order
+        picks = nested[1] if len(budgets) > 1 else nested[0][:0]
+        rest = nested[0][~np.isin(nested[0], picks)]
+        assert np.array_equal(run.orig_indices, np.concatenate([picks, rest]))
+        assert np.array_equal(run.coords, cloud.coords[run.orig_indices])
+        for h, n in enumerate(budgets[1:], start=1):
+            assert np.array_equal(run.orig_indices[:n], nested[h])
+        for h, n in enumerate(budgets):
+            x, neighbors = run.hop_inputs(h)
+            assert np.array_equal(run.coords, cloud.coords[run.orig_indices])
+            if h:
+                assert np.array_equal(run.orig_indices, nested[h])
+            # a fit computes every point; extraction only those the next hop keeps
+            want = n if fit else budgets[min(h + 1, len(budgets) - 1)]
+            assert len(x) == len(neighbors) == len(run.axes) == len(run.min_margin) == want
+            if h + 1 < len(budgets):
+                run.values = np.zeros((budgets[h + 1], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +532,7 @@ class TestExtractFeatures:
                 features=np.zeros((2, 4)),
                 sign_margins=np.zeros(3),
                 eigen_gaps=np.zeros(3),
+                neighbor_table=np.arange(3)[:, None],
             )
         with pytest.raises(ValueError, match="non-finite"):
             FeatureSet(
@@ -497,6 +541,7 @@ class TestExtractFeatures:
                 features=np.array([[np.nan], [0.0]]),
                 sign_margins=np.zeros(2),
                 eigen_gaps=np.zeros(2),
+                neighbor_table=np.arange(2)[:, None],
             )
 
         def with_table(table):
@@ -509,7 +554,7 @@ class TestExtractFeatures:
                 neighbor_table=table,
             )
 
-        assert with_table(None).neighbor_table.tolist() == [[0], [1], [2]]
+        assert with_table(np.arange(3)[:, None]).neighbor_table.tolist() == [[0], [1], [2]]
         assert with_table(np.array([[0, 1], [1, 2], [2, 0]])).neighbor_table.shape == (3, 2)
         with pytest.raises(ValueError, match="one row per point"):
             with_table(np.array([[0, 1], [1, 0]]))

@@ -47,6 +47,7 @@ def make_feature_set(features: np.ndarray, coords: np.ndarray | None = None) -> 
         features=np.asarray(features, dtype=np.float64),
         sign_margins=np.ones(n),
         eigen_gaps=np.ones(n),
+        neighbor_table=np.arange(n)[:, None],  # self-only: d2 is the plain second-nearest
     )
 
 

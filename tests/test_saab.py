@@ -328,7 +328,9 @@ class TestFreezeHop:
         assert plan.filters.shape == (3, 8, 5)  # padded to the widest layer
         assert ids == want_ids
         assert 0 < len(ids) < 10  # the gather skips discarded children
-        assert np.array_equal(plan.apply(x), want)
+        out = plan.apply(x)
+        assert np.array_equal(out, want)
+        assert out.flags.c_contiguous  # the next hop gathers these rows faster in C order
 
     def test_root_hop_is_the_joint_layer(self):
         rng = np.random.default_rng(4)
