@@ -22,7 +22,10 @@ Training (unsupervised, one pass per hop):
 4. Channel energies multiply down a :class:`~rpointhop.saab.FeatureTree`;
    channels at or below the energy threshold are dropped together with
    their descendants. Survivors at the last hop are the output feature
-   dimensions.
+   dimensions. The tree follows from the layers' energies and the threshold
+   alone, so a model derives it from its layers by the same steps
+   (:func:`_grow_hop`), and a model file whose stored tree disagrees is
+   rejected.
 
 Hop 1 is the one-channel case of steps 3-4, with the tree's root as its
 only parent, so every hop is fit the same way and frozen into the same
@@ -46,6 +49,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -53,7 +57,6 @@ import numpy as np
 from .cloud import PointCloud, normalize_unit_sphere, sample_indices
 from .lrf import geometric_features, local_pca_batch, resolve_signs_batch
 from .saab import (
-    FeatureNode,
     FeatureTree,
     HopPlan,
     SaabLayer,
@@ -129,21 +132,37 @@ class ModelConfig:
             raise ValueError("energy_threshold must be finite and non-negative")
 
 
+def _grow_hop(
+    tree: FeatureTree, layers: dict[int, SaabLayer], parent_ids: list[int], threshold: float, final: bool
+) -> tuple[HopPlan, list[int]]:
+    """Append the hop below ``parent_ids`` to ``tree``, pruned by the layers'
+    energies and ``threshold``, and freeze it; training and
+    :class:`RPointHopModel` both grow their trees this way. Returns the plan
+    and the surviving children's node ids."""
+    if sorted(layers) != parent_ids:
+        raise ValueError(
+            f"layers below nodes {sorted(layers)} do not match the surviving parents {parent_ids}"
+        )
+    propagate_energy(tree, {pid: layers[pid].energies for pid in parent_ids}, threshold, final=final)
+    return freeze_hop(tree, layers, parent_ids)
+
+
 @dataclass(frozen=True)
 class RPointHopModel:
-    """Frozen result of training: the hop-1 joint Saab layer, the per-node
-    channel-wise layers of later hops, and the pruned energy tree.
+    """Frozen result of training: the hop-1 joint Saab layer and the
+    per-node channel-wise layers of later hops.
 
-    ``plans`` holds one :class:`~rpointhop.saab.HopPlan` per hop, frozen from
-    the tree and the layers on construction; a tree that does not fit the
-    layers raises ValueError there.
+    On construction the pruned energy ``tree`` is derived from the layers'
+    energies and the config's threshold, and each hop is frozen into one
+    :class:`~rpointhop.saab.HopPlan` of ``plans``. Layers that do not form
+    a model (parents without a layer, layers without a parent, wrong input
+    widths, no surviving channel) raise ValueError there.
     """
 
     config: ModelConfig
     hop1_layer: SaabLayer
     later_hops: tuple[dict[int, SaabLayer], ...]
-    tree: FeatureTree
-    format_version: int = MODEL_VERSION
+    tree: FeatureTree = field(init=False, repr=False, compare=False)
     plans: tuple[HopPlan, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -152,18 +171,19 @@ class RPointHopModel:
             raise ValueError(f"{len(hops)} hops of layers for {len(self.config.hops)} configured hops")
         # octant means, then the aux normal and four eigenvalue features
         hop1_width = 24 + 7 * self.config.use_aux_attributes
+        tree = FeatureTree()
         plans = []
         parent_ids = [0]
         for h, layers in enumerate(hops):
-            plan, parent_ids = freeze_hop(self.tree, layers, parent_ids)
+            final = h == len(hops) - 1
+            plan, parent_ids = _grow_hop(tree, layers, parent_ids, self.config.energy_threshold, final)
             width = plan.filters.shape[1]
             if width != (8 if h else hop1_width):
                 raise ValueError(f"hop {h + 1} layers take {width}-wide inputs")
             if not parent_ids:
                 raise ValueError(f"no channel survives hop {h + 1}")
             plans.append(plan)
-        if len(parent_ids) != self.tree.output_dim():
-            raise ValueError(f"{len(parent_ids)} final channels but {self.tree.output_dim()} output nodes")
+        object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "plans", tuple(plans))
 
     @property
@@ -438,13 +458,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
             lambda c: saab_fit(np.vstack([x[:, :, c] for x in inputs])), range(len(parent_ids))
         )
         layers = dict(zip(parent_ids, fits))
-        propagate_energy(
-            tree,
-            {pid: layers[pid].energies for pid in parent_ids},
-            config.energy_threshold,
-            final=(h == n_hops - 1),
-        )
-        plan, parent_ids = freeze_hop(tree, layers, parent_ids)
+        plan, parent_ids = _grow_hop(tree, layers, parent_ids, config.energy_threshold, h == n_hops - 1)
         if not parent_ids:
             raise TrainingError(_prune_message(h + 1, n_hops))
         if h < n_hops - 1:  # hop h + 1 reads its first n_{h+1} rows, and nothing the final hop's
@@ -454,9 +468,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
         del inputs  # freed before the next hop builds its own
         hop_layers.append(layers)
 
-    return RPointHopModel(
-        config=config, hop1_layer=hop_layers[0][0], later_hops=tuple(hop_layers[1:]), tree=tree
-    )
+    return RPointHopModel(config=config, hop1_layer=hop_layers[0][0], later_hops=tuple(hop_layers[1:]))
 
 
 def _prune_message(hop_reached: int, n_hops: int) -> str:
@@ -499,6 +511,11 @@ def _layer_arrays(layer: SaabLayer) -> list[np.ndarray]:
     return [layer.dc_filter, layer.ac_filters, layer.energies]
 
 
+def _tree_rows(tree: FeatureTree) -> list[list]:
+    """The header's tree: one row per node, its node id the row index."""
+    return [[n.hop, n.parent, n.channel, n.fraction, n.cumulative, n.status] for n in tree.nodes]
+
+
 def save_model(model: RPointHopModel, path) -> None:
     """Write a model file: magic ``RPH1``, format version, a JSON header
     (config, tree, layer shapes), then all arrays as little-endian float64.
@@ -512,10 +529,7 @@ def save_model(model: RPointHopModel, path) -> None:
             "normalize": model.config.normalize,
             "seed": model.config.seed,
         },
-        "tree": [
-            [n.hop, n.parent, n.channel, n.fraction, n.cumulative, n.status]
-            for n in model.tree.nodes
-        ],
+        "tree": _tree_rows(model.tree),
         "hop1": _layer_meta(model.hop1_layer),
         "later": [
             [
@@ -554,17 +568,18 @@ def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
 
 
-def _read_layer(fh, meta: dict) -> SaabLayer:
-    n, n_ac = int(meta["input_dim"]), int(meta["n_ac"])
+def _read_layer(fh, input_dim, n_ac, bias) -> SaabLayer:
+    n, n_ac = int(input_dim), int(n_ac)
     dc = _read_array(fh, (n,))
     ac = _read_array(fh, (n_ac, n))
     energies = _read_array(fh, (1 + n_ac,))
-    return SaabLayer(input_dim=n, dc_filter=dc, ac_filters=ac, bias=float(meta["bias"]), energies=energies)
+    return SaabLayer(input_dim=n, dc_filter=dc, ac_filters=ac, bias=float(bias), energies=energies)
 
 
 def load_model(path) -> RPointHopModel:
     """Read a model file written by :func:`save_model`. Rejects unknown
-    versions and truncated or corrupt files."""
+    versions, truncated or corrupt files, and files whose stored tree
+    differs from the one the model derives from its layers."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != MODEL_MAGIC:
@@ -587,23 +602,16 @@ def load_model(path) -> RPointHopModel:
                 normalize=bool(cfg["normalize"]),
                 seed=int(cfg["seed"]),
             )
-            tree = FeatureTree()
-            tree.nodes = [
-                FeatureNode(
-                    node_id=i, hop=int(hop), parent=int(parent), channel=int(channel),
-                    fraction=float(fraction), cumulative=float(cumulative), status=str(status),
-                )
-                for i, (hop, parent, channel, fraction, cumulative, status) in enumerate(header["tree"])
+            stored_tree = [
+                [int(hop), int(parent), int(channel), float(fraction), float(cumulative), str(status)]
+                for hop, parent, channel, fraction, cumulative, status in header["tree"]
             ]
-            hop1_layer = _read_layer(fh, header["hop1"])
-            later = []
-            for hop_meta in header["later"]:
-                layers = {}
-                for pid, input_dim, n_ac, bias in hop_meta:
-                    layers[int(pid)] = _read_layer(
-                        fh, {"input_dim": input_dim, "n_ac": n_ac, "bias": bias}
-                    )
-                later.append(layers)
+            hop1 = header["hop1"]
+            hop1_layer = _read_layer(fh, hop1["input_dim"], hop1["n_ac"], hop1["bias"])
+            later = [
+                {int(pid): _read_layer(fh, input_dim, n_ac, bias) for pid, input_dim, n_ac, bias in hop_meta}
+                for hop_meta in header["later"]
+            ]
         except ModelFormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -613,12 +621,16 @@ def load_model(path) -> RPointHopModel:
         if trailing:
             raise ModelFormatError("corrupt model file: trailing bytes after arrays")
     try:
-        return RPointHopModel(
-            config=config, hop1_layer=hop1_layer, later_hops=tuple(later),
-            tree=tree, format_version=version,
-        )
+        model = RPointHopModel(config=config, hop1_layer=hop1_layer, later_hops=tuple(later))
     except ValueError as exc:
-        raise ModelFormatError(f"corrupt model file: tree does not fit the layers ({exc})") from None
+        raise ModelFormatError(f"corrupt model file: layers do not form a model ({exc})") from None
+    derived = _tree_rows(model.tree)
+    if stored_tree != derived:
+        first = next(i for i, (a, b) in enumerate(zip_longest(stored_tree, derived)) if a != b)
+        raise ModelFormatError(
+            f"corrupt model file: stored tree differs from the layers' tree at node {first}"
+        )
+    return model
 
 
 # ---------------------------------------------------------------------------

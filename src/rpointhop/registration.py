@@ -41,18 +41,16 @@ class EstimationError(RuntimeError):
     """The correspondence geometry cannot determine a rigid transform."""
 
 
+RANSAC_ITERATIONS = 512
+RANSAC_SAMPLE_SIZE = 4  # pairs per minimal sample; 3 determine a rigid motion
+
+
 @dataclass(frozen=True)
 class RansacParams:
-    iterations: int = 512
-    sample_size: int = 4
     inlier_radius: float = 0.05
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
-        if self.sample_size < 3:
-            raise ValueError("sample_size must be >= 3")
         if not 0.0 < self.inlier_radius < np.inf:  # NaN fails this too
             raise ValueError("inlier_radius must be finite and positive")
 
@@ -230,15 +228,14 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
     than 2r. A sample that breaks this cannot be all-inlier, and skipping
     such samples raises the chance of drawing an all-inlier one when
     inliers are scarce, as they are under partial overlap with noise.
-    Fixed iteration count, deterministic given ``params.seed``. The final
-    transform is re-estimated on the best iteration's inliers. Raises
-    :class:`EstimationError` when no iteration finds 3 inliers.
+    Runs ``RANSAC_ITERATIONS`` iterations, deterministic given
+    ``params.seed``. The final transform is re-estimated on the best
+    iteration's inliers. Raises :class:`EstimationError` when no iteration
+    finds 3 inliers.
     """
     m = len(corr)
-    if m < params.sample_size:
-        raise EstimationError(
-            f"need at least sample_size={params.sample_size} pairs, got {m}"
-        )
+    if m < RANSAC_SAMPLE_SIZE:
+        raise EstimationError(f"need at least sample_size={RANSAC_SAMPLE_SIZE} pairs, got {m}")
     rng = np.random.Generator(np.random.PCG64(params.seed))
     separation_gap = np.abs(
         cdist(corr.target_coords, corr.target_coords) - cdist(corr.source_coords, corr.source_coords)
@@ -247,8 +244,8 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
     best_count = 0
     best_rmse = np.inf
     best_inliers: np.ndarray | None = None
-    for _ in range(params.iterations):
-        pick = _consistent_sample(rng, compatible, params.sample_size)
+    for _ in range(RANSAC_ITERATIONS):
+        pick = _consistent_sample(rng, compatible, RANSAC_SAMPLE_SIZE)
         if pick is None:
             continue  # no consistent sample grows from this first pair
         try:
@@ -269,6 +266,8 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
 
 
 X84_MADS = 5.2  # Hampel's X84 outlier cut, about 3.5 sigma for Gaussian data
+ICP_MAX_ITERS = 50
+ICP_TOL = 1e-8  # stop once the mean residual changes by less than this
 
 
 @dataclass(frozen=True)
@@ -279,13 +278,7 @@ class IcpResult:
     converged: bool
 
 
-def icp_refine(
-    source: PointCloud,
-    target: PointCloud,
-    initial: RigidTransform,
-    max_iters: int = 50,
-    tol: float = 1e-8,
-) -> IcpResult:
+def icp_refine(source: PointCloud, target: PointCloud, initial: RigidTransform) -> IcpResult:
     """Point-to-point ICP, refining a transform that maps target onto source.
 
     Each iteration pairs every transformed target point with its nearest
@@ -300,19 +293,19 @@ def icp_refine(
     all target points; it may wiggle by small amounts, since the estimator
     minimizes the squared loss over a pair set that changes between
     iterations.
-    Stops when the mean residual changes by less than ``tol`` or after
-    ``max_iters``. Purely local: a bad initial guess converges to a nearby
-    minimum, not the global one.
+    Stops when the mean residual changes by less than ``ICP_TOL`` or after
+    ``ICP_MAX_ITERS`` iterations. Purely local: a bad initial guess
+    converges to a nearby minimum, not the global one.
     """
     index = KnnIndex(source.coords)
     current = initial
     residuals: list[float] = []
     converged = False
-    for _ in range(max_iters):
+    for _ in range(ICP_MAX_ITERS):
         moved = target.coords @ current.rotation.T + current.translation
         nbr_idx, dist = index.query(moved, 1)
         residuals.append(float(dist[:, 0].mean()))
-        if len(residuals) >= 2 and abs(residuals[-2] - residuals[-1]) < tol:
+        if len(residuals) >= 2 and abs(residuals[-2] - residuals[-1]) < ICP_TOL:
             converged = True
             break
         nearest = CorrespondenceSet(

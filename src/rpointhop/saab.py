@@ -19,7 +19,9 @@ cumulative energy is its parent's cumulative energy times the child's
 within-transform fraction. Nodes at or below the energy threshold are
 discarded outright, children and all; there is no leaf-collection of
 low-energy nodes. Surviving nodes at the last hop form the output feature
-dimensions.
+dimensions. The tree thus follows from the layers' energies and the
+threshold alone: a model derives it from its layers, and a model file whose
+stored tree disagrees is rejected (see :mod:`rpointhop.pipeline`).
 
 :func:`freeze_hop` freezes a trained hop into a :class:`HopPlan`, so that
 applying it is one batched matrix product, a bias add and a gather, with no
@@ -41,7 +43,6 @@ _EIG_CUTOFF = 1e-10  # relative eigenvalue floor: drops numerically-null dims
 STATUS_INTERMEDIATE = "intermediate"
 STATUS_DISCARDED = "discarded"
 STATUS_OUTPUT = "output"
-_STATUSES = (STATUS_INTERMEDIATE, STATUS_DISCARDED, STATUS_OUTPUT)
 
 
 @dataclass(frozen=True)
@@ -272,41 +273,22 @@ def freeze_hop(
 ) -> tuple[HopPlan, list[int]]:
     """Freeze the hop below ``parent_ids`` (the previous hop's surviving node
     ids, ascending; ``[0]``, the root, for hop 1), whose transforms
-    ``layers`` maps by parent id. Returns the plan and the surviving
-    children's node ids, the next hop's parents. Raises ValueError when the
-    tree does not fit the layers.
+    ``layers`` maps by exactly those ids and whose children
+    :func:`propagate_energy` appended from those layers' energies. Returns
+    the plan and the surviving children's node ids, the next hop's parents.
+    Raises ValueError when the layers differ in input width.
     """
-    parent_ids = list(parent_ids)
-    if sorted(layers) != parent_ids:
-        raise ValueError(
-            f"layers below nodes {sorted(layers)} do not match the surviving parents {parent_ids}"
-        )
+    column = {pid: c for c, pid in enumerate(parent_ids)}
     widths = {layer.input_dim for layer in layers.values()}
     if len(widths) != 1:
         raise ValueError(f"layers of one hop differ in input width: {sorted(widths)}")
-    children: dict[int, list[FeatureNode]] = {pid: [] for pid in parent_ids}
-    for n in tree.nodes:
-        if n.parent in children:
-            if n.status not in _STATUSES:
-                raise ValueError(f"node {n.node_id} has unknown status {n.status!r}")
-            children[n.parent].append(n)
     k = max(layer.kept_dim for layer in layers.values())
-    filters = np.zeros((len(parent_ids), widths.pop(), k))
-    biases = np.empty(len(parent_ids))
-    slots: dict[int, int] = {}  # surviving node id -> flat output slot
-    for c, pid in enumerate(parent_ids):
-        layer = layers[pid]
-        channels = [n.channel for n in children[pid]]
-        if channels != list(range(layer.kept_dim)):
-            raise ValueError(
-                f"children of node {pid} carry channels {channels}, "
-                f"but its layer keeps {layer.kept_dim} outputs"
-            )
-        filters[c, :, : layer.kept_dim] = layer.filters.T
-        biases[c] = layer.bias
-        slots.update(
-            (n.node_id, c * k + n.channel) for n in children[pid] if n.status != STATUS_DISCARDED
-        )
-    survivors = sorted(slots)
-    plan = HopPlan(filters, biases, np.array([slots[i] for i in survivors], dtype=np.intp))
-    return plan, survivors
+    filters = np.zeros((len(column), widths.pop(), k))
+    biases = np.empty(len(column))
+    for pid, c in column.items():
+        filters[c, :, : layers[pid].kept_dim] = layers[pid].filters.T
+        biases[c] = layers[pid].bias
+    # node ids are list positions, so the survivors come out ascending
+    kept = [n for n in tree.nodes if n.parent in column and n.status != STATUS_DISCARDED]
+    slots = np.array([column[n.parent] * k + n.channel for n in kept], dtype=np.intp)
+    return HopPlan(filters, biases, slots), [n.node_id for n in kept]

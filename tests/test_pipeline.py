@@ -684,11 +684,11 @@ class TestModelFile:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            ("_unknown_status", "unknown status 'pending'"),
-            ("_discarded_parent_keeps_layer", "do not match the surviving parents"),
+            ("_unknown_status", "stored tree differs from the layers' tree at node 216"),
+            ("_discarded_parent_keeps_layer", "stored tree differs from the layers' tree at node 1"),
             ("_surviving_parent_without_layer", "do not match the surviving parents"),
-            ("_channel_past_kept_dim", "carry channels"),
-            ("_child_count_differs", "carry channels"),
+            ("_channel_past_kept_dim", "stored tree differs from the layers' tree at node 216"),
+            ("_child_count_differs", "stored tree differs from the layers' tree at node 216"),
             ("_later_width_not_eight", "hop 2 layers take 4-wide inputs"),
         ],
     )
@@ -713,21 +713,29 @@ class TestModelFile:
             (("tree", 0), [0, -1, 0, 1.0, 1.0], "not enough values to unpack"),
             (("config", "seed"), "zero", "invalid literal for int"),
             (("config", "energy_threshold"), float("nan"), "energy_threshold must be finite"),
+            # a discarded final-hop node turned output, and a cumulative energy
+            (("tree", -1, 5), "output", "stored tree differs from the layers' tree at node 216"),
+            (("tree", 1, 4), 123.0, "stored tree differs from the layers' tree at node 1"),
+            # the last layer's last energy
+            (("arrays", -1), -0.5, "negative energy fraction under node"),
         ],
     )
     def test_invalid_header_field(self, tiny_model, tmp_path, keys, value, message):
-        # each edit fails config validation, unpacking or int() inside load_model
+        # each edit fails config validation, unpacking, int(), the model's
+        # tree derivation or the check of the stored tree against it inside
+        # load_model; keys under "arrays" index the floats after the header
         path = tmp_path / "m.rph"
         save_model(tiny_model, path)
         raw = path.read_bytes()
         (blob_len,) = struct.unpack("<Q", raw[8:16])
         header = json.loads(raw[16 : 16 + blob_len])
-        node = header
+        arrays = np.frombuffer(raw[16 + blob_len :], dtype="<f8").copy()
+        node = {"arrays": arrays} if keys[0] == "arrays" else header
         for key in keys[:-1]:
             node = node[key]
         node[keys[-1]] = value
         blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + blob_len :])
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + arrays.tobytes())
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
