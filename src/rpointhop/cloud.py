@@ -107,9 +107,6 @@ class RigidTransform:
             self.rotation @ other.translation + self.translation,
         )
 
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.rotation.T, -(self.rotation.T @ self.translation))
-
 
 # ---------------------------------------------------------------------------
 # file IO
@@ -410,17 +407,15 @@ def sample_indices(n: int, m: int, seed: int) -> np.ndarray:
     return idx[:m].copy()
 
 
-def random_sample(cloud: PointCloud, m: int, seed: int) -> PointCloud:
-    """Uniform sample of m distinct points. Deterministic given seed."""
-    return cloud.take(sample_indices(len(cloud), m, seed))
-
-
 def apply_transform(cloud: PointCloud, tf: RigidTransform) -> PointCloud:
-    """Rigidly move the cloud: each point p becomes R @ p + t."""
-    return PointCloud(cloud.coords @ tf.rotation.T + tf.translation, cloud.aux)
+    """Rigidly move the cloud: each point p becomes R @ p + t. The moved
+    cloud has no ``aux``: the motion cannot know what those columns mean
+    (a normal turns with the cloud, a color does not)."""
+    return PointCloud(cloud.coords @ tf.rotation.T + tf.translation)
 
 
 def align_inverse(cloud: PointCloud, tf: RigidTransform) -> PointCloud:
     """Undo a transform: each point g becomes R.T @ (g - t). Used to map a
-    source cloud back onto the target it was registered against."""
-    return PointCloud((cloud.coords - tf.translation) @ tf.rotation, cloud.aux)
+    source cloud back onto the target it was registered against. Like
+    :func:`apply_transform`, it drops ``aux``."""
+    return PointCloud((cloud.coords - tf.translation) @ tf.rotation)

@@ -171,34 +171,49 @@ def match(target: FeatureSet, source: FeatureSet, params: MatchParams = MatchPar
     )
 
 
-def estimate_transform(corr: CorrespondenceSet) -> RigidTransform:
-    """Closed-form least-squares rigid transform from matched coordinates.
-
-    Covariance of centered pairs, SVD, reflection-corrected rotation:
+def _kabsch(f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form least-squares rigid motions for stacks of matched
+    coordinates: ``f`` and ``g`` are (..., n, 3) target and source points.
+    Returns rotations (..., 3, 3), translations (..., 3) and the singular
+    values (..., 3) of each cross-covariance, descending:
     H = sum (f_i - fbar)(g_i - gbar)^T,  H = U S V^T,
     R = V diag(1, 1, det(V U^T)) U^T,  t = gbar - R fbar.
-    Requires >= 3 pairs whose target points are not collinear.
+    Each stack slice gets the same bits as a stack of one.
     """
+    fbar = f.mean(axis=-2)
+    gbar = g.mean(axis=-2)
+    h = np.swapaxes(f - fbar[..., None, :], -1, -2) @ (g - gbar[..., None, :])
+    u, s, vt = np.linalg.svd(h)
+    ut = np.swapaxes(u, -1, -2)
+    v = np.swapaxes(vt, -1, -2).copy()
+    v[..., 2] *= np.sign(np.linalg.det(v @ ut))[..., None]  # no reflections
+    rotation = v @ ut
+    translation = gbar - (rotation @ fbar[..., None])[..., 0]
+    return rotation, translation, s
+
+
+def _degenerate(s: np.ndarray) -> np.ndarray:
+    """Singular values (..., 3) of collinear (or coincident) pairs."""
+    return (s[..., 0] <= 0.0) | (s[..., 1] <= s[..., 0] * 1e-12)
+
+
+def estimate_transform(corr: CorrespondenceSet) -> RigidTransform:
+    """Closed-form least-squares rigid transform from matched coordinates
+    (:func:`_kabsch` on one stack). Requires >= 3 pairs whose target points
+    are not collinear."""
     if len(corr) < 3:
         raise EstimationError(f"need at least 3 pairs, got {len(corr)}")
-    f = corr.target_coords
-    g = corr.source_coords
-    fbar = f.mean(axis=0)
-    gbar = g.mean(axis=0)
-    h = (f - fbar).T @ (g - gbar)
-    u, s, vt = np.linalg.svd(h)
-    if s[0] <= 0.0 or s[1] <= s[0] * 1e-12:
+    rotation, translation, s = _kabsch(corr.target_coords, corr.source_coords)
+    if _degenerate(s):
         raise EstimationError("correspondences are collinear; rotation is undetermined")
-    v = vt.T
-    d = np.sign(np.linalg.det(v @ u.T))
-    rotation = v @ np.diag([1.0, 1.0, d]) @ u.T
-    translation = gbar - rotation @ fbar
     return RigidTransform(rotation, translation)
 
 
-def _residuals(corr: CorrespondenceSet, tf: RigidTransform) -> np.ndarray:
-    pred = corr.target_coords @ tf.rotation.T + tf.translation
-    return np.linalg.norm(pred - corr.source_coords, axis=1)
+def _residuals(corr: CorrespondenceSet, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """(..., M) distances from each moved target point to its source point,
+    one row per motion in the (..., 3, 3) and (..., 3) stacks."""
+    pred = corr.target_coords @ np.swapaxes(rotation, -1, -2) + translation[..., None, :]
+    return np.linalg.norm(pred - corr.source_coords, axis=-1)
 
 
 def _consistent_sample(
@@ -207,10 +222,12 @@ def _consistent_sample(
     """Draw ``size`` distinct pairs, each compatible with all drawn before
     it, uniformly among those still allowed; None when the draw runs out
     of compatible pairs."""
-    allowed = np.ones(compatible.shape[0], dtype=bool)
     pick = np.empty(size, dtype=np.intp)
-    for i in range(size):
-        candidates = np.flatnonzero(allowed)
+    pick[0] = rng.integers(compatible.shape[0])  # every pair is allowed at first
+    allowed = compatible[pick[0]].copy()
+    allowed[pick[0]] = False
+    for i in range(1, size):
+        (candidates,) = allowed.nonzero()
         if candidates.size == 0:
             return None
         pick[i] = candidates[rng.integers(candidates.size)]
@@ -228,10 +245,13 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
     than 2r. A sample that breaks this cannot be all-inlier, and skipping
     such samples raises the chance of drawing an all-inlier one when
     inliers are scarce, as they are under partial overlap with noise.
-    Runs ``RANSAC_ITERATIONS`` iterations, deterministic given
-    ``params.seed``. The final transform is re-estimated on the best
-    iteration's inliers. Raises :class:`EstimationError` when no iteration
-    finds 3 inliers.
+    Draws ``RANSAC_ITERATIONS`` samples, deterministic given
+    ``params.seed``, then scores every hypothesis in one batched pass
+    (:func:`_kabsch` over the stack of samples). Degenerate samples and
+    hypotheses with fewer than 3 inliers are dropped. The best hypothesis
+    has the most inliers, then the lowest inlier RMSE, then the earliest
+    draw; the final transform is re-estimated on its inliers. Raises
+    :class:`EstimationError` when no hypothesis finds 3 inliers.
     """
     m = len(corr)
     if m < RANSAC_SAMPLE_SIZE:
@@ -241,28 +261,22 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
         cdist(corr.target_coords, corr.target_coords) - cdist(corr.source_coords, corr.source_coords)
     )
     compatible = separation_gap < 2.0 * params.inlier_radius
-    best_count = 0
-    best_rmse = np.inf
-    best_inliers: np.ndarray | None = None
-    for _ in range(RANSAC_ITERATIONS):
-        pick = _consistent_sample(rng, compatible, RANSAC_SAMPLE_SIZE)
-        if pick is None:
-            continue  # no consistent sample grows from this first pair
-        try:
-            tf = estimate_transform(corr.take(pick))
-        except EstimationError:
-            continue  # degenerate minimal sample; try the next one
-        res = _residuals(corr, tf)
-        inliers = res < params.inlier_radius
-        count = int(inliers.sum())
-        if count < 3:
-            continue
-        rmse = float(np.sqrt(np.mean(res[inliers] ** 2)))
-        if count > best_count or (count == best_count and rmse < best_rmse):
-            best_count, best_rmse, best_inliers = count, rmse, inliers
-    if best_inliers is None:
+    draws = (_consistent_sample(rng, compatible, RANSAC_SAMPLE_SIZE) for _ in range(RANSAC_ITERATIONS))
+    picks = np.array([pick for pick in draws if pick is not None], dtype=np.intp).reshape(-1, RANSAC_SAMPLE_SIZE)
+    rotation, translation, s = _kabsch(corr.target_coords[picks], corr.source_coords[picks])
+    res = _residuals(corr, rotation, translation)  # (B, m)
+    inliers = res < params.inlier_radius
+    counts = inliers.sum(axis=1)
+    counts[_degenerate(s)] = 0
+    best_count = counts.max(initial=0)
+    if best_count < 3:
         raise EstimationError("no RANSAC iteration produced 3 or more inliers")
-    return estimate_transform(corr.take(best_inliers))
+    best, best_rmse = -1, np.inf
+    for i in np.flatnonzero(counts == best_count):  # ascending: the earliest draw wins ties
+        rmse = float(np.sqrt(np.mean(res[i][inliers[i]] ** 2)))
+        if rmse < best_rmse:
+            best, best_rmse = i, rmse
+    return estimate_transform(corr.take(inliers[best]))
 
 
 X84_MADS = 5.2  # Hampel's X84 outlier cut, about 3.5 sigma for Gaussian data
@@ -375,7 +389,9 @@ def register(
     One extraction seed (derived from ``seed``) is shared by both clouds,
     so fully-overlapping clouds of equal size retain the same physical
     points and match near-exactly. The two clouds are extracted at the same
-    time (:func:`extract_pair`).
+    time (:func:`extract_pair`). The report's ``inlier_pairs`` counts the
+    matched pairs within ``params.ransac.inlier_radius`` under the final
+    transform, with or without RANSAC; :func:`format_report` leaves it out.
     """
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -383,12 +399,9 @@ def register(
     tf, corr, icp_iterations = register_features(target_fs, source_fs, source, target, params, icp)
     aligned = align_inverse(source, tf)
     angles, gimbal = matrix_to_euler_xyz(tf.rotation)
-    res = _residuals(corr, tf)
-    if params.use_ransac:
-        inl = res[res < params.ransac.inlier_radius]
-        mean_residual = float(inl.mean()) if inl.size else float(res.mean())
-    else:
-        mean_residual = float(res.mean())
+    res = _residuals(corr, tf.rotation, tf.translation)
+    inl = res[res < params.ransac.inlier_radius]
+    mean_residual = float(inl.mean()) if params.use_ransac and inl.size else float(res.mean())
     report = {
         "convention": "transform maps target onto source: p_source ~ R @ p_target + t",
         "rotation": tf.rotation,
@@ -397,6 +410,7 @@ def register(
         "gimbal_lock": gimbal,
         "candidate_pairs": len(target_fs),
         "matched_pairs": len(corr),
+        "inlier_pairs": int(inl.size),
         "mean_residual": mean_residual,
         "used_ransac": params.use_ransac,
         "used_ratio_test": params.use_ratio_test,

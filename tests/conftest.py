@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from rpointhop import HopConfig, ModelConfig, train
+from rpointhop import EstimationError, HopConfig, ModelConfig, RigidTransform, estimate_transform, train
 from rpointhop.bench import make_shape_corpus
+from rpointhop.registration import RANSAC_ITERATIONS, RANSAC_SAMPLE_SIZE
 from rpointhop.saab import STATUS_DISCARDED, saab_apply
 
 
@@ -109,6 +111,57 @@ def hop_oracle(tree, layers, parent_ids, x: np.ndarray):
     if not ids:
         return np.empty((x.shape[0], 0)), ids
     return np.stack([columns[i] for i in ids], axis=1), ids
+
+
+def ransac_oracle(corr, params) -> RigidTransform:
+    """RANSAC one hypothesis at a time: draw a length-consistent sample,
+    fit it with ``estimate_transform``, score it, and keep it when it has
+    more inliers, or as many with a lower inlier RMSE, than the best so far.
+    Refits on the best hypothesis's inliers."""
+
+    def consistent_sample(rng, compatible, size):
+        allowed = np.ones(compatible.shape[0], dtype=bool)
+        pick = np.empty(size, dtype=np.intp)
+        for i in range(size):
+            candidates = np.flatnonzero(allowed)
+            if candidates.size == 0:
+                return None
+            pick[i] = candidates[rng.integers(candidates.size)]
+            allowed &= compatible[pick[i]]
+            allowed[pick[i]] = False
+        return pick
+
+    m = len(corr)
+    if m < RANSAC_SAMPLE_SIZE:
+        raise EstimationError(f"need at least sample_size={RANSAC_SAMPLE_SIZE} pairs, got {m}")
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    separation_gap = np.abs(
+        cdist(corr.target_coords, corr.target_coords) - cdist(corr.source_coords, corr.source_coords)
+    )
+    compatible = separation_gap < 2.0 * params.inlier_radius
+    best_count = 0
+    best_rmse = np.inf
+    best_inliers = None
+    for _ in range(RANSAC_ITERATIONS):
+        pick = consistent_sample(rng, compatible, RANSAC_SAMPLE_SIZE)
+        if pick is None:
+            continue  # no consistent sample grows from this first pair
+        try:
+            tf = estimate_transform(corr.take(pick))
+        except EstimationError:
+            continue  # degenerate minimal sample; try the next one
+        pred = corr.target_coords @ tf.rotation.T + tf.translation
+        res = np.linalg.norm(pred - corr.source_coords, axis=1)
+        inliers = res < params.inlier_radius
+        count = int(inliers.sum())
+        if count < 3:
+            continue
+        rmse = float(np.sqrt(np.mean(res[inliers] ** 2)))
+        if count > best_count or (count == best_count and rmse < best_rmse):
+            best_count, best_rmse, best_inliers = count, rmse, inliers
+    if best_inliers is None:
+        raise EstimationError("no RANSAC iteration produced 3 or more inliers")
+    return estimate_transform(corr.take(best_inliers))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

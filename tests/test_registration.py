@@ -23,10 +23,13 @@ from rpointhop import (
     rotation_error,
     translation_error,
 )
-from rpointhop.bench import make_partial, make_shape_cloud
+from rpointhop.bench import add_noise, make_partial, make_shape_cloud
 from rpointhop.pipeline import FeatureSet
 from rpointhop.registration import (
     CorrespondenceSet,
+    _consistent_sample,
+    _degenerate,
+    _kabsch,
     _nearest_two,
     _wrap_degrees,
     feature_distance_matrix,
@@ -34,7 +37,7 @@ from rpointhop.registration import (
     register_features,
 )
 
-from conftest import random_rotation
+from conftest import random_rotation, ransac_oracle
 
 
 def make_feature_set(features: np.ndarray, coords: np.ndarray | None = None) -> FeatureSet:
@@ -298,17 +301,88 @@ class TestEstimateTransform:
         assert np.abs(tf.rotation @ f.mean(axis=0) + tf.translation - g.mean(axis=0)).max() < 1e-12
 
 
+def outlier_pairs():
+    """40 exact pairs under a random motion and 20 wild mismatches."""
+    rng = np.random.default_rng(6)
+    r = random_rotation(rng)
+    t = rng.normal(size=3)
+    f_in = rng.normal(size=(40, 3))
+    g_in = f_in @ r.T + t
+    f_out = rng.normal(size=(20, 3))
+    g_out = rng.normal(size=(20, 3)) * 5.0  # wild mismatches
+    return make_corr(np.vstack([f_in, f_out]), np.vstack([g_in, g_out])), r, t
+
+
+def scarce_pairs():
+    """8 exact pairs among 128: a uniform 4-pair draw is all-inlier with
+    probability ~7e-6, so 512 uniform draws find none."""
+    rng = np.random.default_rng(9)
+    r = random_rotation(rng)
+    t = rng.normal(size=3)
+    f = rng.uniform(-1.0, 1.0, size=(128, 3))
+    g = rng.uniform(-1.0, 1.0, size=(128, 3)) @ r.T + t
+    inliers = rng.choice(128, size=8, replace=False)
+    g[inliers] = f[inliers] @ r.T + t
+    return make_corr(f, g), r, t
+
+
+def noisy_pairs():
+    """40 pairs with noise near the inlier radius and 40 mismatches: which
+    pairs a hypothesis keeps depends on the sample it came from."""
+    rng = np.random.default_rng(10)
+    f = rng.uniform(-1.0, 1.0, size=(80, 3))
+    g = f @ random_rotation(rng).T + rng.normal(size=3) + rng.normal(size=(80, 3)) * 0.02
+    g[40:] = rng.uniform(-1.0, 1.0, size=(40, 3))
+    return make_corr(f, g)
+
+
+def repeated_pairs():
+    """24 noisy pairs on 6 distinct target points, so that many 4-pair
+    samples hold at most two distinct points and are degenerate."""
+    rng = np.random.default_rng(11)
+    f = rng.normal(size=(6, 3))[rng.integers(0, 6, size=24)]
+    g = f @ random_rotation(rng).T + 0.5 + rng.normal(size=(24, 3)) * 0.01
+    return make_corr(f, g)
+
+
+def collinear_pairs():
+    """30 target points within 1e-14 of a line: every sample is degenerate."""
+    rng = np.random.default_rng(12)
+    f = rng.normal(size=(30, 1)) * np.array([1.0, 2.0, -0.5]) + rng.normal(size=(30, 3)) * 1e-14
+    return make_corr(f, f @ random_rotation(rng).T)
+
+
+def assert_same_bits(a: RigidTransform, b: RigidTransform) -> None:
+    assert a.rotation.tobytes() == b.rotation.tobytes()
+    assert a.translation.tobytes() == b.translation.tobytes()
+
+
+class TestKabsch:
+    @pytest.mark.parametrize("n", [3, 4, 50])
+    def test_stack_slices_equal_estimate_transform(self, n):
+        rng = np.random.default_rng(20 + n)
+        f = rng.normal(size=(5, n, 3))
+        g = f @ random_rotation(rng).T + rng.normal(size=(5, n, 3)) * 0.1
+        rotation, translation, s = _kabsch(f, g)
+        assert rotation.shape == (5, 3, 3) and translation.shape == (5, 3) and s.shape == (5, 3)
+        for i in range(5):
+            one = estimate_transform(make_corr(f[i], g[i]))
+            assert_same_bits(one, RigidTransform(rotation[i], translation[i]))
+            assert np.array_equal(_kabsch(f[i], g[i])[2], s[i])
+
+    def test_degenerate_slices_are_flagged_quietly(self):
+        # coincident and collinear slices beside a regular one: no warning
+        # (pytest turns warnings into errors), no NaN, and only they flagged
+        rng = np.random.default_rng(23)
+        f = np.stack([np.zeros((4, 3)), np.outer(np.arange(4.0), [1.0, 2.0, 3.0]), rng.normal(size=(4, 3))])
+        rotation, translation, s = _kabsch(f, f + 1.0)
+        assert np.isfinite(rotation).all() and np.isfinite(translation).all()
+        assert _degenerate(s).tolist() == [True, True, False]
+
+
 class TestRansac:
     def test_recovers_under_outliers(self):
-        rng = np.random.default_rng(6)
-        r = random_rotation(rng)
-        t = rng.normal(size=3)
-        f_in = rng.normal(size=(40, 3))
-        g_in = f_in @ r.T + t
-        f_out = rng.normal(size=(20, 3))
-        g_out = rng.normal(size=(20, 3)) * 5.0  # wild mismatches
-        corr = make_corr(np.vstack([f_in, f_out]), np.vstack([g_in, g_out]))
-
+        corr, r, t = outlier_pairs()
         plain = estimate_transform(corr)
         robust = ransac_estimate(corr, RansacParams(seed=0))
         assert np.abs(robust.rotation - r).max() < 1e-9
@@ -316,19 +390,43 @@ class TestRansac:
         assert np.abs(plain.rotation - r).max() > 0.01  # contrast: LS is polluted
 
     def test_recovers_from_scarce_inliers(self):
-        # 8 inliers among 128 pairs: a uniform 4-pair draw is all-inlier
-        # with probability ~7e-6, so 512 uniform draws find none; drawing
-        # only length-consistent samples still does
-        rng = np.random.default_rng(9)
-        r = random_rotation(rng)
-        t = rng.normal(size=3)
-        f = rng.uniform(-1.0, 1.0, size=(128, 3))
-        g = rng.uniform(-1.0, 1.0, size=(128, 3)) @ r.T + t
-        inliers = rng.choice(128, size=8, replace=False)
-        g[inliers] = f[inliers] @ r.T + t
-        robust = ransac_estimate(make_corr(f, g), RansacParams(seed=0))
+        # drawing only length-consistent samples still finds the 8 inliers
+        corr, r, t = scarce_pairs()
+        robust = ransac_estimate(corr, RansacParams(seed=0))
         assert np.abs(robust.rotation - r).max() < 1e-9
         assert np.abs(robust.translation - t).max() < 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "pairs",
+        [lambda: outlier_pairs()[0], lambda: scarce_pairs()[0], noisy_pairs, repeated_pairs],
+        ids=["outliers", "scarce", "noisy", "repeated"],
+    )
+    def test_matches_one_at_a_time_oracle(self, pairs, seed):
+        corr = pairs()
+        params = RansacParams(seed=seed)
+        assert_same_bits(ransac_estimate(corr, params), ransac_oracle(corr, params))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_refuses_like_the_oracle(self, seed):
+        corr = collinear_pairs()
+        params = RansacParams(seed=seed)
+        with pytest.raises(EstimationError) as expected:
+            ransac_oracle(corr, params)
+        with pytest.raises(EstimationError) as got:
+            ransac_estimate(corr, params)
+        assert str(got.value) == str(expected.value) == "no RANSAC iteration produced 3 or more inliers"
+
+    def test_repeated_points_draw_degenerate_samples(self):
+        # the oracle comparison on repeated_pairs covers the degeneracy mask
+        corr = repeated_pairs()
+        f, g = corr.target_coords, corr.source_coords
+        gap = np.linalg.norm(f[:, None] - f, axis=-1) - np.linalg.norm(g[:, None] - g, axis=-1)
+        compatible = np.abs(gap) < 2.0 * RansacParams().inlier_radius
+        rng = np.random.Generator(np.random.PCG64(0))
+        picks = np.array([_consistent_sample(rng, compatible, 4) for _ in range(64)])
+        flags = _degenerate(_kabsch(corr.target_coords[picks], corr.source_coords[picks])[2])
+        assert flags.any() and not flags.all()
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
@@ -457,6 +555,7 @@ class TestRegister:
         assert np.abs(aligned.coords - target.coords).max() < 1e-8
         assert report["matched_pairs"] == 48
         assert report["candidate_pairs"] == 128
+        assert report["inlier_pairs"] == 48
         assert report["mean_residual"] < 1e-8
         assert report["used_ransac"] is False
         assert report["used_ratio_test"] is True
@@ -522,6 +621,28 @@ class TestRegister:
         assert np.array_equal(core_tf.translation, tf.translation)
         assert len(corr) == report["matched_pairs"]
         assert icp_iterations == report["icp_iterations"] >= 1
+
+    def test_report_counts_inlier_pairs(self, tiny_model, tiny_corpus):
+        # pairs within the RANSAC radius under the final transform, with or
+        # without RANSAC; the count stays out of the report file
+        rng = np.random.default_rng(19)
+        target = tiny_corpus[7]
+        tf_gt = RigidTransform(random_rotation(rng), rng.normal(size=3) * 0.2)
+        source = add_noise(apply_transform(target, tf_gt), 0.01, seed=4)
+        extract_seed = int(np.random.Generator(np.random.PCG64(8)).integers(2**63))
+        target_fs = extract_features(tiny_model, target, seed=extract_seed)
+        source_fs = extract_features(tiny_model, source, seed=extract_seed)
+        counts = []
+        for use_ransac in (False, True):
+            params = MatchParams(m1=96, m2=48, use_ransac=use_ransac)
+            tf, _, report = register(tiny_model, source, target, params, seed=8)
+            corr = match(target_fs, source_fs, params)
+            pred = corr.target_coords @ tf.rotation.T + tf.translation
+            res = np.linalg.norm(pred - corr.source_coords, axis=1)
+            assert report["inlier_pairs"] == np.count_nonzero(res < params.ransac.inlier_radius)
+            assert "inlier_pairs" not in format_report(report)
+            counts.append(report["inlier_pairs"])
+        assert counts[0] < counts[1] < 48  # RANSAC keeps more pairs within the radius
 
     def test_format_report_loadable(self, tiny_model, tiny_corpus, tmp_path):
         rng = np.random.default_rng(17)
