@@ -7,7 +7,10 @@ then registers and scores the recovered transform against the ground
 truth. Rotations are synthesized as R = Rz(tz) @ Ry(ty) @ Rx(tx) and
 errors are per-axis angle differences in that convention, pooled over axes
 and trials into MSE / RMSE / MAE (degrees for rotation, input units for
-translation).
+translation). Each trial also records its geodesic rotation error, the
+angle of R_pred @ R_gt.T, which stays well conditioned where the per-axis
+differences do not (|ty| near 90 degrees); the aggregates keep its median
+and max, and the rendered report leaves it out.
 
 Everything is seed-driven and the rendered report contains no wall-clock
 values, so a benchmark rerun with the same seed is byte-identical.
@@ -30,6 +33,7 @@ from .registration import (
     RansacParams,
     euler_xyz_to_matrix,
     extract_pair,
+    geodesic_error,
     icp_refine,
     matrix_to_euler_xyz,
     register_features,
@@ -80,6 +84,7 @@ class TrialResult:
     translation_error: np.ndarray | None
     gimbal_lock: bool
     message: str = ""
+    geodesic_error_deg: float | None = None  # angle of R_pred @ R_gt.T; None when failed
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ class BenchReport:
     spec: ExperimentSpec
     label: str
     trials: tuple[TrialResult, ...]
-    aggregates: dict  # six values: {mse,rmse,mae} x {rotation_deg,translation}
+    aggregates: dict  # {mse,rmse,mae} x {rotation_deg,translation}; geodesic_deg {median,max}
     runtime_s: float
 
     @property
@@ -127,7 +132,12 @@ def add_noise(cloud: PointCloud, std: float, seed: int) -> PointCloud:
     return PointCloud(cloud.coords + rng.normal(0.0, std, size=(len(cloud), 3)), cloud.aux)
 
 
-def _error_aggregates(rot_errors: list[np.ndarray], trans_errors: list[np.ndarray]) -> dict:
+def _error_aggregates(
+    rot_errors: list[np.ndarray], trans_errors: list[np.ndarray], geodesic_errors: list[float]
+) -> dict:
+    """MSE / RMSE / MAE of the pooled per-axis errors, and the median and
+    max of the per-trial geodesic rotation errors; NaN when there are none."""
+
     def stats(errs: list[np.ndarray]) -> dict:
         if not errs:
             return {"mse": float("nan"), "rmse": float("nan"), "mae": float("nan")}
@@ -135,7 +145,12 @@ def _error_aggregates(rot_errors: list[np.ndarray], trans_errors: list[np.ndarra
         mse = float(np.mean(pooled**2))
         return {"mse": mse, "rmse": float(np.sqrt(mse)), "mae": float(np.mean(np.abs(pooled)))}
 
-    return {"rotation_deg": stats(rot_errors), "translation": stats(trans_errors)}
+    geodesic = (
+        {"median": float(np.median(geodesic_errors)), "max": float(np.max(geodesic_errors))}
+        if geodesic_errors
+        else {"median": float("nan"), "max": float("nan")}
+    )
+    return {"rotation_deg": stats(rot_errors), "translation": stats(trans_errors), "geodesic_deg": geodesic}
 
 
 @dataclass(frozen=True)
@@ -203,7 +218,10 @@ def _score(trial: _Trial, outcome: RigidTransform | Exception) -> TrialResult:
     trans = translation_error(outcome.translation, trial.truth.translation)
     _, gimbal_pred = matrix_to_euler_xyz(outcome.rotation)
     _, gimbal_gt = matrix_to_euler_xyz(trial.truth.rotation)
-    return TrialResult(trial.index, trial.cloud_index, "ok", rot, trans, gimbal_pred or gimbal_gt)
+    return TrialResult(
+        trial.index, trial.cloud_index, "ok", rot, trans, gimbal_pred or gimbal_gt,
+        geodesic_error_deg=geodesic_error(outcome.rotation, trial.truth.rotation),
+    )
 
 
 def _run_variants(
@@ -243,7 +261,9 @@ def _run_variants(
     for (label, vspec), trials in zip(variants, results):
         ok = [t for t in trials if t.status == "ok"]
         aggregates = _error_aggregates(
-            [t.rotation_error_deg for t in ok], [t.translation_error for t in ok]
+            [t.rotation_error_deg for t in ok],
+            [t.translation_error for t in ok],
+            [t.geodesic_error_deg for t in ok],
         )
         reports.append(BenchReport(vspec, label, tuple(trials), aggregates, runtime))
     return tuple(reports)

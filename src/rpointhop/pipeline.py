@@ -53,6 +53,7 @@ from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .cloud import PointCloud, normalize_unit_sphere, sample_indices
 from .lrf import geometric_features, local_pca_batch, resolve_signs_batch
@@ -282,20 +283,28 @@ def _octant_means(proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray) -> 
     row i averages ``values[nbr_idx[i]]`` by octant, octants taken from the
     (P, k, 3) projected neighbors; empty octants give zeros.
 
-    Each octant's sum adds its neighbors' values one neighbor column at a
-    time, in neighbor order, so no (P, k, C) gather is ever held.
+    The sums are one product ``A @ values`` with a (P·8, N) CSR matrix
+    whose row ``8·i + octant`` holds a 1.0 at each of point i's neighbors in
+    that octant, stored in neighbor order (a stable sort of each row by
+    octant), so no (P, k, C) gather is ever held. The sums are bit-identical
+    to adding the neighbors' values into zeros one neighbor at a time: the
+    CSR product starts each output row at 0 and adds the row's stored
+    entries in stored order, and 1.0·v is exact. Nothing may re-sort the
+    entries by column, hence ``has_sorted_indices``.
     """
     p, k = nbr_idx.shape
-    slot = (np.arange(p) * 8)[:, None] + (
-        (proj[..., 0] < 0).astype(np.intp) * 4
-        + (proj[..., 1] < 0) * 2
-        + (proj[..., 2] < 0)
+    octant = (proj[..., 0] < 0).astype(np.int8) * 4 + (proj[..., 1] < 0) * np.int8(2) + (proj[..., 2] < 0)
+    counts = np.bincount(((np.arange(p) * 8)[:, None] + octant).ravel(), minlength=p * 8)
+    order = np.argsort(octant, axis=1, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    a = csr_array(
+        (np.ones(p * k), np.take_along_axis(nbr_idx, order, axis=1).ravel(), indptr),
+        shape=(p * 8, values.shape[0]),
     )
-    sums = np.zeros((p * 8, values.shape[1]))
-    for j in range(k):  # a column holds each row's slot once, so += adds every value
-        sums[slot[:, j]] += values[nbr_idx[:, j]]
-    counts = np.bincount(slot.ravel(), minlength=p * 8)
-    return (sums / np.maximum(counts, 1)[:, None]).reshape(p, 8, -1)
+    a.has_sorted_indices = True
+    sums = a @ values
+    sums /= np.maximum(counts, 1)[:, None]
+    return sums.reshape(p, 8, -1)
 
 
 def _project_neighbors(

@@ -22,6 +22,7 @@ the matches that symmetric or featureless regions produce.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -491,6 +492,15 @@ def rotation_error(r_pred: np.ndarray, r_gt: np.ndarray) -> np.ndarray:
     pred, _ = matrix_to_euler_xyz(r_pred)
     gt, _ = matrix_to_euler_xyz(r_gt)
     return _wrap_degrees(pred - gt)
+
+
+def geodesic_error(r_pred: np.ndarray, r_gt: np.ndarray) -> float:
+    """Angle in degrees of R_pred @ R_gt.T, taken with atan2 of twice its
+    sine and twice its cosine, so it stays accurate near 0 and 180 degrees.
+    Unlike :func:`rotation_error` it is well conditioned at |ty| = 90."""
+    e = np.asarray(r_pred, dtype=np.float64) @ np.asarray(r_gt, dtype=np.float64).T
+    axis = (e[2, 1] - e[1, 2], e[0, 2] - e[2, 0], e[1, 0] - e[0, 1])
+    return math.degrees(math.atan2(math.hypot(*axis), float(np.trace(e)) - 1.0))
 
 
 def translation_error(t_pred: np.ndarray, t_gt: np.ndarray) -> np.ndarray:

@@ -97,6 +97,23 @@ def octant_oracle(proj: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sums / np.maximum(onehot.sum(axis=1), 1.0)[:, :, None]
 
 
+def octant_loop_oracle(proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray) -> np.ndarray:
+    """(P, 8, C) per-octant means of the neighbors' rows of (N, C) ``values``
+    by adding one neighbor column at a time into zeroed (P·8, C) sums, in
+    neighbor order: the summation order ``_octant_means`` keeps bit for bit."""
+    p, k = nbr_idx.shape
+    slot = (np.arange(p) * 8)[:, None] + (
+        (proj[..., 0] < 0).astype(np.intp) * 4
+        + (proj[..., 1] < 0) * 2
+        + (proj[..., 2] < 0)
+    )
+    sums = np.zeros((p * 8, values.shape[1]))
+    for j in range(k):  # a column holds each row's slot once, so += adds every value
+        sums[slot[:, j]] += values[nbr_idx[:, j]]
+    counts = np.bincount(slot.ravel(), minlength=p * 8)
+    return (sums / np.maximum(counts, 1)[:, None]).reshape(p, 8, -1)
+
+
 def hop_oracle(tree, layers, parent_ids, x: np.ndarray):
     """One hop by walking the energy tree: ``saab_apply`` per parent on
     its samples ``x[:, :, c]``, then every surviving child's output column

@@ -169,7 +169,7 @@ class TestAddNoise:
 class TestErrorAggregates:
     def test_hand_example(self):
         agg = _error_aggregates(
-            [np.array([3.0, 4.0, 0.0])], [np.array([0.3, -0.3, 0.0])]
+            [np.array([3.0, 4.0, 0.0])], [np.array([0.3, -0.3, 0.0])], [5.0]
         )
         rot = agg["rotation_deg"]
         assert rot["mse"] == pytest.approx(25.0 / 3.0)
@@ -178,18 +178,21 @@ class TestErrorAggregates:
         tr = agg["translation"]
         assert tr["mse"] == pytest.approx(0.06)
         assert tr["mae"] == pytest.approx(0.2)
+        assert agg["geodesic_deg"] == {"median": 5.0, "max": 5.0}
 
     def test_pools_across_trials(self):
         agg = _error_aggregates(
-            [np.array([1.0, 1.0, 1.0]), np.array([3.0, 3.0, 3.0])], []
+            [np.array([1.0, 1.0, 1.0]), np.array([3.0, 3.0, 3.0])], [], [1.0, 4.0, 2.0, 9.0]
         )
         assert agg["rotation_deg"]["mse"] == pytest.approx(5.0)  # (1+9)/2
         assert np.isnan(agg["translation"]["mse"])
+        assert agg["geodesic_deg"] == {"median": 3.0, "max": 9.0}
 
     def test_empty_is_nan(self):
-        agg = _error_aggregates([], [])
+        agg = _error_aggregates([], [], [])
         assert all(np.isnan(v) for v in agg["rotation_deg"].values())
         assert all(np.isnan(v) for v in agg["translation"].values())
+        assert all(np.isnan(v) for v in agg["geodesic_deg"].values())
 
 
 class TestScore:
@@ -208,6 +211,26 @@ class TestScore:
     def test_gimbal_lock_of_prediction(self):
         pred = RigidTransform(euler_xyz_to_matrix([0.0, -90.0, 0.0]), np.zeros(3))
         assert _score(self._trial([10.0, 20.0, 30.0]), pred).gimbal_lock is True
+
+    def test_geodesic_error_of_a_quarter_turn(self):
+        for axis in range(3):
+            angles = np.zeros(3)
+            angles[axis] = 90.0
+            result = _score(self._trial(angles), RigidTransform.identity())
+            assert result.geodesic_error_deg == pytest.approx(90.0, rel=1e-12)
+
+    def test_geodesic_error_is_well_conditioned_at_ty_90(self):
+        # a 0.5 degree turn about x on top of a truth at ty = 90 moves the
+        # per-axis Euler angles by 80 degrees, the geodesic angle by 0.5
+        truth = self._trial([10.0, 90.0, 20.0]).truth
+        pred = RigidTransform(euler_xyz_to_matrix([0.5, 0.0, 0.0]) @ truth.rotation, truth.translation)
+        result = _score(self._trial([10.0, 90.0, 20.0]), pred)
+        assert result.geodesic_error_deg == pytest.approx(0.5, rel=1e-12)
+        assert np.abs(result.rotation_error_deg).max() > 45.0
+
+    def test_failed_trial_has_no_geodesic_error(self):
+        result = _score(self._trial([10.0, 20.0, 30.0]), ValueError("no pairs"))
+        assert result.status == "failed" and result.geodesic_error_deg is None
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +279,7 @@ class TestRunBenchmark:
         assert report.label == "clean"
         assert report.aggregates["rotation_deg"]["mae"] < 1e-4
         assert report.aggregates["translation"]["mae"] < 1e-6
+        assert report.aggregates["geodesic_deg"]["max"] < 1e-4
         assert report.runtime_s > 0.0
 
     def test_deterministic_report_text(self, cli_model, cli_corpus):
@@ -273,7 +297,9 @@ class TestRunBenchmark:
             assert t.status == "failed"
             assert "hop 1 needs" in t.message
             assert t.rotation_error_deg is None
+            assert t.geodesic_error_deg is None
         assert np.isnan(report.aggregates["rotation_deg"]["mae"])
+        assert np.isnan(report.aggregates["geodesic_deg"]["median"])
 
     def test_icp_only_needs_no_model(self, cli_corpus):
         spec = ExperimentSpec(
@@ -323,10 +349,12 @@ class TestRenderReport:
         spec = ExperimentSpec(trials=2, seed=0)
         trials = (
             TrialResult(0, 1, "ok", np.array([0.5, -0.25, 0.125]),
-                        np.array([0.01, -0.02, 0.03]), False),
+                        np.array([0.01, -0.02, 0.03]), False, geodesic_error_deg=0.6),
             TrialResult(1, 0, "failed", None, None, False, "synthetic failure"),
         )
-        agg = _error_aggregates([trials[0].rotation_error_deg], [trials[0].translation_error])
+        agg = _error_aggregates(
+            [trials[0].rotation_error_deg], [trials[0].translation_error], [trials[0].geodesic_error_deg]
+        )
         return BenchReport(spec=spec, label="demo", trials=trials, aggregates=agg, runtime_s=1.5)
 
     def test_layout(self):

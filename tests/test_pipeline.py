@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpointhop import (
     FeatureSet,
@@ -25,11 +27,13 @@ from rpointhop import (
     train,
 )
 from rpointhop import pipeline
+from rpointhop.bench import make_shape_corpus
 from rpointhop.cloud import RigidTransform, normalize_unit_sphere, sample_indices
 from rpointhop.lrf import local_pca_batch
 from rpointhop.pipeline import (
     _HopRun,
     _octant_means,
+    _project_neighbors,
     build_hop1_attributes,
     build_later_hop_attributes,
     format_config,
@@ -37,7 +41,14 @@ from rpointhop.pipeline import (
 from rpointhop.saab import HopPlan, SaabLayer, cw_saab_fit
 from rpointhop.spatial import KnnIndex, fps_indices
 
-from conftest import TINY_CONFIG, hop_oracle, octant_oracle, random_rotation, sign_oracle
+from conftest import (
+    TINY_CONFIG,
+    hop_oracle,
+    octant_loop_oracle,
+    octant_oracle,
+    random_rotation,
+    sign_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +132,67 @@ class TestOctants:
         expected = octant_oracle(proj, values[nbr_idx])
         assert means.shape == expected.shape == (p, 8, c)
         assert means.tobytes() == expected.tobytes()
+        assert means.tobytes() == octant_loop_oracle(proj, values, nbr_idx).tobytes()
         assert not means[0, 1:].any()
+
+    @pytest.mark.parametrize(
+        "config, counts",
+        [
+            (ModelConfig(), (1024, 768, 512, 384)),
+            (ModelConfig(), (768, 512, 384, 384)),
+            (TINY_CONFIG, (192, 128)),
+            (TINY_CONFIG, (128, 128)),
+        ],
+        ids=["default-fit", "default-extract", "tiny-fit", "tiny-extract"],
+    )
+    def test_matches_column_loop_at_every_hop_shape(self, config, counts):
+        # the rows each hop computes in a fit and in an extraction, with the
+        # tables a corpus cloud gives: hop h's KNN over its prefix of the
+        # farthest-first working cloud, projected into hop-1 frames; hop 1
+        # averages its own projections through the arange table, later hops
+        # average value rows up to the default model's widest (216)
+        cloud = make_shape_corpus(1, 1024, seed=0)[0]
+        coords = _HopRun(normalize_unit_sphere(cloud)[0].coords, config, seed=0, fit=True).coords
+        rng = np.random.default_rng(counts[0])
+        for h, (hop, count, width) in enumerate(zip(config.hops, counts, (3, 24, 138, 216))):
+            points = coords[: hop.num_points]
+            table, _ = KnnIndex(points).query(points[:count], max(config.k_lrf, hop.k_neighbors))
+            nbr_idx = table[:, : hop.k_neighbors]
+            if h == 0:
+                axes, _ = local_pca_batch(points, table[:, : config.k_lrf])
+            proj, _, _ = _project_neighbors(points, nbr_idx, axes[:count])
+            if h == 0:
+                values, nbr_idx = proj.reshape(-1, 3), np.arange(nbr_idx.size).reshape(nbr_idx.shape)
+            else:
+                size = (hop.num_points, width)
+                values = rng.normal(size=size) * 10.0 ** rng.uniform(-6, 6, size=size)
+            means = _octant_means(proj, values, nbr_idx)
+            assert means.shape == (count, 8, width)
+            assert means.tobytes() == octant_loop_oracle(proj, values, nbr_idx).tobytes(), f"hop {h + 1}"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        p=st.integers(1, 40),
+        k=st.integers(8, 64),
+        extra=st.integers(0, 40),
+        c=st.integers(1, 40),
+        pool=st.integers(1, 104),
+        zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_column_loop_property(self, p, k, extra, c, pool, zero_frac, seed):
+        # rows draw their neighbors from the first ``pool`` of N >= k value
+        # rows, so a small pool repeats indices within a row; projections
+        # on a boundary are +0.0 or -0.0, both in the "+" half
+        n = k + extra
+        rng = np.random.default_rng(seed)
+        proj = rng.normal(size=(p, k, 3))
+        on_boundary = rng.random(proj.shape) < zero_frac
+        proj[on_boundary] = np.where(rng.random(proj.shape) < 0.5, 0.0, -0.0)[on_boundary]
+        values = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-6, 6, size=(n, c))
+        nbr_idx = rng.integers(0, min(pool, n), size=(p, k))
+        means = _octant_means(proj, values, nbr_idx)
+        assert means.tobytes() == octant_loop_oracle(proj, values, nbr_idx).tobytes()
 
     def test_hop1_layout_matches_one_hot_oracle(self):
         # hop 1 averages the projections themselves, one value row per
