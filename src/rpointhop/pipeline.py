@@ -316,11 +316,30 @@ def _project_neighbors(
     rows may cover a prefix of the points. Returns (proj (P,k,3), flips
     (P,3), margins (P,3)). Signs are resolved against this neighborhood, so
     repeated calls at different hops may flip axes differently, as intended.
+
+    The neighbors are gathered neighbor-major and each axis's coordinate is
+    written ``(x-term + z-term) + y-term`` into (k, 3, P) memory: the bits
+    of ``einsum("pkc,pac->pka")`` over (P, k, 3) offsets. ``proj`` is a
+    view of that memory.
     """
-    rel = coords[nbr_idx] - coords[: len(nbr_idx), None, :]
-    proj0 = np.einsum("pkc,pac->pka", rel, axes)
-    flips, margins = resolve_signs_batch(proj0)
-    return proj0 * flips[:, None, :], flips, margins
+    p, k = nbr_idx.shape
+    xyz = np.array(coords.T)
+    rel = np.take(xyz, nbr_idx.T, axis=1)
+    rel -= xyz[:, None, :p]
+    rel_x, rel_y, rel_z = rel
+    frames = np.array(axes.transpose(1, 2, 0))  # (axis, coordinate, P)
+    proj = np.empty((k, 3, p))
+    term = np.empty((k, p))
+    for a, (ax, ay, az) in enumerate(frames):
+        out = proj[:, a]
+        np.multiply(rel_x, ax, out=out)
+        out += np.multiply(rel_z, az, out=term)
+        out += np.multiply(rel_y, ay, out=term)
+    proj += 0.0  # einsum sums from +0.0, so an all -0.0 sum reads +0.0
+    proj = proj.transpose(2, 0, 1)
+    flips, margins = resolve_signs_batch(proj)
+    proj *= flips[:, None, :]
+    return proj, flips, margins
 
 
 def build_hop1_attributes(

@@ -263,9 +263,13 @@ class HopPlan:
             logger.debug("hop plan: %d of %d inputs exceed the training norm ball", over, c * len(x))
         # xt stays a view: each channel's product then takes the same numpy
         # matmul path as saab_apply(layer, x[:, :, c]), and gives the same bits
-        out = np.matmul(xt, self.filters) + self.biases[:, None, None]
-        # np.take keeps the rows C-ordered, which the next hop's gathers read faster
-        return np.take(out.transpose(1, 0, 2).reshape(len(x), c * k), self.slots, axis=1)
+        out = np.matmul(xt, self.filters)
+        out += self.biases[:, None, None]
+        # slot c * K + channel of row p sits at c * P * K + p * K + channel of
+        # the (C, P, K) product; one take gathers the C-ordered (P, C') rows
+        # that the next hop's gathers read fastest
+        rows = np.arange(len(x))[:, None] * k
+        return np.take(out, rows + (self.slots // k * len(x) * k + self.slots % k))
 
 
 def freeze_hop(

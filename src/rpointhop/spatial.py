@@ -22,12 +22,25 @@ brute-force distances, bit for bit.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 
 _GAP = 1e-9  # relative d² gap across the k boundary that settles a row
+
+# Farthest point sampling makes about seven small numpy calls per pick, and
+# each one releases and retakes the GIL. Two threads sampling at once hand
+# the GIL back and forth on every call and take longer together than one
+# after the other, so samplers take turns. The lock is held across a fork,
+# so a child never inherits it locked.
+_SAMPLING = threading.Lock()
+os.register_at_fork(
+    before=_SAMPLING.acquire, after_in_parent=_SAMPLING.release, after_in_child=_SAMPLING.release
+)
 
 
 def _as_points(obj) -> np.ndarray:
@@ -114,6 +127,12 @@ def fps_indices(points, m: int, start: int = 0) -> np.ndarray:
     the sampler again on ``points[fps_indices(points, m)]`` from start 0
     returns a prefix of ``arange(m)``: nested sampling is one ordering cut
     at each budget.
+
+    The squared distance to pick j is ``(dx² + dz²) + dy²``, with
+    ``dx = x - x[j]`` and so on, added in that order from the rows of one
+    (3, n) array holding x, z and y contiguously. That is what
+    ``einsum("nc,nc->n", d, d)`` gives over ``d = coords - coords[j]``, bit
+    for bit, so the picks and their ties are those of the ``einsum`` form.
     """
     coords = _as_points(points)
     n = coords.shape[0]
@@ -121,15 +140,20 @@ def fps_indices(points, m: int, start: int = 0) -> np.ndarray:
         raise ValueError(f"cannot sample {m} points from {n}")
     if not 0 <= start < n:
         raise ValueError(f"start index {start} out of range for {n} points")
+    xzy = coords.T[[0, 2, 1]]  # a C-ordered copy
+    terms = np.empty((3, n))
+    x_term, z_term, y_term = terms
+    d2, min_d2 = np.empty(n), np.full(n, np.inf)
     selected = np.empty(m, dtype=np.intp)
     selected[0] = start
-    diff = coords - coords[start]
-    min_d2 = np.einsum("nc,nc->n", diff, diff)
-    min_d2[start] = -1.0  # below every distance, and np.minimum keeps it there
-    for i in range(1, m):
-        nxt = int(np.argmax(min_d2))
-        selected[i] = nxt
-        diff = coords - coords[nxt]
-        np.minimum(min_d2, np.einsum("nc,nc->n", diff, diff), out=min_d2)
-        min_d2[nxt] = -1.0
+    with _SAMPLING:
+        for i in range(1, m):
+            last = selected[i - 1]
+            np.subtract(xzy, xzy[:, last : last + 1], out=terms)
+            np.multiply(terms, terms, out=terms)
+            np.add(x_term, z_term, out=d2)
+            d2 += y_term
+            np.minimum(min_d2, d2, out=min_d2)
+            min_d2[last] = -1.0  # below every distance, and np.minimum keeps it there
+            selected[i] = np.argmax(min_d2)
     return selected

@@ -13,8 +13,11 @@ from scipy.spatial.distance import cdist
 
 from rpointhop import EstimationError, HopConfig, ModelConfig, RigidTransform, estimate_transform, train
 from rpointhop.bench import make_shape_corpus
+from rpointhop.cloud import normalize_unit_sphere
+from rpointhop.pipeline import _HopRun
 from rpointhop.registration import RANSAC_ITERATIONS, RANSAC_SAMPLE_SIZE
 from rpointhop.saab import STATUS_DISCARDED, saab_apply
+from rpointhop.spatial import KnnIndex
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +117,66 @@ def octant_loop_oracle(proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray
     return (sums / np.maximum(counts, 1)[:, None]).reshape(p, 8, -1)
 
 
+def fps_einsum_oracle(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
+    """The former ``fps_indices`` loop: per pick, the (n, 3) offsets from
+    the picked point and their ``einsum`` squared norms, folded into the
+    running minima; the first maximum is the next pick."""
+    coords = np.asarray(points, dtype=np.float64)
+    selected = np.empty(m, dtype=np.intp)
+    selected[0] = start
+    diff = coords - coords[start]
+    min_d2 = np.einsum("nc,nc->n", diff, diff)
+    min_d2[start] = -1.0  # below every distance, and np.minimum keeps it there
+    for i in range(1, m):
+        nxt = int(np.argmax(min_d2))
+        selected[i] = nxt
+        diff = coords - coords[nxt]
+        np.minimum(min_d2, np.einsum("nc,nc->n", diff, diff), out=min_d2)
+        min_d2[nxt] = -1.0
+    return selected
+
+
+def pca_gather_oracle(coords: np.ndarray, neighbor_idx: np.ndarray):
+    """The former ``local_pca_batch``: (N, k, 3) neighbors, centered, and
+    an ``einsum`` covariance. Returns (axes (N,3,3), eigenvalues (N,3))."""
+    nbrs = coords[neighbor_idx]  # (N, k, 3)
+    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / neighbor_idx.shape[1]
+    w, v = np.linalg.eigh(cov)
+    return np.swapaxes(v[:, :, ::-1], 1, 2).copy(), w[:, ::-1].copy()
+
+
+def signs_median_oracle(proj: np.ndarray):
+    """The former ``resolve_signs_batch`` body: ``np.median`` over k and
+    ``np.where`` one-sided moments. Returns (flips (N,3), margins (N,3))."""
+    med = np.median(proj, axis=1, keepdims=True)
+    dev = proj - med
+    m_left = np.where(proj < med, -dev, 0.0).sum(axis=1)
+    m_right = np.where(proj > med, dev, 0.0).sum(axis=1)
+    flips = np.where(m_left < m_right, 1.0, -1.0)
+    return flips, np.abs(m_left - m_right)
+
+
+def projection_einsum_oracle(coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray):
+    """The former ``_project_neighbors``: (P, k, 3) offsets projected by
+    ``einsum``, signs by :func:`signs_median_oracle`. Returns (proj, flips,
+    margins)."""
+    rel = coords[nbr_idx] - coords[: len(nbr_idx), None, :]
+    proj0 = np.einsum("pkc,pac->pka", rel, axes)
+    flips, margins = signs_median_oracle(proj0)
+    return proj0 * flips[:, None, :], flips, margins
+
+
+def plan_take_oracle(plan, x: np.ndarray) -> np.ndarray:
+    """The former ``HopPlan.apply`` product: the batched matmul plus
+    biases, transposed to (P, C, K), reshaped to (P, C·K), and the
+    surviving slots taken."""
+    c, _, k = plan.filters.shape
+    xt = x.transpose(2, 0, 1)
+    out = np.matmul(xt, plan.filters) + plan.biases[:, None, None]
+    return np.take(out.transpose(1, 0, 2).reshape(len(x), c * k), plan.slots, axis=1)
+
+
 def hop_oracle(tree, layers, parent_ids, x: np.ndarray):
     """One hop by walking the energy tree: ``saab_apply`` per parent on
     its samples ``x[:, :, c]``, then every surviving child's output column
@@ -190,6 +253,22 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def corpus_hop_tables(config: ModelConfig, fit: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """What each hop of ``config`` works on for one corpus cloud, in a fit
+    or an extraction: per hop, (points, table), where ``points`` is the
+    hop's prefix of the farthest-first working cloud and ``table`` holds
+    one ``KnnIndex`` row per point the hop computes, ``max(k_lrf, k)``
+    wide at hop 1 and k wide after."""
+    cloud = make_shape_corpus(1, 1024, seed=0)[0]
+    run = _HopRun(normalize_unit_sphere(cloud)[0].coords, config, seed=0, fit=fit)
+    hops = []
+    for h, (hop, count) in enumerate(zip(config.hops, run.counts)):
+        points = run.coords[: hop.num_points]
+        width = max(config.k_lrf, hop.k_neighbors) if h == 0 else hop.k_neighbors
+        hops.append((points, KnnIndex(points).query(points[:count], width)[0]))
+    return hops
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------
@@ -197,6 +276,17 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 TINY_CONFIG = ModelConfig(
     hops=(HopConfig(192, 24), HopConfig(128, 16)),
     k_lrf=16,
+    energy_threshold=0.001,
+    seed=0,
+)
+
+# the acceptance gate's partial-overlap model: 75%-partial trials keep
+# floor(0.75 * 1024) = 768 points, so the partial experiments need a model
+# whose hop-1 budget fits inside the crop. Two hops keep the receptive fields
+# small enough that a crop does not contaminate every feature.
+PARTIAL_CONFIG = ModelConfig(
+    hops=(HopConfig(768, 64), HopConfig(384, 32)),
+    k_lrf=64,
     energy_threshold=0.001,
     seed=0,
 )

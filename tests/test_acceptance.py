@@ -14,7 +14,6 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from rpointhop import (
-    HopConfig,
     ModelConfig,
     apply_transform,
     estimate_transform,
@@ -34,7 +33,7 @@ from rpointhop.registration import CorrespondenceSet
 from rpointhop.saab import cw_saab_fit, saab_apply, saab_fit
 from rpointhop.spatial import KnnIndex, fps_indices
 
-from conftest import fps_oracle, knn_oracle, random_rotation
+from conftest import PARTIAL_CONFIG, fps_oracle, knn_oracle, random_rotation
 
 DEGENERACY_CUTOFF = 1e-6  # sign margin / eigenvalue gap below this = unstable frame
 
@@ -57,18 +56,6 @@ def held_out():
 @pytest.fixture(scope="module")
 def default_model(train_corpus):
     return train(train_corpus, ModelConfig())
-
-
-# 75%-partial trials keep floor(0.75 * 1024) = 768 points, so the partial
-# experiments need a model whose hop-1 budget fits inside the crop. Two hops
-# keep the receptive fields small enough that a crop does not contaminate
-# every feature.
-PARTIAL_CONFIG = ModelConfig(
-    hops=(HopConfig(768, 64), HopConfig(384, 32)),
-    k_lrf=64,
-    energy_threshold=0.001,
-    seed=0,
-)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 share the calling thread and one persistent worker thread."""
 
 import os
+import sys
 import threading
 import time
 import warnings
@@ -14,6 +15,7 @@ from rpointhop import pipeline, registration
 from rpointhop.cloud import RigidTransform
 from rpointhop.pipeline import _two_lanes
 from rpointhop.registration import MatchParams
+from rpointhop.spatial import fps_indices
 
 from conftest import TINY_CONFIG, random_rotation
 
@@ -23,6 +25,18 @@ SMALL_MATCH = MatchParams(m1=64, m2=32)
 
 def _inline(fn, items):
     return list(map(fn, items))
+
+
+def _wait_child(pid: int, seconds: float) -> int | None:
+    """The forked child's exit code, or None after killing it at the deadline."""
+    deadline = time.monotonic() + seconds
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        return None
+    return os.waitstatus_to_exitcode(status[1])
 
 
 class TestTwoLanes:
@@ -75,14 +89,66 @@ class TestTwoLanes:
                 code = 0 if _two_lanes(lambda x: x + 1, range(4)) == [1, 2, 3, 4] else 1
             finally:
                 os._exit(code)  # never back into the test runner
-        deadline = time.monotonic() + 30.0
-        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if status[0] == 0:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
+        code = _wait_child(pid, 30.0)
+        if code is None:
             pytest.fail("the forked child's lane job never ran")
-        assert os.waitstatus_to_exitcode(status[1]) == 0
+        assert code == 0
+
+
+class TestSamplingTurns:
+    """Farthest point sampling takes turns under one lock."""
+
+    def test_concurrent_samplers_match_serial(self):
+        rng = np.random.default_rng(17)
+        clouds = [rng.normal(size=(300, 3)) for _ in range(8)]
+        want = [fps_indices(c, 200) for c in clouds]
+        got = [None] * len(clouds)
+
+        def work(i):
+            got[i] = fps_indices(clouds[i], 200)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(clouds))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_fork_while_another_thread_samples(self):
+        # a thread samples without pause, so it mostly holds the lock when
+        # the fork comes; the child must still be able to sample
+        pts = np.random.default_rng(18).normal(size=(400, 3))
+        stop = threading.Event()
+
+        def spin():
+            while not stop.is_set():
+                fps_indices(pts, 300)
+
+        spinner = threading.Thread(target=spin)
+        spinner.start()
+        try:
+            time.sleep(0.05)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)  # fork in a threaded process
+                pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    code = 0 if len(fps_indices(pts, 10)) == 10 else 1
+                finally:
+                    os._exit(code)  # never back into the test runner
+            code = _wait_child(pid, 30.0)
+        finally:
+            stop.set()
+            spinner.join(60.0)
+        assert not spinner.is_alive()
+        assert code == 0, "the forked child could not sample"
 
 
 class TestBitIdentity:

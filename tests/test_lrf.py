@@ -2,12 +2,52 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rpointhop import ModelConfig
 from rpointhop.lrf import geometric_features, local_pca_batch, resolve_signs_batch
 from rpointhop.pipeline import _project_neighbors
 from rpointhop.spatial import KnnIndex
 
-from conftest import pca_oracle, random_rotation, sign_oracle
+from conftest import (
+    PARTIAL_CONFIG,
+    TINY_CONFIG,
+    corpus_hop_tables,
+    pca_gather_oracle,
+    pca_oracle,
+    projection_einsum_oracle,
+    random_rotation,
+    sign_oracle,
+    signs_median_oracle,
+)
+
+HOP_SHAPES = pytest.mark.parametrize(
+    "config, fit",
+    [
+        (ModelConfig(), True),
+        (ModelConfig(), False),
+        (PARTIAL_CONFIG, True),
+        (PARTIAL_CONFIG, False),
+        (TINY_CONFIG, True),
+        (TINY_CONFIG, False),
+    ],
+    ids=["default-fit", "default-extract", "partial-fit", "partial-extract", "tiny-fit", "tiny-extract"],
+)
+
+
+def _neighbor_major(proj: np.ndarray) -> np.ndarray:
+    """The (N, k, 3) view of a (k, 3, N) copy of ``proj``: the layout
+    ``_project_neighbors`` hands to ``resolve_signs_batch``."""
+    return np.ascontiguousarray(proj.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def _same_bits(got, want) -> bool:
+    """Each array of ``got`` has the shape and the bytes of its twin in ``want``."""
+    return all(
+        np.shape(g) == np.shape(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        for g, w in zip(got, want)
+    )
 
 
 def _pca(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,6 +200,85 @@ class TestResolveSignsBatch:
                 flip, margin = sign_oracle(proj[i, :, a])
                 assert flips_b[i, a] == flip
                 assert abs(margins_b[i, a] - margin) < 1e-12
+
+    @HOP_SHAPES
+    def test_matches_median_form_at_every_hop_shape(self, config, fit):
+        # the raw projections each hop of a corpus cloud resolves, handed
+        # over C-ordered and neighbor-major
+        hops = corpus_hop_tables(config, fit)
+        points, table = hops[0]
+        axes, _ = local_pca_batch(points, table[:, : config.k_lrf])
+        for h, ((points, table), hop) in enumerate(zip(hops, config.hops)):
+            nbr_idx = table[:, : hop.k_neighbors]
+            rows = len(nbr_idx)
+            raw = np.einsum("pkc,pac->pka", points[nbr_idx] - points[:rows, None, :], axes[:rows])
+            want = signs_median_oracle(raw)
+            assert _same_bits(resolve_signs_batch(raw), want), f"hop {h + 1}, C-ordered"
+            assert _same_bits(resolve_signs_batch(_neighbor_major(raw)), want), f"hop {h + 1}, neighbor-major"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        p=st.integers(1, 12),
+        k=st.integers(3, 65),
+        levels=st.sampled_from([2, 3, 5, None]),
+        zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+        coplanar=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_median_form_property(self, p, k, levels, zero_frac, coplanar, seed):
+        # odd and even k; values drawn from a few levels tie at the median;
+        # zeros are +0.0 or -0.0; a coplanar neighborhood projects to zeros
+        # on its normal axis
+        rng = np.random.default_rng(seed)
+        if levels is None:
+            proj = rng.normal(size=(p, k, 3)) * 10.0 ** rng.uniform(-3, 3, size=(p, 1, 3))
+        else:
+            proj = rng.integers(-(levels // 2), levels - levels // 2, size=(p, k, 3)) * 0.1
+        zero = rng.random(proj.shape) < zero_frac
+        proj[zero] = np.where(rng.random(proj.shape) < 0.5, 0.0, -0.0)[zero]
+        if coplanar:
+            proj[:, :, 2] = np.where(rng.random((p, k)) < 0.5, 0.0, -0.0)
+        want = signs_median_oracle(proj)
+        assert _same_bits(resolve_signs_batch(proj), want)
+        assert _same_bits(resolve_signs_batch(_neighbor_major(proj)), want)
+
+
+class TestLayoutOracles:
+    """The contiguous kernels give the bits of their former (P, k, 3) forms."""
+
+    @HOP_SHAPES
+    def test_local_pca_matches_gather_form(self, config, fit):
+        points, table = corpus_hop_tables(config, fit)[0]
+        lrf_table = table[:, : config.k_lrf]
+        assert _same_bits(local_pca_batch(points, lrf_table), pca_gather_oracle(points, lrf_table))
+
+    @HOP_SHAPES
+    def test_projection_matches_einsum_form(self, config, fit):
+        hops = corpus_hop_tables(config, fit)
+        points, table = hops[0]
+        axes, _ = local_pca_batch(points, table[:, : config.k_lrf])
+        for h, ((points, table), hop) in enumerate(zip(hops, config.hops)):
+            nbr_idx = table[:, : hop.k_neighbors]
+            got = _project_neighbors(points, nbr_idx, axes[: len(nbr_idx)])
+            want = projection_einsum_oracle(points, nbr_idx, axes[: len(nbr_idx)])
+            assert got[0].shape == (len(nbr_idx), hop.k_neighbors, 3)
+            assert _same_bits(got, want), f"hop {h + 1}"
+
+    def test_local_pca_matches_gather_form_on_lattices(self):
+        # coplanar and collinear neighborhoods with repeated points: exact
+        # zeros in the centered offsets and the covariance. Two zero
+        # coordinates of opposite signs, +0.0 and -0.0 mixed, make every
+        # product of their covariance entry -0.0, which einsum sums from
+        # +0.0 to +0.0
+        rng = np.random.default_rng(16)
+        for trial in range(30):
+            a, b = trial % 3, (trial + 1) % 3
+            pts = rng.integers(-2, 3, size=(40, 3)) * 0.1
+            pts[:, a] = np.where(rng.random(40) < 0.5, 0.0, -0.0)
+            if trial % 2:
+                pts[:, b] = -pts[:, a]
+            table = rng.integers(0, 40, size=(25, 3 + trial))
+            assert _same_bits(local_pca_batch(pts, table), pca_gather_oracle(pts, table)), trial
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from rpointhop.saab import (
     STATUS_INTERMEDIATE,
     STATUS_OUTPUT,
     FeatureTree,
+    HopPlan,
     SaabLayer,
     cw_saab_fit,
     freeze_hop,
@@ -19,7 +20,9 @@ from rpointhop.saab import (
     saab_fit,
 )
 
-from conftest import hop_oracle
+from rpointhop.pipeline import _HopRun
+
+from conftest import hop_oracle, plan_take_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +353,39 @@ class TestFreezeHop:
         assert [r.getMessage() for r in caplog.records] == [
             "hop plan: 90 of 90 inputs exceed the training norm ball"
         ]
+
+    # (rows, parents C, input width N, padded width K, survivors C') of every
+    # plan apply in a fit and an extraction: the default and acceptance
+    # partial models trained on make_shape_corpus(50, 1024, 0), then the
+    # TINY_CONFIG model's
+    @pytest.mark.parametrize(
+        "rows, c, n, k, kept",
+        [
+            (768, 1, 24, 24, 24),
+            (512, 24, 8, 8, 138),
+            (384, 138, 8, 8, 216),
+            (384, 216, 8, 8, 146),
+            (384, 1, 24, 24, 24),
+            (384, 24, 8, 8, 134),
+            (128, 1, 24, 24, 24),
+            (128, 24, 8, 8, 148),
+        ],
+        ids=["default-1", "default-2", "default-3", "default-4", "partial-1", "partial-2", "tiny-1", "tiny-2"],
+    )
+    def test_apply_matches_transpose_take_form(self, rows, c, n, k, kept):
+        rng = np.random.default_rng(rows * c + kept)
+        slots = np.sort(rng.choice(c * k, size=kept, replace=False))
+        plan = HopPlan(rng.normal(size=(c, n, k)), rng.uniform(0.5, 5.0, size=c), slots)
+        x = rng.normal(size=(rows, n, c)) * 10.0 ** rng.uniform(-3, 3, size=(rows, n, c))
+        out = plan.apply(x)
+        assert out.flags.c_contiguous
+        assert out.shape == (rows, kept)
+        assert out.tobytes() == plan_take_oracle(plan, x).tobytes()
+
+    def test_model_hops_match_transpose_take_form(self, tiny_model, tiny_corpus):
+        # real inputs and zero-padded filter banks, hop by hop of an extraction
+        run = _HopRun(tiny_corpus[0].coords, tiny_model.config, seed=0)
+        for h, plan in enumerate(tiny_model.plans):
+            x, _ = run.hop_inputs(h)
+            run.values = plan.apply(x)
+            assert run.values.tobytes() == plan_take_oracle(plan, x).tobytes(), f"hop {h + 1}"

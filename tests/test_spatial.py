@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpointhop import ModelConfig
+from rpointhop.bench import make_shape_corpus
+from rpointhop.cloud import sample_indices
 from rpointhop.spatial import KnnIndex, fps_indices
 
-from conftest import fps_oracle, knn_oracle
+from conftest import PARTIAL_CONFIG, TINY_CONFIG, fps_einsum_oracle, fps_oracle, knn_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +302,37 @@ class TestFps:
             gaps.append(d2)
             chosen.append(nxt)
         assert (np.diff(gaps) <= 1e-12).all()
+
+    @pytest.mark.parametrize(
+        "config", [ModelConfig(), PARTIAL_CONFIG, TINY_CONFIG], ids=["default", "partial", "tiny"]
+    )
+    def test_matches_einsum_loop_on_corpus_clouds(self, config):
+        # the one sampling call per cloud: the hop-2 budget over the hop-1
+        # sample, bit for bit the picks of the former einsum loop
+        budget, picks = config.hops[0].num_points, config.hops[1].num_points
+        for seed, cloud in enumerate(make_shape_corpus(3, 1400, seed=300)):
+            pts = cloud.coords[sample_indices(len(cloud), budget, seed)]
+            assert np.array_equal(fps_indices(pts, picks), fps_einsum_oracle(pts, picks)), seed
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 60),
+        span=st.integers(0, 3),
+        copies=st.integers(0, 40),
+        step=st.sampled_from([1.0, 0.1, 1.0 / 3.0]),
+        m_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_einsum_loop_on_lattices(self, n, span, copies, step, m_frac, seed):
+        # lattice points tie on distance everywhere, duplicates repeat
+        # them, and a budget can exceed the number of distinct positions;
+        # a step of 0.1 or 1/3 makes the squares round
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-span, span + 1, size=(n, 3)) * step
+        pts = np.vstack([pts, pts[rng.integers(0, n, size=copies)]])
+        m = 1 + int(m_frac * (len(pts) - 1))
+        start = int(rng.integers(len(pts)))
+        assert np.array_equal(fps_indices(pts, m, start), fps_einsum_oracle(pts, m, start))
 
     def test_bad_arguments(self):
         pts = np.zeros((4, 3))
