@@ -396,15 +396,17 @@ def normalize_unit_sphere(cloud: PointCloud) -> tuple[PointCloud, np.ndarray, fl
 
 def sample_indices(n: int, m: int, seed: int) -> np.ndarray:
     """m distinct indices from range(n), drawn by a partial Fisher-Yates
-    shuffle over the PCG64(seed) stream (one bounded draw per output)."""
+    shuffle over the PCG64(seed) stream (one bounded draw per output, all
+    m drawn by one array-bounded call: output i swaps with i + draw i,
+    draw i uniform below n - i)."""
     if not 1 <= m <= n:
         raise ValueError(f"sample size {m} out of range for {n} points")
     rng = np.random.Generator(np.random.PCG64(seed))
-    idx = np.arange(n)
-    for i in range(m):
-        j = i + int(rng.integers(n - i))
+    targets = (np.arange(m) + rng.integers(np.arange(n, n - m, -1))).tolist()
+    idx = list(range(n))
+    for i, j in enumerate(targets):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx[:m].copy()
+    return np.array(idx[:m], dtype=np.intp)
 
 
 def apply_transform(cloud: PointCloud, tf: RigidTransform) -> PointCloud:

@@ -217,24 +217,28 @@ def _residuals(corr: CorrespondenceSet, rotation: np.ndarray, translation: np.nd
     return np.linalg.norm(pred - corr.source_coords, axis=-1)
 
 
-def _consistent_sample(
-    rng: np.random.Generator, compatible: np.ndarray, size: int
-) -> np.ndarray | None:
-    """Draw ``size`` distinct pairs, each compatible with all drawn before
-    it, uniformly among those still allowed; None when the draw runs out
-    of compatible pairs."""
-    pick = np.empty(size, dtype=np.intp)
-    pick[0] = rng.integers(compatible.shape[0])  # every pair is allowed at first
-    allowed = compatible[pick[0]].copy()
-    allowed[pick[0]] = False
-    for i in range(1, size):
-        (candidates,) = allowed.nonzero()
-        if candidates.size == 0:
-            return None
-        pick[i] = candidates[rng.integers(candidates.size)]
-        allowed &= compatible[pick[i]]
-        allowed[pick[i]] = False
-    return pick
+def _consistent_samples(rng: np.random.Generator, compatible: np.ndarray) -> np.ndarray:
+    """(B, ``RANSAC_SAMPLE_SIZE``) picks of distinct pairs, drawn one
+    position at a time across all ``RANSAC_ITERATIONS`` rows: each pick is
+    uniform among the pairs compatible with every earlier pick of its row
+    (the r-th allowed column for a bounded draw r). Rows that run out of
+    compatible pairs are dropped, so B <= ``RANSAC_ITERATIONS``; the rest
+    keep their order."""
+    rows = np.arange(RANSAC_ITERATIONS)
+    picks = np.empty((RANSAC_ITERATIONS, RANSAC_SAMPLE_SIZE), dtype=np.intp)
+    picks[:, 0] = rng.integers(compatible.shape[0], size=RANSAC_ITERATIONS)  # every pair is allowed at first
+    allowed = compatible[picks[:, 0]]
+    allowed[rows, picks[:, 0]] = False
+    alive = np.ones(RANSAC_ITERATIONS, dtype=bool)
+    for i in range(1, RANSAC_SAMPLE_SIZE):
+        ranks = np.cumsum(allowed, axis=1)  # ranks[b, j]: allowed columns up to j
+        counts = ranks[:, -1]
+        alive &= counts > 0
+        r = rng.integers(np.maximum(counts, 1))
+        picks[:, i] = np.argmax(ranks > r[:, None], axis=1)
+        allowed &= compatible[picks[:, i]]
+        allowed[rows, picks[:, i]] = False
+    return picks[alive]
 
 
 def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams()) -> RigidTransform:
@@ -246,12 +250,13 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
     than 2r. A sample that breaks this cannot be all-inlier, and skipping
     such samples raises the chance of drawing an all-inlier one when
     inliers are scarce, as they are under partial overlap with noise.
-    Draws ``RANSAC_ITERATIONS`` samples, deterministic given
-    ``params.seed``, then scores every hypothesis in one batched pass
-    (:func:`_kabsch` over the stack of samples). Degenerate samples and
-    hypotheses with fewer than 3 inliers are dropped. The best hypothesis
-    has the most inliers, then the lowest inlier RMSE, then the earliest
-    draw; the final transform is re-estimated on its inliers. Raises
+    Draws ``RANSAC_ITERATIONS`` samples position by position
+    (:func:`_consistent_samples`), deterministic given ``params.seed``,
+    then scores every hypothesis in one batched pass (:func:`_kabsch` over
+    the stack of samples). Degenerate samples and hypotheses with fewer
+    than 3 inliers are dropped. The best hypothesis has the most inliers,
+    then the lowest inlier RMSE, then the earliest row; the final
+    transform is re-estimated on its inliers. Raises
     :class:`EstimationError` when no hypothesis finds 3 inliers.
     """
     m = len(corr)
@@ -262,8 +267,7 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
         cdist(corr.target_coords, corr.target_coords) - cdist(corr.source_coords, corr.source_coords)
     )
     compatible = separation_gap < 2.0 * params.inlier_radius
-    draws = (_consistent_sample(rng, compatible, RANSAC_SAMPLE_SIZE) for _ in range(RANSAC_ITERATIONS))
-    picks = np.array([pick for pick in draws if pick is not None], dtype=np.intp).reshape(-1, RANSAC_SAMPLE_SIZE)
+    picks = _consistent_samples(rng, compatible)
     rotation, translation, s = _kabsch(corr.target_coords[picks], corr.source_coords[picks])
     res = _residuals(corr, rotation, translation)  # (B, m)
     inliers = res < params.inlier_radius
@@ -273,7 +277,7 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
     if best_count < 3:
         raise EstimationError("no RANSAC iteration produced 3 or more inliers")
     best, best_rmse = -1, np.inf
-    for i in np.flatnonzero(counts == best_count):  # ascending: the earliest draw wins ties
+    for i in np.flatnonzero(counts == best_count):  # ascending: the earliest row wins ties
         rmse = float(np.sqrt(np.mean(res[i][inliers[i]] ** 2)))
         if rmse < best_rmse:
             best, best_rmse = i, rmse

@@ -118,8 +118,9 @@ def saab_apply(layer: SaabLayer, v: np.ndarray) -> np.ndarray:
     """Apply a layer: y_k = a_k . v + bias for every kept filter.
 
     Accepts one vector (N,) or a batch (S, N). Inputs outside the training
-    norm ball (||v|| > bias + 1e-9) are transformed as-is but counted and
-    logged; their outputs may be negative.
+    norm ball (||v|| > bias + 1e-9) are transformed as-is; their outputs may
+    be negative. When the module logger is enabled for DEBUG they are
+    counted and logged.
     """
     arr = np.asarray(v, dtype=np.float64)
     single = arr.ndim == 1
@@ -128,9 +129,10 @@ def saab_apply(layer: SaabLayer, v: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input width {arr.shape[1]} does not match layer input_dim {layer.input_dim}"
         )
-    over = int(np.count_nonzero(np.linalg.norm(arr, axis=1) > layer.bias + 1e-9))
-    if over:
-        logger.debug("saab_apply: %d of %d inputs exceed the training norm ball", over, len(arr))
+    if logger.isEnabledFor(logging.DEBUG):  # the count is for the log alone
+        over = int(np.count_nonzero(np.linalg.norm(arr, axis=1) > layer.bias + 1e-9))
+        if over:
+            logger.debug("saab_apply: %d of %d inputs exceed the training norm ball", over, len(arr))
     out = arr @ layer.filters.T + layer.bias
     return out[0] if single else out
 
@@ -254,13 +256,14 @@ class HopPlan:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Transform (P, N, C) inputs, channel c's samples in ``x[:, :, c]``,
         into the (P, C') surviving outputs. As in :func:`saab_apply`, inputs
-        outside a layer's norm ball are transformed as-is but counted and
-        logged."""
+        outside a layer's norm ball are transformed as-is, and counted and
+        logged only when the module logger is enabled for DEBUG."""
         c, _, k = self.filters.shape
         xt = x.transpose(2, 0, 1)
-        over = int(np.count_nonzero(np.linalg.norm(xt, axis=2) > self.biases[:, None] + 1e-9))
-        if over:
-            logger.debug("hop plan: %d of %d inputs exceed the training norm ball", over, c * len(x))
+        if logger.isEnabledFor(logging.DEBUG):  # the count is for the log alone
+            over = int(np.count_nonzero(np.linalg.norm(xt, axis=2) > self.biases[:, None] + 1e-9))
+            if over:
+                logger.debug("hop plan: %d of %d inputs exceed the training norm ball", over, c * len(x))
         # xt stays a view: each channel's product then takes the same numpy
         # matmul path as saab_apply(layer, x[:, :, c]), and gives the same bits
         out = np.matmul(xt, self.filters)

@@ -15,7 +15,7 @@ from rpointhop import EstimationError, HopConfig, ModelConfig, RigidTransform, e
 from rpointhop.bench import make_shape_corpus
 from rpointhop.cloud import normalize_unit_sphere
 from rpointhop.pipeline import _HopRun
-from rpointhop.registration import RANSAC_ITERATIONS, RANSAC_SAMPLE_SIZE
+from rpointhop.registration import RANSAC_SAMPLE_SIZE, _consistent_samples
 from rpointhop.saab import STATUS_DISCARDED, saab_apply
 from rpointhop.spatial import KnnIndex
 
@@ -194,23 +194,10 @@ def hop_oracle(tree, layers, parent_ids, x: np.ndarray):
 
 
 def ransac_oracle(corr, params) -> RigidTransform:
-    """RANSAC one hypothesis at a time: draw a length-consistent sample,
-    fit it with ``estimate_transform``, score it, and keep it when it has
-    more inliers, or as many with a lower inlier RMSE, than the best so far.
-    Refits on the best hypothesis's inliers."""
-
-    def consistent_sample(rng, compatible, size):
-        allowed = np.ones(compatible.shape[0], dtype=bool)
-        pick = np.empty(size, dtype=np.intp)
-        for i in range(size):
-            candidates = np.flatnonzero(allowed)
-            if candidates.size == 0:
-                return None
-            pick[i] = candidates[rng.integers(candidates.size)]
-            allowed &= compatible[pick[i]]
-            allowed[pick[i]] = False
-        return pick
-
+    """RANSAC one hypothesis at a time: take the library's length-consistent
+    samples, fit each with ``estimate_transform``, score it, and keep it
+    when it has more inliers, or as many with a lower inlier RMSE, than the
+    best so far. Refits on the best hypothesis's inliers."""
     m = len(corr)
     if m < RANSAC_SAMPLE_SIZE:
         raise EstimationError(f"need at least sample_size={RANSAC_SAMPLE_SIZE} pairs, got {m}")
@@ -222,10 +209,7 @@ def ransac_oracle(corr, params) -> RigidTransform:
     best_count = 0
     best_rmse = np.inf
     best_inliers = None
-    for _ in range(RANSAC_ITERATIONS):
-        pick = consistent_sample(rng, compatible, RANSAC_SAMPLE_SIZE)
-        if pick is None:
-            continue  # no consistent sample grows from this first pair
+    for pick in _consistent_samples(rng, compatible):
         try:
             tf = estimate_transform(corr.take(pick))
         except EstimationError:

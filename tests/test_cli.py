@@ -378,13 +378,15 @@ class TestPlumbing:
         assert runs[0][1] == workspace["model"].read_bytes()
 
     def test_benchmark_identical_at_any_thread_cap(self, workspace):
-        # benchmark trials extract their two clouds on the two lanes
-        runs = self._at_thread_caps(
-            ["benchmark", "--model", str(workspace["model"]), "--test-dir", str(workspace["clouds_dir"]),
-             *TestBenchmark.ARGS]
-        )
-        assert runs[0] == runs[1] == runs[2]
-        assert "aggregate\t" in runs[0][0]
+        # benchmark trials extract their two clouds on the two lanes; with
+        # --ransac, RANSAC scores all its hypotheses in one stacked SVD
+        for estimate in ([], ["--ransac", "--icp-refine"]):
+            runs = self._at_thread_caps(
+                ["benchmark", "--model", str(workspace["model"]), "--test-dir", str(workspace["clouds_dir"]),
+                 *TestBenchmark.ARGS, *estimate]
+            )
+            assert runs[0] == runs[1] == runs[2], estimate
+            assert "aggregate\t" in runs[0][0]
 
     def test_no_command_exits_with_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

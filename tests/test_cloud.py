@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpointhop import (
     CloudParseError,
@@ -431,6 +433,15 @@ class TestRandomSample:
     def test_small_cases_match_oracle(self):
         for n, m, seed in [(1, 1, 0), (5, 3, 2), (17, 17, 3), (64, 1, 4)]:
             assert np.array_equal(sample_indices(n, m, seed), fisher_yates_oracle(n, m, seed))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 3000), seed=st.integers(0, 2**63 - 1))
+    def test_matches_oracle_property(self, data, n, seed):
+        # one array-bounded draw reads the stream as n - i scalar draws do
+        m = data.draw(st.integers(1, n), label="m")
+        got = sample_indices(n, m, seed)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, fisher_yates_oracle(n, m, seed))
 
     def test_oversample_raises(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpointhop import (
     EstimationError,
@@ -27,7 +29,9 @@ from rpointhop.bench import add_noise, make_partial, make_shape_cloud
 from rpointhop.pipeline import FeatureSet
 from rpointhop.registration import (
     CorrespondenceSet,
-    _consistent_sample,
+    RANSAC_ITERATIONS,
+    RANSAC_SAMPLE_SIZE,
+    _consistent_samples,
     _degenerate,
     _kabsch,
     _nearest_two,
@@ -423,8 +427,7 @@ class TestRansac:
         f, g = corr.target_coords, corr.source_coords
         gap = np.linalg.norm(f[:, None] - f, axis=-1) - np.linalg.norm(g[:, None] - g, axis=-1)
         compatible = np.abs(gap) < 2.0 * RansacParams().inlier_radius
-        rng = np.random.Generator(np.random.PCG64(0))
-        picks = np.array([_consistent_sample(rng, compatible, 4) for _ in range(64)])
+        picks = _consistent_samples(np.random.Generator(np.random.PCG64(0)), compatible)
         flags = _degenerate(_kabsch(corr.target_coords[picks], corr.source_coords[picks])[2])
         assert flags.any() and not flags.all()
 
@@ -449,6 +452,54 @@ class TestRansac:
         corr = make_corr(np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(EstimationError, match="sample_size"):
             ransac_estimate(corr, RansacParams())
+
+
+class TestConsistentSamples:
+    @staticmethod
+    def draw(compatible, seed=0):
+        return _consistent_samples(np.random.Generator(np.random.PCG64(seed)), compatible)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(4, 200),
+        density=st.sampled_from([0.02, 0.1, 0.3, 0.7, 1.0]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_rows_are_distinct_compatible_pairs_property(self, m, density, seed):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.random((m, m)) < density, 1)
+        compatible = upper | upper.T | np.eye(m, dtype=bool)
+        picks = self.draw(compatible, seed)
+        assert picks.dtype == np.intp and picks.shape[1] == RANSAC_SAMPLE_SIZE
+        assert len(picks) <= RANSAC_ITERATIONS
+        assert ((picks >= 0) & (picks < m)).all()
+        for row in picks:
+            assert len(set(row.tolist())) == RANSAC_SAMPLE_SIZE
+            assert compatible[np.ix_(row, row)].all()
+        assert np.array_equal(picks, self.draw(compatible, seed))  # the seed alone decides
+
+    def test_fully_compatible_loses_no_row(self):
+        picks = self.draw(np.ones((6, 6), dtype=bool), seed=4)
+        assert picks.shape == (RANSAC_ITERATIONS, RANSAC_SAMPLE_SIZE)
+
+    def test_nothing_compatible_loses_every_row(self):
+        assert self.draw(np.eye(30, dtype=bool), seed=4).shape == (0, RANSAC_SAMPLE_SIZE)
+
+    def test_nothing_compatible_ends_in_the_refusal(self):
+        # a unit lattice, and source separations 10x the target's: every
+        # separation gap is at least 9, far beyond 2 * inlier_radius
+        f = np.stack(np.meshgrid(*[np.arange(3.0)] * 3), axis=-1).reshape(-1, 3)
+        corr = make_corr(f, 10.0 * f)
+        with pytest.raises(EstimationError, match="no RANSAC iteration produced 3 or more inliers"):
+            ransac_estimate(corr, RansacParams())
+
+    def test_each_position_is_uniform(self):
+        # 512 rows over 5 fully compatible pairs: by symmetry every pair
+        # appears at every position with probability 1/5 (sd about 0.018)
+        picks = self.draw(np.ones((5, 5), dtype=bool), seed=0)
+        for position in range(RANSAC_SAMPLE_SIZE):
+            freq = np.bincount(picks[:, position], minlength=5) / len(picks)
+            assert np.abs(freq - 0.2).max() < 0.06, (position, freq)
 
 
 # ---------------------------------------------------------------------------

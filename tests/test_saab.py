@@ -354,6 +354,27 @@ class TestFreezeHop:
             "hop plan: 90 of 90 inputs exceed the training norm ball"
         ]
 
+    def test_norm_ball_unchecked_above_debug(self, caplog, monkeypatch):
+        # the out-of-ball count feeds the debug log alone: at WARNING no norm
+        # is taken, nothing is logged, and the outputs keep their bits
+        tree, layers, x = self.hop()
+        plan, _ = freeze_hop(tree, layers, [1, 2, 3])
+        layer = saab_fit(np.array([[0.1, 0.0], [0.0, 0.1]]))
+        big = np.array([[100.0, -100.0], [0.01, 0.0]])
+        with caplog.at_level(logging.DEBUG, logger="rpointhop.saab"):
+            logged = plan.apply(x * 1e3), saab_apply(layer, big)
+        assert len(caplog.records) == 2
+        caplog.clear()
+        def no_norm(*args, **kwargs):
+            raise AssertionError("norm taken with DEBUG off")
+
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        with caplog.at_level(logging.WARNING, logger="rpointhop.saab"):
+            quiet = plan.apply(x * 1e3), saab_apply(layer, big)
+        monkeypatch.undo()
+        assert caplog.records == []
+        assert [a.tobytes() for a in quiet] == [a.tobytes() for a in logged]
+
     # (rows, parents C, input width N, padded width K, survivors C') of every
     # plan apply in a fit and an extraction: the default and acceptance
     # partial models trained on make_shape_corpus(50, 1024, 0), then the
