@@ -129,7 +129,7 @@ def add_noise(cloud: PointCloud, std: float, seed: int) -> PointCloud:
     if not 0.0 <= std < np.inf:  # NaN fails this too
         raise ValueError("std must be finite and non-negative")
     rng = np.random.Generator(np.random.PCG64(seed))
-    return PointCloud(cloud.coords + rng.normal(0.0, std, size=(len(cloud), 3)), cloud.aux)
+    return PointCloud(cloud.coords + rng.normal(0.0, std, size=(len(cloud), 3)))
 
 
 def _error_aggregates(

@@ -35,15 +35,9 @@ def _readonly_f64(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """N points with 3D coordinates and optional per-point attributes.
-
-    ``aux`` carries whatever extra per-point columns a file supplied
-    (e.g. normals from a PLY, trailing columns of an XYZ). Width is free
-    but the row count must match ``coords``.
-    """
+    """N points with 3D coordinates."""
 
     coords: np.ndarray
-    aux: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         coords = _readonly_f64(np.atleast_2d(self.coords))
@@ -52,24 +46,13 @@ class PointCloud:
         if not np.isfinite(coords).all():
             raise ValueError("coords contain non-finite values")
         object.__setattr__(self, "coords", coords)
-        if self.aux is not None:
-            aux = _readonly_f64(np.atleast_2d(self.aux))
-            if aux.shape[0] != coords.shape[0]:
-                raise ValueError(
-                    f"aux has {aux.shape[0]} rows for {coords.shape[0]} points"
-                )
-            if not np.isfinite(aux).all():
-                raise ValueError("aux contains non-finite values")
-            object.__setattr__(self, "aux", aux)
 
     def __len__(self) -> int:
         return self.coords.shape[0]
 
     def take(self, indices: np.ndarray) -> "PointCloud":
-        """Sub-cloud at the given point indices (aux rows follow)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        aux = None if self.aux is None else self.aux[idx]
-        return PointCloud(self.coords[idx], aux)
+        """Sub-cloud at the given point indices."""
+        return PointCloud(self.coords[np.asarray(indices, dtype=np.intp)])
 
 
 @dataclass(frozen=True)
@@ -186,9 +169,7 @@ def _load_xyz(lines: list[str], path: str) -> PointCloud:
         rows.append(vals)
     if not rows:
         raise CloudParseError(f"{path}: line 1: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
-    aux = data[:, 3:] if data.shape[1] > 3 else None
-    return PointCloud(data[:, :3], aux)
+    return PointCloud(np.asarray(rows, dtype=np.float64)[:, :3])
 
 
 def _load_ply(lines: list[str], path: str) -> PointCloud:
@@ -231,7 +212,6 @@ def _load_ply(lines: list[str], path: str) -> PointCloud:
         raise CloudParseError(f"{path}: line 2: missing format line")
 
     coords = None
-    aux = None
     for name, count, props in elements:
         if name != "vertex":
             i += count  # skip this element's rows
@@ -242,9 +222,7 @@ def _load_ply(lines: list[str], path: str) -> PointCloud:
             raise CloudParseError(
                 f"{path}: line 1: vertex element lacks x/y/z properties"
             ) from None
-        has_normals = all(p in props for p in ("nx", "ny", "nz"))
         coords = np.empty((count, 3), dtype=np.float64)
-        aux = np.empty((count, 3), dtype=np.float64) if has_normals else None
         for row in range(count):
             if i >= len(lines):
                 raise CloudParseError(f"{path}: line {len(lines)}: truncated vertex data")
@@ -256,15 +234,9 @@ def _load_ply(lines: list[str], path: str) -> PointCloud:
                     f"{path}: line {lineno}: expected {len(props)} values, got {len(vals)}"
                 )
             coords[row] = (vals[ix], vals[iy], vals[iz])
-            if aux is not None:
-                aux[row] = (
-                    vals[props.index("nx")],
-                    vals[props.index("ny")],
-                    vals[props.index("nz")],
-                )
     if coords is None:
         raise CloudParseError(f"{path}: line 1: no vertex element")
-    return PointCloud(coords, aux)
+    return PointCloud(coords)
 
 
 def detect_format(path: str | Path) -> str:
@@ -277,7 +249,9 @@ def detect_format(path: str | Path) -> str:
 def load_cloud(path: str | Path, format: str | None = None) -> PointCloud:
     """Load an ASCII point cloud file (``off``, ``ply``, or ``xyz``).
 
-    When ``format`` is None it is inferred from the file extension.
+    When ``format`` is None it is inferred from the file extension. Only
+    coordinates are read: XYZ columns past the third and PLY vertex
+    properties other than x, y and z (normals, colors) are ignored.
     Parse failures raise :class:`CloudParseError` naming the offending line.
     """
     fmt = (format or detect_format(path)).lower()
@@ -294,38 +268,22 @@ def load_cloud(path: str | Path, format: str | None = None) -> PointCloud:
 
 
 def save_cloud(cloud: PointCloud, path: str | Path, format: str | None = None) -> None:
-    """Write a cloud as ASCII. XYZ keeps aux columns; PLY keeps 3-wide aux
-    as normals; OFF stores coordinates only."""
+    """Write a cloud's coordinates as ASCII, 17 significant digits."""
     fmt = (format or detect_format(path)).lower()
     if fmt == "ply-ascii":
         fmt = "ply"
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     n = len(cloud)
-    out: list[str] = []
     if fmt == "off":
-        out.append("OFF")
-        out.append(f"{n} 0 0")
-        for p in cloud.coords:
-            out.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-    elif fmt == "xyz":
-        data = cloud.coords
-        if cloud.aux is not None:
-            data = np.hstack([cloud.coords, cloud.aux])
-        for row in data:
-            out.append(" ".join(f"{v:.17g}" for v in row))
-    else:  # ply
-        normals = cloud.aux is not None and cloud.aux.shape[1] == 3
-        out += ["ply", "format ascii 1.0", f"element vertex {n}"]
+        out = ["OFF", f"{n} 0 0"]
+    elif fmt == "ply":
+        out = ["ply", "format ascii 1.0", f"element vertex {n}"]
         out += [f"property double {ax}" for ax in ("x", "y", "z")]
-        if normals:
-            out += [f"property double {ax}" for ax in ("nx", "ny", "nz")]
         out.append("end_header")
-        for i in range(n):
-            vals = list(cloud.coords[i])
-            if normals:
-                vals += list(cloud.aux[i])
-            out.append(" ".join(f"{v:.17g}" for v in vals))
+    else:  # xyz
+        out = []
+    out += [f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in cloud.coords]
     Path(path).write_text("\n".join(out) + "\n")
 
 
@@ -391,7 +349,7 @@ def normalize_unit_sphere(cloud: PointCloud) -> tuple[PointCloud, np.ndarray, fl
     if scale <= 0.0:
         warnings.warn("all points coincident; normalizing with scale 1", stacklevel=2)
         scale = 1.0
-    return PointCloud(centered / scale, cloud.aux), centroid, scale
+    return PointCloud(centered / scale), centroid, scale
 
 
 def sample_indices(n: int, m: int, seed: int) -> np.ndarray:
@@ -410,14 +368,11 @@ def sample_indices(n: int, m: int, seed: int) -> np.ndarray:
 
 
 def apply_transform(cloud: PointCloud, tf: RigidTransform) -> PointCloud:
-    """Rigidly move the cloud: each point p becomes R @ p + t. The moved
-    cloud has no ``aux``: the motion cannot know what those columns mean
-    (a normal turns with the cloud, a color does not)."""
+    """Rigidly move the cloud: each point p becomes R @ p + t."""
     return PointCloud(cloud.coords @ tf.rotation.T + tf.translation)
 
 
 def align_inverse(cloud: PointCloud, tf: RigidTransform) -> PointCloud:
     """Undo a transform: each point g becomes R.T @ (g - t). Used to map a
-    source cloud back onto the target it was registered against. Like
-    :func:`apply_transform`, it drops ``aux``."""
+    source cloud back onto the target it was registered against."""
     return PointCloud((cloud.coords - tf.translation) @ tf.rotation)

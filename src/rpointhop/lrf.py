@@ -12,8 +12,7 @@ sides. The side with the larger mass fixes the positive direction. Frames
 built this way rotate with the data: for a rigid copy of the neighborhood the
 sign-resolved frame is the rotated sign-resolved frame, so coordinates
 expressed in it are invariant to the motion (up to ties in the moment
-comparison). :func:`geometric_features` turns the eigenvalues into the
-covariance-shape attributes used as auxiliary hop-1 inputs.
+comparison).
 """
 
 from __future__ import annotations
@@ -70,30 +69,3 @@ def resolve_signs_batch(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flips = np.where(m_left < m_right, 1.0, -1.0)
     return flips.T, np.abs(m_left - m_right).T
 
-
-def geometric_features(eigenvalues: np.ndarray) -> np.ndarray:
-    """(P, 4) linearity, planarity, sphericity and eigen-entropy rows from
-    (P, 3) descending covariance eigenvalues.
-
-    With normalized eigenvalues e_i = lam_i / sum(lam), negatives clipped
-    to 0: linearity (e1-e2)/e1, planarity (e2-e3)/e1, sphericity e3/e1,
-    entropy -sum e_i ln e_i with 0 ln 0 := 0. Degenerate all-zero rows
-    come back as zeros.
-    """
-    lam = np.maximum(eigenvalues, 0.0)
-    total = lam.sum(axis=1, keepdims=True)
-    safe = np.where(total > 0.0, total, 1.0)
-    e = lam / safe
-    e1 = np.where(e[:, 0] > 0.0, e[:, 0], 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(e > 0.0, np.log(np.where(e > 0.0, e, 1.0)), 0.0)
-    out = np.stack(
-        [
-            (e[:, 0] - e[:, 1]) / e1,
-            (e[:, 1] - e[:, 2]) / e1,
-            e[:, 2] / e1,
-            -(e * logs).sum(axis=1),
-        ],
-        axis=1,
-    )
-    return np.where(total > 0.0, out, 0.0)

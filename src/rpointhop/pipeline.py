@@ -56,7 +56,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .cloud import PointCloud, normalize_unit_sphere, sample_indices
-from .lrf import geometric_features, local_pca_batch, resolve_signs_batch
+from .lrf import local_pca_batch, resolve_signs_batch
 from .saab import (
     FeatureTree,
     HopPlan,
@@ -113,7 +113,6 @@ class ModelConfig:
     k_lrf: int = 64
     hops: tuple[HopConfig, ...] = DEFAULT_HOPS
     energy_threshold: float = 0.001
-    use_aux_attributes: bool = False
     normalize: bool = True
     seed: int = 0
 
@@ -170,8 +169,6 @@ class RPointHopModel:
         hops = ({0: self.hop1_layer}, *self.later_hops)
         if len(hops) != len(self.config.hops):
             raise ValueError(f"{len(hops)} hops of layers for {len(self.config.hops)} configured hops")
-        # octant means, then the aux normal and four eigenvalue features
-        hop1_width = 24 + 7 * self.config.use_aux_attributes
         tree = FeatureTree()
         plans = []
         parent_ids = [0]
@@ -179,7 +176,7 @@ class RPointHopModel:
             final = h == len(hops) - 1
             plan, parent_ids = _grow_hop(tree, layers, parent_ids, self.config.energy_threshold, final)
             width = plan.filters.shape[1]
-            if width != (8 if h else hop1_width):
+            if width != (8 if h else 24):
                 raise ValueError(f"hop {h + 1} layers take {width}-wide inputs")
             if not parent_ids:
                 raise ValueError(f"no channel survives hop {h + 1}")
@@ -309,13 +306,13 @@ def _octant_means(proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray) -> 
 
 def _project_neighbors(
     coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sign-resolved frame coordinates of each point's neighbors.
 
     Row i of ``nbr_idx`` and ``axes`` belongs to point i of ``coords``; the
-    rows may cover a prefix of the points. Returns (proj (P,k,3), flips
-    (P,3), margins (P,3)). Signs are resolved against this neighborhood, so
-    repeated calls at different hops may flip axes differently, as intended.
+    rows may cover a prefix of the points. Returns (proj (P,k,3), margins
+    (P,3)). Signs are resolved against this neighborhood, so repeated calls
+    at different hops may flip axes differently, as intended.
 
     The neighbors are gathered neighbor-major and each axis's coordinate is
     written ``(x-term + z-term) + y-term`` into (k, 3, P) memory: the bits
@@ -339,24 +336,24 @@ def _project_neighbors(
     proj = proj.transpose(2, 0, 1)
     flips, margins = resolve_signs_batch(proj)
     proj *= flips[:, None, :]
-    return proj, flips, margins
+    return proj, margins
 
 
 def build_hop1_attributes(
     coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """24-wide octant-mean attributes of the first ``len(nbr_idx)`` points.
 
     Row i of ``nbr_idx`` and ``axes`` belongs to point i of ``coords``.
-    Returns (attributes (P, 24), flips (P,3), margins (P,3)).
+    Returns (attributes (P, 24), margins (P,3)).
     Attribute layout is octant-major: octant 0 mean xyz, octant 1 mean xyz,
     ... in the fixed octant order. Empty octants stay zero.
     """
-    proj, flips, margins = _project_neighbors(coords, nbr_idx, axes)
+    proj, margins = _project_neighbors(coords, nbr_idx, axes)
     # each (point, neighbor) projection is its own value row
     p, k = nbr_idx.shape
     means = _octant_means(proj, proj.reshape(p * k, 3), np.arange(p * k).reshape(p, k))
-    return means.reshape(p, 24), flips, margins
+    return means.reshape(p, 24), margins
 
 
 def build_later_hop_attributes(
@@ -370,7 +367,7 @@ def build_later_hop_attributes(
     Returns (attributes (P, 8, C), margins (P, 3)); attributes[:, :, c] is
     channel c's 8-wide sample block.
     """
-    proj, _, margins = _project_neighbors(coords, nbr_idx, axes)
+    proj, margins = _project_neighbors(coords, nbr_idx, axes)
     return _octant_means(proj, values, nbr_idx), margins
 
 
@@ -443,12 +440,7 @@ class _HopRun:
         self.eigen_gaps = np.minimum(
             eigenvalues[:, 0] - eigenvalues[:, 1], eigenvalues[:, 1] - eigenvalues[:, 2]
         )
-        attrs, flips, margins = build_hop1_attributes(self.coords, neighbors, self.axes)
-        if config.use_aux_attributes:
-            # indoor-style attributes: sign-resolved surface normal (the
-            # smallest-eigenvalue axis) plus the four eigenvalue features
-            normal = self.axes[:, 2, :] * flips[:, 2:3]
-            attrs = np.hstack([attrs, normal, geometric_features(eigenvalues)])
+        attrs, margins = build_hop1_attributes(self.coords, neighbors, self.axes)
         self.min_margin = margins.min(axis=1)
         return attrs[:, :, None], neighbors
 
@@ -553,7 +545,6 @@ def save_model(model: RPointHopModel, path) -> None:
             "k_lrf": model.config.k_lrf,
             "hops": [[h.num_points, h.k_neighbors] for h in model.config.hops],
             "energy_threshold": model.config.energy_threshold,
-            "use_aux_attributes": model.config.use_aux_attributes,
             "normalize": model.config.normalize,
             "seed": model.config.seed,
         },
@@ -626,7 +617,6 @@ def load_model(path) -> RPointHopModel:
                 k_lrf=int(cfg["k_lrf"]),
                 hops=tuple(HopConfig(int(np_), int(k)) for np_, k in cfg["hops"]),
                 energy_threshold=float(cfg["energy_threshold"]),
-                use_aux_attributes=bool(cfg["use_aux_attributes"]),
                 normalize=bool(cfg["normalize"]),
                 seed=int(cfg["seed"]),
             )
@@ -666,8 +656,7 @@ def load_model(path) -> RPointHopModel:
 # ---------------------------------------------------------------------------
 
 _CONFIG_KEYS = {
-    "k_lrf", "num_points", "k_neighbors", "energy_threshold",
-    "use_aux_attributes", "normalize", "seed",
+    "k_lrf", "num_points", "k_neighbors", "energy_threshold", "normalize", "seed",
 }
 
 
@@ -725,7 +714,6 @@ def parse_config(text: str) -> ModelConfig:
     for key, parse, expected in (
         ("k_lrf", int, "an integer"),
         ("energy_threshold", float, "a number"),
-        ("use_aux_attributes", _parse_bool, "a boolean"),
         ("normalize", _parse_bool, "a boolean"),
         ("seed", int, "an integer"),
     ):
@@ -742,7 +730,6 @@ def format_config(config: ModelConfig) -> str:
             "num_points = " + " ".join(str(h.num_points) for h in config.hops),
             "k_neighbors = " + " ".join(str(h.k_neighbors) for h in config.hops),
             f"energy_threshold = {config.energy_threshold!r}",
-            f"use_aux_attributes = {str(config.use_aux_attributes).lower()}",
             f"normalize = {str(config.normalize).lower()}",
             f"seed = {config.seed}",
         ]

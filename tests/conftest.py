@@ -159,12 +159,12 @@ def signs_median_oracle(proj: np.ndarray):
 
 def projection_einsum_oracle(coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray):
     """The former ``_project_neighbors``: (P, k, 3) offsets projected by
-    ``einsum``, signs by :func:`signs_median_oracle`. Returns (proj, flips,
+    ``einsum``, signs by :func:`signs_median_oracle`. Returns (proj,
     margins)."""
     rel = coords[nbr_idx] - coords[: len(nbr_idx), None, :]
     proj0 = np.einsum("pkc,pac->pka", rel, axes)
     flips, margins = signs_median_oracle(proj0)
-    return proj0 * flips[:, None, :], flips, margins
+    return proj0 * flips[:, None, :], margins
 
 
 def plan_take_oracle(plan, x: np.ndarray) -> np.ndarray:

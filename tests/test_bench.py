@@ -151,11 +151,6 @@ class TestAddNoise:
         assert abs(delta.std() - 0.01) < 0.001
         assert np.abs(delta.mean()) < 0.001
 
-    def test_aux_preserved(self):
-        cloud = PointCloud(np.random.default_rng(0).normal(size=(10, 3)), aux=np.ones((10, 2)))
-        out = add_noise(cloud, 0.1, seed=3)
-        assert np.array_equal(out.aux, cloud.aux)
-
     def test_negative_std(self):
         with pytest.raises(ValueError, match="non-negative"):
             add_noise(make_shape_cloud(10, seed=7), -0.1, seed=0)

@@ -38,7 +38,6 @@ class TestPointCloud:
     def test_basic_construction(self):
         c = PointCloud(np.zeros((4, 3)))
         assert len(c) == 4
-        assert c.aux is None
         assert c.coords.dtype == np.float64
 
     def test_single_point_promoted_to_2d(self):
@@ -64,15 +63,10 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(np.zeros((0, 3)))
 
-    def test_aux_row_count_must_match(self):
-        with pytest.raises(ValueError, match="aux"):
-            PointCloud(np.zeros((3, 3)), aux=np.zeros((2, 4)))
-
-    def test_take_subsets_coords_and_aux(self):
-        c = PointCloud(np.arange(12.0).reshape(4, 3), aux=np.arange(8.0).reshape(4, 2))
+    def test_take_subsets_coords(self):
+        c = PointCloud(np.arange(12.0).reshape(4, 3))
         sub = c.take(np.array([2, 0]))
         assert np.array_equal(sub.coords, c.coords[[2, 0]])
-        assert np.array_equal(sub.aux, c.aux[[2, 0]])
 
 
 class TestRigidTransform:
@@ -172,13 +166,12 @@ class TestXyzFormat:
         p.write_text("0 0 0\n1 2 3\n")
         c = load_cloud(p)
         assert np.array_equal(c.coords, [[0, 0, 0], [1, 2, 3]])
-        assert c.aux is None
 
-    def test_extra_columns_become_aux(self, tmp_path):
+    def test_extra_columns_are_read_past(self, tmp_path):
         p = tmp_path / "c.xyz"
         p.write_text("0 0 0 9 8\n1 2 3 7 6\n")
         c = load_cloud(p)
-        assert np.array_equal(c.aux, [[9, 8], [7, 6]])
+        assert np.array_equal(c.coords, [[0, 0, 0], [1, 2, 3]])
 
     def test_short_row_names_line(self, tmp_path):
         p = tmp_path / "c.xyz"
@@ -229,10 +222,8 @@ class TestPlyFormat:
         p = tmp_path / "c.ply"
         p.write_text(PLY_WITH_NORMALS)
         c = load_cloud(p)
-        assert len(c) == 4
-        assert c.aux is not None and c.aux.shape == (4, 3)
-        assert np.array_equal(c.aux[3], [1.0, 0.0, 0.0])
-        assert np.array_equal(c.coords[1], [1.0, 0.0, 0.0])
+        # normals are read past like any other vertex property
+        assert np.array_equal(c.coords, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_vertices_without_normals(self, tmp_path):
         p = tmp_path / "c.ply"
@@ -242,7 +233,18 @@ class TestPlyFormat:
             "end_header\n0 0 0\n1 1 1\n"
         )
         c = load_cloud(p)
-        assert len(c) == 2 and c.aux is None
+        assert np.array_equal(c.coords, [[0, 0, 0], [1, 1, 1]])
+
+    def test_properties_in_any_order(self, tmp_path):
+        # coordinates come from the x, y and z columns wherever they sit
+        p = tmp_path / "c.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property double nx\nproperty double z\nproperty uchar red\n"
+            "property double x\nproperty double ny\nproperty double y\nproperty double nz\n"
+            "end_header\n9 3 255 1 9 2 9\n8 6 0 4 8 5 8\n"
+        )
+        assert np.array_equal(load_cloud(p).coords, [[1, 2, 3], [4, 5, 6]])
 
     def test_missing_magic(self, tmp_path):
         p = tmp_path / "c.ply"
@@ -295,14 +297,17 @@ class TestRoundTrips:
         save_cloud(c, path)
         assert np.abs(load_cloud(path).coords - c.coords).max() < 1e-6
 
-    def test_aux_round_trip_xyz_and_ply(self, tmp_path):
+    def test_xyz_and_ply_hold_three_columns(self, tmp_path):
         rng = np.random.default_rng(4)
-        c = PointCloud(rng.normal(size=(5, 3)), aux=rng.normal(size=(5, 3)))
+        c = PointCloud(rng.normal(size=(5, 3)))
         for fmt in ("xyz", "ply"):
             path = tmp_path / f"c.{fmt}"
             save_cloud(c, path)
-            back = load_cloud(path)
-            assert np.abs(back.aux - c.aux).max() < 1e-12, fmt
+            assert np.array_equal(load_cloud(path).coords, c.coords), fmt
+            rows = path.read_text().splitlines()[-5:]
+            assert [len(row.split()) for row in rows] == [3] * 5, fmt
+        header = (tmp_path / "c.ply").read_text().split("end_header")[0]
+        assert header.count("property") == 3
 
     def test_save_to_unwritable_path_raises(self, tmp_path):
         c = PointCloud(np.zeros((1, 3)))
@@ -493,12 +498,3 @@ class TestApplyTransform:
         d0 = np.linalg.norm(c.coords[:, None] - c.coords[None, :], axis=2)
         d1 = np.linalg.norm(moved.coords[:, None] - moved.coords[None, :], axis=2)
         assert np.abs(d0 - d1).max() < 1e-9
-
-    def test_moved_cloud_has_no_aux(self):
-        # a normal (0, 0, 1) copied unrotated through a 90 degree x-rotation
-        # would be stale; the moved cloud carries no aux at all
-        c = PointCloud(np.eye(3), aux=np.tile([0.0, 0.0, 1.0], (3, 1)))
-        rx90 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        tf = RigidTransform(rx90, np.ones(3))
-        assert apply_transform(c, tf).aux is None
-        assert align_inverse(c, tf).aux is None

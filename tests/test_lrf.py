@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpointhop import ModelConfig
-from rpointhop.lrf import geometric_features, local_pca_batch, resolve_signs_batch
+from rpointhop.lrf import local_pca_batch, resolve_signs_batch
 from rpointhop.pipeline import _project_neighbors
 from rpointhop.spatial import KnnIndex
 
@@ -313,8 +313,8 @@ class TestProjectionInvariance:
             r = random_rotation(rng)
             t = rng.normal(size=3) * 5
             moved = nbrs @ r.T + t
-            p0, _, margins = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0])
-            p1, _, _ = _project_neighbors(moved, table, local_pca_batch(moved, table)[0])
+            p0, margins = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0])
+            p1, _ = _project_neighbors(moved, table, local_pca_batch(moved, table)[0])
             stable = margins.min(axis=1) > 1e-6  # sign ties may flip an axis
             worst = max(worst, float(np.abs(p0[stable] - p1[stable]).max(initial=0.0)))
             checked += int(stable.sum())
@@ -327,51 +327,16 @@ class TestProjectionInvariance:
         # masses 0.5 < 1, 3 > 2 and 1 < 3, so the flips are (+1, -1, +1)
         coords = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [-0.5, -3.0, -1.0]])
         table = np.tile(np.arange(3), (3, 1))
-        proj, flips, _ = _project_neighbors(coords, table, np.tile(np.eye(3), (3, 1, 1)))
-        assert np.array_equal(flips[0], [1.0, -1.0, 1.0])
+        proj, _ = _project_neighbors(coords, table, np.tile(np.eye(3), (3, 1, 1)))
         assert np.array_equal(proj[0, 1], [1.0, -2.0, 3.0])
+        assert np.array_equal(proj[0, 2], [-0.5, 3.0, -1.0])
 
     def test_projection_recovers_local_offsets(self):
         rng = np.random.default_rng(13)
         nbrs = rng.normal(size=(16, 3)) + 7.0
         table = np.tile(np.arange(16), (16, 1))
-        proj, _, _ = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0])
+        proj, _ = _project_neighbors(nbrs, table, local_pca_batch(nbrs, table)[0])
         # distances from the origin are preserved by the orthonormal map
         d_in = np.linalg.norm(nbrs[table] - nbrs[:, None, :], axis=2)
         d_out = np.linalg.norm(proj, axis=2)
         assert np.abs(d_in - d_out).max() < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# covariance-shape features
-# ---------------------------------------------------------------------------
-
-
-class TestGeometricFeatures:
-    def test_perfect_line(self):
-        assert np.allclose(geometric_features(np.array([[1.0, 0.0, 0.0]])), [[1.0, 0.0, 0.0, 0.0]])
-
-    def test_perfect_plane(self):
-        f = geometric_features(np.array([[1.0, 1.0, 0.0]]))
-        assert np.allclose(f, [[0.0, 1.0, 0.0, np.log(2.0)]])
-
-    def test_perfect_sphere(self):
-        f = geometric_features(np.array([[1.0, 1.0, 1.0]]))
-        assert np.allclose(f, [[0.0, 0.0, 1.0, np.log(3.0)]])
-
-    def test_scale_invariant(self):
-        rng = np.random.default_rng(14)
-        lam = -np.sort(-rng.uniform(0.1, 5.0, size=(20, 3)), axis=1)
-        assert np.allclose(geometric_features(lam), geometric_features(lam * 37.0))
-
-    def test_entropy_bounds(self):
-        rng = np.random.default_rng(15)
-        lam = -np.sort(-rng.uniform(0.0, 1.0, size=(20, 3)), axis=1)
-        ent = geometric_features(lam[lam.sum(axis=1) > 0])[:, 3]
-        assert (-1e-12 <= ent).all() and (ent <= np.log(3.0) + 1e-12).all()
-
-    def test_all_zero_rows_give_zeros(self):
-        lam = np.array([[0.0, 0.0, 0.0], [3.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
-        got = geometric_features(lam)
-        assert np.array_equal(got[[0, 2]], np.zeros((2, 4)))
-        assert np.array_equal(got[1], geometric_features(lam[1:2])[0])

@@ -46,8 +46,8 @@ from conftest import (
     hop_oracle,
     octant_loop_oracle,
     octant_oracle,
+    projection_einsum_oracle,
     random_rotation,
-    sign_oracle,
 )
 
 
@@ -73,7 +73,6 @@ class TestConfigs:
         assert cfg.k_lrf == 64
         assert cfg.energy_threshold == 0.001
         assert cfg.normalize is True
-        assert cfg.use_aux_attributes is False
         assert cfg.seed == 0
 
     def test_model_config_validation(self):
@@ -160,7 +159,7 @@ class TestOctants:
             nbr_idx = table[:, : hop.k_neighbors]
             if h == 0:
                 axes, _ = local_pca_batch(points, table[:, : config.k_lrf])
-            proj, _, _ = _project_neighbors(points, nbr_idx, axes[:count])
+            proj, _ = _project_neighbors(points, nbr_idx, axes[:count])
             if h == 0:
                 values, nbr_idx = proj.reshape(-1, 3), np.arange(nbr_idx.size).reshape(nbr_idx.shape)
             else:
@@ -202,8 +201,8 @@ class TestOctants:
         coords[5] = coords[0]  # a neighbor at the query point projects to 0
         nbr_idx = np.argsort(((coords[:, None] - coords[None]) ** 2).sum(-1), axis=1)[:, :12]
         axes = np.tile(np.eye(3), (30, 1, 1))
-        attrs, flips, _ = build_hop1_attributes(coords, nbr_idx, axes)
-        proj = np.einsum("pkc,pac->pka", coords[nbr_idx] - coords[:, None], axes) * flips[:, None, :]
+        attrs, _ = build_hop1_attributes(coords, nbr_idx, axes)
+        proj, _ = projection_einsum_oracle(coords, nbr_idx, axes)
         assert attrs.tobytes() == octant_oracle(proj, proj).reshape(30, 24).tobytes()
 
 
@@ -222,10 +221,9 @@ class TestHop1Attributes:
         coords = np.vstack([np.zeros(3), corners])
         nbr_idx = np.tile(np.arange(1, 9), (9, 1))
         axes = np.tile(np.eye(3), (9, 1, 1))
-        attrs, flips, margins = build_hop1_attributes(coords, nbr_idx, axes)
+        attrs, margins = build_hop1_attributes(coords, nbr_idx, axes)
         assert attrs.shape == (9, 24)
         assert np.allclose(attrs[0], corners.ravel())
-        assert np.all(np.abs(flips) == 1.0)
         # perfect cube: every axis is a moment tie
         assert np.abs(margins[0]).max() < 1e-12
 
@@ -236,10 +234,9 @@ class TestHop1Attributes:
         )
         nbr_idx = np.tile(np.array([1, 2, 3]), (4, 1))
         axes = np.tile(np.eye(3), (4, 1, 1))
-        attrs, flips, _ = build_hop1_attributes(coords, nbr_idx, axes)
-        # x: median 2, left mass 1 < right mass 2 -> +1; y, z: all equal -> tie -> -1
-        assert flips[0].tolist() == [1.0, -1.0, -1.0]
-        # flipped projections (x, -y, -z) land in octant 3 (+, -, -)
+        attrs, _ = build_hop1_attributes(coords, nbr_idx, axes)
+        # x: median 2, left mass 1 < right mass 2 -> +1; y, z: all equal -> tie -> -1,
+        # so the flipped projections (x, -y, -z) land in octant 3 (+, -, -)
         row = attrs[0].reshape(8, 3)
         assert np.allclose(row[3], [7.0 / 3.0, -0.1, -0.1])
         others = np.delete(row, 3, axis=0)
@@ -255,31 +252,18 @@ class TestHop1Attributes:
         for got, want in zip(part, full):
             assert np.array_equal(got, want[:12])
 
-    def test_run_aux_normal_is_the_sign_resolved_third_axis(self, tiny_corpus):
-        cfg = ModelConfig(hops=TINY_CONFIG.hops[:1], k_lrf=TINY_CONFIG.k_lrf, use_aux_attributes=True)
-        run = _HopRun(tiny_corpus[0].coords, cfg, seed=1, fit=True)
-        x, neighbors = run.hop_inputs(0)
-        checked = 0
-        for i in range(len(x)):
-            rel = run.coords[neighbors[i]] - run.coords[i]
-            flip, margin = sign_oracle(rel @ run.axes[i, 2])
-            if margin > 1e-9:
-                assert np.array_equal(x[i, 24:27, 0], flip * run.axes[i, 2]), f"row {i}"
-                checked += 1
-        assert checked > 0.9 * len(x)
-
     def test_rigid_invariance(self):
         rng = np.random.default_rng(1)
         coords = rng.normal(size=(40, 3))
         table = KnnIndex(coords).query(coords, 12)[0]
         axes, _ = local_pca_batch(coords, table)
-        attrs0, _, margins = build_hop1_attributes(coords, table, axes)
+        attrs0, margins = build_hop1_attributes(coords, table, axes)
 
         r = random_rotation(rng)
         t = rng.normal(size=3) * 3
         moved = coords @ r.T + t
         axes_m, _ = local_pca_batch(moved, table)
-        attrs1, _, _ = build_hop1_attributes(moved, table, axes_m)
+        attrs1, _ = build_hop1_attributes(moved, table, axes_m)
 
         stable = margins.min(axis=1) > 1e-6
         assert stable.sum() > 30
@@ -351,14 +335,6 @@ class TestTrain:
         save_model(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_aux_attributes_widen_hop1(self, tiny_corpus):
-        cfg = ModelConfig(
-            hops=TINY_CONFIG.hops, k_lrf=TINY_CONFIG.k_lrf,
-            energy_threshold=TINY_CONFIG.energy_threshold, use_aux_attributes=True,
-        )
-        model = train(tiny_corpus[:3], cfg)
-        assert model.hop1_layer.input_dim == 31  # 24 octant + 3 normal + 4 shape
-
     def test_empty_corpus(self):
         with pytest.raises(TrainingError, match="empty corpus"):
             train([])
@@ -426,19 +402,15 @@ class TestTrain:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module", params=["tiny", "one_hop", "aux", "three_hop_aux"])
+@pytest.fixture(scope="module", params=["tiny", "one_hop", "three_hop"])
 def plan_model(request, tiny_model, tiny_corpus):
     if request.param == "tiny":
         return tiny_model
     hops = {
         "one_hop": TINY_CONFIG.hops[:1],
-        "aux": TINY_CONFIG.hops,
-        "three_hop_aux": (*TINY_CONFIG.hops, HopConfig(64, 16)),
+        "three_hop": (*TINY_CONFIG.hops, HopConfig(64, 16)),
     }[request.param]
-    cfg = ModelConfig(
-        hops=hops, k_lrf=TINY_CONFIG.k_lrf, use_aux_attributes=request.param != "one_hop"
-    )
-    return train(tiny_corpus[:3], cfg)
+    return train(tiny_corpus[:3], ModelConfig(hops=hops, k_lrf=TINY_CONFIG.k_lrf))
 
 
 class TestHopPlans:
@@ -639,6 +611,60 @@ class TestExtractFeatures:
             with_table(np.array([[0], [-1], [2]]))
 
 
+DEGENERATE_KINDS = ("duplicated", "coincident", "coplanar", "collinear", "lattice")
+
+
+def degenerate_cloud(kind: str, n: int, rng: np.random.Generator) -> PointCloud:
+    """n points of one degenerate kind, scaled and moved as a whole."""
+    if kind == "duplicated":  # about four copies of each position
+        base = rng.normal(size=(max(n // 4, 1), 3))
+        pts = base[rng.integers(len(base), size=n)]
+    elif kind == "coincident":
+        pts = np.zeros((n, 3))
+    elif kind == "coplanar":  # one coordinate shared exactly
+        pts = rng.normal(size=(n, 3))
+        pts[:, rng.integers(3)] = rng.normal()
+    elif kind == "collinear":
+        pts = rng.normal(size=(n, 1)) * rng.normal(size=3)
+    else:  # integer lattice: ties in every distance, repeated points
+        pts = rng.integers(-3, 4, size=(n, 3)).astype(np.float64)
+    return PointCloud(pts * 10.0 ** rng.uniform(-3, 3) + rng.normal(size=3) * 5)
+
+
+class TestDegenerateClouds:
+    """Extraction on degenerate clouds, at scales far outside the training
+    norm ball, gives finite features; a cloud below the hop-1 budget gives
+    an error naming both counts."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(DEGENERATE_KINDS),
+        n=st.integers(192, 320),
+        cloud_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_finite_features(self, tiny_model, kind, n, cloud_seed, seed):
+        cloud = degenerate_cloud(kind, n, np.random.default_rng(cloud_seed))
+        fs = extract_features(tiny_model, cloud, seed)
+        final = tiny_model.config.hops[-1].num_points
+        assert fs.features.shape == (final, tiny_model.feature_dim)
+        assert np.isfinite(fs.features).all()
+        assert np.isfinite(fs.sign_margins).all() and (fs.sign_margins >= 0).all()
+        assert np.isfinite(fs.eigen_gaps).all()
+        assert np.array_equal(fs.coords, cloud.coords[fs.point_indices])
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(DEGENERATE_KINDS),
+        n=st.integers(1, 191),
+        cloud_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cloud_below_hop1_budget(self, tiny_model, kind, n, cloud_seed):
+        cloud = degenerate_cloud(kind, n, np.random.default_rng(cloud_seed))
+        with pytest.raises(ValueError, match=f"cloud has {n} points but hop 1 needs 192"):
+            extract_features(tiny_model, cloud)
+
+
 # ---------------------------------------------------------------------------
 # model files
 # ---------------------------------------------------------------------------
@@ -810,6 +836,43 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
+    def test_header_with_removed_aux_key_loads(self, tiny_model, tiny_corpus, tmp_path):
+        # older model files hold "use_aux_attributes":false between the
+        # energy threshold and "normalize"; the key is read past and the
+        # model is the same
+        path, old_path = tmp_path / "m.rph", tmp_path / "old.rph"
+        save_model(tiny_model, path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack("<Q", raw[8:16])
+        key = b'"use_aux_attributes":false,'
+        blob = raw[16 : 16 + blob_len].replace(b'"normalize":', key + b'"normalize":')
+        assert len(blob) == blob_len + len(key)
+        old_path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + blob_len :])
+        new, old = load_model(path), load_model(old_path)
+        assert old.config == new.config
+        for seed, cloud in enumerate(tiny_corpus[5:]):
+            a, b = extract_features(new, cloud, seed), extract_features(old, cloud, seed)
+            for f in dataclasses.fields(FeatureSet):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (seed, f.name)
+
+    def test_aux_wide_hop1_layer_is_rejected(self, tiny_model, tmp_path):
+        # older model files trained with aux attributes have a 31-wide
+        # hop-1 layer: 24 octant means, a normal and four shape features
+        layer = tiny_model.hop1_layer
+        wide = dataclasses.replace(
+            layer,
+            input_dim=31,
+            dc_filter=np.pad(layer.dc_filter, (0, 7)),
+            ac_filters=np.pad(layer.ac_filters, ((0, 0), (0, 7))),
+        )
+        fake = SimpleNamespace(
+            config=tiny_model.config, hop1_layer=wide, later_hops=tiny_model.later_hops, tree=tiny_model.tree
+        )
+        path = tmp_path / "m.rph"
+        save_model(fake, path)
+        with pytest.raises(ModelFormatError, match="hop 1 layers take 31-wide inputs"):
+            load_model(path)
+
     def test_tiny_model_file_is_small(self, tiny_model, tmp_path):
         path = tmp_path / "m.rph"
         save_model(tiny_model, path)
@@ -831,7 +894,6 @@ class TestConfigText:
             hops=(HopConfig(500, 40), HopConfig(250, 20)),
             k_lrf=32,
             energy_threshold=1.25e-4,
-            use_aux_attributes=True,
             normalize=False,
             seed=42,
         )
@@ -864,6 +926,12 @@ class TestConfigText:
     def test_unknown_key_names_line(self):
         with pytest.raises(ValueError, match="line 2.*unknown key"):
             parse_config("k_lrf = 8\nbogus = 1\n")
+
+    def test_removed_aux_key_names_line(self):
+        # use_aux_attributes is not a key: a config that sets it fails
+        # instead of training a model without aux attributes
+        with pytest.raises(ValueError, match=re.escape("config line 2: unknown key 'use_aux_attributes'")):
+            parse_config("seed = 1\nuse_aux_attributes = true\n")
 
     def test_missing_equals_names_line(self):
         with pytest.raises(ValueError, match="line 1"):
