@@ -23,8 +23,6 @@ from pathlib import Path
 
 logger = logging.getLogger("rpointhop.cli")
 
-_CLOUD_SUFFIXES = (".off", ".ply", ".xyz")
-
 
 def _apply_thread_cap() -> None:
     raw = os.environ.get("RPH_THREADS", "").strip()
@@ -42,12 +40,12 @@ def _apply_thread_cap() -> None:
 
 
 def _load_dir(input_dir: str) -> list:
-    from .cloud import load_cloud
+    from .cloud import FORMATS, load_cloud
 
     root = Path(input_dir)
     if not root.is_dir():
         raise FileNotFoundError(f"not a directory: {input_dir}")
-    paths = sorted(p for p in root.iterdir() if p.suffix.lower() in _CLOUD_SUFFIXES)
+    paths = sorted(p for p in root.iterdir() if p.suffix.lower().lstrip(".") in FORMATS)
     if not paths:
         raise FileNotFoundError(f"no point clouds found in {input_dir}")
     return [load_cloud(p) for p in paths]

@@ -96,15 +96,22 @@ class RigidTransform:
 # ---------------------------------------------------------------------------
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split()
-
-
 def _parse_floats(tokens: list[str], lineno: int, path: str) -> list[float]:
     try:
         return [float(tok) for tok in tokens]
     except ValueError as exc:
         raise CloudParseError(f"{path}: line {lineno}: non-numeric token ({exc})") from None
+
+
+def _parse_count(token: str, lowest: int, what: str, lineno: int, path: str) -> int:
+    """A header count: an integer of at least ``lowest``."""
+    try:
+        count = int(token)
+    except ValueError:
+        raise CloudParseError(f"{path}: line {lineno}: {what} must be an integer, got {token!r}") from None
+    if count < lowest:
+        raise CloudParseError(f"{path}: line {lineno}: {what} must be >= {lowest}, got {count}")
+    return count
 
 
 def _load_off(lines: list[str], path: str) -> PointCloud:
@@ -117,24 +124,23 @@ def _load_off(lines: list[str], path: str) -> PointCloud:
     if not sig:
         raise CloudParseError(f"{path}: line 1: empty OFF file")
     lineno, header = sig[0]
-    toks = _tokens(header)
+    toks = header.split()
     if toks[0].upper() != "OFF":
         raise CloudParseError(f"{path}: line {lineno}: expected OFF header, got {toks[0]!r}")
     rest = sig[1:]
     if len(toks) > 1:
         # single-line variant: "OFF nv nf ne"
-        counts = _parse_floats(toks[1:], lineno, path)
+        counts = toks[1:]
     else:
         if not rest:
             raise CloudParseError(f"{path}: line {lineno}: missing vertex/face count line")
-        cl, cline = rest[0]
-        counts = _parse_floats(_tokens(cline), cl, path)
-        rest = rest[1:]
+        (lineno, cline), rest = rest[0], rest[1:]
+        counts = cline.split()
     if len(counts) < 2:
         raise CloudParseError(f"{path}: line {lineno}: count line needs at least nv and nf")
-    nv = int(counts[0])
-    if nv < 1:
-        raise CloudParseError(f"{path}: line {lineno}: vertex count must be >= 1, got {nv}")
+    nv = _parse_count(counts[0], 1, "vertex count", lineno, path)
+    for what, tok in zip(("face count", "edge count"), counts[1:]):
+        _parse_count(tok, 0, what, lineno, path)
     if len(rest) < nv:
         raise CloudParseError(
             f"{path}: line {rest[-1][0] if rest else lineno}: "
@@ -142,7 +148,7 @@ def _load_off(lines: list[str], path: str) -> PointCloud:
         )
     coords = np.empty((nv, 3), dtype=np.float64)
     for row, (ln, text) in enumerate(rest[:nv]):
-        vals = _parse_floats(_tokens(text), ln, path)
+        vals = _parse_floats(text.split(), ln, path)
         if len(vals) < 3:
             raise CloudParseError(f"{path}: line {ln}: vertex needs 3 coordinates")
         coords[row] = vals[:3]
@@ -156,20 +162,21 @@ def _load_xyz(lines: list[str], path: str) -> PointCloud:
         text = ln.strip()
         if not text or text.startswith("#"):
             continue
-        vals = _parse_floats(_tokens(text), i + 1, path)
-        if len(vals) < 3:
+        toks = text.split()
+        if len(toks) < 3:
             raise CloudParseError(f"{path}: line {i + 1}: row needs at least 3 columns")
         if width is None:
-            width = len(vals)
-        elif len(vals) != width:
+            width = len(toks)
+        elif len(toks) != width:
             raise CloudParseError(
                 f"{path}: line {i + 1}: inconsistent column count "
-                f"({len(vals)} vs {width})"
+                f"({len(toks)} vs {width})"
             )
-        rows.append(vals)
+        # columns past the third are not read, so they need not be numbers
+        rows.append(_parse_floats(toks[:3], i + 1, path))
     if not rows:
         raise CloudParseError(f"{path}: line 1: no data rows")
-    return PointCloud(np.asarray(rows, dtype=np.float64)[:, :3])
+    return PointCloud(np.asarray(rows, dtype=np.float64))
 
 
 def _load_ply(lines: list[str], path: str) -> PointCloud:
@@ -184,7 +191,7 @@ def _load_ply(lines: list[str], path: str) -> PointCloud:
         i += 1
         if not text or text.startswith("comment"):
             continue
-        toks = _tokens(text)
+        toks = text.split()
         if toks[0] == "format":
             if len(toks) < 2 or toks[1] != "ascii":
                 raise CloudParseError(f"{path}: line {lineno}: only ascii PLY is supported")
@@ -192,10 +199,8 @@ def _load_ply(lines: list[str], path: str) -> PointCloud:
         elif toks[0] == "element":
             if len(toks) != 3:
                 raise CloudParseError(f"{path}: line {lineno}: malformed element line")
-            try:
-                cnt = int(toks[2])
-            except ValueError:
-                raise CloudParseError(f"{path}: line {lineno}: bad element count") from None
+            lowest = 1 if toks[1] == "vertex" else 0
+            cnt = _parse_count(toks[2], lowest, f"{toks[1]} count", lineno, path)
             elements.append((toks[1], cnt, []))
         elif toks[0] == "property":
             if not elements:
@@ -227,7 +232,7 @@ def _load_ply(lines: list[str], path: str) -> PointCloud:
             if i >= len(lines):
                 raise CloudParseError(f"{path}: line {len(lines)}: truncated vertex data")
             lineno = i + 1
-            vals = _parse_floats(_tokens(lines[i]), lineno, path)
+            vals = _parse_floats(lines[i].split(), lineno, path)
             i += 1
             if len(vals) < len(props):
                 raise CloudParseError(
@@ -255,8 +260,6 @@ def load_cloud(path: str | Path, format: str | None = None) -> PointCloud:
     Parse failures raise :class:`CloudParseError` naming the offending line.
     """
     fmt = (format or detect_format(path)).lower()
-    if fmt == "ply-ascii":
-        fmt = "ply"
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     lines = Path(path).read_text().splitlines()
@@ -270,8 +273,6 @@ def load_cloud(path: str | Path, format: str | None = None) -> PointCloud:
 def save_cloud(cloud: PointCloud, path: str | Path, format: str | None = None) -> None:
     """Write a cloud's coordinates as ASCII, 17 significant digits."""
     fmt = (format or detect_format(path)).lower()
-    if fmt == "ply-ascii":
-        fmt = "ply"
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     n = len(cloud)
@@ -287,22 +288,13 @@ def save_cloud(cloud: PointCloud, path: str | Path, format: str | None = None) -
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def save_transform(tf: RigidTransform, path: str | Path, extra: dict | None = None) -> None:
+def save_transform(tf: RigidTransform, path: str | Path) -> None:
     """Write a transform as text: ``rotation`` (9 row-major numbers) and
-    ``translation`` (3 numbers), 17 significant digits. ``extra`` adds
-    further ``key value...`` lines after the two required ones."""
+    ``translation`` (3 numbers), 17 significant digits."""
     lines = [
         "rotation " + " ".join(f"{v:.17g}" for v in tf.rotation.ravel()),
         "translation " + " ".join(f"{v:.17g}" for v in tf.translation),
     ]
-    if extra:
-        for key, val in extra.items():
-            if isinstance(val, (list, tuple, np.ndarray)):
-                lines.append(f"{key} " + " ".join(f"{v:.17g}" for v in np.ravel(val)))
-            elif isinstance(val, float):
-                lines.append(f"{key} {val:.17g}")
-            else:
-                lines.append(f"{key} {val}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -315,7 +307,7 @@ def load_transform(path: str | Path) -> RigidTransform:
         text = ln.strip()
         if not text or text.startswith("#"):
             continue
-        toks = _tokens(text)
+        toks = text.split()
         if toks[0] == "rotation":
             vals = _parse_floats(toks[1:], i + 1, str(path))
             if len(vals) != 9:

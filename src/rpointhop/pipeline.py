@@ -2,7 +2,7 @@
 
 Training (unsupervised, one pass per hop):
 
-1. Each corpus cloud is optionally unit-sphere normalized, sampled down to
+1. Each corpus cloud is unit-sphere normalized, sampled down to
    the hop-1 point budget, and every retained point gets a local reference
    frame (computed once, on this working cloud, and reused at all hops
    with signs re-resolved per hop against the hop's own neighborhood).
@@ -113,7 +113,6 @@ class ModelConfig:
     k_lrf: int = 64
     hops: tuple[HopConfig, ...] = DEFAULT_HOPS
     energy_threshold: float = 0.001
-    normalize: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -462,8 +461,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
 
     def start(item: tuple[PointCloud, int]) -> _HopRun:
         cloud, seed = item
-        coords = normalize_unit_sphere(cloud)[0].coords if config.normalize else cloud.coords
-        return _HopRun(coords, config, seed, fit=True)
+        return _HopRun(normalize_unit_sphere(cloud)[0].coords, config, seed, fit=True)
 
     runs = _two_lanes(start, zip(clouds, cloud_seeds))
     n_hops = len(config.hops)
@@ -545,7 +543,6 @@ def save_model(model: RPointHopModel, path) -> None:
             "k_lrf": model.config.k_lrf,
             "hops": [[h.num_points, h.k_neighbors] for h in model.config.hops],
             "energy_threshold": model.config.energy_threshold,
-            "normalize": model.config.normalize,
             "seed": model.config.seed,
         },
         "tree": _tree_rows(model.tree),
@@ -592,7 +589,7 @@ def _read_layer(fh, input_dim, n_ac, bias) -> SaabLayer:
     dc = _read_array(fh, (n,))
     ac = _read_array(fh, (n_ac, n))
     energies = _read_array(fh, (1 + n_ac,))
-    return SaabLayer(input_dim=n, dc_filter=dc, ac_filters=ac, bias=float(bias), energies=energies)
+    return SaabLayer(dc_filter=dc, ac_filters=ac, bias=float(bias), energies=energies)
 
 
 def load_model(path) -> RPointHopModel:
@@ -617,7 +614,6 @@ def load_model(path) -> RPointHopModel:
                 k_lrf=int(cfg["k_lrf"]),
                 hops=tuple(HopConfig(int(np_), int(k)) for np_, k in cfg["hops"]),
                 energy_threshold=float(cfg["energy_threshold"]),
-                normalize=bool(cfg["normalize"]),
                 seed=int(cfg["seed"]),
             )
             stored_tree = [
@@ -655,19 +651,7 @@ def load_model(path) -> RPointHopModel:
 # config text files
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "k_lrf", "num_points", "k_neighbors", "energy_threshold", "normalize", "seed",
-}
-
-
-_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOLS[text.lower()]
-    except KeyError:
-        raise ValueError(text) from None
+_CONFIG_KEYS = {"k_lrf", "num_points", "k_neighbors", "energy_threshold", "seed"}
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -714,7 +698,6 @@ def parse_config(text: str) -> ModelConfig:
     for key, parse, expected in (
         ("k_lrf", int, "an integer"),
         ("energy_threshold", float, "a number"),
-        ("normalize", _parse_bool, "a boolean"),
         ("seed", int, "an integer"),
     ):
         if key in values:
@@ -730,7 +713,6 @@ def format_config(config: ModelConfig) -> str:
             "num_points = " + " ".join(str(h.num_points) for h in config.hops),
             "k_neighbors = " + " ".join(str(h.k_neighbors) for h in config.hops),
             f"energy_threshold = {config.energy_threshold!r}",
-            f"normalize = {str(config.normalize).lower()}",
             f"seed = {config.seed}",
         ]
     ) + "\n"

@@ -47,11 +47,14 @@ STATUS_OUTPUT = "output"
 
 @dataclass(frozen=True)
 class SaabLayer:
-    input_dim: int
     dc_filter: np.ndarray  # (N,)
     ac_filters: np.ndarray  # (K-1, N)
     bias: float
     energies: np.ndarray  # (K,) normalized, DC first
+
+    @property
+    def input_dim(self) -> int:
+        return self.dc_filter.shape[0]
 
     @property
     def kept_dim(self) -> int:
@@ -105,13 +108,7 @@ def saab_fit(samples: np.ndarray) -> SaabLayer:
     else:
         energies = np.concatenate([[dc_energy], w[:keep]]) / kept_energy
     bias = float(np.linalg.norm(x, axis=1).max())
-    return SaabLayer(
-        input_dim=n,
-        dc_filter=dc,
-        ac_filters=ac_filters,
-        bias=bias,
-        energies=energies,
-    )
+    return SaabLayer(dc_filter=dc, ac_filters=ac_filters, bias=bias, energies=energies)
 
 
 def saab_apply(layer: SaabLayer, v: np.ndarray) -> np.ndarray:

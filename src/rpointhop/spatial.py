@@ -28,8 +28,6 @@ import threading
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import PointCloud
-
 _GAP = 1e-9  # relative d² gap across the k boundary that settles a row
 
 # Farthest point sampling makes about seven small numpy calls per pick, and
@@ -44,8 +42,7 @@ os.register_at_fork(
 
 
 def _as_points(obj) -> np.ndarray:
-    coords = obj.coords if isinstance(obj, PointCloud) else np.asarray(obj, dtype=np.float64)
-    coords = np.atleast_2d(coords)
+    coords = np.atleast_2d(np.asarray(obj, dtype=np.float64))
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError(f"expected (N, 3) coordinates, got {coords.shape}")
     return coords

@@ -153,6 +153,12 @@ class TestOffFormat:
         with pytest.raises(CloudParseError, match="expected 3 vertex lines"):
             load_cloud(p)
 
+    def test_fractional_vertex_count_names_line(self, tmp_path):
+        p = tmp_path / "c.off"
+        p.write_text("OFF 2.7 0 0\n0 0 0\n1 2 3\n0 1 0\n")
+        with pytest.raises(CloudParseError, match="line 1: vertex count must be an integer, got '2.7'"):
+            load_cloud(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "c.off"
         p.write_text("")
@@ -172,6 +178,23 @@ class TestXyzFormat:
         p.write_text("0 0 0 9 8\n1 2 3 7 6\n")
         c = load_cloud(p)
         assert np.array_equal(c.coords, [[0, 0, 0], [1, 2, 3]])
+
+    def test_trailing_text_columns_load(self, tmp_path):
+        p = tmp_path / "c.xyz"
+        p.write_text("0 0 0 red\n1 2 3 blue\n")
+        assert np.array_equal(load_cloud(p).coords, [[0, 0, 0], [1, 2, 3]])
+
+    def test_non_numeric_coordinate_before_text_column_names_line(self, tmp_path):
+        p = tmp_path / "c.xyz"
+        p.write_text("0 0 0 red\n1 y 3 blue\n")
+        with pytest.raises(CloudParseError, match="line 2.*non-numeric"):
+            load_cloud(p)
+
+    def test_ragged_text_columns_name_line(self, tmp_path):
+        p = tmp_path / "c.xyz"
+        p.write_text("0 0 0 red\n1 2 3 light blue\n")
+        with pytest.raises(CloudParseError, match="line 2.*column count"):
+            load_cloud(p)
 
     def test_short_row_names_line(self, tmp_path):
         p = tmp_path / "c.xyz"
@@ -274,11 +297,25 @@ class TestPlyFormat:
         with pytest.raises(CloudParseError, match="no vertex element"):
             load_cloud(p)
 
-    def test_ply_ascii_format_alias(self, tmp_path):
+    @pytest.mark.parametrize(
+        "vertices, faces, message",
+        [
+            ("-2", "0", "line 3: vertex count must be >= 1, got -2"),
+            ("0", "0", "line 3: vertex count must be >= 1, got 0"),
+            ("2.0", "0", "line 3: vertex count must be an integer, got '2.0'"),
+            ("2", "-1", "line 7: face count must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_element_count_names_line(self, tmp_path, vertices, faces, message):
         p = tmp_path / "c.ply"
-        p.write_text(PLY_WITH_NORMALS)
-        c = load_cloud(p, format="ply-ascii")
-        assert len(c) == 4
+        p.write_text(
+            f"ply\nformat ascii 1.0\nelement vertex {vertices}\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            f"element face {faces}\nproperty list uchar int vertex_indices\n"
+            "end_header\n0 0 0\n1 1 1\n"
+        )
+        with pytest.raises(CloudParseError, match=message):
+            load_cloud(p)
 
 
 class TestRoundTrips:

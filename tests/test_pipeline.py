@@ -72,7 +72,6 @@ class TestConfigs:
         assert [h.k_neighbors for h in cfg.hops] == [64, 32, 48, 48]
         assert cfg.k_lrf == 64
         assert cfg.energy_threshold == 0.001
-        assert cfg.normalize is True
         assert cfg.seed == 0
 
     def test_model_config_validation(self):
@@ -772,9 +771,7 @@ class TestModelFile:
     @staticmethod
     def _later_width_not_eight(model):
         def narrow(layer):
-            return dataclasses.replace(
-                layer, input_dim=4, dc_filter=layer.dc_filter[:4], ac_filters=layer.ac_filters[:, :4]
-            )
+            return dataclasses.replace(layer, dc_filter=layer.dc_filter[:4], ac_filters=layer.ac_filters[:, :4])
 
         return model.tree, ({pid: narrow(layer) for pid, layer in model.later_hops[0].items()},)
 
@@ -836,16 +833,20 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
-    def test_header_with_removed_aux_key_loads(self, tiny_model, tiny_corpus, tmp_path):
-        # older model files hold "use_aux_attributes":false between the
-        # energy threshold and "normalize"; the key is read past and the
-        # model is the same
+    @pytest.mark.parametrize(
+        "key",
+        [b'"use_aux_attributes":false,', b'"normalize":true,', b'"normalize":false,'],
+        ids=["use_aux_attributes", "normalize_true", "normalize_false"],
+    )
+    def test_header_with_removed_aux_key_loads(self, tiny_model, tiny_corpus, tmp_path, key):
+        # older model files hold "use_aux_attributes" and "normalize"
+        # between the energy threshold and the seed; the keys are read past
+        # and the model is the same
         path, old_path = tmp_path / "m.rph", tmp_path / "old.rph"
         save_model(tiny_model, path)
         raw = path.read_bytes()
         (blob_len,) = struct.unpack("<Q", raw[8:16])
-        key = b'"use_aux_attributes":false,'
-        blob = raw[16 : 16 + blob_len].replace(b'"normalize":', key + b'"normalize":')
+        blob = raw[16 : 16 + blob_len].replace(b'"seed":', key + b'"seed":')
         assert len(blob) == blob_len + len(key)
         old_path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + blob_len :])
         new, old = load_model(path), load_model(old_path)
@@ -861,7 +862,6 @@ class TestModelFile:
         layer = tiny_model.hop1_layer
         wide = dataclasses.replace(
             layer,
-            input_dim=31,
             dc_filter=np.pad(layer.dc_filter, (0, 7)),
             ac_filters=np.pad(layer.ac_filters, ((0, 0), (0, 7))),
         )
@@ -894,7 +894,6 @@ class TestConfigText:
             hops=(HopConfig(500, 40), HopConfig(250, 20)),
             k_lrf=32,
             energy_threshold=1.25e-4,
-            normalize=False,
             seed=42,
         )
         assert parse_config(format_config(cfg)) == cfg
@@ -913,25 +912,17 @@ class TestConfigText:
         assert [h.k_neighbors for h in cfg.hops] == [16, 8]
         assert cfg.energy_threshold == 0.01
         assert cfg.seed == 3
-        assert cfg.normalize is True  # default preserved
-
-    def test_boolean_spellings(self):
-        for text, expected in (("true", True), ("1", True), ("yes", True),
-                               ("false", False), ("0", False), ("no", False)):
-            cfg = parse_config(f"normalize = {text}\n")
-            assert cfg.normalize is expected
-        with pytest.raises(ValueError, match="boolean"):
-            parse_config("normalize = maybe\n")
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ValueError, match="line 2.*unknown key"):
             parse_config("k_lrf = 8\nbogus = 1\n")
 
-    def test_removed_aux_key_names_line(self):
-        # use_aux_attributes is not a key: a config that sets it fails
-        # instead of training a model without aux attributes
-        with pytest.raises(ValueError, match=re.escape("config line 2: unknown key 'use_aux_attributes'")):
-            parse_config("seed = 1\nuse_aux_attributes = true\n")
+    @pytest.mark.parametrize("key", ["use_aux_attributes", "normalize"])
+    def test_removed_aux_key_names_line(self, key):
+        # removed options are not keys: a config that sets one fails
+        # instead of training a model that ignores it
+        with pytest.raises(ValueError, match=re.escape(f"config line 2: unknown key '{key}'")):
+            parse_config(f"seed = 1\n{key} = true\n")
 
     def test_missing_equals_names_line(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -947,7 +938,7 @@ class TestConfigText:
         "text, where",
         [
             ("k_lrf = abc\n", "line 1: k_lrf expects an integer, got 'abc'"),
-            ("normalize = no\nseed = 1.5\n", "line 2: seed expects an integer, got '1.5'"),
+            ("k_lrf = 8\nseed = 1.5\n", "line 2: seed expects an integer, got '1.5'"),
             ("energy_threshold = 1e-3x\n", "line 1: energy_threshold expects a number"),
             ("num_points = 128 64\nk_neighbors = 16, eight\n", "line 2: k_neighbors expects one integer per hop"),
             ("num_points = 12.5\nk_neighbors = 8\n", "line 1: num_points expects one integer per hop"),

@@ -100,16 +100,6 @@ class TestKnn:
             assert np.array_equal(idx_all[qi], oi)
             assert np.array_equal(dist_all[qi], od)
 
-    def test_index_accepts_cloud_and_array(self):
-        from rpointhop import PointCloud
-
-        pts = np.random.default_rng(6).normal(size=(12, 3))
-        for index in (KnnIndex(pts), KnnIndex(PointCloud(pts))):
-            idx, _ = index.query(pts[0], 3)
-            assert idx[0] == 0
-            assert len(index) == 12
-
-
 class TestSelfNeighborTable:
     def test_each_point_is_own_first_neighbor(self):
         pts = np.random.default_rng(7).normal(size=(30, 3))
@@ -342,10 +332,3 @@ class TestFps:
             fps_indices(pts, 0, start=0)
         with pytest.raises(ValueError, match="start"):
             fps_indices(pts, 2, start=4)
-
-    def test_fps_accepts_cloud(self):
-        from rpointhop import PointCloud
-
-        pts = np.random.default_rng(15).normal(size=(16, 3))
-        got = fps_indices(PointCloud(pts), 6)
-        assert np.array_equal(got, fps_indices(pts, 6, start=0))
