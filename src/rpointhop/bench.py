@@ -420,7 +420,7 @@ def make_shape_cloud(n: int, seed: int) -> PointCloud:
     disp = np.stack(
         [amp[j] * np.sin(coords @ waves[j] + phase[j]) for j in range(3)], axis=1
     )
-    return normalize_unit_sphere(PointCloud(coords + disp))[0]
+    return normalize_unit_sphere(PointCloud(coords + disp))
 
 
 def make_shape_corpus(count: int, n_points: int, seed: int) -> list[PointCloud]:

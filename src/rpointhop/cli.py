@@ -5,43 +5,36 @@ stochastic behavior is seed-driven; stdout of ``train`` and ``benchmark``
 and every artifact file except register reports (which include a runtime
 line) are byte-identical across reruns with the same inputs and seeds.
 
-The ``RPH_THREADS`` environment variable caps the BLAS/OpenMP threads of
-the numeric libraries (0 or unset = automatic). It is applied before they
-initialize, which is why the heavy imports below live inside functions.
-Apart from that cap, ``train`` and ``register`` always run their
-independent per-cloud work in two lanes: the calling thread and one
-persistent worker thread. Neither changes any output.
+``train`` and ``register`` run their independent per-cloud work in two
+lanes: the calling thread and one persistent worker thread. This changes
+no output.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+from .bench import ExperimentSpec, render_report, run_benchmark, run_ratio_ablation
+from .cloud import FORMATS, load_cloud, save_cloud
+from .pipeline import (
+    ModelConfig,
+    extract_features,
+    format_config,
+    load_model,
+    parse_config,
+    save_model,
+    train,
+)
+from .registration import MatchParams, RansacParams, format_report, register
 
 logger = logging.getLogger("rpointhop.cli")
 
 
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("RPH_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        logger.warning("ignoring non-integer RPH_THREADS=%r", raw)
-        return
-    if n <= 0:  # 0 = automatic
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-
-
 def _load_dir(input_dir: str) -> list:
-    from .cloud import FORMATS, load_cloud
-
     root = Path(input_dir)
     if not root.is_dir():
         raise FileNotFoundError(f"not a directory: {input_dir}")
@@ -52,10 +45,6 @@ def _load_dir(input_dir: str) -> list:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .pipeline import ModelConfig, format_config, parse_config, save_model, train
-
     config = ModelConfig()
     if args.config:
         config = parse_config(Path(args.config).read_text())
@@ -73,10 +62,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_register(args: argparse.Namespace) -> int:
-    from .cloud import load_cloud, save_cloud
-    from .pipeline import load_model
-    from .registration import MatchParams, RansacParams, format_report, register
-
     model = load_model(args.model)
     source = load_cloud(args.source)
     target = load_cloud(args.target)
@@ -90,7 +75,7 @@ def cmd_register(args: argparse.Namespace) -> int:
     )
     Path(args.output).write_text(format_report(report))
     aligned_path = f"{args.output}.aligned.xyz"
-    save_cloud(aligned, aligned_path, format="xyz")
+    save_cloud(aligned, aligned_path)
     print(f"report written to {args.output}")
     print(f"aligned source written to {aligned_path}")
     print(
@@ -102,9 +87,6 @@ def cmd_register(args: argparse.Namespace) -> int:
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    from .cloud import load_cloud
-    from .pipeline import extract_features, load_model
-
     model = load_model(args.model)
     cloud = load_cloud(args.input)
     fs = extract_features(model, cloud, seed=args.seed)
@@ -121,9 +103,6 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    from .bench import ExperimentSpec, render_report, run_benchmark, run_ratio_ablation
-    from .pipeline import load_model
-
     model = load_model(args.model)
     clouds = _load_dir(args.test_dir)
     spec = ExperimentSpec(
@@ -202,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,

@@ -251,17 +251,15 @@ def detect_format(path: str | Path) -> str:
     raise ValueError(f"cannot infer point cloud format from extension of {path!s}")
 
 
-def load_cloud(path: str | Path, format: str | None = None) -> PointCloud:
+def load_cloud(path: str | Path) -> PointCloud:
     """Load an ASCII point cloud file (``off``, ``ply``, or ``xyz``).
 
-    When ``format`` is None it is inferred from the file extension. Only
-    coordinates are read: XYZ columns past the third and PLY vertex
-    properties other than x, y and z (normals, colors) are ignored.
-    Parse failures raise :class:`CloudParseError` naming the offending line.
+    The format comes from the file extension. Only coordinates are read:
+    XYZ columns past the third and PLY vertex properties other than x, y
+    and z (normals, colors) are ignored. Parse failures raise
+    :class:`CloudParseError` naming the offending line.
     """
-    fmt = (format or detect_format(path)).lower()
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    fmt = detect_format(path)
     lines = Path(path).read_text().splitlines()
     if fmt == "off":
         return _load_off(lines, str(path))
@@ -270,11 +268,10 @@ def load_cloud(path: str | Path, format: str | None = None) -> PointCloud:
     return _load_xyz(lines, str(path))
 
 
-def save_cloud(cloud: PointCloud, path: str | Path, format: str | None = None) -> None:
-    """Write a cloud's coordinates as ASCII, 17 significant digits."""
-    fmt = (format or detect_format(path)).lower()
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+def save_cloud(cloud: PointCloud, path: str | Path) -> None:
+    """Write a cloud's coordinates as ASCII, 17 significant digits, in the
+    format that the file extension names."""
+    fmt = detect_format(path)
     n = len(cloud)
     if fmt == "off":
         out = ["OFF", f"{n} 0 0"]
@@ -328,12 +325,11 @@ def load_transform(path: str | Path) -> RigidTransform:
 # ---------------------------------------------------------------------------
 
 
-def normalize_unit_sphere(cloud: PointCloud) -> tuple[PointCloud, np.ndarray, float]:
+def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     """Center a cloud on its centroid and scale the farthest point to radius 1.
 
-    Returns (normalized cloud, centroid, scale). A fully coincident cloud has
-    scale 0; that case warns and uses scale 1 so the output is the centered
-    (all-zero) cloud.
+    A fully coincident cloud has scale 0; that case warns and uses scale 1
+    so the output is the centered (all-zero) cloud.
     """
     centroid = cloud.coords.mean(axis=0)
     centered = cloud.coords - centroid
@@ -341,7 +337,7 @@ def normalize_unit_sphere(cloud: PointCloud) -> tuple[PointCloud, np.ndarray, fl
     if scale <= 0.0:
         warnings.warn("all points coincident; normalizing with scale 1", stacklevel=2)
         scale = 1.0
-    return PointCloud(centered / scale), centroid, scale
+    return PointCloud(centered / scale)
 
 
 def sample_indices(n: int, m: int, seed: int) -> np.ndarray:

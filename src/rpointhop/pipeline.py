@@ -461,7 +461,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
 
     def start(item: tuple[PointCloud, int]) -> _HopRun:
         cloud, seed = item
-        return _HopRun(normalize_unit_sphere(cloud)[0].coords, config, seed, fit=True)
+        return _HopRun(normalize_unit_sphere(cloud).coords, config, seed, fit=True)
 
     runs = _two_lanes(start, zip(clouds, cloud_seeds))
     n_hops = len(config.hops)

@@ -147,8 +147,7 @@ def match(target: FeatureSet, source: FeatureSet, params: MatchParams = MatchPar
     """
     dist = feature_distance_matrix(target, source)
     first, d1, d2 = _nearest_two(dist, source.neighbor_table)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(d2 > 0.0, d1 / np.where(d2 > 0.0, d2, 1.0), 1.0)
+    ratios = np.where(d2 > 0.0, d1 / np.where(d2 > 0.0, d2, 1.0), 1.0)
 
     n_target = dist.shape[0]
     if params.m1 > n_target:

@@ -52,11 +52,13 @@ class KnnIndex:
     """Read-only neighbor index over a fixed set of points.
 
     Thread-safe for concurrent queries (queries never mutate the index).
+    The index keeps its own copy of the points, so the caller's array stays
+    writeable and later writes to it do not reach the index.
     Points and queries must be finite (``ValueError`` otherwise).
     """
 
     def __init__(self, points) -> None:
-        self.points = np.ascontiguousarray(_as_points(points))
+        self.points = np.array(_as_points(points), order="C")
         self.points.setflags(write=False)
         self._tree = cKDTree(self.points)
 

@@ -244,7 +244,7 @@ def corpus_hop_tables(config: ModelConfig, fit: bool) -> list[tuple[np.ndarray, 
     one ``KnnIndex`` row per point the hop computes, ``max(k_lrf, k)``
     wide at hop 1 and k wide after."""
     cloud = make_shape_corpus(1, 1024, seed=0)[0]
-    run = _HopRun(normalize_unit_sphere(cloud)[0].coords, config, seed=0, fit=fit)
+    run = _HopRun(normalize_unit_sphere(cloud).coords, config, seed=0, fit=fit)
     hops = []
     for h, (hop, count) in enumerate(zip(config.hops, run.counts)):
         points = run.coords[: hop.num_points]

@@ -19,7 +19,7 @@ from rpointhop import (
     save_model,
     translation_error,
 )
-from rpointhop.cli import _apply_thread_cap, main
+from rpointhop.cli import main
 from rpointhop.pipeline import format_config
 
 from conftest import CLI_CONFIG, random_rotation
@@ -310,53 +310,24 @@ class TestBenchmark:
 # ---------------------------------------------------------------------------
 
 
-THREAD_VARS = ("RPH_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class TestPlumbing:
-    def test_thread_cap_sets_env(self, monkeypatch):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("RPH_THREADS", "2")
-        _apply_thread_cap()
-        import os
-
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-        assert os.environ["MKL_NUM_THREADS"] == "2"
-
-    def test_thread_cap_respects_existing(self, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "8")
-        monkeypatch.setenv("RPH_THREADS", "2")
-        _apply_thread_cap()
-        import os
-
-        assert os.environ["OMP_NUM_THREADS"] == "8"  # setdefault semantics
-
-    def test_thread_cap_ignores_garbage(self, monkeypatch):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("RPH_THREADS", "abc")
-        _apply_thread_cap()
-        import os
-
-        assert "OMP_NUM_THREADS" not in os.environ
-        monkeypatch.setenv("RPH_THREADS", "0")
-        _apply_thread_cap()
-        assert "OMP_NUM_THREADS" not in os.environ
-
     @staticmethod
     def _at_thread_caps(args, read_output=lambda: None):
-        """(stdout, read_output()) of the CLI run with RPH_THREADS unset, 1
-        and 2. The cap must be applied before numpy loads, so each run is
+        """(stdout, read_output()) of the CLI run with the BLAS thread
+        variables unset, then OPENBLAS_NUM_THREADS and OMP_NUM_THREADS both
+        at 1 and both at 2. BLAS reads them when it loads, so each run is
         its own process."""
         env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         runs = []
         for cap in (None, "1", "2"):
+            caps = {} if cap is None else {"OPENBLAS_NUM_THREADS": cap, "OMP_NUM_THREADS": cap}
             proc = subprocess.run(
                 [sys.executable, "-m", "rpointhop.cli", *args],
-                env=env if cap is None else {**env, "RPH_THREADS": cap},
+                env={**env, **caps},
                 capture_output=True, text=True, check=True,
             )
             runs.append((proc.stdout, read_output()))

@@ -357,11 +357,11 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="format"):
             detect_format("c.txt")
 
-    def test_unknown_explicit_format(self, tmp_path):
-        p = tmp_path / "c.xyz"
+    def test_load_unknown_suffix(self, tmp_path):
+        p = tmp_path / "c.obj"
         p.write_text("0 0 0\n")
-        with pytest.raises(ValueError, match="unknown format"):
-            load_cloud(p, format="obj")
+        with pytest.raises(ValueError, match="format"):
+            load_cloud(p)
 
 
 class TestTransformFile:
@@ -403,42 +403,31 @@ class TestTransformFile:
 class TestNormalizeUnitSphere:
     def test_two_point_example(self):
         c = PointCloud(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
-        out, centroid, scale = normalize_unit_sphere(c)
+        out = normalize_unit_sphere(c)
         assert np.array_equal(out.coords, [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        assert np.array_equal(centroid, [1.0, 0.0, 0.0])
-        assert scale == 1.0
 
     def test_output_centered_and_unit_radius(self):
         rng = np.random.default_rng(6)
-        out, _, _ = normalize_unit_sphere(PointCloud(rng.normal(size=(50, 3)) * 7 + 3))
+        out = normalize_unit_sphere(PointCloud(rng.normal(size=(50, 3)) * 7 + 3))
         assert np.abs(out.coords.mean(axis=0)).max() < 1e-9
         assert abs(np.linalg.norm(out.coords, axis=1).max() - 1.0) < 1e-9
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
-        once, _, _ = normalize_unit_sphere(PointCloud(rng.normal(size=(20, 3))))
-        twice, _, _ = normalize_unit_sphere(once)
+        once = normalize_unit_sphere(PointCloud(rng.normal(size=(20, 3))))
+        twice = normalize_unit_sphere(once)
         assert np.abs(twice.coords - once.coords).max() < 1e-9
 
     def test_single_point_warns_and_uses_scale_one(self):
         with pytest.warns(UserWarning, match="coincident"):
-            out, centroid, scale = normalize_unit_sphere(PointCloud(np.array([[5.0, 5.0, 5.0]])))
+            out = normalize_unit_sphere(PointCloud(np.array([[5.0, 5.0, 5.0]])))
         assert np.array_equal(out.coords, [[0.0, 0.0, 0.0]])
-        assert np.array_equal(centroid, [5.0, 5.0, 5.0])
-        assert scale == 1.0
 
     def test_coincident_points_warn(self):
         c = PointCloud(np.ones((3, 3)))
         with pytest.warns(UserWarning, match="coincident"):
-            out, _, scale = normalize_unit_sphere(c)
-        assert scale == 1.0
+            out = normalize_unit_sphere(c)
         assert np.abs(out.coords).max() == 0.0
-
-    def test_denormalization_inverts(self):
-        rng = np.random.default_rng(8)
-        c = PointCloud(rng.normal(size=(30, 3)) * 4 - 2)
-        out, centroid, scale = normalize_unit_sphere(c)
-        assert np.abs(out.coords * scale + centroid - c.coords).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ class TestOctants:
         # averages its own projections through the arange table, later hops
         # average value rows up to the default model's widest (216)
         cloud = make_shape_corpus(1, 1024, seed=0)[0]
-        coords = _HopRun(normalize_unit_sphere(cloud)[0].coords, config, seed=0, fit=True).coords
+        coords = _HopRun(normalize_unit_sphere(cloud).coords, config, seed=0, fit=True).coords
         rng = np.random.default_rng(counts[0])
         for h, (hop, count, width) in enumerate(zip(config.hops, counts, (3, 24, 138, 216))):
             points = coords[: hop.num_points]
@@ -379,7 +379,7 @@ class TestTrain:
         config = tiny_model.config
         rng = np.random.Generator(np.random.PCG64(config.seed))
         runs = [
-            _HopRun(normalize_unit_sphere(cloud)[0].coords, config, int(rng.integers(2**63)), fit=True)
+            _HopRun(normalize_unit_sphere(cloud).coords, config, int(rng.integers(2**63)), fit=True)
             for cloud in tiny_corpus
         ]
         hop_layers = ({0: tiny_model.hop1_layer}, *tiny_model.later_hops)

@@ -88,6 +88,17 @@ class TestKnn:
         with pytest.raises(ValueError, match="finite"):
             KnnIndex(np.eye(3)).query(np.array([np.nan, 0.0, 0.0]), 1)
 
+    def test_caller_array_stays_writeable_and_detached(self):
+        rng = np.random.default_rng(6)
+        pts = rng.normal(size=(10, 3))
+        queries = rng.normal(size=(4, 3))
+        index = KnnIndex(pts)
+        before = index.query(queries, 3)
+        pts[:] = 100.0  # raises if the index froze the caller's array
+        after = index.query(queries, 3)
+        assert np.array_equal(before[0], after[0])
+        assert np.array_equal(before[1], after[1])
+
     def test_chunking_boundary_consistency(self):
         # a large batch must match per-row queries exactly
         rng = np.random.default_rng(5)
