@@ -27,8 +27,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cloud import PointCloud, RigidTransform, apply_transform, normalize_unit_sphere
-from .pipeline import FeatureSet, RPointHopModel
+from .pipeline import CloudTooSmallError, FeatureSet, RPointHopModel
 from .registration import (
+    EstimationError,
+    MatchingError,
     MatchParams,
     RansacParams,
     euler_xyz_to_matrix,
@@ -43,6 +45,10 @@ from .registration import (
 from .spatial import KnnIndex
 
 logger = logging.getLogger(__name__)
+
+# the program's typed refusals of a trial's inputs; a benchmark records
+# these as failed trials, and every other exception propagates
+REFUSALS = (CloudTooSmallError, EstimationError, MatchingError)
 
 
 @dataclass(frozen=True)
@@ -245,14 +251,14 @@ def _run_variants(
             features = None if spec.icp_only else extract_pair(
                 model, trial.target, trial.source, trial.extract_seed
             )
-        except Exception as exc:  # noqa: BLE001 - failures are data here
+        except REFUSALS as exc:
             for out in results:
                 out.append(_score(trial, exc))
             continue
         for out, (_, vspec) in zip(results, variants):
             try:
                 outcome = _estimate(features, trial, vspec)
-            except Exception as exc:  # noqa: BLE001
+            except REFUSALS as exc:
                 outcome = exc
             out.append(_score(trial, outcome))
     runtime = time.perf_counter() - t0
@@ -277,9 +283,10 @@ def run_benchmark(
 ) -> BenchReport:
     """Run all trials of one experiment.
 
-    ``model`` may be None only for ``icp_only`` specs. Failed trials are
-    recorded with their message and excluded from the aggregates rather
-    than aborting the run.
+    ``model`` may be None only for ``icp_only`` specs. A trial that the
+    program refuses with one of :data:`REFUSALS` is recorded as failed, with
+    its message, and excluded from the aggregates rather than aborting the
+    run; any other exception is a fault and propagates.
     """
     return _run_variants(model, test_clouds, spec, [(label, spec)])[0]
 

@@ -5,9 +5,11 @@ stochastic behavior is seed-driven; stdout of ``train`` and ``benchmark``
 and every artifact file except register reports (which include a runtime
 line) are byte-identical across reruns with the same inputs and seeds.
 
-``train`` and ``register`` run their independent per-cloud work in two
-lanes: the calling thread and one persistent worker thread. This changes
-no output.
+``train``, ``register`` and ``benchmark`` use two lanes: the calling
+thread and one persistent worker thread. ``train`` runs its independent
+per-cloud work on them. A registration extracts its target and source
+clouds at once, then splits the rows of matching and of RANSAC's
+hypothesis scoring into two halves, one per lane. This changes no output.
 """
 
 from __future__ import annotations

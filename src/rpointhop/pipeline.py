@@ -80,6 +80,10 @@ class ModelFormatError(ValueError):
     """A model file is corrupt or has an unsupported version."""
 
 
+class CloudTooSmallError(ValueError):
+    """A cloud has fewer points than the model's hop-1 budget."""
+
+
 @dataclass(frozen=True)
 class HopConfig:
     """Point budget and neighborhood size for one hop."""
@@ -240,8 +244,8 @@ _LANE: ThreadPoolExecutor
 
 def _renew_lane() -> None:
     """(Re)create the worker lane. numpy releases the GIL in its heavy
-    kernels, so per-cloud work on this one persistent thread overlaps the
-    caller's. The executor starts its thread on first use, and a forked
+    kernels, so work on this one persistent thread (a cloud, or a half of
+    a stage's rows) overlaps the caller's. The executor starts its thread on first use, and a forked
     child inherits the executor but not the thread, so it gets a new one."""
     global _LANE
     _LANE = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rpointhop-lane")
@@ -267,6 +271,20 @@ def _two_lanes(fn: Callable, items: Iterable) -> list:
         for job in jobs:
             job.cancel()
         wait(jobs)
+
+
+def _row_halves(lanes: Callable, fn: Callable, n: int) -> tuple[np.ndarray, ...]:
+    """``fn(slice(0, n))``, computed as ``fn`` on the first and second halves
+    of rows [0, n) by ``lanes`` (:func:`_two_lanes`): the first half on the
+    calling thread, the second on the worker lane. ``fn`` returns a tuple
+    of arrays with one leading row per row of its slice, and each array is
+    joined along axis 0. A half may be empty (n < 2), so ``fn`` must accept
+    an empty slice. When ``fn`` computes each row on its own, the result
+    has the same bits as one call on all rows.
+    """
+    half = (n + 1) // 2
+    first, second = lanes(fn, (slice(0, half), slice(half, n)))
+    return tuple(np.concatenate(pair) for pair in zip(first, second))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +415,7 @@ class _HopRun:
         budgets = [hop.num_points for hop in config.hops]
         n = coords_full.shape[0]
         if n < budgets[0]:
-            raise ValueError(f"cloud has {n} points but hop 1 needs {budgets[0]}")
+            raise CloudTooSmallError(f"cloud has {n} points but hop 1 needs {budgets[0]}")
         self.config = config
         self.counts = budgets if fit else budgets[1:] + budgets[-1:]
         self.orig_indices = sample_indices(n, budgets[0], seed)

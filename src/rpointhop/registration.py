@@ -18,6 +18,14 @@ locally rather than how ambiguous the match is. Taking d2 from elsewhere
 on the cloud, as Lowe's ratio test takes it from a different object, makes
 a small ratio mean an unambiguous match; dropping large-ratio pairs removes
 the matches that symmetric or featureless regions produce.
+
+A registration uses the two lanes (:func:`rpointhop.pipeline._two_lanes`:
+the calling thread and one persistent worker thread) three times: the
+target and source extractions run at once, then matching and RANSAC's
+hypothesis scoring each split their rows into two halves, one per lane
+(:func:`rpointhop.pipeline._row_halves`). Both stages compute every row on
+its own, so the halves give the same bits as one serial pass. RANSAC's
+draws, its selection and its refit, and ICP, run on the caller.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .cloud import PointCloud, RigidTransform, align_inverse, apply_transform
-from .pipeline import FeatureSet, RPointHopModel, _two_lanes, extract_features
+from .pipeline import FeatureSet, RPointHopModel, _row_halves, _two_lanes, extract_features
 from .spatial import KnnIndex
 
 
@@ -105,13 +113,6 @@ class CorrespondenceSet:
         )
 
 
-def feature_distance_matrix(target: FeatureSet, source: FeatureSet) -> np.ndarray:
-    """(N_target, N_source) Euclidean distances between feature rows."""
-    if target.features.shape[1] != source.features.shape[1]:
-        raise ValueError("feature widths differ; were these extracted with the same model?")
-    return cdist(target.features, source.features)
-
-
 def _nearest_two(
     dist: np.ndarray, neighbor_table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,15 +144,25 @@ def match(target: FeatureSet, source: FeatureSet, params: MatchParams = MatchPar
     Each pair's ratio is d1/d2, with d2 taken outside the matched source
     point's neighborhood in ``source.neighbor_table`` (module docstring).
     Deterministic: ties in every sort break on ascending target row index.
-    Raises :class:`MatchingError` when m1 exceeds the number of target rows.
+    Each target row's distances to every source row, and its nearest and
+    second distances, do not depend on the other target rows, so the two
+    halves of the target rows run on the two lanes (:func:`_row_halves`)
+    and the selection runs on the caller.
+    Raises ValueError when the feature widths differ, and
+    :class:`MatchingError` when m1 exceeds the number of target rows.
     """
-    dist = feature_distance_matrix(target, source)
-    first, d1, d2 = _nearest_two(dist, source.neighbor_table)
-    ratios = np.where(d2 > 0.0, d1 / np.where(d2 > 0.0, d2, 1.0), 1.0)
-
-    n_target = dist.shape[0]
+    if target.features.shape[1] != source.features.shape[1]:
+        raise ValueError("feature widths differ; were these extracted with the same model?")
+    n_target = len(target)
     if params.m1 > n_target:
         raise MatchingError(f"m1={params.m1} exceeds the {n_target} available target points")
+    first, d1, d2 = _row_halves(
+        _two_lanes,
+        lambda rows: _nearest_two(cdist(target.features[rows], source.features), source.neighbor_table),
+        n_target,
+    )
+    ratios = np.where(d2 > 0.0, d1 / np.where(d2 > 0.0, d2, 1.0), 1.0)
+
     by_dist = np.lexsort((np.arange(n_target), d1))[: params.m1]
     if params.use_ratio_test:
         order = np.lexsort((by_dist, ratios[by_dist]))
@@ -251,8 +262,10 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
     inliers are scarce, as they are under partial overlap with noise.
     Draws ``RANSAC_ITERATIONS`` samples position by position
     (:func:`_consistent_samples`), deterministic given ``params.seed``,
-    then scores every hypothesis in one batched pass (:func:`_kabsch` over
-    the stack of samples). Degenerate samples and hypotheses with fewer
+    then scores every hypothesis in a batched pass (:func:`_kabsch` over
+    the stack of samples, then every pair's residual), the two halves of
+    the stack on the two lanes (:func:`_row_halves`). Each stack slice gets
+    the same bits in either half. Degenerate samples and hypotheses with fewer
     than 3 inliers are dropped. The best hypothesis has the most inliers,
     then the lowest inlier RMSE, then the earliest row; the final
     transform is re-estimated on its inliers. Raises
@@ -267,8 +280,13 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
     )
     compatible = separation_gap < 2.0 * params.inlier_radius
     picks = _consistent_samples(rng, compatible)
-    rotation, translation, s = _kabsch(corr.target_coords[picks], corr.source_coords[picks])
-    res = _residuals(corr, rotation, translation)  # (B, m)
+
+    def score(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        sample = picks[rows]
+        rotation, translation, s = _kabsch(corr.target_coords[sample], corr.source_coords[sample])
+        return s, _residuals(corr, rotation, translation)
+
+    s, res = _row_halves(_two_lanes, score, len(picks))  # (B, 3), (B, m)
     inliers = res < params.inlier_radius
     counts = inliers.sum(axis=1)
     counts[_degenerate(s)] = 0

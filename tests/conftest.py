@@ -11,11 +11,25 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from rpointhop import EstimationError, HopConfig, ModelConfig, RigidTransform, estimate_transform, train
+from rpointhop import (
+    EstimationError,
+    HopConfig,
+    MatchingError,
+    ModelConfig,
+    RigidTransform,
+    estimate_transform,
+    train,
+)
 from rpointhop.bench import make_shape_corpus
 from rpointhop.cloud import normalize_unit_sphere
-from rpointhop.pipeline import _HopRun
-from rpointhop.registration import RANSAC_SAMPLE_SIZE, _consistent_samples
+from rpointhop.pipeline import FeatureSet, _HopRun
+from rpointhop.registration import (
+    RANSAC_SAMPLE_SIZE,
+    CorrespondenceSet,
+    MatchParams,
+    _consistent_samples,
+    _nearest_two,
+)
 from rpointhop.saab import STATUS_DISCARDED, saab_apply
 from rpointhop.spatial import KnnIndex
 
@@ -191,6 +205,37 @@ def hop_oracle(tree, layers, parent_ids, x: np.ndarray):
     if not ids:
         return np.empty((x.shape[0], 0)), ids
     return np.stack([columns[i] for i in ids], axis=1), ids
+
+
+def feature_distance_matrix(target: FeatureSet, source: FeatureSet) -> np.ndarray:
+    """(N_target, N_source) Euclidean distances between feature rows."""
+    return cdist(target.features, source.features)
+
+
+def match_oracle(target: FeatureSet, source: FeatureSet, params: MatchParams) -> CorrespondenceSet:
+    """Matching in one serial pass: the full distance matrix, the library's
+    ``_nearest_two`` over all of it, then the ratio and the two lexsort
+    selections, ties on ascending target row."""
+    if target.features.shape[1] != source.features.shape[1]:
+        raise ValueError("feature widths differ; were these extracted with the same model?")
+    dist = feature_distance_matrix(target, source)
+    first, d1, d2 = _nearest_two(dist, source.neighbor_table)
+    ratios = np.where(d2 > 0.0, d1 / np.where(d2 > 0.0, d2, 1.0), 1.0)
+    n_target = dist.shape[0]
+    if params.m1 > n_target:
+        raise MatchingError(f"m1={params.m1} exceeds the {n_target} available target points")
+    by_dist = np.lexsort((np.arange(n_target), d1))[: params.m1]
+    if params.use_ratio_test:
+        selected = by_dist[np.lexsort((by_dist, ratios[by_dist]))][: params.m2]
+    else:
+        selected = by_dist[: params.m2]
+    return CorrespondenceSet(
+        pairs=np.stack([selected, first[selected]], axis=1).astype(np.intp),
+        target_coords=target.coords[selected],
+        source_coords=source.coords[first[selected]],
+        feature_distances=d1[selected],
+        ratios=ratios[selected],
+    )
 
 
 def ransac_oracle(corr, params) -> RigidTransform:

@@ -1,9 +1,11 @@
 """Benchmark harness: trial synthesis, error pooling, deterministic reports."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from rpointhop import PointCloud, RigidTransform, euler_xyz_to_matrix
+from rpointhop import PointCloud, RigidTransform, euler_xyz_to_matrix, registration
 from rpointhop.bench import (
     BenchReport,
     ExperimentSpec,
@@ -295,6 +297,20 @@ class TestRunBenchmark:
             assert t.geodesic_error_deg is None
         assert np.isnan(report.aggregates["rotation_deg"]["mae"])
         assert np.isnan(report.aggregates["geodesic_deg"]["median"])
+
+    def test_faults_propagate(self, cli_model, cli_corpus, monkeypatch):
+        # only typed refusals are recorded as failed trials; an IndexError in
+        # the worker lane's half of matching is a fault and must surface
+        nearest_two = registration._nearest_two
+
+        def broken(dist, table):
+            if threading.current_thread() is not threading.main_thread():
+                raise IndexError("injected")
+            return nearest_two(dist, table)
+
+        monkeypatch.setattr(registration, "_nearest_two", broken)
+        with pytest.raises(IndexError, match="injected"):
+            run_benchmark(cli_model, cli_corpus, CLEAN_SPEC)
 
     def test_icp_only_needs_no_model(self, cli_corpus):
         spec = ExperimentSpec(

@@ -359,6 +359,31 @@ class TestPlumbing:
             assert runs[0] == runs[1] == runs[2], estimate
             assert "aggregate\t" in runs[0][0]
 
+    def test_register_identical_at_any_thread_cap(self, workspace):
+        # matching and RANSAC scoring split their rows across the two lanes;
+        # every report line but the runtime, and the aligned cloud, must agree
+        report = workspace["root"] / "threads-reg.txt"
+
+        def read_output():
+            lines = report.read_text().splitlines()
+            stable = [line for line in lines if not line.startswith("runtime_s ")]
+            assert len(stable) == len(lines) - 1
+            return stable, Path(f"{report}.aligned.xyz").read_bytes()
+
+        runs = self._at_thread_caps(
+            [
+                "register",
+                "--model", str(workspace["model"]),
+                "--source", str(workspace["source"]),
+                "--target", str(workspace["target"]),
+                "--output", str(report),
+                "--ransac", "--icp-refine",
+            ],
+            read_output,
+        )
+        assert runs[0] == runs[1] == runs[2]
+        assert "used_ransac 1" in runs[0][1][0]
+
     def test_no_command_exits_with_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,11 +1,13 @@
-"""The two lanes: train's per-cloud work and register's two extractions
-share the calling thread and one persistent worker thread."""
+"""The two lanes: train's per-cloud work, register's two extractions and
+the row halves of its matching and RANSAC scoring share the calling thread
+and one persistent worker thread."""
 
 import os
 import sys
 import threading
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from rpointhop import PointCloud, apply_transform, extract_features, register, save_model, train
 from rpointhop import pipeline, registration
 from rpointhop.cloud import RigidTransform
-from rpointhop.pipeline import _two_lanes
+from rpointhop.pipeline import _row_halves, _two_lanes
 from rpointhop.registration import MatchParams
 from rpointhop.spatial import fps_indices
 
@@ -77,6 +79,20 @@ class TestTwoLanes:
         assert done == [1]
         time.sleep(0.2)
         assert done == [1]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_row_halves_join_in_row_order(self, n):
+        rows = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
+        lanes = []
+
+        def fn(part):
+            lanes.append(threading.current_thread().name)
+            return rows[part] * 2.0, rows[part, 0].astype(np.intp)
+
+        doubled, firsts = _row_halves(_two_lanes, fn, n)
+        assert doubled.tobytes() == (rows * 2.0).tobytes() and doubled.shape == (n, 2)
+        assert firsts.dtype == np.intp and firsts.tolist() == rows[:, 0].tolist()
+        assert len(set(lanes)) == 2 and threading.current_thread().name in lanes  # one half each
 
     def test_forked_child_gets_its_own_worker(self):
         _two_lanes(lambda x: x, range(2))  # the parent's worker thread exists
@@ -159,6 +175,8 @@ class TestBitIdentity:
         assert (tmp_path / "inline.rph").read_bytes() == (tmp_path / "lanes.rph").read_bytes()
 
     def test_extract_and_register(self, tiny_corpus, tiny_model, monkeypatch):
+        # extraction, matching and RANSAC scoring use the lanes; inlined,
+        # every stage runs serially on the caller
         rng = np.random.default_rng(8)
         target = tiny_corpus[3]
         source = apply_transform(target, RigidTransform(random_rotation(rng), rng.normal(size=3)))
@@ -166,8 +184,11 @@ class TestBitIdentity:
 
         def outputs():
             fs = extract_features(tiny_model, source, seed=5)
-            tf, aligned, _ = register(tiny_model, source, target, SMALL_MATCH, seed=2)
-            return [getattr(fs, f) for f in fields] + [tf.rotation, tf.translation, aligned.coords]
+            out = [getattr(fs, f) for f in fields]
+            for params, icp in ((SMALL_MATCH, False), (replace(SMALL_MATCH, use_ransac=True), True)):
+                tf, aligned, _ = register(tiny_model, source, target, params, seed=2, icp=icp)
+                out += [tf.rotation, tf.translation, aligned.coords]
+            return out
 
         with_lanes = outputs()
         monkeypatch.setattr(registration, "_two_lanes", _inline)

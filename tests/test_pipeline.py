@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpointhop import (
+    CloudTooSmallError,
     FeatureSet,
     HopConfig,
     ModelConfig,
@@ -340,7 +341,7 @@ class TestTrain:
 
     def test_cloud_too_small(self, tiny_corpus):
         small = PointCloud(tiny_corpus[0].coords[:100])
-        with pytest.raises(ValueError, match="hop 1 needs 192"):
+        with pytest.raises(CloudTooSmallError, match="hop 1 needs 192"):
             train([small], TINY_CONFIG)
 
     def test_overpruning_multi_hop_message(self, tiny_corpus):
@@ -660,7 +661,7 @@ class TestDegenerateClouds:
     )
     def test_cloud_below_hop1_budget(self, tiny_model, kind, n, cloud_seed):
         cloud = degenerate_cloud(kind, n, np.random.default_rng(cloud_seed))
-        with pytest.raises(ValueError, match=f"cloud has {n} points but hop 1 needs 192"):
+        with pytest.raises(CloudTooSmallError, match=f"cloud has {n} points but hop 1 needs 192"):
             extract_features(tiny_model, cloud)
 
 

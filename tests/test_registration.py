@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpointhop import (
@@ -36,12 +36,11 @@ from rpointhop.registration import (
     _kabsch,
     _nearest_two,
     _wrap_degrees,
-    feature_distance_matrix,
     format_report,
     register_features,
 )
 
-from conftest import random_rotation, ransac_oracle
+from conftest import feature_distance_matrix, match_oracle, random_rotation, ransac_oracle
 
 
 def make_feature_set(features: np.ndarray, coords: np.ndarray | None = None) -> FeatureSet:
@@ -202,8 +201,8 @@ class TestMatch:
 
     def test_feature_width_mismatch(self):
         with pytest.raises(ValueError, match="widths differ"):
-            feature_distance_matrix(
-                make_feature_set(np.zeros((2, 3))), make_feature_set(np.zeros((2, 4)))
+            match(
+                make_feature_set(np.zeros((2, 3))), make_feature_set(np.zeros((2, 4))), MatchParams(m1=1, m2=1)
             )
 
     def test_exact_duplicate_features_match_exactly(self):
@@ -218,6 +217,71 @@ class TestMatch:
         inv[perm] = np.arange(30)
         assert np.array_equal(corr.pairs[:, 1], inv[corr.pairs[:, 0]])
         assert np.abs(corr.feature_distances).max() == 0.0
+
+
+MATCH_FIELDS = ("pairs", "target_coords", "source_coords", "feature_distances", "ratios")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_target=st.integers(1, 13),
+    n_source=st.integers(1, 9),
+    width=st.integers(1, 5),
+    integer_valued=st.booleans(),
+    table=st.sampled_from(["self", "random", "all"]),
+    m1=st.integers(1, 14),
+    m2=st.integers(1, 14),
+    use_ratio_test=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_target=1, n_source=5, width=3, integer_valued=False, table="random", m1=1, m2=1,
+         use_ratio_test=True, seed=0)
+@example(n_target=7, n_source=1, width=2, integer_valued=False, table="self", m1=5, m2=3,
+         use_ratio_test=True, seed=1)
+@example(n_target=13, n_source=9, width=4, integer_valued=True, table="all", m1=13, m2=13,
+         use_ratio_test=True, seed=2)
+@example(n_target=11, n_source=9, width=2, integer_valued=True, table="random", m1=9, m2=4,
+         use_ratio_test=False, seed=3)
+def test_match_equals_serial_oracle(
+    n_target, n_source, width, integer_valued, table, m1, m2, use_ratio_test, seed
+):
+    """``match`` splits the target rows across the two lanes; it must give
+    the serial form's bytes on every field, including under feature ties
+    and duplicates (integer-valued features) and tables that cover every
+    source row (d2 = 0), or the same refusal."""
+    rng = np.random.default_rng(seed)
+
+    def features(n):
+        if integer_valued:
+            return rng.integers(-2, 3, size=(n, width)).astype(np.float64)
+        return rng.normal(size=(n, width))
+
+    target = make_feature_set(features(n_target), coords=rng.normal(size=(n_target, 3)))
+    tables = {
+        "self": np.arange(n_source)[:, None],
+        "random": rng.integers(0, n_source, size=(n_source, 3)),
+        "all": np.tile(np.arange(n_source), (n_source, 1)),
+    }
+    source = FeatureSet(
+        point_indices=np.arange(n_source),
+        coords=rng.normal(size=(n_source, 3)),
+        features=features(n_source),
+        sign_margins=np.ones(n_source),
+        eigen_gaps=np.ones(n_source),
+        neighbor_table=tables[table],
+    )
+    params = MatchParams(m1=m1, m2=min(m2, m1), use_ratio_test=use_ratio_test)
+    if m1 > n_target:
+        with pytest.raises(MatchingError) as expected:
+            match_oracle(target, source, params)
+        with pytest.raises(MatchingError) as got:
+            match(target, source, params)
+        assert str(got.value) == str(expected.value)
+        return
+    got, want = match(target, source, params), match_oracle(target, source, params)
+    for name in MATCH_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +420,20 @@ def collinear_pairs():
     return make_corr(f, f @ random_rotation(rng).T)
 
 
+def clique_pairs():
+    """512 pairs: 4 non-coplanar pairs under one rigid motion, and 508 pairs
+    on a line, stretched by 2 and shifted, that are length-consistent with
+    no other pair. A sample survives only when its first pick falls in the
+    clique, so a draw keeps a handful of samples, or none."""
+    f = np.zeros((512, 3))
+    g = np.zeros((512, 3))
+    f[4:, 0] = np.arange(508.0)
+    g[4:, 0] = 2.0 * f[4:, 0] + 50.0
+    f[:4] = np.array([-100.0, 0.0, 0.0]) + np.vstack([np.zeros(3), np.eye(3)])
+    g[:4] = f[:4] @ rz(30.0).T + np.array([0.0, 0.0, 5.0])
+    return make_corr(f, g)
+
+
 def assert_same_bits(a: RigidTransform, b: RigidTransform) -> None:
     assert a.rotation.tobytes() == b.rotation.tobytes()
     assert a.translation.tobytes() == b.translation.tobytes()
@@ -420,6 +498,25 @@ class TestRansac:
         with pytest.raises(EstimationError) as got:
             ransac_estimate(corr, params)
         assert str(got.value) == str(expected.value) == "no RANSAC iteration produced 3 or more inliers"
+
+    @pytest.mark.parametrize("kept, seed", [(0, 15), (1, 8), (2, 1)])
+    def test_few_kept_samples_match_the_oracle(self, kept, seed):
+        # the scored stack is split in two halves, so one or both are empty
+        corr = clique_pairs()
+        params = RansacParams(seed=seed)
+        compatible = np.abs(
+            np.linalg.norm(corr.target_coords[:, None] - corr.target_coords, axis=-1)
+            - np.linalg.norm(corr.source_coords[:, None] - corr.source_coords, axis=-1)
+        ) < 2.0 * params.inlier_radius
+        assert len(_consistent_samples(np.random.Generator(np.random.PCG64(seed)), compatible)) == kept
+        if kept == 0:
+            with pytest.raises(EstimationError) as expected:
+                ransac_oracle(corr, params)
+            with pytest.raises(EstimationError) as got:
+                ransac_estimate(corr, params)
+            assert str(got.value) == str(expected.value)
+        else:
+            assert_same_bits(ransac_estimate(corr, params), ransac_oracle(corr, params))
 
     def test_repeated_points_draw_degenerate_samples(self):
         # the oracle comparison on repeated_pairs covers the degeneracy mask
