@@ -16,9 +16,13 @@ Training (unsupervised, one pass per hop):
    then build an 8-wide attribute per point and surviving channel: the
    per-octant means of the neighbors' channel value. Each channel is fit
    with its own Saab transform (channel-wise), pooled over the corpus.
-   Sampling runs once per cloud, and the hop-1 working cloud is stored in
-   farthest point order, so hop h's points are its first n_h rows: exactly
-   what sampling each hop from the previous one gives.
+   Training holds each cloud's means as the octant-sum operator and the
+   values it averages, and builds each channel's corpus pool from these
+   operators just before its fit, a block of channels at a time, so dense
+   inputs exist only for one block's pools or one cloud's plan apply per
+   lane. Sampling runs once per cloud, and the hop-1 working cloud is
+   stored in farthest point order, so hop h's points are its first n_h
+   rows: exactly what sampling each hop from the previous one gives.
 4. Channel energies multiply down a :class:`~rpointhop.saab.FeatureTree`;
    channels at or below the energy threshold are dropped together with
    their descendants. Survivors at the last hop are the output feature
@@ -292,33 +296,59 @@ def _row_halves(lanes: Callable, fn: Callable, n: int) -> tuple[np.ndarray, ...]
 # ---------------------------------------------------------------------------
 
 
-def _octant_means(proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray) -> np.ndarray:
-    """(P, 8, C) per-octant means of the neighbors' rows of (N, C) ``values``:
-    row i averages ``values[nbr_idx[i]]`` by octant, octants taken from the
-    (P, k, 3) projected neighbors; empty octants give zeros.
+class _OctantMeans:
+    """(P, 8, C) per-octant means of the neighbors' rows of (N, C) ``values``,
+    held as the operator that computes them: row i averages
+    ``values[nbr_idx[i]]`` by octant, octants taken from the (P, k, 3)
+    projected neighbors; empty octants give zeros.
 
     The sums are one product ``A @ values`` with a (P·8, N) CSR matrix
     whose row ``8·i + octant`` holds a 1.0 at each of point i's neighbors in
     that octant, stored in neighbor order (a stable sort of each row by
-    octant), so no (P, k, C) gather is ever held. The sums are bit-identical
-    to adding the neighbors' values into zeros one neighbor at a time: the
-    CSR product starts each output row at 0 and adds the row's stored
-    entries in stored order, and 1.0·v is exact. Nothing may re-sort the
-    entries by column, hence ``has_sorted_indices``.
+    octant), so no (P, k, C) gather is ever held; each sum is then divided
+    by its octant's count, at least 1. The sums are bit-identical to adding
+    the neighbors' values into zeros one neighbor at a time: the CSR product
+    starts each output row at 0 and adds the row's stored entries in stored
+    order, and 1.0·v is exact. Nothing may re-sort the entries by column,
+    hence ``has_sorted_indices``. Each output column depends on its own
+    value column alone, so :meth:`dense` of a row prefix and a channel block
+    gives the same bits as that part of the whole.
+
+    Held this way a later hop's inputs cost the values they average plus
+    about 12 bytes per neighbor, not 64·C bytes per point.
     """
-    p, k = nbr_idx.shape
-    octant = (proj[..., 0] < 0).astype(np.int8) * 4 + (proj[..., 1] < 0) * np.int8(2) + (proj[..., 2] < 0)
-    counts = np.bincount(((np.arange(p) * 8)[:, None] + octant).ravel(), minlength=p * 8)
-    order = np.argsort(octant, axis=1, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    a = csr_array(
-        (np.ones(p * k), np.take_along_axis(nbr_idx, order, axis=1).ravel(), indptr),
-        shape=(p * 8, values.shape[0]),
-    )
-    a.has_sorted_indices = True
-    sums = a @ values
-    sums /= np.maximum(counts, 1)[:, None]
-    return sums.reshape(p, 8, -1)
+
+    def __init__(self, proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray) -> None:
+        p, k = nbr_idx.shape
+        octant = (proj[..., 0] < 0).astype(np.int8) * 4 + (proj[..., 1] < 0) * np.int8(2) + (proj[..., 2] < 0)
+        counts = np.bincount(((np.arange(p) * 8)[:, None] + octant).ravel(), minlength=p * 8)
+        order = np.argsort(octant, axis=1, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        self.sums = self._operator(
+            np.ones(p * k), np.take_along_axis(nbr_idx, order, axis=1).ravel(), indptr, values.shape[0]
+        )
+        self.divisor = np.maximum(counts, 1)[:, None]
+        self.values = values
+
+    @staticmethod
+    def _operator(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, n: int) -> csr_array:
+        a = csr_array((data, indices, indptr), shape=(len(indptr) - 1, n))
+        a.has_sorted_indices = True
+        return a
+
+    def __len__(self) -> int:
+        return len(self.divisor) // 8
+
+    def dense(self, rows: int | None = None, channels: slice = slice(None)) -> np.ndarray:
+        """The (rows, 8, c) means of the first ``rows`` points (all when
+        None) and the value columns ``channels``."""
+        a = self.sums
+        if rows is not None and rows < len(self):
+            end = a.indptr[8 * rows]
+            a = self._operator(a.data[:end], a.indices[:end], a.indptr[: 8 * rows + 1], a.shape[1])
+        sums = a @ self.values[:, channels]
+        sums /= self.divisor[: len(sums)]
+        return sums.reshape(len(sums) // 8, 8, sums.shape[1])
 
 
 def _project_neighbors(
@@ -369,23 +399,35 @@ def build_hop1_attributes(
     proj, margins = _project_neighbors(coords, nbr_idx, axes)
     # each (point, neighbor) projection is its own value row
     p, k = nbr_idx.shape
-    means = _octant_means(proj, proj.reshape(p * k, 3), np.arange(p * k).reshape(p, k))
-    return means.reshape(p, 24), margins
+    means = _OctantMeans(proj, proj.reshape(p * k, 3), np.arange(p * k).reshape(p, k))
+    return means.dense().reshape(p, 24), margins
 
 
 def build_later_hop_attributes(
     coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[_OctantMeans, np.ndarray]:
     """Per-channel octant means of neighbor channel values.
 
     ``values`` is (N, C): the previous hop's surviving coefficients at the
     current hop's points ``coords``. Row i of ``nbr_idx`` and ``axes``
     belongs to point i; the rows may cover a prefix of the points.
-    Returns (attributes (P, 8, C), margins (P, 3)); attributes[:, :, c] is
-    channel c's 8-wide sample block.
+    Returns (attributes, margins (P, 3)): the attributes are the (P, 8, C)
+    means held as their operator, and channel c's 8-wide sample block is
+    ``attributes.dense()[:, :, c]``.
     """
     proj, margins = _project_neighbors(coords, nbr_idx, axes)
-    return _octant_means(proj, values, nbr_idx), margins
+    return _OctantMeans(proj, values, nbr_idx), margins
+
+
+def _dense_inputs(
+    x: np.ndarray | _OctantMeans, rows: int | None = None, channels: slice = slice(None)
+) -> np.ndarray:
+    """The (rows, N, c) Saab inputs of one cloud's first ``rows`` points (all
+    when None) and channels ``channels``: hop 1's inputs are dense already,
+    a later hop's are materialized from their operator."""
+    if isinstance(x, _OctantMeans):
+        return x.dense(rows, channels)
+    return x[:rows, :, channels]
 
 
 class _HopRun:
@@ -427,11 +469,13 @@ class _HopRun:
         self.coords = coords_full[self.orig_indices]
         self.values: np.ndarray | None = None  # surviving coefficients, set per hop
 
-    def hop_inputs(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+    def hop_inputs(self, h: int) -> tuple[np.ndarray | _OctantMeans, np.ndarray]:
         """Hop h's (P, N, C) Saab inputs, channel c's samples in ``[:, :, c]``,
         one row per computed point, and the neighbor table they were built
-        from. Later hops first cut the working cloud and the per-point arrays
-        to their rows. The run keeps no tables, so training holds none per
+        from. Hop 1's inputs are a dense (P, 24, 1) array; a later hop's are
+        its :class:`_OctantMeans`, which :func:`_dense_inputs` materializes.
+        Later hops first cut the working cloud and the per-point arrays to
+        their rows. The run keeps no tables, so training holds none per
         cloud."""
         hop, count = self.config.hops[h], self.counts[h]
         if h == 0:
@@ -462,14 +506,42 @@ class _HopRun:
         return attrs[:, :, None], neighbors
 
 
+_BLOCK_CHANNELS = 8  # widest channel block whose corpus pools train holds at once
+
+
+def _channel_blocks(c: int) -> list[slice]:
+    """Channels [0, c) in consecutive blocks of at most ``_BLOCK_CHANNELS``,
+    as equal as can be, and an even number of them when c > 1, so that the
+    two lanes get equal shares."""
+    n = min(c, 2 * -(-c // (2 * _BLOCK_CHANNELS)))
+    edges = [c * i // n for i in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _fit_channels(inputs: list[np.ndarray | _OctantMeans], channels: slice) -> list[SaabLayer]:
+    """Saab layers of ``channels``, each fit on its corpus pool: the
+    channel's samples from every cloud's ``inputs``, in corpus order."""
+    blocks = [_dense_inputs(x, channels=channels) for x in inputs]
+    return [saab_fit(np.vstack([b[:, :, j] for b in blocks])) for j in range(blocks[0].shape[2])]
+
+
 def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> RPointHopModel:
     """Fit all hop transforms on a corpus of clouds.
 
     Deterministic: the corpus order and ``config.seed`` fully determine the
-    model. Per-cloud runs, their hop inputs, the per-channel fits and the
-    plan applies are independent, so they share the two lanes
+    model. Per-cloud runs, their hop inputs, the channel blocks' fits and
+    the plan applies are independent, so they share the two lanes
     (:func:`_two_lanes`); every pool keeps corpus order, so the model's bits
     do not depend on which lane ran what.
+
+    Each cloud holds a later hop's inputs as its :class:`_OctantMeans`, the
+    octant-sum operator and the values it averages, not as dense means.
+    Each channel's corpus pool is built from these operators just before
+    its fit, a block of channels (:func:`_channel_blocks`) at a time, and
+    each cloud's plan apply materializes only the first n_{h+1} rows, the
+    ones the next hop reads. Past hop 1, whose 24-wide attributes are
+    small, dense inputs live only as one block's pools and one cloud's
+    plan apply per lane.
     """
     clouds = list(corpus)
     if not clouds:
@@ -488,18 +560,14 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     parent_ids = [0]
     for h in range(n_hops):
         inputs = _two_lanes(lambda run: run.hop_inputs(h)[0], runs)
-        # each channel's corpus pool is built just before its fit, so no
-        # second copy of every channel's inputs exists at once
-        fits = _two_lanes(
-            lambda c: saab_fit(np.vstack([x[:, :, c] for x in inputs])), range(len(parent_ids))
-        )
-        layers = dict(zip(parent_ids, fits))
+        fits = _two_lanes(lambda block: _fit_channels(inputs, block), _channel_blocks(len(parent_ids)))
+        layers = dict(zip(parent_ids, (layer for block in fits for layer in block)))
         plan, parent_ids = _grow_hop(tree, layers, parent_ids, config.energy_threshold, h == n_hops - 1)
         if not parent_ids:
             raise TrainingError(_prune_message(h + 1, n_hops))
         if h < n_hops - 1:  # hop h + 1 reads its first n_{h+1} rows, and nothing the final hop's
             n_next = config.hops[h + 1].num_points
-            for run, values in zip(runs, _two_lanes(lambda x: plan.apply(x[:n_next]), inputs)):
+            for run, values in zip(runs, _two_lanes(lambda x: plan.apply(_dense_inputs(x, n_next)), inputs)):
                 run.values = values
         del inputs  # freed before the next hop builds its own
         hop_layers.append(layers)
@@ -523,7 +591,7 @@ def extract_features(model: RPointHopModel, cloud: PointCloud, seed: int = 0) ->
     run = _HopRun(cloud.coords, model.config, seed)
     for h, plan in enumerate(model.plans):
         x, neighbors = run.hop_inputs(h)
-        run.values = plan.apply(x)
+        run.values = plan.apply(_dense_inputs(x))
     return FeatureSet(
         point_indices=run.orig_indices,
         coords=cloud.coords[run.orig_indices],

@@ -87,8 +87,10 @@ def saab_fit(samples: np.ndarray) -> SaabLayer:
 
     dc = np.full(n, 1.0 / np.sqrt(n))
     dc_coeffs = x @ dc
-    ac = x - np.outer(dc_coeffs, dc)  # remove the DC projection per sample
-    centered = ac - ac.mean(axis=0)
+    # remove the DC projection per sample: dc is constant, so the outer
+    # product dc_coeffs ⊗ dc is the column dc_coeffs * dc[0] broadcast
+    centered = x - (dc_coeffs * dc[0])[:, None]
+    centered -= centered.mean(axis=0)
     cov = centered.T @ centered / s
     w, v = np.linalg.eigh(cov)
     w = w[::-1]
@@ -107,8 +109,31 @@ def saab_fit(samples: np.ndarray) -> SaabLayer:
         energies[0] = 1.0  # degenerate layer: all mass assigned to DC
     else:
         energies = np.concatenate([[dc_energy], w[:keep]]) / kept_energy
-    bias = float(np.linalg.norm(x, axis=1).max())
+    bias = _max_row_norm(x, out=centered)
     return SaabLayer(dc_filter=dc, ac_filters=ac_filters, bias=bias, energies=energies)
+
+
+_NORM_SCREEN = 1e-12  # relative slack of the row screen, far above its few-ulp rounding gap
+
+
+def _max_row_norm(x: np.ndarray, out: np.ndarray) -> float:
+    """``np.linalg.norm(x, axis=1).max()``, bit for bit and with the same
+    floating-point warnings, using ``out`` (x's shape) as a work buffer.
+
+    The squares are the same ``multiply`` the norm runs, so they raise the
+    same overflow and underflow flags. A silent ``einsum`` row sum screens
+    the rows, and ``add.reduce``, the norm's own summation, sums only those
+    within a relative 1e-12 of the largest; a row whose sum overflows in
+    ``add.reduce``'s order lies among them. When a screened sum overflows,
+    every row is summed, since another row's sum may overflow in
+    ``add.reduce``'s order alone and must warn as before.
+    """
+    squares = np.multiply(x, x, out=out)
+    screen = np.einsum("sn->s", squares)
+    top = float(screen.max())  # Python float arithmetic raises no flag on underflow
+    if top < np.inf:
+        squares = squares[screen >= top * (1.0 - _NORM_SCREEN)]
+    return float(np.sqrt(np.add.reduce(squares, axis=1).max()))
 
 
 def saab_apply(layer: SaabLayer, v: np.ndarray) -> np.ndarray:

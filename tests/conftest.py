@@ -30,7 +30,7 @@ from rpointhop.registration import (
     _consistent_samples,
     _nearest_two,
 )
-from rpointhop.saab import STATUS_DISCARDED, saab_apply
+from rpointhop.saab import _EIG_CUTOFF, STATUS_DISCARDED, SaabLayer, saab_apply
 from rpointhop.spatial import KnnIndex
 
 
@@ -117,7 +117,7 @@ def octant_oracle(proj: np.ndarray, values: np.ndarray) -> np.ndarray:
 def octant_loop_oracle(proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray) -> np.ndarray:
     """(P, 8, C) per-octant means of the neighbors' rows of (N, C) ``values``
     by adding one neighbor column at a time into zeroed (P·8, C) sums, in
-    neighbor order: the summation order ``_octant_means`` keeps bit for bit."""
+    neighbor order: the summation order ``_OctantMeans`` keeps bit for bit."""
     p, k = nbr_idx.shape
     slot = (np.arange(p) * 8)[:, None] + (
         (proj[..., 0] < 0).astype(np.intp) * 4
@@ -189,6 +189,40 @@ def plan_take_oracle(plan, x: np.ndarray) -> np.ndarray:
     xt = x.transpose(2, 0, 1)
     out = np.matmul(xt, plan.filters) + plan.biases[:, None, None]
     return np.take(out.transpose(1, 0, 2).reshape(len(x), c * k), plan.slots, axis=1)
+
+
+def saab_fit_oracle(samples: np.ndarray) -> SaabLayer:
+    """The former ``saab_fit``: the DC projection removed by an (S, N)
+    outer product, centering into a new array, and the bias as
+    ``np.linalg.norm`` of every sample."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"samples must be 2-D (S, N), got shape {x.shape}")
+    s, n = x.shape
+    if s < 2:
+        raise ValueError("need at least 2 samples to fit a Saab layer")
+    if not np.isfinite(x).all():
+        raise ValueError("samples contain non-finite values")
+    dc = np.full(n, 1.0 / np.sqrt(n))
+    dc_coeffs = x @ dc
+    ac = x - np.outer(dc_coeffs, dc)
+    centered = ac - ac.mean(axis=0)
+    cov = centered.T @ centered / s
+    w, v = np.linalg.eigh(cov)
+    w = w[::-1]
+    v = v[:, ::-1]
+    floor = max(w[0], 0.0) * _EIG_CUTOFF
+    keep = min(int(np.count_nonzero(w > floor)), n - 1)
+    dc_energy = float(dc_coeffs.var())
+    ac_filters = v[:, :keep].T.copy()
+    kept_energy = dc_energy + float(w[:keep].sum())
+    if kept_energy <= 0.0:
+        energies = np.zeros(1 + keep)
+        energies[0] = 1.0
+    else:
+        energies = np.concatenate([[dc_energy], w[:keep]]) / kept_energy
+    bias = float(np.linalg.norm(x, axis=1).max())
+    return SaabLayer(dc_filter=dc, ac_filters=ac_filters, bias=bias, energies=energies)
 
 
 def hop_oracle(tree, layers, parent_ids, x: np.ndarray):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import re
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,13 +34,15 @@ from rpointhop.cloud import RigidTransform, normalize_unit_sphere, sample_indice
 from rpointhop.lrf import local_pca_batch
 from rpointhop.pipeline import (
     _HopRun,
-    _octant_means,
+    _OctantMeans,
+    _channel_blocks,
+    _dense_inputs,
     _project_neighbors,
     build_hop1_attributes,
     build_later_hop_attributes,
     format_config,
 )
-from rpointhop.saab import HopPlan, SaabLayer, cw_saab_fit
+from rpointhop.saab import HopPlan, SaabLayer
 from rpointhop.spatial import KnnIndex, fps_indices
 
 from conftest import (
@@ -49,6 +52,7 @@ from conftest import (
     octant_oracle,
     projection_einsum_oracle,
     random_rotation,
+    saab_fit_oracle,
 )
 
 
@@ -111,11 +115,11 @@ class TestOctants:
             dtype=np.float64,
         )
         # neighbor j carries the j-th unit vector, so octant o's mean is e_o
-        means = _octant_means(signs[None, :, :], np.eye(8), np.arange(8)[None, :])
+        means = _OctantMeans(signs[None, :, :], np.eye(8), np.arange(8)[None, :]).dense()
         assert np.array_equal(means[0], np.eye(8))
 
     def test_zero_counts_as_positive(self):
-        means = _octant_means(np.zeros((1, 1, 3)), np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp))
+        means = _OctantMeans(np.zeros((1, 1, 3)), np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp)).dense()
         assert means[0, :, 0].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("p, n, k, c", [(40, 60, 13, 5), (16, 16, 8, 1), (24, 200, 48, 33)])
@@ -127,7 +131,7 @@ class TestOctants:
         proj[0, :, :] = 1.0  # row 0: seven empty octants
         values = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-6, 6, size=(n, c))
         nbr_idx = rng.integers(0, n, size=(p, k))
-        means = _octant_means(proj, values, nbr_idx)
+        means = _OctantMeans(proj, values, nbr_idx).dense()
         expected = octant_oracle(proj, values[nbr_idx])
         assert means.shape == expected.shape == (p, 8, c)
         assert means.tobytes() == expected.tobytes()
@@ -165,7 +169,7 @@ class TestOctants:
             else:
                 size = (hop.num_points, width)
                 values = rng.normal(size=size) * 10.0 ** rng.uniform(-6, 6, size=size)
-            means = _octant_means(proj, values, nbr_idx)
+            means = _OctantMeans(proj, values, nbr_idx).dense()
             assert means.shape == (count, 8, width)
             assert means.tobytes() == octant_loop_oracle(proj, values, nbr_idx).tobytes(), f"hop {h + 1}"
 
@@ -190,8 +194,42 @@ class TestOctants:
         proj[on_boundary] = np.where(rng.random(proj.shape) < 0.5, 0.0, -0.0)[on_boundary]
         values = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-6, 6, size=(n, c))
         nbr_idx = rng.integers(0, min(pool, n), size=(p, k))
-        means = _octant_means(proj, values, nbr_idx)
+        means = _OctantMeans(proj, values, nbr_idx).dense()
         assert means.tobytes() == octant_loop_oracle(proj, values, nbr_idx).tobytes()
+
+    @pytest.mark.parametrize(
+        "p, n, k, c",
+        [(12, 30, 9, 5), (10, 40, 16, 21), (9, 20, 8, 1), (7, 50, 12, 24), (6, 16, 8, 17)],
+    )
+    def test_prefixes_and_channel_blocks_match_column_loop(self, p, n, k, c):
+        # every row prefix, 0 rows included, of every channel block: train's
+        # own blocks, and blocks of 8 with a trailing partial one (or, below
+        # 8 channels, fewer channels than one block)
+        rng = np.random.default_rng(p * c + k)
+        proj = rng.normal(size=(p, k, 3))
+        proj[rng.random(proj.shape) < 0.1] = 0.0
+        values = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-6, 6, size=(n, c))
+        nbr_idx = rng.integers(0, n, size=(p, k))
+        means = _OctantMeans(proj, values, nbr_idx)
+        want = octant_loop_oracle(proj, values, nbr_idx)
+        blocks = [*_channel_blocks(c), *(slice(lo, min(lo + 8, c)) for lo in range(0, c, 8)), slice(None)]
+        assert len(means) == p
+        assert means.dense().tobytes() == want.tobytes()
+        for rows in range(p + 1):
+            for block in blocks:
+                got = means.dense(rows, block)
+                assert got.shape == want[:rows, :, block].shape
+                assert got.tobytes() == want[:rows, :, block].tobytes(), (rows, block)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 7, 8, 16, 17, 24, 134, 138, 146, 216])
+    def test_channel_blocks_split_evenly_between_the_lanes(self, c):
+        blocks = _channel_blocks(c)
+        assert blocks[0].start == 0 and blocks[-1].stop == c
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        widths = [b.stop - b.start for b in blocks]
+        assert min(widths) >= 1 and max(widths) <= pipeline._BLOCK_CHANNELS
+        assert max(widths) - min(widths) <= 1
+        assert len(blocks) % 2 == 0 or c == 1
 
     def test_hop1_layout_matches_one_hot_oracle(self):
         # hop 1 averages the projections themselves, one value row per
@@ -277,10 +315,10 @@ class TestLaterHopAttributes:
         table = KnnIndex(coords).query(coords, 10)[0]
         axes, _ = local_pca_batch(coords, table)
         values = rng.normal(size=(30, 4))
-        full = build_later_hop_attributes(coords, table, axes, values)
-        part = build_later_hop_attributes(coords, table[:12], axes[:12], values)
-        for got, want in zip(part, full):
-            assert np.array_equal(got, want[:12])
+        full, full_margins = build_later_hop_attributes(coords, table, axes, values)
+        part, part_margins = build_later_hop_attributes(coords, table[:12], axes[:12], values)
+        assert np.array_equal(part.dense(), full.dense()[:12])
+        assert np.array_equal(part_margins, full_margins[:12])
 
     def test_channel_means_hand_example(self):
         # 2 points, each the other's sole neighbor plus itself; scalar channel
@@ -288,7 +326,8 @@ class TestLaterHopAttributes:
         nbr_idx = np.array([[0, 1, 2]] * 3)
         axes = np.tile(np.eye(3), (3, 1, 1))
         values = np.array([[2.0], [4.0], [8.0]])
-        means, margins = build_later_hop_attributes(coords, nbr_idx, axes, values)
+        attrs, margins = build_later_hop_attributes(coords, nbr_idx, axes, values)
+        means = attrs.dense()
         assert means.shape == (3, 8, 1)
         # point 0 neighborhood projections rel to itself: (0,0,0), (1,0,0), (0,1,0)
         # flips: x {0,1,0} median 0 -> left 0 < right 1 -> +1; same for y; z tie -> -1
@@ -303,11 +342,12 @@ class TestLaterHopAttributes:
         axes, _ = local_pca_batch(coords, table)
         values = rng.normal(size=(30, 5))
         m0, margins = build_later_hop_attributes(coords, table, axes, values)
+        m0 = m0.dense()
 
         r = random_rotation(rng)
         moved = coords @ r.T + rng.normal(size=3)
         axes_m, _ = local_pca_batch(moved, table)
-        m1, _ = build_later_hop_attributes(moved, table, axes_m, values)
+        m1 = build_later_hop_attributes(moved, table, axes_m, values)[0].dense()
 
         stable = margins.min(axis=1) > 1e-6
         assert np.abs(m0[stable] - m1[stable]).max() < 1e-9
@@ -373,10 +413,39 @@ class TestTrain:
         survivors = {n.node_id for n in tiny_model.tree.nodes if n.hop == 1 and n.status != "discarded"}
         assert set(tiny_model.later_hops[0]) == survivors
 
+    @pytest.mark.parametrize("width", [1, 3, 64])
+    def test_model_bits_do_not_depend_on_the_block_width(
+        self, tiny_corpus, tiny_model, width, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(pipeline, "_BLOCK_CHANNELS", width)
+        save_model(train(tiny_corpus, TINY_CONFIG), tmp_path / "blocks.rph")
+        save_model(tiny_model, tmp_path / "model.rph")
+        assert (tmp_path / "blocks.rph").read_bytes() == (tmp_path / "model.rph").read_bytes()
+
+    def test_traced_peak_stays_below_the_widest_hops_dense_inputs(self, tiny_corpus):
+        # a later hop's inputs are held as octant operators, and pools are
+        # built a block of channels at a time, so train never holds the
+        # corpus's dense inputs of its widest hop (190 channels at hop 3)
+        config = ModelConfig(
+            hops=(HopConfig(192, 16), HopConfig(160, 16), HopConfig(128, 16)), k_lrf=16, energy_threshold=1e-4
+        )
+        tracemalloc.start()
+        try:
+            model = train(tiny_corpus, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense = max(
+            len(tiny_corpus) * hop.num_points * plan.filters.shape[1] * plan.filters.shape[0] * 8
+            for hop, plan in zip(config.hops, model.plans)
+        )
+        assert model.plans[-1].filters.shape[0] > 100
+        assert peak < dense
+
     def test_layers_fit_corpus_pooled_inputs(self, tiny_model, tiny_corpus):
-        # replay train's runs with the model's own plans: each hop's layer
-        # below parent c is the Saab fit of channel c's samples, stacked
-        # cloud by cloud in corpus order
+        # replay train's runs with the model's own plans and dense inputs:
+        # each hop's layer below parent c is the former Saab fit of channel
+        # c's samples, stacked cloud by cloud in corpus order
         config = tiny_model.config
         rng = np.random.Generator(np.random.PCG64(config.seed))
         runs = [
@@ -385,10 +454,11 @@ class TestTrain:
         ]
         hop_layers = ({0: tiny_model.hop1_layer}, *tiny_model.later_hops)
         for h, (plan, layers) in enumerate(zip(tiny_model.plans, hop_layers)):
-            inputs = [run.hop_inputs(h)[0] for run in runs]
-            want = cw_saab_fit(
-                {pid: np.vstack([x[:, :, c] for x in inputs]) for c, pid in enumerate(sorted(layers))}
-            )
+            inputs = [_dense_inputs(run.hop_inputs(h)[0]) for run in runs]
+            want = {
+                pid: saab_fit_oracle(np.vstack([x[:, :, c] for x in inputs]))
+                for c, pid in enumerate(sorted(layers))
+            }
             assert sorted(want) == sorted(layers)
             for pid, layer in layers.items():
                 for f in dataclasses.fields(SaabLayer):
@@ -429,6 +499,7 @@ class TestHopPlans:
         parent_ids = [0]
         for h, (hop, plan) in enumerate(zip(config.hops, plan_model.plans)):
             x, neighbors = run.hop_inputs(h)
+            x = _dense_inputs(x)
             assert len(x) == hop.num_points
             assert run.values is None  # the previous hop's outputs are dropped once read
             want, parent_ids = hop_oracle(plan_model.tree, hop_layers[h], parent_ids, x)

@@ -2,9 +2,12 @@
 
 import dataclasses
 import logging
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpointhop.saab import (
     STATUS_DISCARDED,
@@ -15,14 +18,15 @@ from rpointhop.saab import (
     SaabLayer,
     cw_saab_fit,
     freeze_hop,
+    _max_row_norm,
     propagate_energy,
     saab_apply,
     saab_fit,
 )
 
-from rpointhop.pipeline import _HopRun
+from rpointhop.pipeline import _HopRun, _dense_inputs
 
-from conftest import hop_oracle, plan_take_oracle
+from conftest import hop_oracle, plan_take_oracle, saab_fit_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +102,113 @@ class TestSaabFit:
             saab_fit(np.ones(4))
         with pytest.raises(ValueError, match="non-finite"):
             saab_fit(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def _outcome(fn, x: np.ndarray, errstate: dict | None):
+    """What ``fn(x)`` does under ``np.errstate(**errstate)`` (numpy's
+    default when None): the bytes of the returned float or of the four
+    layer fields, or the exception's type and message, and every warning
+    raised on the way, in order."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**(errstate or {})):
+        warnings.simplefilter("always")
+        try:
+            out = fn(x)
+            fields = [out]
+            if isinstance(out, SaabLayer):
+                fields = [getattr(out, f.name) for f in dataclasses.fields(SaabLayer)]
+            result = tuple(np.asarray(v, dtype=np.float64).tobytes() for v in fields)
+        except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _samples(
+    seed: int, s: int, n: int, scale: float, zero_frac: float, const_cols: int, ties: int, huge: int
+) -> np.ndarray:
+    """(s, n) samples from ``seed``: normal entries times ``scale``, whole
+    zero rows, constant columns, rows tied at the largest norm (sign flips
+    and permutations of the largest row) and rows scaled near 1e155, where
+    squares overflow."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(s, n)) * scale
+    x[rng.random(s) < zero_frac] = 0.0
+    x[:, rng.permutation(n)[:const_cols]] = rng.normal() * scale
+    top = x[np.argmax(np.linalg.norm(x, axis=1))].copy()
+    for i in rng.integers(0, s, size=ties):
+        x[i] = rng.permutation(top) * rng.choice([-1.0, 1.0], size=n)
+    for i in rng.integers(0, s, size=huge):
+        x[i] = rng.normal(size=n) * 10.0 ** rng.uniform(153.5, 155.5)
+    return x
+
+
+_ERRSTATES = pytest.mark.parametrize(
+    "errstate", [None, {"all": "warn"}, {"all": "raise"}], ids=["default", "warn", "raise"]
+)
+
+
+class TestSaabFitOracle:
+    @_ERRSTATES
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 8, 24]),
+        s=st.integers(2, 300),
+        log_scale=st.sampled_from([-153.0, -150.0, -100.0, -10.0, 0.0, 10.0, 100.0, 150.0]),
+        zero_frac=st.sampled_from([0.0, 0.2, 0.9, 1.0]),
+        const_cols=st.integers(0, 24),
+        ties=st.integers(0, 4),
+        huge=st.sampled_from([0, 0, 0, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fields_and_warnings_match_the_former_fit(
+        self, errstate, n, s, log_scale, zero_frac, const_cols, ties, huge, seed
+    ):
+        x = _samples(seed, s, n, 10.0**log_scale, zero_frac, const_cols, ties, huge)
+        assert _outcome(saab_fit, x, errstate) == _outcome(saab_fit_oracle, x, errstate)
+
+    @_ERRSTATES
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.zeros((5, 8)),
+            np.full((4, 3), 7.0),
+            np.array([[1e155, 0.0], [1.0, 2.0], [0.0, 0.0]]),
+            np.array([[1.3e154, 1.3e154], [1.0, 0.0]]),  # squares finite, their sum overflows
+            # row 0's square overflows; row 1's sum overflows in add.reduce's
+            # order but not, on this build, in einsum's
+            np.array(
+                [[1e155, 0.0, 0.0], [7.829961352384447e153, 7.702611980628696e153, 7.689654568462277e153]]
+            ),
+            np.array([[1e-160, 1.0], [2.0, 1e-170], [0.0, 3.0]]),  # squares underflow
+            np.array([[3.0, 4.0], [4.0, -3.0], [-5.0, 0.0], [0.0, 1.0]]),  # three rows tie at norm 5
+            np.array([[1e-200, 0.0], [0.0, 2e-200]]),  # every square underflows to a subnormal
+        ],
+        ids=[
+            "zeros", "constant", "huge-row", "sum-overflow",
+            "reduce-only-overflow", "tiny-entries", "tied-norms", "subnormal-squares",
+        ],
+    )
+    def test_edge_pools_match_the_former_fit(self, errstate, x):
+        assert _outcome(saab_fit, x, errstate) == _outcome(saab_fit_oracle, x, errstate)
+        # the bias on its own: an earlier step may raise before the fit reaches it
+        norm = _outcome(lambda v: np.linalg.norm(v, axis=1).max(), x, errstate)
+        assert _outcome(lambda v: _max_row_norm(v, np.empty_like(v)), x, errstate) == norm
+
+    @pytest.mark.parametrize("n", [3, 8, 24])
+    def test_signed_permutations_of_one_row_match_the_former_fit(self, n):
+        # every row ties at one norm in exact arithmetic, and einsum and
+        # add.reduce round the tied sums differently: without its margin the
+        # screen drops the row whose norm add.reduce rounds largest
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            row = rng.normal(size=n)
+            x = np.array([rng.permutation(row) * rng.choice([-1.0, 1.0], size=n) for _ in range(40)])
+            assert _outcome(saab_fit, x, None) == _outcome(saab_fit_oracle, x, None), seed
+
+    @pytest.mark.parametrize("s, n", [(19200, 8), (3000, 24), (50, 1)])
+    def test_corpus_sized_pools_match_the_former_fit(self, s, n):
+        rng = np.random.default_rng(s + n)
+        x = rng.normal(size=(s, n)) * 10.0 ** rng.uniform(-3, 3, size=n)
+        assert _outcome(saab_fit, x, None) == _outcome(saab_fit_oracle, x, None)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +518,6 @@ class TestFreezeHop:
         # real inputs and zero-padded filter banks, hop by hop of an extraction
         run = _HopRun(tiny_corpus[0].coords, tiny_model.config, seed=0)
         for h, plan in enumerate(tiny_model.plans):
-            x, _ = run.hop_inputs(h)
+            x = _dense_inputs(run.hop_inputs(h)[0])
             run.values = plan.apply(x)
             assert run.values.tobytes() == plan_take_oracle(plan, x).tobytes(), f"hop {h + 1}"
