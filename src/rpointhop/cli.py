@@ -7,9 +7,11 @@ line) are byte-identical across reruns with the same inputs and seeds.
 
 ``train``, ``register`` and ``benchmark`` use two lanes: the calling
 thread and one persistent worker thread. ``train`` runs its independent
-per-cloud work on them. A registration extracts its target and source
-clouds at once, then splits the rows of matching and of RANSAC's
-hypothesis scoring into two halves, one per lane. This changes no output.
+per-cloud work on them and farthest point samples its corpus in two
+half-stacks, one per lane. A registration samples its target and source
+clouds in one stack, extracts them at once, then splits the rows of
+matching and of RANSAC's hypothesis scoring into two halves, one per lane.
+This changes no output.
 """
 
 from __future__ import annotations

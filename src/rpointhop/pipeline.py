@@ -2,10 +2,13 @@
 
 Training (unsupervised, one pass per hop):
 
-1. Each corpus cloud is unit-sphere normalized, sampled down to
-   the hop-1 point budget, and every retained point gets a local reference
-   frame (computed once, on this working cloud, and reused at all hops
-   with signs re-resolved per hop against the hop's own neighborhood).
+1. Each corpus cloud is unit-sphere normalized and sampled down to the
+   hop-1 point budget, in corpus order. Farthest point sampling then picks
+   the hop-2 budget from every sample in two calls, one over each half of
+   the stacked samples, one half per lane; each cloud's picks are those of
+   its own run. Every retained point gets a local reference frame
+   (computed once, on this working cloud, and reused at all hops with
+   signs re-resolved per hop against the hop's own neighborhood).
 2. Hop 1 builds a 24-wide attribute per point: project the point's k
    nearest neighbors into its sign-resolved frame, split them into the 8
    octants (fixed order +++ , ++- , +-+ , +-- , -++ , -+- , --+ , ---,
@@ -433,12 +436,13 @@ def _dense_inputs(
 class _HopRun:
     """Per-cloud working state shared by training and extraction.
 
-    The cloud is sampled down to the hop-1 budget, and farthest point
-    sampling runs once on that working cloud. The working cloud is stored
-    farthest-first: the n_2 picks, then the other points in sampling order
-    (a one-hop run keeps sampling order). Hop h's points are its first n_h
-    rows, exactly what sampling each hop from the previous one gives (see
-    ``fps_indices``).
+    A run starts (:func:`_start_runs`) from the cloud's ``sampled`` indices,
+    its hop-1 sample, and the ``picks`` of the one farthest point sampling
+    run over that sample, to the hop-2 budget (None for a one-hop model).
+    The working cloud is stored farthest-first: the n_2 picks, then the
+    other points in sampling order (a one-hop run keeps sampling order).
+    Hop h's points are its first n_h rows, exactly what sampling each hop
+    from the previous one gives (see ``fps_indices``).
 
     Hop h computes frames, signs and octant means at its first
     ``counts[h]`` points: a fit pools every point of every hop, and
@@ -452,21 +456,22 @@ class _HopRun:
     """
 
     def __init__(
-        self, coords_full: np.ndarray, config: ModelConfig, seed: int, fit: bool = False
+        self,
+        coords_full: np.ndarray,
+        sampled: np.ndarray,
+        picks: np.ndarray | None,
+        config: ModelConfig,
+        fit: bool,
     ) -> None:
         budgets = [hop.num_points for hop in config.hops]
-        n = coords_full.shape[0]
-        if n < budgets[0]:
-            raise CloudTooSmallError(f"cloud has {n} points but hop 1 needs {budgets[0]}")
         self.config = config
         self.counts = budgets if fit else budgets[1:] + budgets[-1:]
-        self.orig_indices = sample_indices(n, budgets[0], seed)
-        if len(budgets) > 1:
-            picks = fps_indices(coords_full[self.orig_indices], budgets[1], start=0)
+        if picks is not None:
             rest = np.ones(budgets[0], dtype=bool)
             rest[picks] = False
-            self.orig_indices = self.orig_indices[np.concatenate([picks, np.flatnonzero(rest)])]
-        self.coords = coords_full[self.orig_indices]
+            sampled = sampled[np.concatenate([picks, np.flatnonzero(rest)])]
+        self.orig_indices = sampled
+        self.coords = coords_full[sampled]
         self.values: np.ndarray | None = None  # surviving coefficients, set per hop
 
     def hop_inputs(self, h: int) -> tuple[np.ndarray | _OctantMeans, np.ndarray]:
@@ -506,6 +511,42 @@ class _HopRun:
         return attrs[:, :, None], neighbors
 
 
+def _start_runs(
+    clouds: Iterable[np.ndarray],
+    config: ModelConfig,
+    seeds: Sequence[int],
+    fit: bool = False,
+    halves: bool = False,
+) -> list[_HopRun]:
+    """One :class:`_HopRun` per (N, 3) cloud of ``clouds``, sampled with its
+    seed of ``seeds``.
+
+    Each cloud is sampled down to the hop-1 budget in input order, so the
+    first cloud below the budget raises its :class:`CloudTooSmallError`.
+    The samples are stacked, and one ``fps_indices`` call picks the hop-2
+    budget from every one of them: on the calling thread, or with
+    ``halves`` as two calls over the stack's row halves, one per lane
+    (:func:`_row_halves`). Each cloud's picks are those of its own run. A
+    one-hop model samples no further.
+    """
+    budgets = [hop.num_points for hop in config.hops]
+    full, sampled = [], []
+    for cloud, seed in zip(clouds, seeds):
+        n = cloud.shape[0]
+        if n < budgets[0]:
+            raise CloudTooSmallError(f"cloud has {n} points but hop 1 needs {budgets[0]}")
+        full.append(cloud)
+        sampled.append(sample_indices(n, budgets[0], seed))
+    picks: Sequence[np.ndarray | None] = [None] * len(full)
+    if len(budgets) > 1:
+        stack = np.stack([cloud[idx] for cloud, idx in zip(full, sampled)])
+        if halves:
+            (picks,) = _row_halves(_two_lanes, lambda rows: (fps_indices(stack[rows], budgets[1]),), len(stack))
+        else:
+            picks = fps_indices(stack, budgets[1])
+    return [_HopRun(cloud, idx, p, config, fit) for cloud, idx, p in zip(full, sampled, picks)]
+
+
 _BLOCK_CHANNELS = 8  # widest channel block whose corpus pools train holds at once
 
 
@@ -529,8 +570,9 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     """Fit all hop transforms on a corpus of clouds.
 
     Deterministic: the corpus order and ``config.seed`` fully determine the
-    model. Per-cloud runs, their hop inputs, the channel blocks' fits and
-    the plan applies are independent, so they share the two lanes
+    model. The two half-stacks of farthest point sampling
+    (:func:`_start_runs`), the per-cloud hop inputs, the channel blocks'
+    fits and the plan applies are independent, so they share the two lanes
     (:func:`_two_lanes`); every pool keeps corpus order, so the model's bits
     do not depend on which lane ran what.
 
@@ -549,11 +591,8 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     cloud_seeds = [int(rng.integers(2**63)) for _ in clouds]
 
-    def start(item: tuple[PointCloud, int]) -> _HopRun:
-        cloud, seed = item
-        return _HopRun(normalize_unit_sphere(cloud).coords, config, seed, fit=True)
-
-    runs = _two_lanes(start, zip(clouds, cloud_seeds))
+    normalized = (normalize_unit_sphere(cloud).coords for cloud in clouds)
+    runs = _start_runs(normalized, config, cloud_seeds, fit=True, halves=True)
     n_hops = len(config.hops)
     tree = FeatureTree()
     hop_layers: list[dict[int, SaabLayer]] = []
@@ -588,13 +627,18 @@ def extract_features(model: RPointHopModel, cloud: PointCloud, seed: int = 0) ->
     preprocessing, not part of inference) so the returned coordinates live
     in the input frame and transforms estimated from them do too.
     """
-    run = _HopRun(cloud.coords, model.config, seed)
+    (run,) = _start_runs([cloud.coords], model.config, [seed])
+    return _features(model, run)
+
+
+def _features(model: RPointHopModel, run: _HopRun) -> FeatureSet:
+    """The frozen pipeline's features of a started extraction ``run``."""
     for h, plan in enumerate(model.plans):
         x, neighbors = run.hop_inputs(h)
         run.values = plan.apply(_dense_inputs(x))
     return FeatureSet(
         point_indices=run.orig_indices,
-        coords=cloud.coords[run.orig_indices],
+        coords=run.coords,
         features=run.values,
         sign_margins=run.min_margin,
         eigen_gaps=run.eigen_gaps,

@@ -21,7 +21,8 @@ the matches that symmetric or featureless regions produce.
 
 A registration uses the two lanes (:func:`rpointhop.pipeline._two_lanes`:
 the calling thread and one persistent worker thread) three times: the
-target and source extractions run at once, then matching and RANSAC's
+target and source extractions run at once, once both clouds are farthest
+point sampled in one stack on the caller, then matching and RANSAC's
 hypothesis scoring each split their rows into two halves, one per lane
 (:func:`rpointhop.pipeline._row_halves`). Both stages compute every row on
 its own, so the halves give the same bits as one serial pass. RANSAC's
@@ -38,7 +39,15 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .cloud import PointCloud, RigidTransform, align_inverse, apply_transform
-from .pipeline import FeatureSet, RPointHopModel, _row_halves, _two_lanes, extract_features
+from .pipeline import (
+    FeatureSet,
+    RPointHopModel,
+    _features,
+    _row_halves,
+    _start_runs,
+    _two_lanes,
+    extract_features,  # noqa: F401 - not called here; perfbench/spans.py hooks this module path
+)
 from .spatial import KnnIndex
 
 
@@ -369,10 +378,13 @@ def icp_refine(source: PointCloud, target: PointCloud, initial: RigidTransform) 
 def extract_pair(
     model: RPointHopModel, target: PointCloud, source: PointCloud, seed: int
 ) -> tuple[FeatureSet, FeatureSet]:
-    """(target, source) features, both extracted with ``seed`` at the same
-    time, on the caller's thread and the worker lane. When both clouds fail,
-    the target's error is raised."""
-    return tuple(_two_lanes(lambda cloud: extract_features(model, cloud, seed=seed), (target, source)))
+    """(target, source) features, both extracted with ``seed``, bit for bit
+    what :func:`extract_features` gives each cloud. Both clouds are farthest
+    point sampled in one stack on the calling thread, then extracted at the
+    same time on the caller's thread and the worker lane. When both clouds
+    fail, the target's error is raised."""
+    runs = _start_runs((target.coords, source.coords), model.config, (seed, seed))
+    return tuple(_two_lanes(lambda run: _features(model, run), runs))
 
 
 def register_features(

@@ -18,27 +18,29 @@ is re-resolved exactly: a ball query just past its k-th distance returns
 every point that can belong in the first k, and those are ranked by the
 same rule. Indices and distances therefore equal a full stable sort of
 brute-force distances, bit for bit.
+
+Farthest point sampling runs one loop over a whole (B, n, 3) stack of
+clouds, a single cloud being the stack of one. Each pick costs a fixed
+handful of numpy calls whatever B is, so sampling many clouds in one
+stack pays the per-call overhead once per pick, not once per cloud and
+pick. Each of those calls releases and retakes the GIL, so two threads
+sampling one small cloud each would hand the GIL back and forth on nearly
+every call and take longer together than one after the other. The
+sampler needs no lock against that, because the pipeline never does it:
+an extraction, or a registration's pair, samples on the calling thread
+before its lanes split, and training samples its corpus as two
+half-stacks, one per lane, whose calls each cover many clouds (about 77k
+elements per call for 25 clouds of 1024 points), so the two lanes
+together take no longer than the two halves one after the other. (The
+half-stacks of a corpus of a few clouds are small, which costs only time.)
 """
 
 from __future__ import annotations
-
-import os
-import threading
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 _GAP = 1e-9  # relative d² gap across the k boundary that settles a row
-
-# Farthest point sampling makes about seven small numpy calls per pick, and
-# each one releases and retakes the GIL. Two threads sampling at once hand
-# the GIL back and forth on every call and take longer together than one
-# after the other, so samplers take turns. The lock is held across a fork,
-# so a child never inherits it locked.
-_SAMPLING = threading.Lock()
-os.register_at_fork(
-    before=_SAMPLING.acquire, after_in_parent=_SAMPLING.release, after_in_child=_SAMPLING.release
-)
 
 
 def _as_points(obj) -> np.ndarray:
@@ -114,6 +116,8 @@ class KnnIndex:
         return idx, dist
 
 
+
+
 def fps_indices(points, m: int, start: int = 0) -> np.ndarray:
     """Greedy farthest point sampling over raw coordinates.
 
@@ -122,37 +126,49 @@ def fps_indices(points, m: int, start: int = 0) -> np.ndarray:
     maximum). No index is picked twice: once only duplicates of selected
     points remain, every distance is 0 and the lowest unselected index wins.
 
+    ``points`` is one (n, 3) cloud, which gives (m,) picks, or a (B, n, 3)
+    stack of clouds, which gives (B, m): row b is cloud b's own run, bit
+    for bit, every cloud starting at ``start``. B may be 0.
+
     The first m' picks of an m-point run are the m'-point run, and running
     the sampler again on ``points[fps_indices(points, m)]`` from start 0
     returns a prefix of ``arange(m)``: nested sampling is one ordering cut
     at each budget.
 
     The squared distance to pick j is ``(dx² + dz²) + dy²``, with
-    ``dx = x - x[j]`` and so on, added in that order from the rows of one
-    (3, n) array holding x, z and y contiguously. That is what
+    ``dx = x - x[j]`` and so on: the squared offsets sit in one (B, 3, n)
+    array holding x, z and y rows contiguously, and ``np.add.reduce`` over
+    its middle axis adds them in that order. That is what
     ``einsum("nc,nc->n", d, d)`` gives over ``d = coords - coords[j]``, bit
     for bit, so the picks and their ties are those of the ``einsum`` form.
     """
-    coords = _as_points(points)
-    n = coords.shape[0]
+    coords = np.asarray(points, dtype=np.float64)
+    stacked = coords.ndim == 3
+    if stacked and coords.shape[2] != 3:
+        raise ValueError(f"expected (B, N, 3) coordinates, got {coords.shape}")
+    stack = coords if stacked else _as_points(coords)[None]
+    b, n, _ = stack.shape
     if not 1 <= m <= n:
         raise ValueError(f"cannot sample {m} points from {n}")
     if not 0 <= start < n:
         raise ValueError(f"start index {start} out of range for {n} points")
-    xzy = coords.T[[0, 2, 1]]  # a C-ordered copy
-    terms = np.empty((3, n))
-    x_term, z_term, y_term = terms
-    d2, min_d2 = np.empty(n), np.full(n, np.inf)
-    selected = np.empty(m, dtype=np.intp)
-    selected[0] = start
-    with _SAMPLING:
-        for i in range(1, m):
-            last = selected[i - 1]
-            np.subtract(xzy, xzy[:, last : last + 1], out=terms)
-            np.multiply(terms, terms, out=terms)
-            np.add(x_term, z_term, out=d2)
-            d2 += y_term
-            np.minimum(min_d2, d2, out=min_d2)
-            min_d2[last] = -1.0  # below every distance, and np.minimum keeps it there
-            selected[i] = np.argmax(min_d2)
-    return selected
+    xzy = np.ascontiguousarray(stack.transpose(0, 2, 1)[:, [0, 2, 1]])  # (B, 3, n)
+    # point i of cloud c as a (3, 1) column at row ``base[c] + i``
+    columns = np.ascontiguousarray(xzy.transpose(0, 2, 1)).reshape(b * n, 3, 1)
+    base = np.arange(b) * n
+    terms = np.empty((b, 3, n))
+    d2, min_d2 = np.empty((b, n)), np.full((b, n), np.inf)
+    flat_min = min_d2.reshape(-1)
+    selected = np.empty((b, m), dtype=np.intp)
+    selected[:, 0] = start
+    last = base + start
+    for i in range(1, m):
+        np.subtract(xzy, columns.take(last, axis=0), out=terms)
+        np.multiply(terms, terms, out=terms)
+        np.add.reduce(terms, axis=1, out=d2)
+        np.minimum(min_d2, d2, out=min_d2)
+        flat_min[last] = -1.0  # below every distance, and np.minimum keeps it there
+        pick = min_d2.argmax(axis=1)
+        selected[:, i] = pick
+        last = base + pick
+    return selected if stacked else selected[0]

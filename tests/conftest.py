@@ -22,7 +22,7 @@ from rpointhop import (
 )
 from rpointhop.bench import make_shape_corpus
 from rpointhop.cloud import normalize_unit_sphere
-from rpointhop.pipeline import FeatureSet, _HopRun
+from rpointhop.pipeline import FeatureSet, _start_runs
 from rpointhop.registration import (
     RANSAC_SAMPLE_SIZE,
     CorrespondenceSet,
@@ -53,7 +53,9 @@ def knn_oracle(points: np.ndarray, query: np.ndarray, k: int):
 
 def fps_oracle(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
     """Greedy max-min selection over the points not yet selected;
-    max-distance ties go to the lowest index."""
+    max-distance ties go to the lowest index. Squares add as
+    ``(dx² + dy²) + dz²``, so where they round, near-ties can break
+    differently than in ``fps_indices``; on exact inputs the picks agree."""
     n = points.shape[0]
     selected = [start]
     min_d2 = np.empty(n)
@@ -323,7 +325,7 @@ def corpus_hop_tables(config: ModelConfig, fit: bool) -> list[tuple[np.ndarray, 
     one ``KnnIndex`` row per point the hop computes, ``max(k_lrf, k)``
     wide at hop 1 and k wide after."""
     cloud = make_shape_corpus(1, 1024, seed=0)[0]
-    run = _HopRun(normalize_unit_sphere(cloud).coords, config, seed=0, fit=fit)
+    (run,) = _start_runs([normalize_unit_sphere(cloud).coords], config, [0], fit=fit)
     hops = []
     for h, (hop, count) in enumerate(zip(config.hops, run.counts)):
         points = run.coords[: hop.num_points]

@@ -12,7 +12,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rpointhop import PointCloud, apply_transform, extract_features, register, save_model, train
+from rpointhop import (
+    CloudTooSmallError,
+    PointCloud,
+    apply_transform,
+    extract_features,
+    register,
+    save_model,
+    train,
+)
 from rpointhop import pipeline, registration
 from rpointhop.cloud import RigidTransform
 from rpointhop.pipeline import _row_halves, _two_lanes
@@ -112,8 +120,6 @@ class TestTwoLanes:
 
 
 class TestSamplingTurns:
-    """Farthest point sampling takes turns under one lock."""
-
     def test_concurrent_samplers_match_serial(self):
         rng = np.random.default_rng(17)
         clouds = [rng.normal(size=(300, 3)) for _ in range(8)]
@@ -137,8 +143,8 @@ class TestSamplingTurns:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_fork_while_another_thread_samples(self):
-        # a thread samples without pause, so it mostly holds the lock when
-        # the fork comes; the child must still be able to sample
+        # a thread samples without pause, so it is mostly mid-run when the
+        # fork comes; the child must still be able to sample
         pts = np.random.default_rng(18).normal(size=(400, 3))
         stop = threading.Event()
 
@@ -195,6 +201,18 @@ class TestBitIdentity:
         inline = outputs()
         for a, b in zip(with_lanes, inline):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestTrainErrors:
+    def test_first_small_cloud_wins(self, tiny_corpus):
+        # hop 1 needs 192 points; clouds 2 and 4 fall short, and the corpus
+        # is sampled in order before either half-stack is farthest point sampled
+        rng = np.random.default_rng(3)
+        corpus = list(tiny_corpus[:6])
+        corpus[2] = PointCloud(rng.normal(size=(150, 3)))
+        corpus[4] = PointCloud(rng.normal(size=(40, 3)))
+        with pytest.raises(CloudTooSmallError, match=r"^cloud has 150 points but hop 1 needs 192$"):
+            train(corpus, TINY_CONFIG)
 
 
 class TestRegisterErrors:

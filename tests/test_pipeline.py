@@ -5,6 +5,7 @@ import dataclasses
 import json
 import re
 import struct
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -33,15 +34,16 @@ from rpointhop.bench import make_shape_corpus
 from rpointhop.cloud import RigidTransform, normalize_unit_sphere, sample_indices
 from rpointhop.lrf import local_pca_batch
 from rpointhop.pipeline import (
-    _HopRun,
     _OctantMeans,
     _channel_blocks,
     _dense_inputs,
     _project_neighbors,
+    _start_runs,
     build_hop1_attributes,
     build_later_hop_attributes,
     format_config,
 )
+from rpointhop.registration import extract_pair
 from rpointhop.saab import HopPlan, SaabLayer
 from rpointhop.spatial import KnnIndex, fps_indices
 
@@ -155,7 +157,7 @@ class TestOctants:
         # averages its own projections through the arange table, later hops
         # average value rows up to the default model's widest (216)
         cloud = make_shape_corpus(1, 1024, seed=0)[0]
-        coords = _HopRun(normalize_unit_sphere(cloud).coords, config, seed=0, fit=True).coords
+        coords = _start_runs([normalize_unit_sphere(cloud).coords], config, [0], fit=True)[0].coords
         rng = np.random.default_rng(counts[0])
         for h, (hop, count, width) in enumerate(zip(config.hops, counts, (3, 24, 138, 216))):
             points = coords[: hop.num_points]
@@ -448,8 +450,8 @@ class TestTrain:
         # c's samples, stacked cloud by cloud in corpus order
         config = tiny_model.config
         rng = np.random.Generator(np.random.PCG64(config.seed))
-        runs = [
-            _HopRun(normalize_unit_sphere(cloud).coords, config, int(rng.integers(2**63)), fit=True)
+        runs = [  # one cloud at a time: train samples the corpus in two stacks
+            _start_runs([normalize_unit_sphere(cloud).coords], config, [int(rng.integers(2**63))], fit=True)[0]
             for cloud in tiny_corpus
         ]
         hop_layers = ({0: tiny_model.hop1_layer}, *tiny_model.later_hops)
@@ -494,7 +496,7 @@ class TestHopPlans:
         # does; extraction computes only the points a later hop reads
         cloud = tiny_corpus[5]
         config = plan_model.config
-        run = _HopRun(cloud.coords, config, seed=2, fit=True)
+        (run,) = _start_runs([cloud.coords], config, [2], fit=True)
         hop_layers = ({0: plan_model.hop1_layer}, *plan_model.later_hops)
         parent_ids = [0]
         for h, (hop, plan) in enumerate(zip(config.hops, plan_model.plans)):
@@ -536,22 +538,51 @@ class TestHopPlans:
         # the final hop's outputs are never read, so its plan is not applied
         assert rows == [hop.num_points for hop in plan_model.config.hops[1:] for _ in range(3)]
 
-    def test_one_fps_run_per_cloud(self, plan_model, tiny_corpus, monkeypatch):
-        budgets = []
+    @pytest.mark.parametrize("k", [1, 3], ids=["one_cloud", "three_clouds"])
+    def test_one_fps_call_per_stack(self, plan_model, tiny_corpus, monkeypatch, k):
+        # train samples its corpus in two half-stacks, one per lane, in
+        # corpus order (a 1-cloud corpus leaves the second half empty); an
+        # extraction samples a stack of one, and a register pair one (2, n, 3)
+        # stack, on the calling thread
+        calls = []
         real = pipeline.fps_indices
 
-        def counting(points, m, start=0):
-            budgets.append(m)
+        def recording(points, m, start=0):
+            calls.append((threading.current_thread().name, np.array(points), m, start))
             return real(points, m, start)
 
-        monkeypatch.setattr(pipeline, "fps_indices", counting)
-        hops = plan_model.config.hops
-        want = [hops[1].num_points] if len(hops) > 1 else []
+        monkeypatch.setattr(pipeline, "fps_indices", recording)
+        config = plan_model.config
+        budget = config.hops[0].num_points
+        caller = threading.current_thread().name
+        multi_hop = len(config.hops) > 1
+
+        def samples(clouds, seeds):
+            return np.stack([c.coords[sample_indices(len(c), budget, s)] for c, s in zip(clouds, seeds)])
+
+        def assert_calls(stacks, lanes):
+            # the lanes' calls may end in either order; the caller's comes first here
+            assert len(calls) == (len(stacks) if multi_hop else 0)
+            calls.sort(key=lambda call: call[0] != caller)
+            for (lane, points, m, start), stack, on_caller in zip(calls, stacks, lanes):
+                assert (lane == caller) == on_caller
+                assert points.shape == stack.shape and points.tobytes() == stack.tobytes()
+                assert (m, start) == (config.hops[1].num_points, 0)
+            calls.clear()
+
+        corpus = [normalize_unit_sphere(c) for c in tiny_corpus[:k]]
+        rng = np.random.Generator(np.random.PCG64(config.seed))
+        stack = samples(corpus, [int(rng.integers(2**63)) for _ in corpus])
+        half = -(-k // 2)
+        train(tiny_corpus[:k], config)
+        assert_calls([stack[:half], stack[half:]], [True, False])
+
         extract_features(plan_model, tiny_corpus[4], seed=1)
-        assert budgets == want
-        budgets.clear()
-        train(tiny_corpus[:2], plan_model.config)
-        assert budgets == 2 * want
+        assert_calls([samples(tiny_corpus[4:5], [1])], [True])
+
+        target, source = tiny_corpus[5], tiny_corpus[6]
+        extract_pair(plan_model, target, source, 7)
+        assert_calls([samples([target, source], [7, 7])], [True])
 
 
 class TestFarthestFirstRows:
@@ -562,7 +593,7 @@ class TestFarthestFirstRows:
     def test_every_hop_is_a_prefix_of_nested_fps(self, tiny_corpus, budgets, fit):
         cloud = tiny_corpus[1]
         config = ModelConfig(hops=tuple(HopConfig(n, 16) for n in budgets), k_lrf=16)
-        run = _HopRun(cloud.coords, config, seed=3, fit=fit)
+        (run,) = _start_runs([cloud.coords], config, [3], fit=fit)
         # sampling each hop's points from the previous hop's
         nested = [sample_indices(len(cloud), budgets[0], 3)]
         for n in budgets[1:]:

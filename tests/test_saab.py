@@ -24,7 +24,7 @@ from rpointhop.saab import (
     saab_fit,
 )
 
-from rpointhop.pipeline import _HopRun, _dense_inputs
+from rpointhop.pipeline import _dense_inputs, _start_runs
 
 from conftest import hop_oracle, plan_take_oracle, saab_fit_oracle
 
@@ -516,7 +516,7 @@ class TestFreezeHop:
 
     def test_model_hops_match_transpose_take_form(self, tiny_model, tiny_corpus):
         # real inputs and zero-padded filter banks, hop by hop of an extraction
-        run = _HopRun(tiny_corpus[0].coords, tiny_model.config, seed=0)
+        (run,) = _start_runs([tiny_corpus[0].coords], tiny_model.config, [0])
         for h, plan in enumerate(tiny_model.plans):
             x = _dense_inputs(run.hop_inputs(h)[0])
             run.values = plan.apply(x)

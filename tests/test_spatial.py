@@ -311,9 +311,16 @@ class TestFps:
         # the one sampling call per cloud: the hop-2 budget over the hop-1
         # sample, bit for bit the picks of the former einsum loop
         budget, picks = config.hops[0].num_points, config.hops[1].num_points
+        stack = []
         for seed, cloud in enumerate(make_shape_corpus(3, 1400, seed=300)):
             pts = cloud.coords[sample_indices(len(cloud), budget, seed)]
             assert np.array_equal(fps_indices(pts, picks), fps_einsum_oracle(pts, picks)), seed
+            stack.append(pts)
+        # and the three clouds as one stack, as train and a register pair sample them
+        got = fps_indices(np.stack(stack), picks)
+        assert got.shape == (3, picks) and got.dtype == np.intp
+        for row, pts in zip(got, stack):
+            assert np.array_equal(row, fps_einsum_oracle(pts, picks))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -335,11 +342,46 @@ class TestFps:
         start = int(rng.integers(len(pts)))
         assert np.array_equal(fps_indices(pts, m, start), fps_einsum_oracle(pts, m, start))
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        b=st.sampled_from([1, 2, 5]),
+        n=st.integers(1, 40),
+        span=st.integers(0, 3),
+        copies=st.integers(0, 20),
+        step=st.sampled_from([1.0, 0.1, 1.0 / 3.0]),
+        m_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_rows_match_each_cloud_alone(self, b, n, span, copies, step, m_frac, seed):
+        # lattice and duplicate clouds of one size: a stack row's ties and
+        # rounding are its own cloud's, whatever the other rows hold
+        rng = np.random.default_rng(seed)
+        clouds = []
+        for _ in range(b):
+            pts = rng.integers(-span, span + 1, size=(n, 3)) * step
+            clouds.append(np.vstack([pts, pts[rng.integers(0, n, size=copies)]]))
+        size = n + copies
+        m = 1 + int(m_frac * (size - 1))
+        start = int(rng.integers(size))
+        got = fps_indices(np.stack(clouds), m, start)
+        assert got.shape == (b, m) and got.dtype == np.intp
+        for row, pts in zip(got, clouds):
+            assert np.array_equal(row, fps_einsum_oracle(pts, m, start))
+            if step == 1.0:  # fps_oracle adds dy² before dz², which rounds alike only when exact
+                assert np.array_equal(row, fps_oracle(pts, m, start))
+
+    def test_empty_stack(self):
+        got = fps_indices(np.zeros((0, 6, 3)), 4, start=2)
+        assert got.shape == (0, 4) and got.dtype == np.intp
+
     def test_bad_arguments(self):
-        pts = np.zeros((4, 3))
-        with pytest.raises(ValueError, match="sample"):
-            fps_indices(pts, 5, start=0)
-        with pytest.raises(ValueError, match="sample"):
-            fps_indices(pts, 0, start=0)
-        with pytest.raises(ValueError, match="start"):
-            fps_indices(pts, 2, start=4)
+        # one cloud, a stack and an empty stack of 4-point clouds
+        for pts in (np.zeros((4, 3)), np.zeros((2, 4, 3)), np.zeros((0, 4, 3))):
+            with pytest.raises(ValueError, match="cannot sample 5 points from 4"):
+                fps_indices(pts, 5, start=0)
+            with pytest.raises(ValueError, match="cannot sample 0 points from 4"):
+                fps_indices(pts, 0, start=0)
+            with pytest.raises(ValueError, match="start index 4 out of range for 4 points"):
+                fps_indices(pts, 2, start=4)
+        with pytest.raises(ValueError, match=r"expected \(B, N, 3\) coordinates"):
+            fps_indices(np.zeros((2, 4, 2)), 2, start=0)
