@@ -32,7 +32,6 @@ from .registration import (
     EstimationError,
     MatchingError,
     MatchParams,
-    RansacParams,
     euler_xyz_to_matrix,
     extract_pair,
     geodesic_error,
@@ -170,20 +169,21 @@ class _Trial:
     target: PointCloud
     truth: RigidTransform
     extract_seed: int
-    ransac_seed: int
 
 
 def _trials(clouds: Sequence[PointCloud], spec: ExperimentSpec) -> Iterator[_Trial]:
     """Synthesize ``spec.trials`` trials from the master seed ``spec.seed``.
 
     Each trial draws, in order, its cloud index and the seeds of the motion,
-    the source crop, the target crop, the noise, the extraction and RANSAC;
-    every draw is made whether or not the spec uses it.
+    the source crop, the target crop, the noise and the extraction, then one
+    unused value, which keeps every trial's seeds as they were when the
+    robust estimate took a seed; every draw is made whether or not the spec
+    uses it.
     """
     master = np.random.Generator(np.random.PCG64(spec.seed))
     for trial in range(spec.trials):
         cloud_index = int(master.integers(len(clouds)))
-        tf_seed, partial_seed_s, partial_seed_t, noise_seed, extract_seed, ransac_seed = (
+        tf_seed, partial_seed_s, partial_seed_t, noise_seed, extract_seed, _ = (
             int(master.integers(2**63)) for _ in range(6)
         )
         target = clouds[cloud_index]
@@ -195,7 +195,7 @@ def _trials(clouds: Sequence[PointCloud], spec: ExperimentSpec) -> Iterator[_Tri
                 target = make_partial(target, spec.partial_fraction, partial_seed_t)
         if spec.noise_std > 0.0:
             source = add_noise(source, spec.noise_std, noise_seed)
-        yield _Trial(trial, cloud_index, source, target, tf_gt, extract_seed, ransac_seed)
+        yield _Trial(trial, cloud_index, source, target, tf_gt, extract_seed)
 
 
 def _estimate(
@@ -207,11 +207,7 @@ def _estimate(
     RANSAC and ICP if the spec asks for them)."""
     if spec.icp_only:
         return icp_refine(trial.source, trial.target, RigidTransform.identity()).transform
-    params = MatchParams(
-        use_ratio_test=spec.use_ratio_test,
-        use_ransac=spec.use_ransac,
-        ransac=RansacParams(seed=trial.ransac_seed),
-    )
+    params = MatchParams(use_ratio_test=spec.use_ratio_test, use_ransac=spec.use_ransac)
     return register_features(*features, trial.source, trial.target, params, spec.icp_refine)[0]
 
 

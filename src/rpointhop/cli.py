@@ -10,8 +10,7 @@ thread and one persistent worker thread. ``train`` runs its independent
 per-cloud work on them and farthest point samples its corpus in two
 half-stacks, one per lane. A registration samples its target and source
 clouds in one stack, extracts them at once, then splits the rows of
-matching and of RANSAC's hypothesis scoring into two halves, one per lane.
-This changes no output.
+matching into two halves, one per lane. This changes no output.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .pipeline import (
     save_model,
     train,
 )
-from .registration import MatchParams, RansacParams, format_report, register
+from .registration import MatchParams, format_report, register
 
 logger = logging.getLogger("rpointhop.cli")
 
@@ -69,11 +68,7 @@ def cmd_register(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     source = load_cloud(args.source)
     target = load_cloud(args.target)
-    params = MatchParams(
-        use_ratio_test=not args.no_ratio_test,
-        use_ransac=args.ransac,
-        ransac=RansacParams(seed=args.seed),
-    )
+    params = MatchParams(use_ratio_test=not args.no_ratio_test, use_ransac=args.ransac)
     tf, aligned, report = register(
         model, source, target, params, seed=args.seed, icp=args.icp_refine
     )
@@ -159,7 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="select final pairs by feature distance alone (skip the ratio filter)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the extraction's point sampling; the robust estimate draws nothing",
+    )
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("features", help="write the per-point descriptor table of one cloud")

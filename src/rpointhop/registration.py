@@ -20,13 +20,13 @@ a small ratio mean an unambiguous match; dropping large-ratio pairs removes
 the matches that symmetric or featureless regions produce.
 
 A registration uses the two lanes (:func:`rpointhop.pipeline._two_lanes`:
-the calling thread and one persistent worker thread) three times: the
-target and source extractions run at once, once both clouds are farthest
-point sampled in one stack on the caller, then matching and RANSAC's
-hypothesis scoring each split their rows into two halves, one per lane
-(:func:`rpointhop.pipeline._row_halves`). Both stages compute every row on
-its own, so the halves give the same bits as one serial pass. RANSAC's
-draws, its selection and its refit, and ICP, run on the caller.
+the calling thread and one persistent worker thread) twice: the target and
+source extractions run at once, once both clouds are farthest point
+sampled in one stack on the caller, then matching splits its rows into two
+halves, one per lane (:func:`rpointhop.pipeline._row_halves`). Matching
+computes every row on its own, so the halves give the same bits as one
+serial pass. The robust estimate (:func:`ransac_estimate`) and ICP run on
+the caller.
 """
 
 from __future__ import annotations
@@ -59,14 +59,13 @@ class EstimationError(RuntimeError):
     """The correspondence geometry cannot determine a rigid transform."""
 
 
-RANSAC_ITERATIONS = 512
-RANSAC_SAMPLE_SIZE = 4  # pairs per minimal sample; 3 determine a rigid motion
+CONSENSUS_SEEDS = 32  # hypotheses, one per seed pair
+CONSENSUS_GROUP = 11  # pairs per hypothesis: its seed and up to 10 more
 
 
 @dataclass(frozen=True)
 class RansacParams:
     inlier_radius: float = 0.05
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.inlier_radius < np.inf:  # NaN fails this too
@@ -236,74 +235,73 @@ def _residuals(corr: CorrespondenceSet, rotation: np.ndarray, translation: np.nd
     return np.linalg.norm(pred - corr.source_coords, axis=-1)
 
 
-def _consistent_samples(rng: np.random.Generator, compatible: np.ndarray) -> np.ndarray:
-    """(B, ``RANSAC_SAMPLE_SIZE``) picks of distinct pairs, drawn one
-    position at a time across all ``RANSAC_ITERATIONS`` rows: each pick is
-    uniform among the pairs compatible with every earlier pick of its row
-    (the r-th allowed column for a bounded draw r). Rows that run out of
-    compatible pairs are dropped, so B <= ``RANSAC_ITERATIONS``; the rest
-    keep their order."""
-    rows = np.arange(RANSAC_ITERATIONS)
-    picks = np.empty((RANSAC_ITERATIONS, RANSAC_SAMPLE_SIZE), dtype=np.intp)
-    picks[:, 0] = rng.integers(compatible.shape[0], size=RANSAC_ITERATIONS)  # every pair is allowed at first
-    allowed = compatible[picks[:, 0]]
-    allowed[rows, picks[:, 0]] = False
-    alive = np.ones(RANSAC_ITERATIONS, dtype=bool)
-    for i in range(1, RANSAC_SAMPLE_SIZE):
-        ranks = np.cumsum(allowed, axis=1)  # ranks[b, j]: allowed columns up to j
-        counts = ranks[:, -1]
-        alive &= counts > 0
-        r = rng.integers(np.maximum(counts, 1))
-        picks[:, i] = np.argmax(ranks > r[:, None], axis=1)
+def _seeded_groups(compatible: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """(K, ``CONSENSUS_GROUP``) pair indices: one greedy group per seed.
+
+    The seeds are the ``CONSENSUS_SEEDS`` pairs (all pairs when fewer) of
+    largest ``support`` row sum, ties to the lower index. Each group grows
+    one position at a time across all seeds: a step takes the pair of
+    largest ``support[seed, j]``, ties to the lower index, among the pairs
+    compatible with every pair the group holds. A seed left with no such
+    pair fills its remaining positions with itself."""
+    seeds = np.argsort(-support.sum(axis=1), kind="stable")[:CONSENSUS_SEEDS]
+    rows = np.arange(len(seeds))
+    picks = np.empty((len(seeds), CONSENSUS_GROUP), dtype=np.intp)
+    picks[:, 0] = seeds
+    allowed = compatible[seeds]
+    allowed[rows, seeds] = False
+    ranks = support[seeds]
+    for i in range(1, CONSENSUS_GROUP):
+        best = np.argmax(np.where(allowed, ranks, -1), axis=1)  # the first maximum: lowest index
+        picks[:, i] = np.where(allowed[rows, best], best, seeds)
         allowed &= compatible[picks[:, i]]
         allowed[rows, picks[:, i]] = False
-    return picks[alive]
+    return picks
 
 
 def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams()) -> RigidTransform:
-    """RANSAC wrapper around :func:`estimate_transform`.
+    """Robust wrapper around :func:`estimate_transform`: a deterministic,
+    seeded consensus in place of random draws (SC²-PCR, Chen et al., CVPR
+    2022).
 
-    Minimal samples hold only mutually length-consistent pairs: a rigid
-    motion preserves distances, so two pairs that are both inliers
+    A rigid motion preserves distances, so two pairs that are both inliers
     (residual < r) have target and source separations that differ by less
-    than 2r. A sample that breaks this cannot be all-inlier, and skipping
-    such samples raises the chance of drawing an all-inlier one when
-    inliers are scarce, as they are under partial overlap with noise.
-    Draws ``RANSAC_ITERATIONS`` samples position by position
-    (:func:`_consistent_samples`), deterministic given ``params.seed``,
-    then scores every hypothesis in a batched pass (:func:`_kabsch` over
-    the stack of samples, then every pair's residual), the two halves of
-    the stack on the two lanes (:func:`_row_halves`). Each stack slice gets
-    the same bits in either half. Degenerate samples and hypotheses with fewer
-    than 3 inliers are dropped. The best hypothesis has the most inliers,
-    then the lowest inlier RMSE, then the earliest row; the final
-    transform is re-estimated on its inliers. Raises
-    :class:`EstimationError` when no hypothesis finds 3 inliers.
+    than 2r; C marks the pairs of pairs that pass this test. Second-order
+    compatibility S = (C·C) ∘ C counts, for each compatible pair of pairs,
+    the pairs compatible with both, so inliers, which are all compatible
+    with one another, reach high counts even when they are scarce. The
+    pairs of largest S row sum seed one hypothesis each, grown into a group
+    of mutually compatible pairs (:func:`_seeded_groups`). Every group is
+    fitted and scored in one batched pass on the calling thread
+    (:func:`_kabsch` over the stack of groups, then every pair's residual).
+    Degenerate groups and hypotheses with fewer than 3 inliers are dropped.
+    The best hypothesis has the most inliers, then the lowest inlier RMSE,
+    then the earliest seed; the final transform is re-estimated on its
+    inliers. Nothing is drawn at random. Requires >= 3 pairs, as
+    :func:`estimate_transform` does; raises :class:`EstimationError` when no
+    hypothesis finds 3 inliers.
     """
     m = len(corr)
-    if m < RANSAC_SAMPLE_SIZE:
-        raise EstimationError(f"need at least sample_size={RANSAC_SAMPLE_SIZE} pairs, got {m}")
-    rng = np.random.Generator(np.random.PCG64(params.seed))
+    if m < 3:
+        raise EstimationError(f"need at least 3 pairs, got {m}")
     separation_gap = np.abs(
         cdist(corr.target_coords, corr.target_coords) - cdist(corr.source_coords, corr.source_coords)
     )
     compatible = separation_gap < 2.0 * params.inlier_radius
-    picks = _consistent_samples(rng, compatible)
-
-    def score(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        sample = picks[rows]
-        rotation, translation, s = _kabsch(corr.target_coords[sample], corr.source_coords[sample])
-        return s, _residuals(corr, rotation, translation)
-
-    s, res = _row_halves(_two_lanes, score, len(picks))  # (B, 3), (B, m)
+    c = compatible.astype(np.int32)
+    # an int einsum skips BLAS: a float GEMM this size wakes OpenBLAS threads that then slow the lanes
+    support = np.einsum("ij,jk->ik", c, c) * c
+    picks = _seeded_groups(compatible, support)
+    rotation, translation, s = _kabsch(corr.target_coords[picks], corr.source_coords[picks])
+    res = _residuals(corr, rotation, translation)  # (K, m)
     inliers = res < params.inlier_radius
     counts = inliers.sum(axis=1)
     counts[_degenerate(s)] = 0
     best_count = counts.max(initial=0)
     if best_count < 3:
-        raise EstimationError("no RANSAC iteration produced 3 or more inliers")
+        raise EstimationError("no RANSAC hypothesis produced 3 or more inliers")
     best, best_rmse = -1, np.inf
-    for i in np.flatnonzero(counts == best_count):  # ascending: the earliest row wins ties
+    for i in np.flatnonzero(counts == best_count):  # ascending: the earliest seed wins ties
         rmse = float(np.sqrt(np.mean(res[i][inliers[i]] ** 2)))
         if rmse < best_rmse:
             best, best_rmse = i, rmse
@@ -396,9 +394,10 @@ def register_features(
     icp: bool = False,
 ) -> tuple[RigidTransform, CorrespondenceSet, int]:
     """Feature sets to transform: match, estimate in closed form (inside
-    RANSAC when ``params.use_ransac``), then optionally refine with ICP on
-    the clouds the feature sets were extracted from. Returns (transform
-    mapping target onto source, the matched pairs, ICP iterations run)."""
+    the seeded consensus :func:`ransac_estimate` when ``params.use_ransac``),
+    then optionally refine with ICP on the clouds the feature sets were
+    extracted from. Returns (transform mapping target onto source, the
+    matched pairs, ICP iterations run)."""
     corr = match(target_fs, source_fs, params)
     tf = ransac_estimate(corr, params.ransac) if params.use_ransac else estimate_transform(corr)
     icp_iterations = 0

@@ -24,10 +24,8 @@ from rpointhop.bench import make_shape_corpus
 from rpointhop.cloud import normalize_unit_sphere
 from rpointhop.pipeline import FeatureSet, _start_runs
 from rpointhop.registration import (
-    RANSAC_SAMPLE_SIZE,
     CorrespondenceSet,
     MatchParams,
-    _consistent_samples,
     _nearest_two,
 )
 from rpointhop.saab import _EIG_CUTOFF, STATUS_DISCARDED, SaabLayer, saab_apply
@@ -275,26 +273,43 @@ def match_oracle(target: FeatureSet, source: FeatureSet, params: MatchParams) ->
 
 
 def ransac_oracle(corr, params) -> RigidTransform:
-    """RANSAC one hypothesis at a time: take the library's length-consistent
-    samples, fit each with ``estimate_transform``, score it, and keep it
-    when it has more inliers, or as many with a lower inlier RMSE, than the
-    best so far. Refits on the best hypothesis's inliers."""
+    """The seeded consensus one hypothesis at a time. Second-order
+    compatibility is a float product, exact here since C holds 0/1 and its
+    sums stay far below 2**53. The 32 pairs of largest S row sum, ties to
+    the lower index, are the seeds; each grows its group of 11 in a plain
+    loop, taking the pair of largest S[seed, j], ties to the lower index,
+    among the pairs compatible with every pair held, and fills the rest
+    with itself.
+    Each group is fitted with ``estimate_transform``, scored, and kept when
+    it has more inliers, or as many with a lower inlier RMSE, than the best
+    so far. Refits on the best hypothesis's inliers."""
     m = len(corr)
-    if m < RANSAC_SAMPLE_SIZE:
-        raise EstimationError(f"need at least sample_size={RANSAC_SAMPLE_SIZE} pairs, got {m}")
-    rng = np.random.Generator(np.random.PCG64(params.seed))
+    if m < 3:
+        raise EstimationError(f"need at least 3 pairs, got {m}")
     separation_gap = np.abs(
         cdist(corr.target_coords, corr.target_coords) - cdist(corr.source_coords, corr.source_coords)
     )
     compatible = separation_gap < 2.0 * params.inlier_radius
+    c = compatible.astype(float)
+    support = (c @ c) * c
+    row_sums = support.sum(axis=1)
+    seeds = sorted(range(m), key=lambda i: (-row_sums[i], i))[:32]
     best_count = 0
     best_rmse = np.inf
     best_inliers = None
-    for pick in _consistent_samples(rng, compatible):
+    for seed in seeds:
+        group = [seed]
+        while len(group) < 11:
+            fits_all = compatible[:, group].all(axis=1)
+            candidates = [j for j in range(m) if j not in group and fits_all[j]]
+            if not candidates:
+                break
+            group.append(max(candidates, key=lambda j: (support[seed, j], -j)))
+        group += [seed] * (11 - len(group))
         try:
-            tf = estimate_transform(corr.take(pick))
+            tf = estimate_transform(corr.take(np.asarray(group)))
         except EstimationError:
-            continue  # degenerate minimal sample; try the next one
+            continue  # degenerate group; try the next seed
         pred = corr.target_coords @ tf.rotation.T + tf.translation
         res = np.linalg.norm(pred - corr.source_coords, axis=1)
         inliers = res < params.inlier_radius
@@ -305,7 +320,7 @@ def ransac_oracle(corr, params) -> RigidTransform:
         if count > best_count or (count == best_count and rmse < best_rmse):
             best_count, best_rmse, best_inliers = count, rmse, inliers
     if best_inliers is None:
-        raise EstimationError("no RANSAC iteration produced 3 or more inliers")
+        raise EstimationError("no RANSAC hypothesis produced 3 or more inliers")
     return estimate_transform(corr.take(best_inliers))
 
 

@@ -197,7 +197,7 @@ class TestScore:
     def _trial(angles_deg) -> _Trial:
         cloud = PointCloud(np.zeros((1, 3)))
         truth = RigidTransform(euler_xyz_to_matrix(angles_deg), np.array([0.1, 0.2, 0.3]))
-        return _Trial(4, 2, cloud, cloud, truth, extract_seed=0, ransac_seed=0)
+        return _Trial(4, 2, cloud, cloud, truth, extract_seed=0)
 
     def test_gimbal_lock_of_ground_truth_at_ty_90(self):
         result = _score(self._trial([10.0, 90.0, 20.0]), RigidTransform.identity())

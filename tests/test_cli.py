@@ -360,8 +360,8 @@ class TestPlumbing:
             assert "aggregate\t" in runs[0][0]
 
     def test_register_identical_at_any_thread_cap(self, workspace):
-        # matching and RANSAC scoring split their rows across the two lanes;
-        # every report line but the runtime, and the aligned cloud, must agree
+        # matching splits its rows across the two lanes; every report line
+        # but the runtime, and the aligned cloud, must agree
         report = workspace["root"] / "threads-reg.txt"
 
         def read_output():

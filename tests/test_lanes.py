@@ -1,6 +1,6 @@
 """The two lanes: train's per-cloud work, register's two extractions and
-the row halves of its matching and RANSAC scoring share the calling thread
-and one persistent worker thread."""
+the row halves of its matching share the calling thread and one persistent
+worker thread."""
 
 import os
 import sys
@@ -181,8 +181,8 @@ class TestBitIdentity:
         assert (tmp_path / "inline.rph").read_bytes() == (tmp_path / "lanes.rph").read_bytes()
 
     def test_extract_and_register(self, tiny_corpus, tiny_model, monkeypatch):
-        # extraction, matching and RANSAC scoring use the lanes; inlined,
-        # every stage runs serially on the caller
+        # extraction and matching use the lanes; inlined, every stage runs
+        # serially on the caller
         rng = np.random.default_rng(8)
         target = tiny_corpus[3]
         source = apply_transform(target, RigidTransform(random_rotation(rng), rng.normal(size=3)))

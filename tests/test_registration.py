@@ -29,12 +29,10 @@ from rpointhop.bench import add_noise, make_partial, make_shape_cloud
 from rpointhop.pipeline import FeatureSet
 from rpointhop.registration import (
     CorrespondenceSet,
-    RANSAC_ITERATIONS,
-    RANSAC_SAMPLE_SIZE,
-    _consistent_samples,
     _degenerate,
     _kabsch,
     _nearest_two,
+    _seeded_groups,
     _wrap_degrees,
     format_report,
     register_features,
@@ -405,8 +403,8 @@ def noisy_pairs():
 
 
 def repeated_pairs():
-    """24 noisy pairs on 6 distinct target points, so that many 4-pair
-    samples hold at most two distinct points and are degenerate."""
+    """24 noisy pairs on 6 distinct target points: groups hold repeated
+    points, and the copies of a point tie on support."""
     rng = np.random.default_rng(11)
     f = rng.normal(size=(6, 3))[rng.integers(0, 6, size=24)]
     g = f @ random_rotation(rng).T + 0.5 + rng.normal(size=(24, 3)) * 0.01
@@ -423,8 +421,8 @@ def collinear_pairs():
 def clique_pairs():
     """512 pairs: 4 non-coplanar pairs under one rigid motion, and 508 pairs
     on a line, stretched by 2 and shifted, that are length-consistent with
-    no other pair. A sample survives only when its first pick falls in the
-    clique, so a draw keeps a handful of samples, or none."""
+    no other pair. The 4 lead the seeds; each line pair's group is that
+    pair alone, which is degenerate."""
     f = np.zeros((512, 3))
     g = np.zeros((512, 3))
     f[4:, 0] = np.arange(508.0)
@@ -462,71 +460,120 @@ class TestKabsch:
         assert _degenerate(s).tolist() == [True, True, False]
 
 
+def permuted(corr: CorrespondenceSet, seed: int) -> CorrespondenceSet:
+    """The pairs in a seeded order (seed 0 keeps them as built): pair order
+    decides every tie of the consensus."""
+    return corr.take(np.random.default_rng(seed).permutation(len(corr)) if seed else np.arange(len(corr)))
+
+
+def consensus_groups(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray]:
+    """(compatibility, groups) of ``ransac_estimate`` at the default radius."""
+    f, g = corr.target_coords, corr.source_coords
+    gap = np.linalg.norm(f[:, None] - f, axis=-1) - np.linalg.norm(g[:, None] - g, axis=-1)
+    compatible = np.abs(gap) < 2.0 * RansacParams().inlier_radius
+    c = compatible.astype(float)
+    return compatible, _seeded_groups(compatible, (c @ c) * c)
+
+
 class TestRansac:
     def test_recovers_under_outliers(self):
         corr, r, t = outlier_pairs()
         plain = estimate_transform(corr)
-        robust = ransac_estimate(corr, RansacParams(seed=0))
+        robust = ransac_estimate(corr, RansacParams())
         assert np.abs(robust.rotation - r).max() < 1e-9
         assert np.abs(robust.translation - t).max() < 1e-9
         assert np.abs(plain.rotation - r).max() > 0.01  # contrast: LS is polluted
 
     def test_recovers_from_scarce_inliers(self):
-        # drawing only length-consistent samples still finds the 8 inliers
+        # second-order compatibility still finds the 8 inliers
         corr, r, t = scarce_pairs()
-        robust = ransac_estimate(corr, RansacParams(seed=0))
+        robust = ransac_estimate(corr, RansacParams())
         assert np.abs(robust.rotation - r).max() < 1e-9
         assert np.abs(robust.translation - t).max() < 1e-9
+
+    def test_recovers_a_four_pair_clique(self):
+        # 4 pairs of 512 agree on one motion; the 508 others agree with none
+        robust = ransac_estimate(clique_pairs())
+        assert np.abs(robust.rotation - rz(30.0)).max() < 1e-9
+        assert np.abs(robust.translation - [0.0, 0.0, 5.0]).max() < 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize(
         "pairs",
-        [lambda: outlier_pairs()[0], lambda: scarce_pairs()[0], noisy_pairs, repeated_pairs],
-        ids=["outliers", "scarce", "noisy", "repeated"],
+        [lambda: outlier_pairs()[0], lambda: scarce_pairs()[0], noisy_pairs, repeated_pairs, clique_pairs],
+        ids=["outliers", "scarce", "noisy", "repeated", "clique"],
     )
     def test_matches_one_at_a_time_oracle(self, pairs, seed):
-        corr = pairs()
-        params = RansacParams(seed=seed)
-        assert_same_bits(ransac_estimate(corr, params), ransac_oracle(corr, params))
+        corr = permuted(pairs(), seed)
+        assert_same_bits(ransac_estimate(corr, RansacParams()), ransac_oracle(corr, RansacParams()))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_refuses_like_the_oracle(self, seed):
-        corr = collinear_pairs()
-        params = RansacParams(seed=seed)
+        corr = permuted(collinear_pairs(), seed)
         with pytest.raises(EstimationError) as expected:
-            ransac_oracle(corr, params)
+            ransac_oracle(corr, RansacParams())
         with pytest.raises(EstimationError) as got:
-            ransac_estimate(corr, params)
-        assert str(got.value) == str(expected.value) == "no RANSAC iteration produced 3 or more inliers"
+            ransac_estimate(corr, RansacParams())
+        assert str(got.value) == str(expected.value) == "no RANSAC hypothesis produced 3 or more inliers"
 
-    @pytest.mark.parametrize("kept, seed", [(0, 15), (1, 8), (2, 1)])
-    def test_few_kept_samples_match_the_oracle(self, kept, seed):
-        # the scored stack is split in two halves, so one or both are empty
-        corr = clique_pairs()
-        params = RansacParams(seed=seed)
-        compatible = np.abs(
-            np.linalg.norm(corr.target_coords[:, None] - corr.target_coords, axis=-1)
-            - np.linalg.norm(corr.source_coords[:, None] - corr.source_coords, axis=-1)
-        ) < 2.0 * params.inlier_radius
-        assert len(_consistent_samples(np.random.Generator(np.random.PCG64(seed)), compatible)) == kept
-        if kept == 0:
-            with pytest.raises(EstimationError) as expected:
-                ransac_oracle(corr, params)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(3, 200),
+        inlier_frac=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        copies=st.integers(1, 20),
+        lattice=st.booleans(),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    @example(m=3, inlier_frac=1.0, copies=1, lattice=False, seed=0)
+    @example(m=40, inlier_frac=0.0, copies=20, lattice=True, seed=0)
+    def test_matches_the_oracle_with_ties_property(self, m, inlier_frac, copies, lattice, seed):
+        # lattice points repeat separations, and each copied pair has its
+        # original's compatibility row: both tie S row sums
+        rng = np.random.default_rng(seed)
+        f = rng.integers(-4, 5, size=(m, 3)) * 0.25 if lattice else rng.uniform(-1.0, 1.0, size=(m, 3))
+        g = rng.uniform(-1.0, 1.0, size=(m, 3))
+        inliers = rng.random(m) < inlier_frac
+        noise = rng.normal(size=(inliers.sum(), 3)) * 0.01
+        g[inliers] = f[inliers] @ random_rotation(rng).T + rng.normal(size=3) + noise
+        copied = rng.integers(0, m, size=min(copies, m - 1))
+        f[m - len(copied):], g[m - len(copied):] = f[copied], g[copied]
+        corr = make_corr(f, g)
+        try:
+            expected = ransac_oracle(corr, RansacParams())
+        except EstimationError as exc:
             with pytest.raises(EstimationError) as got:
-                ransac_estimate(corr, params)
-            assert str(got.value) == str(expected.value)
+                ransac_estimate(corr, RansacParams())
+            assert str(got.value) == str(exc)
         else:
-            assert_same_bits(ransac_estimate(corr, params), ransac_oracle(corr, params))
+            assert_same_bits(ransac_estimate(corr, RansacParams()), expected)
 
-    def test_repeated_points_draw_degenerate_samples(self):
-        # the oracle comparison on repeated_pairs covers the degeneracy mask
-        corr = repeated_pairs()
-        f, g = corr.target_coords, corr.source_coords
-        gap = np.linalg.norm(f[:, None] - f, axis=-1) - np.linalg.norm(g[:, None] - g, axis=-1)
-        compatible = np.abs(gap) < 2.0 * RansacParams().inlier_radius
-        picks = _consistent_samples(np.random.Generator(np.random.PCG64(0)), compatible)
+    def test_groups_are_mutually_compatible(self):
+        # each group holds distinct, mutually compatible pairs, then its
+        # seed repeated
+        for corr in (outlier_pairs()[0], scarce_pairs()[0], noisy_pairs(), repeated_pairs(), clique_pairs()):
+            compatible, picks = consensus_groups(corr)
+            assert picks.shape == (min(32, len(corr)), 11)
+            for row in picks:
+                distinct = row[: np.argmax(np.append(row[1:] == row[0], True)) + 1]
+                assert (row[len(distinct):] == row[0]).all()
+                assert len(set(distinct.tolist())) == len(distinct)
+                assert compatible[np.ix_(distinct, distinct)].all()
+
+    def test_line_pair_groups_are_degenerate(self):
+        # the clique's 4 seeds give the motion; the 28 line pairs seeded
+        # after them find no partner, so each group is one point 11 times
+        corr = clique_pairs()
+        _, picks = consensus_groups(corr)
         flags = _degenerate(_kabsch(corr.target_coords[picks], corr.source_coords[picks])[2])
-        assert flags.any() and not flags.all()
+        assert not flags[:4].any() and flags[4:].all()
+
+    def test_nothing_compatible_ends_in_the_refusal(self):
+        # a unit lattice, and source separations 10x the target's: every
+        # separation gap is at least 9, far beyond 2 * inlier_radius
+        f = np.stack(np.meshgrid(*[np.arange(3.0)] * 3), axis=-1).reshape(-1, 3)
+        corr = make_corr(f, 10.0 * f)
+        with pytest.raises(EstimationError, match="no RANSAC hypothesis produced 3 or more inliers"):
+            ransac_estimate(corr, RansacParams())
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
@@ -534,8 +581,8 @@ class TestRansac:
         g = f @ random_rotation(rng).T + 1.0
         g[:10] += rng.normal(size=(10, 3))
         corr = make_corr(f, g)
-        a = ransac_estimate(corr, RansacParams(seed=3))
-        b = ransac_estimate(corr, RansacParams(seed=3))
+        a = ransac_estimate(corr, RansacParams())
+        b = ransac_estimate(corr, RansacParams())
         assert np.array_equal(a.rotation, b.rotation)
         assert np.array_equal(a.translation, b.translation)
 
@@ -546,57 +593,13 @@ class TestRansac:
             ransac_estimate(corr, RansacParams(inlier_radius=1e-12))
 
     def test_too_few_pairs(self):
-        corr = make_corr(np.zeros((3, 3)), np.zeros((3, 3)))
-        with pytest.raises(EstimationError, match="sample_size"):
+        # three pairs determine a rigid motion, as in estimate_transform
+        corr = make_corr(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(EstimationError, match="need at least 3 pairs, got 2"):
             ransac_estimate(corr, RansacParams())
-
-
-class TestConsistentSamples:
-    @staticmethod
-    def draw(compatible, seed=0):
-        return _consistent_samples(np.random.Generator(np.random.PCG64(seed)), compatible)
-
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(
-        m=st.integers(4, 200),
-        density=st.sampled_from([0.02, 0.1, 0.3, 0.7, 1.0]),
-        seed=st.integers(0, 2**63 - 1),
-    )
-    def test_rows_are_distinct_compatible_pairs_property(self, m, density, seed):
-        rng = np.random.default_rng(seed)
-        upper = np.triu(rng.random((m, m)) < density, 1)
-        compatible = upper | upper.T | np.eye(m, dtype=bool)
-        picks = self.draw(compatible, seed)
-        assert picks.dtype == np.intp and picks.shape[1] == RANSAC_SAMPLE_SIZE
-        assert len(picks) <= RANSAC_ITERATIONS
-        assert ((picks >= 0) & (picks < m)).all()
-        for row in picks:
-            assert len(set(row.tolist())) == RANSAC_SAMPLE_SIZE
-            assert compatible[np.ix_(row, row)].all()
-        assert np.array_equal(picks, self.draw(compatible, seed))  # the seed alone decides
-
-    def test_fully_compatible_loses_no_row(self):
-        picks = self.draw(np.ones((6, 6), dtype=bool), seed=4)
-        assert picks.shape == (RANSAC_ITERATIONS, RANSAC_SAMPLE_SIZE)
-
-    def test_nothing_compatible_loses_every_row(self):
-        assert self.draw(np.eye(30, dtype=bool), seed=4).shape == (0, RANSAC_SAMPLE_SIZE)
-
-    def test_nothing_compatible_ends_in_the_refusal(self):
-        # a unit lattice, and source separations 10x the target's: every
-        # separation gap is at least 9, far beyond 2 * inlier_radius
-        f = np.stack(np.meshgrid(*[np.arange(3.0)] * 3), axis=-1).reshape(-1, 3)
-        corr = make_corr(f, 10.0 * f)
-        with pytest.raises(EstimationError, match="no RANSAC iteration produced 3 or more inliers"):
-            ransac_estimate(corr, RansacParams())
-
-    def test_each_position_is_uniform(self):
-        # 512 rows over 5 fully compatible pairs: by symmetry every pair
-        # appears at every position with probability 1/5 (sd about 0.018)
-        picks = self.draw(np.ones((5, 5), dtype=bool), seed=0)
-        for position in range(RANSAC_SAMPLE_SIZE):
-            freq = np.bincount(picks[:, position], minlength=5) / len(picks)
-            assert np.abs(freq - 0.2).max() < 0.06, (position, freq)
+        f = np.eye(3)
+        robust = ransac_estimate(make_corr(f, f @ rz(30.0).T + 1.0), RansacParams())
+        assert np.abs(robust.rotation - rz(30.0)).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
