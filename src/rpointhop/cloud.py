@@ -227,10 +227,10 @@ def _load_ply(lines: list[str], path: str) -> PointCloud:
             raise CloudParseError(
                 f"{path}: line 1: vertex element lacks x/y/z properties"
             ) from None
+        if count > len(lines) - i:
+            raise CloudParseError(f"{path}: line {len(lines)}: truncated vertex data")
         coords = np.empty((count, 3), dtype=np.float64)
         for row in range(count):
-            if i >= len(lines):
-                raise CloudParseError(f"{path}: line {len(lines)}: truncated vertex data")
             lineno = i + 1
             vals = _parse_floats(lines[i].split(), lineno, path)
             i += 1

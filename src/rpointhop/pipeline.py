@@ -702,7 +702,9 @@ def save_model(model: RPointHopModel, path) -> None:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
+    # a count past the end is refused before read() tries to allocate it
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(count) if count <= left else b""
     if len(data) != count:
         raise ModelFormatError(f"corrupt model file: truncated while reading {what}")
     return data

@@ -171,7 +171,7 @@ def match(target: FeatureSet, source: FeatureSet, params: MatchParams = MatchPar
     )
     ratios = np.where(d2 > 0.0, d1 / np.where(d2 > 0.0, d2, 1.0), 1.0)
 
-    by_dist = np.lexsort((np.arange(n_target), d1))[: params.m1]
+    by_dist = np.argsort(d1, kind="stable")[: params.m1]
     if params.use_ratio_test:
         order = np.lexsort((by_dist, ratios[by_dist]))
         selected = by_dist[order][: params.m2]

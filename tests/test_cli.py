@@ -191,6 +191,21 @@ class TestRegister:
         assert rc == 1
         assert "hop 1 needs" in capsys.readouterr().err
 
+    def test_corrupt_model_file(self, workspace, capsys, tmp_path):
+        # a header length far past the end of the file
+        raw = workspace["model"].read_bytes()
+        corrupt = tmp_path / "corrupt.rph"
+        corrupt.write_bytes(raw[:8] + (2**40).to_bytes(8, "little") + raw[16:])
+        rc = main([
+            "register",
+            "--model", str(corrupt),
+            "--source", str(workspace["source"]),
+            "--target", str(workspace["target"]),
+            "--output", str(tmp_path / "r.txt"),
+        ])
+        assert rc == 1
+        assert "error: corrupt model file" in capsys.readouterr().err
+
     def test_missing_model_file(self, workspace, capsys, tmp_path):
         rc = main([
             "register",

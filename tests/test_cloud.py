@@ -291,6 +291,17 @@ class TestPlyFormat:
         with pytest.raises(CloudParseError, match="truncated"):
             load_cloud(p)
 
+    def test_vertex_count_past_the_end(self, tmp_path):
+        # refused before the coordinate array is allocated (2.18 TiB here)
+        p = tmp_path / "c.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 100000000000\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "end_header\n0 0 0\n"
+        )
+        with pytest.raises(CloudParseError, match="line 8: truncated vertex data"):
+            load_cloud(p)
+
     def test_no_vertex_element(self, tmp_path):
         p = tmp_path / "c.ply"
         p.write_text("ply\nformat ascii 1.0\nend_header\n")

@@ -833,6 +833,28 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="truncated"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("length", 2**40), ("input_dim", 10**13), ("input_dim", 3 * 10**9), ("input_dim", 2**62)],
+    )
+    def test_declared_size_past_the_end_is_truncated(self, tiny_model, tmp_path, field, value):
+        # a header length or hop-1 input width past the end of the file is
+        # refused before read() tries to allocate it, which would raise
+        # MemoryError or OverflowError
+        path = tmp_path / "m.rph"
+        save_model(tiny_model, path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack("<Q", raw[8:16])
+        blob = raw[16 : 16 + blob_len]
+        if field == "input_dim":
+            header = json.loads(blob)
+            header["hop1"]["input_dim"] = value
+            blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        length = value if field == "length" else len(blob)
+        path.write_bytes(raw[:8] + struct.pack("<Q", length) + blob + raw[16 + blob_len :])
+        with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(path)
+
     def test_trailing_bytes(self, tiny_model, tmp_path):
         path = tmp_path / "m.rph"
         save_model(tiny_model, path)
