@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .pipeline import (
     train,
 )
 from .registration import MatchParams, format_report, register
+from .saab import STATUS_DISCARDED
 
 logger = logging.getLogger("rpointhop.cli")
 
@@ -59,7 +61,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_model(model, args.output)
     print(f"model written to {args.output}")
     print(f"feature dimension: {model.feature_dim}")
-    print("surviving channels per hop: " + " ".join(str(p.slots.size) for p in model.plans))
+    survivors = Counter(n.hop for n in model.tree.nodes if n.status != STATUS_DISCARDED)
+    counts = (str(survivors[h]) for h in range(1, len(config.hops) + 1))
+    print("surviving channels per hop: " + " ".join(counts))
     sys.stdout.write(format_config(config))
     return 0
 

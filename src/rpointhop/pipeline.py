@@ -41,7 +41,13 @@ only parent, so every hop is fit the same way and frozen into the same
 Extraction runs the same geometry with the frozen plans and returns
 one feature row per final-hop point. Hop h + 1 keeps the first n_{h+1}
 rows of hop h, so hop h computes frames, signs, octant means and plan
-outputs only at that prefix. Each row carries the point's index into the
+outputs only at that prefix. A model's plans keep only live channels, the
+final hop's outputs and their ancestors, so extraction computes octant
+means and Saab outputs for no channel that the features do not read;
+training's plans carry every survivor forward, because liveness is known
+only once the last hop is pruned. Training and extraction both read hop
+2's neighbor rows off hop 1's exact neighbor table where it holds them, and
+query a tree only for the rest. Each row carries the point's index into the
 input cloud, its input coordinates, and degeneracy diagnostics (minimum
 sign-disambiguation margin seen across hops, minimum LRF eigenvalue gap).
 Features are invariant to rigid motions of the input up to sign ties,
@@ -52,6 +58,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -65,6 +72,7 @@ from scipy.sparse import csr_array
 from .cloud import PointCloud, normalize_unit_sphere, sample_indices
 from .lrf import local_pca_batch, resolve_signs_batch
 from .saab import (
+    STATUS_DISCARDED,
     FeatureTree,
     HopPlan,
     SaabLayer,
@@ -144,17 +152,17 @@ class ModelConfig:
 
 def _grow_hop(
     tree: FeatureTree, layers: dict[int, SaabLayer], parent_ids: list[int], threshold: float, final: bool
-) -> tuple[HopPlan, list[int]]:
+) -> list[int]:
     """Append the hop below ``parent_ids`` to ``tree``, pruned by the layers'
-    energies and ``threshold``, and freeze it; training and
-    :class:`RPointHopModel` both grow their trees this way. Returns the plan
-    and the surviving children's node ids."""
+    energies and ``threshold``; training and :class:`RPointHopModel` both
+    grow their trees this way. Returns the surviving children's node ids."""
     if sorted(layers) != parent_ids:
         raise ValueError(
             f"layers below nodes {sorted(layers)} do not match the surviving parents {parent_ids}"
         )
+    first = len(tree.nodes)
     propagate_energy(tree, {pid: layers[pid].energies for pid in parent_ids}, threshold, final=final)
-    return freeze_hop(tree, layers, parent_ids)
+    return [n.node_id for n in tree.nodes[first:] if n.status != STATUS_DISCARDED]
 
 
 @dataclass(frozen=True)
@@ -164,9 +172,12 @@ class RPointHopModel:
 
     On construction the pruned energy ``tree`` is derived from the layers'
     energies and the config's threshold, and each hop is frozen into one
-    :class:`~rpointhop.saab.HopPlan` of ``plans``. Layers that do not form
-    a model (parents without a layer, layers without a parent, wrong input
-    widths, no surviving channel) raise ValueError there.
+    :class:`~rpointhop.saab.HopPlan` of ``plans``. The plans keep only live
+    channels: a channel none of whose descendants survives the last hop
+    feeds no feature, so extraction neither averages nor transforms it.
+    Layers that do not form a model (parents without a layer, layers
+    without a parent, wrong input widths, no surviving channel) raise
+    ValueError there.
     """
 
     config: ModelConfig
@@ -180,16 +191,19 @@ class RPointHopModel:
         if len(hops) != len(self.config.hops):
             raise ValueError(f"{len(hops)} hops of layers for {len(self.config.hops)} configured hops")
         tree = FeatureTree()
-        plans = []
         parent_ids = [0]
         for h, layers in enumerate(hops):
             final = h == len(hops) - 1
-            plan, parent_ids = _grow_hop(tree, layers, parent_ids, self.config.energy_threshold, final)
+            parent_ids = _grow_hop(tree, layers, parent_ids, self.config.energy_threshold, final)
+            if not parent_ids:
+                raise ValueError(f"no channel survives hop {h + 1}")
+        plans = []
+        live_ids = [0]
+        for h, layers in enumerate(hops):  # the tree is complete: each plan keeps its live children
+            plan, live_ids = freeze_hop(tree, layers, live_ids)
             width = plan.filters.shape[1]
             if width != (8 if h else 24):
                 raise ValueError(f"hop {h + 1} layers take {width}-wide inputs")
-            if not parent_ids:
-                raise ValueError(f"no channel survives hop {h + 1}")
             plans.append(plan)
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "plans", tuple(plans))
@@ -422,6 +436,31 @@ def build_later_hop_attributes(
     return _OctantMeans(proj, values, nbr_idx), margins
 
 
+def _prefix_table(table: np.ndarray, points: np.ndarray, k: int, rows: int) -> np.ndarray:
+    """``KnnIndex(points).query(points[:rows], k)``'s indices, read off
+    ``table``: exact neighbor rows, as ``KnnIndex`` ranks them, of the same
+    first ``rows`` points over a larger cloud whose first ``len(points)``
+    rows are ``points``.
+
+    A row lists its cloud's nearest points in (d², index) order, d² being
+    recomputed per pair whatever the index holds. Any point of the prefix
+    missing from the row ranks after every entry of the row, so the row's
+    entries below n = ``len(points)``, in order, lead the prefix's own row:
+    its first k entries whenever at least k of them survive. Rows with fewer
+    survivors are queried from a tree over ``points``.
+    """
+    head = table[:rows]
+    inside = head < len(points)
+    rank = np.cumsum(inside, axis=1)  # entry j is the rank[j]-th survivor of its row
+    take = inside & (rank <= k)
+    out = np.empty((rows, k), dtype=table.dtype)
+    out[np.nonzero(take)[0], rank[take] - 1] = head[take]
+    short = np.flatnonzero(rank[:, -1] < k)
+    if short.size:
+        out[short] = KnnIndex(points).query(points[short], k)[0]
+    return out
+
+
 def _dense_inputs(
     x: np.ndarray | _OctantMeans, rows: int | None = None, channels: slice = slice(None)
 ) -> np.ndarray:
@@ -452,7 +491,8 @@ class _HopRun:
     caller sets ``values`` to hop h's plan outputs at the n_{h+1} points of
     hop h + 1. A hop's neighbor index covers all of its points. Hop-1 frames
     are computed once and reused at all hops, with signs re-resolved per hop
-    against the hop's own neighborhood.
+    against the hop's own neighborhood. Hop 2's neighbor rows are read off
+    hop 1's exact table (:func:`_prefix_table`) while hop 1 holds it.
     """
 
     def __init__(
@@ -473,6 +513,7 @@ class _HopRun:
         self.orig_indices = sampled
         self.coords = coords_full[sampled]
         self.values: np.ndarray | None = None  # surviving coefficients, set per hop
+        self.hop2_table: np.ndarray | None = None  # hop 2's neighbor rows, set by hop 1
 
     def hop_inputs(self, h: int) -> tuple[np.ndarray | _OctantMeans, np.ndarray]:
         """Hop h's (P, N, C) Saab inputs, channel c's samples in ``[:, :, c]``,
@@ -480,8 +521,9 @@ class _HopRun:
         from. Hop 1's inputs are a dense (P, 24, 1) array; a later hop's are
         its :class:`_OctantMeans`, which :func:`_dense_inputs` materializes.
         Later hops first cut the working cloud and the per-point arrays to
-        their rows. The run keeps no tables, so training holds none per
-        cloud."""
+        their rows. The only table the run keeps is hop 2's neighbor rows,
+        from hop 1 until hop 2 reads them, so training holds no other table
+        per cloud."""
         hop, count = self.config.hops[h], self.counts[h]
         if h == 0:
             return self._hop1_inputs(hop, count)
@@ -492,7 +534,9 @@ class _HopRun:
         self.axes, self.eigen_gaps, self.min_margin = (
             a[:count].copy() for a in (self.axes, self.eigen_gaps, self.min_margin)
         )
-        neighbors, _ = KnnIndex(self.coords).query(self.coords[:count], hop.k_neighbors)
+        neighbors, self.hop2_table = self.hop2_table, None
+        if neighbors is None:
+            neighbors, _ = KnnIndex(self.coords).query(self.coords[:count], hop.k_neighbors)
         means, margins = build_later_hop_attributes(self.coords, neighbors, self.axes, self.values)
         self.values = None  # read only here; the caller sets the next hop's
         np.minimum(self.min_margin, margins.min(axis=1), out=self.min_margin)
@@ -502,6 +546,10 @@ class _HopRun:
         config = self.config
         table, _ = KnnIndex(self.coords).query(self.coords[:count], max(config.k_lrf, hop.k_neighbors))
         neighbors = table[:, : hop.k_neighbors]
+        if len(config.hops) > 1:
+            hop2 = config.hops[1]
+            points = self.coords[: hop2.num_points]
+            self.hop2_table = _prefix_table(table, points, hop2.k_neighbors, self.counts[1])
         self.axes, eigenvalues = local_pca_batch(self.coords, table[:, : config.k_lrf])
         self.eigen_gaps = np.minimum(
             eigenvalues[:, 0] - eigenvalues[:, 1], eigenvalues[:, 1] - eigenvalues[:, 2]
@@ -601,15 +649,18 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
         inputs = _two_lanes(lambda run: run.hop_inputs(h)[0], runs)
         fits = _two_lanes(lambda block: _fit_channels(inputs, block), _channel_blocks(len(parent_ids)))
         layers = dict(zip(parent_ids, (layer for block in fits for layer in block)))
-        plan, parent_ids = _grow_hop(tree, layers, parent_ids, config.energy_threshold, h == n_hops - 1)
-        if not parent_ids:
+        children = _grow_hop(tree, layers, parent_ids, config.energy_threshold, h == n_hops - 1)
+        if not children:
             raise TrainingError(_prune_message(h + 1, n_hops))
         if h < n_hops - 1:  # hop h + 1 reads its first n_{h+1} rows, and nothing the final hop's
+            # the tree ends at this hop, so the plan carries every survivor forward
+            plan, _ = freeze_hop(tree, layers, parent_ids)
             n_next = config.hops[h + 1].num_points
             for run, values in zip(runs, _two_lanes(lambda x: plan.apply(_dense_inputs(x, n_next)), inputs)):
                 run.values = values
         del inputs  # freed before the next hop builds its own
         hop_layers.append(layers)
+        parent_ids = children
 
     return RPointHopModel(config=config, hop1_layer=hop_layers[0][0], later_hops=tuple(hop_layers[1:]))
 
@@ -711,7 +762,7 @@ def _read_exact(fh, count: int, what: str) -> bytes:
 
 
 def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape, dtype=np.int64))
+    count = math.prod(shape)  # Python ints: a huge declared shape cannot wrap
     data = _read_exact(fh, count * 8, f"array {shape}")
     return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
 

@@ -25,7 +25,8 @@ stored tree disagrees is rejected (see :mod:`rpointhop.pipeline`).
 
 :func:`freeze_hop` freezes a trained hop into a :class:`HopPlan`, so that
 applying it is one batched matrix product, a bias add and a gather, with no
-tree walk.
+tree walk. A plan frozen from a complete tree keeps only live channels: the
+outputs and the channels they descend from.
 """
 
 from __future__ import annotations
@@ -246,10 +247,13 @@ def propagate_energy(
 class HopPlan:
     """One hop of the energy tree frozen into arrays.
 
-    ``filters[c]`` is the transposed (N, K) filter bank of the hop's c-th
+    ``filters[c]`` is the transposed (N, K) filter bank of the plan's c-th
     parent channel, zero-padded to the widest layer of the hop, and
     ``biases[c]`` its bias. ``slots`` holds ``c * K + channel`` for every
-    surviving child, in node-id order.
+    child the plan keeps, in node-id order. A model's plans keep only live
+    channels, the final-hop outputs and their ancestors, so they compute
+    nothing that the features do not read; training's forward plans keep
+    every survivor (see :func:`freeze_hop`).
     """
 
     filters: np.ndarray  # (C, N, K)
@@ -258,9 +262,11 @@ class HopPlan:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Transform (P, N, C) inputs, channel c's samples in ``x[:, :, c]``,
-        into the (P, C') surviving outputs. As in :func:`saab_apply`, inputs
+        into the (P, C') kept outputs. As in :func:`saab_apply`, inputs
         outside a layer's norm ball are transformed as-is, and counted and
-        logged only when the module logger is enabled for DEBUG."""
+        logged only when the module logger is enabled for DEBUG; the count
+        covers the plan's own C channels, so a model's plans count live
+        channels only."""
         c, _, k = self.filters.shape
         xt = x.transpose(2, 0, 1)
         if logger.isEnabledFor(logging.DEBUG):  # the count is for the log alone
@@ -278,14 +284,36 @@ class HopPlan:
         return np.take(out, rows + (self.slots // k * len(x) * k + self.slots % k))
 
 
+def _live(tree: FeatureTree) -> list[bool]:
+    """Per node id: whether the node is live. A node is live when it is not
+    discarded and either has no children yet (a hop the tree ends at) or has
+    a live child; in a complete tree the live nodes are the outputs and
+    their ancestors."""
+    live = [False] * len(tree.nodes)
+    has_child = [False] * len(tree.nodes)
+    live_child = [False] * len(tree.nodes)
+    for node in reversed(tree.nodes[1:]):  # node ids are list positions: children come after parents
+        i = node.node_id
+        live[i] = node.status != STATUS_DISCARDED and (live_child[i] or not has_child[i])
+        has_child[node.parent] = True
+        live_child[node.parent] |= live[i]
+    return live
+
+
 def freeze_hop(
     tree: FeatureTree, layers: Mapping[int, SaabLayer], parent_ids: Sequence[int]
 ) -> tuple[HopPlan, list[int]]:
-    """Freeze the hop below ``parent_ids`` (the previous hop's surviving node
-    ids, ascending; ``[0]``, the root, for hop 1), whose transforms
-    ``layers`` maps by exactly those ids and whose children
-    :func:`propagate_energy` appended from those layers' energies. Returns
-    the plan and the surviving children's node ids, the next hop's parents.
+    """Freeze the hop below ``parent_ids`` (node ids of the previous hop,
+    ascending; ``[0]``, the root, for hop 1), whose transforms ``layers``
+    maps by at least those ids and whose children :func:`propagate_energy`
+    appended from those layers' energies. The plan's slots are the parents'
+    live children (:func:`_live`). Returns the plan and those children's
+    node ids, the next hop's parents.
+
+    While training grows the tree, the hop just appended is its last, so
+    every surviving child is live: the plan carries every survivor forward.
+    Frozen hop by hop from the root over a complete tree, the plans carry
+    only the channels that some final-hop output descends from.
     Raises ValueError when the layers differ in input width.
     """
     column = {pid: c for c, pid in enumerate(parent_ids)}
@@ -298,7 +326,8 @@ def freeze_hop(
     for pid, c in column.items():
         filters[c, :, : layers[pid].kept_dim] = layers[pid].filters.T
         biases[c] = layers[pid].bias
-    # node ids are list positions, so the survivors come out ascending
-    kept = [n for n in tree.nodes if n.parent in column and n.status != STATUS_DISCARDED]
+    live = _live(tree)
+    # node ids are list positions, so the live children come out ascending
+    kept = [n for n in tree.nodes if n.parent in column and live[n.node_id]]
     slots = np.array([column[n.parent] * k + n.channel for n in kept], dtype=np.intp)
     return HopPlan(filters, biases, slots), [n.node_id for n in kept]

@@ -22,13 +22,21 @@ from rpointhop import (
 )
 from rpointhop.bench import make_shape_corpus
 from rpointhop.cloud import normalize_unit_sphere
-from rpointhop.pipeline import FeatureSet, _start_runs
+from rpointhop.pipeline import FeatureSet, _grow_hop, _start_runs
 from rpointhop.registration import (
     CorrespondenceSet,
     MatchParams,
     _nearest_two,
 )
-from rpointhop.saab import _EIG_CUTOFF, STATUS_DISCARDED, SaabLayer, saab_apply
+from rpointhop.saab import (
+    _EIG_CUTOFF,
+    STATUS_DISCARDED,
+    STATUS_OUTPUT,
+    FeatureTree,
+    SaabLayer,
+    freeze_hop,
+    saab_apply,
+)
 from rpointhop.spatial import KnnIndex
 
 
@@ -239,6 +247,33 @@ def hop_oracle(tree, layers, parent_ids, x: np.ndarray):
     if not ids:
         return np.empty((x.shape[0], 0)), ids
     return np.stack([columns[i] for i in ids], axis=1), ids
+
+
+def live_node_ids(tree) -> set[int]:
+    """The outputs and every node but the root that an output descends
+    from, by walking up from each output."""
+    live = set()
+    for node in tree.nodes:
+        if node.status == STATUS_OUTPUT:
+            i = node.node_id
+            while i > 0 and i not in live:
+                live.add(i)
+                i = tree.nodes[i].parent
+    return live
+
+
+def forward_plans(model) -> tuple:
+    """Training's plans of ``model``: each hop frozen as soon as the tree
+    has grown to it, so that it carries every survivor forward, live or
+    not."""
+    tree = FeatureTree()
+    hops = ({0: model.hop1_layer}, *model.later_hops)
+    parent_ids, plans = [0], []
+    for h, layers in enumerate(hops):
+        children = _grow_hop(tree, layers, parent_ids, model.config.energy_threshold, h == len(hops) - 1)
+        plans.append(freeze_hop(tree, layers, parent_ids)[0])
+        parent_ids = children
+    return tuple(plans)
 
 
 def feature_distance_matrix(target: FeatureSet, source: FeatureSet) -> np.ndarray:

@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rpointhop import (
+    HopConfig,
     RigidTransform,
     apply_transform,
     load_cloud,
@@ -97,6 +99,28 @@ class TestTrain:
         assert load_model(out).config.seed == 99
         assert "seed = 99" in capsys.readouterr().out
         assert out.read_bytes() != workspace["model"].read_bytes()
+
+    def test_surviving_channels_are_the_trees(self, workspace, capsys, tmp_path):
+        # a third hop leaves channels of hops 1 and 2 without a surviving
+        # descendant: the line counts every survivor of the tree, though the
+        # model's plans skip those channels
+        config = tmp_path / "three.cfg"
+        config.write_text(format_config(replace(CLI_CONFIG, hops=(*CLI_CONFIG.hops, HopConfig(128, 16)))))
+        out = tmp_path / "three.rph"
+        rc = main([
+            "train",
+            "--input-dir", str(workspace["clouds_dir"]),
+            "--config", str(config),
+            "--output", str(out),
+        ])
+        assert rc == 0
+        model = load_model(out)
+        counts = [
+            sum(1 for n in model.tree.nodes if n.hop == h and n.status != "discarded") for h in (1, 2, 3)
+        ]
+        assert counts != [plan.slots.size for plan in model.plans]
+        lines = capsys.readouterr().out.splitlines()
+        assert "surviving channels per hop: " + " ".join(map(str, counts)) in lines
 
     def test_missing_input_dir(self, workspace, capsys):
         rc = main([

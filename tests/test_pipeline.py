@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+from collections import Counter
 import json
 import re
 import struct
@@ -48,8 +49,13 @@ from rpointhop.saab import HopPlan, SaabLayer
 from rpointhop.spatial import KnnIndex, fps_indices
 
 from conftest import (
+    PARTIAL_CONFIG,
     TINY_CONFIG,
+    corpus_hop_tables,
+    forward_plans,
     hop_oracle,
+    knn_oracle,
+    live_node_ids,
     octant_loop_oracle,
     octant_oracle,
     projection_einsum_oracle,
@@ -437,17 +443,22 @@ class TestTrain:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        # hop h's inputs: one channel per survivor of hop h - 1 (hop 1: the
+        # root's one), 24 or 8 wide
+        survivors = Counter(n.hop for n in model.tree.nodes if n.status != "discarded")
         dense = max(
-            len(tiny_corpus) * hop.num_points * plan.filters.shape[1] * plan.filters.shape[0] * 8
-            for hop, plan in zip(config.hops, model.plans)
+            len(tiny_corpus) * hop.num_points * (8 if h else 24) * survivors[h] * 8
+            for h, hop in enumerate(config.hops)
         )
-        assert model.plans[-1].filters.shape[0] > 100
+        assert survivors[2] == 190
+        assert dense == len(tiny_corpus) * 128 * 8 * 190 * 8 == 12451840
         assert peak < dense
 
     def test_layers_fit_corpus_pooled_inputs(self, tiny_model, tiny_corpus):
-        # replay train's runs with the model's own plans and dense inputs:
-        # each hop's layer below parent c is the former Saab fit of channel
-        # c's samples, stacked cloud by cloud in corpus order
+        # replay train's runs with its forward plans, which carry every
+        # survivor, and dense inputs: each hop's layer below parent c is the
+        # former Saab fit of channel c's samples, stacked cloud by cloud in
+        # corpus order
         config = tiny_model.config
         rng = np.random.Generator(np.random.PCG64(config.seed))
         runs = [  # one cloud at a time: train samples the corpus in two stacks
@@ -455,7 +466,7 @@ class TestTrain:
             for cloud in tiny_corpus
         ]
         hop_layers = ({0: tiny_model.hop1_layer}, *tiny_model.later_hops)
-        for h, (plan, layers) in enumerate(zip(tiny_model.plans, hop_layers)):
+        for h, (plan, layers) in enumerate(zip(forward_plans(tiny_model), hop_layers)):
             inputs = [_dense_inputs(run.hop_inputs(h)[0]) for run in runs]
             want = {
                 pid: saab_fit_oracle(np.vstack([x[:, :, c] for x in inputs]))
@@ -485,6 +496,19 @@ def plan_model(request, tiny_model, tiny_corpus):
     return train(tiny_corpus[:3], ModelConfig(hops=hops, k_lrf=TINY_CONFIG.k_lrf))
 
 
+# models with dead-end channels: survivors none of whose descendants survive
+# the final hop (three_hop keeps 21 of its 24 hop-1 channels live)
+DEAD_END_HOPS = {
+    "three_hop": (*TINY_CONFIG.hops, HopConfig(64, 16)),
+    "four_hop": (*TINY_CONFIG.hops, HopConfig(96, 16), HopConfig(64, 16)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DEAD_END_HOPS))
+def dead_end_model(request, tiny_corpus):
+    return train(tiny_corpus[:3], ModelConfig(hops=DEAD_END_HOPS[request.param], k_lrf=TINY_CONFIG.k_lrf))
+
+
 class TestHopPlans:
     def test_one_plan_per_hop(self, plan_model):
         assert len(plan_model.plans) == len(plan_model.config.hops)
@@ -493,20 +517,28 @@ class TestHopPlans:
 
     def test_plans_match_tree_walk_oracle(self, plan_model, tiny_corpus):
         # the reference walk computes every point of every hop, as a fit
-        # does; extraction computes only the points a later hop reads
+        # does, and every surviving channel, as training does; extraction
+        # computes only the points a later hop reads and the live channels,
+        # the outputs and their ancestors
         cloud = tiny_corpus[5]
         config = plan_model.config
         (run,) = _start_runs([cloud.coords], config, [2], fit=True)
         hop_layers = ({0: plan_model.hop1_layer}, *plan_model.later_hops)
-        parent_ids = [0]
+        live = live_node_ids(plan_model.tree)
+        parent_ids, live_columns = [0], [0]
         for h, (hop, plan) in enumerate(zip(config.hops, plan_model.plans)):
             x, neighbors = run.hop_inputs(h)
             x = _dense_inputs(x)
             assert len(x) == hop.num_points
             assert run.values is None  # the previous hop's outputs are dropped once read
             want, parent_ids = hop_oracle(plan_model.tree, hop_layers[h], parent_ids, x)
-            run.values = plan.apply(x)
-            assert np.array_equal(run.values, want), f"hop {h + 1}"
+            live_ids = [i for i in parent_ids if i in live]
+            got = plan.apply(x[:, :, live_columns])
+            assert plan.filters.shape[0] == len(live_columns) and got.shape[1] == len(live_ids)
+            live_columns = [parent_ids.index(i) for i in live_ids]
+            assert np.array_equal(got, want[:, live_columns]), f"hop {h + 1}"
+            run.values = want
+        assert np.array_equal(got, want)  # the final hop: every output, in full
         # each hop's points are farthest point sampled from the previous hop's
         kept = sample_indices(len(cloud), config.hops[0].num_points, 2)
         for hop in config.hops[1:]:
@@ -524,6 +556,32 @@ class TestHopPlans:
         fs = extract_features(plan_model, cloud, seed=2)
         for name, value in want.items():
             assert np.array_equal(getattr(fs, name), value), name
+
+    def test_live_features_equal_forward_plan_features(self, dead_end_model, tiny_corpus):
+        # training's forward plans carry every survivor; the final one's
+        # slots take every output, which the live plans also give
+        forward = forward_plans(dead_end_model)
+        live_widths = [plan.slots.size for plan in dead_end_model.plans]
+        forward_widths = [plan.slots.size for plan in forward]
+        assert live_widths[-1] == forward_widths[-1] == dead_end_model.feature_dim
+        assert all(a < b for a, b in zip(live_widths[:-1], forward_widths[:-1]))
+        full = copy.copy(dead_end_model)
+        object.__setattr__(full, "plans", forward)
+        for seed, cloud in enumerate(tiny_corpus[3:6]):
+            got = extract_features(dead_end_model, cloud, seed=seed)
+            want = extract_features(full, cloud, seed=seed)
+            for f in dataclasses.fields(FeatureSet):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+
+    def test_loaded_model_derives_the_same_plans(self, plan_model, tmp_path):
+        save_model(plan_model, tmp_path / "m.rph")
+        loaded = load_model(tmp_path / "m.rph")
+        assert len(loaded.plans) == len(plan_model.plans)
+        for got, want in zip(loaded.plans, plan_model.plans):
+            for f in dataclasses.fields(HopPlan):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
 
     def test_train_applies_each_plan_to_the_next_hops_rows(self, plan_model, tiny_corpus, monkeypatch):
         rows = []
@@ -616,6 +674,69 @@ class TestFarthestFirstRows:
             if h + 1 < len(budgets):
                 run.values = np.zeros((budgets[h + 1], 1))
 
+
+class TestHop2Table:
+    """Hop 2's neighbor rows, read off hop 1's exact table."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        coords=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=40),
+        data=st.data(),
+    )
+    def test_matches_the_knn_oracle_property(self, coords, data):
+        # lattice points tie on distance everywhere, and copies shuffled in
+        # duplicate them; a narrow table or a short prefix leaves rows with
+        # fewer than k entries inside the prefix, which the tree answers
+        pts = np.asarray(coords, dtype=np.float64)
+        copies = data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=8), label="copies")
+        pts = np.vstack([pts, pts[copies]])
+        pts = pts[data.draw(st.permutations(range(len(pts))), label="order")]
+        n = data.draw(st.integers(1, len(pts)), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        rows = data.draw(st.integers(1, n), label="rows")
+        width = data.draw(st.integers(1, len(pts)), label="width")
+        queried = data.draw(st.integers(rows, len(pts)), label="table rows")
+        table = KnnIndex(pts).query(pts[:queried], width)[0]
+        got = pipeline._prefix_table(table, pts[:n], k, rows)
+        want = np.array([knn_oracle(pts[:n], pts[i], k)[0] for i in range(rows)])
+        assert got.dtype == np.intp and np.array_equal(got, want)
+
+    def test_only_short_rows_query_the_tree(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        pts = rng.integers(-4, 5, size=(200, 3)).astype(np.float64)  # ties and duplicates, exact d²
+        table = KnnIndex(pts).query(pts[:100], 24)[0]
+        n, k = 120, 12
+        short = int(np.count_nonzero((table < n).sum(axis=1) < k))
+        assert 0 < short < 100
+        queried = []
+        real = KnnIndex.query
+
+        def recording(index, queries, kk):
+            queried.append((len(index), len(queries), kk))
+            return real(index, queries, kk)
+
+        monkeypatch.setattr(KnnIndex, "query", recording)
+        got = pipeline._prefix_table(table, pts[:n], k, 100)
+        assert queried == [(n, short, k)]
+        monkeypatch.undo()
+        assert np.array_equal(got, [knn_oracle(pts[:n], pts[i], k)[0] for i in range(100)])
+
+    @pytest.mark.parametrize("fit", [True, False], ids=["fit", "extract"])
+    @pytest.mark.parametrize(
+        "config", [ModelConfig(), PARTIAL_CONFIG, TINY_CONFIG], ids=["default", "partial", "tiny"]
+    )
+    def test_runs_read_the_trees_rows(self, config, fit):
+        # read off hop 1's table, or queried where it holds too few (about
+        # half the partial model's rows), the rows are the tree's
+        _, want = corpus_hop_tables(config, fit)[1]
+        cloud = make_shape_corpus(1, 1024, seed=0)[0]
+        (run,) = _start_runs([normalize_unit_sphere(cloud).coords], config, [0], fit=fit)
+        run.hop_inputs(0)
+        assert run.hop2_table is not None
+        run.values = np.zeros((config.hops[1].num_points, 1))
+        _, got = run.hop_inputs(1)
+        assert run.hop2_table is None  # held only until hop 2 reads it
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 # ---------------------------------------------------------------------------
 # extraction
@@ -835,20 +956,27 @@ class TestModelFile:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("length", 2**40), ("input_dim", 10**13), ("input_dim", 3 * 10**9), ("input_dim", 2**62)],
+        [
+            ("length", 2**40),
+            ("input_dim", 10**13),
+            ("input_dim", 3 * 10**9),
+            ("input_dim", 2**62),
+            ("n_ac", 2**61 + 1),
+        ],
     )
     def test_declared_size_past_the_end_is_truncated(self, tiny_model, tmp_path, field, value):
-        # a header length or hop-1 input width past the end of the file is
+        # a header length or hop-1 layer shape past the end of the file is
         # refused before read() tries to allocate it, which would raise
-        # MemoryError or OverflowError
+        # MemoryError or OverflowError; the float count of a (2**61 + 1, 24)
+        # array must not wrap, as 24 does modulo 2**64
         path = tmp_path / "m.rph"
         save_model(tiny_model, path)
         raw = path.read_bytes()
         (blob_len,) = struct.unpack("<Q", raw[8:16])
         blob = raw[16 : 16 + blob_len]
-        if field == "input_dim":
+        if field != "length":
             header = json.loads(blob)
-            header["hop1"]["input_dim"] = value
+            header["hop1"][field] = value
             blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
         length = value if field == "length" else len(blob)
         path.write_bytes(raw[:8] + struct.pack("<Q", length) + blob + raw[16 + blob_len :])

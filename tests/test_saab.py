@@ -458,6 +458,26 @@ class TestFreezeHop:
         assert np.array_equal(out, want)
         assert out.flags.c_contiguous  # the next hop gathers these rows faster in C order
 
+    def test_complete_tree_keeps_only_live_children(self):
+        rng = np.random.default_rng(5)
+        root = {0: self.truncated(saab_fit(rng.normal(size=(40, 6))), 3)}
+        tree = FeatureTree()
+        propagate_energy(tree, {0: [0.5, 0.3, 0.2]}, threshold=0.0)
+        growing, ids = freeze_hop(tree, root, [0])
+        assert ids == [1, 2, 3]  # the tree ends at hop 1, so every survivor is live
+        # node 3's children (0.04 each) are discarded, so node 3 feeds no
+        # output; node 2 keeps one child (0.27, not 0.03)
+        propagate_energy(tree, {1: [0.5, 0.5], 2: [0.9, 0.1], 3: [0.2, 0.2]}, threshold=0.05, final=True)
+        complete, ids = freeze_hop(tree, root, [0])
+        assert ids == [1, 2]
+        x = rng.normal(size=(10, 6, 1))
+        assert np.array_equal(complete.apply(x), growing.apply(x)[:, :2])
+        layers = {pid: self.truncated(saab_fit(rng.normal(size=(40, 8))), 2) for pid in (1, 2, 3)}
+        plan, ids = freeze_hop(tree, layers, [1, 2])
+        assert plan.filters.shape == (2, 8, 2) and ids == [4, 5, 6]
+        x = rng.normal(size=(10, 8, 2))
+        assert np.array_equal(plan.apply(x), hop_oracle(tree, layers, [1, 2], x)[0])
+
     def test_root_hop_is_the_joint_layer(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(50, 6))
@@ -498,10 +518,12 @@ class TestFreezeHop:
         assert caplog.records == []
         assert [a.tobytes() for a in quiet] == [a.tobytes() for a in logged]
 
-    # (rows, parents C, input width N, padded width K, survivors C') of every
+    # (rows, parents C, input width N, padded width K, kept C') of every
     # plan apply in a fit and an extraction: the default and acceptance
     # partial models trained on make_shape_corpus(50, 1024, 0), then the
-    # TINY_CONFIG model's
+    # TINY_CONFIG model's. A fit's forward plans keep every survivor
+    # (default-1 to default-3; default-4 is the final hop over every
+    # survivor); an extraction's default plans keep the live channels only
     @pytest.mark.parametrize(
         "rows, c, n, k, kept",
         [
@@ -509,12 +531,20 @@ class TestFreezeHop:
             (512, 24, 8, 8, 138),
             (384, 138, 8, 8, 216),
             (384, 216, 8, 8, 146),
+            (768, 1, 24, 24, 9),
+            (512, 9, 8, 8, 25),
+            (384, 25, 8, 8, 72),
+            (384, 72, 8, 8, 146),
             (384, 1, 24, 24, 24),
             (384, 24, 8, 8, 134),
             (128, 1, 24, 24, 24),
             (128, 24, 8, 8, 148),
         ],
-        ids=["default-1", "default-2", "default-3", "default-4", "partial-1", "partial-2", "tiny-1", "tiny-2"],
+        ids=[
+            "default-1", "default-2", "default-3", "default-4",
+            "default-live-1", "default-live-2", "default-live-3", "default-live-4",
+            "partial-1", "partial-2", "tiny-1", "tiny-2",
+        ],
     )
     def test_apply_matches_transpose_take_form(self, rows, c, n, k, kept):
         rng = np.random.default_rng(rows * c + kept)
