@@ -21,19 +21,18 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .cloud import PointCloud, RigidTransform, apply_transform, normalize_unit_sphere
-from .pipeline import CloudTooSmallError, FeatureSet, RPointHopModel
+from .pipeline import CloudTooSmallError, FeatureSet, RPointHopModel, extract_pair
 from .registration import (
     EstimationError,
     MatchingError,
     MatchParams,
     euler_xyz_to_matrix,
-    extract_pair,
     geodesic_error,
     icp_refine,
     matrix_to_euler_xyz,

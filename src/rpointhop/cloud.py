@@ -186,12 +186,11 @@ def _load_ply(lines: list[str], path: str) -> PointCloud:
     fmt_seen = False
     i = 1
     while i < len(lines):
-        text = lines[i].strip()
+        toks = lines[i].split()
         lineno = i + 1
         i += 1
-        if not text or text.startswith("comment"):
+        if not toks or toks[0] in ("comment", "obj_info"):
             continue
-        toks = text.split()
         if toks[0] == "format":
             if len(toks) < 2 or toks[1] != "ascii":
                 raise CloudParseError(f"{path}: line {lineno}: only ascii PLY is supported")

@@ -294,20 +294,6 @@ def _two_lanes(fn: Callable, items: Iterable) -> list:
         wait(jobs)
 
 
-def _row_halves(lanes: Callable, fn: Callable, n: int) -> tuple[np.ndarray, ...]:
-    """``fn(slice(0, n))``, computed as ``fn`` on the first and second halves
-    of rows [0, n) by ``lanes`` (:func:`_two_lanes`): the first half on the
-    calling thread, the second on the worker lane. ``fn`` returns a tuple
-    of arrays with one leading row per row of its slice, and each array is
-    joined along axis 0. A half may be empty (n < 2), so ``fn`` must accept
-    an empty slice. When ``fn`` computes each row on its own, the result
-    has the same bits as one call on all rows.
-    """
-    half = (n + 1) // 2
-    first, second = lanes(fn, (slice(0, half), slice(half, n)))
-    return tuple(np.concatenate(pair) for pair in zip(first, second))
-
-
 # ---------------------------------------------------------------------------
 # attribute construction
 # ---------------------------------------------------------------------------
@@ -564,18 +550,19 @@ def _start_runs(
     config: ModelConfig,
     seeds: Sequence[int],
     fit: bool = False,
-    halves: bool = False,
 ) -> list[_HopRun]:
     """One :class:`_HopRun` per (N, 3) cloud of ``clouds``, sampled with its
     seed of ``seeds``.
 
     Each cloud is sampled down to the hop-1 budget in input order, so the
     first cloud below the budget raises its :class:`CloudTooSmallError`.
-    The samples are stacked, and one ``fps_indices`` call picks the hop-2
-    budget from every one of them: on the calling thread, or with
-    ``halves`` as two calls over the stack's row halves, one per lane
-    (:func:`_row_halves`). Each cloud's picks are those of its own run. A
-    one-hop model samples no further.
+    The samples are stacked, and ``fps_indices`` picks the hop-2 budget from
+    every one of them: for a ``fit``, in two calls over the stack's halves
+    (the first holding ceil(B/2) of its B clouds), one per lane
+    (:func:`_two_lanes`); for an extraction's one or two clouds, in one call
+    on the calling thread (the :mod:`~rpointhop.spatial` docstring says
+    why). Each cloud's picks are those of its own run. A one-hop model
+    samples no further.
     """
     budgets = [hop.num_points for hop in config.hops]
     full, sampled = [], []
@@ -588,10 +575,8 @@ def _start_runs(
     picks: Sequence[np.ndarray | None] = [None] * len(full)
     if len(budgets) > 1:
         stack = np.stack([cloud[idx] for cloud, idx in zip(full, sampled)])
-        if halves:
-            (picks,) = _row_halves(_two_lanes, lambda rows: (fps_indices(stack[rows], budgets[1]),), len(stack))
-        else:
-            picks = fps_indices(stack, budgets[1])
+        parts = np.array_split(stack, 2) if fit else [stack]
+        picks = np.concatenate(_two_lanes(lambda part: fps_indices(part, budgets[1]), parts))
     return [_HopRun(cloud, idx, p, config, fit) for cloud, idx, p in zip(full, sampled, picks)]
 
 
@@ -640,7 +625,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     cloud_seeds = [int(rng.integers(2**63)) for _ in clouds]
 
     normalized = (normalize_unit_sphere(cloud).coords for cloud in clouds)
-    runs = _start_runs(normalized, config, cloud_seeds, fit=True, halves=True)
+    runs = _start_runs(normalized, config, cloud_seeds, fit=True)
     n_hops = len(config.hops)
     tree = FeatureTree()
     hop_layers: list[dict[int, SaabLayer]] = []
@@ -680,6 +665,18 @@ def extract_features(model: RPointHopModel, cloud: PointCloud, seed: int = 0) ->
     """
     (run,) = _start_runs([cloud.coords], model.config, [seed])
     return _features(model, run)
+
+
+def extract_pair(
+    model: RPointHopModel, target: PointCloud, source: PointCloud, seed: int
+) -> tuple[FeatureSet, FeatureSet]:
+    """(target, source) features, both extracted with ``seed``, bit for bit
+    what :func:`extract_features` gives each cloud. Both clouds are farthest
+    point sampled in one stack on the calling thread, then extracted at the
+    same time on the caller's thread and the worker lane. When both clouds
+    fail, the target's error is raised."""
+    runs = _start_runs((target.coords, source.coords), model.config, (seed, seed))
+    return tuple(_two_lanes(lambda run: _features(model, run), runs))
 
 
 def _features(model: RPointHopModel, run: _HopRun) -> FeatureSet:

@@ -21,12 +21,12 @@ the matches that symmetric or featureless regions produce.
 
 A registration uses the two lanes (:func:`rpointhop.pipeline._two_lanes`:
 the calling thread and one persistent worker thread) twice: the target and
-source extractions run at once, once both clouds are farthest point
-sampled in one stack on the caller, then matching splits its rows into two
-halves, one per lane (:func:`rpointhop.pipeline._row_halves`). Matching
-computes every row on its own, so the halves give the same bits as one
-serial pass. The robust estimate (:func:`ransac_estimate`) and ICP run on
-the caller.
+source extractions run at once (:func:`rpointhop.pipeline.extract_pair`),
+once both clouds are farthest point sampled in one stack on the caller,
+then matching splits its target rows into two halves, one per lane.
+Matching computes every row on its own, so the halves give the same bits
+as one serial pass. The robust estimate (:func:`ransac_estimate`) and ICP
+run on the caller.
 """
 
 from __future__ import annotations
@@ -38,15 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cloud import PointCloud, RigidTransform, align_inverse, apply_transform
+from .cloud import PointCloud, RigidTransform, align_inverse
 from .pipeline import (
     FeatureSet,
     RPointHopModel,
-    _features,
-    _row_halves,
-    _start_runs,
     _two_lanes,
     extract_features,  # noqa: F401 - not called here; perfbench/spans.py hooks this module path
+    extract_pair,
 )
 from .spatial import KnnIndex
 
@@ -154,8 +152,8 @@ def match(target: FeatureSet, source: FeatureSet, params: MatchParams = MatchPar
     Deterministic: ties in every sort break on ascending target row index.
     Each target row's distances to every source row, and its nearest and
     second distances, do not depend on the other target rows, so the two
-    halves of the target rows run on the two lanes (:func:`_row_halves`)
-    and the selection runs on the caller.
+    halves of the target rows (the first holding ceil(n/2) of n) run on the
+    two lanes (:func:`_two_lanes`) and the selection runs on the caller.
     Raises ValueError when the feature widths differ, and
     :class:`MatchingError` when m1 exceeds the number of target rows.
     """
@@ -164,11 +162,11 @@ def match(target: FeatureSet, source: FeatureSet, params: MatchParams = MatchPar
     n_target = len(target)
     if params.m1 > n_target:
         raise MatchingError(f"m1={params.m1} exceeds the {n_target} available target points")
-    first, d1, d2 = _row_halves(
-        _two_lanes,
-        lambda rows: _nearest_two(cdist(target.features[rows], source.features), source.neighbor_table),
-        n_target,
+    halves = _two_lanes(
+        lambda rows: _nearest_two(cdist(rows, source.features), source.neighbor_table),
+        np.array_split(target.features, 2),
     )
+    first, d1, d2 = (np.concatenate(parts) for parts in zip(*halves))
     ratios = np.where(d2 > 0.0, d1 / np.where(d2 > 0.0, d2, 1.0), 1.0)
 
     by_dist = np.argsort(d1, kind="stable")[: params.m1]
@@ -371,18 +369,6 @@ def icp_refine(source: PointCloud, target: PointCloud, initial: RigidTransform) 
         iterations=len(residuals),
         converged=converged,
     )
-
-
-def extract_pair(
-    model: RPointHopModel, target: PointCloud, source: PointCloud, seed: int
-) -> tuple[FeatureSet, FeatureSet]:
-    """(target, source) features, both extracted with ``seed``, bit for bit
-    what :func:`extract_features` gives each cloud. Both clouds are farthest
-    point sampled in one stack on the calling thread, then extracted at the
-    same time on the caller's thread and the worker lane. When both clouds
-    fail, the target's error is raised."""
-    runs = _start_runs((target.coords, source.coords), model.config, (seed, seed))
-    return tuple(_two_lanes(lambda run: _features(model, run), runs))
 
 
 def register_features(

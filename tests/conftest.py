@@ -57,6 +57,26 @@ def knn_oracle(points: np.ndarray, query: np.ndarray, k: int):
     return np.asarray(order, dtype=np.intp), np.sqrt(np.asarray([d2[j] for j in order]))
 
 
+def knn_einsum_oracle(points: np.ndarray, queries: np.ndarray, k: int):
+    """Brute-force scan in ``KnnIndex``'s arithmetic: every query's d² to
+    every point as ``einsum`` over ``q - p``, then a full stable sort, so
+    equal d² keep ascending index. Returns (M, k) indices and distances."""
+    diff = queries[:, None, :] - points[None, :, :]
+    d2 = np.einsum("mkc,mkc->mk", diff, diff)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return order, np.sqrt(np.take_along_axis(d2, order, axis=1))
+
+
+def off_lattice_points(seed: int, n: int = 160, copies: int = 24) -> np.ndarray:
+    """``normal`` points rounded to 0.1, with ``copies`` rows copied in and
+    the whole shuffled: d² are inexact, so near-ties round either way, and
+    the copies tie exactly."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3)).round(1)
+    pts = np.vstack([pts, pts[rng.integers(0, n, size=copies)]])
+    return pts[rng.permutation(len(pts))]
+
+
 def fps_oracle(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
     """Greedy max-min selection over the points not yet selected;
     max-distance ties go to the lowest index. Squares add as

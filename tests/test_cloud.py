@@ -269,6 +269,16 @@ class TestPlyFormat:
         )
         assert np.array_equal(load_cloud(p).coords, [[1, 2, 3], [4, 5, 6]])
 
+    def test_obj_info_lines_skipped_like_comments(self, tmp_path):
+        p = tmp_path / "c.ply"
+        header = "ply\nformat ascii 1.0\n{}\nelement vertex 2\n"
+        body = "property double x\nproperty double y\nproperty double z\nend_header\n0 0 0\n1 1 1\n"
+        p.write_text(header.format("obj_info scanned 2024") + "obj_info num_cols 2\n" + body)
+        assert np.array_equal(load_cloud(p).coords, [[0, 0, 0], [1, 1, 1]])
+        p.write_text(header.format("obj_infos 1") + body)
+        with pytest.raises(CloudParseError, match="line 3: unknown header keyword 'obj_infos'"):
+            load_cloud(p)
+
     def test_missing_magic(self, tmp_path):
         p = tmp_path / "c.ply"
         p.write_text("plyx\n")

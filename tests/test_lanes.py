@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from rpointhop import (
     CloudTooSmallError,
@@ -22,9 +23,9 @@ from rpointhop import (
     train,
 )
 from rpointhop import pipeline, registration
-from rpointhop.cloud import RigidTransform
-from rpointhop.pipeline import _row_halves, _two_lanes
-from rpointhop.registration import MatchParams
+from rpointhop.cloud import RigidTransform, sample_indices
+from rpointhop.pipeline import FeatureSet, _start_runs, _two_lanes
+from rpointhop.registration import MatchParams, _nearest_two, match
 from rpointhop.spatial import fps_indices
 
 from conftest import TINY_CONFIG, random_rotation
@@ -35,6 +36,21 @@ SMALL_MATCH = MatchParams(m1=64, m2=32)
 
 def _inline(fn, items):
     return list(map(fn, items))
+
+
+def _recording_lanes(monkeypatch, module) -> list:
+    """Patch ``module._two_lanes`` with the real one, recording each call's
+    items and results; returns the list of (items, results)."""
+    calls = []
+
+    def recording(fn, items):
+        items = list(items)
+        results = _two_lanes(fn, items)
+        calls.append((items, results))
+        return results
+
+    monkeypatch.setattr(module, "_two_lanes", recording)
+    return calls
 
 
 def _wait_child(pid: int, seconds: float) -> int | None:
@@ -88,20 +104,6 @@ class TestTwoLanes:
         time.sleep(0.2)
         assert done == [1]
 
-    @pytest.mark.parametrize("n", range(6))
-    def test_row_halves_join_in_row_order(self, n):
-        rows = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
-        lanes = []
-
-        def fn(part):
-            lanes.append(threading.current_thread().name)
-            return rows[part] * 2.0, rows[part, 0].astype(np.intp)
-
-        doubled, firsts = _row_halves(_two_lanes, fn, n)
-        assert doubled.tobytes() == (rows * 2.0).tobytes() and doubled.shape == (n, 2)
-        assert firsts.dtype == np.intp and firsts.tolist() == rows[:, 0].tolist()
-        assert len(set(lanes)) == 2 and threading.current_thread().name in lanes  # one half each
-
     def test_forked_child_gets_its_own_worker(self):
         _two_lanes(lambda x: x, range(2))  # the parent's worker thread exists
         with warnings.catch_warnings():
@@ -117,6 +119,69 @@ class TestTwoLanes:
         if code is None:
             pytest.fail("the forked child's lane job never ran")
         assert code == 0
+
+
+class TestLaneSplits:
+    """The two row splits that feed the lanes, checked at their call sites."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_match_splits_target_rows(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+
+        def feature_set(features, table):
+            rows = len(features)
+            return FeatureSet(
+                point_indices=np.arange(rows),
+                coords=rng.normal(size=(rows, 3)),
+                features=features,
+                sign_margins=np.ones(rows),
+                eigen_gaps=np.ones(rows),
+                neighbor_table=table,
+            )
+
+        target = feature_set(rng.normal(size=(n, 4)), np.arange(n)[:, None])
+        source = feature_set(rng.normal(size=(6, 4)), rng.integers(0, 6, size=(6, 2)))
+        calls = _recording_lanes(monkeypatch, registration)
+        corr = match(target, source, MatchParams(m1=n, m2=n))
+
+        ((parts, results),) = calls
+        assert [len(p) for p in parts] == [-(-n // 2), n // 2]
+        assert np.concatenate(parts).tobytes() == target.features.tobytes()
+        want = _nearest_two(cdist(target.features, source.features), source.neighbor_table)
+        for got, serial in zip(zip(*results), want):
+            joined = np.concatenate(got)
+            assert joined.dtype == serial.dtype and joined.tobytes() == serial.tobytes()
+        first, d1, _ = want
+        rows = corr.pairs[:, 0]
+        assert sorted(rows.tolist()) == list(range(n))
+        assert corr.pairs[:, 1].tolist() == first[rows].tolist()
+        assert corr.feature_distances.tobytes() == d1[rows].tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3], ids=["one_cloud", "three_clouds"])
+    def test_fit_samples_two_half_stacks(self, tiny_corpus, monkeypatch, k):
+        # a one-cloud corpus gives one cloud and an empty stack
+        budget = TINY_CONFIG.hops[0].num_points
+        clouds = [c.coords for c in tiny_corpus[:k]]
+        seeds = list(range(k))
+        stack = np.stack([c[sample_indices(len(c), budget, s)] for c, s in zip(clouds, seeds)])
+        calls = _recording_lanes(monkeypatch, pipeline)
+        _start_runs(clouds, TINY_CONFIG, seeds, fit=True)
+
+        ((parts, _),) = calls
+        half = -(-k // 2)
+        assert [p.shape for p in parts] == [stack[:half].shape, stack[half:].shape]
+        assert np.concatenate(parts).tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2], ids=["extract", "pair"])
+    def test_extraction_samples_one_stack(self, tiny_corpus, monkeypatch, k):
+        budget = TINY_CONFIG.hops[0].num_points
+        clouds = [c.coords for c in tiny_corpus[:k]]
+        stack = np.stack([c[sample_indices(len(c), budget, 4)] for c in clouds])
+        calls = _recording_lanes(monkeypatch, pipeline)
+        _start_runs(clouds, TINY_CONFIG, [4] * k)
+
+        ((parts, _),) = calls
+        assert len(parts) == 1 and parts[0].tobytes() == stack.tobytes()
 
 
 class TestSamplingTurns:
@@ -197,6 +262,7 @@ class TestBitIdentity:
             return out
 
         with_lanes = outputs()
+        monkeypatch.setattr(pipeline, "_two_lanes", _inline)
         monkeypatch.setattr(registration, "_two_lanes", _inline)
         inline = outputs()
         for a, b in zip(with_lanes, inline):

@@ -42,9 +42,9 @@ from rpointhop.pipeline import (
     _start_runs,
     build_hop1_attributes,
     build_later_hop_attributes,
+    extract_pair,
     format_config,
 )
-from rpointhop.registration import extract_pair
 from rpointhop.saab import HopPlan, SaabLayer
 from rpointhop.spatial import KnnIndex, fps_indices
 
@@ -56,6 +56,7 @@ from conftest import (
     hop_oracle,
     knn_oracle,
     live_node_ids,
+    off_lattice_points,
     octant_loop_oracle,
     octant_oracle,
     projection_einsum_oracle,
@@ -700,6 +701,18 @@ class TestHop2Table:
         got = pipeline._prefix_table(table, pts[:n], k, rows)
         want = np.array([knn_oracle(pts[:n], pts[i], k)[0] for i in range(rows)])
         assert got.dtype == np.intp and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("width, n, k", [(24, 120, 12), (40, 184, 16), (16, 100, 9)])
+    def test_off_lattice_rows_equal_the_prefix_query(self, seed, width, n, k):
+        # inexact d² round near-ties either way, and copies tie exactly;
+        # narrow tables leave short rows for the tree
+        pts = off_lattice_points(seed)
+        rows = n // 2
+        table = KnnIndex(pts).query(pts[:rows], width)[0]
+        got = pipeline._prefix_table(table, pts[:n], k, rows)
+        want = KnnIndex(pts[:n]).query(pts[:rows], k)[0]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_only_short_rows_query_the_tree(self, monkeypatch):
         rng = np.random.default_rng(0)

@@ -10,7 +10,15 @@ from rpointhop.bench import make_shape_corpus
 from rpointhop.cloud import sample_indices
 from rpointhop.spatial import KnnIndex, fps_indices
 
-from conftest import PARTIAL_CONFIG, TINY_CONFIG, fps_einsum_oracle, fps_oracle, knn_oracle
+from conftest import (
+    PARTIAL_CONFIG,
+    TINY_CONFIG,
+    fps_einsum_oracle,
+    fps_oracle,
+    knn_einsum_oracle,
+    knn_oracle,
+    off_lattice_points,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +208,22 @@ class TestTiesAcrossTheKBoundary:
         # half-integer queries sit equidistant between lattice points
         queries = np.vstack([np.asarray(query, dtype=np.float64) / 2.0, pts[:3]])
         _assert_rows_match_oracle(pts, queries, k)
+
+
+class TestOffLattice:
+    """Inexact d² with exact copies: the result is a full stable (d², index)
+    sort of brute-force ``einsum`` d², bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [1, 8, 31])
+    def test_query_equals_einsum_sort(self, seed, k):
+        pts = off_lattice_points(seed)
+        rng = np.random.default_rng(100 + seed)
+        queries = np.vstack([pts[:40], rng.normal(size=(20, 3)).round(1)])
+        idx, dist = KnnIndex(pts).query(queries, k)
+        want_idx, want_dist = knn_einsum_oracle(pts, queries, k)
+        assert np.array_equal(idx, want_idx)
+        assert dist.tobytes() == want_dist.tobytes()
 
 
 # ---------------------------------------------------------------------------
