@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,6 +126,9 @@ def _load_off(lines: list[str], path: str) -> PointCloud:
         raise CloudParseError(f"{path}: line 1: empty OFF file")
     lineno, header = sig[0]
     toks = header.split()
+    joined = re.fullmatch(r"(OFF)([0-9]+)", toks[0], re.IGNORECASE)
+    if joined:  # the variant some ModelNet40 files use: "OFF490 518 0"
+        toks[:1] = joined.groups()
     if toks[0].upper() != "OFF":
         raise CloudParseError(f"{path}: line {lineno}: expected OFF header, got {toks[0]!r}")
     rest = sig[1:]

@@ -23,7 +23,8 @@ Training (unsupervised, one pass per hop):
    values it averages, and builds each channel's corpus pool from these
    operators just before its fit, a block of channels at a time, so dense
    inputs exist only for one block's pools or one cloud's plan apply per
-   lane. Sampling runs once per cloud, and the hop-1 working cloud is
+   lane. A cloud's inputs go as soon as its plan apply has built its next
+   hop's values. Sampling runs once per cloud, and the hop-1 working cloud is
    stored in farthest point order, so hop h's points are its first n_h
    rows: exactly what sampling each hop from the previous one gives.
 4. Channel energies multiply down a :class:`~rpointhop.saab.FeatureTree`;
@@ -306,19 +307,21 @@ class _OctantMeans:
     projected neighbors; empty octants give zeros.
 
     The sums are one product ``A @ values`` with a (P·8, N) CSR matrix
-    whose row ``8·i + octant`` holds a 1.0 at each of point i's neighbors in
+    whose row ``8·i + octant`` holds a 1 at each of point i's neighbors in
     that octant, stored in neighbor order (a stable sort of each row by
     octant), so no (P, k, C) gather is ever held; each sum is then divided
     by its octant's count, at least 1. The sums are bit-identical to adding
     the neighbors' values into zeros one neighbor at a time: the CSR product
     starts each output row at 0 and adds the row's stored entries in stored
-    order, and 1.0·v is exact. Nothing may re-sort the entries by column,
-    hence ``has_sorted_indices``. Each output column depends on its own
-    value column alone, so :meth:`dense` of a row prefix and a channel block
-    gives the same bits as that part of the whole.
+    order, and 1·v is exact. The weights are stored as int8; scipy computes
+    the product in float64 all the same. Nothing may re-sort the entries by
+    column, hence ``has_sorted_indices``. Each output column depends on its
+    own value column alone, so :meth:`dense` of a row prefix and a channel
+    block gives the same bits as that part of the whole.
 
-    Held this way a later hop's inputs cost the values they average plus
-    about 12 bytes per neighbor, not 64·C bytes per point.
+    Held this way a later hop's inputs cost the values they average plus 9
+    bytes per neighbor (an int8 weight and an int64 column index) and 64
+    bytes per point (the row pointers), not 64·C bytes per point.
     """
 
     def __init__(self, proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray) -> None:
@@ -327,8 +330,9 @@ class _OctantMeans:
         counts = np.bincount(((np.arange(p) * 8)[:, None] + octant).ravel(), minlength=p * 8)
         order = np.argsort(octant, axis=1, kind="stable")
         indptr = np.concatenate([[0], np.cumsum(counts)])
+        weights = np.ones(p * k, dtype=np.int8)
         self.sums = self._operator(
-            np.ones(p * k), np.take_along_axis(nbr_idx, order, axis=1).ravel(), indptr, values.shape[0]
+            weights, np.take_along_axis(nbr_idx, order, axis=1).ravel(), indptr, values.shape[0]
         )
         self.divisor = np.maximum(counts, 1)[:, None]
         self.values = values
@@ -580,7 +584,10 @@ def _start_runs(
     return [_HopRun(cloud, idx, p, config, fit) for cloud, idx, p in zip(full, sampled, picks)]
 
 
-_BLOCK_CHANNELS = 8  # widest channel block whose corpus pools train holds at once
+# widest channel block whose corpus pools train holds at once: these pools
+# set train's peak, and width 4 holds half of width 8's; width 2 lowered
+# train's peak RSS no further and trained about 10-15% slower
+_BLOCK_CHANNELS = 4
 
 
 def _channel_blocks(c: int) -> list[slice]:
@@ -614,9 +621,11 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     Each channel's corpus pool is built from these operators just before
     its fit, a block of channels (:func:`_channel_blocks`) at a time, and
     each cloud's plan apply materializes only the first n_{h+1} rows, the
-    ones the next hop reads. Past hop 1, whose 24-wide attributes are
-    small, dense inputs live only as one block's pools and one cloud's
-    plan apply per lane.
+    ones the next hop reads. A cloud's inputs are dropped once that apply
+    has built its next values, so during the applies the corpus holds each
+    cloud's inputs or its next values, not both. Past hop 1, whose 24-wide
+    attributes are small, dense inputs live only as one block's pools and
+    one cloud's plan apply per lane.
     """
     clouds = list(corpus)
     if not clouds:
@@ -641,8 +650,12 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
             # the tree ends at this hop, so the plan carries every survivor forward
             plan, _ = freeze_hop(tree, layers, parent_ids)
             n_next = config.hops[h + 1].num_points
-            for run, values in zip(runs, _two_lanes(lambda x: plan.apply(_dense_inputs(x, n_next)), inputs)):
-                run.values = values
+
+            def advance(i: int) -> None:
+                runs[i].values = plan.apply(_dense_inputs(inputs[i], n_next))
+                inputs[i] = None  # freed while other clouds' next values are built
+
+            _two_lanes(advance, range(len(runs)))
         del inputs  # freed before the next hop builds its own
         hop_layers.append(layers)
         parent_ids = children
@@ -843,8 +856,8 @@ def parse_config(text: str) -> ModelConfig:
 
     ``num_points`` and ``k_neighbors`` take one integer per hop (whitespace
     or comma separated) and must have equal lengths; the remaining keys are
-    scalars. Unknown keys and values that do not parse are errors naming
-    the line.
+    scalars. Unknown keys, keys set twice and values that do not parse are
+    errors naming the line.
     """
     values: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -857,6 +870,9 @@ def parse_config(text: str) -> ModelConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in values:
+            first = values[key][0]
+            raise ValueError(f"config line {lineno}: duplicate key {key!r} (first set on line {first})")
         values[key] = (lineno, val.strip())
 
     def parsed(key: str, parse, expected: str):

@@ -153,6 +153,20 @@ class TestTrain:
         assert rc == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_duplicate_config_key(self, workspace, capsys, tmp_path):
+        config = tmp_path / "twice.cfg"
+        config.write_text(format_config(CLI_CONFIG) + "seed = 5\n")
+        out = tmp_path / "x.rph"
+        rc = main([
+            "train",
+            "--input-dir", str(workspace["clouds_dir"]),
+            "--config", str(config),
+            "--output", str(out),
+        ])
+        assert rc == 1
+        assert "config line 6: duplicate key 'seed' (first set on line 5)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # register

@@ -129,6 +129,27 @@ class TestOffFormat:
         p.write_text("OFF 2 0 0\n0 0 0\n1 2 3\n")
         assert len(load_cloud(p)) == 2
 
+    @pytest.mark.parametrize("header", ["OFF3 0 0", "off3 0 0", "OFF3\t0 0", "OFF 3 0 0"])
+    def test_counts_joined_to_the_keyword(self, tmp_path, header):
+        # some ModelNet40 files write "OFF490 518 0"
+        p = tmp_path / "c.off"
+        p.write_text(f"{header}\n0 0 0\n1 0 0\n0 1 0\n")
+        c = load_cloud(p)
+        assert np.array_equal(c.coords, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("header", ["OFFx 3 0", "OFF3x 0 0", "OFF-3 0 0"])
+    def test_keyword_with_other_suffix_names_line(self, tmp_path, header):
+        p = tmp_path / "c.off"
+        p.write_text(f"{header}\n0 0 0\n1 0 0\n0 1 0\n")
+        with pytest.raises(CloudParseError, match="line 1: expected OFF header"):
+            load_cloud(p)
+
+    def test_joined_count_is_still_checked(self, tmp_path):
+        p = tmp_path / "c.off"
+        p.write_text("OFF0 0 0\n0 0 0\n")
+        with pytest.raises(CloudParseError, match="line 1: vertex count must be >= 1, got 0"):
+            load_cloud(p)
+
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "c.off"
         p.write_text("# comment\nOFF\n\n1 0 0\n# mid\n5 6 7\n")

@@ -8,6 +8,7 @@ import re
 import struct
 import threading
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -126,6 +127,16 @@ class TestOctants:
         # neighbor j carries the j-th unit vector, so octant o's mean is e_o
         means = _OctantMeans(signs[None, :, :], np.eye(8), np.arange(8)[None, :]).dense()
         assert np.array_equal(means[0], np.eye(8))
+
+    def test_weights_take_one_byte_per_neighbor(self):
+        # every stored weight is a 1; scipy multiplies it in float64
+        p, n, k = 20, 50, 12
+        rng = np.random.default_rng(3)
+        means = _OctantMeans(rng.normal(size=(p, k, 3)), rng.normal(size=(n, 4)), rng.integers(0, n, (p, k)))
+        assert means.sums.data.dtype == np.int8
+        assert means.sums.data.shape == (p * k,)
+        assert (means.sums.data == 1).all()
+        assert means.dense().dtype == np.float64
 
     def test_zero_counts_as_positive(self):
         means = _OctantMeans(np.zeros((1, 1, 3)), np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp)).dense()
@@ -422,7 +433,7 @@ class TestTrain:
         survivors = {n.node_id for n in tiny_model.tree.nodes if n.hop == 1 and n.status != "discarded"}
         assert set(tiny_model.later_hops[0]) == survivors
 
-    @pytest.mark.parametrize("width", [1, 3, 64])
+    @pytest.mark.parametrize("width", [1, 3, 8, 64])
     def test_model_bits_do_not_depend_on_the_block_width(
         self, tiny_corpus, tiny_model, width, monkeypatch, tmp_path
     ):
@@ -454,6 +465,41 @@ class TestTrain:
         assert survivors[2] == 190
         assert dense == len(tiny_corpus) * 128 * 8 * 190 * 8 == 12451840
         assert peak < dense
+
+    def test_each_clouds_inputs_go_once_its_next_values_exist(self, tiny_corpus, monkeypatch):
+        # with the lanes run serially, cloud j's plan apply runs after those
+        # of the clouds before it: by then their octant operators of that
+        # hop are gone, while cloud j's own and every later cloud's are held
+        monkeypatch.setattr(pipeline, "_two_lanes", lambda fn, items: [fn(x) for x in items])
+        refs: dict[int, list[weakref.ref]] = {}
+        hop_inputs, apply = pipeline._HopRun.hop_inputs, HopPlan.apply
+
+        def recording(run, h):
+            x, neighbors = hop_inputs(run, h)
+            if h:
+                assert isinstance(x, _OctantMeans)
+                refs.setdefault(h, []).append(weakref.ref(x))
+            return x, neighbors
+
+        applied: Counter = Counter()
+
+        def checking(plan, x):
+            h = max(refs, default=0)  # the last hop whose inputs were built
+            j = applied[h]
+            applied[h] += 1
+            if h:  # hop 1's inputs are dense arrays, not operators
+                held = [r() is not None for r in refs[h]]
+                assert held == [i >= j for i in range(len(held))], (h + 1, j)
+            return apply(plan, x)
+
+        monkeypatch.setattr(pipeline._HopRun, "hop_inputs", recording)
+        monkeypatch.setattr(HopPlan, "apply", checking)
+        config = ModelConfig(hops=(*TINY_CONFIG.hops, HopConfig(64, 16)), k_lrf=TINY_CONFIG.k_lrf)
+        train(tiny_corpus, config)
+        n = len(tiny_corpus)
+        assert applied == {0: n, 1: n}  # the final hop applies no plan in train
+        assert [len(r) for _, r in sorted(refs.items())] == [n, n]
+        assert all(r() is None for hop in refs.values() for r in hop)
 
     def test_layers_fit_corpus_pooled_inputs(self, tiny_model, tiny_corpus):
         # replay train's runs with its forward plans, which carry every
@@ -1189,6 +1235,22 @@ class TestConfigText:
         # instead of training a model that ignores it
         with pytest.raises(ValueError, match=re.escape(f"config line 2: unknown key '{key}'")):
             parse_config(f"seed = 1\n{key} = true\n")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("seed = 1\nseed = 2\n", "config line 2: duplicate key 'seed' (first set on line 1)"),
+            (
+                "num_points = 128 64\nk_neighbors = 16 8\n# again\nnum_points = 128\n",
+                "config line 4: duplicate key 'num_points' (first set on line 1)",
+            ),
+            ("k_lrf = 8\nk_lrf = abc\n", "config line 2: duplicate key 'k_lrf' (first set on line 1)"),
+        ],
+    )
+    def test_duplicate_key_names_both_lines(self, text, where):
+        # a repeated key is refused, not silently overridden by its last line
+        with pytest.raises(ValueError, match=re.escape(where)):
+            parse_config(text)
 
     def test_missing_equals_names_line(self):
         with pytest.raises(ValueError, match="line 1"):
