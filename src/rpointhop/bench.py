@@ -77,6 +77,8 @@ class ExperimentSpec:
             raise ValueError("partial_fraction must lie in (0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,18 @@ def _load_dir(input_dir: str) -> list:
     return [load_cloud(p) for p in paths]
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as the seeded PCG64
+    streams take."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = ModelConfig()
     if args.config:
@@ -139,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-dir", required=True, help="directory of .off/.ply/.xyz clouds")
     p.add_argument("--config", help="flat key=value config file (defaults when omitted)")
     p.add_argument("--output", required=True, help="model file to write")
-    p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="overrides the config seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("register", help="estimate the rigid motion between two clouds")
@@ -160,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=0,
         help="seed of the extraction's point sampling; the robust estimate draws nothing",
     )
@@ -170,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("benchmark", help="run synthetic registration trials")
@@ -180,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-std", type=float, default=0.0)
     p.add_argument("--partial", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--ransac", action="store_true")
     p.add_argument("--icp-refine", action="store_true")
     p.add_argument("--ablation", action="store_true", help="paired ratio-test on/off comparison")

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -104,6 +105,13 @@ def _parse_floats(tokens: list[str], lineno: int, path: str) -> list[float]:
         raise CloudParseError(f"{path}: line {lineno}: non-numeric token ({exc})") from None
 
 
+def _finite(vals: list[float], what: str, lineno: int, path: str) -> list[float]:
+    """``vals``, once every one of them is finite."""
+    if not all(math.isfinite(v) for v in vals):
+        raise CloudParseError(f"{path}: line {lineno}: {what} must be finite, got {vals}")
+    return vals
+
+
 def _parse_count(token: str, lowest: int, what: str, lineno: int, path: str) -> int:
     """A header count: an integer of at least ``lowest``."""
     try:
@@ -155,7 +163,7 @@ def _load_off(lines: list[str], path: str) -> PointCloud:
         vals = _parse_floats(text.split(), ln, path)
         if len(vals) < 3:
             raise CloudParseError(f"{path}: line {ln}: vertex needs 3 coordinates")
-        coords[row] = vals[:3]
+        coords[row] = _finite(vals[:3], "x, y and z", ln, path)
     return PointCloud(coords)
 
 
@@ -177,7 +185,7 @@ def _load_xyz(lines: list[str], path: str) -> PointCloud:
                 f"({len(toks)} vs {width})"
             )
         # columns past the third are not read, so they need not be numbers
-        rows.append(_parse_floats(toks[:3], i + 1, path))
+        rows.append(_finite(_parse_floats(toks[:3], i + 1, path), "x, y and z", i + 1, path))
     if not rows:
         raise CloudParseError(f"{path}: line 1: no data rows")
     return PointCloud(np.asarray(rows, dtype=np.float64))
@@ -241,7 +249,7 @@ def _load_ply(lines: list[str], path: str) -> PointCloud:
                 raise CloudParseError(
                     f"{path}: line {lineno}: expected {len(props)} values, got {len(vals)}"
                 )
-            coords[row] = (vals[ix], vals[iy], vals[iz])
+            coords[row] = _finite([vals[ix], vals[iy], vals[iz]], "x, y and z", lineno, path)
     if coords is None:
         raise CloudParseError(f"{path}: line 1: no vertex element")
     return PointCloud(coords)
@@ -259,8 +267,8 @@ def load_cloud(path: str | Path) -> PointCloud:
 
     The format comes from the file extension. Only coordinates are read:
     XYZ columns past the third and PLY vertex properties other than x, y
-    and z (normals, colors) are ignored. Parse failures raise
-    :class:`CloudParseError` naming the offending line.
+    and z (normals, colors) are ignored. Parse failures, non-finite x, y or
+    z included, raise :class:`CloudParseError` naming the offending line.
     """
     fmt = detect_format(path)
     lines = Path(path).read_text().splitlines()
@@ -300,7 +308,9 @@ def save_transform(tf: RigidTransform, path: str | Path) -> None:
 
 def load_transform(path: str | Path) -> RigidTransform:
     """Read a transform file written by :func:`save_transform`. Comment
-    lines (``#``) and unknown keys are ignored."""
+    lines (``#``) and unknown keys are ignored. A missing key, a wrong count
+    or a non-numeric or non-finite number raises :class:`CloudParseError`
+    naming the line."""
     rotation = None
     translation = None
     for i, ln in enumerate(Path(path).read_text().splitlines()):
@@ -312,12 +322,12 @@ def load_transform(path: str | Path) -> RigidTransform:
             vals = _parse_floats(toks[1:], i + 1, str(path))
             if len(vals) != 9:
                 raise CloudParseError(f"{path}: line {i + 1}: rotation needs 9 numbers")
-            rotation = np.asarray(vals).reshape(3, 3)
+            rotation = np.asarray(_finite(vals, "rotation", i + 1, str(path))).reshape(3, 3)
         elif toks[0] == "translation":
             vals = _parse_floats(toks[1:], i + 1, str(path))
             if len(vals) != 3:
                 raise CloudParseError(f"{path}: line {i + 1}: translation needs 3 numbers")
-            translation = np.asarray(vals)
+            translation = np.asarray(_finite(vals, "translation", i + 1, str(path)))
     if rotation is None or translation is None:
         raise CloudParseError(f"{path}: line 1: missing rotation or translation key")
     return RigidTransform(rotation, translation)

@@ -149,6 +149,8 @@ class ModelConfig:
                 raise ValueError("hop point budgets must be non-increasing")
         if not 0.0 <= self.energy_threshold < np.inf:  # NaN fails this too
             raise ValueError("energy_threshold must be finite and non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _grow_hop(
@@ -173,9 +175,12 @@ class RPointHopModel:
 
     On construction the pruned energy ``tree`` is derived from the layers'
     energies and the config's threshold, and each hop is frozen into one
-    :class:`~rpointhop.saab.HopPlan` of ``plans``. The plans keep only live
-    channels: a channel none of whose descendants survives the last hop
-    feeds no feature, so extraction neither averages nor transforms it.
+    :class:`~rpointhop.saab.HopPlan` of ``plans``, from the last hop back:
+    the final plan keeps the outputs, and each earlier plan keeps the
+    parents of the channels the next plan keeps. So the plans keep only live
+    channels, the outputs and their ancestors: a channel none of whose
+    descendants survives the last hop feeds no feature, and extraction
+    neither averages nor transforms it.
     Layers that do not form a model (parents without a layer, layers
     without a parent, wrong input widths, no surviving channel) raise
     ValueError there.
@@ -198,16 +203,16 @@ class RPointHopModel:
             parent_ids = _grow_hop(tree, layers, parent_ids, self.config.energy_threshold, final)
             if not parent_ids:
                 raise ValueError(f"no channel survives hop {h + 1}")
-        plans = []
-        live_ids = [0]
-        for h, layers in enumerate(hops):  # the tree is complete: each plan keeps its live children
-            plan, live_ids = freeze_hop(tree, layers, live_ids)
-            width = plan.filters.shape[1]
+        plans, kept_ids = [], parent_ids  # the final hop's survivors: the outputs
+        for h in reversed(range(len(hops))):
+            parent_ids = sorted({tree.nodes[i].parent for i in kept_ids})
+            plans.append(freeze_hop(tree, hops[h], parent_ids, kept_ids))
+            width = plans[-1].filters.shape[1]
             if width != (8 if h else 24):
                 raise ValueError(f"hop {h + 1} layers take {width}-wide inputs")
-            plans.append(plan)
+            kept_ids = parent_ids
         object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "plans", tuple(plans))
+        object.__setattr__(self, "plans", tuple(reversed(plans)))
 
     @property
     def feature_dim(self) -> int:
@@ -320,8 +325,9 @@ class _OctantMeans:
     block gives the same bits as that part of the whole.
 
     Held this way a later hop's inputs cost the values they average plus 9
-    bytes per neighbor (an int8 weight and an int64 column index) and 64
-    bytes per point (the row pointers), not 64·C bytes per point.
+    bytes per neighbor (an int8 weight and an int64 column index) and 128
+    bytes per point (64 for the row pointers, 64 for the int64 octant
+    divisors), not 64·C bytes per point.
     """
 
     def __init__(self, proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray) -> None:
@@ -647,8 +653,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
         if not children:
             raise TrainingError(_prune_message(h + 1, n_hops))
         if h < n_hops - 1:  # hop h + 1 reads its first n_{h+1} rows, and nothing the final hop's
-            # the tree ends at this hop, so the plan carries every survivor forward
-            plan, _ = freeze_hop(tree, layers, parent_ids)
+            plan = freeze_hop(tree, layers, parent_ids, children)
             n_next = config.hops[h + 1].num_points
 
             def advance(i: int) -> None:
@@ -856,8 +861,8 @@ def parse_config(text: str) -> ModelConfig:
 
     ``num_points`` and ``k_neighbors`` take one integer per hop (whitespace
     or comma separated) and must have equal lengths; the remaining keys are
-    scalars. Unknown keys, keys set twice and values that do not parse are
-    errors naming the line.
+    scalars. Unknown keys, keys set twice, values that do not parse and a
+    negative seed are errors naming the line.
     """
     values: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -898,6 +903,8 @@ def parse_config(text: str) -> ModelConfig:
     ):
         if key in values:
             kwargs[key] = parsed(key, parse, expected)
+    if kwargs.get("seed", 0) < 0:
+        raise ValueError(f"config line {values['seed'][0]}: seed must be non-negative, got {kwargs['seed']}")
     return ModelConfig(**kwargs)
 
 

@@ -23,10 +23,9 @@ dimensions. The tree thus follows from the layers' energies and the
 threshold alone: a model derives it from its layers, and a model file whose
 stored tree disagrees is rejected (see :mod:`rpointhop.pipeline`).
 
-:func:`freeze_hop` freezes a trained hop into a :class:`HopPlan`, so that
-applying it is one batched matrix product, a bias add and a gather, with no
-tree walk. A plan frozen from a complete tree keeps only live channels: the
-outputs and the channels they descend from.
+:func:`freeze_hop` freezes a trained hop into a :class:`HopPlan` that keeps
+the children its caller names, so that applying it is one batched matrix
+product, a bias add and a gather, with no tree walk.
 """
 
 from __future__ import annotations
@@ -250,10 +249,7 @@ class HopPlan:
     ``filters[c]`` is the transposed (N, K) filter bank of the plan's c-th
     parent channel, zero-padded to the widest layer of the hop, and
     ``biases[c]`` its bias. ``slots`` holds ``c * K + channel`` for every
-    child the plan keeps, in node-id order. A model's plans keep only live
-    channels, the final-hop outputs and their ancestors, so they compute
-    nothing that the features do not read; training's forward plans keep
-    every survivor (see :func:`freeze_hop`).
+    child the plan keeps, in node-id order.
     """
 
     filters: np.ndarray  # (C, N, K)
@@ -265,8 +261,7 @@ class HopPlan:
         into the (P, C') kept outputs. As in :func:`saab_apply`, inputs
         outside a layer's norm ball are transformed as-is, and counted and
         logged only when the module logger is enabled for DEBUG; the count
-        covers the plan's own C channels, so a model's plans count live
-        channels only."""
+        covers the plan's own C channels."""
         c, _, k = self.filters.shape
         xt = x.transpose(2, 0, 1)
         if logger.isEnabledFor(logging.DEBUG):  # the count is for the log alone
@@ -284,36 +279,13 @@ class HopPlan:
         return np.take(out, rows + (self.slots // k * len(x) * k + self.slots % k))
 
 
-def _live(tree: FeatureTree) -> list[bool]:
-    """Per node id: whether the node is live. A node is live when it is not
-    discarded and either has no children yet (a hop the tree ends at) or has
-    a live child; in a complete tree the live nodes are the outputs and
-    their ancestors."""
-    live = [False] * len(tree.nodes)
-    has_child = [False] * len(tree.nodes)
-    live_child = [False] * len(tree.nodes)
-    for node in reversed(tree.nodes[1:]):  # node ids are list positions: children come after parents
-        i = node.node_id
-        live[i] = node.status != STATUS_DISCARDED and (live_child[i] or not has_child[i])
-        has_child[node.parent] = True
-        live_child[node.parent] |= live[i]
-    return live
-
-
 def freeze_hop(
-    tree: FeatureTree, layers: Mapping[int, SaabLayer], parent_ids: Sequence[int]
-) -> tuple[HopPlan, list[int]]:
+    tree: FeatureTree, layers: Mapping[int, SaabLayer], parent_ids: Sequence[int], kept_ids: Sequence[int]
+) -> HopPlan:
     """Freeze the hop below ``parent_ids`` (node ids of the previous hop,
     ascending; ``[0]``, the root, for hop 1), whose transforms ``layers``
-    maps by at least those ids and whose children :func:`propagate_energy`
-    appended from those layers' energies. The plan's slots are the parents'
-    live children (:func:`_live`). Returns the plan and those children's
-    node ids, the next hop's parents.
-
-    While training grows the tree, the hop just appended is its last, so
-    every surviving child is live: the plan carries every survivor forward.
-    Frozen hop by hop from the root over a complete tree, the plans carry
-    only the channels that some final-hop output descends from.
+    maps by at least those ids, into a plan whose slots are the children
+    ``kept_ids`` (ascending node ids, each a child of one of the parents).
     Raises ValueError when the layers differ in input width.
     """
     column = {pid: c for c, pid in enumerate(parent_ids)}
@@ -326,8 +298,6 @@ def freeze_hop(
     for pid, c in column.items():
         filters[c, :, : layers[pid].kept_dim] = layers[pid].filters.T
         biases[c] = layers[pid].bias
-    live = _live(tree)
-    # node ids are list positions, so the live children come out ascending
-    kept = [n for n in tree.nodes if n.parent in column and live[n.node_id]]
+    kept = [tree.nodes[i] for i in kept_ids]
     slots = np.array([column[n.parent] * k + n.channel for n in kept], dtype=np.intp)
-    return HopPlan(filters, biases, slots), [n.node_id for n in kept]
+    return HopPlan(filters, biases, slots)

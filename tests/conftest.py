@@ -283,15 +283,14 @@ def live_node_ids(tree) -> set[int]:
 
 
 def forward_plans(model) -> tuple:
-    """Training's plans of ``model``: each hop frozen as soon as the tree
-    has grown to it, so that it carries every survivor forward, live or
-    not."""
+    """Training's plans of ``model``: each hop frozen as the tree grows,
+    keeping every survivor, live or not."""
     tree = FeatureTree()
     hops = ({0: model.hop1_layer}, *model.later_hops)
     parent_ids, plans = [0], []
     for h, layers in enumerate(hops):
         children = _grow_hop(tree, layers, parent_ids, model.config.energy_threshold, h == len(hops) - 1)
-        plans.append(freeze_hop(tree, layers, parent_ids)[0])
+        plans.append(freeze_hop(tree, layers, parent_ids, children))
         parent_ids = children
     return tuple(plans)
 

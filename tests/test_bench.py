@@ -61,6 +61,8 @@ class TestExperimentSpec:
             ExperimentSpec(partial_fraction=1.1)
         with pytest.raises(ValueError, match="trials"):
             ExperimentSpec(trials=0)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            ExperimentSpec(seed=-1)
 
 
 class TestSampleRigidTransform:

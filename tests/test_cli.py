@@ -21,6 +21,7 @@ from rpointhop import (
     save_model,
     translation_error,
 )
+from rpointhop import cli
 from rpointhop.cli import main
 from rpointhop.pipeline import format_config
 
@@ -152,6 +153,28 @@ class TestTrain:
         ])
         assert rc == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_negative_config_seed_names_line(self, workspace, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "negative.cfg"
+        config.write_text(format_config(CLI_CONFIG).replace("seed = 0", "seed = -2"))
+        monkeypatch.setattr(cli, "_load_dir", None)  # refused before the corpus loads
+        rc = main([
+            "train",
+            "--input-dir", str(workspace["clouds_dir"]),
+            "--config", str(config),
+            "--output", str(tmp_path / "x.rph"),
+        ])
+        assert rc == 1
+        assert "config line 5: seed must be non-negative, got -2" in capsys.readouterr().err
+
+    def test_non_finite_coordinate_names_file_and_line(self, workspace, capsys, tmp_path):
+        clouds = tmp_path / "clouds"
+        clouds.mkdir()
+        save_cloud(load_cloud(workspace["target"]), clouds / "a.xyz")
+        (clouds / "b.xyz").write_text("0 0 0\n1 inf 1\n")
+        rc = main(["train", "--input-dir", str(clouds), "--output", str(tmp_path / "x.rph")])
+        assert rc == 1
+        assert f"{clouds / 'b.xyz'}: line 2: x, y and z must be finite" in capsys.readouterr().err
 
     def test_duplicate_config_key(self, workspace, capsys, tmp_path):
         config = tmp_path / "twice.cfg"
@@ -436,6 +459,15 @@ class TestPlumbing:
         )
         assert runs[0] == runs[1] == runs[2]
         assert "used_ransac 1" in runs[0][1][0]
+
+    @pytest.mark.parametrize("command", ["train", "register", "features", "benchmark"])
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_seed_must_be_non_negative(self, capsys, command, value):
+        # argparse refuses the flag itself, before any file is read
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", value])
+        assert exc.value.code == 2
+        assert f"argument --seed: expected a non-negative integer, got '{value}'" in capsys.readouterr().err
 
     def test_no_command_exits_with_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

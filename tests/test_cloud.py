@@ -360,6 +360,51 @@ class TestPlyFormat:
             load_cloud(p)
 
 
+NON_FINITE = ["nan", "inf", "-inf", "1e999"]
+
+
+class TestNonFiniteCoordinates:
+    # a non-finite x, y or z fails in the loader, which names the file and
+    # the line, not in PointCloud
+    @pytest.mark.parametrize("token", NON_FINITE)
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_xyz_names_file_and_line(self, tmp_path, token, column):
+        p = tmp_path / "c.xyz"
+        row = ["1", "2", "3"]
+        row[column] = token
+        p.write_text("# header\n0 0 0\n" + " ".join(row) + "\n")
+        with pytest.raises(CloudParseError, match=f"^{p}: line 3: x, y and z must be finite"):
+            load_cloud(p)
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_off_names_file_and_line(self, tmp_path, token):
+        p = tmp_path / "c.off"
+        p.write_text(f"OFF\n2 0 0\n0 0 0\n0 {token} 0\n")
+        with pytest.raises(CloudParseError, match=f"^{p}: line 4: x, y and z must be finite"):
+            load_cloud(p)
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_ply_names_file_and_line(self, tmp_path, token, column):
+        p = tmp_path / "c.ply"
+        lines = PLY_WITH_NORMALS.splitlines()
+        row = lines[13].split()
+        row[column] = token
+        lines[13] = " ".join(row)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CloudParseError, match=f"^{p}: line 14: x, y and z must be finite"):
+            load_cloud(p)
+
+    def test_values_past_the_coordinates_stay_unchecked(self, tmp_path):
+        # neither a PLY normal nor an XYZ column past the third is read
+        ply = tmp_path / "c.ply"
+        ply.write_text(PLY_WITH_NORMALS.replace("0 0 0 0 0 1", "0 0 0 nan 0 1"))
+        assert np.array_equal(load_cloud(ply).coords, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        xyz = tmp_path / "c.xyz"
+        xyz.write_text("0 0 0 nan\n1 2 3 inf\n")
+        assert np.array_equal(load_cloud(xyz).coords, [[0, 0, 0], [1, 2, 3]])
+
+
 class TestRoundTrips:
     def test_two_point_round_trip_all_formats(self, tmp_path):
         c = PointCloud(np.array([[0.25, -1.5, 3.0], [2.0, 0.125, -9.0]]))
@@ -428,6 +473,16 @@ class TestTransformFile:
         path = tmp_path / "tf.txt"
         path.write_text("rotation 1 0 0 0 1 0 0 0\ntranslation 0 0 0\n")
         with pytest.raises(CloudParseError, match="line 1.*9 numbers"):
+            load_transform(path)
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_non_finite_number_names_file_and_line(self, tmp_path, token):
+        path = tmp_path / "tf.txt"
+        path.write_text(f"rotation 1 0 0 0 1 0 0 0 1\ntranslation 0 {token} 0\n")
+        with pytest.raises(CloudParseError, match=f"^{path}: line 2: translation must be finite"):
+            load_transform(path)
+        path.write_text(f"# motion\nrotation 1 0 0 0 {token} 0 0 0 1\ntranslation 0 0 0\n")
+        with pytest.raises(CloudParseError, match=f"^{path}: line 2: rotation must be finite"):
             load_transform(path)
 
     def test_missing_key(self, tmp_path):

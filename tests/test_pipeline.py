@@ -100,6 +100,8 @@ class TestConfigs:
             ModelConfig(hops=(HopConfig(64, 8), HopConfig(128, 8)), k_lrf=16)
         with pytest.raises(ValueError, match="energy_threshold"):
             ModelConfig(energy_threshold=-0.1)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+            ModelConfig(seed=-3)  # PCG64 takes no negative seed
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_energy_threshold(self, value):
@@ -605,7 +607,7 @@ class TestHopPlans:
             assert np.array_equal(getattr(fs, name), value), name
 
     def test_live_features_equal_forward_plan_features(self, dead_end_model, tiny_corpus):
-        # training's forward plans carry every survivor; the final one's
+        # training's forward plans keep every survivor; the final one's
         # slots take every output, which the live plans also give
         forward = forward_plans(dead_end_model)
         live_widths = [plan.slots.size for plan in dead_end_model.plans]
@@ -620,6 +622,23 @@ class TestHopPlans:
             for f in dataclasses.fields(FeatureSet):
                 a, b = getattr(got, f.name), getattr(want, f.name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+
+    def test_plans_keep_the_live_channels(self, dead_end_model):
+        # each plan keeps the live nodes of its hop, and its parents are the
+        # previous plan's kept children, the root's for hop 1
+        tree = dead_end_model.tree
+        live = live_node_ids(tree)
+        child = {(n.parent, n.channel): n.node_id for n in tree.nodes[1:]}
+        hop_layers = ({0: dead_end_model.hop1_layer}, *dead_end_model.later_hops)
+        parent_ids = [0]
+        for h, (plan, layers) in enumerate(zip(dead_end_model.plans, hop_layers)):
+            assert plan.biases.tolist() == [layers[pid].bias for pid in parent_ids], f"hop {h + 1}"
+            for c, pid in enumerate(parent_ids):
+                assert np.array_equal(plan.filters[c, :, : layers[pid].kept_dim], layers[pid].filters.T)
+            k = plan.filters.shape[2]
+            kept = [child[parent_ids[s // k], s % k] for s in plan.slots.tolist()]
+            assert kept == sorted(i for i in live if tree.nodes[i].hop == h + 1), f"hop {h + 1}"
+            parent_ids = kept
 
     def test_loaded_model_derives_the_same_plans(self, plan_model, tmp_path):
         save_model(plan_model, tmp_path / "m.rph")
@@ -1124,6 +1143,7 @@ class TestModelFile:
             (("tree", 1, 4), 123.0, "stored tree differs from the layers' tree at node 1"),
             # the last layer's last energy
             (("arrays", -1), -0.5, "negative energy fraction under node"),
+            (("config", "seed"), -1, "seed must be non-negative, got -1"),
         ],
     )
     def test_invalid_header_field(self, tiny_model, tmp_path, keys, value, message):
@@ -1270,6 +1290,7 @@ class TestConfigText:
             ("energy_threshold = 1e-3x\n", "line 1: energy_threshold expects a number"),
             ("num_points = 128 64\nk_neighbors = 16, eight\n", "line 2: k_neighbors expects one integer per hop"),
             ("num_points = 12.5\nk_neighbors = 8\n", "line 1: num_points expects one integer per hop"),
+            ("k_lrf = 16\nseed = -4\n", "line 2: seed must be non-negative, got -4"),
         ],
     )
     def test_bad_number_names_line_and_key(self, text, where):

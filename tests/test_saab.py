@@ -431,6 +431,12 @@ class TestFreezeHop:
             layer, ac_filters=layer.ac_filters[: k - 1], energies=energies / energies.sum()
         )
 
+    @staticmethod
+    def survivors(tree) -> list[int]:
+        """Node ids of the last hop's surviving children, ascending."""
+        last = tree.nodes[-1].hop
+        return [n.node_id for n in tree.nodes if n.hop == last and n.status != STATUS_DISCARDED]
+
     @classmethod
     def hop(cls):
         """Three parents whose layers keep 3, 5 and 2 filters, with some
@@ -449,7 +455,8 @@ class TestFreezeHop:
 
     def test_matches_tree_walk_oracle(self):
         tree, layers, x = self.hop()
-        plan, ids = freeze_hop(tree, layers, [1, 2, 3])
+        ids = self.survivors(tree)
+        plan = freeze_hop(tree, layers, [1, 2, 3], ids)
         want, want_ids = hop_oracle(tree, layers, [1, 2, 3], x)
         assert plan.filters.shape == (3, 8, 5)  # padded to the widest layer
         assert ids == want_ids
@@ -458,25 +465,24 @@ class TestFreezeHop:
         assert np.array_equal(out, want)
         assert out.flags.c_contiguous  # the next hop gathers these rows faster in C order
 
-    def test_complete_tree_keeps_only_live_children(self):
-        rng = np.random.default_rng(5)
-        root = {0: self.truncated(saab_fit(rng.normal(size=(40, 6))), 3)}
-        tree = FeatureTree()
-        propagate_energy(tree, {0: [0.5, 0.3, 0.2]}, threshold=0.0)
-        growing, ids = freeze_hop(tree, root, [0])
-        assert ids == [1, 2, 3]  # the tree ends at hop 1, so every survivor is live
-        # node 3's children (0.04 each) are discarded, so node 3 feeds no
-        # output; node 2 keeps one child (0.27, not 0.03)
-        propagate_energy(tree, {1: [0.5, 0.5], 2: [0.9, 0.1], 3: [0.2, 0.2]}, threshold=0.05, final=True)
-        complete, ids = freeze_hop(tree, root, [0])
-        assert ids == [1, 2]
-        x = rng.normal(size=(10, 6, 1))
-        assert np.array_equal(complete.apply(x), growing.apply(x)[:, :2])
-        layers = {pid: self.truncated(saab_fit(rng.normal(size=(40, 8))), 2) for pid in (1, 2, 3)}
-        plan, ids = freeze_hop(tree, layers, [1, 2])
-        assert plan.filters.shape == (2, 8, 2) and ids == [4, 5, 6]
-        x = rng.normal(size=(10, 8, 2))
-        assert np.array_equal(plan.apply(x), hop_oracle(tree, layers, [1, 2], x)[0])
+    def test_keeps_exactly_the_named_children(self):
+        tree, layers, x = self.hop()
+        want, survivors = hop_oracle(tree, layers, [1, 2, 3], x)
+        assert len(survivors) > 2
+        # every survivor, then each survivor left out in turn
+        for kept in (survivors, *(survivors[:i] + survivors[i + 1 :] for i in range(len(survivors)))):
+            plan = freeze_hop(tree, layers, [1, 2, 3], kept)
+            k = plan.filters.shape[2]
+            slots = [(tree.nodes[i].parent - 1) * k + tree.nodes[i].channel for i in kept]
+            assert plan.slots.tolist() == slots
+            assert np.array_equal(plan.apply(x), want[:, [survivors.index(i) for i in kept]])
+        # the parents are the caller's too: a plan over parents 1 and 3
+        # takes their two input columns and none of parent 2's children
+        kept = [i for i in survivors if tree.nodes[i].parent != 2]
+        plan = freeze_hop(tree, layers, [1, 3], kept)
+        assert plan.filters.shape == (2, 8, 5) and plan.slots.size == len(kept)
+        outer = x[:, :, [0, 2]]
+        assert np.array_equal(plan.apply(outer), hop_oracle(tree, layers, [1, 3], outer)[0])
 
     def test_root_hop_is_the_joint_layer(self):
         rng = np.random.default_rng(4)
@@ -484,13 +490,14 @@ class TestFreezeHop:
         tree = FeatureTree()
         layers = cw_saab_fit({0: x})
         propagate_energy(tree, {0: layers[0].energies}, threshold=0.05)
-        plan, ids = freeze_hop(tree, layers, [0])
+        ids = self.survivors(tree)
+        plan = freeze_hop(tree, layers, [0], ids)
         cols = [tree.nodes[i].channel for i in ids]
         assert np.array_equal(plan.apply(x[:, :, None]), saab_apply(saab_fit(x), x)[:, cols])
 
     def test_norm_ball_logged_once_per_hop(self, caplog):
         tree, layers, x = self.hop()
-        plan, _ = freeze_hop(tree, layers, [1, 2, 3])
+        plan = freeze_hop(tree, layers, [1, 2, 3], self.survivors(tree))
         with caplog.at_level(logging.DEBUG, logger="rpointhop.saab"):
             plan.apply(x * 1e3)
         assert [r.getMessage() for r in caplog.records] == [
@@ -501,7 +508,7 @@ class TestFreezeHop:
         # the out-of-ball count feeds the debug log alone: at WARNING no norm
         # is taken, nothing is logged, and the outputs keep their bits
         tree, layers, x = self.hop()
-        plan, _ = freeze_hop(tree, layers, [1, 2, 3])
+        plan = freeze_hop(tree, layers, [1, 2, 3], self.survivors(tree))
         layer = saab_fit(np.array([[0.1, 0.0], [0.0, 0.1]]))
         big = np.array([[100.0, -100.0], [0.01, 0.0]])
         with caplog.at_level(logging.DEBUG, logger="rpointhop.saab"):

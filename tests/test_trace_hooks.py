@@ -3,9 +3,12 @@
 ``perfbench/spans.py`` patches program functions by module path and
 attribute name; a target it cannot find is skipped and its metrics read 0.
 Loading its hook table here makes a rename or deletion of a traced name
-fail the test suite itself, not only the benchmark's own self-test.
+fail the test suite itself, not only the benchmark's own self-test. An
+import kept only so that a hook can patch it (marked ``# noqa: F401``) must
+name a hook's target, so that it goes when its hook moves.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -36,3 +39,41 @@ def test_hook_target_is_a_function(hook):
     if class_name:
         owner = getattr(owner, class_name)
     assert inspect.isfunction(vars(owner).get(hook.attr)), f"{hook.owner}.{hook.attr} is gone"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rpointhop"
+HOOKED = {(h.owner, h.attr) for h in HOOKS}
+
+
+def noqa_imports(source: str, module: str) -> list[tuple[str, str]]:
+    """(module, name) of every name that ``source`` imports on a line
+    marked ``# noqa: F401``: an import that nothing in the module calls."""
+    lines = source.splitlines()
+    return [
+        (module, alias.asname or alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "# noqa: F401" in lines[alias.lineno - 1]
+    ]
+
+
+def test_hook_only_imports_are_hooked():
+    # such an import exists only for a hook that patches the module's own
+    # name, so it goes once no hook patches it there
+    modules = {path: "rpointhop" + ("" if path.stem == "__init__" else f".{path.stem}") for path in SRC.glob("*.py")}
+    found = [pair for path, module in sorted(modules.items()) for pair in noqa_imports(path.read_text(), module)]
+    assert [pair for pair in found if pair not in HOOKED] == []
+
+
+def test_unhooked_noqa_import_is_flagged():
+    source = (
+        "import os  # noqa: F401 - nothing hooks it\n"
+        "from .saab import (\n"
+        "    saab_fit,\n"
+        "    saab_apply,  # noqa: F401 - hooked\n"
+        ")\n"
+    )
+    found = noqa_imports(source, "rpointhop.pipeline")
+    assert found == [("rpointhop.pipeline", "os"), ("rpointhop.pipeline", "saab_apply")]
+    assert [pair for pair in found if pair not in HOOKED] == [("rpointhop.pipeline", "os")]
