@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cloud import PointCloud, RigidTransform, apply_transform, normalize_unit_sphere
+from .cloud import PointCloud, RigidTransform, apply_transform, normalize_unit_sphere, seeded_rng
 from .pipeline import CloudTooSmallError, FeatureSet, RPointHopModel, extract_pair
 from .registration import (
     EstimationError,
@@ -110,7 +110,7 @@ def sample_rigid_transform(spec: ExperimentSpec, trial_seed: int) -> tuple[Rigid
     """Random motion: per-axis angles uniform on [0, max_angle_deg] (drawn
     in x, y, z order), translation uniform on the cube. Returns the
     transform and the synthesized angles in degrees."""
-    rng = np.random.Generator(np.random.PCG64(trial_seed))
+    rng = seeded_rng(trial_seed, "trial_seed")
     angles = rng.uniform(0.0, spec.max_angle_deg, size=3)
     r = spec.translation_range
     translation = rng.uniform(-r, r, size=3)
@@ -124,7 +124,7 @@ def make_partial(cloud: PointCloud, fraction: float, seed: int) -> PointCloud:
     m = int(np.floor(fraction * n))
     if m < 1:
         raise ValueError(f"fraction {fraction} keeps no points of {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     anchor = int(rng.integers(n))
     idx, _ = KnnIndex(cloud.coords).query(cloud.coords[anchor], m)
     return cloud.take(np.sort(idx))
@@ -134,7 +134,7 @@ def add_noise(cloud: PointCloud, std: float, seed: int) -> PointCloud:
     """Isotropic Gaussian jitter on coordinates (std 0 is an exact no-op)."""
     if not 0.0 <= std < np.inf:  # NaN fails this too
         raise ValueError("std must be finite and non-negative")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     return PointCloud(cloud.coords + rng.normal(0.0, std, size=(len(cloud), 3)))
 
 
@@ -181,7 +181,7 @@ def _trials(clouds: Sequence[PointCloud], spec: ExperimentSpec) -> Iterator[_Tri
     robust estimate took a seed; every draw is made whether or not the spec
     uses it.
     """
-    master = np.random.Generator(np.random.PCG64(spec.seed))
+    master = seeded_rng(spec.seed)
     for trial in range(spec.trials):
         cloud_index = int(master.integers(len(clouds)))
         tf_seed, partial_seed_s, partial_seed_t, noise_seed, extract_seed, _ = (
@@ -395,7 +395,7 @@ def make_shape_cloud(n: int, seed: int) -> PointCloud:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     n_prims = min(3 + int(rng.integers(0, 2)), n)
     kinds = ["box", "cyl", "ell"] * 2
     rng.shuffle(kinds)

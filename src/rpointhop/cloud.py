@@ -4,10 +4,10 @@ Conventions used throughout the package:
 
 * coordinates are float64 arrays of shape (N, 3), one row per point;
 * a rigid transform (R, t) maps a point p to R @ p + t;
-* all stochastic operations take an explicit integer seed and draw from
-  numpy's PCG64 generator, which is seedable and platform-stable. The
-  PCG64 stream is part of the external contract: the same seed yields the
-  same sample on any platform.
+* all stochastic operations take an explicit non-negative integer seed
+  and draw from numpy's PCG64 generator (:func:`seeded_rng`), which is
+  seedable and platform-stable. The PCG64 stream is part of the external
+  contract: the same seed yields the same sample on any platform.
 """
 
 from __future__ import annotations
@@ -353,6 +353,14 @@ def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     return PointCloud(centered / scale)
 
 
+def seeded_rng(seed: int, name: str = "seed") -> np.random.Generator:
+    """numpy's PCG64 generator over ``seed``. A negative seed, which PCG64
+    refuses without naming it, is refused as the argument ``name``."""
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def sample_indices(n: int, m: int, seed: int) -> np.ndarray:
     """m distinct indices from range(n), drawn by a partial Fisher-Yates
     shuffle over the PCG64(seed) stream (one bounded draw per output, all
@@ -360,7 +368,7 @@ def sample_indices(n: int, m: int, seed: int) -> np.ndarray:
     draw i uniform below n - i)."""
     if not 1 <= m <= n:
         raise ValueError(f"sample size {m} out of range for {n} points")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     targets = (np.arange(m) + rng.integers(np.arange(n, n - m, -1))).tolist()
     idx = list(range(n))
     for i, j in enumerate(targets):

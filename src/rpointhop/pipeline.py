@@ -13,8 +13,10 @@ Training (unsupervised, one pass per hop):
    nearest neighbors into its sign-resolved frame, split them into the 8
    octants (fixed order +++ , ++- , +-+ , +-- , -++ , -+- , --+ , ---,
    where "+" means coordinate >= 0), and concatenate the per-octant mean
-   projected coordinates; empty octants contribute zeros. Attributes from
-   every cloud are pooled and fit with one joint Saab transform.
+   projected coordinates; empty octants contribute zeros. Training writes
+   every cloud's attributes into its rows of one corpus pool, which the
+   joint Saab transform is fit on and each cloud's plan apply reads in
+   place; the pool goes once those applies have built hop 2's values.
 3. Hops 2..H first shrink the working cloud by farthest point sampling,
    then build an 8-wide attribute per point and surviving channel: the
    per-octant means of the neighbors' channel value. Each channel is fit
@@ -36,8 +38,10 @@ Training (unsupervised, one pass per hop):
    rejected.
 
 Hop 1 is the one-channel case of steps 3-4, with the tree's root as its
-only parent, so every hop is fit the same way and frozen into the same
-:class:`~rpointhop.saab.HopPlan`.
+only parent, so every hop is pruned the same way and frozen into the same
+:class:`~rpointhop.saab.HopPlan`. Only its pool differs: its inputs are
+dense and small, so they are pooled once, in place, rather than built
+channel block by channel block from operators.
 
 Extraction runs the same geometry with the frozen plans and returns
 one feature row per final-hop point. Hop h + 1 keeps the first n_{h+1}
@@ -70,7 +74,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.sparse import csr_array
 
-from .cloud import PointCloud, normalize_unit_sphere, sample_indices
+from .cloud import PointCloud, normalize_unit_sphere, sample_indices, seeded_rng
 from .lrf import local_pca_batch, resolve_signs_batch
 from .saab import (
     STATUS_DISCARDED,
@@ -100,6 +104,15 @@ class CloudTooSmallError(ValueError):
     """A cloud has fewer points than the model's hop-1 budget."""
 
 
+class _ConfigRefusal(ValueError):
+    """A config value out of range; ``keys`` are the config text keys it
+    concerns, so that :func:`parse_config` can name their lines."""
+
+    def __init__(self, message: str, *keys: str) -> None:
+        super().__init__(message)
+        self.keys = keys
+
+
 @dataclass(frozen=True)
 class HopConfig:
     """Point budget and neighborhood size for one hop."""
@@ -109,11 +122,11 @@ class HopConfig:
 
     def __post_init__(self) -> None:
         if self.num_points < 1:
-            raise ValueError("num_points must be positive")
+            raise _ConfigRefusal("num_points must be positive", "num_points")
         if self.k_neighbors < 8:
-            raise ValueError("k_neighbors must be >= 8 (one point per octant on average)")
+            raise _ConfigRefusal("k_neighbors must be >= 8 (one point per octant on average)", "k_neighbors")
         if self.k_neighbors > self.num_points:
-            raise ValueError("k_neighbors cannot exceed num_points at that hop")
+            raise _ConfigRefusal("k_neighbors cannot exceed num_points at that hop", "k_neighbors", "num_points")
 
 
 DEFAULT_HOPS = (
@@ -138,19 +151,19 @@ class ModelConfig:
     def __post_init__(self) -> None:
         hops = tuple(self.hops)
         if not hops:
-            raise ValueError("at least one hop is required")
+            raise _ConfigRefusal("at least one hop is required", "num_points", "k_neighbors")
         object.__setattr__(self, "hops", hops)
         if self.k_lrf < 3:
-            raise ValueError("k_lrf must be >= 3")
+            raise _ConfigRefusal("k_lrf must be >= 3", "k_lrf")
         if self.k_lrf > hops[0].num_points:
-            raise ValueError("k_lrf cannot exceed the hop-1 point budget")
+            raise _ConfigRefusal("k_lrf cannot exceed the hop-1 point budget", "k_lrf", "num_points")
         for prev, nxt in zip(hops, hops[1:]):
             if nxt.num_points > prev.num_points:
-                raise ValueError("hop point budgets must be non-increasing")
+                raise _ConfigRefusal("hop point budgets must be non-increasing", "num_points")
         if not 0.0 <= self.energy_threshold < np.inf:  # NaN fails this too
-            raise ValueError("energy_threshold must be finite and non-negative")
+            raise _ConfigRefusal("energy_threshold must be finite and non-negative", "energy_threshold")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise _ConfigRefusal(f"seed must be non-negative, got {self.seed}", "seed")
 
 
 def _grow_hop(
@@ -457,15 +470,13 @@ def _prefix_table(table: np.ndarray, points: np.ndarray, k: int, rows: int) -> n
     return out
 
 
-def _dense_inputs(
-    x: np.ndarray | _OctantMeans, rows: int | None = None, channels: slice = slice(None)
-) -> np.ndarray:
-    """The (rows, N, c) Saab inputs of one cloud's first ``rows`` points (all
-    when None) and channels ``channels``: hop 1's inputs are dense already,
-    a later hop's are materialized from their operator."""
+def _dense_inputs(x: np.ndarray | _OctantMeans, rows: int | None = None) -> np.ndarray:
+    """The (rows, N, C) Saab inputs of one cloud's first ``rows`` points (all
+    when None): hop 1's inputs are dense already, a later hop's are
+    materialized from their operator."""
     if isinstance(x, _OctantMeans):
-        return x.dense(rows, channels)
-    return x[:rows, :, channels]
+        return x.dense(rows)
+    return x[:rows]
 
 
 class _HopRun:
@@ -605,10 +616,28 @@ def _channel_blocks(c: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _fit_channels(inputs: list[np.ndarray | _OctantMeans], channels: slice) -> list[SaabLayer]:
-    """Saab layers of ``channels``, each fit on its corpus pool: the
-    channel's samples from every cloud's ``inputs``, in corpus order."""
-    blocks = [_dense_inputs(x, channels=channels) for x in inputs]
+def _fit_hop1(runs: list[_HopRun]) -> tuple[list[np.ndarray], SaabLayer]:
+    """Every run's hop-1 inputs, and hop 1's joint layer fit on their corpus
+    pool. The lanes write each cloud's attributes into its rows of one
+    (B·n_1, 24) pool, in corpus order, and each cloud's inputs are a view of
+    its rows, so the fit reads the attributes where the plan applies will:
+    no stacked copy exists. The pool goes with the last of these views."""
+    n = runs[0].counts[0]
+    pool = np.empty((len(runs) * n, 24))
+
+    def fill(i: int) -> np.ndarray:
+        rows = pool[i * n : (i + 1) * n]
+        rows[...] = runs[i].hop_inputs(0)[0][:, :, 0]
+        return rows[:, :, None]
+
+    return _two_lanes(fill, range(len(runs))), saab_fit(pool)
+
+
+def _fit_channels(inputs: list[_OctantMeans], channels: slice) -> list[SaabLayer]:
+    """Saab layers of a later hop's ``channels``, each fit on its corpus
+    pool: the channel's samples from every cloud's ``inputs``, in corpus
+    order."""
+    blocks = [x.dense(channels=channels) for x in inputs]
     return [saab_fit(np.vstack([b[:, :, j] for b in blocks])) for j in range(blocks[0].shape[2])]
 
 
@@ -629,14 +658,19 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     each cloud's plan apply materializes only the first n_{h+1} rows, the
     ones the next hop reads. A cloud's inputs are dropped once that apply
     has built its next values, so during the applies the corpus holds each
-    cloud's inputs or its next values, not both. Past hop 1, whose 24-wide
-    attributes are small, dense inputs live only as one block's pools and
-    one cloud's plan apply per lane.
+    cloud's inputs or its next values, not both. Past hop 1, dense inputs
+    live only as one block's pools and one cloud's plan apply per lane.
+
+    Hop 1's 24-wide attributes are written once, into one (B·n_1, 24)
+    corpus pool (:func:`_fit_hop1`): each cloud's hop-1 inputs are a view of
+    its rows, the joint layer is fit on the pool itself, and the pool goes
+    with the last of those views, once the hop-1 plan applies have built
+    hop 2's values, before any later hop's inputs exist.
     """
     clouds = list(corpus)
     if not clouds:
         raise TrainingError("empty corpus")
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    rng = seeded_rng(config.seed)
     cloud_seeds = [int(rng.integers(2**63)) for _ in clouds]
 
     normalized = (normalize_unit_sphere(cloud).coords for cloud in clouds)
@@ -646,9 +680,13 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     hop_layers: list[dict[int, SaabLayer]] = []
     parent_ids = [0]
     for h in range(n_hops):
-        inputs = _two_lanes(lambda run: run.hop_inputs(h)[0], runs)
-        fits = _two_lanes(lambda block: _fit_channels(inputs, block), _channel_blocks(len(parent_ids)))
-        layers = dict(zip(parent_ids, (layer for block in fits for layer in block)))
+        if h == 0:
+            inputs, hop1_layer = _fit_hop1(runs)
+            layers = {0: hop1_layer}
+        else:
+            inputs = _two_lanes(lambda run: run.hop_inputs(h)[0], runs)
+            fits = _two_lanes(lambda block: _fit_channels(inputs, block), _channel_blocks(len(parent_ids)))
+            layers = dict(zip(parent_ids, (layer for block in fits for layer in block)))
         children = _grow_hop(tree, layers, parent_ids, config.energy_threshold, h == n_hops - 1)
         if not children:
             raise TrainingError(_prune_message(h + 1, n_hops))
@@ -861,8 +899,11 @@ def parse_config(text: str) -> ModelConfig:
 
     ``num_points`` and ``k_neighbors`` take one integer per hop (whitespace
     or comma separated) and must have equal lengths; the remaining keys are
-    scalars. Unknown keys, keys set twice, values that do not parse and a
-    negative seed are errors naming the line.
+    scalars. Unknown keys, keys set twice and values that do not parse are
+    errors naming the line. So are the refusals of :class:`HopConfig` and
+    :class:`ModelConfig`, which name the line of each key they concern that
+    the text sets: ``config lines 2 and 3: k_neighbors cannot exceed
+    num_points at that hop``.
     """
     values: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -895,7 +936,6 @@ def parse_config(text: str) -> ModelConfig:
         ks = parsed("k_neighbors", _parse_ints, "one integer per hop")
         if len(pts) != len(ks):
             raise ValueError("num_points and k_neighbors must have one entry per hop")
-        kwargs["hops"] = tuple(HopConfig(p, k) for p, k in zip(pts, ks))
     for key, parse, expected in (
         ("k_lrf", int, "an integer"),
         ("energy_threshold", float, "a number"),
@@ -903,9 +943,14 @@ def parse_config(text: str) -> ModelConfig:
     ):
         if key in values:
             kwargs[key] = parsed(key, parse, expected)
-    if kwargs.get("seed", 0) < 0:
-        raise ValueError(f"config line {values['seed'][0]}: seed must be non-negative, got {kwargs['seed']}")
-    return ModelConfig(**kwargs)
+    try:
+        if "num_points" in values:
+            kwargs["hops"] = tuple(HopConfig(p, k) for p, k in zip(pts, ks))
+        return ModelConfig(**kwargs)
+    except _ConfigRefusal as exc:  # the defaults pass, so the text sets one of its keys at least
+        lines = sorted(values[key][0] for key in exc.keys if key in values)
+        where = f"lines {lines[0]} and {lines[1]}" if len(lines) > 1 else f"line {lines[0]}"
+        raise ValueError(f"config {where}: {exc}") from None
 
 
 def format_config(config: ModelConfig) -> str:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cloud import PointCloud, RigidTransform, align_inverse
+from .cloud import PointCloud, RigidTransform, align_inverse, seeded_rng
 from .pipeline import (
     FeatureSet,
     RPointHopModel,
@@ -413,7 +413,7 @@ def register(
     transform, with or without RANSAC; :func:`format_report` leaves it out.
     """
     t0 = time.perf_counter()
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     target_fs, source_fs = extract_pair(model, target, source, int(rng.integers(2**63)))
     tf, corr, icp_iterations = register_features(target_fs, source_fs, source, target, params, icp)
     aligned = align_inverse(source, tf)

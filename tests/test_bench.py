@@ -1,5 +1,6 @@
 """Benchmark harness: trial synthesis, error pooling, deterministic reports."""
 
+import re
 import threading
 
 import numpy as np
@@ -138,6 +139,24 @@ class TestMakePartial:
         cloud = make_shape_cloud(64, seed=4)
         part = make_partial(cloud, 1.0, seed=0)
         assert np.array_equal(part.coords, cloud.coords)
+
+
+class TestNegativeSeeds:
+    # PCG64's own refusal names no argument
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: make_shape_corpus(1, 64, -1), "seed"),
+            (lambda: make_shape_cloud(64, -1), "seed"),
+            (lambda: add_noise(make_shape_cloud(64, 0), 0.01, -1), "seed"),
+            (lambda: make_partial(make_shape_cloud(64, 0), 0.5, -1), "seed"),
+            (lambda: sample_rigid_transform(ExperimentSpec(), -1), "trial_seed"),
+        ],
+        ids=["make_shape_corpus", "make_shape_cloud", "add_noise", "make_partial", "sample_rigid_transform"],
+    )
+    def test_refused_by_name(self, call, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be non-negative, got -1")):
+            call()
 
 
 class TestAddNoise:

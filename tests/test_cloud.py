@@ -1,5 +1,7 @@
 """Point cloud data model, file IO, normalization, sampling, transforms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from rpointhop import (
     save_cloud,
     save_transform,
 )
-from rpointhop.cloud import detect_format, sample_indices
+from rpointhop.cloud import detect_format, sample_indices, seeded_rng
 
 from conftest import random_rotation
 
@@ -576,6 +578,18 @@ class TestRandomSample:
             sample_indices(4, 5, seed=0)
         with pytest.raises(ValueError, match="out of range"):
             sample_indices(4, 0, seed=0)
+
+    def test_negative_seed_is_refused_by_name(self):
+        # PCG64's own refusal names no argument
+        with pytest.raises(ValueError, match=re.escape("seed must be non-negative, got -1")):
+            sample_indices(10, 5, -1)
+        with pytest.raises(ValueError, match=re.escape("trial_seed must be non-negative, got -2")):
+            seeded_rng(-2, "trial_seed")
+
+    def test_seeded_rng_is_the_pcg64_stream(self):
+        for seed in (0, 7, 2**63 - 1):
+            want = np.random.Generator(np.random.PCG64(seed)).integers(2**63, size=4)
+            assert np.array_equal(seeded_rng(seed).integers(2**63, size=4), want)
 
 
 # ---------------------------------------------------------------------------

@@ -503,6 +503,62 @@ class TestTrain:
         assert [len(r) for _, r in sorted(refs.items())] == [n, n]
         assert all(r() is None for hop in refs.values() for r in hop)
 
+    @pytest.mark.parametrize("hops", [TINY_CONFIG.hops, TINY_CONFIG.hops[:1]], ids=["two_hop", "one_hop"])
+    def test_hop1_fit_reads_the_pool_the_plan_applies_read(self, tiny_corpus, hops, monkeypatch):
+        # the lanes write each cloud's hop-1 attributes into its rows of one
+        # corpus pool; hop 1's fit reads that pool, not a stacked copy, each
+        # cloud's hop-1 plan apply reads its rows in place, and the pool is
+        # gone before hop 2's inputs are built
+        start, hop_inputs, apply = pipeline._start_runs, pipeline._HopRun.hop_inputs, HopPlan.apply
+        fit, fit_channels = pipeline.saab_fit, pipeline._fit_channels
+        runs, attrs, pools, shared, gone, channel_inputs = [], {}, [], [], [], []
+
+        def starting(*args, **kwargs):
+            runs.extend(start(*args, **kwargs))
+            return runs
+
+        def recording(run, h):
+            x, neighbors = hop_inputs(run, h)
+            if h == 0:
+                attrs[runs.index(run)] = x[:, :, 0].copy()
+            else:
+                gone.append(pools[0][0]() is None)
+            return x, neighbors
+
+        def fitting(samples):
+            if samples.shape[1] == 24:
+                pools.append((weakref.ref(samples), samples.copy()))
+            return fit(samples)
+
+        def applying(plan, x):
+            if x.shape[1] == 24:
+                shared.append(np.shares_memory(pools[0][0](), x))
+            return apply(plan, x)
+
+        def fitting_channels(inputs, channels):
+            channel_inputs.extend(inputs)
+            return fit_channels(inputs, channels)
+
+        monkeypatch.setattr(pipeline, "_start_runs", starting)
+        monkeypatch.setattr(pipeline._HopRun, "hop_inputs", recording)
+        monkeypatch.setattr(pipeline, "saab_fit", fitting)
+        monkeypatch.setattr(HopPlan, "apply", applying)
+        monkeypatch.setattr(pipeline, "_fit_channels", fitting_channels)
+        train(tiny_corpus, ModelConfig(hops=hops, k_lrf=TINY_CONFIG.k_lrf))
+
+        n, rows = len(tiny_corpus), hops[0].num_points
+        ((_, pool),) = pools
+        assert pool.shape == (n * rows, 24)
+        assert sorted(attrs) == list(range(n))
+        for i, x in attrs.items():  # corpus order
+            assert np.array_equal(pool[i * rows : (i + 1) * rows], x), i
+        two_hop = len(hops) > 1
+        assert shared == [True] * (n if two_hop else 0)
+        assert gone == [True] * (n if two_hop else 0)
+        # only the later hops' octant operators are pooled channel by channel
+        assert bool(channel_inputs) == two_hop
+        assert all(isinstance(x, _OctantMeans) for x in channel_inputs)
+
     def test_layers_fit_corpus_pooled_inputs(self, tiny_model, tiny_corpus):
         # replay train's runs with its forward plans, which carry every
         # survivor, and dense inputs: each hop's layer below parent c is the
@@ -830,6 +886,13 @@ class TestExtractFeatures:
         assert np.array_equal(fs.coords, cloud.coords[fs.point_indices])
         assert fs.sign_margins.shape == (128,)
         assert fs.eigen_gaps.shape == (128,)
+
+    def test_negative_seed_is_refused_by_name(self, tiny_model, tiny_corpus):
+        cloud = tiny_corpus[0]
+        with pytest.raises(ValueError, match=re.escape("seed must be non-negative, got -1")):
+            extract_features(tiny_model, cloud, seed=-1)
+        with pytest.raises(ValueError, match=re.escape("seed must be non-negative, got -1")):
+            extract_pair(tiny_model, cloud, cloud, -1)
 
     def test_neighbor_table_is_final_hop_neighborhood(self, tiny_model, tiny_corpus):
         fs = extract_features(tiny_model, tiny_corpus[0], seed=3)
@@ -1296,6 +1359,50 @@ class TestConfigText:
     def test_bad_number_names_line_and_key(self, text, where):
         with pytest.raises(ValueError, match=re.escape(where)):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("k_lrf = 2\n", "config line 1: k_lrf must be >= 3"),
+            ("seed = 1\nnum_points = 64\nk_neighbors = 7\n", "config line 3: k_neighbors must be >= 8"),
+            ("num_points = 0\nk_neighbors = 8\n", "config line 1: num_points must be positive"),
+            (
+                "num_points = 64\n# wider than the hop\nk_neighbors = 70\n",
+                "config lines 1 and 3: k_neighbors cannot exceed num_points at that hop",
+            ),
+            (
+                "k_neighbors = 16\nk_lrf = 100\nnum_points = 64\n",
+                "config lines 2 and 3: k_lrf cannot exceed the hop-1 point budget",
+            ),
+            # the default k_lrf of 64 is set by no line
+            ("num_points = 32\nk_neighbors = 16\n", "config line 1: k_lrf cannot exceed the hop-1 point budget"),
+            ("num_points = 64 128\nk_neighbors = 16 16\n", "config line 1: hop point budgets must be non-increasing"),
+            ("seed = 0\nenergy_threshold = -0.5\n", "config line 2: energy_threshold must be finite and non-negative"),
+            ("num_points =\nk_neighbors =\n", "config lines 1 and 2: at least one hop is required"),
+        ],
+        ids=[
+            "k_lrf", "k_neighbors", "num_points", "k_neighbors_over_num_points", "k_lrf_over_budget",
+            "default_k_lrf_over_budget", "budgets_increase", "energy_threshold", "no_hop",
+        ],
+    )
+    def test_range_error_names_its_keys_lines(self, text, where):
+        with pytest.raises(ValueError, match=re.escape(where)):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: HopConfig(64, 7), "k_neighbors must be >= 8 (one point per octant on average)"),
+            (lambda: HopConfig(8, 9), "k_neighbors cannot exceed num_points at that hop"),
+            (lambda: ModelConfig(k_lrf=2), "k_lrf must be >= 3"),
+            (lambda: ModelConfig(hops=(HopConfig(32, 8),), k_lrf=33), "k_lrf cannot exceed the hop-1 point budget"),
+        ],
+        ids=["k_neighbors", "k_neighbors_over_num_points", "k_lrf", "k_lrf_over_budget"],
+    )
+    def test_refusals_built_by_hand_name_no_line(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_empty_text_gives_defaults(self):
         assert parse_config("") == ModelConfig()

@@ -1,5 +1,7 @@
 """Correspondence selection, rigid estimation, RANSAC, ICP, registration."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -741,6 +743,11 @@ class TestRegister:
         tf, _, report = register(tiny_model, source, target, SMALL_MATCH, seed=3, icp=True)
         assert report["icp_iterations"] >= 1
         assert np.abs(rotation_error(tf.rotation, tf_gt.rotation)).max() < 1e-5
+
+    def test_negative_seed_is_refused_by_name(self, tiny_model, tiny_corpus):
+        cloud = tiny_corpus[4]
+        with pytest.raises(ValueError, match=re.escape("seed must be non-negative, got -1")):
+            register(tiny_model, cloud, cloud, SMALL_MATCH, seed=-1)
 
     def test_deterministic(self, tiny_model, tiny_corpus):
         rng = np.random.default_rng(16)
