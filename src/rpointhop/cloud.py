@@ -7,7 +7,10 @@ Conventions used throughout the package:
 * all stochastic operations take an explicit non-negative integer seed
   and draw from numpy's PCG64 generator (:func:`seeded_rng`), which is
   seedable and platform-stable. The PCG64 stream is part of the external
-  contract: the same seed yields the same sample on any platform.
+  contract: the same seed yields the same sample on any platform;
+* text inputs skip blank lines and ``#`` comments but count them, so an
+  error names the line as the file numbers it (:func:`_content_lines`);
+  PLY's header comments are the keywords ``comment`` and ``obj_info``.
 """
 
 from __future__ import annotations
@@ -123,13 +126,14 @@ def _parse_count(token: str, lowest: int, what: str, lineno: int, path: str) -> 
     return count
 
 
+def _content_lines(lines: list[str]) -> list[tuple[int, str]]:
+    """Each line that is neither blank nor a ``#`` comment, stripped, with
+    its 1-based number."""
+    return [(n, text) for n, text in enumerate(map(str.strip, lines), start=1) if text and text[0] != "#"]
+
+
 def _load_off(lines: list[str], path: str) -> PointCloud:
-    # significant (non-blank, non-comment) lines with their 1-based numbers
-    sig = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(lines)
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    sig = _content_lines(lines)
     if not sig:
         raise CloudParseError(f"{path}: line 1: empty OFF file")
     lineno, header = sig[0]
@@ -170,22 +174,19 @@ def _load_off(lines: list[str], path: str) -> PointCloud:
 def _load_xyz(lines: list[str], path: str) -> PointCloud:
     rows: list[list[float]] = []
     width: int | None = None
-    for i, ln in enumerate(lines):
-        text = ln.strip()
-        if not text or text.startswith("#"):
-            continue
+    for lineno, text in _content_lines(lines):
         toks = text.split()
         if len(toks) < 3:
-            raise CloudParseError(f"{path}: line {i + 1}: row needs at least 3 columns")
+            raise CloudParseError(f"{path}: line {lineno}: row needs at least 3 columns")
         if width is None:
             width = len(toks)
         elif len(toks) != width:
             raise CloudParseError(
-                f"{path}: line {i + 1}: inconsistent column count "
+                f"{path}: line {lineno}: inconsistent column count "
                 f"({len(toks)} vs {width})"
             )
         # columns past the third are not read, so they need not be numbers
-        rows.append(_finite(_parse_floats(toks[:3], i + 1, path), "x, y and z", i + 1, path))
+        rows.append(_finite(_parse_floats(toks[:3], lineno, path), "x, y and z", lineno, path))
     if not rows:
         raise CloudParseError(f"{path}: line 1: no data rows")
     return PointCloud(np.asarray(rows, dtype=np.float64))
@@ -267,8 +268,9 @@ def load_cloud(path: str | Path) -> PointCloud:
 
     The format comes from the file extension. Only coordinates are read:
     XYZ columns past the third and PLY vertex properties other than x, y
-    and z (normals, colors) are ignored. Parse failures, non-finite x, y or
-    z included, raise :class:`CloudParseError` naming the offending line.
+    and z (normals, colors) are ignored. Comments (see the module docstring)
+    are skipped but counted, so parse failures, non-finite x, y or z
+    included, raise :class:`CloudParseError` naming the offending line.
     """
     fmt = detect_format(path)
     lines = Path(path).read_text().splitlines()
@@ -296,41 +298,39 @@ def save_cloud(cloud: PointCloud, path: str | Path) -> None:
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def save_transform(tf: RigidTransform, path: str | Path) -> None:
-    """Write a transform as text: ``rotation`` (9 row-major numbers) and
-    ``translation`` (3 numbers), 17 significant digits."""
-    lines = [
-        "rotation " + " ".join(f"{v:.17g}" for v in tf.rotation.ravel()),
-        "translation " + " ".join(f"{v:.17g}" for v in tf.translation),
+_TRANSFORM_SIZES = {"rotation": 9, "translation": 3}
+
+
+def _transform_lines(rotation: np.ndarray, translation: np.ndarray) -> list[str]:
+    """The ``rotation`` (9 row-major numbers) and ``translation`` (3 numbers)
+    lines of a transform file, 17 significant digits."""
+    return [
+        f"{key} " + " ".join(f"{v:.17g}" for v in np.ravel(values))
+        for key, values in zip(_TRANSFORM_SIZES, (rotation, translation))
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def save_transform(tf: RigidTransform, path: str | Path) -> None:
+    """Write a transform as text: its :func:`_transform_lines`."""
+    Path(path).write_text("\n".join(_transform_lines(tf.rotation, tf.translation)) + "\n")
 
 
 def load_transform(path: str | Path) -> RigidTransform:
-    """Read a transform file written by :func:`save_transform`. Comment
-    lines (``#``) and unknown keys are ignored. A missing key, a wrong count
-    or a non-numeric or non-finite number raises :class:`CloudParseError`
-    naming the line."""
-    rotation = None
-    translation = None
-    for i, ln in enumerate(Path(path).read_text().splitlines()):
-        text = ln.strip()
-        if not text or text.startswith("#"):
-            continue
-        toks = text.split()
-        if toks[0] == "rotation":
-            vals = _parse_floats(toks[1:], i + 1, str(path))
-            if len(vals) != 9:
-                raise CloudParseError(f"{path}: line {i + 1}: rotation needs 9 numbers")
-            rotation = np.asarray(_finite(vals, "rotation", i + 1, str(path))).reshape(3, 3)
-        elif toks[0] == "translation":
-            vals = _parse_floats(toks[1:], i + 1, str(path))
-            if len(vals) != 3:
-                raise CloudParseError(f"{path}: line {i + 1}: translation needs 3 numbers")
-            translation = np.asarray(_finite(vals, "translation", i + 1, str(path)))
-    if rotation is None or translation is None:
+    """Read a transform file written by :func:`save_transform`. Comments
+    and unknown keys are skipped, and a key's last line counts. A missing
+    key, a wrong count or a non-numeric or non-finite number raises
+    :class:`CloudParseError` naming the line."""
+    found: dict[str, list[float]] = {}
+    for lineno, text in _content_lines(Path(path).read_text().splitlines()):
+        key, *toks = text.split()
+        if key in _TRANSFORM_SIZES:
+            vals = _parse_floats(toks, lineno, str(path))
+            if len(vals) != _TRANSFORM_SIZES[key]:
+                raise CloudParseError(f"{path}: line {lineno}: {key} needs {_TRANSFORM_SIZES[key]} numbers")
+            found[key] = _finite(vals, key, lineno, str(path))
+    if len(found) < len(_TRANSFORM_SIZES):
         raise CloudParseError(f"{path}: line 1: missing rotation or translation key")
-    return RigidTransform(rotation, translation)
+    return RigidTransform(np.reshape(found["rotation"], (3, 3)), found["translation"])
 
 
 # ---------------------------------------------------------------------------

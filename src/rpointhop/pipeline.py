@@ -74,7 +74,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.sparse import csr_array
 
-from .cloud import PointCloud, normalize_unit_sphere, sample_indices, seeded_rng
+from .cloud import PointCloud, _content_lines, normalize_unit_sphere, sample_indices, seeded_rng
 from .lrf import local_pca_batch, resolve_signs_batch
 from .saab import (
     STATUS_DISCARDED,
@@ -820,18 +820,32 @@ def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
 
 
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(value, kind: type):
+    """A model header field of JSON type ``kind``. Counts, ids and the seed
+    are integers, other values numbers (an integer is a number too), and
+    statuses strings; a boolean is none of them."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise TypeError(f"expected {_JSON_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
 def _read_layer(fh, input_dim, n_ac, bias) -> SaabLayer:
-    n, n_ac = int(input_dim), int(n_ac)
+    n, n_ac = _typed(input_dim, int), _typed(n_ac, int)
     dc = _read_array(fh, (n,))
     ac = _read_array(fh, (n_ac, n))
     energies = _read_array(fh, (1 + n_ac,))
-    return SaabLayer(dc_filter=dc, ac_filters=ac, bias=float(bias), energies=energies)
+    return SaabLayer(dc_filter=dc, ac_filters=ac, bias=_typed(bias, float), energies=energies)
 
 
 def load_model(path) -> RPointHopModel:
     """Read a model file written by :func:`save_model`. Rejects unknown
-    versions, truncated or corrupt files, and files whose stored tree
-    differs from the one the model derives from its layers."""
+    versions, truncated or corrupt files, header fields of the wrong JSON
+    type (:func:`_typed`), and files whose stored tree differs from the one
+    the model derives from its layers."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != MODEL_MAGIC:
@@ -847,19 +861,22 @@ def load_model(path) -> RPointHopModel:
         try:
             cfg = header["config"]
             config = ModelConfig(
-                k_lrf=int(cfg["k_lrf"]),
-                hops=tuple(HopConfig(int(np_), int(k)) for np_, k in cfg["hops"]),
-                energy_threshold=float(cfg["energy_threshold"]),
-                seed=int(cfg["seed"]),
+                k_lrf=_typed(cfg["k_lrf"], int),
+                hops=tuple(HopConfig(_typed(np_, int), _typed(k, int)) for np_, k in cfg["hops"]),
+                energy_threshold=_typed(cfg["energy_threshold"], float),
+                seed=_typed(cfg["seed"], int),
             )
             stored_tree = [
-                [int(hop), int(parent), int(channel), float(fraction), float(cumulative), str(status)]
+                [
+                    _typed(hop, int), _typed(parent, int), _typed(channel, int),
+                    _typed(fraction, float), _typed(cumulative, float), _typed(status, str),
+                ]
                 for hop, parent, channel, fraction, cumulative, status in header["tree"]
             ]
             hop1 = header["hop1"]
             hop1_layer = _read_layer(fh, hop1["input_dim"], hop1["n_ac"], hop1["bias"])
             later = [
-                {int(pid): _read_layer(fh, input_dim, n_ac, bias) for pid, input_dim, n_ac, bias in hop_meta}
+                {_typed(pid, int): _read_layer(fh, input_dim, n_ac, bias) for pid, input_dim, n_ac, bias in hop_meta}
                 for hop_meta in header["later"]
             ]
         except ModelFormatError:
@@ -898,18 +915,16 @@ def parse_config(text: str) -> ModelConfig:
     """Parse the flat ``key = value`` config format.
 
     ``num_points`` and ``k_neighbors`` take one integer per hop (whitespace
-    or comma separated) and must have equal lengths; the remaining keys are
-    scalars. Unknown keys, keys set twice and values that do not parse are
-    errors naming the line. So are the refusals of :class:`HopConfig` and
-    :class:`ModelConfig`, which name the line of each key they concern that
-    the text sets: ``config lines 2 and 3: k_neighbors cannot exceed
+    or comma separated) and must be given together, with equal lengths; the
+    remaining keys are scalars. Comment lines count toward line numbers.
+    Unknown keys, keys set twice and values that do not parse are errors
+    naming the line. So are pairing refusals and those of :class:`HopConfig`
+    and :class:`ModelConfig`, which name the line of each key they concern
+    that the text sets: ``config lines 2 and 3: k_neighbors cannot exceed
     num_points at that hop``.
     """
     values: dict[str, tuple[int, str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in _content_lines(text.splitlines()):
         if "=" not in stripped:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, _, val = stripped.partition("=")
@@ -928,22 +943,22 @@ def parse_config(text: str) -> ModelConfig:
         except ValueError:
             raise ValueError(f"config line {lineno}: {key} expects {expected}, got {val!r}") from None
 
-    if ("num_points" in values) != ("k_neighbors" in values):
-        raise ValueError("num_points and k_neighbors must be given together")
+    pair = ("num_points", "k_neighbors")
     kwargs: dict = {}
-    if "num_points" in values:
-        pts = parsed("num_points", _parse_ints, "one integer per hop")
-        ks = parsed("k_neighbors", _parse_ints, "one integer per hop")
-        if len(pts) != len(ks):
-            raise ValueError("num_points and k_neighbors must have one entry per hop")
-    for key, parse, expected in (
-        ("k_lrf", int, "an integer"),
-        ("energy_threshold", float, "a number"),
-        ("seed", int, "an integer"),
-    ):
-        if key in values:
-            kwargs[key] = parsed(key, parse, expected)
     try:
+        if (pair[0] in values) != (pair[1] in values):
+            raise _ConfigRefusal("num_points and k_neighbors must be given together", *pair)
+        if "num_points" in values:
+            pts, ks = (parsed(key, _parse_ints, "one integer per hop") for key in pair)
+            if len(pts) != len(ks):
+                raise _ConfigRefusal("num_points and k_neighbors must have one entry per hop", *pair)
+        for key, parse, expected in (
+            ("k_lrf", int, "an integer"),
+            ("energy_threshold", float, "a number"),
+            ("seed", int, "an integer"),
+        ):
+            if key in values:
+                kwargs[key] = parsed(key, parse, expected)
         if "num_points" in values:
             kwargs["hops"] = tuple(HopConfig(p, k) for p, k in zip(pts, ks))
         return ModelConfig(**kwargs)

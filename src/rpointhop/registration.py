@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cloud import PointCloud, RigidTransform, align_inverse, seeded_rng
+from .cloud import PointCloud, RigidTransform, _transform_lines, align_inverse, seeded_rng
 from .pipeline import (
     FeatureSet,
     RPointHopModel,
@@ -442,13 +442,13 @@ def register(
 def format_report(report: dict) -> str:
     """Render a register() report as a transform file with extra keys.
 
-    The output is loadable by :func:`rpointhop.cloud.load_transform`
-    (it ignores comments and unknown keys).
+    Its rotation and translation lines are a transform file's own
+    (:func:`rpointhop.cloud._transform_lines`), so the output is loadable
+    by :func:`rpointhop.cloud.load_transform`, which skips the rest.
     """
     lines = [
         f"# {report['convention']}",
-        "rotation " + " ".join(f"{v:.17g}" for v in np.asarray(report["rotation"]).ravel()),
-        "translation " + " ".join(f"{v:.17g}" for v in np.asarray(report["translation"])),
+        *_transform_lines(report["rotation"], report["translation"]),
         "euler_deg " + " ".join(f"{v:.17g}" for v in np.asarray(report["euler_deg"])),
         f"gimbal_lock {int(bool(report['gimbal_lock']))}",
         f"candidate_pairs {report['candidate_pairs']}",

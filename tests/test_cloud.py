@@ -16,6 +16,7 @@ from rpointhop import (
     load_cloud,
     load_transform,
     normalize_unit_sphere,
+    parse_config,
     save_cloud,
     save_transform,
 )
@@ -492,6 +493,43 @@ class TestTransformFile:
         path.write_text("rotation 1 0 0 0 1 0 0 0 1\n")
         with pytest.raises(CloudParseError, match="missing"):
             load_transform(path)
+
+
+class TestCommentLines:
+    # blank, whitespace-only, comment and indented comment lines
+    FILLER = ["", "   ", "# a comment", "   # an indented comment", "\t"]
+
+    @staticmethod
+    def _read(reader, text, tmp_path):
+        """What ``reader`` reads from ``text``, as plain comparable values."""
+        if reader == "config":
+            return parse_config(text)
+        path = tmp_path / f"input.{reader}"
+        path.write_text(text)
+        if reader == "transform":
+            tf = load_transform(path)
+            return tf.rotation.tolist(), tf.translation.tolist()
+        return load_cloud(path).coords.tolist()
+
+    @pytest.mark.parametrize(
+        "reader, good, bad, message",
+        [
+            ("off", ["OFF", "2 0 0", "1 2 3", "4 5 6"], "4 5 x", "non-numeric token"),
+            ("xyz", ["1 2 3", "4 5 6"], "4 5 x", "non-numeric token"),
+            ("transform", ["rotation 0 -1 0 1 0 0 0 0 1", "translation 1 2 3"], "translation 1 2", "translation needs 3"),
+            ("config", ["k_lrf = 12", "seed = 3"], "seed = x", "seed expects an integer"),
+        ],
+    )
+    def test_skipped_but_counted(self, tmp_path, reader, good, bad, message):
+        # every text reader but PLY's shares one comment rule: such lines
+        # are skipped, yet count toward the line an error names
+        def filled(lines):
+            return "".join(f"{line}\n" for content in lines for line in [*self.FILLER, content])
+
+        assert self._read(reader, filled(good), tmp_path) == self._read(reader, "\n".join(good), tmp_path)
+        lineno = (len(self.FILLER) + 1) * len(good)
+        with pytest.raises(ValueError, match=f"line {lineno}: {message}"):
+            self._read(reader, filled(good[:-1] + [bad]), tmp_path)
 
 
 # ---------------------------------------------------------------------------

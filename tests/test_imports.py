@@ -1,9 +1,11 @@
-"""Every name a program module imports is used there.
+"""Every name a program module imports is used there, and every underscore
+name it imports from another module of the package is listed here.
 
 No linter is part of the toolchain, so this walks each module's syntax
-tree with the standard library. A name is exempt when the module's
-``__all__`` lists it, when its import line carries ``# noqa: F401``, or when
-it is ``from __future__ import annotations``.
+tree with the standard library. A name is exempt from the first check
+when the module's ``__all__`` lists it, when its import line carries
+``# noqa: F401``, or when it is ``from __future__ import annotations``. The
+second keeps a module's private decisions from leaking out of it unnoticed.
 """
 
 import ast
@@ -13,6 +15,14 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rpointhop"
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+# (importing module, home module, name): the private names that a module
+# of the package may import from another one
+PRIVATE_IMPORTS = {
+    ("pipeline", "cloud", "_content_lines"),
+    ("registration", "cloud", "_transform_lines"),
+    ("registration", "pipeline", "_two_lanes"),
+}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -56,3 +66,43 @@ def test_checker_flags_and_exempts():
         "print(sys.argv)\n"
     )
     assert _unused_imports(source) == ["line 2: os", "line 4: tau"]
+
+
+def _private_imports(source: str, module: str) -> list[tuple[str, str, str]]:
+    """(module, home module, name) for each underscore name that ``source``
+    imports from a module of the package, relatively or as ``rpointhop.…``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("rpointhop")):
+            home = (node.module or "").rpartition(".")[2]
+            found += [(module, home, alias.name) for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_private_imports_are_listed(path):
+    assert set(_private_imports(path.read_text(), path.stem)) <= PRIVATE_IMPORTS
+
+
+def test_listed_private_imports_are_made():
+    # a listed import that no module makes any more leaves the list
+    made = {entry for path in MODULES for entry in _private_imports(path.read_text(), path.stem)}
+    assert made == PRIVATE_IMPORTS
+
+
+def test_private_import_checker_flags_and_exempts():
+    source = (
+        "from __future__ import annotations\n"
+        "from numpy import _globals\n"
+        "from .pipeline import _two_lanes, extract_pair\n"
+        "from .cloud import _secret as hidden\n"
+        "from rpointhop.saab import _live\n"
+        "from . import spatial\n"
+    )
+    found = _private_imports(source, "registration")
+    assert found == [
+        ("registration", "pipeline", "_two_lanes"),
+        ("registration", "cloud", "_secret"),
+        ("registration", "saab", "_live"),
+    ]
+    assert set(found) - PRIVATE_IMPORTS == {("registration", "cloud", "_secret"), ("registration", "saab", "_live")}

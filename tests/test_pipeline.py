@@ -1199,7 +1199,7 @@ class TestModelFile:
             (("config", "k_lrf"), 2, "k_lrf must be >= 3"),
             (("config", "hops", 0, 1), 7, "k_neighbors must be >= 8"),
             (("tree", 0), [0, -1, 0, 1.0, 1.0], "not enough values to unpack"),
-            (("config", "seed"), "zero", "invalid literal for int"),
+            (("config", "seed"), "zero", "expected an integer"),
             (("config", "energy_threshold"), float("nan"), "energy_threshold must be finite"),
             # a discarded final-hop node turned output, and a cumulative energy
             (("tree", -1, 5), "output", "stored tree differs from the layers' tree at node 216"),
@@ -1207,12 +1207,25 @@ class TestModelFile:
             # the last layer's last energy
             (("arrays", -1), -0.5, "negative energy fraction under node"),
             (("config", "seed"), -1, "seed must be non-negative, got -1"),
+            # fields of the wrong JSON type: int() or float() would coerce each
+            (("config", "hops", 0, 0), 192.9, "expected an integer, got 192.9"),
+            (("config", "hops", 0, 0), "192", "expected an integer, got '192'"),
+            (("config", "k_lrf"), 24.7, "expected an integer, got 24.7"),
+            (("config", "seed"), True, "expected an integer, got True"),
+            (("config", "energy_threshold"), "0.001", "expected a number, got '0.001'"),
+            (("hop1", "n_ac"), 23.0, "expected an integer, got 23.0"),
+            (("hop1", "input_dim"), "24", "expected an integer, got '24'"),
+            (("hop1", "bias"), "1.17", "expected a number, got '1.17'"),
+            (("later", 0, 0, 0), 1.0, "expected an integer, got 1.0"),
+            (("tree", 1, 0), 1.0, "expected an integer, got 1.0"),
+            (("tree", 1, 5), 0, "expected a string, got 0"),
         ],
     )
     def test_invalid_header_field(self, tiny_model, tmp_path, keys, value, message):
-        # each edit fails config validation, unpacking, int(), the model's
-        # tree derivation or the check of the stored tree against it inside
-        # load_model; keys under "arrays" index the floats after the header
+        # each edit fails config validation, unpacking, a field's JSON type,
+        # the model's tree derivation or the check of the stored tree
+        # against it inside load_model; keys under "arrays" index the floats
+        # after the header
         path = tmp_path / "m.rph"
         save_model(tiny_model, path)
         raw = path.read_bytes()
@@ -1340,10 +1353,13 @@ class TestConfigText:
             parse_config("k_lrf 8\n")
 
     def test_points_and_neighbors_must_pair(self):
-        with pytest.raises(ValueError, match="together"):
+        # pairing refusals name their keys' lines, as range refusals do
+        with pytest.raises(ValueError) as info:
             parse_config("num_points = 128 64\n")
-        with pytest.raises(ValueError, match="one entry per hop"):
+        assert str(info.value) == "config line 1: num_points and k_neighbors must be given together"
+        with pytest.raises(ValueError) as info:
             parse_config("num_points = 128 64\nk_neighbors = 16\n")
+        assert str(info.value) == "config lines 1 and 2: num_points and k_neighbors must have one entry per hop"
 
     @pytest.mark.parametrize(
         "text, where",

@@ -25,6 +25,7 @@ from rpointhop import (
     ransac_estimate,
     register,
     rotation_error,
+    save_transform,
     translation_error,
 )
 from rpointhop.bench import add_noise, make_partial, make_shape_cloud
@@ -814,6 +815,47 @@ class TestRegister:
         back = load_transform(path)
         assert np.abs(back.rotation - tf.rotation).max() < 1e-15
         assert np.abs(back.translation - tf.translation).max() < 1e-15
+
+    FIXED_REPORT = {
+        "convention": "transform maps target onto source: p_source ~ R @ p_target + t",
+        "rotation": np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]]),
+        "translation": np.array([0.1, -2.5, 3e-7]),
+        "euler_deg": np.array([0.0, -0.0, 53.13010235415598]),
+        "gimbal_lock": False,
+        "candidate_pairs": 384,
+        "matched_pairs": 128,
+        "inlier_pairs": 97,
+        "mean_residual": 0.0123,
+        "used_ransac": True,
+        "used_ratio_test": False,
+        "icp_iterations": 7,
+        "runtime_s": 0.25,
+    }
+
+    def test_format_report_fixed_text(self):
+        assert format_report(self.FIXED_REPORT) == (
+            "# transform maps target onto source: p_source ~ R @ p_target + t\n"
+            "rotation 0.59999999999999998 -0.80000000000000004 0 0.80000000000000004 0.59999999999999998 0 0 0 1\n"
+            "translation 0.10000000000000001 -2.5 2.9999999999999999e-07\n"
+            "euler_deg 0 -0 53.13010235415598\n"
+            "gimbal_lock 0\n"
+            "candidate_pairs 384\n"
+            "matched_pairs 128\n"
+            "mean_residual 0.0123\n"
+            "used_ransac 1\n"
+            "used_ratio_test 0\n"
+            "icp_iterations 7\n"
+            "runtime_s 0.250000\n"
+        )
+
+    def test_format_report_transform_lines_are_a_transform_file(self, tmp_path):
+        # the report's rotation and translation lines are save_transform's
+        # bytes, so a report loads as a transform by construction
+        tf = RigidTransform(self.FIXED_REPORT["rotation"], self.FIXED_REPORT["translation"])
+        path = tmp_path / "tf.txt"
+        save_transform(tf, path)
+        lines = format_report({**self.FIXED_REPORT, "rotation": tf.rotation, "translation": tf.translation})
+        assert "".join(lines.splitlines(keepends=True)[1:3]).encode() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
