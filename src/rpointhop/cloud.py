@@ -317,20 +317,23 @@ def save_transform(tf: RigidTransform, path: str | Path) -> None:
 
 def load_transform(path: str | Path) -> RigidTransform:
     """Read a transform file written by :func:`save_transform`. Comments
-    and unknown keys are skipped, and a key's last line counts. A missing
-    key, a wrong count or a non-numeric or non-finite number raises
-    :class:`CloudParseError` naming the line."""
-    found: dict[str, list[float]] = {}
+    and unknown keys are skipped. A missing key, a key set twice, a wrong
+    count or a non-numeric or non-finite number raises
+    :class:`CloudParseError` naming the key or the lines."""
+    found: dict[str, tuple[int, list[float]]] = {}
     for lineno, text in _content_lines(Path(path).read_text().splitlines()):
         key, *toks = text.split()
+        if key in found:
+            raise CloudParseError(f"{path}: line {lineno}: duplicate key {key!r} (first set on line {found[key][0]})")
         if key in _TRANSFORM_SIZES:
             vals = _parse_floats(toks, lineno, str(path))
             if len(vals) != _TRANSFORM_SIZES[key]:
                 raise CloudParseError(f"{path}: line {lineno}: {key} needs {_TRANSFORM_SIZES[key]} numbers")
-            found[key] = _finite(vals, key, lineno, str(path))
-    if len(found) < len(_TRANSFORM_SIZES):
-        raise CloudParseError(f"{path}: line 1: missing rotation or translation key")
-    return RigidTransform(np.reshape(found["rotation"], (3, 3)), found["translation"])
+            found[key] = (lineno, _finite(vals, key, lineno, str(path)))
+    missing = [key for key in _TRANSFORM_SIZES if key not in found]
+    if missing:
+        raise CloudParseError(f"{path}: missing key {' and '.join(map(repr, missing))}")
+    return RigidTransform(np.reshape(found["rotation"][1], (3, 3)), found["translation"][1])
 
 
 # ---------------------------------------------------------------------------

@@ -13,20 +13,14 @@ Training (unsupervised, one pass per hop):
    nearest neighbors into its sign-resolved frame, split them into the 8
    octants (fixed order +++ , ++- , +-+ , +-- , -++ , -+- , --+ , ---,
    where "+" means coordinate >= 0), and concatenate the per-octant mean
-   projected coordinates; empty octants contribute zeros. Training writes
-   every cloud's attributes into its rows of one corpus pool, which the
-   joint Saab transform is fit on and each cloud's plan apply reads in
-   place; the pool goes once those applies have built hop 2's values.
+   projected coordinates; empty octants contribute zeros.
 3. Hops 2..H first shrink the working cloud by farthest point sampling,
    then build an 8-wide attribute per point and surviving channel: the
    per-octant means of the neighbors' channel value. Each channel is fit
-   with its own Saab transform (channel-wise), pooled over the corpus.
-   Training holds each cloud's means as the octant-sum operator and the
-   values it averages, and builds each channel's corpus pool from these
-   operators just before its fit, a block of channels at a time, so dense
-   inputs exist only for one block's pools or one cloud's plan apply per
-   lane. A cloud's inputs go as soon as its plan apply has built its next
-   hop's values. Sampling runs once per cloud, and the hop-1 working cloud is
+   with its own Saab transform (channel-wise). Training holds each cloud's
+   means as the octant-sum operator and the values it averages, and drops
+   them once the cloud's plan apply has built its next hop's values.
+   Sampling runs once per cloud, and the hop-1 working cloud is
    stored in farthest point order, so hop h's points are its first n_h
    rows: exactly what sampling each hop from the previous one gives.
 4. Channel energies multiply down a :class:`~rpointhop.saab.FeatureTree`;
@@ -38,10 +32,10 @@ Training (unsupervised, one pass per hop):
    rejected.
 
 Hop 1 is the one-channel case of steps 3-4, with the tree's root as its
-only parent, so every hop is pruned the same way and frozen into the same
-:class:`~rpointhop.saab.HopPlan`. Only its pool differs: its inputs are
-dense and small, so they are pooled once, in place, rather than built
-channel block by channel block from operators.
+only parent, so every hop is fit, pruned and frozen into a
+:class:`~rpointhop.saab.HopPlan` the same way. A fit reads the corpus only
+as per-channel :class:`~rpointhop.saab.SampleMoments`: each lane reduces
+one cloud's inputs (:func:`_moments`), merged then in corpus order.
 
 Extraction runs the same geometry with the frozen plans and returns
 one feature row per final-hop point. Hop h + 1 keeps the first n_{h+1}
@@ -68,6 +62,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
 
@@ -81,6 +76,7 @@ from .saab import (
     FeatureTree,
     HopPlan,
     SaabLayer,
+    SampleMoments,
     freeze_hop,
     propagate_energy,
     saab_apply,  # noqa: F401 - not called here; perfbench/spans.py traces it by this module path
@@ -333,9 +329,9 @@ class _OctantMeans:
     starts each output row at 0 and adds the row's stored entries in stored
     order, and 1·v is exact. The weights are stored as int8; scipy computes
     the product in float64 all the same. Nothing may re-sort the entries by
-    column, hence ``has_sorted_indices``. Each output column depends on its
-    own value column alone, so :meth:`dense` of a row prefix and a channel
-    block gives the same bits as that part of the whole.
+    column, hence ``has_sorted_indices``. Each output row depends on its own
+    stored entries alone, so :meth:`dense` of a row prefix gives the same
+    bits as that part of the whole.
 
     Held this way a later hop's inputs cost the values they average plus 9
     bytes per neighbor (an int8 weight and an int64 column index) and 128
@@ -365,14 +361,13 @@ class _OctantMeans:
     def __len__(self) -> int:
         return len(self.divisor) // 8
 
-    def dense(self, rows: int | None = None, channels: slice = slice(None)) -> np.ndarray:
-        """The (rows, 8, c) means of the first ``rows`` points (all when
-        None) and the value columns ``channels``."""
+    def dense(self, rows: int | None = None) -> np.ndarray:
+        """The (rows, 8, C) means of the first ``rows`` points (all when None)."""
         a = self.sums
         if rows is not None and rows < len(self):
             end = a.indptr[8 * rows]
             a = self._operator(a.data[:end], a.indices[:end], a.indptr[: 8 * rows + 1], a.shape[1])
-        sums = a @ self.values[:, channels]
+        sums = a @ self.values
         sums /= self.divisor[: len(sums)]
         return sums.reshape(len(sums) // 8, 8, sums.shape[1])
 
@@ -491,7 +486,7 @@ class _HopRun:
     from the previous one gives (see ``fps_indices``).
 
     Hop h computes frames, signs and octant means at its first
-    ``counts[h]`` points: a fit pools every point of every hop, and
+    ``counts[h]`` points: a fit reads every point of every hop, and
     extraction reads at hop h only the points that hop h + 1 keeps (all of
     them at the final hop). Every per-point array thus holds a prefix of the
     working cloud's rows, and each hop cuts them all to its count. The
@@ -601,44 +596,16 @@ def _start_runs(
     return [_HopRun(cloud, idx, p, config, fit) for cloud, idx, p in zip(full, sampled, picks)]
 
 
-# widest channel block whose corpus pools train holds at once: these pools
-# set train's peak, and width 4 holds half of width 8's; width 2 lowered
-# train's peak RSS no further and trained about 10-15% slower
-_BLOCK_CHANNELS = 4
-
-
-def _channel_blocks(c: int) -> list[slice]:
-    """Channels [0, c) in consecutive blocks of at most ``_BLOCK_CHANNELS``,
-    as equal as can be, and an even number of them when c > 1, so that the
-    two lanes get equal shares."""
-    n = min(c, 2 * -(-c // (2 * _BLOCK_CHANNELS)))
-    edges = [c * i // n for i in range(n + 1)]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
-def _fit_hop1(runs: list[_HopRun]) -> tuple[list[np.ndarray], SaabLayer]:
-    """Every run's hop-1 inputs, and hop 1's joint layer fit on their corpus
-    pool. The lanes write each cloud's attributes into its rows of one
-    (B·n_1, 24) pool, in corpus order, and each cloud's inputs are a view of
-    its rows, so the fit reads the attributes where the plan applies will:
-    no stacked copy exists. The pool goes with the last of these views."""
-    n = runs[0].counts[0]
-    pool = np.empty((len(runs) * n, 24))
-
-    def fill(i: int) -> np.ndarray:
-        rows = pool[i * n : (i + 1) * n]
-        rows[...] = runs[i].hop_inputs(0)[0][:, :, 0]
-        return rows[:, :, None]
-
-    return _two_lanes(fill, range(len(runs))), saab_fit(pool)
-
-
-def _fit_channels(inputs: list[_OctantMeans], channels: slice) -> list[SaabLayer]:
-    """Saab layers of a later hop's ``channels``, each fit on its corpus
-    pool: the channel's samples from every cloud's ``inputs``, in corpus
-    order."""
-    blocks = [x.dense(channels=channels) for x in inputs]
-    return [saab_fit(np.vstack([b[:, :, j] for b in blocks])) for j in range(blocks[0].shape[2])]
+def _moments(x: np.ndarray | _OctantMeans) -> SampleMoments:
+    """The per-channel :class:`~rpointhop.saab.SampleMoments` of one cloud's
+    (P, N, C) Saab inputs, reduced in place in the dense means a later hop's
+    operator makes, or in a copy of hop 1's, which its plan apply reads."""
+    a = x.dense() if isinstance(x, _OctantMeans) else x.copy()
+    max_sq_norm = np.einsum("pnc,pnc->pc", a, a).max(axis=0)
+    mean = a.mean(axis=0)
+    a -= mean
+    cov = np.einsum("pnc,pmc->cnm", a, a) / len(a)
+    return SampleMoments(len(a), mean.T, cov, max_sq_norm)
 
 
 def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> RPointHopModel:
@@ -646,26 +613,16 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
 
     Deterministic: the corpus order and ``config.seed`` fully determine the
     model. The two half-stacks of farthest point sampling
-    (:func:`_start_runs`), the per-cloud hop inputs, the channel blocks'
-    fits and the plan applies are independent, so they share the two lanes
-    (:func:`_two_lanes`); every pool keeps corpus order, so the model's bits
-    do not depend on which lane ran what.
+    (:func:`_start_runs`), the per-cloud hop inputs, their moments and the
+    plan applies are independent, so they share the two lanes
+    (:func:`_two_lanes`); the moments are merged in corpus order, so the
+    model's bits do not depend on which lane ran what.
 
-    Each cloud holds a later hop's inputs as its :class:`_OctantMeans`, the
-    octant-sum operator and the values it averages, not as dense means.
-    Each channel's corpus pool is built from these operators just before
-    its fit, a block of channels (:func:`_channel_blocks`) at a time, and
-    each cloud's plan apply materializes only the first n_{h+1} rows, the
-    ones the next hop reads. A cloud's inputs are dropped once that apply
-    has built its next values, so during the applies the corpus holds each
-    cloud's inputs or its next values, not both. Past hop 1, dense inputs
-    live only as one block's pools and one cloud's plan apply per lane.
-
-    Hop 1's 24-wide attributes are written once, into one (B·n_1, 24)
-    corpus pool (:func:`_fit_hop1`): each cloud's hop-1 inputs are a view of
-    its rows, the joint layer is fit on the pool itself, and the pool goes
-    with the last of those views, once the hop-1 plan applies have built
-    hop 2's values, before any later hop's inputs exist.
+    A cloud holds a later hop's inputs as its :class:`_OctantMeans`, not as
+    dense means: those live only inside one cloud's :func:`_moments` or plan
+    apply per lane, and the apply makes only the n_{h+1} rows the next hop
+    reads. A cloud's inputs go once that apply has built its next values,
+    so the corpus holds each cloud's inputs or its next values, not both.
     """
     clouds = list(corpus)
     if not clouds:
@@ -680,13 +637,9 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     hop_layers: list[dict[int, SaabLayer]] = []
     parent_ids = [0]
     for h in range(n_hops):
-        if h == 0:
-            inputs, hop1_layer = _fit_hop1(runs)
-            layers = {0: hop1_layer}
-        else:
-            inputs = _two_lanes(lambda run: run.hop_inputs(h)[0], runs)
-            fits = _two_lanes(lambda block: _fit_channels(inputs, block), _channel_blocks(len(parent_ids)))
-            layers = dict(zip(parent_ids, (layer for block in fits for layer in block)))
+        inputs = _two_lanes(lambda run: run.hop_inputs(h)[0], runs)
+        moments = reduce(SampleMoments.merge, _two_lanes(_moments, inputs))
+        layers = {pid: saab_fit(moments[c]) for c, pid in enumerate(parent_ids)}
         children = _grow_hop(tree, layers, parent_ids, config.energy_threshold, h == n_hops - 1)
         if not children:
             raise TrainingError(_prune_message(h + 1, n_hops))

@@ -10,7 +10,8 @@ Filters come in two kinds:
 The bias is the largest training-sample norm. Since every filter has unit
 norm, a_k . v + b >= b - ||v|| >= 0 for any input inside the training
 norm ball, so outputs of cascaded layers stay non-negative and the cascade
-minus its biases is a plain linear map.
+minus its biases is a plain linear map. A layer reads its samples only
+through their count, covariance and largest norm (:class:`SampleMoments`).
 
 Each filter carries a normalized energy (DC: variance of the DC
 coefficients; AC: PCA eigenvalues; all divided by their total). Energies
@@ -70,28 +71,69 @@ class SaabLayer:
         return self.filters.size + 1
 
 
-def saab_fit(samples: np.ndarray) -> SaabLayer:
-    """Fit one Saab layer to (S, N) training samples.
+@dataclass(frozen=True)
+class SampleMoments:
+    """Count, mean, population covariance and largest squared row norm of
+    (S, N) samples, or of C channels' samples over one count with a leading
+    channel axis, ``moments[c]`` being channel c's. ``len`` is the count."""
+
+    count: int
+    mean: np.ndarray
+    cov: np.ndarray
+    max_sq_norm: np.ndarray
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, channel: int) -> SampleMoments:
+        return SampleMoments(self.count, self.mean[channel], self.cov[channel], self.max_sq_norm[channel])
+
+    def merge(self, other: SampleMoments) -> SampleMoments:
+        """Both sample sets' moments, by Chan, Golub & LeVeque's pairwise update (1979)."""
+        n = self.count + other.count
+        delta = other.mean - self.mean
+        cov = (self.count * self.cov + other.count * other.cov) / n
+        cov += delta[..., :, None] * delta[..., None, :] * (self.count * other.count / n / n)
+        mean = self.mean + delta * (other.count / n)
+        return SampleMoments(n, mean, cov, np.maximum(self.max_sq_norm, other.max_sq_norm))
+
+
+def saab_fit(samples: np.ndarray | SampleMoments) -> SaabLayer:
+    """Fit one Saab layer to (S, N) training samples, or to one channel's
+    :class:`SampleMoments` of them, whose covariance C gives the AC
+    covariance P C P (P = I - dc dc^T) and the DC energy dc^T C dc.
 
     Every AC filter with numerically nonzero variance is kept; channels are
     pruned afterwards, by cumulative energy on the :class:`FeatureTree`.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"samples must be 2-D (S, N), got shape {x.shape}")
-    s, n = x.shape
+    moments = isinstance(samples, SampleMoments)
+    if moments:
+        if samples.mean.ndim != 1:
+            raise ValueError(f"moments must be of one channel, got mean shape {samples.mean.shape}")
+        s, n = len(samples), len(samples.mean)
+        finite = all(np.isfinite(a).all() for a in (samples.mean, samples.cov, samples.max_sq_norm))
+    else:
+        x = np.asarray(samples, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError(f"samples must be 2-D (S, N), got shape {x.shape}")
+        s, n = x.shape
+        finite = np.isfinite(x).all()
     if s < 2:
         raise ValueError("need at least 2 samples to fit a Saab layer")
-    if not np.isfinite(x).all():
+    if not finite:
         raise ValueError("samples contain non-finite values")
 
     dc = np.full(n, 1.0 / np.sqrt(n))
-    dc_coeffs = x @ dc
-    # remove the DC projection per sample: dc is constant, so the outer
-    # product dc_coeffs ⊗ dc is the column dc_coeffs * dc[0] broadcast
-    centered = x - (dc_coeffs * dc[0])[:, None]
-    centered -= centered.mean(axis=0)
-    cov = centered.T @ centered / s
+    if moments:
+        ac = np.eye(n) - np.outer(dc, dc)
+        cov = ac @ samples.cov @ ac
+    else:
+        dc_coeffs = x @ dc
+        # remove the DC projection per sample: dc is constant, so the outer
+        # product dc_coeffs ⊗ dc is the column dc_coeffs * dc[0] broadcast
+        centered = x - (dc_coeffs * dc[0])[:, None]
+        centered -= centered.mean(axis=0)
+        cov = centered.T @ centered / s
     w, v = np.linalg.eigh(cov)
     w = w[::-1]
     v = v[:, ::-1]
@@ -101,7 +143,7 @@ def saab_fit(samples: np.ndarray) -> SaabLayer:
     floor = max(w[0], 0.0) * _EIG_CUTOFF
     keep = min(int(np.count_nonzero(w > floor)), n - 1)
 
-    dc_energy = float(dc_coeffs.var())
+    dc_energy = float(dc @ samples.cov @ dc) if moments else float(dc_coeffs.var())
     ac_filters = v[:, :keep].T.copy()
     kept_energy = dc_energy + float(w[:keep].sum())
     if kept_energy <= 0.0:
@@ -109,11 +151,11 @@ def saab_fit(samples: np.ndarray) -> SaabLayer:
         energies[0] = 1.0  # degenerate layer: all mass assigned to DC
     else:
         energies = np.concatenate([[dc_energy], w[:keep]]) / kept_energy
-    # np.linalg.norm(x, axis=1).max() by the norm's own two ufunc calls, with
-    # the squares in the spent centered buffer: sqrt is monotone and
-    # correctly rounded, so the root of the largest sum is the largest root
-    squares = np.multiply(x, x, out=centered)
-    bias = float(np.sqrt(np.add.reduce(squares, axis=1).max()))
+    # samples: np.linalg.norm(x, axis=1).max() by the norm's own two ufunc
+    # calls, with the squares in the spent centered buffer: sqrt is monotone
+    # and correctly rounded, so the root of the largest sum is the largest root
+    max_sq_norm = samples.max_sq_norm if moments else np.add.reduce(np.multiply(x, x, out=centered), axis=1).max()
+    bias = float(np.sqrt(max_sq_norm))
     return SaabLayer(dc_filter=dc, ac_filters=ac_filters, bias=bias, energies=energies)
 
 

@@ -494,6 +494,28 @@ class TestTransformFile:
         with pytest.raises(CloudParseError, match="missing"):
             load_transform(path)
 
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ("rotation 1 0 0 0 1 0 0 0 1\n", "'translation'"),
+            ("# motion\ntranslation 1 2 3\n", "'rotation'"),
+            ("# nothing but a comment\n", "'rotation' and 'translation'"),
+        ],
+    )
+    def test_missing_key_is_named(self, tmp_path, text, missing):
+        path = tmp_path / "tf.txt"
+        path.write_text(text)
+        with pytest.raises(CloudParseError, match=f"^{path}: missing key {missing}$"):
+            load_transform(path)
+
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "tf.txt"
+        path.write_text("rotation 1 0 0 0 1 0 0 0 1\ntranslation 1 2 3\ntranslation 9 9 9\n")
+        with pytest.raises(
+            CloudParseError, match=f"^{path}: line 3: duplicate key 'translation' \\(first set on line 2\\)$"
+        ):
+            load_transform(path)
+
 
 class TestCommentLines:
     # blank, whitespace-only, comment and indented comment lines

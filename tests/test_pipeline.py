@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 from collections import Counter
 import json
 import re
@@ -37,8 +38,8 @@ from rpointhop.cloud import RigidTransform, normalize_unit_sphere, sample_indice
 from rpointhop.lrf import local_pca_batch
 from rpointhop.pipeline import (
     _OctantMeans,
-    _channel_blocks,
     _dense_inputs,
+    _moments,
     _project_neighbors,
     _start_runs,
     build_hop1_attributes,
@@ -46,7 +47,7 @@ from rpointhop.pipeline import (
     extract_pair,
     format_config,
 )
-from rpointhop.saab import HopPlan, SaabLayer
+from rpointhop.saab import HopPlan, SaabLayer, SampleMoments, saab_fit
 from rpointhop.spatial import KnnIndex, fps_indices
 
 from conftest import (
@@ -62,7 +63,6 @@ from conftest import (
     octant_oracle,
     projection_einsum_oracle,
     random_rotation,
-    saab_fit_oracle,
 )
 
 
@@ -223,10 +223,8 @@ class TestOctants:
         "p, n, k, c",
         [(12, 30, 9, 5), (10, 40, 16, 21), (9, 20, 8, 1), (7, 50, 12, 24), (6, 16, 8, 17)],
     )
-    def test_prefixes_and_channel_blocks_match_column_loop(self, p, n, k, c):
-        # every row prefix, 0 rows included, of every channel block: train's
-        # own blocks, and blocks of 8 with a trailing partial one (or, below
-        # 8 channels, fewer channels than one block)
+    def test_prefixes_match_column_loop(self, p, n, k, c):
+        # every row prefix, 0 rows included
         rng = np.random.default_rng(p * c + k)
         proj = rng.normal(size=(p, k, 3))
         proj[rng.random(proj.shape) < 0.1] = 0.0
@@ -234,24 +232,12 @@ class TestOctants:
         nbr_idx = rng.integers(0, n, size=(p, k))
         means = _OctantMeans(proj, values, nbr_idx)
         want = octant_loop_oracle(proj, values, nbr_idx)
-        blocks = [*_channel_blocks(c), *(slice(lo, min(lo + 8, c)) for lo in range(0, c, 8)), slice(None)]
         assert len(means) == p
         assert means.dense().tobytes() == want.tobytes()
         for rows in range(p + 1):
-            for block in blocks:
-                got = means.dense(rows, block)
-                assert got.shape == want[:rows, :, block].shape
-                assert got.tobytes() == want[:rows, :, block].tobytes(), (rows, block)
-
-    @pytest.mark.parametrize("c", [1, 2, 3, 7, 8, 16, 17, 24, 134, 138, 146, 216])
-    def test_channel_blocks_split_evenly_between_the_lanes(self, c):
-        blocks = _channel_blocks(c)
-        assert blocks[0].start == 0 and blocks[-1].stop == c
-        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-        widths = [b.stop - b.start for b in blocks]
-        assert min(widths) >= 1 and max(widths) <= pipeline._BLOCK_CHANNELS
-        assert max(widths) - min(widths) <= 1
-        assert len(blocks) % 2 == 0 or c == 1
+            got = means.dense(rows)
+            assert got.shape == want[:rows].shape
+            assert got.tobytes() == want[:rows].tobytes(), rows
 
     def test_hop1_layout_matches_one_hot_oracle(self):
         # hop 1 averages the projections themselves, one value row per
@@ -435,19 +421,11 @@ class TestTrain:
         survivors = {n.node_id for n in tiny_model.tree.nodes if n.hop == 1 and n.status != "discarded"}
         assert set(tiny_model.later_hops[0]) == survivors
 
-    @pytest.mark.parametrize("width", [1, 3, 8, 64])
-    def test_model_bits_do_not_depend_on_the_block_width(
-        self, tiny_corpus, tiny_model, width, monkeypatch, tmp_path
-    ):
-        monkeypatch.setattr(pipeline, "_BLOCK_CHANNELS", width)
-        save_model(train(tiny_corpus, TINY_CONFIG), tmp_path / "blocks.rph")
-        save_model(tiny_model, tmp_path / "model.rph")
-        assert (tmp_path / "blocks.rph").read_bytes() == (tmp_path / "model.rph").read_bytes()
-
     def test_traced_peak_stays_below_the_widest_hops_dense_inputs(self, tiny_corpus):
-        # a later hop's inputs are held as octant operators, and pools are
-        # built a block of channels at a time, so train never holds the
-        # corpus's dense inputs of its widest hop (190 channels at hop 3)
+        # a later hop's inputs are held as octant operators and reduced to
+        # moments one cloud at a time per lane, and no corpus pool is built,
+        # so train never holds the corpus's dense inputs of its widest hop
+        # (190 channels at hop 3)
         config = ModelConfig(
             hops=(HopConfig(192, 16), HopConfig(160, 16), HopConfig(128, 16)), k_lrf=16, energy_threshold=1e-4
         )
@@ -503,67 +481,11 @@ class TestTrain:
         assert [len(r) for _, r in sorted(refs.items())] == [n, n]
         assert all(r() is None for hop in refs.values() for r in hop)
 
-    @pytest.mark.parametrize("hops", [TINY_CONFIG.hops, TINY_CONFIG.hops[:1]], ids=["two_hop", "one_hop"])
-    def test_hop1_fit_reads_the_pool_the_plan_applies_read(self, tiny_corpus, hops, monkeypatch):
-        # the lanes write each cloud's hop-1 attributes into its rows of one
-        # corpus pool; hop 1's fit reads that pool, not a stacked copy, each
-        # cloud's hop-1 plan apply reads its rows in place, and the pool is
-        # gone before hop 2's inputs are built
-        start, hop_inputs, apply = pipeline._start_runs, pipeline._HopRun.hop_inputs, HopPlan.apply
-        fit, fit_channels = pipeline.saab_fit, pipeline._fit_channels
-        runs, attrs, pools, shared, gone, channel_inputs = [], {}, [], [], [], []
-
-        def starting(*args, **kwargs):
-            runs.extend(start(*args, **kwargs))
-            return runs
-
-        def recording(run, h):
-            x, neighbors = hop_inputs(run, h)
-            if h == 0:
-                attrs[runs.index(run)] = x[:, :, 0].copy()
-            else:
-                gone.append(pools[0][0]() is None)
-            return x, neighbors
-
-        def fitting(samples):
-            if samples.shape[1] == 24:
-                pools.append((weakref.ref(samples), samples.copy()))
-            return fit(samples)
-
-        def applying(plan, x):
-            if x.shape[1] == 24:
-                shared.append(np.shares_memory(pools[0][0](), x))
-            return apply(plan, x)
-
-        def fitting_channels(inputs, channels):
-            channel_inputs.extend(inputs)
-            return fit_channels(inputs, channels)
-
-        monkeypatch.setattr(pipeline, "_start_runs", starting)
-        monkeypatch.setattr(pipeline._HopRun, "hop_inputs", recording)
-        monkeypatch.setattr(pipeline, "saab_fit", fitting)
-        monkeypatch.setattr(HopPlan, "apply", applying)
-        monkeypatch.setattr(pipeline, "_fit_channels", fitting_channels)
-        train(tiny_corpus, ModelConfig(hops=hops, k_lrf=TINY_CONFIG.k_lrf))
-
-        n, rows = len(tiny_corpus), hops[0].num_points
-        ((_, pool),) = pools
-        assert pool.shape == (n * rows, 24)
-        assert sorted(attrs) == list(range(n))
-        for i, x in attrs.items():  # corpus order
-            assert np.array_equal(pool[i * rows : (i + 1) * rows], x), i
-        two_hop = len(hops) > 1
-        assert shared == [True] * (n if two_hop else 0)
-        assert gone == [True] * (n if two_hop else 0)
-        # only the later hops' octant operators are pooled channel by channel
-        assert bool(channel_inputs) == two_hop
-        assert all(isinstance(x, _OctantMeans) for x in channel_inputs)
-
-    def test_layers_fit_corpus_pooled_inputs(self, tiny_model, tiny_corpus):
+    def test_layers_fit_merged_cloud_moments(self, tiny_model, tiny_corpus):
         # replay train's runs with its forward plans, which carry every
-        # survivor, and dense inputs: each hop's layer below parent c is the
-        # former Saab fit of channel c's samples, stacked cloud by cloud in
-        # corpus order
+        # survivor: at each hop the corpus-order merge of the clouds' moments
+        # is the stacked pool's, and each layer is the fit of its channel's
+        # merged moments
         config = tiny_model.config
         rng = np.random.Generator(np.random.PCG64(config.seed))
         runs = [  # one cloud at a time: train samples the corpus in two stacks
@@ -572,17 +494,24 @@ class TestTrain:
         ]
         hop_layers = ({0: tiny_model.hop1_layer}, *tiny_model.later_hops)
         for h, (plan, layers) in enumerate(zip(forward_plans(tiny_model), hop_layers)):
-            inputs = [_dense_inputs(run.hop_inputs(h)[0]) for run in runs]
-            want = {
-                pid: saab_fit_oracle(np.vstack([x[:, :, c] for x in inputs]))
-                for c, pid in enumerate(sorted(layers))
-            }
-            assert sorted(want) == sorted(layers)
-            for pid, layer in layers.items():
+            inputs = [run.hop_inputs(h)[0] for run in runs]
+            merged = functools.reduce(SampleMoments.merge, [_moments(x) for x in inputs])
+            pool = np.concatenate([_dense_inputs(x) for x in inputs])  # (B·P, N, C)
+            assert len(merged) == len(pool) and pool.shape[2] == len(layers)
+            for c, pid in enumerate(sorted(layers)):
+                x = pool[:, :, c]
+                got = merged[c]
+                for name, value, want in (
+                    ("mean", got.mean, x.mean(axis=0)),
+                    ("cov", got.cov, np.cov(x, rowvar=False, bias=True)),
+                    ("max_sq_norm", got.max_sq_norm, (x * x).sum(axis=1).max()),
+                ):
+                    assert np.abs(value - want).max() <= 1e-12 * np.abs(want).max(), (h, pid, name)
+                want_layer = saab_fit(got)
                 for f in dataclasses.fields(SaabLayer):
-                    assert np.array_equal(getattr(layer, f.name), getattr(want[pid], f.name)), (h, pid, f.name)
+                    assert np.array_equal(getattr(layers[pid], f.name), getattr(want_layer, f.name)), (h, pid, f.name)
             for run, x in zip(runs, inputs):
-                run.values = plan.apply(x)
+                run.values = plan.apply(_dense_inputs(x))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from rpointhop.saab import (
     FeatureTree,
     HopPlan,
     SaabLayer,
+    SampleMoments,
     cw_saab_fit,
     freeze_hop,
     propagate_energy,
@@ -24,7 +25,7 @@ from rpointhop.saab import (
     saab_fit,
 )
 
-from rpointhop.pipeline import _dense_inputs, _start_runs
+from rpointhop.pipeline import _dense_inputs, _moments, _start_runs
 
 from conftest import hop_oracle, plan_take_oracle, saab_fit_oracle
 
@@ -221,6 +222,83 @@ class TestSaabFitOracle:
         rng = np.random.default_rng(s + n)
         x = rng.normal(size=(s, n)) * 10.0 ** rng.uniform(-3, 3, size=n)
         assert _outcome(saab_fit, x, None) == _outcome(saab_fit_oracle, x, None)
+
+
+def _pool_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """numpy's mean, population covariance and largest squared row norm of
+    (S, N) samples."""
+    return x.mean(axis=0), np.cov(x, rowvar=False, bias=True), float((x * x).sum(axis=1).max())
+
+
+def _assert_close(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), what
+
+
+class TestSampleMoments:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_merged_random_splits_give_the_pools_moments(self, seed):
+        # cut a (S, N, C) pool at random rows, one-row sets among the parts,
+        # reduce each part and merge the parts in order
+        rng = np.random.default_rng(seed)
+        s, n, c = int(rng.integers(2, 400)), int(rng.choice([3, 8, 24])), int(rng.integers(1, 5))
+        pool = rng.normal(size=(s, n, c)) * 10.0 ** rng.uniform(-3, 3, size=(n, c)) + rng.normal(size=(n, c))
+        cuts = set(rng.integers(1, s, size=rng.integers(0, 8)).tolist())
+        cuts |= {1, s - 1} if seed % 2 else set()  # leading and trailing one-row sets
+        edges = [0, *sorted(cuts), s]
+        parts = [_moments(pool[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+        merged = parts[0]
+        for part in parts[1:]:
+            merged = merged.merge(part)
+        assert len(merged) == s
+        for ch in range(c):
+            mean, cov, max_sq_norm = _pool_moments(pool[:, :, ch])
+            _assert_close(merged[ch].mean, mean, (ch, "mean"))
+            _assert_close(merged[ch].cov, cov, (ch, "cov"))
+            _assert_close(merged[ch].max_sq_norm, max_sq_norm, (ch, "max_sq_norm"))
+
+    def test_len_is_the_count(self):
+        x = np.random.default_rng(1).normal(size=(37, 8, 3))
+        moments = _moments(x)
+        assert len(moments) == moments.count == 37
+        assert len(moments[2]) == 37
+        assert len(moments.merge(_moments(x[:5]))) == 42
+
+    def test_fit_from_moments_matches_the_fit_of_the_samples(self):
+        # equal in exact arithmetic: each filter up to its sign
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(500, 8)) * rng.uniform(0.1, 3.0, size=8) + 2.0
+        want = saab_fit(x)
+        got = saab_fit(_moments(x[:, :, None])[0])
+        assert got.kept_dim == want.kept_dim
+        assert np.array_equal(got.dc_filter, want.dc_filter)
+        signs = np.sign((got.ac_filters * want.ac_filters).sum(axis=1))
+        assert np.abs(got.ac_filters * signs[:, None] - want.ac_filters).max() < 1e-10
+        assert np.abs(got.energies - want.energies).max() < 1e-12
+        assert got.bias == pytest.approx(want.bias, rel=1e-15)
+
+    @staticmethod
+    def _message(fn, arg) -> str:
+        with pytest.raises(ValueError) as info:
+            fn(arg)
+        return str(info.value)
+
+    def test_refusals_are_the_array_paths(self):
+        good = _moments(np.random.default_rng(3).normal(size=(6, 4, 1)))[0]
+        few = SampleMoments(1, good.mean, good.cov, good.max_sq_norm)
+        assert self._message(saab_fit, few) == self._message(saab_fit, np.ones((1, 4)))
+        nan = self._message(saab_fit, np.array([[1.0, np.nan], [0.0, 1.0]]))
+        for field in ("mean", "cov", "max_sq_norm"):
+            for bad in (np.nan, np.inf):
+                value = np.array(getattr(good, field), dtype=np.float64)
+                value.flat[0] = bad
+                broken = dataclasses.replace(good, **{field: value})
+                assert self._message(saab_fit, broken) == nan, (field, bad)
+
+    def test_channel_axis_is_refused(self):
+        moments = _moments(np.random.default_rng(4).normal(size=(6, 4, 2)))
+        with pytest.raises(ValueError, match="one channel"):
+            saab_fit(moments)
 
 
 # ---------------------------------------------------------------------------

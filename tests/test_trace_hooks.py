@@ -5,7 +5,9 @@ attribute name; a target it cannot find is skipped and its metrics read 0.
 Loading its hook table here makes a rename or deletion of a traced name
 fail the test suite itself, not only the benchmark's own self-test. An
 import kept only so that a hook can patch it (marked ``# noqa: F401``) must
-name a hook's target, so that it goes when its hook moves.
+name a hook's target, so that it goes when its hook moves. Train's fits
+must also keep going through the hooked ``saab_fit`` with sized arguments,
+or the fit counters would change meaning without failing anything.
 """
 
 import ast
@@ -13,9 +15,14 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from collections.abc import Sized
 from pathlib import Path
 
 import pytest
+
+from rpointhop import pipeline, train
+
+from conftest import TINY_CONFIG
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -77,3 +84,23 @@ def test_unhooked_noqa_import_is_flagged():
     found = noqa_imports(source, "rpointhop.pipeline")
     assert found == [("rpointhop.pipeline", "os"), ("rpointhop.pipeline", "saab_apply")]
     assert [pair for pair in found if pair not in HOOKED] == [("rpointhop.pipeline", "os")]
+
+
+def test_train_fits_count_every_sample_once(tiny_corpus, monkeypatch):
+    # the benchmark's fit counter sums len() of pipeline.saab_fit's first
+    # argument: train's fits must go through that name, with arguments whose
+    # len is their sample count, B·n_h per channel of hop h (for the default
+    # model on 50 clouds, 8,652,800 in all)
+    fit, args = pipeline.saab_fit, []
+
+    def recording(samples):
+        args.append(samples)
+        return fit(samples)
+
+    monkeypatch.setattr(pipeline, "saab_fit", recording)
+    model = train(tiny_corpus, TINY_CONFIG)
+    assert args and all(isinstance(a, Sized) for a in args)
+    hop_layers = ({0: model.hop1_layer}, *model.later_hops)
+    assert len(args) == sum(len(layers) for layers in hop_layers)
+    want = sum(len(tiny_corpus) * hop.num_points * len(layers) for hop, layers in zip(TINY_CONFIG.hops, hop_layers))
+    assert sum(len(a) for a in args) == want
