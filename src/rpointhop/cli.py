@@ -6,7 +6,7 @@ and every artifact file except register reports (which include a runtime
 line) are byte-identical across reruns with the same inputs and seeds.
 
 ``train``, ``register`` and ``benchmark`` use two lanes: the calling
-thread and one persistent worker thread. ``train`` runs its independent
+thread and one worker thread per call. ``train`` runs its independent
 per-cloud work on them and farthest point samples its corpus in two
 half-stacks, one per lane. A registration samples its target and source
 clouds in one stack, extracts them at once, then splits the rows of

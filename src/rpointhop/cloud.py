@@ -318,8 +318,9 @@ def save_transform(tf: RigidTransform, path: str | Path) -> None:
 def load_transform(path: str | Path) -> RigidTransform:
     """Read a transform file written by :func:`save_transform`. Comments
     and unknown keys are skipped. A missing key, a key set twice, a wrong
-    count or a non-numeric or non-finite number raises
-    :class:`CloudParseError` naming the key or the lines."""
+    count, a non-numeric or non-finite number or a rotation that is not
+    proper orthonormal raises :class:`CloudParseError` naming the key or
+    the lines."""
     found: dict[str, tuple[int, list[float]]] = {}
     for lineno, text in _content_lines(Path(path).read_text().splitlines()):
         key, *toks = text.split()
@@ -333,7 +334,11 @@ def load_transform(path: str | Path) -> RigidTransform:
     missing = [key for key in _TRANSFORM_SIZES if key not in found]
     if missing:
         raise CloudParseError(f"{path}: missing key {' and '.join(map(repr, missing))}")
-    return RigidTransform(np.reshape(found["rotation"][1], (3, 3)), found["translation"][1])
+    rotation_line, rotation = found["rotation"]
+    try:
+        return RigidTransform(np.reshape(rotation, (3, 3)), found["translation"][1])
+    except ValueError as exc:  # counts and finiteness hold, so the rotation is refused
+        raise CloudParseError(f"{path}: line {rotation_line}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

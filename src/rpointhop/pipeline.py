@@ -60,7 +60,7 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import zip_longest
@@ -275,38 +275,25 @@ class FeatureSet:
 # two lanes
 # ---------------------------------------------------------------------------
 
-_LANE: ThreadPoolExecutor
-
-
-def _renew_lane() -> None:
-    """(Re)create the worker lane. numpy releases the GIL in its heavy
-    kernels, so work on this one persistent thread (a cloud, or a half of
-    a stage's rows) overlaps the caller's. The executor starts its thread on first use, and a forked
-    child inherits the executor but not the thread, so it gets a new one."""
-    global _LANE
-    _LANE = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rpointhop-lane")
-
-
-_renew_lane()
-os.register_at_fork(after_in_child=_renew_lane)
-
 
 def _two_lanes(fn: Callable, items: Iterable) -> list:
     """``[fn(x) for x in items]``: the even-indexed items run on the calling
-    thread and the odd-indexed ones on the worker lane, in input order.
+    thread and the odd-indexed ones on one worker thread per call, in input
+    order; numpy releases the GIL in its heavy kernels, so the two overlap.
+    The worker starts on the first submit and is joined before the call
+    returns, so no thread outlives a call for a forked child to lose.
 
     The items must be independent, and ``fn`` must not use the lanes itself.
-    When items fail, the earliest one's exception is raised, once the worker
-    lane's jobs are cancelled or finished.
+    When items fail, the earliest one's exception is raised, once the worker's
+    jobs are cancelled or finished.
     """
     items = list(items)
-    jobs = [_LANE.submit(fn, x) for x in items[1::2]]
+    lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rpointhop-lane")
     try:
+        jobs = [lane.submit(fn, x) for x in items[1::2]]
         return [jobs[i // 2].result() if i % 2 else fn(x) for i, x in enumerate(items)]
     finally:
-        for job in jobs:
-            job.cancel()
-        wait(jobs)
+        lane.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

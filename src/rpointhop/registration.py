@@ -20,7 +20,7 @@ a small ratio mean an unambiguous match; dropping large-ratio pairs removes
 the matches that symmetric or featureless regions produce.
 
 A registration uses the two lanes (:func:`rpointhop.pipeline._two_lanes`:
-the calling thread and one persistent worker thread) twice: the target and
+the calling thread and one worker thread per call) twice: the target and
 source extractions run at once (:func:`rpointhop.pipeline.extract_pair`),
 once both clouds are farthest point sampled in one stack on the caller,
 then matching splits its target rows into two halves, one per lane.

@@ -69,17 +69,15 @@ class KnnIndex:
 
     def _ranked(self, q: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidates (M, C) of queries (M, 3) and their d², each row
-        ordered by (d², index)."""
+        ordered by (d², index); ``cand`` is reordered in place."""
         diff = np.take(self.points, cand, axis=0)
         np.subtract(q[:, None, :], diff, out=diff)
         d2 = np.einsum("mkc,mkc->mk", diff, diff)
-        order = np.argsort(d2, axis=1, kind="stable")
-        cand, d2 = np.take_along_axis(cand, order, axis=1), np.take_along_axis(d2, order, axis=1)
-        tied = np.flatnonzero((d2[:, 1:] == d2[:, :-1]).any(axis=1))
-        if tied.size:  # equal d² keep the tree's order; put them in index order
-            order = np.lexsort((cand[tied], d2[tied]))
-            cand[tied] = np.take_along_axis(cand[tied], order, axis=1)
-            d2[tied] = np.take_along_axis(d2[tied], order, axis=1)
+        rows = np.flatnonzero((d2[:, 1:] <= d2[:, :-1]).any(axis=1))
+        if rows.size:  # a row whose d² strictly increases is already in order
+            order = np.lexsort((cand[rows], d2[rows]))
+            cand[rows] = np.take_along_axis(cand[rows], order, axis=1)
+            d2[rows] = np.take_along_axis(d2[rows], order, axis=1)
         return cand, d2
 
     def query(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:

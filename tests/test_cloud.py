@@ -488,6 +488,20 @@ class TestTransformFile:
         with pytest.raises(CloudParseError, match=f"^{path}: line 2: rotation must be finite"):
             load_transform(path)
 
+    @pytest.mark.parametrize(
+        "rotation, refusal",
+        [
+            ("1 0 0 0 1 0 0 0 2", "rotation is not orthonormal within 1e-9"),
+            ("1 0 0 0 1 0 0 0 -1", r"rotation determinant is not \+1 within 1e-9 \(improper rotation\)"),
+        ],
+        ids=["not_orthonormal", "improper"],
+    )
+    def test_bad_rotation_names_file_and_line(self, tmp_path, rotation, refusal):
+        path = tmp_path / "tf.txt"
+        path.write_text(f"# motion\ntranslation 0 0 0\nrotation {rotation}\n")
+        with pytest.raises(CloudParseError, match=f"^{path}: line 3: {refusal}$"):
+            load_transform(path)
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "tf.txt"
         path.write_text("rotation 1 0 0 0 1 0 0 0 1\n")

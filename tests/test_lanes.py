@@ -1,6 +1,6 @@
 """The two lanes: train's per-cloud work, register's two extractions and
-the row halves of its matching share the calling thread and one persistent
-worker thread."""
+the row halves of its matching share the calling thread and one worker
+thread per call."""
 
 import os
 import sys
@@ -104,12 +104,26 @@ class TestTwoLanes:
         time.sleep(0.2)
         assert done == [1]
 
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_worker_alive_after_the_call(self, fails):
+        def fn(x):
+            if fails and x == 2:
+                raise ValueError("item 2")
+            return x
+
+        if fails:
+            with pytest.raises(ValueError, match="item 2"):
+                _two_lanes(fn, range(6))
+        else:
+            assert _two_lanes(fn, range(6)) == list(range(6))
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("rpointhop-lane")]
+
     def test_forked_child_gets_its_own_worker(self):
-        _two_lanes(lambda x: x, range(2))  # the parent's worker thread exists
+        _two_lanes(lambda x: x, range(2))  # the parent has run a lane call
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork in a threaded process
             pid = os.fork()
-        if pid == 0:  # child: the inherited executor has no thread to run its jobs
+        if pid == 0:  # child: inherits no worker thread, and its call starts its own
             code = 1
             try:
                 code = 0 if _two_lanes(lambda x: x + 1, range(4)) == [1, 2, 3, 4] else 1
@@ -300,8 +314,8 @@ class TestRegisterErrors:
 
 
 def test_no_thread_per_call(tiny_corpus, tiny_model):
-    # one persistent worker: a pool per call would hold a thread (and its
-    # stack and buffers) per register()
+    # each call joins its worker: a worker left running would hold a thread
+    # (and its stack and buffers) per register()
     before = threading.active_count()
     for i in range(50):
         register(tiny_model, tiny_corpus[i % 4], tiny_corpus[(i + 1) % 4], SMALL_MATCH, seed=i)

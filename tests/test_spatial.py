@@ -62,6 +62,18 @@ class TestKnn:
         idx, dist = KnnIndex(pts).query(np.zeros((2, 3)), 1)
         assert idx.tolist() == [[0], [0]] and dist.tolist() == [[1.0], [1.0]]
 
+    def test_ranked_reorders_inverted_blocks_with_ties(self):
+        # tree candidates come nearly in (d², index) order and rarely reach
+        # the reordering branch; a reversed and a shuffled block do
+        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0], [0, 2, 0], [1, 1, 0]], dtype=float)
+        want = [0, 1, 2, 3, 6, 4, 5]  # d² 0, 1, 1, 1, 2, 4, 4 from the origin
+        shuffled = np.random.default_rng(9).permutation(want)
+        assert shuffled.tolist() != want
+        cand = np.array([want, want[::-1], shuffled], dtype=np.intp)
+        idx, d2 = KnnIndex(pts)._ranked(np.zeros((3, 3)), cand)
+        assert idx.tolist() == [want] * 3
+        assert d2.tolist() == [[0.0, 1.0, 1.0, 1.0, 2.0, 4.0, 4.0]] * 3
+
     def test_duplicates_inserted_into_random_instance(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(40, 3))
