@@ -26,7 +26,10 @@ once both clouds are farthest point sampled in one stack on the caller,
 then matching splits its target rows into two halves, one per lane.
 Matching computes every row on its own, so the halves give the same bits
 as one serial pass. The robust estimate (:func:`ransac_estimate`) and ICP
-run on the caller.
+run on the caller. ICP re-searches only the moved target points whose
+nearest source point the triangle inequality cannot vouch for since their
+last search (:meth:`rpointhop.spatial.KnnIndex.nearest`); every other
+point keeps its nearest point, which a full search would return too.
 """
 
 from __future__ import annotations
@@ -335,36 +338,42 @@ def icp_refine(source: PointCloud, target: PointCloud, initial: RigidTransform) 
     minimizes the squared loss over a pair set that changes between
     iterations.
     Stops when the mean residual changes by less than ``ICP_TOL`` or after
-    ``ICP_MAX_ITERS`` iterations. Purely local: a bad initial guess
+    ``ICP_MAX_ITERS`` iterations, or keeps the current transform when
+    fewer than 3 pairs remain or they are collinear (where
+    :func:`estimate_transform` refuses). Purely local: a bad initial guess
     converges to a nearby minimum, not the global one.
+
+    The nearest source points come from :meth:`KnnIndex.nearest`, which
+    searches the k-d tree again only for the points whose nearest source
+    point the triangle inequality cannot vouch for since their last
+    search; the pairs are those of a full search every iteration, bit for
+    bit. The motion is held as plain arrays, composed with
+    :meth:`RigidTransform.compose`'s arithmetic, and validated once, as
+    the returned transform.
     """
     index = KnnIndex(source.coords)
-    current = initial
+    rotation, translation = initial.rotation, initial.translation
+    held = None
     residuals: list[float] = []
     converged = False
     for _ in range(ICP_MAX_ITERS):
-        moved = target.coords @ current.rotation.T + current.translation
-        nbr_idx, dist = index.query(moved, 1)
-        residuals.append(float(dist[:, 0].mean()))
+        moved = target.coords @ rotation.T + translation
+        nbr_idx, dist, held = index.nearest(moved, held)
+        nbr_idx, dist = nbr_idx[:, 0], dist[:, 0]
+        residuals.append(float(dist.mean()))
         if len(residuals) >= 2 and abs(residuals[-2] - residuals[-1]) < ICP_TOL:
             converged = True
             break
-        nearest = CorrespondenceSet(
-            pairs=np.stack([np.arange(len(moved)), nbr_idx[:, 0]], axis=1),
-            target_coords=moved,
-            source_coords=source.coords[nbr_idx[:, 0]],
-            feature_distances=dist[:, 0],
-            ratios=np.ones(len(moved)),
-        )
-        median = np.median(dist[:, 0])
-        keep = dist[:, 0] <= median + X84_MADS * np.median(np.abs(dist[:, 0] - median))
-        try:
-            delta = estimate_transform(nearest.take(keep))
-        except EstimationError:
-            break  # degenerate pairing; keep the current transform
-        current = delta.compose(current)
+        median = np.median(dist)
+        keep = dist <= median + X84_MADS * np.median(np.abs(dist - median))
+        if np.count_nonzero(keep) < 3:
+            break  # too few pairs; keep the current transform
+        delta_r, delta_t, s = _kabsch(moved[keep], source.coords[nbr_idx[keep]])
+        if _degenerate(s):
+            break  # collinear pairing; keep the current transform
+        rotation, translation = delta_r @ rotation, delta_r @ translation + delta_t
     return IcpResult(
-        transform=current,
+        transform=RigidTransform(rotation, translation),
         residuals=tuple(residuals),
         iterations=len(residuals),
         converged=converged,
@@ -378,19 +387,16 @@ def register_features(
     target: PointCloud,
     params: MatchParams = MatchParams(),
     icp: bool = False,
-) -> tuple[RigidTransform, CorrespondenceSet, int]:
+) -> tuple[RigidTransform, CorrespondenceSet, IcpResult | None]:
     """Feature sets to transform: match, estimate in closed form (inside
     the seeded consensus :func:`ransac_estimate` when ``params.use_ransac``),
     then optionally refine with ICP on the clouds the feature sets were
     extracted from. Returns (transform mapping target onto source, the
-    matched pairs, ICP iterations run)."""
+    matched pairs, the :class:`IcpResult`, or None without ICP)."""
     corr = match(target_fs, source_fs, params)
     tf = ransac_estimate(corr, params.ransac) if params.use_ransac else estimate_transform(corr)
-    icp_iterations = 0
-    if icp:
-        result = icp_refine(source, target, tf)
-        tf, icp_iterations = result.transform, result.iterations
-    return tf, corr, icp_iterations
+    refined = icp_refine(source, target, tf) if icp else None
+    return (tf if refined is None else refined.transform), corr, refined
 
 
 def register(
@@ -410,12 +416,14 @@ def register(
     points and match near-exactly. The two clouds are extracted at the same
     time (:func:`extract_pair`). The report's ``inlier_pairs`` counts the
     matched pairs within ``params.ransac.inlier_radius`` under the final
-    transform, with or without RANSAC; :func:`format_report` leaves it out.
+    transform, with or without RANSAC; ``icp_converged`` is ICP's
+    ``converged`` flag (False without ICP). :func:`format_report` leaves
+    both out.
     """
     t0 = time.perf_counter()
     rng = seeded_rng(seed)
     target_fs, source_fs = extract_pair(model, target, source, int(rng.integers(2**63)))
-    tf, corr, icp_iterations = register_features(target_fs, source_fs, source, target, params, icp)
+    tf, corr, refined = register_features(target_fs, source_fs, source, target, params, icp)
     aligned = align_inverse(source, tf)
     angles, gimbal = matrix_to_euler_xyz(tf.rotation)
     res = _residuals(corr, tf.rotation, tf.translation)
@@ -433,7 +441,8 @@ def register(
         "mean_residual": mean_residual,
         "used_ransac": params.use_ransac,
         "used_ratio_test": params.use_ratio_test,
-        "icp_iterations": icp_iterations,
+        "icp_iterations": 0 if refined is None else refined.iterations,
+        "icp_converged": refined is not None and refined.converged,
         "runtime_s": time.perf_counter() - t0,
     }
     return tf, aligned, report

@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-_GAP = 1e-9  # relative d² gap across the k boundary that settles a row
+_GAP = 1e-9  # relative margin, far above rounding, that settles a row (d² in query, distance in nearest)
 
 
 def _as_points(obj) -> np.ndarray:
@@ -57,6 +57,12 @@ class KnnIndex:
     The index keeps its own copy of the points, so the caller's array stays
     writeable and later writes to it do not reach the index.
     Points and queries must be finite (``ValueError`` otherwise).
+
+    Tracking: :meth:`nearest` answers ``query(queries, 1)`` for queries
+    that move a little between calls, such as the moved target points of
+    successive ICP iterations, and re-searches only the rows whose nearest
+    point it cannot prove unchanged. Its results equal ``query`` bit for
+    bit on every call.
     """
 
     def __init__(self, points) -> None:
@@ -113,7 +119,45 @@ class KnnIndex:
             return idx[0], dist[0]
         return idx, dist
 
+    def nearest(self, queries, held: tuple | None = None) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """``query(queries, 1)`` for (M, 3) queries, bit for bit, plus
+        ``held``: what the next call on the same M rows needs to skip their
+        tree search. Returns (indices (M, 1), distances (M, 1), held).
 
+        ``held`` keeps, per row, the anchor (the query at which the row was
+        last searched), its nearest point p and L, the exact distance from
+        the anchor to its second-nearest point (+inf for a 1-point index),
+        so no point other than p lies closer to the anchor than L. A query
+        that drifted by s from its anchor is then at least L - s from every
+        point other than p (triangle inequality), so p stays nearest when
+        ``d + s < L * (1 - 1e-9)``, d being the query's distance to p
+        computed by ``query``'s own arithmetic. Both sides are sums of
+        non-negative terms, so the margin stays far above their rounding
+        and no tie can hide in it. Every other row is searched again
+        (``query(q, 2)``) and becomes its own anchor. Pass ``held=None``
+        to search every row; the arrays of a ``held`` are never written.
+        """
+        q = np.asarray(queries, dtype=np.float64)
+        if q.ndim != 2 or q.shape[1] != 3:
+            raise ValueError(f"queries must be (M, 3), got {q.shape}")
+        if held is None:
+            anchor, near = np.empty_like(q), np.empty(len(q), dtype=np.intp)
+            bound, dist = np.empty(len(q)), np.empty(len(q))
+            rows = np.arange(len(q))
+        else:
+            if len(held[0]) != len(q):
+                raise ValueError(f"held tracks {len(held[0])} rows, got {len(q)} queries")
+            anchor, near, bound = (a.copy() for a in held)
+            _, d2 = self._ranked(q, near[:, None].copy())
+            dist = np.sqrt(d2[:, 0])
+            drift = np.sqrt(np.einsum("mc,mc->m", q - anchor, q - anchor))
+            rows = np.flatnonzero(dist + drift >= bound * (1.0 - _GAP))
+        if rows.size:
+            width = min(2, len(self))
+            idx, found = self.query(q[rows], width)
+            anchor[rows], near[rows], dist[rows] = q[rows], idx[:, 0], found[:, 0]
+            bound[rows] = found[:, 1] if width == 2 else np.inf
+        return near[:, None], dist[:, None], (anchor, near.copy(), bound)
 
 
 def fps_indices(points, m: int, start: int = 0) -> np.ndarray:

@@ -21,10 +21,12 @@ from rpointhop import (
     train,
 )
 from rpointhop.bench import make_shape_corpus
-from rpointhop.cloud import normalize_unit_sphere
+from rpointhop.cloud import PointCloud, normalize_unit_sphere
 from rpointhop.pipeline import FeatureSet, _grow_hop, _start_runs
+from rpointhop import registration
 from rpointhop.registration import (
     CorrespondenceSet,
+    IcpResult,
     MatchParams,
     _nearest_two,
 )
@@ -376,6 +378,54 @@ def ransac_oracle(corr, params) -> RigidTransform:
     if best_inliers is None:
         raise EstimationError("no RANSAC hypothesis produced 3 or more inliers")
     return estimate_transform(corr.take(best_inliers))
+
+
+def icp_oracle(source: PointCloud, target: PointCloud, initial: RigidTransform) -> IcpResult:
+    """Point-to-point ICP that searches every moved target point's nearest
+    source point on every iteration (``KnnIndex.query(moved, 1)``) and
+    re-estimates through ``CorrespondenceSet``, ``estimate_transform`` and
+    ``RigidTransform.compose``. Reads the stop constants from the module at
+    call time, so a test that patches them patches both."""
+    index = KnnIndex(source.coords)
+    current = initial
+    residuals: list[float] = []
+    converged = False
+    for _ in range(registration.ICP_MAX_ITERS):
+        moved = target.coords @ current.rotation.T + current.translation
+        nbr_idx, dist = index.query(moved, 1)
+        residuals.append(float(dist[:, 0].mean()))
+        if len(residuals) >= 2 and abs(residuals[-2] - residuals[-1]) < registration.ICP_TOL:
+            converged = True
+            break
+        nearest = CorrespondenceSet(
+            pairs=np.stack([np.arange(len(moved)), nbr_idx[:, 0]], axis=1),
+            target_coords=moved,
+            source_coords=source.coords[nbr_idx[:, 0]],
+            feature_distances=dist[:, 0],
+            ratios=np.ones(len(moved)),
+        )
+        median = np.median(dist[:, 0])
+        keep = dist[:, 0] <= median + registration.X84_MADS * np.median(np.abs(dist[:, 0] - median))
+        try:
+            delta = estimate_transform(nearest.take(keep))
+        except EstimationError:
+            break  # degenerate pairing; keep the current transform
+        current = delta.compose(current)
+    return IcpResult(
+        transform=current,
+        residuals=tuple(residuals),
+        iterations=len(residuals),
+        converged=converged,
+    )
+
+
+def assert_same_icp(got: IcpResult, want: IcpResult) -> None:
+    """Equal bit for bit: transform bytes, residuals, iterations, flag."""
+    assert got.transform.rotation.tobytes() == want.transform.rotation.tobytes()
+    assert got.transform.translation.tobytes() == want.transform.translation.tobytes()
+    assert np.asarray(got.residuals).tobytes() == np.asarray(want.residuals).tobytes()
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

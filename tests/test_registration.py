@@ -41,7 +41,14 @@ from rpointhop.registration import (
     register_features,
 )
 
-from conftest import feature_distance_matrix, match_oracle, random_rotation, ransac_oracle
+from conftest import (
+    assert_same_icp,
+    feature_distance_matrix,
+    icp_oracle,
+    match_oracle,
+    random_rotation,
+    ransac_oracle,
+)
 
 
 def make_feature_set(features: np.ndarray, coords: np.ndarray | None = None) -> FeatureSet:
@@ -610,13 +617,21 @@ class TestRansac:
 # ---------------------------------------------------------------------------
 
 
+def refine_as_oracle(source: PointCloud, target: PointCloud, initial: RigidTransform):
+    """``icp_refine``'s result, once it equals the full-search oracle's bit
+    for bit (transform bytes, residuals, iterations, flag)."""
+    result = icp_refine(source, target, initial)
+    assert_same_icp(result, icp_oracle(source, target, initial))
+    return result
+
+
 class TestIcp:
     def test_exact_initial_converges_immediately(self):
         cloud = PointCloud(make_shape_cloud(256, seed=0).coords)
         rng = np.random.default_rng(9)
         tf = RigidTransform(random_rotation(rng), rng.normal(size=3))
         source = apply_transform(cloud, tf)
-        result = icp_refine(source, cloud, tf)
+        result = refine_as_oracle(source, cloud, tf)
         assert result.converged
         assert result.iterations == 2  # initial residual + unchanged residual
         assert result.residuals[0] < 1e-12
@@ -626,7 +641,7 @@ class TestIcp:
         cloud = PointCloud(make_shape_cloud(512, seed=1).coords)
         shift = np.array([0.02, -0.015, 0.01])
         source = apply_transform(cloud, RigidTransform(np.eye(3), shift))
-        result = icp_refine(source, cloud, RigidTransform.identity())
+        result = refine_as_oracle(source, cloud, RigidTransform.identity())
         assert result.converged
         assert np.abs(result.transform.translation - shift).max() < 1e-6
         assert np.abs(result.transform.rotation - np.eye(3)).max() < 1e-6
@@ -637,7 +652,7 @@ class TestIcp:
         # residual decreases monotonically
         cloud = PointCloud(make_shape_cloud(256, seed=2).coords)
         source = apply_transform(cloud, RigidTransform(rz(2.0), np.zeros(3)))
-        result = icp_refine(source, cloud, RigidTransform.identity())
+        result = refine_as_oracle(source, cloud, RigidTransform.identity())
         assert result.converged
         assert (np.diff(result.residuals) <= 1e-12).all()
         assert result.residuals[-1] < 1e-9
@@ -650,7 +665,7 @@ class TestIcp:
         rng = np.random.default_rng(10)
         tf = RigidTransform(rz(25.0), rng.normal(size=3) * 0.1)
         source = apply_transform(cloud, tf)
-        result = icp_refine(source, cloud, RigidTransform.identity())
+        result = refine_as_oracle(source, cloud, RigidTransform.identity())
         assert result.residuals[-1] < result.residuals[0]
         assert (np.diff(result.residuals) <= 1e-4).all()
 
@@ -663,7 +678,7 @@ class TestIcp:
         source = make_partial(apply_transform(cloud, tf), 0.75, 1)
         target = make_partial(cloud, 0.75, 2)
         start = RigidTransform(rz(2.0), np.zeros(3)).compose(tf)
-        result = icp_refine(source, target, start)
+        result = refine_as_oracle(source, target, start)
         assert result.converged
         assert np.abs(result.transform.rotation - tf.rotation).max() < 1e-6
         assert np.abs(result.transform.translation - tf.translation).max() < 1e-6
@@ -672,7 +687,7 @@ class TestIcp:
         monkeypatch.setattr("rpointhop.registration.ICP_MAX_ITERS", 3)
         cloud = PointCloud(make_shape_cloud(256, seed=3).coords)
         source = apply_transform(cloud, RigidTransform(rz(40.0), np.zeros(3)))
-        result = icp_refine(source, cloud, RigidTransform.identity())
+        result = refine_as_oracle(source, cloud, RigidTransform.identity())
         assert result.iterations <= 3
 
     def test_purely_local_stuck_in_symmetric_minimum(self):
@@ -684,10 +699,49 @@ class TestIcp:
         sym = np.vstack([base @ rz(a).T for a in (0.0, 90.0, 180.0, 270.0)])
         cloud = PointCloud(sym)
         source = apply_transform(cloud, RigidTransform(rz(90.0), np.zeros(3)))
-        result = icp_refine(source, cloud, RigidTransform.identity())
+        result = refine_as_oracle(source, cloud, RigidTransform.identity())
         assert result.converged
         assert result.residuals[-1] < 1e-9
         assert np.abs(result.transform.rotation - np.eye(3)).max() < 1e-6
+
+    def test_duplicated_source_points(self):
+        # exact copies tie at every distance, so the nearest point of a
+        # row next to a copy can never be vouched for and is searched again
+        cloud = PointCloud(make_shape_cloud(256, seed=4).coords)
+        rng = np.random.default_rng(12)
+        doubled = np.vstack([cloud.coords, cloud.coords[rng.integers(0, 256, size=96)]])
+        shuffled = PointCloud(doubled[rng.permutation(len(doubled))])
+        source = apply_transform(shuffled, RigidTransform(rz(8.0), np.zeros(3)))
+        result = refine_as_oracle(source, cloud, RigidTransform.identity())
+        assert result.residuals[-1] < result.residuals[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sources_of_one_to_three_points(self, n):
+        # an index of one point has no second-nearest point to bound by
+        target = PointCloud(make_shape_cloud(64, seed=5).coords)
+        source = PointCloud(make_shape_cloud(64, seed=6).coords[:n])
+        refine_as_oracle(source, target, RigidTransform.identity())
+
+    @pytest.mark.parametrize("start", ["ransac", "identity", "rotated_20"])
+    def test_partial_crops_from_each_start(self, tiny_model, tiny_corpus, start):
+        # 75% crops around independent anchors, as the register_refine
+        # workload draws them, refined from the seeded consensus's estimate
+        # and from two starts far from it
+        rng = np.random.default_rng(21)
+        tf_gt = RigidTransform(rz(30.0), rng.normal(size=3) * 0.2)
+        source = add_noise(make_partial(apply_transform(tiny_corpus[2], tf_gt), 0.75, 3), 0.01, seed=5)
+        target = make_partial(tiny_corpus[2], 0.75, 4)
+        if start == "ransac":
+            target_fs = extract_features(tiny_model, target, seed=9)
+            source_fs = extract_features(tiny_model, source, seed=9)
+            params = MatchParams(m1=96, m2=48, use_ransac=True)
+            initial = register_features(target_fs, source_fs, source, target, params)[0]
+        elif start == "identity":
+            initial = RigidTransform.identity()
+        else:
+            initial = RigidTransform(rz(20.0), np.full(3, 0.05)).compose(tf_gt)
+        result = refine_as_oracle(source, target, initial)
+        assert result.iterations >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -773,13 +827,26 @@ class TestRegister:
         extract_seed = int(np.random.Generator(np.random.PCG64(7)).integers(2**63))
         target_fs = extract_features(tiny_model, target, seed=extract_seed)
         source_fs = extract_features(tiny_model, source, seed=extract_seed)
-        core_tf, corr, icp_iterations = register_features(
+        core_tf, corr, refined = register_features(
             target_fs, source_fs, source, target, params, icp=True
         )
         assert np.array_equal(core_tf.rotation, tf.rotation)
         assert np.array_equal(core_tf.translation, tf.translation)
         assert len(corr) == report["matched_pairs"]
-        assert icp_iterations == report["icp_iterations"] >= 1
+        assert refined.iterations == report["icp_iterations"] >= 1
+        assert refined.transform is core_tf
+
+    @pytest.mark.parametrize("icp", [False, True])
+    def test_report_carries_icp_converged(self, tiny_model, tiny_corpus, icp):
+        # ICP's converged flag, False when ICP did not run; the report file
+        # leaves it out
+        rng = np.random.default_rng(22)
+        target = tiny_corpus[3]
+        source = apply_transform(target, RigidTransform(random_rotation(rng), rng.normal(size=3) * 0.2))
+        _, _, report = register(tiny_model, source, target, SMALL_MATCH, seed=4, icp=icp)
+        assert report["icp_converged"] is icp
+        assert (report["icp_iterations"] >= 2) is icp
+        assert "icp_converged" not in format_report(report)
 
     def test_report_counts_inlier_pairs(self, tiny_model, tiny_corpus):
         # pairs within the RANSAC radius under the final transform, with or

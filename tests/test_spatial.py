@@ -238,6 +238,71 @@ class TestOffLattice:
         assert dist.tobytes() == want_dist.tobytes()
 
 
+class TestNearest:
+    """``nearest`` along a walk of queries equals ``query(q, 1)`` at every
+    step, in indices and distance bytes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        coords=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=30),
+        start=st.lists(st.tuples(*[st.integers(-4, 4)] * 3), min_size=1, max_size=8),
+        # steps of whole multiples of 1/64 stay far inside the neighbor gaps
+        # of a lattice; 1/2 and up jump past them; ties stay exact throughout
+        steps=st.lists(
+            st.tuples(st.sampled_from([0.0, 1 / 64, 1 / 8, 0.5, 1.0, 2.0]), st.integers(0, 2**32 - 1)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_random_walk_over_a_small_lattice(self, coords, start, steps):
+        index = KnnIndex(np.asarray(coords, dtype=np.float64))
+        q = np.asarray(start, dtype=np.float64) / 2.0  # half-integers sit equidistant
+        held = None
+        for scale, seed in steps:
+            idx, dist, held = index.nearest(q, held)
+            want_idx, want_dist = index.query(q, 1)
+            assert np.array_equal(idx, want_idx)
+            assert dist.tobytes() == want_dist.tobytes()
+            q = q + np.random.default_rng(seed).integers(-2, 3, size=q.shape) * scale
+
+    def test_step_onto_an_exact_tie(self):
+        # from 0.5 the nearest is point 1 and the second is 1.5 away; a step
+        # of 0.5 straight at point 0 meets the triangle bound with equality
+        # (d + s = L), and the tie goes to the lower index
+        index = KnnIndex(np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        idx, _, held = index.nearest(np.array([[0.5, 0.0, 0.0]]))
+        assert idx[0, 0] == 1
+        idx, dist, _ = index.nearest(np.array([[1.0, 0.0, 0.0]]), held)
+        assert (idx[0, 0], dist[0, 0]) == (0, 1.0)
+
+    def test_walk_off_lattice(self):
+        # inexact d² with exact copies, and steps of every size from far
+        # below the neighbor gaps to far past them
+        pts = off_lattice_points(3)
+        index = KnnIndex(pts)
+        rng = np.random.default_rng(7)
+        q = rng.normal(size=(60, 3))
+        held = None
+        for scale in [0.0, 1e-6, 1e-3, 0.02, 0.3, 1e-4, 2.0, 0.0]:
+            idx, dist, held = index.nearest(q, held)
+            want_idx, want_dist = knn_einsum_oracle(pts, q, 1)
+            assert np.array_equal(idx, want_idx)
+            assert dist.tobytes() == want_dist.tobytes()
+            q = q + rng.normal(size=q.shape) * scale
+
+    def test_one_point_index_and_held_rows(self):
+        index = KnnIndex(np.ones((1, 3)))
+        q = np.zeros((4, 3))
+        _, _, held = index.nearest(q)
+        before = [a.copy() for a in held]
+        idx, dist, _ = index.nearest(q + 5.0, held)
+        assert np.array_equal(idx, np.zeros((4, 1), dtype=np.intp))
+        assert dist.tobytes() == index.query(q + 5.0, 1)[1].tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(held, before))  # held is never written
+        with pytest.raises(ValueError, match="held tracks 4 rows, got 3 queries"):
+            index.nearest(q[:3], held)
+
+
 # ---------------------------------------------------------------------------
 # farthest point sampling
 # ---------------------------------------------------------------------------
