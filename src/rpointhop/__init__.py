@@ -13,18 +13,14 @@ from .cloud import (
     save_cloud,
     save_transform,
 )
+from .config import HopConfig, ModelConfig, parse_config
+from .modelfile import ModelFormatError, load_model, save_model
 from .pipeline import (
     CloudTooSmallError,
     FeatureSet,
-    HopConfig,
-    ModelConfig,
-    ModelFormatError,
     RPointHopModel,
     TrainingError,
     extract_features,
-    load_model,
-    parse_config,
-    save_model,
     train,
 )
 from .registration import (

@@ -24,15 +24,9 @@ from pathlib import Path
 
 from .bench import ExperimentSpec, render_report, run_benchmark, run_ratio_ablation
 from .cloud import FORMATS, load_cloud, save_cloud
-from .pipeline import (
-    ModelConfig,
-    extract_features,
-    format_config,
-    load_model,
-    parse_config,
-    save_model,
-    train,
-)
+from .config import ModelConfig, format_config, parse_config
+from .modelfile import load_model, save_model
+from .pipeline import extract_features, train
 from .registration import MatchParams, format_report, register
 from .saab import STATUS_DISCARDED
 

@@ -29,7 +29,7 @@ Training (unsupervised, one pass per hop):
    dimensions. The tree follows from the layers' energies and the threshold
    alone, so a model derives it from its layers by the same steps
    (:func:`_grow_hop`), and a model file whose stored tree disagrees is
-   rejected.
+   rejected (:mod:`rpointhop.modelfile`).
 
 Hop 1 is the one-channel case of steps 3-4, with the tree's root as its
 only parent, so every hop is fit, pruned and frozen into a
@@ -55,21 +55,16 @@ because every quantity is expressed in the per-point resolved frames.
 
 from __future__ import annotations
 
-import io
-import json
-import math
-import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
 
-from .cloud import PointCloud, _content_lines, normalize_unit_sphere, sample_indices, seeded_rng
+from .cloud import PointCloud, normalize_unit_sphere, sample_indices, seeded_rng
+from .config import HopConfig, ModelConfig
 from .lrf import local_pca_batch, resolve_signs_batch
 from .saab import (
     STATUS_DISCARDED,
@@ -84,82 +79,13 @@ from .saab import (
 )
 from .spatial import KnnIndex, fps_indices
 
-MODEL_MAGIC = b"RPH1"
-MODEL_VERSION = 1
-
 
 class TrainingError(RuntimeError):
     """Training cannot proceed (empty corpus, all channels pruned, ...)."""
 
 
-class ModelFormatError(ValueError):
-    """A model file is corrupt or has an unsupported version."""
-
-
 class CloudTooSmallError(ValueError):
     """A cloud has fewer points than the model's hop-1 budget."""
-
-
-class _ConfigRefusal(ValueError):
-    """A config value out of range; ``keys`` are the config text keys it
-    concerns, so that :func:`parse_config` can name their lines."""
-
-    def __init__(self, message: str, *keys: str) -> None:
-        super().__init__(message)
-        self.keys = keys
-
-
-@dataclass(frozen=True)
-class HopConfig:
-    """Point budget and neighborhood size for one hop."""
-
-    num_points: int
-    k_neighbors: int
-
-    def __post_init__(self) -> None:
-        if self.num_points < 1:
-            raise _ConfigRefusal("num_points must be positive", "num_points")
-        if self.k_neighbors < 8:
-            raise _ConfigRefusal("k_neighbors must be >= 8 (one point per octant on average)", "k_neighbors")
-        if self.k_neighbors > self.num_points:
-            raise _ConfigRefusal("k_neighbors cannot exceed num_points at that hop", "k_neighbors", "num_points")
-
-
-DEFAULT_HOPS = (
-    HopConfig(1024, 64),
-    HopConfig(768, 32),
-    HopConfig(512, 48),
-    HopConfig(384, 48),
-)
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Full training configuration. Defaults are the object-scale setup:
-    1024 working points, neighborhoods 64/32/48/48 over 1024/768/512/384
-    points, 64 LRF neighbors, energy threshold 0.001."""
-
-    k_lrf: int = 64
-    hops: tuple[HopConfig, ...] = DEFAULT_HOPS
-    energy_threshold: float = 0.001
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        hops = tuple(self.hops)
-        if not hops:
-            raise _ConfigRefusal("at least one hop is required", "num_points", "k_neighbors")
-        object.__setattr__(self, "hops", hops)
-        if self.k_lrf < 3:
-            raise _ConfigRefusal("k_lrf must be >= 3", "k_lrf")
-        if self.k_lrf > hops[0].num_points:
-            raise _ConfigRefusal("k_lrf cannot exceed the hop-1 point budget", "k_lrf", "num_points")
-        for prev, nxt in zip(hops, hops[1:]):
-            if nxt.num_points > prev.num_points:
-                raise _ConfigRefusal("hop point budgets must be non-increasing", "num_points")
-        if not 0.0 <= self.energy_threshold < np.inf:  # NaN fails this too
-            raise _ConfigRefusal("energy_threshold must be finite and non-negative", "energy_threshold")
-        if self.seed < 0:
-            raise _ConfigRefusal(f"seed must be non-negative, got {self.seed}", "seed")
 
 
 def _grow_hop(
@@ -320,10 +246,11 @@ class _OctantMeans:
     stored entries alone, so :meth:`dense` of a row prefix gives the same
     bits as that part of the whole.
 
-    Held this way a later hop's inputs cost the values they average plus 9
-    bytes per neighbor (an int8 weight and an int64 column index) and 128
-    bytes per point (64 for the row pointers, 64 for the int64 octant
-    divisors), not 64·C bytes per point.
+    Held this way a later hop's inputs cost the values they average plus 5
+    bytes per neighbor (an int8 weight and an int32 column index) and 96
+    bytes per point (32 for the int32 row pointers, 64 for the int64 octant
+    divisors), not 64·C bytes per point. scipy keeps the column indices and
+    row pointers in one dtype, so both are cast.
     """
 
     def __init__(self, proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray) -> None:
@@ -331,11 +258,10 @@ class _OctantMeans:
         octant = (proj[..., 0] < 0).astype(np.int8) * 4 + (proj[..., 1] < 0) * np.int8(2) + (proj[..., 2] < 0)
         counts = np.bincount(((np.arange(p) * 8)[:, None] + octant).ravel(), minlength=p * 8)
         order = np.argsort(octant, axis=1, kind="stable")
-        indptr = np.concatenate([[0], np.cumsum(counts)])
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        indices = np.take_along_axis(nbr_idx, order, axis=1).ravel().astype(np.int32)
         weights = np.ones(p * k, dtype=np.int8)
-        self.sums = self._operator(
-            weights, np.take_along_axis(nbr_idx, order, axis=1).ravel(), indptr, values.shape[0]
-        )
+        self.sums = self._operator(weights, indices, indptr, values.shape[0])
         self.divisor = np.maximum(counts, 1)[:, None]
         self.values = values
 
@@ -587,6 +513,7 @@ def _moments(x: np.ndarray | _OctantMeans) -> SampleMoments:
     """The per-channel :class:`~rpointhop.saab.SampleMoments` of one cloud's
     (P, N, C) Saab inputs, reduced in place in the dense means a later hop's
     operator makes, or in a copy of hop 1's, which its plan apply reads."""
+    # a copy: centering below is in place, and hop 1's plan apply reads x afterwards
     a = x.dense() if isinstance(x, _OctantMeans) else x.copy()
     max_sq_norm = np.einsum("pnc,pnc->pc", a, a).max(axis=0)
     mean = a.mean(axis=0)
@@ -688,234 +615,3 @@ def _features(model: RPointHopModel, run: _HopRun) -> FeatureSet:
         eigen_gaps=run.eigen_gaps,
         neighbor_table=neighbors,
     )
-
-
-# ---------------------------------------------------------------------------
-# model serialization
-# ---------------------------------------------------------------------------
-
-
-def _layer_meta(layer: SaabLayer) -> dict:
-    return {"input_dim": layer.input_dim, "n_ac": int(layer.ac_filters.shape[0]), "bias": layer.bias}
-
-
-def _layer_arrays(layer: SaabLayer) -> list[np.ndarray]:
-    return [layer.dc_filter, layer.ac_filters, layer.energies]
-
-
-def _tree_rows(tree: FeatureTree) -> list[list]:
-    """The header's tree: one row per node, its node id the row index."""
-    return [[n.hop, n.parent, n.channel, n.fraction, n.cumulative, n.status] for n in tree.nodes]
-
-
-def save_model(model: RPointHopModel, path) -> None:
-    """Write a model file: magic ``RPH1``, format version, a JSON header
-    (config, tree, layer shapes), then all arrays as little-endian float64.
-    Byte-identical for identical models."""
-    header = {
-        "config": {
-            "k_lrf": model.config.k_lrf,
-            "hops": [[h.num_points, h.k_neighbors] for h in model.config.hops],
-            "energy_threshold": model.config.energy_threshold,
-            "seed": model.config.seed,
-        },
-        "tree": _tree_rows(model.tree),
-        "hop1": _layer_meta(model.hop1_layer),
-        "later": [
-            [
-                [pid, layer.input_dim, int(layer.ac_filters.shape[0]), layer.bias]
-                for pid, layer in sorted(hop.items())
-            ]
-            for hop in model.later_hops
-        ],
-    }
-    arrays = _layer_arrays(model.hop1_layer)
-    for hop in model.later_hops:
-        for _, layer in sorted(hop.items()):
-            arrays.extend(_layer_arrays(layer))
-    blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(MODEL_MAGIC)
-    buf.write(struct.pack("<I", MODEL_VERSION))
-    buf.write(struct.pack("<Q", len(blob)))
-    buf.write(blob)
-    for arr in arrays:
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def _read_exact(fh, count: int, what: str) -> bytes:
-    # a count past the end is refused before read() tries to allocate it
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    data = fh.read(count) if count <= left else b""
-    if len(data) != count:
-        raise ModelFormatError(f"corrupt model file: truncated while reading {what}")
-    return data
-
-
-def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
-    count = math.prod(shape)  # Python ints: a huge declared shape cannot wrap
-    data = _read_exact(fh, count * 8, f"array {shape}")
-    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-
-
-_JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
-
-
-def _typed(value, kind: type):
-    """A model header field of JSON type ``kind``. Counts, ids and the seed
-    are integers, other values numbers (an integer is a number too), and
-    statuses strings; a boolean is none of them."""
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise TypeError(f"expected {_JSON_KINDS[kind]}, got {value!r}")
-    return kind(value)
-
-
-def _read_layer(fh, input_dim, n_ac, bias) -> SaabLayer:
-    n, n_ac = _typed(input_dim, int), _typed(n_ac, int)
-    dc = _read_array(fh, (n,))
-    ac = _read_array(fh, (n_ac, n))
-    energies = _read_array(fh, (1 + n_ac,))
-    return SaabLayer(dc_filter=dc, ac_filters=ac, bias=_typed(bias, float), energies=energies)
-
-
-def load_model(path) -> RPointHopModel:
-    """Read a model file written by :func:`save_model`. Rejects unknown
-    versions, truncated or corrupt files, header fields of the wrong JSON
-    type (:func:`_typed`), and files whose stored tree differs from the one
-    the model derives from its layers."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != MODEL_MAGIC:
-            raise ModelFormatError(f"not a model file (magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != MODEL_VERSION:
-            raise ModelFormatError(f"unsupported model format version {version}")
-        (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
-        try:
-            header = json.loads(_read_exact(fh, blob_len, "header").decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ModelFormatError(f"corrupt model file: bad header ({exc})") from None
-        try:
-            cfg = header["config"]
-            config = ModelConfig(
-                k_lrf=_typed(cfg["k_lrf"], int),
-                hops=tuple(HopConfig(_typed(np_, int), _typed(k, int)) for np_, k in cfg["hops"]),
-                energy_threshold=_typed(cfg["energy_threshold"], float),
-                seed=_typed(cfg["seed"], int),
-            )
-            stored_tree = [
-                [
-                    _typed(hop, int), _typed(parent, int), _typed(channel, int),
-                    _typed(fraction, float), _typed(cumulative, float), _typed(status, str),
-                ]
-                for hop, parent, channel, fraction, cumulative, status in header["tree"]
-            ]
-            hop1 = header["hop1"]
-            hop1_layer = _read_layer(fh, hop1["input_dim"], hop1["n_ac"], hop1["bias"])
-            later = [
-                {_typed(pid, int): _read_layer(fh, input_dim, n_ac, bias) for pid, input_dim, n_ac, bias in hop_meta}
-                for hop_meta in header["later"]
-            ]
-        except ModelFormatError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            # a missing field, or a field of the wrong type, arity or value
-            raise ModelFormatError(f"corrupt model file: bad field ({exc})") from None
-        trailing = fh.read(1)
-        if trailing:
-            raise ModelFormatError("corrupt model file: trailing bytes after arrays")
-    try:
-        model = RPointHopModel(config=config, hop1_layer=hop1_layer, later_hops=tuple(later))
-    except ValueError as exc:
-        raise ModelFormatError(f"corrupt model file: layers do not form a model ({exc})") from None
-    derived = _tree_rows(model.tree)
-    if stored_tree != derived:
-        first = next(i for i, (a, b) in enumerate(zip_longest(stored_tree, derived)) if a != b)
-        raise ModelFormatError(
-            f"corrupt model file: stored tree differs from the layers' tree at node {first}"
-        )
-    return model
-
-
-# ---------------------------------------------------------------------------
-# config text files
-# ---------------------------------------------------------------------------
-
-_CONFIG_KEYS = {"k_lrf", "num_points", "k_neighbors", "energy_threshold", "seed"}
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.replace(",", " ").split()]
-
-
-def parse_config(text: str) -> ModelConfig:
-    """Parse the flat ``key = value`` config format.
-
-    ``num_points`` and ``k_neighbors`` take one integer per hop (whitespace
-    or comma separated) and must be given together, with equal lengths; the
-    remaining keys are scalars. Comment lines count toward line numbers.
-    Unknown keys, keys set twice and values that do not parse are errors
-    naming the line. So are pairing refusals and those of :class:`HopConfig`
-    and :class:`ModelConfig`, which name the line of each key they concern
-    that the text sets: ``config lines 2 and 3: k_neighbors cannot exceed
-    num_points at that hop``.
-    """
-    values: dict[str, tuple[int, str]] = {}
-    for lineno, stripped in _content_lines(text.splitlines()):
-        if "=" not in stripped:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
-        key, _, val = stripped.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in values:
-            first = values[key][0]
-            raise ValueError(f"config line {lineno}: duplicate key {key!r} (first set on line {first})")
-        values[key] = (lineno, val.strip())
-
-    def parsed(key: str, parse, expected: str):
-        lineno, val = values[key]
-        try:
-            return parse(val)
-        except ValueError:
-            raise ValueError(f"config line {lineno}: {key} expects {expected}, got {val!r}") from None
-
-    pair = ("num_points", "k_neighbors")
-    kwargs: dict = {}
-    try:
-        if (pair[0] in values) != (pair[1] in values):
-            raise _ConfigRefusal("num_points and k_neighbors must be given together", *pair)
-        if "num_points" in values:
-            pts, ks = (parsed(key, _parse_ints, "one integer per hop") for key in pair)
-            if len(pts) != len(ks):
-                raise _ConfigRefusal("num_points and k_neighbors must have one entry per hop", *pair)
-        for key, parse, expected in (
-            ("k_lrf", int, "an integer"),
-            ("energy_threshold", float, "a number"),
-            ("seed", int, "an integer"),
-        ):
-            if key in values:
-                kwargs[key] = parsed(key, parse, expected)
-        if "num_points" in values:
-            kwargs["hops"] = tuple(HopConfig(p, k) for p, k in zip(pts, ks))
-        return ModelConfig(**kwargs)
-    except _ConfigRefusal as exc:  # the defaults pass, so the text sets one of its keys at least
-        lines = sorted(values[key][0] for key in exc.keys if key in values)
-        where = f"lines {lines[0]} and {lines[1]}" if len(lines) > 1 else f"line {lines[0]}"
-        raise ValueError(f"config {where}: {exc}") from None
-
-
-def format_config(config: ModelConfig) -> str:
-    """Inverse of :func:`parse_config`."""
-    return "\n".join(
-        [
-            f"k_lrf = {config.k_lrf}",
-            "num_points = " + " ".join(str(h.num_points) for h in config.hops),
-            "k_neighbors = " + " ".join(str(h.k_neighbors) for h in config.hops),
-            f"energy_threshold = {config.energy_threshold!r}",
-            f"seed = {config.seed}",
-        ]
-    ) + "\n"

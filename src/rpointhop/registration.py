@@ -212,19 +212,36 @@ def _kabsch(f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return rotation, translation, s
 
 
-def _degenerate(s: np.ndarray) -> np.ndarray:
-    """Singular values (..., 3) of collinear (or coincident) pairs."""
-    return (s[..., 0] <= 0.0) | (s[..., 1] <= s[..., 0] * 1e-12)
+def _coincident(points: np.ndarray) -> np.ndarray:
+    """(...,) whether each stack's (n, 3) points all coincide: no centered
+    coordinate exceeds 1e-12 times the set's largest absolute coordinate.
+    An all-zero set coincides."""
+    spread = np.abs(points - points.mean(axis=-2, keepdims=True)).max(axis=(-2, -1))
+    return spread <= np.abs(points).max(axis=(-2, -1)) * 1e-12
+
+
+def _degenerate(s: np.ndarray, *point_sets: np.ndarray) -> np.ndarray:
+    """(...,) whether each stack of pairs leaves the rotation undetermined:
+    the singular values ``s`` (..., 3) of its cross-covariance are those of
+    collinear pairs, or the points of one of ``point_sets`` (its (..., n, 3)
+    target and source points) coincide. Coincident points give a
+    cross-covariance of rounding noise, whose singular value ratios can pass
+    the first test."""
+    flags = (s[..., 0] <= 0.0) | (s[..., 1] <= s[..., 0] * 1e-12)
+    for points in point_sets:
+        flags |= _coincident(points)
+    return flags
 
 
 def estimate_transform(corr: CorrespondenceSet) -> RigidTransform:
     """Closed-form least-squares rigid transform from matched coordinates
     (:func:`_kabsch` on one stack). Requires >= 3 pairs whose target points
-    are not collinear."""
+    are not collinear and whose target and source points do not all
+    coincide (:func:`_degenerate`)."""
     if len(corr) < 3:
         raise EstimationError(f"need at least 3 pairs, got {len(corr)}")
     rotation, translation, s = _kabsch(corr.target_coords, corr.source_coords)
-    if _degenerate(s):
+    if _degenerate(s, corr.target_coords, corr.source_coords):
         raise EstimationError("correspondences are collinear; rotation is undetermined")
     return RigidTransform(rotation, translation)
 
@@ -293,11 +310,12 @@ def ransac_estimate(corr: CorrespondenceSet, params: RansacParams = RansacParams
     # an int einsum skips BLAS: a float GEMM this size wakes OpenBLAS threads that then slow the lanes
     support = np.einsum("ij,jk->ik", c, c) * c
     picks = _seeded_groups(compatible, support)
-    rotation, translation, s = _kabsch(corr.target_coords[picks], corr.source_coords[picks])
+    group_targets, group_sources = corr.target_coords[picks], corr.source_coords[picks]
+    rotation, translation, s = _kabsch(group_targets, group_sources)
     res = _residuals(corr, rotation, translation)  # (K, m)
     inliers = res < params.inlier_radius
     counts = inliers.sum(axis=1)
-    counts[_degenerate(s)] = 0
+    counts[_degenerate(s, group_targets, group_sources)] = 0
     best_count = counts.max(initial=0)
     if best_count < 3:
         raise EstimationError("no RANSAC hypothesis produced 3 or more inliers")
@@ -339,7 +357,7 @@ def icp_refine(source: PointCloud, target: PointCloud, initial: RigidTransform) 
     iterations.
     Stops when the mean residual changes by less than ``ICP_TOL`` or after
     ``ICP_MAX_ITERS`` iterations, or keeps the current transform when
-    fewer than 3 pairs remain or they are collinear (where
+    fewer than 3 pairs remain or they are degenerate (where
     :func:`estimate_transform` refuses). Purely local: a bad initial guess
     converges to a nearby minimum, not the global one.
 
@@ -368,9 +386,10 @@ def icp_refine(source: PointCloud, target: PointCloud, initial: RigidTransform) 
         keep = dist <= median + X84_MADS * np.median(np.abs(dist - median))
         if np.count_nonzero(keep) < 3:
             break  # too few pairs; keep the current transform
-        delta_r, delta_t, s = _kabsch(moved[keep], source.coords[nbr_idx[keep]])
-        if _degenerate(s):
-            break  # collinear pairing; keep the current transform
+        pairs = moved[keep], source.coords[nbr_idx[keep]]
+        delta_r, delta_t, s = _kabsch(*pairs)
+        if _degenerate(s, *pairs):
+            break  # collinear or coincident pairing; keep the current transform
         rotation, translation = delta_r @ rotation, delta_r @ translation + delta_t
     return IcpResult(
         transform=RigidTransform(rotation, translation),

@@ -22,7 +22,7 @@ discarded outright, children and all; there is no leaf-collection of
 low-energy nodes. Surviving nodes at the last hop form the output feature
 dimensions. The tree thus follows from the layers' energies and the
 threshold alone: a model derives it from its layers, and a model file whose
-stored tree disagrees is rejected (see :mod:`rpointhop.pipeline`).
+stored tree disagrees is rejected (see :mod:`rpointhop.modelfile`).
 
 :func:`freeze_hop` freezes a trained hop into a :class:`HopPlan` that keeps
 the children its caller names, so that applying it is one batched matrix

@@ -23,7 +23,7 @@ from rpointhop import (
 )
 from rpointhop import cli
 from rpointhop.cli import main
-from rpointhop.pipeline import format_config
+from rpointhop.config import format_config
 
 from conftest import CLI_CONFIG, random_rotation
 

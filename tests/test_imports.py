@@ -6,6 +6,7 @@ tree with the standard library. A name is exempt from the first check
 when the module's ``__all__`` lists it, when its import line carries
 ``# noqa: F401``, or when it is ``from __future__ import annotations``. The
 second keeps a module's private decisions from leaking out of it unnoticed.
+A third keeps the model file's binary and JSON handling in one module.
 """
 
 import ast
@@ -19,7 +20,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 # (importing module, home module, name): the private names that a module
 # of the package may import from another one
 PRIVATE_IMPORTS = {
-    ("pipeline", "cloud", "_content_lines"),
+    ("config", "cloud", "_content_lines"),
     ("registration", "cloud", "_transform_lines"),
     ("registration", "pipeline", "_two_lanes"),
 }
@@ -106,3 +107,20 @@ def test_private_import_checker_flags_and_exempts():
         ("registration", "saab", "_live"),
     ]
     assert set(found) - PRIVATE_IMPORTS == {("registration", "cloud", "_secret"), ("registration", "saab", "_live")}
+
+
+def _top_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports, absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add((node.module or "").partition(".")[0])
+    return found
+
+
+def test_only_the_model_file_module_reads_binary_and_json():
+    # the model file format lives in one module; nothing else packs bytes or JSON
+    users = {path.stem for path in MODULES if _top_modules(path.read_text()) & {"struct", "json"}}
+    assert users == {"modelfile"}

@@ -35,6 +35,7 @@ from rpointhop import (
 from rpointhop import pipeline
 from rpointhop.bench import make_shape_corpus
 from rpointhop.cloud import RigidTransform, normalize_unit_sphere, sample_indices
+from rpointhop.config import format_config
 from rpointhop.lrf import local_pca_batch
 from rpointhop.pipeline import (
     _OctantMeans,
@@ -45,7 +46,6 @@ from rpointhop.pipeline import (
     build_hop1_attributes,
     build_later_hop_attributes,
     extract_pair,
-    format_config,
 )
 from rpointhop.saab import HopPlan, SaabLayer, SampleMoments, saab_fit
 from rpointhop.spatial import KnnIndex, fps_indices
@@ -512,6 +512,16 @@ class TestTrain:
                     assert np.array_equal(getattr(layers[pid], f.name), getattr(want_layer, f.name)), (h, pid, f.name)
             for run, x in zip(runs, inputs):
                 run.values = plan.apply(_dense_inputs(x))
+
+    def test_moments_leave_hop1_inputs_unchanged(self, tiny_corpus):
+        # hop 1's plan apply reads the same (P, 24, 1) array after its
+        # moments are taken, so the reduction must not center it in place
+        run = _start_runs([normalize_unit_sphere(tiny_corpus[0]).coords], TINY_CONFIG, [3], fit=True)[0]
+        x = run.hop_inputs(0)[0]
+        assert x.shape == (TINY_CONFIG.hops[0].num_points, 24, 1)
+        before = x.tobytes()
+        _moments(x)
+        assert x.tobytes() == before
 
 
 # ---------------------------------------------------------------------------

@@ -744,6 +744,89 @@ class TestIcp:
         assert result.iterations >= 2
 
 
+def degenerate_point_sets(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(target, source) 64-pair point sets that leave the rotation
+    undetermined. With one source or target point repeated, the
+    cross-covariance is rounding noise whose singular value ratios pass the
+    collinearity test; two distinct points repeated are collinear."""
+    shape = make_shape_cloud(64, seed=5).coords
+    other = make_shape_cloud(64, seed=6).coords
+    if kind == "coincident source":
+        return shape, np.repeat(other[:1], 64, axis=0)
+    if kind == "coincident target":
+        return np.repeat(other[:1], 64, axis=0), shape
+    return shape, other[np.arange(64) % 2]
+
+
+DEGENERATE_KINDS = ["coincident source", "coincident target", "two points repeated"]
+
+
+class TestDegeneratePairings:
+    def test_coincident_sets_pass_the_singular_value_test(self):
+        # what the spread test adds: these sets' singular values alone
+        # read as well-posed
+        for kind in DEGENERATE_KINDS[:2]:
+            f, g = degenerate_point_sets(kind)
+            s = _kabsch(f, g)[2]
+            assert not _degenerate(s) and _degenerate(s, f, g), kind
+
+    def test_coincident_is_relative_to_the_coordinates(self):
+        # spreads at 1e-14 of the coordinates coincide, at 1e-9 they do not;
+        # an all-zero set coincides
+        base = np.array([[3.0, -4.0, 12.0]])
+        rng = np.random.default_rng(30)
+        near = base * (1.0 + rng.normal(size=(8, 3)) * 1e-14)
+        apart = base * (1.0 + rng.normal(size=(8, 3)) * 1e-9)
+        f = np.stack([near, apart, np.zeros((8, 3)), rng.normal(size=(8, 3))])
+        s = _kabsch(f, rng.normal(size=(4, 8, 3)))[2]
+        assert _degenerate(s, f).tolist() == [True, False, True, False]
+
+    @pytest.mark.parametrize("kind", DEGENERATE_KINDS)
+    def test_estimate_refuses(self, kind):
+        with pytest.raises(EstimationError, match="rotation is undetermined"):
+            estimate_transform(make_corr(*degenerate_point_sets(kind)))
+
+    @pytest.mark.parametrize("kind", DEGENERATE_KINDS)
+    def test_ransac_refuses(self, kind):
+        with pytest.raises(EstimationError, match="3 or more inliers"):
+            ransac_estimate(make_corr(*degenerate_point_sets(kind)), RansacParams())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_near_coincident_groups_never_win(self, seed):
+        # 12 pairs of a tight target cluster on one source point (up to
+        # rounding-sized offsets) agree with any rotation about it, so their
+        # groups would outvote the 6 pairs of the true motion
+        rng = np.random.default_rng(seed)
+        f = rng.uniform(-1.0, 1.0, size=(12, 3)) * 0.004 + 0.3
+        g = rng.normal(size=3) * (1.0 + rng.normal(size=(12, 3)) * 1e-14)
+        with pytest.raises(EstimationError, match="rotation is undetermined"):
+            estimate_transform(make_corr(f, g))
+        with pytest.raises(EstimationError, match="3 or more inliers"):
+            ransac_estimate(make_corr(f, g), RansacParams())
+        f_true = rng.normal(size=(6, 3))
+        g_true = f_true @ rz(30.0).T + 1.0
+        got = ransac_estimate(make_corr(np.vstack([f, f_true]), np.vstack([g, g_true])), RansacParams())
+        assert np.abs(got.rotation - rz(30.0)).max() < 1e-9
+
+    @pytest.mark.parametrize("kind", DEGENERATE_KINDS)
+    def test_icp_keeps_the_initial_transform(self, kind):
+        # the first pairing is degenerate, so ICP stops unconverged where it
+        # started, as the full-search oracle does
+        f, g = degenerate_point_sets(kind)
+        initial = RigidTransform(rz(10.0), np.array([0.01, 0.0, -0.02]))
+        result = refine_as_oracle(PointCloud(g), PointCloud(f), initial)
+        assert not result.converged and result.iterations == 1
+        assert_same_bits(result.transform, initial)
+
+    def test_icp_onto_one_source_point(self):
+        # every pair shares the one source point: no rotation is determined
+        target = PointCloud(make_shape_cloud(64, seed=5).coords)
+        source = PointCloud(make_shape_cloud(64, seed=6).coords[:1])
+        result = refine_as_oracle(source, target, RigidTransform.identity())
+        assert not result.converged and result.iterations == 1
+        assert_same_bits(result.transform, RigidTransform.identity())
+
+
 # ---------------------------------------------------------------------------
 # end-to-end registration
 # ---------------------------------------------------------------------------
