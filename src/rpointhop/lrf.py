@@ -57,13 +57,19 @@ def resolve_signs_batch(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``pipeline._project_neighbors`` passes it, and C-ordered input gives
     the same bits.
 
+    The sorted values and the deviations share one buffer of ``proj``'s
+    size: the deviations are written over the sorted values once the median
+    is read. Only the lower mass's clipped deviations take a second buffer,
+    while they are summed.
+
     Returns (flips (N,3) of +-1, margins (N,3) = |left - right| moments);
     a margin near 0 means the sign is unstable.
     """
     k = proj.shape[1]
     values = proj.transpose(1, 2, 0)  # (k, 3, N)
-    s = np.sort(values, axis=0)
-    dev = values - (s[(k - 1) // 2] + s[k // 2]) / 2
+    dev = np.sort(values, axis=0)
+    median = (dev[(k - 1) // 2] + dev[k // 2]) / 2
+    np.subtract(values, median, out=dev)
     m_left = -np.minimum(dev, 0.0).sum(axis=0)
     m_right = np.maximum(dev, 0.0, out=dev).sum(axis=0)
     flips = np.where(m_left < m_right, 1.0, -1.0)

@@ -298,7 +298,9 @@ def _project_neighbors(
     The neighbors are gathered neighbor-major and each axis's coordinate is
     written ``(x-term + z-term) + y-term`` into (k, 3, P) memory: the bits
     of ``einsum("pkc,pac->pka")`` over (P, k, 3) offsets. ``proj`` is a
-    view of that memory.
+    view of that memory. The offsets and the scratch row go before sign
+    resolution, so the call's peak is the block and sign resolution's two
+    buffers of its size, about 3x the block.
     """
     p, k = nbr_idx.shape
     xyz = np.array(coords.T)
@@ -313,6 +315,7 @@ def _project_neighbors(
         np.multiply(rel_x, ax, out=out)
         out += np.multiply(rel_z, az, out=term)
         out += np.multiply(rel_y, ay, out=term)
+    del rel, rel_x, rel_y, rel_z, term  # freed before sign resolution allocates its buffer
     proj += 0.0  # einsum sums from +0.0, so an all -0.0 sum reads +0.0
     proj = proj.transpose(2, 0, 1)
     flips, margins = resolve_signs_batch(proj)
@@ -402,12 +405,15 @@ class _HopRun:
     ``counts[h]`` points: a fit reads every point of every hop, and
     extraction reads at hop h only the points that hop h + 1 keeps (all of
     them at the final hop). Every per-point array thus holds a prefix of the
-    working cloud's rows, and each hop cuts them all to its count. The
-    caller sets ``values`` to hop h's plan outputs at the n_{h+1} points of
-    hop h + 1. A hop's neighbor index covers all of its points. Hop-1 frames
-    are computed once and reused at all hops, with signs re-resolved per hop
-    against the hop's own neighborhood. Hop 2's neighbor rows are read off
-    hop 1's exact table (:func:`_prefix_table`) while hop 1 holds it.
+    working cloud's rows, and each hop cuts them all to its count
+    (:meth:`cut_to`); :func:`train` makes the same cut once a cloud's
+    moments are taken, so the run holds only the next hop's rows across a
+    fit. The caller sets ``values`` to hop h's plan outputs at the n_{h+1}
+    points of hop h + 1. A hop's neighbor index covers all of its points.
+    Hop-1 frames are computed once and reused at all hops, with signs
+    re-resolved per hop against the hop's own neighborhood. Hop 2's neighbor
+    rows are read off hop 1's exact table (:func:`_prefix_table`) while hop
+    1 holds it.
     """
 
     def __init__(
@@ -442,13 +448,7 @@ class _HopRun:
         hop, count = self.config.hops[h], self.counts[h]
         if h == 0:
             return self._hop1_inputs(hop, count)
-        # copies, not views: views would keep every fit run's hop-1 arrays
-        # alive, which raised the peak RSS of train(ModelConfig()) by ~10 MB
-        self.coords = self.coords[: hop.num_points].copy()
-        self.orig_indices = self.orig_indices[: hop.num_points].copy()
-        self.axes, self.eigen_gaps, self.min_margin = (
-            a[:count].copy() for a in (self.axes, self.eigen_gaps, self.min_margin)
-        )
+        self.cut_to(h)
         neighbors, self.hop2_table = self.hop2_table, None
         if neighbors is None:
             neighbors, _ = KnnIndex(self.coords).query(self.coords[:count], hop.k_neighbors)
@@ -456,6 +456,19 @@ class _HopRun:
         self.values = None  # read only here; the caller sets the next hop's
         np.minimum(self.min_margin, margins.min(axis=1), out=self.min_margin)
         return means, neighbors
+
+    def cut_to(self, h: int) -> None:
+        """Cut the working cloud to hop h's points and the per-point arrays
+        to its first ``counts[h]`` rows; arrays already that short stay."""
+        rows, count = self.config.hops[h].num_points, self.counts[h]
+        # copies, not views: views would keep every fit run's hop-1 arrays
+        # alive, which raised the peak RSS of train(ModelConfig()) by ~10 MB
+        self.coords, self.orig_indices = (
+            a[:rows].copy() if len(a) > rows else a for a in (self.coords, self.orig_indices)
+        )
+        self.axes, self.eigen_gaps, self.min_margin = (
+            a[:count].copy() if len(a) > count else a for a in (self.axes, self.eigen_gaps, self.min_margin)
+        )
 
     def _hop1_inputs(self, hop: HopConfig, count: int) -> tuple[np.ndarray, np.ndarray]:
         config = self.config
@@ -527,16 +540,22 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
 
     Deterministic: the corpus order and ``config.seed`` fully determine the
     model. The two half-stacks of farthest point sampling
-    (:func:`_start_runs`), the per-cloud hop inputs, their moments and the
-    plan applies are independent, so they share the two lanes
-    (:func:`_two_lanes`); the moments are merged in corpus order, so the
-    model's bits do not depend on which lane ran what.
+    (:func:`_start_runs`), each cloud's hop inputs with their moments (one
+    lane call per cloud), and the plan applies are independent, so they
+    share the two lanes (:func:`_two_lanes`); the moments are merged in
+    corpus order, so the model's bits do not depend on which lane ran what.
 
-    A cloud holds a later hop's inputs as its :class:`_OctantMeans`, not as
-    dense means: those live only inside one cloud's :func:`_moments` or plan
-    apply per lane, and the apply makes only the n_{h+1} rows the next hop
-    reads. A cloud's inputs go once that apply has built its next values,
-    so the corpus holds each cloud's inputs or its next values, not both.
+    Across a hop's fits a cloud keeps only what the rest of training reads.
+    Right after its moments, its run is cut to hop h + 1's rows
+    (:meth:`_HopRun.cut_to`, the cut each hop makes at its start), and hop
+    2's neighbor rows are held as int32. Of its inputs it keeps hop 1's
+    first n_2 rows, the only ones hop 1's plan apply reads; a later hop's
+    :class:`_OctantMeans` whole, not dense means, since its prefix rows read
+    every value; and nothing at the final hop. Dense later-hop means live
+    only inside one cloud's :func:`_moments` or plan apply per lane, and the
+    apply makes only the n_{h+1} rows the next hop reads. A cloud's inputs
+    go once that apply has built its next values, so the corpus holds each
+    cloud's inputs or its next values, not both.
     """
     clouds = list(corpus)
     if not clouds:
@@ -551,15 +570,32 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     hop_layers: list[dict[int, SaabLayer]] = []
     parent_ids = [0]
     for h in range(n_hops):
-        inputs = _two_lanes(lambda run: run.hop_inputs(h)[0], runs)
-        moments = reduce(SampleMoments.merge, _two_lanes(_moments, inputs))
+        final = h == n_hops - 1
+        n_next = 0 if final else config.hops[h + 1].num_points
+
+        def fit_step(run: _HopRun) -> tuple[np.ndarray | _OctantMeans | None, SampleMoments]:
+            """Hop h's moments of one cloud, and the part of its inputs that
+            hop h's plan apply reads; the run keeps only hop h + 1's rows."""
+            x, _ = run.hop_inputs(h)
+            moments = _moments(x)
+            if final:
+                return None, moments  # the final hop's inputs go with their moments
+            run.cut_to(h + 1)
+            if h == 0:  # a later hop's operator stays whole: its prefix rows read every value
+                x = x[:n_next].copy()
+                run.hop2_table = run.hop2_table.astype(np.int32)
+            return x, moments
+
+        steps = _two_lanes(fit_step, runs)
+        inputs = [x for x, _ in steps]
+        moments = reduce(SampleMoments.merge, [m for _, m in steps])
+        del steps  # inputs[i] is then the only hold on cloud i's inputs
         layers = {pid: saab_fit(moments[c]) for c, pid in enumerate(parent_ids)}
-        children = _grow_hop(tree, layers, parent_ids, config.energy_threshold, h == n_hops - 1)
+        children = _grow_hop(tree, layers, parent_ids, config.energy_threshold, final)
         if not children:
             raise TrainingError(_prune_message(h + 1, n_hops))
-        if h < n_hops - 1:  # hop h + 1 reads its first n_{h+1} rows, and nothing the final hop's
+        if not final:  # hop h + 1 reads its first n_{h+1} rows, and nothing the final hop's
             plan = freeze_hop(tree, layers, parent_ids, children)
-            n_next = config.hops[h + 1].num_points
 
             def advance(i: int) -> None:
                 runs[i].values = plan.apply(_dense_inputs(inputs[i], n_next))

@@ -226,8 +226,22 @@ def _degenerate(s: np.ndarray, *point_sets: np.ndarray) -> np.ndarray:
     collinear pairs, or the points of one of ``point_sets`` (its (..., n, 3)
     target and source points) coincide. Coincident points give a
     cross-covariance of rounding noise, whose singular value ratios can pass
-    the first test."""
+    the first test.
+
+    Given the two sets f and g whose cross-covariance H gave ``s``, ``s[0]``
+    screens the coincidence test. :func:`_kabsch` centers on the means
+    :func:`_coincident` centers on, so if f's points coincide, every centered
+    coordinate of f is at most 1e-12·max|f| and every one of g at most
+    2·max|g|: then s[0] <= ||H||_F <= 6e-12·n·max|f|·max|g|, and the same
+    holds with f and g swapped. Above twice that bound, which covers the
+    rounding of H and of its SVD, neither set coincides, and the test is
+    skipped with the same result."""
     flags = (s[..., 0] <= 0.0) | (s[..., 1] <= s[..., 0] * 1e-12)
+    if len(point_sets) == 2:
+        f, g = point_sets
+        bound = 1.2e-11 * f.shape[-2] * np.abs(f).max(axis=(-2, -1)) * np.abs(g).max(axis=(-2, -1))
+        if not np.any(s[..., 0] <= bound):
+            return flags
     for points in point_sets:
         flags |= _coincident(points)
     return flags

@@ -1,5 +1,7 @@
 """Local reference frames: PCA, sign disambiguation, projection invariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,6 +281,44 @@ class TestLayoutOracles:
                 pts[:, b] = -pts[:, a]
             table = rng.integers(0, 40, size=(25, 3 + trial))
             assert _same_bits(local_pca_batch(pts, table), pca_gather_oracle(pts, table)), trial
+
+
+def _traced_peak(fn, *args) -> int:
+    """tracemalloc's peak of one ``fn(*args)`` call, after a first untraced
+    call has made numpy's one-off allocations."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTracedPeaks:
+    """Hop 1's attributes allocate little beside the (k, 3, P) neighbor
+    block: at the partial model's hop 1 (768 points, 64 neighbors) each lane
+    of a fit runs them on one cloud at a time."""
+
+    def test_signs_hold_one_buffer_beside_the_deviations_clip(self):
+        # the sort buffer takes the deviations, so beside its input the call
+        # holds that buffer and the lower mass's clipped deviations; a
+        # separate deviations array made it 3x
+        proj = _neighbor_major(np.random.default_rng(4).normal(size=(768, 64, 3)))
+        peak = _traced_peak(resolve_signs_batch, proj)
+        assert peak < 2.5 * proj.nbytes, peak / proj.nbytes
+
+    def test_projection_frees_its_offsets_before_sign_resolution(self):
+        # the block and sign resolution's buffers, about 3x the block; the
+        # gathered offsets and the scratch row held through sign resolution
+        # made it 5.4x
+        points, table = corpus_hop_tables(PARTIAL_CONFIG, True)[0]
+        axes, _ = local_pca_batch(points, table[:, : PARTIAL_CONFIG.k_lrf])
+        nbr_idx = table[:, : PARTIAL_CONFIG.hops[0].k_neighbors]
+        assert nbr_idx.shape == (768, 64)
+        block = nbr_idx.size * 3 * 8
+        peak = _traced_peak(_project_neighbors, points, nbr_idx, axes)
+        assert peak < 3.5 * block, peak / block
 
 
 # ---------------------------------------------------------------------------

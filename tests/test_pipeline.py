@@ -481,6 +481,66 @@ class TestTrain:
         assert [len(r) for _, r in sorted(refs.items())] == [n, n]
         assert all(r() is None for hop in refs.values() for r in hop)
 
+    def test_runs_hold_only_what_the_next_hop_reads_across_each_fit(self, tiny_corpus, monkeypatch):
+        # with the lanes run serially, every cloud's moments of hop h are
+        # taken before hop h's fits: by then each run's per-point arrays
+        # hold hop h + 1's rows, hop 1's whole inputs are gone (what is held
+        # of them, and handed to hop 1's plan apply, is their first n_2
+        # rows), hop 2's neighbor rows are int32, and no final-hop input is
+        # alive. Each hop makes one lane call for its inputs and moments,
+        # and one for its plan applies unless it is the final hop
+        lane_calls = []
+        monkeypatch.setattr(
+            pipeline, "_two_lanes", lambda fn, items: lane_calls.append(fn) or [fn(x) for x in items]
+        )
+        config = ModelConfig(hops=(*TINY_CONFIG.hops, HopConfig(64, 16)), k_lrf=TINY_CONFIG.k_lrf)
+        budgets = [hop.num_points for hop in config.hops]
+        last = len(budgets) - 1
+        runs: dict[int, pipeline._HopRun] = {}
+        built: dict[int, list[weakref.ref]] = {}  # hop -> each cloud's inputs, as hop_inputs made them
+        hop_inputs, apply, fit = pipeline._HopRun.hop_inputs, HopPlan.apply, pipeline.saab_fit
+
+        def recording(run, h):
+            x, neighbors = hop_inputs(run, h)
+            runs.setdefault(id(run), run)
+            built.setdefault(h, []).append(weakref.ref(x))
+            return x, neighbors
+
+        fits: Counter = Counter()
+
+        def checking_fit(moments):
+            h = max(built)
+            fits[h] += 1
+            rows = budgets[min(h + 1, last)]
+            for run in runs.values():
+                held = (run.coords, run.orig_indices, run.axes, run.eigen_gaps, run.min_margin)
+                assert [len(a) for a in held] == [rows] * 5, h + 1
+                if h == 0:
+                    assert run.hop2_table.dtype == np.int32 and len(run.hop2_table) == budgets[1]
+            if h in (0, last):
+                assert all(r() is None for r in built[h]), h + 1
+            return fit(moments)
+
+        applied: Counter = Counter()
+
+        def checking_apply(plan, x):
+            h = max(built)
+            applied[h] += 1
+            if h == 0:
+                owner = x if x.base is None else x.base
+                assert owner.shape == (budgets[1], 24, 1)
+            return apply(plan, x)
+
+        monkeypatch.setattr(pipeline._HopRun, "hop_inputs", recording)
+        monkeypatch.setattr(pipeline, "saab_fit", checking_fit)
+        monkeypatch.setattr(HopPlan, "apply", checking_apply)
+        train(tiny_corpus, config)
+        n = len(tiny_corpus)
+        assert len(runs) == n and sorted(fits) == [0, 1, 2] and fits[0] == 1
+        assert applied == {0: n, 1: n}
+        assert [len(r) for _, r in sorted(built.items())] == [n, n, n]
+        assert len(lane_calls) == 1 + 2 + 2 + 1  # sampling, then hops 1-3
+
     def test_layers_fit_merged_cloud_moments(self, tiny_model, tiny_corpus):
         # replay train's runs with its forward plans, which carry every
         # survivor: at each hop the corpus-order merge of the clouds' moments

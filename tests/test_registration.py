@@ -30,8 +30,10 @@ from rpointhop import (
 )
 from rpointhop.bench import add_noise, make_partial, make_shape_cloud
 from rpointhop.pipeline import FeatureSet
+from rpointhop import registration
 from rpointhop.registration import (
     CorrespondenceSet,
+    _coincident,
     _degenerate,
     _kabsch,
     _nearest_two,
@@ -825,6 +827,70 @@ class TestDegeneratePairings:
         result = refine_as_oracle(source, target, RigidTransform.identity())
         assert not result.converged and result.iterations == 1
         assert_same_bits(result.transform, RigidTransform.identity())
+
+
+class TestCoincidenceScreen:
+    """``_degenerate`` given a stack's target and source points skips the
+    coincidence test when ``s[0]`` proves both sets spread, with the same
+    flags as running it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        stack=st.integers(1, 4),
+        n=st.integers(3, 40),
+        kinds=st.lists(st.sampled_from(["spread", "near", "one point", "zeros", "line"]), min_size=2, max_size=2),
+        scales=st.lists(st.floats(-12, 12), min_size=2, max_size=2),
+        spread=st.floats(-16, -6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_screened_flags_equal_the_full_tests_property(self, stack, n, kinds, scales, spread, seed):
+        # near-coincident sets spread at 1e-16..1e-6 of their coordinates,
+        # on both sides of the 1e-12 tolerance, at scales 1e-12..1e12
+        rng = np.random.default_rng(seed)
+        sets = []
+        for kind, scale in zip(kinds, scales):
+            centre = rng.normal(size=(stack, 1, 3))
+            x = {
+                "spread": rng.normal(size=(stack, n, 3)),
+                "near": centre * (1.0 + rng.normal(size=(stack, n, 3)) * 10.0**spread),
+                "one point": np.repeat(centre, n, axis=1),
+                "zeros": np.zeros((stack, n, 3)),
+                "line": centre * rng.normal(size=(stack, n, 1)),
+            }[kind]
+            sets.append(x * 10.0**scale)
+        f, g = sets
+        s = _kabsch(f, g)[2]
+        want = _degenerate(s) | _coincident(f) | _coincident(g)
+        assert np.array_equal(_degenerate(s, f, g), want)
+
+    @pytest.mark.parametrize("n", [8, 64, 700])
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_aligned_offsets_reach_the_test(self, n, scale):
+        # near the screen's worst case: f coincides at 0.9e-12 of its
+        # coordinates, its offsets line up with g's points, mostly along one
+        # diagonal, and s[0] reads over a quarter of the proof's bound
+        w = np.where(np.arange(n) % 2, 1.0, -1.0)[:, None]
+        u = w * np.where((np.arange(n) % 8 >= 6)[:, None], [1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+        f = scale * (1.0 + 0.9e-12 * u)
+        g = 3.0 * u
+        s = _kabsch(f, g)[2]
+        assert _coincident(f) and not _degenerate(s)
+        assert s[0] > 1.5e-12 * n * np.abs(f).max() * np.abs(g).max()
+        assert _degenerate(s, f, g) and _degenerate(_kabsch(g, f)[2], g, f)
+
+    def test_icp_tests_coincidence_only_on_degenerate_pairings(self, monkeypatch):
+        # every pairing of a well-spread ICP passes the screen; a coincident
+        # one still reaches the test, and ICP stops where it started
+        calls = []
+        real = registration._coincident
+        monkeypatch.setattr(registration, "_coincident", lambda points: calls.append(len(points)) or real(points))
+        cloud = make_shape_cloud(256, seed=3)
+        moved = apply_transform(cloud, RigidTransform(rz(8.0), np.array([0.02, -0.01, 0.0])))
+        result = icp_refine(moved, cloud, RigidTransform.identity())
+        assert result.iterations > 2 and calls == []
+        f, g = degenerate_point_sets("coincident source")
+        result = icp_refine(PointCloud(g), PointCloud(f), RigidTransform.identity())
+        assert not result.converged and result.iterations == 1 and calls
 
 
 # ---------------------------------------------------------------------------
