@@ -18,8 +18,9 @@ Training (unsupervised, one pass per hop):
    then build an 8-wide attribute per point and surviving channel: the
    per-octant means of the neighbors' channel value. Each channel is fit
    with its own Saab transform (channel-wise). Training holds each cloud's
-   means as the octant-sum operator and the values it averages, and drops
-   them once the cloud's plan apply has built its next hop's values.
+   means as the octant-sum operator and the values it averages, makes them
+   dense only a block of channels at a time, and drops them once the
+   cloud's plan apply has built its next hop's values.
    Sampling runs once per cloud, and the hop-1 working cloud is
    stored in farthest point order, so hop h's points are its first n_h
    rows: exactly what sampling each hop from the previous one gives.
@@ -274,13 +275,18 @@ class _OctantMeans:
     def __len__(self) -> int:
         return len(self.divisor) // 8
 
-    def dense(self, rows: int | None = None) -> np.ndarray:
-        """The (rows, 8, C) means of the first ``rows`` points (all when None)."""
+    def dense(self, rows: int | None = None, channels: slice = slice(None)) -> np.ndarray:
+        """The (rows, 8, C) means of the first ``rows`` points (all when
+        None), of the value columns ``channels`` (all by default). Each
+        output column depends on its own value column alone, so a block of
+        channels gives the same bits as those columns of the whole; scipy
+        copies a block's strided columns into a contiguous (N, block)
+        operand for the product."""
         a = self.sums
         if rows is not None and rows < len(self):
             end = a.indptr[8 * rows]
             a = self._operator(a.data[:end], a.indices[:end], a.indptr[: 8 * rows + 1], a.shape[1])
-        sums = a @ self.values
+        sums = a @ self.values[:, channels]
         sums /= self.divisor[: len(sums)]
         return sums.reshape(len(sums) // 8, 8, sums.shape[1])
 
@@ -381,13 +387,12 @@ def _prefix_table(table: np.ndarray, points: np.ndarray, k: int, rows: int) -> n
     return out
 
 
-def _dense_inputs(x: np.ndarray | _OctantMeans, rows: int | None = None) -> np.ndarray:
-    """The (rows, N, C) Saab inputs of one cloud's first ``rows`` points (all
-    when None): hop 1's inputs are dense already, a later hop's are
-    materialized from their operator."""
+def _dense_inputs(x: np.ndarray | _OctantMeans) -> np.ndarray:
+    """The (P, N, C) Saab inputs of one cloud: hop 1's inputs are dense
+    already, a later hop's are materialized from their operator."""
     if isinstance(x, _OctantMeans):
-        return x.dense(rows)
-    return x[:rows]
+        return x.dense()
+    return x
 
 
 class _HopRun:
@@ -522,17 +527,86 @@ def _start_runs(
     return [_HopRun(cloud, idx, p, config, fit) for cloud, idx, p in zip(full, sampled, picks)]
 
 
-def _moments(x: np.ndarray | _OctantMeans) -> SampleMoments:
-    """The per-channel :class:`~rpointhop.saab.SampleMoments` of one cloud's
-    (P, N, C) Saab inputs, reduced in place in the dense means a later hop's
-    operator makes, or in a copy of hop 1's, which its plan apply reads."""
-    # a copy: centering below is in place, and hop 1's plan apply reads x afterwards
-    a = x.dense() if isinstance(x, _OctantMeans) else x.copy()
+_CHANNEL_BLOCK = 32  # the widest block of channels whose later-hop dense means train holds at once
+
+
+def _channel_blocks(c: int) -> list[slice]:
+    """``c`` channels cut into the fewest blocks of at most
+    :data:`_CHANNEL_BLOCK`, of widths that differ by at most one. So no
+    block is one channel wide unless ``c`` is 1: a one-channel block's
+    memory is contiguous along the octants, where numpy takes other loops
+    (``einsum``'s vectorized sums, BLAS in a plan's ``matmul``) with other
+    bits than on the whole."""
+    n = -(-c // _CHANNEL_BLOCK)
+    return [slice(c * i // n, c * (i + 1) // n) for i in range(n)]
+
+
+def _block_moments(a: np.ndarray) -> SampleMoments:
+    """The per-channel moments of (P, N, C) samples ``a``, centered in place.
+
+    Each covariance row i is one ``einsum`` over its upper triangle
+    ``[i, i:]``, mirrored below the diagonal: the bits of
+    ``einsum("pnc,pmc->cnm")``, since products commute exactly and each
+    entry still sums over p in order, in about a third of its time. The
+    (C, N, N) covariances keep that ``einsum``'s channel-minor memory: the
+    matmuls of a fit read one channel's matrix, and which loop they take,
+    hence their bits, depends on its strides."""
+    p, n, c = a.shape
     max_sq_norm = np.einsum("pnc,pnc->pc", a, a).max(axis=0)
     mean = a.mean(axis=0)
     a -= mean
-    cov = np.einsum("pnc,pmc->cnm", a, a) / len(a)
-    return SampleMoments(len(a), mean.T, cov, max_sq_norm)
+    cov = np.empty((n, n, c))
+    for i in range(n):
+        np.einsum("pc,pmc->mc", a[:, i], a[:, i:], out=cov[i, i:])
+        cov[i + 1 :, i] = cov[i, i + 1 :]
+    cov /= p
+    return SampleMoments(p, mean.T, cov.transpose(2, 0, 1), max_sq_norm)
+
+
+def _moments(x: np.ndarray | _OctantMeans) -> SampleMoments:
+    """The per-channel :class:`~rpointhop.saab.SampleMoments` of one cloud's
+    (P, N, C) Saab inputs (:func:`_block_moments`): hop 1's reduced in a
+    copy, which its plan apply reads afterwards, and a later hop's in the
+    dense means its operator makes, one block of channels at a time
+    (:func:`_channel_blocks`), so no more than a block's (P, 8, C) means
+    are ever held."""
+    if not isinstance(x, _OctantMeans):
+        # a copy: centering is in place, and hop 1's plan apply reads x afterwards
+        return _block_moments(x.copy())
+    c = x.values.shape[1]
+    # channel-minor, as one block of all c channels lays them out
+    mean, cov, max_sq_norm = np.empty((8, c)).T, np.empty((8, 8, c)).transpose(2, 0, 1), np.empty(c)
+    for block in _channel_blocks(c):
+        m = _block_moments(x.dense(channels=block))
+        mean[block], cov[block], max_sq_norm[block] = m.mean, m.cov, m.max_sq_norm
+    return SampleMoments(len(x), mean, cov, max_sq_norm)
+
+
+def _plan_blocks(plan: HopPlan) -> list[tuple[slice, HopPlan, slice]]:
+    """``plan`` cut by :func:`_channel_blocks` of its parent channels: per
+    block that keeps a child, its channels, its sub-plan and the run of
+    output columns it fills (:meth:`~rpointhop.saab.HopPlan.block`)."""
+    blocks = [(channels, *plan.block(channels)) for channels in _channel_blocks(len(plan.biases))]
+    return [(channels, sub, columns) for channels, sub, columns in blocks if sub.slots.size]
+
+
+def _apply_blocks(
+    plan: HopPlan, blocks: list[tuple[slice, HopPlan, slice]], x: np.ndarray | _OctantMeans, rows: int
+) -> np.ndarray:
+    """``plan.apply`` of one cloud's inputs ``x`` at its first ``rows``
+    points, bit for bit: hop 1's dense inputs in one apply, a later hop's
+    operator one of the plan's ``blocks`` (:func:`_plan_blocks`) at a time,
+    each into its run of the preallocated (rows, C') output. So no more than
+    a block's dense means and product are held beside the output."""
+    if not isinstance(x, _OctantMeans):
+        return plan.apply(x[:rows])
+    if len(blocks) == 1:  # the one block keeps every kept child, so its output is the whole
+        (channels, sub, _), = blocks
+        return sub.apply(x.dense(rows, channels))
+    out = np.empty((rows, len(plan.slots)))
+    for channels, sub, columns in blocks:
+        out[:, columns] = sub.apply(x.dense(rows, channels))
+    return out
 
 
 def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> RPointHopModel:
@@ -552,10 +626,13 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     first n_2 rows, the only ones hop 1's plan apply reads; a later hop's
     :class:`_OctantMeans` whole, not dense means, since its prefix rows read
     every value; and nothing at the final hop. Dense later-hop means live
-    only inside one cloud's :func:`_moments` or plan apply per lane, and the
-    apply makes only the n_{h+1} rows the next hop reads. A cloud's inputs
-    go once that apply has built its next values, so the corpus holds each
-    cloud's inputs or its next values, not both.
+    only inside one cloud's :func:`_moments` or plan apply per lane, one
+    block of at most :data:`_CHANNEL_BLOCK` channels at a time
+    (:func:`_channel_blocks`), and the apply makes only the n_{h+1} rows
+    the next hop reads (:func:`_apply_blocks`). So each lane's transients
+    are a block's (P, 8, C) means and (C, P, K) product, not the hop's. A
+    cloud's inputs go once that apply has built its next values, so the
+    corpus holds each cloud's inputs or its next values, not both.
     """
     clouds = list(corpus)
     if not clouds:
@@ -596,9 +673,10 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
             raise TrainingError(_prune_message(h + 1, n_hops))
         if not final:  # hop h + 1 reads its first n_{h+1} rows, and nothing the final hop's
             plan = freeze_hop(tree, layers, parent_ids, children)
+            blocks = _plan_blocks(plan)  # once per hop, not once per cloud
 
             def advance(i: int) -> None:
-                runs[i].values = plan.apply(_dense_inputs(inputs[i], n_next))
+                runs[i].values = _apply_blocks(plan, blocks, inputs[i], n_next)
                 inputs[i] = None  # freed while other clouds' next values are built
 
             _two_lanes(advance, range(len(runs)))

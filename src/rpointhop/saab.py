@@ -320,6 +320,19 @@ class HopPlan:
         rows = np.arange(len(x))[:, None] * k
         return np.take(out, rows + (self.slots // k * len(x) * k + self.slots % k))
 
+    def block(self, channels: slice) -> tuple[HopPlan, slice]:
+        """The plan of the parent channels ``channels`` (a step-1 slice) and
+        the run of this plan's output columns that it keeps. Slots ascend
+        with their parent, so a block's kept children are one contiguous
+        run, and ``block.apply(x[:, :, channels])`` gives those columns of
+        ``apply(x)`` bit for bit whenever both inputs take the same matmul
+        loop, that is unless exactly one of them is one channel wide."""
+        start, stop, _ = channels.indices(len(self.biases))
+        k = self.filters.shape[2]
+        lo, hi = np.searchsorted(self.slots, [start * k, stop * k])
+        sub = HopPlan(self.filters[start:stop], self.biases[start:stop], self.slots[lo:hi] - start * k)
+        return sub, slice(int(lo), int(hi))
+
 
 def freeze_hop(
     tree: FeatureTree, layers: Mapping[int, SaabLayer], parent_ids: Sequence[int], kept_ids: Sequence[int]

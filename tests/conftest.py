@@ -22,7 +22,7 @@ from rpointhop import (
 )
 from rpointhop.bench import make_shape_corpus
 from rpointhop.cloud import PointCloud, normalize_unit_sphere
-from rpointhop.pipeline import FeatureSet, _grow_hop, _start_runs
+from rpointhop.pipeline import FeatureSet, _OctantMeans, _grow_hop, _start_runs
 from rpointhop import registration
 from rpointhop.registration import (
     CorrespondenceSet,
@@ -36,6 +36,7 @@ from rpointhop.saab import (
     STATUS_OUTPUT,
     FeatureTree,
     SaabLayer,
+    SampleMoments,
     freeze_hop,
     saab_apply,
 )
@@ -219,6 +220,19 @@ def plan_take_oracle(plan, x: np.ndarray) -> np.ndarray:
     xt = x.transpose(2, 0, 1)
     out = np.matmul(xt, plan.filters) + plan.biases[:, None, None]
     return np.take(out.transpose(1, 0, 2).reshape(len(x), c * k), plan.slots, axis=1)
+
+
+def moments_oracle(x: np.ndarray | _OctantMeans) -> SampleMoments:
+    """The former ``pipeline._moments``: one cloud's whole dense inputs
+    (a copy of hop 1's), centered in place, and the full covariance by one
+    ``einsum``."""
+    # a copy: centering below is in place, and hop 1's plan apply reads x afterwards
+    a = x.dense() if isinstance(x, _OctantMeans) else x.copy()
+    max_sq_norm = np.einsum("pnc,pnc->pc", a, a).max(axis=0)
+    mean = a.mean(axis=0)
+    a -= mean
+    cov = np.einsum("pnc,pmc->cnm", a, a) / len(a)
+    return SampleMoments(len(a), mean.T, cov, max_sq_norm)
 
 
 def saab_fit_oracle(samples: np.ndarray) -> SaabLayer:

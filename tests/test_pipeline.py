@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpointhop import (
@@ -38,9 +38,13 @@ from rpointhop.cloud import RigidTransform, normalize_unit_sphere, sample_indice
 from rpointhop.config import format_config
 from rpointhop.lrf import local_pca_batch
 from rpointhop.pipeline import (
+    _CHANNEL_BLOCK,
     _OctantMeans,
+    _apply_blocks,
+    _channel_blocks,
     _dense_inputs,
     _moments,
+    _plan_blocks,
     _project_neighbors,
     _start_runs,
     build_hop1_attributes,
@@ -58,11 +62,18 @@ from conftest import (
     hop_oracle,
     knn_oracle,
     live_node_ids,
+    moments_oracle,
     off_lattice_points,
     octant_loop_oracle,
     octant_oracle,
     projection_einsum_oracle,
     random_rotation,
+)
+
+
+# three hops whose hop 3 takes 190 channels on ``tiny_corpus``
+WIDE_CONFIG = ModelConfig(
+    hops=(HopConfig(192, 16), HopConfig(160, 16), HopConfig(128, 16)), k_lrf=16, energy_threshold=1e-4
 )
 
 
@@ -426,9 +437,7 @@ class TestTrain:
         # moments one cloud at a time per lane, and no corpus pool is built,
         # so train never holds the corpus's dense inputs of its widest hop
         # (190 channels at hop 3)
-        config = ModelConfig(
-            hops=(HopConfig(192, 16), HopConfig(160, 16), HopConfig(128, 16)), k_lrf=16, energy_threshold=1e-4
-        )
+        config = WIDE_CONFIG
         tracemalloc.start()
         try:
             model = train(tiny_corpus, config)
@@ -445,6 +454,20 @@ class TestTrain:
         assert survivors[2] == 190
         assert dense == len(tiny_corpus) * 128 * 8 * 190 * 8 == 12451840
         assert peak < dense
+
+    def test_traced_peak_holds_a_block_of_dense_means_per_lane(self, tiny_corpus):
+        # a lane makes a later hop's dense means and plan products one block
+        # of at most 32 channels at a time, so beside the held operators
+        # train's peak holds only a few blocks: 5.5 MB while each lane made
+        # one cloud's (128, 8, 190) means of hop 3 whole, below 2.9 MB since
+        tracemalloc.start()
+        try:
+            model = train(tiny_corpus, WIDE_CONFIG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(forward_plans(model)[2].biases) == 190  # train's plan of hop 3
+        assert peak < 3.5e6
 
     def test_each_clouds_inputs_go_once_its_next_values_exist(self, tiny_corpus, monkeypatch):
         # with the lanes run serially, cloud j's plan apply runs after those
@@ -582,6 +605,99 @@ class TestTrain:
         before = x.tobytes()
         _moments(x)
         assert x.tobytes() == before
+
+
+class TestChannelBlocks:
+    """Train's moments and plan applies of a later hop's operator, made one
+    block of channels at a time, give the bits of the whole."""
+
+    @staticmethod
+    def _same(got: SampleMoments, want: SampleMoments) -> None:
+        # same bits and the same memory: a fit's matmuls read each channel's
+        # covariance, and their loops, so their bits, depend on its strides
+        # (those of axes longer than 1)
+        assert got.count == want.count
+        for name in ("mean", "cov", "max_sq_norm"):
+            a, b = getattr(got, name), getattr(want, name)
+            layout = [(s, d) for s, d in zip(a.strides, a.shape) if d > 1]
+            assert a.shape == b.shape and layout == [(s, d) for s, d in zip(b.strides, b.shape) if d > 1], name
+            assert a.tobytes() == b.tobytes(), name
+
+    @staticmethod
+    def _operator(rng: np.random.Generator, p: int, c: int, k: int = 12, n: int = 90) -> _OctantMeans:
+        proj = rng.normal(size=(p, k, 3))
+        values = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-2, 2, size=c) + rng.normal(size=c)
+        return _OctantMeans(proj, values, rng.integers(0, n, size=(p, k)))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 300),
+        n=st.sampled_from([8, 24]),
+        c=st.one_of(
+            st.just(1),
+            st.integers(2, _CHANNEL_BLOCK - 1),
+            st.just(_CHANNEL_BLOCK),
+            st.integers(_CHANNEL_BLOCK + 1, 3 * _CHANNEL_BLOCK).filter(lambda c: c % _CHANNEL_BLOCK),
+        ),
+    )
+    @example(seed=0, p=50, n=8, c=_CHANNEL_BLOCK + 1)  # a fixed-width cut would leave one channel alone
+    @settings(max_examples=40, deadline=None)
+    def test_moments_match_the_whole_einsum(self, seed, p, n, c):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(p, n, c)) * 10.0 ** rng.uniform(-2, 2) + rng.normal()
+        before = x.tobytes()
+        self._same(_moments(x), moments_oracle(x))
+        assert x.tobytes() == before
+        means = self._operator(rng, p, c)
+        self._same(_moments(means), moments_oracle(means))
+
+    @pytest.mark.parametrize("c", [1, 2, 31, 32, 33, 64, 65, 190])
+    def test_blocks_cover_the_channels_at_most_32_wide_and_none_alone(self, c):
+        blocks = _channel_blocks(c)
+        assert [i for b in blocks for i in range(c)[b]] == list(range(c))
+        widths = [b.stop - b.start for b in blocks]
+        assert len(blocks) == -(-c // _CHANNEL_BLOCK) and max(widths) - min(widths) <= 1
+        assert max(widths) <= _CHANNEL_BLOCK == 32 and (min(widths) > 1 or c == 1)
+
+    @pytest.mark.parametrize("k", [1, 8])  # one-filter layers take matmul's vector loops
+    @pytest.mark.parametrize("c", [1, 5, 32, 33, 70])
+    def test_blocked_apply_is_the_whole_plans(self, c, k):
+        # with three blocks, the middle one's parents keep no child
+        rng = np.random.default_rng(c)
+        p, rows = 300, 257
+        means = self._operator(rng, p, c)
+        slots = np.flatnonzero(rng.random(c * k) < 0.6)
+        blocks = _channel_blocks(c)
+        idle = blocks[1] if len(blocks) > 2 else None
+        if idle:
+            slots = slots[(slots < idle.start * k) | (slots >= idle.stop * k)]
+        plan = HopPlan(rng.normal(size=(c, 8, k)), rng.uniform(1, 2, size=c), slots)
+        kept = _plan_blocks(plan)
+        assert [b for b, _, _ in kept] == [b for b in blocks if b != idle]
+        want = plan.apply(means.dense(rows))
+        got = _apply_blocks(plan, kept, means, rows)
+        assert (got.shape, got.strides) == (want.shape, want.strides)
+        assert got.tobytes() == want.tobytes()
+
+    def test_the_190_channel_hops_real_inputs(self, tiny_corpus):
+        # replay train's runs on its forward plans, which carry every
+        # survivor: 190 channels enter hop 3
+        model = train(tiny_corpus, WIDE_CONFIG)
+        runs = _start_runs(
+            [normalize_unit_sphere(cloud).coords for cloud in tiny_corpus], WIDE_CONFIG, range(len(tiny_corpus)), fit=True
+        )
+        plans = forward_plans(model)
+        assert [len(plan.biases) for plan in plans] == [1, 24, 190]
+        for h, plan in enumerate(plans):
+            rows = WIDE_CONFIG.hops[min(h + 1, 2)].num_points
+            blocks = _plan_blocks(plan)
+            for run in runs:
+                x, _ = run.hop_inputs(h)
+                self._same(_moments(x), moments_oracle(x))
+                want = plan.apply(_dense_inputs(x)[:rows])
+                got = _apply_blocks(plan, blocks, x, rows)
+                assert got.tobytes() == want.tobytes(), h + 1
+                run.values = got
 
 
 # ---------------------------------------------------------------------------
