@@ -88,13 +88,6 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform equal to applying ``other`` first, then ``self``."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
 
 # ---------------------------------------------------------------------------
 # file IO

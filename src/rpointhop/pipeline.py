@@ -38,7 +38,8 @@ only parent, so every hop is fit, pruned and frozen into a
 as per-channel :class:`~rpointhop.saab.SampleMoments`: each lane reduces
 one cloud's inputs (:func:`_moments`), merged then in corpus order.
 
-Extraction runs the same geometry with the frozen plans and returns
+Extraction runs the same geometry with the frozen plans, applied as
+training applies its plans (:func:`_apply_blocks`), and returns
 one feature row per final-hop point. Hop h + 1 keeps the first n_{h+1}
 rows of hop h, so hop h computes frames, signs, octant means and plan
 outputs only at that prefix. A model's plans keep only live channels, the
@@ -387,14 +388,6 @@ def _prefix_table(table: np.ndarray, points: np.ndarray, k: int, rows: int) -> n
     return out
 
 
-def _dense_inputs(x: np.ndarray | _OctantMeans) -> np.ndarray:
-    """The (P, N, C) Saab inputs of one cloud: hop 1's inputs are dense
-    already, a later hop's are materialized from their operator."""
-    if isinstance(x, _OctantMeans):
-        return x.dense()
-    return x
-
-
 class _HopRun:
     """Per-cloud working state shared by training and extraction.
 
@@ -445,7 +438,8 @@ class _HopRun:
         """Hop h's (P, N, C) Saab inputs, channel c's samples in ``[:, :, c]``,
         one row per computed point, and the neighbor table they were built
         from. Hop 1's inputs are a dense (P, 24, 1) array; a later hop's are
-        its :class:`_OctantMeans`, which :func:`_dense_inputs` materializes.
+        its :class:`_OctantMeans`, which :func:`_moments` and
+        :func:`_apply_blocks` make dense a block of channels at a time.
         Later hops first cut the working cloud and the per-point arrays to
         their rows. The only table the run keeps is hop 2's neighbor rows,
         from hop 1 until hop 2 reads them, so training holds no other table
@@ -527,7 +521,7 @@ def _start_runs(
     return [_HopRun(cloud, idx, p, config, fit) for cloud, idx, p in zip(full, sampled, picks)]
 
 
-_CHANNEL_BLOCK = 32  # the widest block of channels whose later-hop dense means train holds at once
+_CHANNEL_BLOCK = 32  # the widest block of channels whose later-hop dense means a lane holds at once
 
 
 def _channel_blocks(c: int) -> list[slice]:
@@ -597,7 +591,8 @@ def _apply_blocks(
     points, bit for bit: hop 1's dense inputs in one apply, a later hop's
     operator one of the plan's ``blocks`` (:func:`_plan_blocks`) at a time,
     each into its run of the preallocated (rows, C') output. So no more than
-    a block's dense means and product are held beside the output."""
+    a block's dense means and product are held beside the output. Training
+    and extraction both apply every plan this way."""
     if not isinstance(x, _OctantMeans):
         return plan.apply(x[:rows])
     if len(blocks) == 1:  # the one block keeps every kept child, so its output is the whole
@@ -630,9 +625,11 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     block of at most :data:`_CHANNEL_BLOCK` channels at a time
     (:func:`_channel_blocks`), and the apply makes only the n_{h+1} rows
     the next hop reads (:func:`_apply_blocks`). So each lane's transients
-    are a block's (P, 8, C) means and (C, P, K) product, not the hop's. A
-    cloud's inputs go once that apply has built its next values, so the
-    corpus holds each cloud's inputs or its next values, not both.
+    are a block's (P, 8, C) means and (C, P, K) product, not the hop's;
+    extraction applies its plans by the same blocks, at all of a hop's
+    computed rows. A cloud's inputs go once that apply has built its next
+    values, so the corpus holds each cloud's inputs or its next values, not
+    both.
     """
     clouds = list(corpus)
     if not clouds:
@@ -717,10 +714,12 @@ def extract_pair(
 
 
 def _features(model: RPointHopModel, run: _HopRun) -> FeatureSet:
-    """The frozen pipeline's features of a started extraction ``run``."""
+    """The frozen pipeline's features of a started extraction ``run``, each
+    hop's plan applied to the hop's computed rows as training applies its
+    plans (:func:`_apply_blocks`)."""
     for h, plan in enumerate(model.plans):
         x, neighbors = run.hop_inputs(h)
-        run.values = plan.apply(_dense_inputs(x))
+        run.values = _apply_blocks(plan, _plan_blocks(plan), x, len(x))
     return FeatureSet(
         point_indices=run.orig_indices,
         coords=run.coords,

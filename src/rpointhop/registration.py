@@ -224,24 +224,10 @@ def _degenerate(s: np.ndarray, *point_sets: np.ndarray) -> np.ndarray:
     """(...,) whether each stack of pairs leaves the rotation undetermined:
     the singular values ``s`` (..., 3) of its cross-covariance are those of
     collinear pairs, or the points of one of ``point_sets`` (its (..., n, 3)
-    target and source points) coincide. Coincident points give a
-    cross-covariance of rounding noise, whose singular value ratios can pass
-    the first test.
-
-    Given the two sets f and g whose cross-covariance H gave ``s``, ``s[0]``
-    screens the coincidence test. :func:`_kabsch` centers on the means
-    :func:`_coincident` centers on, so if f's points coincide, every centered
-    coordinate of f is at most 1e-12·max|f| and every one of g at most
-    2·max|g|: then s[0] <= ||H||_F <= 6e-12·n·max|f|·max|g|, and the same
-    holds with f and g swapped. Above twice that bound, which covers the
-    rounding of H and of its SVD, neither set coincides, and the test is
-    skipped with the same result."""
+    target and source points) coincide (:func:`_coincident`). Coincident
+    points give a cross-covariance of rounding noise, whose singular value
+    ratios can pass the first test."""
     flags = (s[..., 0] <= 0.0) | (s[..., 1] <= s[..., 0] * 1e-12)
-    if len(point_sets) == 2:
-        f, g = point_sets
-        bound = 1.2e-11 * f.shape[-2] * np.abs(f).max(axis=(-2, -1)) * np.abs(g).max(axis=(-2, -1))
-        if not np.any(s[..., 0] <= bound):
-            return flags
     for points in point_sets:
         flags |= _coincident(points)
     return flags
@@ -379,9 +365,9 @@ def icp_refine(source: PointCloud, target: PointCloud, initial: RigidTransform) 
     searches the k-d tree again only for the points whose nearest source
     point the triangle inequality cannot vouch for since their last
     search; the pairs are those of a full search every iteration, bit for
-    bit. The motion is held as plain arrays, composed with
-    :meth:`RigidTransform.compose`'s arithmetic, and validated once, as
-    the returned transform.
+    bit. The motion is held as plain arrays, each step's motion composed
+    after it (R <- dR R, t <- dR t + dt), and validated once, as the
+    returned transform.
     """
     index = KnnIndex(source.coords)
     rotation, translation = initial.rotation, initial.translation

@@ -162,10 +162,11 @@ def saab_fit(samples: np.ndarray | SampleMoments) -> SaabLayer:
 def saab_apply(layer: SaabLayer, v: np.ndarray) -> np.ndarray:
     """Apply a layer: y_k = a_k . v + bias for every kept filter.
 
-    Accepts one vector (N,) or a batch (S, N). Inputs outside the training
-    norm ball (||v|| > bias + 1e-9) are transformed as-is; their outputs may
-    be negative. When the module logger is enabled for DEBUG they are
-    counted and logged.
+    Accepts one vector (N,) or a batch (S, N). The layer is applied as the
+    one-channel :class:`HopPlan` that keeps every filter, so inputs outside
+    the training norm ball (||v|| > bias + 1e-9) are transformed as-is, their
+    outputs may be negative, and they are counted and logged ("hop plan: …")
+    only when the module logger is enabled for DEBUG.
     """
     arr = np.asarray(v, dtype=np.float64)
     single = arr.ndim == 1
@@ -174,11 +175,8 @@ def saab_apply(layer: SaabLayer, v: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input width {arr.shape[1]} does not match layer input_dim {layer.input_dim}"
         )
-    if logger.isEnabledFor(logging.DEBUG):  # the count is for the log alone
-        over = int(np.count_nonzero(np.linalg.norm(arr, axis=1) > layer.bias + 1e-9))
-        if over:
-            logger.debug("saab_apply: %d of %d inputs exceed the training norm ball", over, len(arr))
-    out = arr @ layer.filters.T + layer.bias
+    plan = HopPlan(layer.filters.T[None], np.array([layer.bias]), np.arange(layer.kept_dim))
+    out = plan.apply(arr[:, :, None])
     return out[0] if single else out
 
 
@@ -300,18 +298,18 @@ class HopPlan:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Transform (P, N, C) inputs, channel c's samples in ``x[:, :, c]``,
-        into the (P, C') kept outputs. As in :func:`saab_apply`, inputs
-        outside a layer's norm ball are transformed as-is, and counted and
-        logged only when the module logger is enabled for DEBUG; the count
-        covers the plan's own C channels."""
+        into the (P, C') kept outputs. Inputs outside a layer's norm ball
+        are transformed as-is, and counted and logged only when the module
+        logger is enabled for DEBUG; the count covers the plan's own C
+        channels. :func:`saab_apply` is the one-channel case."""
         c, _, k = self.filters.shape
         xt = x.transpose(2, 0, 1)
         if logger.isEnabledFor(logging.DEBUG):  # the count is for the log alone
             over = int(np.count_nonzero(np.linalg.norm(xt, axis=2) > self.biases[:, None] + 1e-9))
             if over:
                 logger.debug("hop plan: %d of %d inputs exceed the training norm ball", over, c * len(x))
-        # xt stays a view: each channel's product then takes the same numpy
-        # matmul path as saab_apply(layer, x[:, :, c]), and gives the same bits
+        # xt stays a view: each channel's product then takes the numpy matmul
+        # path of the 2-D x[:, :, c] @ self.filters[c], and gives its bits
         out = np.matmul(xt, self.filters)
         out += self.biases[:, None, None]
         # slot c * K + channel of row p sits at c * P * K + p * K + channel of

@@ -222,6 +222,14 @@ def plan_take_oracle(plan, x: np.ndarray) -> np.ndarray:
     return np.take(out.transpose(1, 0, 2).reshape(len(x), c * k), plan.slots, axis=1)
 
 
+def _dense_inputs(x: np.ndarray | _OctantMeans) -> np.ndarray:
+    """The (P, N, C) Saab inputs of one cloud, whole: hop 1's inputs are
+    dense already, a later hop's are materialized from their operator."""
+    if isinstance(x, _OctantMeans):
+        return x.dense()
+    return x
+
+
 def moments_oracle(x: np.ndarray | _OctantMeans) -> SampleMoments:
     """The former ``pipeline._moments``: one cloud's whole dense inputs
     (a copy of hop 1's), centered in place, and the full covariance by one
@@ -394,12 +402,17 @@ def ransac_oracle(corr, params) -> RigidTransform:
     return estimate_transform(corr.take(best_inliers))
 
 
+def compose(first: RigidTransform, then: RigidTransform) -> RigidTransform:
+    """The transform that applies ``first``, then ``then``."""
+    return RigidTransform(then.rotation @ first.rotation, then.rotation @ first.translation + then.translation)
+
+
 def icp_oracle(source: PointCloud, target: PointCloud, initial: RigidTransform) -> IcpResult:
     """Point-to-point ICP that searches every moved target point's nearest
     source point on every iteration (``KnnIndex.query(moved, 1)``) and
     re-estimates through ``CorrespondenceSet``, ``estimate_transform`` and
-    ``RigidTransform.compose``. Reads the stop constants from the module at
-    call time, so a test that patches them patches both."""
+    :func:`compose`. Reads the stop constants from the module at call time,
+    so a test that patches them patches both."""
     index = KnnIndex(source.coords)
     current = initial
     residuals: list[float] = []
@@ -424,7 +437,7 @@ def icp_oracle(source: PointCloud, target: PointCloud, initial: RigidTransform) 
             delta = estimate_transform(nearest.take(keep))
         except EstimationError:
             break  # degenerate pairing; keep the current transform
-        current = delta.compose(current)
+        current = compose(current, delta)
     return IcpResult(
         transform=current,
         residuals=tuple(residuals),

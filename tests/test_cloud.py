@@ -92,20 +92,6 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(np.eye(3), np.zeros(2))
 
-    def test_compose_then_inverse_round_trip(self):
-        rng = np.random.default_rng(0)
-        a = RigidTransform(random_rotation(rng), rng.normal(size=3))
-        b = RigidTransform(random_rotation(rng), rng.normal(size=3))
-        ab = a.compose(b)
-        p = rng.normal(size=3)
-        # compose applies b first, then a
-        expected = a.rotation @ (b.rotation @ p + b.translation) + a.translation
-        assert np.allclose(ab.rotation @ p + ab.translation, expected, atol=1e-12)
-        inverse = RigidTransform(ab.rotation.T, -(ab.rotation.T @ ab.translation))
-        ident = ab.compose(inverse)
-        assert np.abs(ident.rotation - np.eye(3)).max() < 1e-12
-        assert np.abs(ident.translation).max() < 1e-12
-
     def test_every_produced_rotation_is_proper(self):
         rng = np.random.default_rng(1)
         for _ in range(20):

@@ -6,7 +6,9 @@ tree with the standard library. A name is exempt from the first check
 when the module's ``__all__`` lists it, when its import line carries
 ``# noqa: F401``, or when it is ``from __future__ import annotations``. The
 second keeps a module's private decisions from leaking out of it unnoticed.
-A third keeps the model file's binary and JSON handling in one module.
+A third keeps the model file's binary and JSON handling in one module. A
+fourth keeps reference forms that only tests use in the tests: every
+underscore name a test takes from the package is used by the package.
 """
 
 import ast
@@ -16,6 +18,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rpointhop"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # (importing module, home module, name): the private names that a module
 # of the package may import from another one
@@ -124,3 +127,85 @@ def test_only_the_model_file_module_reads_binary_and_json():
     # the model file format lives in one module; nothing else packs bytes or JSON
     users = {path.stem for path in MODULES if _top_modules(path.read_text()) & {"struct", "json"}}
     assert users == {"modelfile"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_takes(source: str) -> set[tuple[str, str]]:
+    """(home module, name) for each underscore name that ``source`` takes
+    from a module of the package: imported by ``from rpointhop.<m> import
+    _x``, or read as ``<m>._x`` off a module bound by ``from rpointhop
+    import <m>`` or ``import rpointhop.<m> as <m>``."""
+    tree = ast.parse(source)
+    modules: dict[str, str] = {}  # bound name -> the package module it is
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rpointhop":
+            home = node.module.partition(".")[2]
+            for alias in node.names:
+                if home and _private(alias.name):
+                    taken.add((home, alias.name))
+                elif not home and (PACKAGE / f"{alias.name}.py").exists():
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("rpointhop.") and alias.asname:
+                    modules[alias.asname] = alias.name.partition(".")[2]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                taken.add((modules[node.value.id], node.attr))
+    return taken
+
+
+def _package_uses(name: str, sources: list[str]) -> int:
+    """How often ``sources`` read ``name``, as a name or an attribute,
+    outside a definition of it (a ``def``, ``class`` or assignment)."""
+    count = 0
+
+    def visit(node: ast.AST) -> None:
+        nonlocal count
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == name:
+            return  # its own body: recursion is not a use
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            count += 1
+        elif isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load):
+            count += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for source in sources:
+        visit(ast.parse(source))
+    return count
+
+
+def test_private_names_tests_take_are_used_by_the_package():
+    # a reference form that only tests use belongs in the tests
+    sources = [path.read_text() for path in MODULES]
+    taken = {entry for path in TESTS for entry in _private_takes(path.read_text())}
+    assert taken  # the walk finds what the tests take
+    assert sorted(entry for entry in taken if not _package_uses(entry[1], sources)) == []
+
+
+def test_private_take_checker_flags_and_exempts():
+    tests = (
+        "from rpointhop.pipeline import _moments, extract_pair\n"
+        "from rpointhop import pipeline, save_model\n"
+        "import rpointhop.saab as sb\n"
+        "from conftest import _dense_inputs\n"
+        "pipeline._HopRun.cut_to, sb._live(), save_model._x, pipeline.__name__\n"
+    )
+    assert _private_takes(tests) == {("pipeline", "_moments"), ("pipeline", "_HopRun"), ("saab", "_live")}
+    package = (
+        "_LIMIT = 3\n"
+        "def _moments(x):\n"
+        "    return _moments(x - 1) if x else _LIMIT\n"
+        "class _HopRun:\n"
+        "    def cut_to(self):\n"
+        "        return _HopRun\n"
+        "def train(runs):\n"
+        "    return [r._live for r in runs]\n"
+    )
+    assert [_package_uses(name, [package]) for name in ("_LIMIT", "_moments", "_HopRun", "_live")] == [1, 0, 0, 1]

@@ -42,7 +42,6 @@ from rpointhop.pipeline import (
     _OctantMeans,
     _apply_blocks,
     _channel_blocks,
-    _dense_inputs,
     _moments,
     _plan_blocks,
     _project_neighbors,
@@ -57,6 +56,7 @@ from rpointhop.spatial import KnnIndex, fps_indices
 from conftest import (
     PARTIAL_CONFIG,
     TINY_CONFIG,
+    _dense_inputs,
     corpus_hop_tables,
     forward_plans,
     hop_oracle,
@@ -698,6 +698,34 @@ class TestChannelBlocks:
                 got = _apply_blocks(plan, blocks, x, rows)
                 assert got.tobytes() == want.tobytes(), h + 1
                 run.values = got
+
+    @pytest.mark.parametrize("wide", [True, False], ids=["blocks", "one_block"])
+    def test_extraction_is_the_whole_plans_replay(self, tiny_corpus, tiny_model, wide):
+        # extraction applies each live plan a block of channels at a time; the
+        # 190-channel config's last live plan takes more than a block of
+        # parents, and the features keep the bits of each whole plan applied
+        # to its hop's whole dense inputs
+        model = train(tiny_corpus, WIDE_CONFIG) if wide else tiny_model
+        parents = len(model.plans[-1].biases)
+        assert (parents > _CHANNEL_BLOCK and len(_plan_blocks(model.plans[-1])) > 2) == wide
+        for seed, cloud in enumerate(tiny_corpus[:3]):
+            (run,) = _start_runs([cloud.coords], model.config, [seed])
+            for h, plan in enumerate(model.plans):
+                x, neighbors = run.hop_inputs(h)
+                run.values = plan.apply(_dense_inputs(x))
+            want = {
+                "point_indices": run.orig_indices,
+                "coords": run.coords,
+                "features": run.values,
+                "sign_margins": run.min_margin,
+                "eigen_gaps": run.eigen_gaps,
+                "neighbor_table": neighbors,
+            }
+            for fs in (extract_features(model, cloud, seed), extract_pair(model, cloud, cloud, seed)[1]):
+                for name, value in want.items():
+                    got = getattr(fs, name)
+                    assert (got.dtype, got.shape) == (value.dtype, value.shape), name
+                    assert got.tobytes() == value.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

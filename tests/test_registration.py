@@ -45,6 +45,7 @@ from rpointhop.registration import (
 
 from conftest import (
     assert_same_icp,
+    compose,
     feature_distance_matrix,
     icp_oracle,
     match_oracle,
@@ -679,7 +680,7 @@ class TestIcp:
         tf = RigidTransform(rz(30.0), np.array([0.1, -0.2, 0.05]))
         source = make_partial(apply_transform(cloud, tf), 0.75, 1)
         target = make_partial(cloud, 0.75, 2)
-        start = RigidTransform(rz(2.0), np.zeros(3)).compose(tf)
+        start = compose(tf, RigidTransform(rz(2.0), np.zeros(3)))
         result = refine_as_oracle(source, target, start)
         assert result.converged
         assert np.abs(result.transform.rotation - tf.rotation).max() < 1e-6
@@ -741,7 +742,7 @@ class TestIcp:
         elif start == "identity":
             initial = RigidTransform.identity()
         else:
-            initial = RigidTransform(rz(20.0), np.full(3, 0.05)).compose(tf_gt)
+            initial = compose(tf_gt, RigidTransform(rz(20.0), np.full(3, 0.05)))
         result = refine_as_oracle(source, target, initial)
         assert result.iterations >= 2
 
@@ -830,9 +831,9 @@ class TestDegeneratePairings:
 
 
 class TestCoincidenceScreen:
-    """``_degenerate`` given a stack's target and source points skips the
-    coincidence test when ``s[0]`` proves both sets spread, with the same
-    flags as running it."""
+    """``_degenerate`` given a stack's target and source points flags the
+    stacks whose singular values are degenerate or either of whose sets
+    coincides, near-coincident sets and large singular values included."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -878,16 +879,11 @@ class TestCoincidenceScreen:
         assert s[0] > 1.5e-12 * n * np.abs(f).max() * np.abs(g).max()
         assert _degenerate(s, f, g) and _degenerate(_kabsch(g, f)[2], g, f)
 
-    def test_icp_tests_coincidence_only_on_degenerate_pairings(self, monkeypatch):
-        # every pairing of a well-spread ICP passes the screen; a coincident
-        # one still reaches the test, and ICP stops where it started
+    def test_icp_tests_coincidence_on_a_coincident_pairing(self, monkeypatch):
+        # a coincident pairing reaches the test, and ICP stops where it started
         calls = []
         real = registration._coincident
         monkeypatch.setattr(registration, "_coincident", lambda points: calls.append(len(points)) or real(points))
-        cloud = make_shape_cloud(256, seed=3)
-        moved = apply_transform(cloud, RigidTransform(rz(8.0), np.array([0.02, -0.01, 0.0])))
-        result = icp_refine(moved, cloud, RigidTransform.identity())
-        assert result.iterations > 2 and calls == []
         f, g = degenerate_point_sets("coincident source")
         result = icp_refine(PointCloud(g), PointCloud(f), RigidTransform.identity())
         assert not result.converged and result.iterations == 1 and calls

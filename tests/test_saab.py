@@ -25,9 +25,9 @@ from rpointhop.saab import (
     saab_fit,
 )
 
-from rpointhop.pipeline import _dense_inputs, _moments, _start_runs
+from rpointhop.pipeline import _moments, _start_runs
 
-from conftest import hop_oracle, plan_take_oracle, saab_fit_oracle
+from conftest import _dense_inputs, hop_oracle, plan_take_oracle, saab_fit_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +362,24 @@ class TestSaabApply:
         bare = dataclasses.replace(layer, bias=0.0)
         u = rng.normal(size=5)
         assert np.allclose(saab_apply(bare, u), u @ layer.filters.T)
+
+    @pytest.mark.parametrize("n", [24, 8])
+    @pytest.mark.parametrize("filters", ["all", "four", "one"])
+    def test_same_bits_as_the_matmul_form(self, n, filters):
+        # saab_apply runs as a one-channel plan; its outputs keep the bits of
+        # x @ filters.T + bias on batches, strided batches and single vectors
+        rng = np.random.default_rng(n)
+        if filters == "one":  # a DC-only layer: the product is a matrix-vector one
+            layer = SaabLayer(np.full(n, 1.0 / np.sqrt(n)), np.empty((0, n)), 2.5, np.array([1.0]))
+        else:
+            rank = n if filters == "all" else 3
+            layer = saab_fit(rng.normal(size=(200, rank)) @ rng.normal(size=(rank, n)) + rng.normal(size=n))
+        assert layer.kept_dim == {"all": n, "four": 4, "one": 1}[filters]
+        for rows in (1, 2, 7, 128, 384, 768):
+            x = rng.normal(size=(rows, n, 2)) * 10.0 ** rng.uniform(-3, 3, size=(rows, n, 2))
+            for batch in (np.ascontiguousarray(x[:, :, 0]), x[:, :, 1]):
+                assert saab_apply(layer, batch).tobytes() == (batch @ layer.filters.T + layer.bias).tobytes()
+                assert saab_apply(layer, batch[0]).tobytes() == (batch[0] @ layer.filters.T + layer.bias).tobytes()
 
     def test_width_mismatch(self):
         layer = saab_fit(np.random.default_rng(15).normal(size=(10, 4)))
