@@ -18,9 +18,10 @@ Training (unsupervised, one pass per hop):
    then build an 8-wide attribute per point and surviving channel: the
    per-octant means of the neighbors' channel value. Each channel is fit
    with its own Saab transform (channel-wise). Training holds each cloud's
-   means as the octant-sum operator and the values it averages, makes them
-   dense only a block of channels at a time, and drops them once the
-   cloud's plan apply has built its next hop's values.
+   means as the octant-sum operator alone, without the values it averages:
+   it keeps hop 2's values, rebuilds a later hop's from them through the
+   operators of the hops between, makes the means dense only a block of
+   channels at a time, and drops the rebuilt values with their moments.
    Sampling runs once per cloud, and the hop-1 working cloud is
    stored in farthest point order, so hop h's points are its first n_h
    rows: exactly what sampling each hop from the previous one gives.
@@ -57,6 +58,7 @@ because every quantity is expressed in the per-point resolved frames.
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
@@ -230,10 +232,11 @@ def _two_lanes(fn: Callable, items: Iterable) -> list:
 
 
 class _OctantMeans:
-    """(P, 8, C) per-octant means of the neighbors' rows of (N, C) ``values``,
-    held as the operator that computes them: row i averages
-    ``values[nbr_idx[i]]`` by octant, octants taken from the (P, k, 3)
-    projected neighbors; empty octants give zeros.
+    """The operator of (P, 8, C) per-octant means over the rows of (N, C)
+    values: row i averages ``values[nbr_idx[i]]`` by octant, octants taken
+    from the (P, k, 3) projected neighbors; empty octants give zeros. It
+    holds no values: :meth:`dense` takes them, so one operator serves any
+    (N, C) values with a row at every neighbor index.
 
     The sums are one product ``A @ values`` with a (P·8, N) CSR matrix
     whose row ``8·i + octant`` holds a 1 at each of point i's neighbors in
@@ -245,51 +248,53 @@ class _OctantMeans:
     order, and 1·v is exact. The weights are stored as int8; scipy computes
     the product in float64 all the same. Nothing may re-sort the entries by
     column, hence ``has_sorted_indices``. Each output row depends on its own
-    stored entries alone, so :meth:`dense` of a row prefix gives the same
-    bits as that part of the whole.
+    stored entries alone, so :meth:`dense` of a row prefix, or of the
+    operator's :meth:`head`, gives the same bits as that part of the whole.
 
-    Held this way a later hop's inputs cost the values they average plus 5
-    bytes per neighbor (an int8 weight and an int32 column index) and 96
-    bytes per point (32 for the int32 row pointers, 64 for the int64 octant
-    divisors), not 64·C bytes per point. scipy keeps the column indices and
-    row pointers in one dtype, so both are cast.
+    Held this way an operator costs 5 bytes per neighbor (an int8 weight
+    and an int32 column index) and 96 bytes per point (32 for the int32 row
+    pointers, 64 for the int64 octant divisors), not 64·C bytes per point.
+    scipy keeps the column indices and row pointers in one dtype, so both
+    are cast.
     """
 
-    def __init__(self, proj: np.ndarray, values: np.ndarray, nbr_idx: np.ndarray) -> None:
+    def __init__(self, proj: np.ndarray, nbr_idx: np.ndarray) -> None:
         p, k = nbr_idx.shape
         octant = (proj[..., 0] < 0).astype(np.int8) * 4 + (proj[..., 1] < 0) * np.int8(2) + (proj[..., 2] < 0)
         counts = np.bincount(((np.arange(p) * 8)[:, None] + octant).ravel(), minlength=p * 8)
         order = np.argsort(octant, axis=1, kind="stable")
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        indices = np.take_along_axis(nbr_idx, order, axis=1).ravel().astype(np.int32)
-        weights = np.ones(p * k, dtype=np.int8)
-        self.sums = self._operator(weights, indices, indptr, values.shape[0])
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self.indices = np.take_along_axis(nbr_idx, order, axis=1).ravel().astype(np.int32)
+        self.weights = np.ones(p * k, dtype=np.int8)
         self.divisor = np.maximum(counts, 1)[:, None]
-        self.values = values
-
-    @staticmethod
-    def _operator(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, n: int) -> csr_array:
-        a = csr_array((data, indices, indptr), shape=(len(indptr) - 1, n))
-        a.has_sorted_indices = True
-        return a
 
     def __len__(self) -> int:
         return len(self.divisor) // 8
 
-    def dense(self, rows: int | None = None, channels: slice = slice(None)) -> np.ndarray:
-        """The (rows, 8, C) means of the first ``rows`` points (all when
-        None), of the value columns ``channels`` (all by default). Each
-        output column depends on its own value column alone, so a block of
-        channels gives the same bits as those columns of the whole; scipy
-        copies a block's strided columns into a contiguous (N, block)
-        operand for the product."""
-        a = self.sums
-        if rows is not None and rows < len(self):
-            end = a.indptr[8 * rows]
-            a = self._operator(a.data[:end], a.indices[:end], a.indptr[: 8 * rows + 1], a.shape[1])
-        sums = a @ self.values[:, channels]
+    def head(self, rows: int) -> _OctantMeans:
+        """The operator of the first ``rows`` points alone, on copies of
+        the whole's arrays, so the whole's can go."""
+        head, end = copy.copy(self), self.indptr[8 * rows]
+        head.indptr, head.indices = self.indptr[: 8 * rows + 1].copy(), self.indices[:end].copy()
+        head.weights, head.divisor = self.weights[:end].copy(), self.divisor[: 8 * rows].copy()
+        return head
+
+    def dense(self, values: np.ndarray, rows: int | None = None, channels: slice = slice(None)) -> np.ndarray:
+        """The (rows, 8, C) means of (N, C) ``values`` at the first ``rows``
+        points (all when None), of the value columns ``channels`` (all by
+        default). Each output column depends on its own value column alone,
+        so a block of channels gives the same bits as those columns of the
+        whole; scipy copies a block's strided columns into a contiguous
+        (N, block) operand for the product."""
+        rows = len(self) if rows is None else min(rows, len(self))
+        end = self.indptr[8 * rows]
+        a = csr_array(
+            (self.weights[:end], self.indices[:end], self.indptr[: 8 * rows + 1]), shape=(8 * rows, len(values))
+        )
+        a.has_sorted_indices = True
+        sums = a @ values[:, channels]
         sums /= self.divisor[: len(sums)]
-        return sums.reshape(len(sums) // 8, 8, sums.shape[1])
+        return sums.reshape(rows, 8, sums.shape[1])
 
 
 def _project_neighbors(
@@ -343,24 +348,24 @@ def build_hop1_attributes(
     proj, margins = _project_neighbors(coords, nbr_idx, axes)
     # each (point, neighbor) projection is its own value row
     p, k = nbr_idx.shape
-    means = _OctantMeans(proj, proj.reshape(p * k, 3), np.arange(p * k).reshape(p, k))
-    return means.dense().reshape(p, 24), margins
+    means = _OctantMeans(proj, np.arange(p * k).reshape(p, k))
+    return means.dense(proj.reshape(p * k, 3)).reshape(p, 24), margins
 
 
 def build_later_hop_attributes(
-    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray, values: np.ndarray
+    coords: np.ndarray, nbr_idx: np.ndarray, axes: np.ndarray
 ) -> tuple[_OctantMeans, np.ndarray]:
-    """Per-channel octant means of neighbor channel values.
+    """Per-channel octant means of neighbor channel values, as their operator.
 
-    ``values`` is (N, C): the previous hop's surviving coefficients at the
-    current hop's points ``coords``. Row i of ``nbr_idx`` and ``axes``
-    belongs to point i; the rows may cover a prefix of the points.
-    Returns (attributes, margins (P, 3)): the attributes are the (P, 8, C)
-    means held as their operator, and channel c's 8-wide sample block is
-    ``attributes.dense()[:, :, c]``.
+    Row i of ``nbr_idx`` and ``axes`` belongs to point i of the current
+    hop's points ``coords``; the rows may cover a prefix of the points.
+    Returns (attributes, margins (P, 3)): the attributes are the operator of
+    the (P, 8, C) means over any (N, C) ``values`` at the N points
+    ``coords``, the previous hop's surviving coefficients, and channel c's
+    8-wide sample block is ``attributes.dense(values)[:, :, c]``.
     """
     proj, margins = _project_neighbors(coords, nbr_idx, axes)
-    return _OctantMeans(proj, values, nbr_idx), margins
+    return _OctantMeans(proj, nbr_idx), margins
 
 
 def _prefix_table(table: np.ndarray, points: np.ndarray, k: int, rows: int) -> np.ndarray:
@@ -406,8 +411,13 @@ class _HopRun:
     working cloud's rows, and each hop cuts them all to its count
     (:meth:`cut_to`); :func:`train` makes the same cut once a cloud's
     moments are taken, so the run holds only the next hop's rows across a
-    fit. The caller sets ``values`` to hop h's plan outputs at the n_{h+1}
-    points of hop h + 1. A hop's neighbor index covers all of its points.
+    fit. A later hop's inputs are an operator over values at its points,
+    which the caller supplies: extraction keeps in ``values`` hop h's plan
+    outputs at the n_{h+1} points of hop h + 1, set once it has applied hop
+    h's plan; training keeps hop 2's values there from hop 2 on, and in
+    ``operators`` each later non-final hop's operator, cut to the next hop's
+    rows, to rebuild a later hop's values from them (:func:`train`).
+    A hop's neighbor index covers all of its points.
     Hop-1 frames are computed once and reused at all hops, with signs
     re-resolved per hop against the hop's own neighborhood. Hop 2's neighbor
     rows are read off hop 1's exact table (:func:`_prefix_table`) while hop
@@ -431,15 +441,17 @@ class _HopRun:
             sampled = sampled[np.concatenate([picks, np.flatnonzero(rest)])]
         self.orig_indices = sampled
         self.coords = coords_full[sampled]
-        self.values: np.ndarray | None = None  # surviving coefficients, set per hop
+        self.values: np.ndarray | None = None  # surviving coefficients, set by the caller
+        self.operators: list[_OctantMeans] = []  # training's later-hop operators
         self.hop2_table: np.ndarray | None = None  # hop 2's neighbor rows, set by hop 1
 
     def hop_inputs(self, h: int) -> tuple[np.ndarray | _OctantMeans, np.ndarray]:
         """Hop h's (P, N, C) Saab inputs, channel c's samples in ``[:, :, c]``,
         one row per computed point, and the neighbor table they were built
         from. Hop 1's inputs are a dense (P, 24, 1) array; a later hop's are
-        its :class:`_OctantMeans`, which :func:`_moments` and
-        :func:`_apply_blocks` make dense a block of channels at a time.
+        its :class:`_OctantMeans` over values at its points, which
+        :func:`_moments` and :func:`_apply_blocks` make dense with those
+        values a block of channels at a time.
         Later hops first cut the working cloud and the per-point arrays to
         their rows. The only table the run keeps is hop 2's neighbor rows,
         from hop 1 until hop 2 reads them, so training holds no other table
@@ -451,8 +463,7 @@ class _HopRun:
         neighbors, self.hop2_table = self.hop2_table, None
         if neighbors is None:
             neighbors, _ = KnnIndex(self.coords).query(self.coords[:count], hop.k_neighbors)
-        means, margins = build_later_hop_attributes(self.coords, neighbors, self.axes, self.values)
-        self.values = None  # read only here; the caller sets the next hop's
+        means, margins = build_later_hop_attributes(self.coords, neighbors, self.axes)
         np.minimum(self.min_margin, margins.min(axis=1), out=self.min_margin)
         return means, neighbors
 
@@ -557,21 +568,21 @@ def _block_moments(a: np.ndarray) -> SampleMoments:
     return SampleMoments(p, mean.T, cov.transpose(2, 0, 1), max_sq_norm)
 
 
-def _moments(x: np.ndarray | _OctantMeans) -> SampleMoments:
+def _moments(x: np.ndarray | _OctantMeans, values: np.ndarray | None = None) -> SampleMoments:
     """The per-channel :class:`~rpointhop.saab.SampleMoments` of one cloud's
-    (P, N, C) Saab inputs (:func:`_block_moments`): hop 1's reduced in a
-    copy, which its plan apply reads afterwards, and a later hop's in the
-    dense means its operator makes, one block of channels at a time
-    (:func:`_channel_blocks`), so no more than a block's (P, 8, C) means
-    are ever held."""
+    (P, N, C) Saab inputs (:func:`_block_moments`): hop 1's dense ``x``
+    reduced in a copy, which its plan apply reads afterwards, and a later
+    hop's in the dense means its operator ``x`` makes of ``values``, one
+    block of channels at a time (:func:`_channel_blocks`), so no more than a
+    block's (P, 8, C) means are ever held."""
     if not isinstance(x, _OctantMeans):
         # a copy: centering is in place, and hop 1's plan apply reads x afterwards
         return _block_moments(x.copy())
-    c = x.values.shape[1]
+    c = values.shape[1]
     # channel-minor, as one block of all c channels lays them out
     mean, cov, max_sq_norm = np.empty((8, c)).T, np.empty((8, 8, c)).transpose(2, 0, 1), np.empty(c)
     for block in _channel_blocks(c):
-        m = _block_moments(x.dense(channels=block))
+        m = _block_moments(x.dense(values, channels=block))
         mean[block], cov[block], max_sq_norm[block] = m.mean, m.cov, m.max_sq_norm
     return SampleMoments(len(x), mean, cov, max_sq_norm)
 
@@ -585,22 +596,27 @@ def _plan_blocks(plan: HopPlan) -> list[tuple[slice, HopPlan, slice]]:
 
 
 def _apply_blocks(
-    plan: HopPlan, blocks: list[tuple[slice, HopPlan, slice]], x: np.ndarray | _OctantMeans, rows: int
+    plan: HopPlan,
+    blocks: list[tuple[slice, HopPlan, slice]],
+    x: np.ndarray | _OctantMeans,
+    rows: int,
+    values: np.ndarray | None = None,
 ) -> np.ndarray:
     """``plan.apply`` of one cloud's inputs ``x`` at its first ``rows``
     points, bit for bit: hop 1's dense inputs in one apply, a later hop's
-    operator one of the plan's ``blocks`` (:func:`_plan_blocks`) at a time,
-    each into its run of the preallocated (rows, C') output. So no more than
-    a block's dense means and product are held beside the output. Training
-    and extraction both apply every plan this way."""
+    operator of ``values`` one of the plan's ``blocks``
+    (:func:`_plan_blocks`) at a time, each into its run of the preallocated
+    (rows, C') output. So no more than a block's dense means and product
+    are held beside the output. Training and extraction both apply every
+    plan this way."""
     if not isinstance(x, _OctantMeans):
         return plan.apply(x[:rows])
     if len(blocks) == 1:  # the one block keeps every kept child, so its output is the whole
         (channels, sub, _), = blocks
-        return sub.apply(x.dense(rows, channels))
+        return sub.apply(x.dense(values, rows, channels))
     out = np.empty((rows, len(plan.slots)))
     for channels, sub, columns in blocks:
-        out[:, columns] = sub.apply(x.dense(rows, channels))
+        out[:, columns] = sub.apply(x.dense(values, rows, channels))
     return out
 
 
@@ -609,27 +625,32 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
 
     Deterministic: the corpus order and ``config.seed`` fully determine the
     model. The two half-stacks of farthest point sampling
-    (:func:`_start_runs`), each cloud's hop inputs with their moments (one
-    lane call per cloud), and the plan applies are independent, so they
-    share the two lanes (:func:`_two_lanes`); the moments are merged in
-    corpus order, so the model's bits do not depend on which lane ran what.
+    (:func:`_start_runs`) and the clouds' steps of a hop are independent, so
+    they share the two lanes (:func:`_two_lanes`), one lane call per hop; the
+    moments are merged in corpus order, so the model's bits do not depend on
+    which lane ran what.
 
-    Across a hop's fits a cloud keeps only what the rest of training reads.
-    Right after its moments, its run is cut to hop h + 1's rows
-    (:meth:`_HopRun.cut_to`, the cut each hop makes at its start), and hop
-    2's neighbor rows are held as int32. Of its inputs it keeps hop 1's
-    first n_2 rows, the only ones hop 1's plan apply reads; a later hop's
-    :class:`_OctantMeans` whole, not dense means, since its prefix rows read
-    every value; and nothing at the final hop. Dense later-hop means live
-    only inside one cloud's :func:`_moments` or plan apply per lane, one
-    block of at most :data:`_CHANNEL_BLOCK` channels at a time
-    (:func:`_channel_blocks`), and the apply makes only the n_{h+1} rows
-    the next hop reads (:func:`_apply_blocks`). So each lane's transients
-    are a block's (P, 8, C) means and (C, P, K) product, not the hop's;
-    extraction applies its plans by the same blocks, at all of a hop's
-    computed rows. A cloud's inputs go once that apply has built its next
-    values, so the corpus holds each cloud's inputs or its next values, not
-    both.
+    A cloud's step of hop h builds the hop's values and inputs, takes their
+    moments, and keeps only what later steps read. Right after its moments,
+    its run is cut to hop h + 1's rows (:meth:`_HopRun.cut_to`, the cut each
+    hop makes at its start). Hop 1 keeps its inputs' first n_2 rows, the
+    only ones hop 1's plan reads, and hop 2's neighbor rows as int32; hop
+    2's step applies hop 1's plan to those rows once and keeps the result,
+    hop 2's values, in the run's ``values``. A later non-final hop keeps in
+    ``operators`` its :class:`_OctantMeans` cut to hop h + 1's rows
+    (:meth:`_OctantMeans.head`), not its values, and the final hop keeps
+    nothing. So hop h's step (h >= 3) rebuilds hop h's values from hop 2's,
+    applying training's plans of hops 2..h - 1 through those operators, each
+    at the next hop's rows, and drops them with its moments: no corpus-wide
+    set of a later hop's dense values is held across a fit. The price is
+    that hop h's step repeats the applies of plans 2..h - 2 that earlier
+    steps made: one more hop-2 plan apply per cloud on the default model.
+    Dense later-hop means live only inside one cloud's :func:`_moments` or
+    plan apply per lane, one block of at most :data:`_CHANNEL_BLOCK`
+    channels at a time (:func:`_channel_blocks`, :func:`_apply_blocks`), so
+    each lane's transients are a block's (P, 8, C) means and (C, P, K)
+    product beside the values it rebuilds, not the hop's; extraction applies
+    its plans by the same blocks, at all of a hop's computed rows.
     """
     clouds = list(corpus)
     if not clouds:
@@ -639,45 +660,46 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
 
     normalized = (normalize_unit_sphere(cloud).coords for cloud in clouds)
     runs = _start_runs(normalized, config, cloud_seeds, fit=True)
-    n_hops = len(config.hops)
+    budgets = [hop.num_points for hop in config.hops]
+    n_hops = len(budgets)
     tree = FeatureTree()
     hop_layers: list[dict[int, SaabLayer]] = []
+    plans: list[tuple[HopPlan, list]] = []  # training's plan of each non-final hop fit so far, and its blocks
+    hop1_rows: list[np.ndarray | None] = [None] * len(runs)  # hop 1's inputs at hop 2's points, per cloud
     parent_ids = [0]
     for h in range(n_hops):
         final = h == n_hops - 1
-        n_next = 0 if final else config.hops[h + 1].num_points
 
-        def fit_step(run: _HopRun) -> tuple[np.ndarray | _OctantMeans | None, SampleMoments]:
-            """Hop h's moments of one cloud, and the part of its inputs that
-            hop h's plan apply reads; the run keeps only hop h + 1's rows."""
+        def step(i: int) -> SampleMoments:
+            """Hop h's moments of cloud i; its run then keeps only what
+            later steps read."""
+            run = runs[i]
+            if h == 1:
+                run.values, hop1_rows[i] = _apply_blocks(*plans[0], hop1_rows[i], budgets[1]), None
+            values = run.values
+            for j, operator in enumerate(run.operators, start=1):  # hop j + 1's values to hop j + 2's
+                values = _apply_blocks(*plans[j], operator, budgets[j + 1], values)
             x, _ = run.hop_inputs(h)
-            moments = _moments(x)
+            moments = _moments(x, values)
             if final:
-                return None, moments  # the final hop's inputs go with their moments
-            run.cut_to(h + 1)
-            if h == 0:  # a later hop's operator stays whole: its prefix rows read every value
-                x = x[:n_next].copy()
-                run.hop2_table = run.hop2_table.astype(np.int32)
-            return x, moments
+                run.values, run.operators = None, []
+            else:
+                run.cut_to(h + 1)
+                if h == 0:
+                    hop1_rows[i] = x[: budgets[1]].copy()
+                    run.hop2_table = run.hop2_table.astype(np.int32)
+                else:
+                    run.operators.append(x.head(budgets[h + 1]))
+            return moments
 
-        steps = _two_lanes(fit_step, runs)
-        inputs = [x for x, _ in steps]
-        moments = reduce(SampleMoments.merge, [m for _, m in steps])
-        del steps  # inputs[i] is then the only hold on cloud i's inputs
+        moments = reduce(SampleMoments.merge, _two_lanes(step, range(len(runs))))
         layers = {pid: saab_fit(moments[c]) for c, pid in enumerate(parent_ids)}
         children = _grow_hop(tree, layers, parent_ids, config.energy_threshold, final)
         if not children:
             raise TrainingError(_prune_message(h + 1, n_hops))
-        if not final:  # hop h + 1 reads its first n_{h+1} rows, and nothing the final hop's
+        if not final:  # hop h + 1's step reads its first n_{h+1} rows, and nothing the final hop's
             plan = freeze_hop(tree, layers, parent_ids, children)
-            blocks = _plan_blocks(plan)  # once per hop, not once per cloud
-
-            def advance(i: int) -> None:
-                runs[i].values = _apply_blocks(plan, blocks, inputs[i], n_next)
-                inputs[i] = None  # freed while other clouds' next values are built
-
-            _two_lanes(advance, range(len(runs)))
-        del inputs  # freed before the next hop builds its own
+            plans.append((plan, _plan_blocks(plan)))  # blocks once per hop, not once per cloud
         hop_layers.append(layers)
         parent_ids = children
 
@@ -719,7 +741,7 @@ def _features(model: RPointHopModel, run: _HopRun) -> FeatureSet:
     plans (:func:`_apply_blocks`)."""
     for h, plan in enumerate(model.plans):
         x, neighbors = run.hop_inputs(h)
-        run.values = _apply_blocks(plan, _plan_blocks(plan), x, len(x))
+        run.values = _apply_blocks(plan, _plan_blocks(plan), x, len(x), run.values)
     return FeatureSet(
         point_indices=run.orig_indices,
         coords=run.coords,

@@ -222,20 +222,21 @@ def plan_take_oracle(plan, x: np.ndarray) -> np.ndarray:
     return np.take(out.transpose(1, 0, 2).reshape(len(x), c * k), plan.slots, axis=1)
 
 
-def _dense_inputs(x: np.ndarray | _OctantMeans) -> np.ndarray:
+def _dense_inputs(x: np.ndarray | _OctantMeans, values: np.ndarray | None = None) -> np.ndarray:
     """The (P, N, C) Saab inputs of one cloud, whole: hop 1's inputs are
-    dense already, a later hop's are materialized from their operator."""
+    dense already, a later hop's are materialized from their operator of
+    ``values``."""
     if isinstance(x, _OctantMeans):
-        return x.dense()
+        return x.dense(values)
     return x
 
 
-def moments_oracle(x: np.ndarray | _OctantMeans) -> SampleMoments:
+def moments_oracle(x: np.ndarray | _OctantMeans, values: np.ndarray | None = None) -> SampleMoments:
     """The former ``pipeline._moments``: one cloud's whole dense inputs
-    (a copy of hop 1's), centered in place, and the full covariance by one
-    ``einsum``."""
+    (a copy of hop 1's, a later hop's operator of ``values``), centered in
+    place, and the full covariance by one ``einsum``."""
     # a copy: centering below is in place, and hop 1's plan apply reads x afterwards
-    a = x.dense() if isinstance(x, _OctantMeans) else x.copy()
+    a = x.dense(values) if isinstance(x, _OctantMeans) else x.copy()
     max_sq_norm = np.einsum("pnc,pnc->pc", a, a).max(axis=0)
     mean = a.mean(axis=0)
     a -= mean

@@ -71,6 +71,11 @@ from conftest import (
 )
 
 
+# four hops: hop 4's step in train rebuilds two later hops' values
+FOUR_HOP_CONFIG = ModelConfig(
+    hops=(*TINY_CONFIG.hops, HopConfig(96, 16), HopConfig(64, 16)), k_lrf=TINY_CONFIG.k_lrf
+)
+
 # three hops whose hop 3 takes 190 channels on ``tiny_corpus``
 WIDE_CONFIG = ModelConfig(
     hops=(HopConfig(192, 16), HopConfig(160, 16), HopConfig(128, 16)), k_lrf=16, energy_threshold=1e-4
@@ -138,21 +143,21 @@ class TestOctants:
             dtype=np.float64,
         )
         # neighbor j carries the j-th unit vector, so octant o's mean is e_o
-        means = _OctantMeans(signs[None, :, :], np.eye(8), np.arange(8)[None, :]).dense()
+        means = _OctantMeans(signs[None, :, :], np.arange(8)[None, :]).dense(np.eye(8))
         assert np.array_equal(means[0], np.eye(8))
 
     def test_weights_take_one_byte_per_neighbor(self):
         # every stored weight is a 1; scipy multiplies it in float64
         p, n, k = 20, 50, 12
         rng = np.random.default_rng(3)
-        means = _OctantMeans(rng.normal(size=(p, k, 3)), rng.normal(size=(n, 4)), rng.integers(0, n, (p, k)))
-        assert means.sums.data.dtype == np.int8
-        assert means.sums.data.shape == (p * k,)
-        assert (means.sums.data == 1).all()
-        assert means.dense().dtype == np.float64
+        means = _OctantMeans(rng.normal(size=(p, k, 3)), rng.integers(0, n, (p, k)))
+        assert means.weights.dtype == np.int8
+        assert means.weights.shape == (p * k,)
+        assert (means.weights == 1).all()
+        assert means.dense(rng.normal(size=(n, 4))).dtype == np.float64
 
     def test_zero_counts_as_positive(self):
-        means = _OctantMeans(np.zeros((1, 1, 3)), np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp)).dense()
+        means = _OctantMeans(np.zeros((1, 1, 3)), np.zeros((1, 1), dtype=np.intp)).dense(np.ones((1, 1)))
         assert means[0, :, 0].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("p, n, k, c", [(40, 60, 13, 5), (16, 16, 8, 1), (24, 200, 48, 33)])
@@ -164,7 +169,7 @@ class TestOctants:
         proj[0, :, :] = 1.0  # row 0: seven empty octants
         values = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-6, 6, size=(n, c))
         nbr_idx = rng.integers(0, n, size=(p, k))
-        means = _OctantMeans(proj, values, nbr_idx).dense()
+        means = _OctantMeans(proj, nbr_idx).dense(values)
         expected = octant_oracle(proj, values[nbr_idx])
         assert means.shape == expected.shape == (p, 8, c)
         assert means.tobytes() == expected.tobytes()
@@ -202,7 +207,7 @@ class TestOctants:
             else:
                 size = (hop.num_points, width)
                 values = rng.normal(size=size) * 10.0 ** rng.uniform(-6, 6, size=size)
-            means = _OctantMeans(proj, values, nbr_idx).dense()
+            means = _OctantMeans(proj, nbr_idx).dense(values)
             assert means.shape == (count, 8, width)
             assert means.tobytes() == octant_loop_oracle(proj, values, nbr_idx).tobytes(), f"hop {h + 1}"
 
@@ -227,7 +232,7 @@ class TestOctants:
         proj[on_boundary] = np.where(rng.random(proj.shape) < 0.5, 0.0, -0.0)[on_boundary]
         values = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-6, 6, size=(n, c))
         nbr_idx = rng.integers(0, min(pool, n), size=(p, k))
-        means = _OctantMeans(proj, values, nbr_idx).dense()
+        means = _OctantMeans(proj, nbr_idx).dense(values)
         assert means.tobytes() == octant_loop_oracle(proj, values, nbr_idx).tobytes()
 
     @pytest.mark.parametrize(
@@ -235,20 +240,24 @@ class TestOctants:
         [(12, 30, 9, 5), (10, 40, 16, 21), (9, 20, 8, 1), (7, 50, 12, 24), (6, 16, 8, 17)],
     )
     def test_prefixes_match_column_loop(self, p, n, k, c):
-        # every row prefix, 0 rows included
+        # every row prefix, 0 rows included, of the whole and as a head
         rng = np.random.default_rng(p * c + k)
         proj = rng.normal(size=(p, k, 3))
         proj[rng.random(proj.shape) < 0.1] = 0.0
         values = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-6, 6, size=(n, c))
         nbr_idx = rng.integers(0, n, size=(p, k))
-        means = _OctantMeans(proj, values, nbr_idx)
+        means = _OctantMeans(proj, nbr_idx)
         want = octant_loop_oracle(proj, values, nbr_idx)
         assert len(means) == p
-        assert means.dense().tobytes() == want.tobytes()
+        assert means.dense(values).tobytes() == want.tobytes()
         for rows in range(p + 1):
-            got = means.dense(rows)
+            got = means.dense(values, rows)
             assert got.shape == want[:rows].shape
             assert got.tobytes() == want[:rows].tobytes(), rows
+            # the head alone: the same bits, on arrays of its own
+            head = means.head(rows)
+            assert len(head) == rows and head.dense(values).tobytes() == want[:rows].tobytes(), rows
+            assert all(a.base is None for a in (head.indptr, head.indices, head.weights, head.divisor))
 
     def test_hop1_layout_matches_one_hot_oracle(self):
         # hop 1 averages the projections themselves, one value row per
@@ -334,9 +343,9 @@ class TestLaterHopAttributes:
         table = KnnIndex(coords).query(coords, 10)[0]
         axes, _ = local_pca_batch(coords, table)
         values = rng.normal(size=(30, 4))
-        full, full_margins = build_later_hop_attributes(coords, table, axes, values)
-        part, part_margins = build_later_hop_attributes(coords, table[:12], axes[:12], values)
-        assert np.array_equal(part.dense(), full.dense()[:12])
+        full, full_margins = build_later_hop_attributes(coords, table, axes)
+        part, part_margins = build_later_hop_attributes(coords, table[:12], axes[:12])
+        assert np.array_equal(part.dense(values), full.dense(values)[:12])
         assert np.array_equal(part_margins, full_margins[:12])
 
     def test_channel_means_hand_example(self):
@@ -345,8 +354,8 @@ class TestLaterHopAttributes:
         nbr_idx = np.array([[0, 1, 2]] * 3)
         axes = np.tile(np.eye(3), (3, 1, 1))
         values = np.array([[2.0], [4.0], [8.0]])
-        attrs, margins = build_later_hop_attributes(coords, nbr_idx, axes, values)
-        means = attrs.dense()
+        attrs, margins = build_later_hop_attributes(coords, nbr_idx, axes)
+        means = attrs.dense(values)
         assert means.shape == (3, 8, 1)
         # point 0 neighborhood projections rel to itself: (0,0,0), (1,0,0), (0,1,0)
         # flips: x {0,1,0} median 0 -> left 0 < right 1 -> +1; same for y; z tie -> -1
@@ -360,13 +369,13 @@ class TestLaterHopAttributes:
         table = KnnIndex(coords).query(coords, 10)[0]
         axes, _ = local_pca_batch(coords, table)
         values = rng.normal(size=(30, 5))
-        m0, margins = build_later_hop_attributes(coords, table, axes, values)
-        m0 = m0.dense()
+        m0, margins = build_later_hop_attributes(coords, table, axes)
+        m0 = m0.dense(values)
 
         r = random_rotation(rng)
         moved = coords @ r.T + rng.normal(size=3)
         axes_m, _ = local_pca_batch(moved, table)
-        m1 = build_later_hop_attributes(moved, table, axes_m, values)[0].dense()
+        m1 = build_later_hop_attributes(moved, table, axes_m)[0].dense(values)
 
         stable = margins.min(axis=1) > 1e-6
         assert np.abs(m0[stable] - m1[stable]).max() < 1e-9
@@ -470,58 +479,59 @@ class TestTrain:
         assert peak < 3.5e6
 
     def test_each_clouds_inputs_go_once_its_next_values_exist(self, tiny_corpus, monkeypatch):
-        # with the lanes run serially, cloud j's plan apply runs after those
-        # of the clouds before it: by then their octant operators of that
-        # hop are gone, while cloud j's own and every later cloud's are held
+        # with the lanes run serially, cloud j's step of hop 2 applies hop
+        # 1's plan to the first n_2 rows of its hop-1 inputs and drops those
+        # rows before it builds its hop-2 inputs: by then the clouds up to j
+        # hold hop 2's values and no hop-1 rows, the clouds after it no
+        # values yet, and after the final hop no run holds values
         monkeypatch.setattr(pipeline, "_two_lanes", lambda fn, items: [fn(x) for x in items])
-        refs: dict[int, list[weakref.ref]] = {}
-        hop_inputs, apply = pipeline._HopRun.hop_inputs, HopPlan.apply
+        budgets = [hop.num_points for hop in FOUR_HOP_CONFIG.hops]
+        runs: list[pipeline._HopRun] = []
+        rows: list[weakref.ref] = []  # each cloud's hop-1 rows, as hop 1's plan reads them
+        hop_inputs, apply_blocks = pipeline._HopRun.hop_inputs, pipeline._apply_blocks
 
         def recording(run, h):
-            x, neighbors = hop_inputs(run, h)
-            if h:
-                assert isinstance(x, _OctantMeans)
-                refs.setdefault(h, []).append(weakref.ref(x))
-            return x, neighbors
+            if h == 0:
+                runs.append(run)
+            elif h == 1:
+                j = runs.index(run)
+                assert len(rows) == j + 1 and all(r() is None for r in rows), j
+                assert [r.values is not None for r in runs] == [i <= j for i in range(len(runs))], j
+                assert runs[j].values.shape[0] == budgets[1]
+            return hop_inputs(run, h)
 
-        applied: Counter = Counter()
-
-        def checking(plan, x):
-            h = max(refs, default=0)  # the last hop whose inputs were built
-            j = applied[h]
-            applied[h] += 1
-            if h:  # hop 1's inputs are dense arrays, not operators
-                held = [r() is not None for r in refs[h]]
-                assert held == [i >= j for i in range(len(held))], (h + 1, j)
-            return apply(plan, x)
+        def applying(plan, blocks, x, n, values=None):
+            if not isinstance(x, _OctantMeans):  # hop 1's plan
+                assert x.shape == (budgets[1], 24, 1) and n == budgets[1] and values is None
+                rows.append(weakref.ref(x))
+            return apply_blocks(plan, blocks, x, n, values)
 
         monkeypatch.setattr(pipeline._HopRun, "hop_inputs", recording)
-        monkeypatch.setattr(HopPlan, "apply", checking)
-        config = ModelConfig(hops=(*TINY_CONFIG.hops, HopConfig(64, 16)), k_lrf=TINY_CONFIG.k_lrf)
-        train(tiny_corpus, config)
-        n = len(tiny_corpus)
-        assert applied == {0: n, 1: n}  # the final hop applies no plan in train
-        assert [len(r) for _, r in sorted(refs.items())] == [n, n]
-        assert all(r() is None for hop in refs.values() for r in hop)
+        monkeypatch.setattr(pipeline, "_apply_blocks", applying)
+        train(tiny_corpus, FOUR_HOP_CONFIG)
+        assert len(runs) == len(rows) == len(tiny_corpus)
+        assert all(r() is None for r in rows)
+        assert all(run.values is None and run.operators == [] for run in runs)
 
     def test_runs_hold_only_what_the_next_hop_reads_across_each_fit(self, tiny_corpus, monkeypatch):
         # with the lanes run serially, every cloud's moments of hop h are
         # taken before hop h's fits: by then each run's per-point arrays
-        # hold hop h + 1's rows, hop 1's whole inputs are gone (what is held
-        # of them, and handed to hop 1's plan apply, is their first n_2
-        # rows), hop 2's neighbor rows are int32, and no final-hop input is
-        # alive. Each hop makes one lane call for its inputs and moments,
-        # and one for its plan applies unless it is the final hop
+        # hold hop h + 1's rows, hop 1's whole inputs are gone, hop 2's
+        # neighbor rows are int32, and from hop 2 on a run holds hop 2's
+        # values and, for each later non-final hop it has passed, that hop's
+        # operator cut to the next hop's rows, not the operator hop_inputs
+        # built; at the final hop it holds none of these. Each hop makes one
+        # lane call, for its values, inputs and moments
         lane_calls = []
         monkeypatch.setattr(
             pipeline, "_two_lanes", lambda fn, items: lane_calls.append(fn) or [fn(x) for x in items]
         )
-        config = ModelConfig(hops=(*TINY_CONFIG.hops, HopConfig(64, 16)), k_lrf=TINY_CONFIG.k_lrf)
+        config = FOUR_HOP_CONFIG
         budgets = [hop.num_points for hop in config.hops]
         last = len(budgets) - 1
         runs: dict[int, pipeline._HopRun] = {}
         built: dict[int, list[weakref.ref]] = {}  # hop -> each cloud's inputs, as hop_inputs made them
-        hop_inputs, apply, fit = pipeline._HopRun.hop_inputs, HopPlan.apply, pipeline.saab_fit
+        hop_inputs, fit = pipeline._HopRun.hop_inputs, pipeline.saab_fit
 
         def recording(run, h):
             x, neighbors = hop_inputs(run, h)
@@ -530,6 +540,7 @@ class TestTrain:
             return x, neighbors
 
         fits: Counter = Counter()
+        widths = set()  # of the values runs hold
 
         def checking_fit(moments):
             h = max(built)
@@ -540,46 +551,91 @@ class TestTrain:
                 assert [len(a) for a in held] == [rows] * 5, h + 1
                 if h == 0:
                     assert run.hop2_table.dtype == np.int32 and len(run.hop2_table) == budgets[1]
-            if h in (0, last):
-                assert all(r() is None for r in built[h]), h + 1
+                if h in (0, last):
+                    assert run.values is None and run.operators == [], h + 1
+                else:
+                    assert len(run.values) == budgets[1], h + 1
+                    widths.add(run.values.shape[1])
+                    assert [len(op) for op in run.operators] == budgets[2 : h + 2], h + 1
+            assert all(r() is None for r in built[h]), h + 1
             return fit(moments)
-
-        applied: Counter = Counter()
-
-        def checking_apply(plan, x):
-            h = max(built)
-            applied[h] += 1
-            if h == 0:
-                owner = x if x.base is None else x.base
-                assert owner.shape == (budgets[1], 24, 1)
-            return apply(plan, x)
 
         monkeypatch.setattr(pipeline._HopRun, "hop_inputs", recording)
         monkeypatch.setattr(pipeline, "saab_fit", checking_fit)
-        monkeypatch.setattr(HopPlan, "apply", checking_apply)
-        train(tiny_corpus, config)
+        model = train(tiny_corpus, config)
         n = len(tiny_corpus)
-        assert len(runs) == n and sorted(fits) == [0, 1, 2] and fits[0] == 1
-        assert applied == {0: n, 1: n}
-        assert [len(r) for _, r in sorted(built.items())] == [n, n, n]
-        assert len(lane_calls) == 1 + 2 + 2 + 1  # sampling, then hops 1-3
+        assert len(runs) == n and sorted(fits) == [0, 1, 2, 3] and fits[0] == 1
+        assert widths == {len(model.later_hops[0])}  # hop 2's values: one column per hop-1 survivor
+        assert [len(r) for _, r in sorted(built.items())] == [n] * 4
+        assert len(lane_calls) == 1 + 4  # sampling, then one per hop
 
-    def test_layers_fit_merged_cloud_moments(self, tiny_model, tiny_corpus):
+    def test_later_fits_hold_hop2_values_and_an_operator_per_hop_passed(self, tiny_corpus, monkeypatch):
+        # with the lanes run serially, at every later hop's fit each run
+        # holds hop 2's values and one operator per later non-final hop it
+        # has passed (none at the final hop), and every array _apply_blocks
+        # returned for hop 3 or later, a later hop's values rebuilt in a
+        # cloud's step, is already gone
+        monkeypatch.setattr(pipeline, "_two_lanes", lambda fn, items: [fn(x) for x in items])
+        config = FOUR_HOP_CONFIG
+        budgets = [hop.num_points for hop in config.hops]
+        runs: list[pipeline._HopRun] = []
+        rebuilt: list[weakref.ref] = []
+        hop_inputs, apply_blocks, fit = pipeline._HopRun.hop_inputs, pipeline._apply_blocks, pipeline.saab_fit
+        hop = [0]  # the hop whose inputs were built last
+
+        def recording(run, h):
+            if h == 0:
+                runs.append(run)
+            hop[0] = h
+            return hop_inputs(run, h)
+
+        def applying(plan, blocks, x, n, values=None):
+            out = apply_blocks(plan, blocks, x, n, values)
+            if isinstance(x, _OctantMeans):  # a later hop's plan: its output is hop 3's values or a later hop's
+                rebuilt.append(weakref.ref(out))
+            return out
+
+        checked = set()
+
+        def checking_fit(moments):
+            h = hop[0]
+            if h and h not in checked:
+                checked.add(h)
+                final = h == len(budgets) - 1
+                for run in runs:
+                    if final:
+                        assert run.values is None and run.operators == []
+                    else:
+                        assert len(run.values) == budgets[1]
+                        assert [len(op) for op in run.operators] == budgets[2 : h + 2]
+                assert len(rebuilt) == (h - 1) * h // 2 * len(runs) and all(r() is None for r in rebuilt), h + 1
+            return fit(moments)
+
+        monkeypatch.setattr(pipeline._HopRun, "hop_inputs", recording)
+        monkeypatch.setattr(pipeline, "_apply_blocks", applying)
+        monkeypatch.setattr(pipeline, "saab_fit", checking_fit)
+        train(tiny_corpus, config)
+        assert checked == {1, 2, 3} and len(runs) == len(tiny_corpus)
+        # hop 3's step rebuilds hop 3's values, hop 4's step hop 3's and hop 4's
+        assert len(rebuilt) == 3 * len(tiny_corpus)
+
+    @staticmethod
+    def _check_layers_fit_merged_cloud_moments(model, corpus):
         # replay train's runs with its forward plans, which carry every
         # survivor: at each hop the corpus-order merge of the clouds' moments
         # is the stacked pool's, and each layer is the fit of its channel's
         # merged moments
-        config = tiny_model.config
+        config = model.config
         rng = np.random.Generator(np.random.PCG64(config.seed))
         runs = [  # one cloud at a time: train samples the corpus in two stacks
             _start_runs([normalize_unit_sphere(cloud).coords], config, [int(rng.integers(2**63))], fit=True)[0]
-            for cloud in tiny_corpus
+            for cloud in corpus
         ]
-        hop_layers = ({0: tiny_model.hop1_layer}, *tiny_model.later_hops)
-        for h, (plan, layers) in enumerate(zip(forward_plans(tiny_model), hop_layers)):
+        hop_layers = ({0: model.hop1_layer}, *model.later_hops)
+        for h, (plan, layers) in enumerate(zip(forward_plans(model), hop_layers)):
             inputs = [run.hop_inputs(h)[0] for run in runs]
-            merged = functools.reduce(SampleMoments.merge, [_moments(x) for x in inputs])
-            pool = np.concatenate([_dense_inputs(x) for x in inputs])  # (B·P, N, C)
+            merged = functools.reduce(SampleMoments.merge, [_moments(x, run.values) for x, run in zip(inputs, runs)])
+            pool = np.concatenate([_dense_inputs(x, run.values) for x, run in zip(inputs, runs)])  # (B·P, N, C)
             assert len(merged) == len(pool) and pool.shape[2] == len(layers)
             for c, pid in enumerate(sorted(layers)):
                 x = pool[:, :, c]
@@ -594,7 +650,16 @@ class TestTrain:
                 for f in dataclasses.fields(SaabLayer):
                     assert np.array_equal(getattr(layers[pid], f.name), getattr(want_layer, f.name)), (h, pid, f.name)
             for run, x in zip(runs, inputs):
-                run.values = plan.apply(_dense_inputs(x))
+                run.values = plan.apply(_dense_inputs(x, run.values))
+
+    def test_layers_fit_merged_cloud_moments(self, tiny_model, tiny_corpus):
+        self._check_layers_fit_merged_cloud_moments(tiny_model, tiny_corpus)
+
+    def test_layers_fit_merged_cloud_moments_at_four_hops(self, tiny_corpus):
+        # hops 3 and 4 fit the moments of values train rebuilds in each step
+        model = train(tiny_corpus, FOUR_HOP_CONFIG)
+        assert len(model.later_hops) == 3
+        self._check_layers_fit_merged_cloud_moments(model, tiny_corpus)
 
     def test_moments_leave_hop1_inputs_unchanged(self, tiny_corpus):
         # hop 1's plan apply reads the same (P, 24, 1) array after its
@@ -624,10 +689,12 @@ class TestChannelBlocks:
             assert a.tobytes() == b.tobytes(), name
 
     @staticmethod
-    def _operator(rng: np.random.Generator, p: int, c: int, k: int = 12, n: int = 90) -> _OctantMeans:
+    def _operator(
+        rng: np.random.Generator, p: int, c: int, k: int = 12, n: int = 90
+    ) -> tuple[_OctantMeans, np.ndarray]:
         proj = rng.normal(size=(p, k, 3))
         values = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-2, 2, size=c) + rng.normal(size=c)
-        return _OctantMeans(proj, values, rng.integers(0, n, size=(p, k)))
+        return _OctantMeans(proj, rng.integers(0, n, size=(p, k))), values
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -648,8 +715,8 @@ class TestChannelBlocks:
         before = x.tobytes()
         self._same(_moments(x), moments_oracle(x))
         assert x.tobytes() == before
-        means = self._operator(rng, p, c)
-        self._same(_moments(means), moments_oracle(means))
+        means, values = self._operator(rng, p, c)
+        self._same(_moments(means, values), moments_oracle(means, values))
 
     @pytest.mark.parametrize("c", [1, 2, 31, 32, 33, 64, 65, 190])
     def test_blocks_cover_the_channels_at_most_32_wide_and_none_alone(self, c):
@@ -665,7 +732,7 @@ class TestChannelBlocks:
         # with three blocks, the middle one's parents keep no child
         rng = np.random.default_rng(c)
         p, rows = 300, 257
-        means = self._operator(rng, p, c)
+        means, values = self._operator(rng, p, c)
         slots = np.flatnonzero(rng.random(c * k) < 0.6)
         blocks = _channel_blocks(c)
         idle = blocks[1] if len(blocks) > 2 else None
@@ -674,8 +741,8 @@ class TestChannelBlocks:
         plan = HopPlan(rng.normal(size=(c, 8, k)), rng.uniform(1, 2, size=c), slots)
         kept = _plan_blocks(plan)
         assert [b for b, _, _ in kept] == [b for b in blocks if b != idle]
-        want = plan.apply(means.dense(rows))
-        got = _apply_blocks(plan, kept, means, rows)
+        want = plan.apply(means.dense(values, rows))
+        got = _apply_blocks(plan, kept, means, rows, values)
         assert (got.shape, got.strides) == (want.shape, want.strides)
         assert got.tobytes() == want.tobytes()
 
@@ -693,9 +760,9 @@ class TestChannelBlocks:
             blocks = _plan_blocks(plan)
             for run in runs:
                 x, _ = run.hop_inputs(h)
-                self._same(_moments(x), moments_oracle(x))
-                want = plan.apply(_dense_inputs(x)[:rows])
-                got = _apply_blocks(plan, blocks, x, rows)
+                self._same(_moments(x, run.values), moments_oracle(x, run.values))
+                want = plan.apply(_dense_inputs(x, run.values)[:rows])
+                got = _apply_blocks(plan, blocks, x, rows, run.values)
                 assert got.tobytes() == want.tobytes(), h + 1
                 run.values = got
 
@@ -712,7 +779,7 @@ class TestChannelBlocks:
             (run,) = _start_runs([cloud.coords], model.config, [seed])
             for h, plan in enumerate(model.plans):
                 x, neighbors = run.hop_inputs(h)
-                run.values = plan.apply(_dense_inputs(x))
+                run.values = plan.apply(_dense_inputs(x, run.values))
             want = {
                 "point_indices": run.orig_indices,
                 "coords": run.coords,
@@ -733,13 +800,14 @@ class TestChannelBlocks:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module", params=["tiny", "one_hop", "three_hop"])
+@pytest.fixture(scope="module", params=["tiny", "one_hop", "three_hop", "four_hop"])
 def plan_model(request, tiny_model, tiny_corpus):
     if request.param == "tiny":
         return tiny_model
     hops = {
         "one_hop": TINY_CONFIG.hops[:1],
         "three_hop": (*TINY_CONFIG.hops, HopConfig(64, 16)),
+        "four_hop": FOUR_HOP_CONFIG.hops,
     }[request.param]
     return train(tiny_corpus[:3], ModelConfig(hops=hops, k_lrf=TINY_CONFIG.k_lrf))
 
@@ -776,9 +844,8 @@ class TestHopPlans:
         parent_ids, live_columns = [0], [0]
         for h, (hop, plan) in enumerate(zip(config.hops, plan_model.plans)):
             x, neighbors = run.hop_inputs(h)
-            x = _dense_inputs(x)
+            x = _dense_inputs(x, run.values)
             assert len(x) == hop.num_points
-            assert run.values is None  # the previous hop's outputs are dropped once read
             want, parent_ids = hop_oracle(plan_model.tree, hop_layers[h], parent_ids, x)
             live_ids = [i for i in parent_ids if i in live]
             got = plan.apply(x[:, :, live_columns])
@@ -849,17 +916,37 @@ class TestHopPlans:
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
 
     def test_train_applies_each_plan_to_the_next_hops_rows(self, plan_model, tiny_corpus, monkeypatch):
-        rows = []
-        real = HopPlan.apply
+        # each cloud's step of hop 2 applies hop 1's plan once; its step of
+        # hop h >= 3 rebuilds hop h's values, applying the plans of hops
+        # 2..h - 1 in turn; every plan applies at the next hop's rows, and
+        # the final hop's plan, whose outputs are never read, not at all
+        # (the lanes run serially, so the calls come in corpus order)
+        monkeypatch.setattr(pipeline, "_two_lanes", lambda fn, items: [fn(x) for x in items])
+        calls, rows = [], []
+        apply_blocks, apply = pipeline._apply_blocks, HopPlan.apply
+
+        def recording_blocks(plan, blocks, x, n, values=None):
+            calls.append((plan, n))
+            return apply_blocks(plan, blocks, x, n, values)
 
         def recording(plan, x):
             rows.append(len(x))
-            return real(plan, x)
+            return apply(plan, x)
 
+        monkeypatch.setattr(pipeline, "_apply_blocks", recording_blocks)
         monkeypatch.setattr(HopPlan, "apply", recording)
-        train(tiny_corpus[:3], plan_model.config)
-        # the final hop's outputs are never read, so its plan is not applied
-        assert rows == [hop.num_points for hop in plan_model.config.hops[1:] for _ in range(3)]
+        model = train(tiny_corpus[:3], plan_model.config)
+        budgets = [hop.num_points for hop in plan_model.config.hops]
+        forward = forward_plans(model)
+        want = [[0] if h == 1 else range(1, h) for h in range(1, len(budgets))]
+        want = [j for steps in want for _ in range(3) for j in steps]
+        assert len(calls) == len(want)
+        for (plan, n), j in zip(calls, want):
+            for f in dataclasses.fields(HopPlan):
+                assert np.array_equal(getattr(plan, f.name), getattr(forward[j], f.name)), (j, f.name)
+            assert n == budgets[j + 1]
+        # the plan's blocks apply at its rows too
+        assert set(rows) == {budgets[j + 1] for j in want} and len(rows) >= len(want)
 
     @pytest.mark.parametrize("k", [1, 3], ids=["one_cloud", "three_clouds"])
     def test_one_fps_call_per_stack(self, plan_model, tiny_corpus, monkeypatch, k):

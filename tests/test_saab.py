@@ -663,6 +663,6 @@ class TestFreezeHop:
         # real inputs and zero-padded filter banks, hop by hop of an extraction
         (run,) = _start_runs([tiny_corpus[0].coords], tiny_model.config, [0])
         for h, plan in enumerate(tiny_model.plans):
-            x = _dense_inputs(run.hop_inputs(h)[0])
+            x = _dense_inputs(run.hop_inputs(h)[0], run.values)
             run.values = plan.apply(x)
             assert run.values.tobytes() == plan_take_oracle(plan, x).tobytes(), f"hop {h + 1}"
