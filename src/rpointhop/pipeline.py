@@ -19,9 +19,10 @@ Training (unsupervised, one pass per hop):
    per-octant means of the neighbors' channel value. Each channel is fit
    with its own Saab transform (channel-wise). Training holds each cloud's
    means as the octant-sum operator alone, without the values it averages:
-   it keeps hop 2's values, rebuilds a later hop's from them through the
-   operators of the hops between, makes the means dense only a block of
-   channels at a time, and drops the rebuilt values with their moments.
+   it keeps hop 1's inputs at hop 2's rows and each later hop's operator,
+   rebuilds a hop's values from them through the plans of the hops before
+   it, makes the means dense only a block of channels at a time, and drops
+   the rebuilt values with their moments.
    Sampling runs once per cloud, and the hop-1 working cloud is
    stored in farthest point order, so hop h's points are its first n_h
    rows: exactly what sampling each hop from the previous one gives.
@@ -412,12 +413,10 @@ class _HopRun:
     (:meth:`cut_to`); :func:`train` makes the same cut once a cloud's
     moments are taken, so the run holds only the next hop's rows across a
     fit. A later hop's inputs are an operator over values at its points,
-    which the caller supplies: extraction keeps in ``values`` hop h's plan
-    outputs at the n_{h+1} points of hop h + 1, set once it has applied hop
-    h's plan; training keeps hop 2's values there from hop 2 on, and in
-    ``operators`` each later non-final hop's operator, cut to the next hop's
-    rows, to rebuild a later hop's values from them (:func:`train`).
-    A hop's neighbor index covers all of its points.
+    which the caller keeps: extraction the previous hop's plan outputs, and
+    training what it rebuilds them from (:func:`train`). A run holds only
+    the geometry that both share. A hop's neighbor index covers all of its
+    points.
     Hop-1 frames are computed once and reused at all hops, with signs
     re-resolved per hop against the hop's own neighborhood. Hop 2's neighbor
     rows are read off hop 1's exact table (:func:`_prefix_table`) while hop
@@ -441,8 +440,6 @@ class _HopRun:
             sampled = sampled[np.concatenate([picks, np.flatnonzero(rest)])]
         self.orig_indices = sampled
         self.coords = coords_full[sampled]
-        self.values: np.ndarray | None = None  # surviving coefficients, set by the caller
-        self.operators: list[_OctantMeans] = []  # training's later-hop operators
         self.hop2_table: np.ndarray | None = None  # hop 2's neighbor rows, set by hop 1
 
     def hop_inputs(self, h: int) -> tuple[np.ndarray | _OctantMeans, np.ndarray]:
@@ -546,43 +543,21 @@ def _channel_blocks(c: int) -> list[slice]:
     return [slice(c * i // n, c * (i + 1) // n) for i in range(n)]
 
 
-def _block_moments(a: np.ndarray) -> SampleMoments:
-    """The per-channel moments of (P, N, C) samples ``a``, centered in place.
-
-    Each covariance row i is one ``einsum`` over its upper triangle
-    ``[i, i:]``, mirrored below the diagonal: the bits of
-    ``einsum("pnc,pmc->cnm")``, since products commute exactly and each
-    entry still sums over p in order, in about a third of its time. The
-    (C, N, N) covariances keep that ``einsum``'s channel-minor memory: the
-    matmuls of a fit read one channel's matrix, and which loop they take,
-    hence their bits, depends on its strides."""
-    p, n, c = a.shape
-    max_sq_norm = np.einsum("pnc,pnc->pc", a, a).max(axis=0)
-    mean = a.mean(axis=0)
-    a -= mean
-    cov = np.empty((n, n, c))
-    for i in range(n):
-        np.einsum("pc,pmc->mc", a[:, i], a[:, i:], out=cov[i, i:])
-        cov[i + 1 :, i] = cov[i, i + 1 :]
-    cov /= p
-    return SampleMoments(p, mean.T, cov.transpose(2, 0, 1), max_sq_norm)
-
-
 def _moments(x: np.ndarray | _OctantMeans, values: np.ndarray | None = None) -> SampleMoments:
     """The per-channel :class:`~rpointhop.saab.SampleMoments` of one cloud's
-    (P, N, C) Saab inputs (:func:`_block_moments`): hop 1's dense ``x``
+    (P, N, C) Saab inputs (:meth:`~rpointhop.saab.SampleMoments.of`): hop 1's dense ``x``
     reduced in a copy, which its plan apply reads afterwards, and a later
     hop's in the dense means its operator ``x`` makes of ``values``, one
     block of channels at a time (:func:`_channel_blocks`), so no more than a
     block's (P, 8, C) means are ever held."""
     if not isinstance(x, _OctantMeans):
         # a copy: centering is in place, and hop 1's plan apply reads x afterwards
-        return _block_moments(x.copy())
+        return SampleMoments.of(x.copy())
     c = values.shape[1]
     # channel-minor, as one block of all c channels lays them out
     mean, cov, max_sq_norm = np.empty((8, c)).T, np.empty((8, 8, c)).transpose(2, 0, 1), np.empty(c)
     for block in _channel_blocks(c):
-        m = _block_moments(x.dense(values, channels=block))
+        m = SampleMoments.of(x.dense(values, channels=block))
         mean[block], cov[block], max_sq_norm[block] = m.mean, m.cov, m.max_sq_norm
     return SampleMoments(len(x), mean, cov, max_sq_norm)
 
@@ -633,18 +608,18 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     A cloud's step of hop h builds the hop's values and inputs, takes their
     moments, and keeps only what later steps read. Right after its moments,
     its run is cut to hop h + 1's rows (:meth:`_HopRun.cut_to`, the cut each
-    hop makes at its start). Hop 1 keeps its inputs' first n_2 rows, the
-    only ones hop 1's plan reads, and hop 2's neighbor rows as int32; hop
-    2's step applies hop 1's plan to those rows once and keeps the result,
-    hop 2's values, in the run's ``values``. A later non-final hop keeps in
-    ``operators`` its :class:`_OctantMeans` cut to hop h + 1's rows
-    (:meth:`_OctantMeans.head`), not its values, and the final hop keeps
-    nothing. So hop h's step (h >= 3) rebuilds hop h's values from hop 2's,
-    applying training's plans of hops 2..h - 1 through those operators, each
-    at the next hop's rows, and drops them with its moments: no corpus-wide
-    set of a later hop's dense values is held across a fit. The price is
-    that hop h's step repeats the applies of plans 2..h - 2 that earlier
-    steps made: one more hop-2 plan apply per cloud on the default model.
+    hop makes at its start). What else a cloud carries is one list of kept
+    inputs: hop 1 keeps its inputs' first n_2 rows, the only ones hop 1's
+    plan reads (and hop 2's neighbor rows as int32, in its run), a later
+    non-final hop its :class:`_OctantMeans` cut to hop h + 1's rows
+    (:meth:`_OctantMeans.head`), not its values, and the final hop nothing.
+    So hop h's step (h >= 2) rebuilds hop h's values from that list,
+    applying training's plans of hops 1..h - 1 in turn, each at the next
+    hop's rows, and drops them with its moments: no corpus-wide set of a
+    later hop's dense values is held across a fit. The price is that hop
+    h's step repeats the applies of plans 1..h - 2 that earlier steps made:
+    two more hop-1 plan applies and one more hop-2 plan apply per cloud on
+    the default model.
     Dense later-hop means live only inside one cloud's :func:`_moments` or
     plan apply per lane, one block of at most :data:`_CHANNEL_BLOCK`
     channels at a time (:func:`_channel_blocks`, :func:`_apply_blocks`), so
@@ -665,7 +640,9 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     tree = FeatureTree()
     hop_layers: list[dict[int, SaabLayer]] = []
     plans: list[tuple[HopPlan, list]] = []  # training's plan of each non-final hop fit so far, and its blocks
-    hop1_rows: list[np.ndarray | None] = [None] * len(runs)  # hop 1's inputs at hop 2's points, per cloud
+    # per cloud: hop 1's inputs at hop 2's rows, then each later non-final
+    # hop's operator cut to the next hop's rows
+    carried: list[list[np.ndarray | _OctantMeans]] = [[] for _ in runs]
     parent_ids = [0]
     for h in range(n_hops):
         final = h == n_hops - 1
@@ -673,23 +650,19 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
         def step(i: int) -> SampleMoments:
             """Hop h's moments of cloud i; its run then keeps only what
             later steps read."""
-            run = runs[i]
-            if h == 1:
-                run.values, hop1_rows[i] = _apply_blocks(*plans[0], hop1_rows[i], budgets[1]), None
-            values = run.values
-            for j, operator in enumerate(run.operators, start=1):  # hop j + 1's values to hop j + 2's
-                values = _apply_blocks(*plans[j], operator, budgets[j + 1], values)
+            run, kept = runs[i], carried[i]
+            values = None
+            for j, inputs in enumerate(kept):  # hop j + 1's inputs to hop j + 2's values
+                values = _apply_blocks(*plans[j], inputs, budgets[j + 1], values)
             x, _ = run.hop_inputs(h)
             moments = _moments(x, values)
             if final:
-                run.values, run.operators = None, []
+                kept.clear()
             else:
                 run.cut_to(h + 1)
+                kept.append(x[: budgets[1]].copy() if h == 0 else x.head(budgets[h + 1]))
                 if h == 0:
-                    hop1_rows[i] = x[: budgets[1]].copy()
                     run.hop2_table = run.hop2_table.astype(np.int32)
-                else:
-                    run.operators.append(x.head(budgets[h + 1]))
             return moments
 
         moments = reduce(SampleMoments.merge, _two_lanes(step, range(len(runs))))
@@ -739,13 +712,14 @@ def _features(model: RPointHopModel, run: _HopRun) -> FeatureSet:
     """The frozen pipeline's features of a started extraction ``run``, each
     hop's plan applied to the hop's computed rows as training applies its
     plans (:func:`_apply_blocks`)."""
+    values = None
     for h, plan in enumerate(model.plans):
         x, neighbors = run.hop_inputs(h)
-        run.values = _apply_blocks(plan, _plan_blocks(plan), x, len(x), run.values)
+        values = _apply_blocks(plan, _plan_blocks(plan), x, len(x), values)
     return FeatureSet(
         point_indices=run.orig_indices,
         coords=run.coords,
-        features=run.values,
+        features=values,
         sign_margins=run.min_margin,
         eigen_gaps=run.eigen_gaps,
         neighbor_table=neighbors,

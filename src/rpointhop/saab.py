@@ -11,7 +11,8 @@ The bias is the largest training-sample norm. Since every filter has unit
 norm, a_k . v + b >= b - ||v|| >= 0 for any input inside the training
 norm ball, so outputs of cascaded layers stay non-negative and the cascade
 minus its biases is a plain linear map. A layer reads its samples only
-through their count, covariance and largest norm (:class:`SampleMoments`).
+through their count, covariance and largest norm (:class:`SampleMoments`):
+:func:`saab_fit` has one body, and fits an (S, N) array through its moments.
 
 Each filter carries a normalized energy (DC: variance of the DC
 coefficients; AC: PCA eigenvalues; all divided by their total). Energies
@@ -97,44 +98,60 @@ class SampleMoments:
         mean = self.mean + delta * (other.count / n)
         return SampleMoments(n, mean, cov, np.maximum(self.max_sq_norm, other.max_sq_norm))
 
+    @staticmethod
+    def of(a: np.ndarray) -> SampleMoments:
+        """The per-channel moments of (P, N, C) samples ``a``, centered in place.
+
+        Each covariance row i is one ``einsum`` over its upper triangle
+        ``[i, i:]``, mirrored below the diagonal: the bits of
+        ``einsum("pnc,pmc->cnm")``, since products commute exactly and each
+        entry still sums over p in order, in about a third of its time. The
+        (C, N, N) covariances keep that ``einsum``'s channel-minor memory: the
+        matmuls of a fit read one channel's matrix, and which loop they take,
+        hence their bits, depends on its strides."""
+        p, n, c = a.shape
+        max_sq_norm = np.einsum("pnc,pnc->pc", a, a).max(axis=0)
+        mean = a.mean(axis=0)
+        a -= mean
+        cov = np.empty((n, n, c))
+        for i in range(n):
+            np.einsum("pc,pmc->mc", a[:, i], a[:, i:], out=cov[i, i:])
+            cov[i + 1 :, i] = cov[i, i + 1 :]
+        cov /= p
+        return SampleMoments(p, mean.T, cov.transpose(2, 0, 1), max_sq_norm)
+
 
 def saab_fit(samples: np.ndarray | SampleMoments) -> SaabLayer:
-    """Fit one Saab layer to (S, N) training samples, or to one channel's
-    :class:`SampleMoments` of them, whose covariance C gives the AC
-    covariance P C P (P = I - dc dc^T) and the DC energy dc^T C dc.
+    """Fit one Saab layer to one channel's :class:`SampleMoments`, whose
+    covariance C gives the AC covariance P C P (P = I - dc dc^T), the DC
+    energy dc^T C dc and, from the largest squared norm, the bias. (S, N)
+    training samples are fit through their moments
+    (:meth:`SampleMoments.of`), so pools whose squares overflow are refused
+    as non-finite.
 
     Every AC filter with numerically nonzero variance is kept; channels are
     pruned afterwards, by cumulative energy on the :class:`FeatureTree`.
     """
-    moments = isinstance(samples, SampleMoments)
-    if moments:
-        if samples.mean.ndim != 1:
-            raise ValueError(f"moments must be of one channel, got mean shape {samples.mean.shape}")
-        s, n = len(samples), len(samples.mean)
-        finite = all(np.isfinite(a).all() for a in (samples.mean, samples.cov, samples.max_sq_norm))
-    else:
+    if not isinstance(samples, SampleMoments):
         x = np.asarray(samples, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"samples must be 2-D (S, N), got shape {x.shape}")
-        s, n = x.shape
-        finite = np.isfinite(x).all()
-    if s < 2:
+        if len(x) < 2:
+            raise ValueError("need at least 2 samples to fit a Saab layer")
+        if not np.isfinite(x).all():
+            raise ValueError("samples contain non-finite values")
+        samples = SampleMoments.of(x[:, :, None].copy())[0]  # a copy: the moments center in place
+    if samples.mean.ndim != 1:
+        raise ValueError(f"moments must be of one channel, got mean shape {samples.mean.shape}")
+    if len(samples) < 2:
         raise ValueError("need at least 2 samples to fit a Saab layer")
-    if not finite:
+    if not all(np.isfinite(a).all() for a in (samples.mean, samples.cov, samples.max_sq_norm)):
         raise ValueError("samples contain non-finite values")
 
+    n = len(samples.mean)
     dc = np.full(n, 1.0 / np.sqrt(n))
-    if moments:
-        ac = np.eye(n) - np.outer(dc, dc)
-        cov = ac @ samples.cov @ ac
-    else:
-        dc_coeffs = x @ dc
-        # remove the DC projection per sample: dc is constant, so the outer
-        # product dc_coeffs ⊗ dc is the column dc_coeffs * dc[0] broadcast
-        centered = x - (dc_coeffs * dc[0])[:, None]
-        centered -= centered.mean(axis=0)
-        cov = centered.T @ centered / s
-    w, v = np.linalg.eigh(cov)
+    ac = np.eye(n) - np.outer(dc, dc)
+    w, v = np.linalg.eigh(ac @ samples.cov @ ac)
     w = w[::-1]
     v = v[:, ::-1]
 
@@ -143,7 +160,7 @@ def saab_fit(samples: np.ndarray | SampleMoments) -> SaabLayer:
     floor = max(w[0], 0.0) * _EIG_CUTOFF
     keep = min(int(np.count_nonzero(w > floor)), n - 1)
 
-    dc_energy = float(dc @ samples.cov @ dc) if moments else float(dc_coeffs.var())
+    dc_energy = float(dc @ samples.cov @ dc)
     ac_filters = v[:, :keep].T.copy()
     kept_energy = dc_energy + float(w[:keep].sum())
     if kept_energy <= 0.0:
@@ -151,11 +168,7 @@ def saab_fit(samples: np.ndarray | SampleMoments) -> SaabLayer:
         energies[0] = 1.0  # degenerate layer: all mass assigned to DC
     else:
         energies = np.concatenate([[dc_energy], w[:keep]]) / kept_energy
-    # samples: np.linalg.norm(x, axis=1).max() by the norm's own two ufunc
-    # calls, with the squares in the spent centered buffer: sqrt is monotone
-    # and correctly rounded, so the root of the largest sum is the largest root
-    max_sq_norm = samples.max_sq_norm if moments else np.add.reduce(np.multiply(x, x, out=centered), axis=1).max()
-    bias = float(np.sqrt(max_sq_norm))
+    bias = float(np.sqrt(samples.max_sq_norm))
     return SaabLayer(dc_filter=dc, ac_filters=ac_filters, bias=bias, energies=energies)
 
 

@@ -71,10 +71,23 @@ from conftest import (
 )
 
 
-# four hops: hop 4's step in train rebuilds two later hops' values
+# four hops: hop 4's step in train rebuilds the values of hops 2, 3 and 4
 FOUR_HOP_CONFIG = ModelConfig(
     hops=(*TINY_CONFIG.hops, HopConfig(96, 16), HopConfig(64, 16)), k_lrf=TINY_CONFIG.k_lrf
 )
+
+
+def _carried(step) -> list[list]:
+    """What each cloud carries across train's fits: read off the closure of
+    the lane step that train hands to ``_two_lanes``."""
+    return step.__closure__[step.__code__.co_freevars.index("carried")].cell_contents
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
 # three hops whose hop 3 takes 190 channels on ``tiny_corpus``
 WIDE_CONFIG = ModelConfig(
@@ -480,119 +493,117 @@ class TestTrain:
 
     def test_each_clouds_inputs_go_once_its_next_values_exist(self, tiny_corpus, monkeypatch):
         # with the lanes run serially, cloud j's step of hop 2 applies hop
-        # 1's plan to the first n_2 rows of its hop-1 inputs and drops those
-        # rows before it builds its hop-2 inputs: by then the clouds up to j
-        # hold hop 2's values and no hop-1 rows, the clouds after it no
-        # values yet, and after the final hop no run holds values
-        monkeypatch.setattr(pipeline, "_two_lanes", lambda fn, items: [fn(x) for x in items])
+        # 1's plan to the first n_2 rows of its hop-1 inputs, a copy it
+        # carries: by then every cloud's whole hop-1 inputs are gone, and so
+        # are the hop-2 values the clouds before it rebuilt; after the final
+        # hop no cloud carries anything
+        steps = []
+        monkeypatch.setattr(pipeline, "_two_lanes", lambda fn, items: steps.append(fn) or [fn(x) for x in items])
         budgets = [hop.num_points for hop in FOUR_HOP_CONFIG.hops]
-        runs: list[pipeline._HopRun] = []
-        rows: list[weakref.ref] = []  # each cloud's hop-1 rows, as hop 1's plan reads them
+        inputs: list[weakref.ref] = []  # each cloud's whole hop-1 inputs
+        rows: list[weakref.ref] = []  # each cloud's carried hop-1 rows
+        values: list[weakref.ref] = []  # hop 2's values, as hop 2's steps rebuilt them
         hop_inputs, apply_blocks = pipeline._HopRun.hop_inputs, pipeline._apply_blocks
 
         def recording(run, h):
+            x, neighbors = hop_inputs(run, h)
             if h == 0:
-                runs.append(run)
-            elif h == 1:
-                j = runs.index(run)
-                assert len(rows) == j + 1 and all(r() is None for r in rows), j
-                assert [r.values is not None for r in runs] == [i <= j for i in range(len(runs))], j
-                assert runs[j].values.shape[0] == budgets[1]
-            return hop_inputs(run, h)
+                inputs.append(weakref.ref(_root(x)))
+            return x, neighbors
 
-        def applying(plan, blocks, x, n, values=None):
+        def applying(plan, blocks, x, n, values_in=None):
+            out = apply_blocks(plan, blocks, x, n, values_in)
             if not isinstance(x, _OctantMeans):  # hop 1's plan
-                assert x.shape == (budgets[1], 24, 1) and n == budgets[1] and values is None
-                rows.append(weakref.ref(x))
-            return apply_blocks(plan, blocks, x, n, values)
+                assert x.shape == (budgets[1], 24, 1) and x.base is None and n == budgets[1] and values_in is None
+                if len(rows) < len(inputs):  # hop 2's steps: each cloud once, in corpus order
+                    assert all(r() is None for r in inputs) and all(r() is None for r in values)
+                    rows.append(weakref.ref(x))
+                    values.append(weakref.ref(out))
+            return out
 
         monkeypatch.setattr(pipeline._HopRun, "hop_inputs", recording)
         monkeypatch.setattr(pipeline, "_apply_blocks", applying)
         train(tiny_corpus, FOUR_HOP_CONFIG)
-        assert len(runs) == len(rows) == len(tiny_corpus)
-        assert all(r() is None for r in rows)
-        assert all(run.values is None and run.operators == [] for run in runs)
+        assert len(inputs) == len(rows) == len(values) == len(tiny_corpus)
+        assert _carried(steps[-1]) == [[]] * len(tiny_corpus)
+        assert all(r() is None for r in rows + values)
 
     def test_runs_hold_only_what_the_next_hop_reads_across_each_fit(self, tiny_corpus, monkeypatch):
         # with the lanes run serially, every cloud's moments of hop h are
         # taken before hop h's fits: by then each run's per-point arrays
         # hold hop h + 1's rows, hop 1's whole inputs are gone, hop 2's
-        # neighbor rows are int32, and from hop 2 on a run holds hop 2's
-        # values and, for each later non-final hop it has passed, that hop's
-        # operator cut to the next hop's rows, not the operator hop_inputs
-        # built; at the final hop it holds none of these. Each hop makes one
-        # lane call, for its values, inputs and moments
-        lane_calls = []
-        monkeypatch.setattr(
-            pipeline, "_two_lanes", lambda fn, items: lane_calls.append(fn) or [fn(x) for x in items]
-        )
+        # neighbor rows are int32, and each cloud carries the first n_2 rows
+        # of its hop-1 inputs, a copy, and for each later non-final hop it
+        # has passed that hop's operator cut to the next hop's rows, not the
+        # operator hop_inputs built; at the final hop it carries nothing.
+        # Each hop makes one lane call, for its values, inputs and moments
+        steps = []
+        monkeypatch.setattr(pipeline, "_two_lanes", lambda fn, items: steps.append(fn) or [fn(x) for x in items])
         config = FOUR_HOP_CONFIG
         budgets = [hop.num_points for hop in config.hops]
         last = len(budgets) - 1
-        runs: dict[int, pipeline._HopRun] = {}
+        runs: list[pipeline._HopRun] = []
         built: dict[int, list[weakref.ref]] = {}  # hop -> each cloud's inputs, as hop_inputs made them
         hop_inputs, fit = pipeline._HopRun.hop_inputs, pipeline.saab_fit
 
         def recording(run, h):
             x, neighbors = hop_inputs(run, h)
-            runs.setdefault(id(run), run)
-            built.setdefault(h, []).append(weakref.ref(x))
+            if h == 0:
+                runs.append(run)
+            built.setdefault(h, []).append(weakref.ref(_root(x) if h == 0 else x))
             return x, neighbors
 
         fits: Counter = Counter()
-        widths = set()  # of the values runs hold
 
         def checking_fit(moments):
             h = max(built)
             fits[h] += 1
             rows = budgets[min(h + 1, last)]
-            for run in runs.values():
+            carried = _carried(steps[-1])
+            assert len(carried) == len(runs)
+            for run, kept in zip(runs, carried):
                 held = (run.coords, run.orig_indices, run.axes, run.eigen_gaps, run.min_margin)
                 assert [len(a) for a in held] == [rows] * 5, h + 1
                 if h == 0:
                     assert run.hop2_table.dtype == np.int32 and len(run.hop2_table) == budgets[1]
-                if h in (0, last):
-                    assert run.values is None and run.operators == [], h + 1
+                if h == last:
+                    assert kept == [], h + 1
                 else:
-                    assert len(run.values) == budgets[1], h + 1
-                    widths.add(run.values.shape[1])
-                    assert [len(op) for op in run.operators] == budgets[2 : h + 2], h + 1
+                    assert kept[0].shape == (budgets[1], 24, 1) and kept[0].base is None, h + 1
+                    assert all(isinstance(op, _OctantMeans) for op in kept[1:]), h + 1
+                    assert [len(op) for op in kept[1:]] == budgets[2 : h + 2], h + 1
             assert all(r() is None for r in built[h]), h + 1
             return fit(moments)
 
         monkeypatch.setattr(pipeline._HopRun, "hop_inputs", recording)
         monkeypatch.setattr(pipeline, "saab_fit", checking_fit)
-        model = train(tiny_corpus, config)
+        train(tiny_corpus, config)
         n = len(tiny_corpus)
         assert len(runs) == n and sorted(fits) == [0, 1, 2, 3] and fits[0] == 1
-        assert widths == {len(model.later_hops[0])}  # hop 2's values: one column per hop-1 survivor
         assert [len(r) for _, r in sorted(built.items())] == [n] * 4
-        assert len(lane_calls) == 1 + 4  # sampling, then one per hop
+        assert len(steps) == 1 + 4  # sampling, then one per hop
 
-    def test_later_fits_hold_hop2_values_and_an_operator_per_hop_passed(self, tiny_corpus, monkeypatch):
-        # with the lanes run serially, at every later hop's fit each run
-        # holds hop 2's values and one operator per later non-final hop it
-        # has passed (none at the final hop), and every array _apply_blocks
-        # returned for hop 3 or later, a later hop's values rebuilt in a
-        # cloud's step, is already gone
-        monkeypatch.setattr(pipeline, "_two_lanes", lambda fn, items: [fn(x) for x in items])
+    def test_later_fits_hold_hop1_rows_and_an_operator_per_hop_passed(self, tiny_corpus, monkeypatch):
+        # with the lanes run serially, at every later hop's fit each cloud
+        # carries its hop-1 rows and one operator per later non-final hop it
+        # has passed (nothing at the final hop), and every array
+        # _apply_blocks returned, the values a cloud's step rebuilt, is
+        # already gone
+        steps = []
+        monkeypatch.setattr(pipeline, "_two_lanes", lambda fn, items: steps.append(fn) or [fn(x) for x in items])
         config = FOUR_HOP_CONFIG
         budgets = [hop.num_points for hop in config.hops]
-        runs: list[pipeline._HopRun] = []
         rebuilt: list[weakref.ref] = []
         hop_inputs, apply_blocks, fit = pipeline._HopRun.hop_inputs, pipeline._apply_blocks, pipeline.saab_fit
         hop = [0]  # the hop whose inputs were built last
 
         def recording(run, h):
-            if h == 0:
-                runs.append(run)
             hop[0] = h
             return hop_inputs(run, h)
 
         def applying(plan, blocks, x, n, values=None):
             out = apply_blocks(plan, blocks, x, n, values)
-            if isinstance(x, _OctantMeans):  # a later hop's plan: its output is hop 3's values or a later hop's
-                rebuilt.append(weakref.ref(out))
+            rebuilt.append(weakref.ref(out))
             return out
 
         checked = set()
@@ -602,22 +613,23 @@ class TestTrain:
             if h and h not in checked:
                 checked.add(h)
                 final = h == len(budgets) - 1
-                for run in runs:
+                carried = _carried(steps[-1])
+                for kept in carried:
                     if final:
-                        assert run.values is None and run.operators == []
+                        assert kept == []
                     else:
-                        assert len(run.values) == budgets[1]
-                        assert [len(op) for op in run.operators] == budgets[2 : h + 2]
-                assert len(rebuilt) == (h - 1) * h // 2 * len(runs) and all(r() is None for r in rebuilt), h + 1
+                        assert [len(a) for a in kept] == budgets[1 : h + 2]
+                # hop h's step applies the plans of hops 1..h
+                assert len(rebuilt) == h * (h + 1) // 2 * len(carried) and all(r() is None for r in rebuilt), h + 1
             return fit(moments)
 
         monkeypatch.setattr(pipeline._HopRun, "hop_inputs", recording)
         monkeypatch.setattr(pipeline, "_apply_blocks", applying)
         monkeypatch.setattr(pipeline, "saab_fit", checking_fit)
         train(tiny_corpus, config)
-        assert checked == {1, 2, 3} and len(runs) == len(tiny_corpus)
-        # hop 3's step rebuilds hop 3's values, hop 4's step hop 3's and hop 4's
-        assert len(rebuilt) == 3 * len(tiny_corpus)
+        assert checked == {1, 2, 3}
+        # hop 2's step rebuilds hop 2's values, hop 3's those of hops 2 and 3, hop 4's those of hops 2-4
+        assert len(rebuilt) == 6 * len(tiny_corpus)
 
     @staticmethod
     def _check_layers_fit_merged_cloud_moments(model, corpus):
@@ -632,10 +644,11 @@ class TestTrain:
             for cloud in corpus
         ]
         hop_layers = ({0: model.hop1_layer}, *model.later_hops)
+        values = [None] * len(runs)
         for h, (plan, layers) in enumerate(zip(forward_plans(model), hop_layers)):
             inputs = [run.hop_inputs(h)[0] for run in runs]
-            merged = functools.reduce(SampleMoments.merge, [_moments(x, run.values) for x, run in zip(inputs, runs)])
-            pool = np.concatenate([_dense_inputs(x, run.values) for x, run in zip(inputs, runs)])  # (B·P, N, C)
+            merged = functools.reduce(SampleMoments.merge, [_moments(x, v) for x, v in zip(inputs, values)])
+            pool = np.concatenate([_dense_inputs(x, v) for x, v in zip(inputs, values)])  # (B·P, N, C)
             assert len(merged) == len(pool) and pool.shape[2] == len(layers)
             for c, pid in enumerate(sorted(layers)):
                 x = pool[:, :, c]
@@ -649,8 +662,7 @@ class TestTrain:
                 want_layer = saab_fit(got)
                 for f in dataclasses.fields(SaabLayer):
                     assert np.array_equal(getattr(layers[pid], f.name), getattr(want_layer, f.name)), (h, pid, f.name)
-            for run, x in zip(runs, inputs):
-                run.values = plan.apply(_dense_inputs(x, run.values))
+            values = [plan.apply(_dense_inputs(x, v)) for x, v in zip(inputs, values)]
 
     def test_layers_fit_merged_cloud_moments(self, tiny_model, tiny_corpus):
         self._check_layers_fit_merged_cloud_moments(tiny_model, tiny_corpus)
@@ -755,16 +767,17 @@ class TestChannelBlocks:
         )
         plans = forward_plans(model)
         assert [len(plan.biases) for plan in plans] == [1, 24, 190]
+        values = [None] * len(runs)
         for h, plan in enumerate(plans):
             rows = WIDE_CONFIG.hops[min(h + 1, 2)].num_points
             blocks = _plan_blocks(plan)
-            for run in runs:
+            for i, run in enumerate(runs):
                 x, _ = run.hop_inputs(h)
-                self._same(_moments(x, run.values), moments_oracle(x, run.values))
-                want = plan.apply(_dense_inputs(x, run.values)[:rows])
-                got = _apply_blocks(plan, blocks, x, rows, run.values)
+                self._same(_moments(x, values[i]), moments_oracle(x, values[i]))
+                want = plan.apply(_dense_inputs(x, values[i])[:rows])
+                got = _apply_blocks(plan, blocks, x, rows, values[i])
                 assert got.tobytes() == want.tobytes(), h + 1
-                run.values = got
+                values[i] = got
 
     @pytest.mark.parametrize("wide", [True, False], ids=["blocks", "one_block"])
     def test_extraction_is_the_whole_plans_replay(self, tiny_corpus, tiny_model, wide):
@@ -777,13 +790,14 @@ class TestChannelBlocks:
         assert (parents > _CHANNEL_BLOCK and len(_plan_blocks(model.plans[-1])) > 2) == wide
         for seed, cloud in enumerate(tiny_corpus[:3]):
             (run,) = _start_runs([cloud.coords], model.config, [seed])
+            values = None
             for h, plan in enumerate(model.plans):
                 x, neighbors = run.hop_inputs(h)
-                run.values = plan.apply(_dense_inputs(x, run.values))
+                values = plan.apply(_dense_inputs(x, values))
             want = {
                 "point_indices": run.orig_indices,
                 "coords": run.coords,
-                "features": run.values,
+                "features": values,
                 "sign_margins": run.min_margin,
                 "eigen_gaps": run.eigen_gaps,
                 "neighbor_table": neighbors,
@@ -841,10 +855,10 @@ class TestHopPlans:
         (run,) = _start_runs([cloud.coords], config, [2], fit=True)
         hop_layers = ({0: plan_model.hop1_layer}, *plan_model.later_hops)
         live = live_node_ids(plan_model.tree)
-        parent_ids, live_columns = [0], [0]
+        parent_ids, live_columns, values = [0], [0], None
         for h, (hop, plan) in enumerate(zip(config.hops, plan_model.plans)):
             x, neighbors = run.hop_inputs(h)
-            x = _dense_inputs(x, run.values)
+            x = _dense_inputs(x, values)
             assert len(x) == hop.num_points
             want, parent_ids = hop_oracle(plan_model.tree, hop_layers[h], parent_ids, x)
             live_ids = [i for i in parent_ids if i in live]
@@ -852,7 +866,7 @@ class TestHopPlans:
             assert plan.filters.shape[0] == len(live_columns) and got.shape[1] == len(live_ids)
             live_columns = [parent_ids.index(i) for i in live_ids]
             assert np.array_equal(got, want[:, live_columns]), f"hop {h + 1}"
-            run.values = want
+            values = want
         assert np.array_equal(got, want)  # the final hop: every output, in full
         # each hop's points are farthest point sampled from the previous hop's
         kept = sample_indices(len(cloud), config.hops[0].num_points, 2)
@@ -862,7 +876,7 @@ class TestHopPlans:
         want = {
             "point_indices": kept,
             "coords": cloud.coords[kept],
-            "features": run.values,
+            "features": values,
             "sign_margins": run.min_margin,
             "eigen_gaps": run.eigen_gaps,
             "neighbor_table": neighbors,
@@ -916,11 +930,11 @@ class TestHopPlans:
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
 
     def test_train_applies_each_plan_to_the_next_hops_rows(self, plan_model, tiny_corpus, monkeypatch):
-        # each cloud's step of hop 2 applies hop 1's plan once; its step of
-        # hop h >= 3 rebuilds hop h's values, applying the plans of hops
-        # 2..h - 1 in turn; every plan applies at the next hop's rows, and
-        # the final hop's plan, whose outputs are never read, not at all
-        # (the lanes run serially, so the calls come in corpus order)
+        # each cloud's step of hop h >= 2 rebuilds hop h's values, applying
+        # the plans of hops 1..h - 1 in turn; every plan applies at the next
+        # hop's rows, and the final hop's plan, whose outputs are never read,
+        # not at all (the lanes run serially, so the calls come in corpus
+        # order)
         monkeypatch.setattr(pipeline, "_two_lanes", lambda fn, items: [fn(x) for x in items])
         calls, rows = [], []
         apply_blocks, apply = pipeline._apply_blocks, HopPlan.apply
@@ -938,8 +952,7 @@ class TestHopPlans:
         model = train(tiny_corpus[:3], plan_model.config)
         budgets = [hop.num_points for hop in plan_model.config.hops]
         forward = forward_plans(model)
-        want = [[0] if h == 1 else range(1, h) for h in range(1, len(budgets))]
-        want = [j for steps in want for _ in range(3) for j in steps]
+        want = [j for h in range(1, len(budgets)) for _ in range(3) for j in range(h)]
         assert len(calls) == len(want)
         for (plan, n), j in zip(calls, want):
             for f in dataclasses.fields(HopPlan):
@@ -1023,8 +1036,6 @@ class TestFarthestFirstRows:
             # a fit computes every point; extraction only those the next hop keeps
             want = n if fit else budgets[min(h + 1, len(budgets) - 1)]
             assert len(x) == len(neighbors) == len(run.axes) == len(run.min_margin) == want
-            if h + 1 < len(budgets):
-                run.values = np.zeros((budgets[h + 1], 1))
 
 
 class TestHop2Table:
@@ -1097,7 +1108,6 @@ class TestHop2Table:
         (run,) = _start_runs([normalize_unit_sphere(cloud).coords], config, [0], fit=fit)
         run.hop_inputs(0)
         assert run.hop2_table is not None
-        run.values = np.zeros((config.hops[1].num_points, 1))
         _, got = run.hop_inputs(1)
         assert run.hop2_table is None  # held only until hop 2 reads it
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
