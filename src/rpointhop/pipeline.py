@@ -18,11 +18,11 @@ Training (unsupervised, one pass per hop):
    then build an 8-wide attribute per point and surviving channel: the
    per-octant means of the neighbors' channel value. Each channel is fit
    with its own Saab transform (channel-wise). Training holds each cloud's
-   means as the octant-sum operator alone, without the values it averages:
-   it keeps hop 1's inputs at hop 2's rows and each later hop's operator,
-   rebuilds a hop's values from them through the plans of the hops before
-   it, makes the means dense only a block of channels at a time, and drops
-   the rebuilt values with their moments.
+   means as the octant-sum operator's sparsity pattern alone, without the
+   values it averages: it keeps hop 1's inputs at hop 2's rows and each
+   later hop's operator, rebuilds a hop's values from them through the
+   plans of the hops before it, makes the means dense only a block of
+   channels at a time, and drops the rebuilt values with their moments.
    Sampling runs once per cloud, and the hop-1 working cloud is
    stored in farthest point order, so hop h's points are its first n_h
    rows: exactly what sampling each hop from the previous one gives.
@@ -41,7 +41,8 @@ as per-channel :class:`~rpointhop.saab.SampleMoments`: each lane reduces
 one cloud's inputs (:func:`_moments`), merged then in corpus order.
 
 Extraction runs the same geometry with the frozen plans, applied as
-training applies its plans (:func:`_apply_blocks`), and returns
+training applies its plans (:func:`_apply_blocks`, which cuts each plan
+into blocks of channels itself), and returns
 one feature row per final-hop point. Hop h + 1 keeps the first n_{h+1}
 rows of hop h, so hop h computes frames, signs, octant means and plan
 outputs only at that prefix. A model's plans keep only live channels, the
@@ -246,38 +247,38 @@ class _OctantMeans:
     by its octant's count, at least 1. The sums are bit-identical to adding
     the neighbors' values into zeros one neighbor at a time: the CSR product
     starts each output row at 0 and adds the row's stored entries in stored
-    order, and 1·v is exact. The weights are stored as int8; scipy computes
-    the product in float64 all the same. Nothing may re-sort the entries by
-    column, hence ``has_sorted_indices``. Each output row depends on its own
-    stored entries alone, so :meth:`dense` of a row prefix, or of the
-    operator's :meth:`head`, gives the same bits as that part of the whole.
+    order, and 1·v is exact. Nothing may re-sort the entries by column,
+    hence ``has_sorted_indices``. Each output row depends on its own stored
+    entries alone, so :meth:`dense` of a row prefix, or of the operator's
+    :meth:`head`, gives the same bits as that part of the whole.
 
-    Held this way an operator costs 5 bytes per neighbor (an int8 weight
-    and an int32 column index) and 96 bytes per point (32 for the int32 row
-    pointers, 64 for the int64 octant divisors), not 64·C bytes per point.
-    scipy keeps the column indices and row pointers in one dtype, so both
-    are cast.
+    An operator holds only its sparsity pattern, the int32 row pointers
+    ``indptr`` and column indices ``indices``: 4 bytes per neighbor and 32
+    per point, not 64·C per point. :meth:`dense` makes the int8 ones and the
+    octant counts, ``np.diff(indptr)`` at least 1, for the rows it is asked
+    for: the pattern fixes both exactly, and scipy computes the product in
+    float64 whatever the ones' dtype, so making them per product keeps the
+    bits. scipy keeps the column indices and row pointers in one dtype, so
+    both are cast.
     """
 
     def __init__(self, proj: np.ndarray, nbr_idx: np.ndarray) -> None:
-        p, k = nbr_idx.shape
+        p = len(nbr_idx)
         octant = (proj[..., 0] < 0).astype(np.int8) * 4 + (proj[..., 1] < 0) * np.int8(2) + (proj[..., 2] < 0)
         counts = np.bincount(((np.arange(p) * 8)[:, None] + octant).ravel(), minlength=p * 8)
         order = np.argsort(octant, axis=1, kind="stable")
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
         self.indices = np.take_along_axis(nbr_idx, order, axis=1).ravel().astype(np.int32)
-        self.weights = np.ones(p * k, dtype=np.int8)
-        self.divisor = np.maximum(counts, 1)[:, None]
 
     def __len__(self) -> int:
-        return len(self.divisor) // 8
+        return (len(self.indptr) - 1) // 8
 
     def head(self, rows: int) -> _OctantMeans:
         """The operator of the first ``rows`` points alone, on copies of
         the whole's arrays, so the whole's can go."""
-        head, end = copy.copy(self), self.indptr[8 * rows]
-        head.indptr, head.indices = self.indptr[: 8 * rows + 1].copy(), self.indices[:end].copy()
-        head.weights, head.divisor = self.weights[:end].copy(), self.divisor[: 8 * rows].copy()
+        head = copy.copy(self)
+        head.indptr = self.indptr[: 8 * rows + 1].copy()
+        head.indices = self.indices[: head.indptr[-1]].copy()
         return head
 
     def dense(self, values: np.ndarray, rows: int | None = None, channels: slice = slice(None)) -> np.ndarray:
@@ -288,13 +289,12 @@ class _OctantMeans:
         whole; scipy copies a block's strided columns into a contiguous
         (N, block) operand for the product."""
         rows = len(self) if rows is None else min(rows, len(self))
-        end = self.indptr[8 * rows]
-        a = csr_array(
-            (self.weights[:end], self.indices[:end], self.indptr[: 8 * rows + 1]), shape=(8 * rows, len(values))
-        )
+        indptr = self.indptr[: 8 * rows + 1]
+        end = indptr[-1]
+        a = csr_array((np.ones(end, np.int8), self.indices[:end], indptr), shape=(8 * rows, len(values)))
         a.has_sorted_indices = True
         sums = a @ values[:, channels]
-        sums /= self.divisor[: len(sums)]
+        sums /= np.maximum(np.diff(indptr), 1)[:, None]
         return sums.reshape(rows, 8, sums.shape[1])
 
 
@@ -562,36 +562,27 @@ def _moments(x: np.ndarray | _OctantMeans, values: np.ndarray | None = None) -> 
     return SampleMoments(len(x), mean, cov, max_sq_norm)
 
 
-def _plan_blocks(plan: HopPlan) -> list[tuple[slice, HopPlan, slice]]:
-    """``plan`` cut by :func:`_channel_blocks` of its parent channels: per
-    block that keeps a child, its channels, its sub-plan and the run of
-    output columns it fills (:meth:`~rpointhop.saab.HopPlan.block`)."""
-    blocks = [(channels, *plan.block(channels)) for channels in _channel_blocks(len(plan.biases))]
-    return [(channels, sub, columns) for channels, sub, columns in blocks if sub.slots.size]
-
-
 def _apply_blocks(
-    plan: HopPlan,
-    blocks: list[tuple[slice, HopPlan, slice]],
-    x: np.ndarray | _OctantMeans,
-    rows: int,
-    values: np.ndarray | None = None,
+    plan: HopPlan, x: np.ndarray | _OctantMeans, rows: int, values: np.ndarray | None = None
 ) -> np.ndarray:
     """``plan.apply`` of one cloud's inputs ``x`` at its first ``rows``
     points, bit for bit: hop 1's dense inputs in one apply, a later hop's
-    operator of ``values`` one of the plan's ``blocks``
-    (:func:`_plan_blocks`) at a time, each into its run of the preallocated
-    (rows, C') output. So no more than a block's dense means and product
-    are held beside the output. Training and extraction both apply every
-    plan this way."""
+    operator of ``values`` one block of the plan's parent channels
+    (:func:`_channel_blocks`) at a time, each block's plan
+    (:meth:`~rpointhop.saab.HopPlan.block`) into its run of the
+    preallocated (rows, C') output; a block that keeps no child is skipped.
+    So no more than a block's dense means and product are held beside the
+    output. Training and extraction both apply every plan this way."""
     if not isinstance(x, _OctantMeans):
         return plan.apply(x[:rows])
-    if len(blocks) == 1:  # the one block keeps every kept child, so its output is the whole
-        (channels, sub, _), = blocks
-        return sub.apply(x.dense(values, rows, channels))
+    blocks = _channel_blocks(len(plan.biases))
+    if len(blocks) == 1:  # one block is the whole plan
+        return plan.apply(x.dense(values, rows))
     out = np.empty((rows, len(plan.slots)))
-    for channels, sub, columns in blocks:
-        out[:, columns] = sub.apply(x.dense(values, rows, channels))
+    for channels in blocks:
+        sub, columns = plan.block(channels)
+        if sub.slots.size:
+            out[:, columns] = sub.apply(x.dense(values, rows, channels))
     return out
 
 
@@ -613,6 +604,8 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     plan reads (and hop 2's neighbor rows as int32, in its run), a later
     non-final hop its :class:`_OctantMeans` cut to hop h + 1's rows
     (:meth:`_OctantMeans.head`), not its values, and the final hop nothing.
+    A kept operator is its sparsity pattern alone: 4 bytes per neighbor
+    and 32 per point.
     So hop h's step (h >= 2) rebuilds hop h's values from that list,
     applying training's plans of hops 1..h - 1 in turn, each at the next
     hop's rows, and drops them with its moments: no corpus-wide set of a
@@ -624,8 +617,9 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     plan apply per lane, one block of at most :data:`_CHANNEL_BLOCK`
     channels at a time (:func:`_channel_blocks`, :func:`_apply_blocks`), so
     each lane's transients are a block's (P, 8, C) means and (C, P, K)
-    product beside the values it rebuilds, not the hop's; extraction applies
-    its plans by the same blocks, at all of a hop's computed rows.
+    product beside the values it rebuilds, not the hop's. :func:`_apply_blocks`
+    cuts each plan into those blocks per call; extraction applies its plans
+    the same way, at all of a hop's computed rows.
     """
     clouds = list(corpus)
     if not clouds:
@@ -639,7 +633,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     n_hops = len(budgets)
     tree = FeatureTree()
     hop_layers: list[dict[int, SaabLayer]] = []
-    plans: list[tuple[HopPlan, list]] = []  # training's plan of each non-final hop fit so far, and its blocks
+    plans: list[HopPlan] = []  # training's plan of each non-final hop fit so far
     # per cloud: hop 1's inputs at hop 2's rows, then each later non-final
     # hop's operator cut to the next hop's rows
     carried: list[list[np.ndarray | _OctantMeans]] = [[] for _ in runs]
@@ -653,7 +647,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
             run, kept = runs[i], carried[i]
             values = None
             for j, inputs in enumerate(kept):  # hop j + 1's inputs to hop j + 2's values
-                values = _apply_blocks(*plans[j], inputs, budgets[j + 1], values)
+                values = _apply_blocks(plans[j], inputs, budgets[j + 1], values)
             x, _ = run.hop_inputs(h)
             moments = _moments(x, values)
             if final:
@@ -671,8 +665,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
         if not children:
             raise TrainingError(_prune_message(h + 1, n_hops))
         if not final:  # hop h + 1's step reads its first n_{h+1} rows, and nothing the final hop's
-            plan = freeze_hop(tree, layers, parent_ids, children)
-            plans.append((plan, _plan_blocks(plan)))  # blocks once per hop, not once per cloud
+            plans.append(freeze_hop(tree, layers, parent_ids, children))
         hop_layers.append(layers)
         parent_ids = children
 
@@ -715,7 +708,7 @@ def _features(model: RPointHopModel, run: _HopRun) -> FeatureSet:
     values = None
     for h, plan in enumerate(model.plans):
         x, neighbors = run.hop_inputs(h)
-        values = _apply_blocks(plan, _plan_blocks(plan), x, len(x), values)
+        values = _apply_blocks(plan, x, len(x), values)
     return FeatureSet(
         point_indices=run.orig_indices,
         coords=run.coords,

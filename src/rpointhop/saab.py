@@ -156,8 +156,9 @@ def saab_fit(samples: np.ndarray | SampleMoments) -> SaabLayer:
     v = v[:, ::-1]
 
     # kept AC dims: positive eigenvalues above numerical noise, at most
-    # n-1 of them (the DC direction always carries a spurious zero here)
-    floor = max(w[0], 0.0) * _EIG_CUTOFF
+    # n-1 of them (the DC direction always carries a spurious zero here);
+    # the squares' rounding floors a pool of one repeated row, all noise
+    floor = max(max(w[0], 0.0) * _EIG_CUTOFF, n * np.finfo(np.float64).eps * float(samples.max_sq_norm))
     keep = min(int(np.count_nonzero(w > floor)), n - 1)
 
     dc_energy = float(dc @ samples.cov @ dc)

@@ -43,7 +43,6 @@ from rpointhop.pipeline import (
     _apply_blocks,
     _channel_blocks,
     _moments,
-    _plan_blocks,
     _project_neighbors,
     _start_runs,
     build_hop1_attributes,
@@ -160,13 +159,15 @@ class TestOctants:
         assert np.array_equal(means[0], np.eye(8))
 
     def test_weights_take_one_byte_per_neighbor(self):
-        # every stored weight is a 1; scipy multiplies it in float64
+        # an operator holds only its pattern: int32 row pointers and column
+        # indices, 4 bytes per neighbor and 32 per point; dense makes its
+        # unit weights and octant counts per product, in float64 all the same
         p, n, k = 20, 50, 12
         rng = np.random.default_rng(3)
         means = _OctantMeans(rng.normal(size=(p, k, 3)), rng.integers(0, n, (p, k)))
-        assert means.weights.dtype == np.int8
-        assert means.weights.shape == (p * k,)
-        assert (means.weights == 1).all()
+        assert sorted(vars(means)) == ["indices", "indptr"]
+        assert means.indptr.dtype == means.indices.dtype == np.int32
+        assert means.indices.nbytes == 4 * p * k and means.indptr.nbytes == 32 * p + 4
         assert means.dense(rng.normal(size=(n, 4))).dtype == np.float64
 
     def test_zero_counts_as_positive(self):
@@ -270,7 +271,8 @@ class TestOctants:
             # the head alone: the same bits, on arrays of its own
             head = means.head(rows)
             assert len(head) == rows and head.dense(values).tobytes() == want[:rows].tobytes(), rows
-            assert all(a.base is None for a in (head.indptr, head.indices, head.weights, head.divisor))
+            assert sorted(vars(head)) == ["indices", "indptr"]
+            assert all(a.base is None for a in (head.indptr, head.indices))
 
     def test_hop1_layout_matches_one_hot_oracle(self):
         # hop 1 averages the projections themselves, one value row per
@@ -511,8 +513,8 @@ class TestTrain:
                 inputs.append(weakref.ref(_root(x)))
             return x, neighbors
 
-        def applying(plan, blocks, x, n, values_in=None):
-            out = apply_blocks(plan, blocks, x, n, values_in)
+        def applying(plan, x, n, values_in=None):
+            out = apply_blocks(plan, x, n, values_in)
             if not isinstance(x, _OctantMeans):  # hop 1's plan
                 assert x.shape == (budgets[1], 24, 1) and x.base is None and n == budgets[1] and values_in is None
                 if len(rows) < len(inputs):  # hop 2's steps: each cloud once, in corpus order
@@ -601,8 +603,8 @@ class TestTrain:
             hop[0] = h
             return hop_inputs(run, h)
 
-        def applying(plan, blocks, x, n, values=None):
-            out = apply_blocks(plan, blocks, x, n, values)
+        def applying(plan, x, n, values=None):
+            out = apply_blocks(plan, x, n, values)
             rebuilt.append(weakref.ref(out))
             return out
 
@@ -740,7 +742,7 @@ class TestChannelBlocks:
 
     @pytest.mark.parametrize("k", [1, 8])  # one-filter layers take matmul's vector loops
     @pytest.mark.parametrize("c", [1, 5, 32, 33, 70])
-    def test_blocked_apply_is_the_whole_plans(self, c, k):
+    def test_blocked_apply_is_the_whole_plans(self, c, k, monkeypatch):
         # with three blocks, the middle one's parents keep no child
         rng = np.random.default_rng(c)
         p, rows = 300, 257
@@ -751,10 +753,14 @@ class TestChannelBlocks:
         if idle:
             slots = slots[(slots < idle.start * k) | (slots >= idle.stop * k)]
         plan = HopPlan(rng.normal(size=(c, 8, k)), rng.uniform(1, 2, size=c), slots)
-        kept = _plan_blocks(plan)
-        assert [b for b, _, _ in kept] == [b for b in blocks if b != idle]
-        want = plan.apply(means.dense(values, rows))
-        got = _apply_blocks(plan, kept, means, rows, values)
+        kept = [b for b in blocks if plan.block(b)[0].slots.size]
+        assert kept == [b for b in blocks if b != idle]
+        applied, apply = [], HopPlan.apply
+        monkeypatch.setattr(HopPlan, "apply", lambda sub, x: applied.append(x.shape[2]) or apply(sub, x))
+        got = _apply_blocks(plan, means, rows, values)
+        # the idle block is neither made dense nor applied
+        assert applied == [b.stop - b.start for b in kept]
+        want = apply(plan, means.dense(values, rows))
         assert (got.shape, got.strides) == (want.shape, want.strides)
         assert got.tobytes() == want.tobytes()
 
@@ -770,12 +776,12 @@ class TestChannelBlocks:
         values = [None] * len(runs)
         for h, plan in enumerate(plans):
             rows = WIDE_CONFIG.hops[min(h + 1, 2)].num_points
-            blocks = _plan_blocks(plan)
+            assert len(_channel_blocks(len(plan.biases))) == [1, 1, 6][h]
             for i, run in enumerate(runs):
                 x, _ = run.hop_inputs(h)
                 self._same(_moments(x, values[i]), moments_oracle(x, values[i]))
                 want = plan.apply(_dense_inputs(x, values[i])[:rows])
-                got = _apply_blocks(plan, blocks, x, rows, values[i])
+                got = _apply_blocks(plan, x, rows, values[i])
                 assert got.tobytes() == want.tobytes(), h + 1
                 values[i] = got
 
@@ -787,7 +793,9 @@ class TestChannelBlocks:
         # to its hop's whole dense inputs
         model = train(tiny_corpus, WIDE_CONFIG) if wide else tiny_model
         parents = len(model.plans[-1].biases)
-        assert (parents > _CHANNEL_BLOCK and len(_plan_blocks(model.plans[-1])) > 2) == wide
+        plan = model.plans[-1]
+        live = [b for b in _channel_blocks(parents) if plan.block(b)[0].slots.size]
+        assert (parents > _CHANNEL_BLOCK and len(live) > 2) == wide
         for seed, cloud in enumerate(tiny_corpus[:3]):
             (run,) = _start_runs([cloud.coords], model.config, [seed])
             values = None
@@ -939,9 +947,9 @@ class TestHopPlans:
         calls, rows = [], []
         apply_blocks, apply = pipeline._apply_blocks, HopPlan.apply
 
-        def recording_blocks(plan, blocks, x, n, values=None):
+        def recording_blocks(plan, x, n, values=None):
             calls.append((plan, n))
-            return apply_blocks(plan, blocks, x, n, values)
+            return apply_blocks(plan, x, n, values)
 
         def recording(plan, x):
             rows.append(len(x))

@@ -53,12 +53,21 @@ class TestSaabFit:
 
     def test_constant_samples_degenerate(self):
         # identical samples: no variance anywhere; only the DC filter remains
-        # and the degenerate energy vector is [1.0]
-        layer = saab_fit(np.ones((2, 4)))
-        assert layer.kept_dim == 1
-        assert layer.ac_filters.shape == (0, 4)
-        assert np.array_equal(layer.energies, [1.0])
-        assert layer.bias == pytest.approx(2.0)  # ||(1,1,1,1)|| = 2
+        # and the degenerate energy vector is [1.0]. A repeated nonzero row's
+        # centered residuals are rounding noise, whose eigenvalues sit below
+        # the rounding of the samples' squares
+        pools = [np.ones((2, 4))] + [
+            np.tile(scale * np.pad(row, (0, n - len(row))), (126, 1))
+            for row in ([0.3, 1.7], [1.0, 0.1, 2.3])
+            for n in (8, 24)
+            for scale in (1e-6, 1e-3, 1.1, 1e3, 1e6)
+        ]
+        for x in pools:
+            layer = saab_fit(x)
+            assert layer.kept_dim == 1, x[0]
+            assert layer.ac_filters.shape == (0, x.shape[1])
+            assert np.array_equal(layer.energies, [1.0]), (x[0], layer.energies)
+            assert layer.bias == pytest.approx(np.linalg.norm(x[0]))  # ||(1,1,1,1)|| = 2
 
     def test_filter_bank_orthonormal(self):
         rng = np.random.default_rng(0)
