@@ -50,6 +50,13 @@ class PointCloud:
             raise ValueError(f"coords must have shape (N, 3) with N >= 1, got {coords.shape}")
         if not np.isfinite(coords).all():
             raise ValueError("coords contain non-finite values")
+        # below this bound no squared distance, nor their sum over the
+        # cloud, overflows: KNN's distances and normalization's norm stay finite
+        with np.errstate(over="ignore"):
+            extent = coords.max(axis=0) - coords.min(axis=0)
+            reach = float(extent @ extent) * len(coords)
+        if not math.isfinite(reach):
+            raise ValueError("coords too large: the squared bounding-box diagonal times the point count overflows")
         object.__setattr__(self, "coords", coords)
 
     def __len__(self) -> int:

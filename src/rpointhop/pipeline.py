@@ -571,15 +571,14 @@ def _apply_blocks(
     (:func:`_channel_blocks`) at a time, each block's plan
     (:meth:`~rpointhop.saab.HopPlan.block`) into its run of the
     preallocated (rows, C') output; a block that keeps no child is skipped.
-    So no more than a block's dense means and product are held beside the
-    output. Training and extraction both apply every plan this way."""
+    A plan of one block takes the same loop: its block is the whole plan's
+    arrays, at the cost of one (rows, C') copy. So no more than a block's
+    dense means and product are held beside the output. Training and
+    extraction both apply every plan this way."""
     if not isinstance(x, _OctantMeans):
         return plan.apply(x[:rows])
-    blocks = _channel_blocks(len(plan.biases))
-    if len(blocks) == 1:  # one block is the whole plan
-        return plan.apply(x.dense(values, rows))
     out = np.empty((rows, len(plan.slots)))
-    for channels in blocks:
+    for channels in _channel_blocks(len(plan.biases)):
         sub, columns = plan.block(channels)
         if sub.slots.size:
             out[:, columns] = sub.apply(x.dense(values, rows, channels))

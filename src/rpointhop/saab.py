@@ -108,16 +108,19 @@ class SampleMoments:
         entry still sums over p in order, in about a third of its time. The
         (C, N, N) covariances keep that ``einsum``'s channel-minor memory: the
         matmuls of a fit read one channel's matrix, and which loop they take,
-        hence their bits, depends on its strides."""
+        hence their bits, depends on its strides. Underflow is ignored
+        whatever the caller's :func:`numpy.errstate`, so tiny samples reduce
+        to the same bits under any of them."""
         p, n, c = a.shape
-        max_sq_norm = np.einsum("pnc,pnc->pc", a, a).max(axis=0)
-        mean = a.mean(axis=0)
-        a -= mean
-        cov = np.empty((n, n, c))
-        for i in range(n):
-            np.einsum("pc,pmc->mc", a[:, i], a[:, i:], out=cov[i, i:])
-            cov[i + 1 :, i] = cov[i, i + 1 :]
-        cov /= p
+        with np.errstate(under="ignore"):
+            max_sq_norm = np.einsum("pnc,pnc->pc", a, a).max(axis=0)
+            mean = a.mean(axis=0)
+            a -= mean
+            cov = np.empty((n, n, c))
+            for i in range(n):
+                np.einsum("pc,pmc->mc", a[:, i], a[:, i:], out=cov[i, i:])
+                cov[i + 1 :, i] = cov[i, i + 1 :]
+            cov /= p
         return SampleMoments(p, mean.T, cov.transpose(2, 0, 1), max_sq_norm)
 
 
@@ -148,50 +151,46 @@ def saab_fit(samples: np.ndarray | SampleMoments) -> SaabLayer:
     if not all(np.isfinite(a).all() for a in (samples.mean, samples.cov, samples.max_sq_norm)):
         raise ValueError("samples contain non-finite values")
 
-    n = len(samples.mean)
-    dc = np.full(n, 1.0 / np.sqrt(n))
-    ac = np.eye(n) - np.outer(dc, dc)
-    w, v = np.linalg.eigh(ac @ samples.cov @ ac)
-    w = w[::-1]
-    v = v[:, ::-1]
+    with np.errstate(under="ignore"):  # as in SampleMoments.of, so no caller's errstate changes a fit
+        n = len(samples.mean)
+        dc = np.full(n, 1.0 / np.sqrt(n))
+        ac = np.eye(n) - np.outer(dc, dc)
+        w, v = np.linalg.eigh(ac @ samples.cov @ ac)
+        w = w[::-1]
+        v = v[:, ::-1]
 
-    # kept AC dims: positive eigenvalues above numerical noise, at most
-    # n-1 of them (the DC direction always carries a spurious zero here);
-    # the squares' rounding floors a pool of one repeated row, all noise
-    floor = max(max(w[0], 0.0) * _EIG_CUTOFF, n * np.finfo(np.float64).eps * float(samples.max_sq_norm))
-    keep = min(int(np.count_nonzero(w > floor)), n - 1)
+        # kept AC dims: positive eigenvalues above numerical noise, at most
+        # n-1 of them (the DC direction always carries a spurious zero here);
+        # the squares' rounding floors a pool of one repeated row, all noise
+        floor = max(max(w[0], 0.0) * _EIG_CUTOFF, n * np.finfo(np.float64).eps * float(samples.max_sq_norm))
+        keep = min(int(np.count_nonzero(w > floor)), n - 1)
 
-    dc_energy = float(dc @ samples.cov @ dc)
-    ac_filters = v[:, :keep].T.copy()
-    kept_energy = dc_energy + float(w[:keep].sum())
-    if kept_energy <= 0.0:
-        energies = np.zeros(1 + keep)
-        energies[0] = 1.0  # degenerate layer: all mass assigned to DC
-    else:
-        energies = np.concatenate([[dc_energy], w[:keep]]) / kept_energy
-    bias = float(np.sqrt(samples.max_sq_norm))
+        dc_energy = float(dc @ samples.cov @ dc)
+        ac_filters = v[:, :keep].T.copy()
+        kept_energy = dc_energy + float(w[:keep].sum())
+        if kept_energy <= 0.0:
+            energies = np.zeros(1 + keep)
+            energies[0] = 1.0  # degenerate layer: all mass assigned to DC
+        else:
+            energies = np.concatenate([[dc_energy], w[:keep]]) / kept_energy
+        bias = float(np.sqrt(samples.max_sq_norm))
     return SaabLayer(dc_filter=dc, ac_filters=ac_filters, bias=bias, energies=energies)
 
 
 def saab_apply(layer: SaabLayer, v: np.ndarray) -> np.ndarray:
-    """Apply a layer: y_k = a_k . v + bias for every kept filter.
-
-    Accepts one vector (N,) or a batch (S, N). The layer is applied as the
-    one-channel :class:`HopPlan` that keeps every filter, so inputs outside
-    the training norm ball (||v|| > bias + 1e-9) are transformed as-is, their
-    outputs may be negative, and they are counted and logged ("hop plan: …")
-    only when the module logger is enabled for DEBUG.
+    """Apply a layer to an (S, N) batch: y_k = a_k . v + bias for every kept
+    filter and every row v. The layer is applied as the one-channel
+    :class:`HopPlan` that keeps every filter, so inputs outside the training
+    norm ball (||v|| > bias + 1e-9) are transformed as-is, their outputs may
+    be negative, and they are counted and logged ("hop plan: …") only when
+    the module logger is enabled for DEBUG. One vector is refused: pass it
+    as a (1, N) batch.
     """
     arr = np.asarray(v, dtype=np.float64)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    if arr.shape[1] != layer.input_dim:
-        raise ValueError(
-            f"input width {arr.shape[1]} does not match layer input_dim {layer.input_dim}"
-        )
+    if arr.ndim != 2 or arr.shape[1] != layer.input_dim:
+        raise ValueError(f"input of shape {arr.shape} is not an (S, N) batch of layer input_dim {layer.input_dim}")
     plan = HopPlan(layer.filters.T[None], np.array([layer.bias]), np.arange(layer.kept_dim))
-    out = plan.apply(arr[:, :, None])
-    return out[0] if single else out
+    return plan.apply(arr[:, :, None])
 
 
 def cw_saab_fit(per_channel_samples: Mapping[int, np.ndarray]) -> dict[int, SaabLayer]:

@@ -63,6 +63,12 @@ def workspace(tmp_path_factory, cli_corpus, cli_model):
     }
 
 
+def _write_xyz(coords, path) -> None:
+    """Coordinates as an xyz file, written directly: a cloud too large for
+    :class:`PointCloud` cannot go through ``save_cloud``."""
+    path.write_text("".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in coords))
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -176,6 +182,18 @@ class TestTrain:
         assert rc == 1
         assert f"{clouds / 'b.xyz'}: line 2: x, y and z must be finite" in capsys.readouterr().err
 
+    def test_overflowing_coordinates_report_error(self, capsys, tmp_path, cli_corpus):
+        # scaled by 1e200, a cloud's norm overflows and would normalize to zeros
+        clouds = tmp_path / "clouds"
+        clouds.mkdir()
+        for i, cloud in enumerate(cli_corpus):
+            _write_xyz(cloud.coords * 1e200, clouds / f"{i:03d}.xyz")
+        out = tmp_path / "x.rph"
+        rc = main(["train", "--input-dir", str(clouds), "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: coords too large")
+        assert not out.exists()
+
     def test_duplicate_config_key(self, workspace, capsys, tmp_path):
         config = tmp_path / "twice.cfg"
         config.write_text(format_config(CLI_CONFIG) + "seed = 5\n")
@@ -251,6 +269,22 @@ class TestRegister:
         ])
         assert rc == 1
         assert "hop 1 needs" in capsys.readouterr().err
+
+    def test_overflowing_coordinates_report_error(self, workspace, capsys, tmp_path):
+        # scaled by 1e160, squared distances overflow in the KNN search
+        paths = {}
+        for role in ("source", "target"):
+            paths[role] = tmp_path / f"{role}.xyz"
+            _write_xyz(load_cloud(workspace[role]).coords * 1e160, paths[role])
+        rc = main([
+            "register",
+            "--model", str(workspace["model"]),
+            "--source", str(paths["source"]),
+            "--target", str(paths["target"]),
+            "--output", str(tmp_path / "r.txt"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: coords too large")
 
     def test_corrupt_model_file(self, workspace, capsys, tmp_path):
         # a header length far past the end of the file

@@ -20,6 +20,7 @@ from rpointhop import (
     save_cloud,
     save_transform,
 )
+from rpointhop.bench import make_shape_cloud
 from rpointhop.cloud import detect_format, sample_indices, seeded_rng
 
 from conftest import random_rotation
@@ -65,6 +66,24 @@ class TestPointCloud:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PointCloud(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_rejects_coordinates_whose_squares_overflow(self, scale):
+        # KNN's squared distances overflow at 1e160 and normalization's norm
+        # at 1e200; both must be refused where the coordinates enter
+        with pytest.raises(ValueError, match="too large"):
+            PointCloud(make_shape_cloud(1024, 7).coords * scale)
+
+    def test_overflow_bound_grows_with_the_point_count(self):
+        # (1e153)^2 times the point count: finite at 100 points, not at 1000
+        for n, refused in ((100, False), (1000, True)):
+            coords = np.zeros((n, 3))
+            coords[0, 0] = 1e153
+            if refused:
+                with pytest.raises(ValueError, match="too large"):
+                    PointCloud(coords)
+            else:
+                assert len(PointCloud(coords)) == n
 
     def test_take_subsets_coords(self):
         c = PointCloud(np.arange(12.0).reshape(4, 3))

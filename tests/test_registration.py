@@ -927,6 +927,16 @@ class TestRegister:
         assert report["icp_iterations"] == 0
         assert report["runtime_s"] > 0.0
 
+    def test_coordinates_below_the_overflow_bound_register(self, tiny_model):
+        # at 1e150 the squared extent times the point count is still finite,
+        # so the cloud is accepted and the motion is recovered as at scale 1
+        rng = np.random.default_rng(12)
+        target = PointCloud(make_shape_cloud(1024, 7).coords * 1e150)
+        tf_gt = RigidTransform(random_rotation(rng), rng.normal(size=3) * 0.3e150)
+        tf, _, _ = register(tiny_model, apply_transform(target, tf_gt), target, SMALL_MATCH, seed=0)
+        assert np.abs(rotation_error(tf.rotation, tf_gt.rotation)).max() < 1e-6
+        assert np.abs(translation_error(tf.translation, tf_gt.translation)).max() < 1e-8 * 1e150
+
     def test_euler_report_consistent(self, tiny_model, tiny_corpus):
         rng = np.random.default_rng(13)
         target = tiny_corpus[1]
