@@ -29,10 +29,28 @@ scores as the identity, as in perfbench. Errors use perfbench's
 ``rot_err_p50_deg`` and the ``part45_panel`` consensus+ICP p50 is
 ``register_refine``'s.
 
-Prints one JSON line with the sets, both models' hashes (the first 8 hex
+It also reruns three acceptance criteria on their own code paths, held-out
+clouds ``make_shape_corpus(20, 1024, 100)`` and seeds, so disjoint seeds
+can be read beside the gate's own:
+
+* ``c04_wins``: c04's bootstrap wins (of 1000 ``PCG64(0)`` resamples of
+  the paired per-trial Euler MAEs) for ``run_ratio_ablation`` on the 2-hop
+  model, at c04's seed 1004 and at the disjoint seeds 7004-7007;
+* ``c06``: c06's feature sweep on the default model, per angle the Euler
+  MAE and the geodesic error's p50 and max, the Euler MAE ratio of 180 to
+  10 degrees, and that ratio once each angle drops its trial of largest
+  Euler MAE;
+* ``c02``: c02's count of invariant and of non-degenerate points, and
+  their fraction.
+
+``green`` holds each model's ``train()`` seconds, its stored parameter
+count (``SaabLayer.param_count`` summed over its layers) and its model file
+bytes.
+
+Prints one JSON line with these, both models' hashes (the first 8 hex
 digits of the SHA-256 of the ``save_model`` bytes), the core count and the
 Python, numpy and scipy versions. BLAS threads are as the environment sets
-them; the outputs do not depend on them.
+them; the outputs other than the train seconds do not depend on them.
 """
 
 import hashlib
@@ -42,6 +60,7 @@ import platform
 import statistics
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,9 +68,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np
 import scipy
+from scipy.spatial.distance import pdist
 
 import rpointhop
-from rpointhop.bench import make_shape_corpus
+from rpointhop.bench import ExperimentSpec, make_shape_corpus, run_benchmark, run_ratio_ablation, sample_rigid_transform
 from rpointhop.cloud import seeded_rng
 from rpointhop.pipeline import extract_pair
 from rpointhop.registration import (
@@ -76,13 +96,26 @@ SETS = {
     "part45_drawn96": ("partial", PARTIAL_45, 96, 5000, [9, 9]),
 }
 ESTIMATES = ("least_squares", "consensus", "consensus_icp")
+C04_SEEDS = (1004, 7004, 7005, 7006, 7007)
+C06_ANGLES = (10.0, 45.0, 90.0, 135.0, 180.0)
+DEGENERACY_CUTOFF = 1e-6  # c02's cut on sign margins and eigenvalue gaps
 
 
 def trained(corpus, config, tmp: Path):
-    """The model trained on ``corpus``, saved and loaded back, and its hash."""
+    """The model trained on ``corpus``, saved and loaded back, its hash and
+    its "green" figures."""
     path = tmp / "model.rph"
-    rpointhop.save_model(rpointhop.train(corpus, config), path)
-    return rpointhop.load_model(path), hashlib.sha256(path.read_bytes()).hexdigest()[:8]
+    start = time.perf_counter()
+    model = rpointhop.train(corpus, config)
+    seconds = time.perf_counter() - start
+    rpointhop.save_model(model, path)
+    layers = [model.hop1_layer, *(layer for hop in model.later_hops for layer in hop.values())]
+    green = {
+        "train_s": round(seconds, 3),
+        "param_count": sum(layer.param_count() for layer in layers),
+        "file_bytes": path.stat().st_size,
+    }
+    return rpointhop.load_model(path), hashlib.sha256(path.read_bytes()).hexdigest()[:8], green
 
 
 def trial_outcome(model, trial, params: MatchParams):
@@ -133,21 +166,94 @@ def run_set(model, trials, params: MatchParams) -> dict:
     return record
 
 
+def trial_maes(report) -> dict[int, float]:
+    """Each successful trial's mean absolute Euler error, by trial number."""
+    return {t.trial: float(np.abs(t.rotation_error_deg).mean()) for t in report.trials if t.status == "ok"}
+
+
+def c04_wins(model, held_out, seed: int) -> int:
+    """c04's bootstrap wins at ``seed``: resamples of the paired trials in
+    which the mean error with the ratio test is at most the one without."""
+    spec = ExperimentSpec(
+        max_angle_deg=45.0, translation_range=0.5, partial_fraction=0.75, partial_both=True, trials=50, seed=seed
+    )
+    with_maes, without_maes = (trial_maes(report) for report in run_ratio_ablation(model, held_out, spec))
+    shared = sorted(set(with_maes) & set(without_maes))
+    a = np.array([with_maes[t] for t in shared])
+    b = np.array([without_maes[t] for t in shared])
+    rng = np.random.Generator(np.random.PCG64(0))
+    wins = 0
+    for _ in range(1000):
+        pick = rng.integers(len(shared), size=len(shared))
+        wins += bool(a[pick].mean() <= b[pick].mean())
+    return wins
+
+
+def c06_sweep(model, held_out) -> dict:
+    """c06's feature-based sweep at its noise, trial count and seeds."""
+    euler, without_worst, p50, worst = {}, {}, {}, {}
+    for angle in C06_ANGLES:
+        spec = ExperimentSpec(
+            max_angle_deg=angle, translation_range=0.5, noise_std=0.01, trials=15, seed=1006 + int(angle)
+        )
+        report = run_benchmark(model, held_out, spec, label=f"feat@{angle:g}")
+        key = f"{angle:g}"
+        euler[key] = report.aggregates["rotation_deg"]["mae"]
+        maes = sorted(trial_maes(report).values())
+        without_worst[key] = statistics.fmean(maes[:-1])
+        p50[key] = report.aggregates["geodesic_deg"]["median"]
+        worst[key] = report.aggregates["geodesic_deg"]["max"]
+    return {
+        "euler_mae": euler,
+        "ratio": euler["180"] / euler["10"],
+        "ratio_without_worst": without_worst["180"] / without_worst["10"],
+        "geodesic_p50": p50,
+        "geodesic_max": worst,
+    }
+
+
+def c02_invariance(model, held_out) -> dict:
+    """c02's invariant points among the non-degenerate ones, at its seed."""
+    rng = np.random.default_rng(1002)
+    spec = ExperimentSpec(max_angle_deg=45.0, translation_range=0.5)
+    total = passed = 0
+    for cloud in held_out:
+        truth, _ = sample_rigid_transform(spec, int(rng.integers(2**63)))
+        seed = int(rng.integers(2**63))
+        fs_a = rpointhop.extract_features(model, cloud, seed=seed)
+        fs_b = rpointhop.extract_features(model, rpointhop.apply_transform(cloud, truth), seed=seed)
+        distance = np.linalg.norm(fs_a.features - fs_b.features, axis=1)
+        threshold = 1e-4 * float(np.median(pdist(fs_a.features)))
+        stable = (
+            (fs_a.sign_margins > DEGENERACY_CUTOFF)
+            & (fs_b.sign_margins > DEGENERACY_CUTOFF)
+            & (fs_a.eigen_gaps > DEGENERACY_CUTOFF)
+        )
+        total += int(stable.sum())
+        passed += int((distance[stable] < threshold).sum())
+    return {"invariant": passed, "stable": total, "fraction": passed / total}
+
+
 def main() -> None:
     corpus = make_shape_corpus(50, 1024, 0)
-    models, hashes = {}, {}
+    models, hashes, green = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, config in (("default", rpointhop.ModelConfig()), ("partial", PARTIAL_CONFIG)):
-            models[name], hashes[name] = trained(corpus, config, Path(tmp))
+            models[name], hashes[name], green[name] = trained(corpus, config, Path(tmp))
     params = MatchParams()
     sets = {}
     for name, (model, recipe, count, cloud_seed, entropy) in SETS.items():
         trials = make_trials(make_shape_corpus(count, 1024, cloud_seed), recipe, entropy)
         sets[name] = {"model": model, **run_set(models[model], trials, params)}
+    held_out = make_shape_corpus(20, 1024, 100)
     print(
         json.dumps(
             {
                 "sets": sets,
+                "c04_wins": {str(seed): c04_wins(models["partial"], held_out, seed) for seed in C04_SEEDS},
+                "c06": c06_sweep(models["default"], held_out),
+                "c02": c02_invariance(models["default"], held_out),
+                "green": green,
                 "model_sha256": hashes,
                 "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
                 "python": platform.python_version(),

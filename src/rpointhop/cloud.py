@@ -29,7 +29,9 @@ _ORTHO_TOL = 1e-9
 
 
 class CloudParseError(ValueError):
-    """A point cloud file could not be parsed. The message names the line."""
+    """A point cloud file could not be parsed, or holds a cloud that
+    :class:`PointCloud` refuses. The message names the file, and the line
+    of a parse failure."""
 
 
 def _readonly_f64(a: np.ndarray) -> np.ndarray:
@@ -274,11 +276,16 @@ def load_cloud(path: str | Path) -> PointCloud:
     """
     fmt = detect_format(path)
     lines = Path(path).read_text().splitlines()
-    if fmt == "off":
-        return _load_off(lines, str(path))
-    if fmt == "ply":
-        return _load_ply(lines, str(path))
-    return _load_xyz(lines, str(path))
+    try:
+        if fmt == "off":
+            return _load_off(lines, str(path))
+        if fmt == "ply":
+            return _load_ply(lines, str(path))
+        return _load_xyz(lines, str(path))
+    except CloudParseError:
+        raise
+    except ValueError as exc:
+        raise CloudParseError(f"{path}: {exc}") from None
 
 
 def save_cloud(cloud: PointCloud, path: str | Path) -> None:

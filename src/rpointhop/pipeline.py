@@ -38,7 +38,7 @@ Hop 1 is the one-channel case of steps 3-4, with the tree's root as its
 only parent, so every hop is fit, pruned and frozen into a
 :class:`~rpointhop.saab.HopPlan` the same way. A fit reads the corpus only
 as per-channel :class:`~rpointhop.saab.SampleMoments`: each lane reduces
-one cloud's inputs (:func:`_moments`), merged then in corpus order.
+one cloud's inputs (:func:`_moments`), merged in corpus order as they come.
 
 Extraction runs the same geometry with the frozen plans, applied as
 training applies its plans (:func:`_apply_blocks`, which cuts each plan
@@ -60,11 +60,11 @@ because every quantity is expressed in the per-point resolved frames.
 
 from __future__ import annotations
 
-import copy
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -208,12 +208,13 @@ class FeatureSet:
 # ---------------------------------------------------------------------------
 
 
-def _two_lanes(fn: Callable, items: Iterable) -> list:
-    """``[fn(x) for x in items]``: the even-indexed items run on the calling
-    thread and the odd-indexed ones on one worker thread per call, in input
-    order; numpy releases the GIL in its heavy kernels, so the two overlap.
-    The worker starts on the first submit and is joined before the call
-    returns, so no thread outlives a call for a forked child to lose.
+def _two_lanes(fn: Callable, items: Iterable) -> Iterator:
+    """``fn(x) for x in items``, yielded in input order: the even-indexed
+    items run on the calling thread as they are taken, the odd-indexed ones
+    on one worker thread per call, all submitted at the first take; numpy
+    releases the GIL in its heavy kernels, so the two overlap. No result is
+    held here once handed back. The worker is joined when the results run
+    out, so no thread outlives a call for a forked child to lose.
 
     The items must be independent, and ``fn`` must not use the lanes itself.
     When items fail, the earliest one's exception is raised, once the worker's
@@ -222,8 +223,9 @@ def _two_lanes(fn: Callable, items: Iterable) -> list:
     items = list(items)
     lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rpointhop-lane")
     try:
-        jobs = [lane.submit(fn, x) for x in items[1::2]]
-        return [jobs[i // 2].result() if i % 2 else fn(x) for i, x in enumerate(items)]
+        jobs = deque(lane.submit(fn, x) for x in items[1::2])
+        for i, x in enumerate(items):
+            yield jobs.popleft().result() if i % 2 else fn(x)
     finally:
         lane.shutdown(cancel_futures=True)
 
@@ -249,8 +251,8 @@ class _OctantMeans:
     starts each output row at 0 and adds the row's stored entries in stored
     order, and 1·v is exact. Nothing may re-sort the entries by column,
     hence ``has_sorted_indices``. Each output row depends on its own stored
-    entries alone, so :meth:`dense` of a row prefix, or of the operator's
-    :meth:`head`, gives the same bits as that part of the whole.
+    entries alone, so :meth:`dense` of a row prefix gives the same bits as
+    that part of the whole.
 
     An operator holds only its sparsity pattern, the int32 row pointers
     ``indptr`` and column indices ``indices``: 4 bytes per neighbor and 32
@@ -272,14 +274,6 @@ class _OctantMeans:
 
     def __len__(self) -> int:
         return (len(self.indptr) - 1) // 8
-
-    def head(self, rows: int) -> _OctantMeans:
-        """The operator of the first ``rows`` points alone, on copies of
-        the whole's arrays, so the whole's can go."""
-        head = copy.copy(self)
-        head.indptr = self.indptr[: 8 * rows + 1].copy()
-        head.indices = self.indices[: head.indptr[-1]].copy()
-        return head
 
     def dense(self, values: np.ndarray, rows: int | None = None, channels: slice = slice(None)) -> np.ndarray:
         """The (rows, 8, C) means of (N, C) ``values`` at the first ``rows``
@@ -525,7 +519,7 @@ def _start_runs(
     if len(budgets) > 1:
         stack = np.stack([cloud[idx] for cloud, idx in zip(full, sampled)])
         parts = np.array_split(stack, 2) if fit else [stack]
-        picks = np.concatenate(_two_lanes(lambda part: fps_indices(part, budgets[1]), parts))
+        picks = np.concatenate(list(_two_lanes(lambda part: fps_indices(part, budgets[1]), parts)))
     return [_HopRun(cloud, idx, p, config, fit) for cloud, idx, p in zip(full, sampled, picks)]
 
 
@@ -592,8 +586,8 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     model. The two half-stacks of farthest point sampling
     (:func:`_start_runs`) and the clouds' steps of a hop are independent, so
     they share the two lanes (:func:`_two_lanes`), one lane call per hop; the
-    moments are merged in corpus order, so the model's bits do not depend on
-    which lane ran what.
+    moments are merged in corpus order as the lanes hand them back, so the
+    model's bits do not depend on which lane ran what.
 
     A cloud's step of hop h builds the hop's values and inputs, takes their
     moments, and keeps only what later steps read. Right after its moments,
@@ -601,10 +595,10 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     hop makes at its start). What else a cloud carries is one list of kept
     inputs: hop 1 keeps its inputs' first n_2 rows, the only ones hop 1's
     plan reads (and hop 2's neighbor rows as int32, in its run), a later
-    non-final hop its :class:`_OctantMeans` cut to hop h + 1's rows
-    (:meth:`_OctantMeans.head`), not its values, and the final hop nothing.
-    A kept operator is its sparsity pattern alone: 4 bytes per neighbor
-    and 32 per point.
+    non-final hop the whole :class:`_OctantMeans` it built, of whose rows
+    its plan reads the first n_{h+1}, not its values, and the final hop
+    nothing. A kept operator is its sparsity pattern alone: 4 bytes per
+    neighbor and 32 per point.
     So hop h's step (h >= 2) rebuilds hop h's values from that list,
     applying training's plans of hops 1..h - 1 in turn, each at the next
     hop's rows, and drops them with its moments: no corpus-wide set of a
@@ -634,7 +628,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     hop_layers: list[dict[int, SaabLayer]] = []
     plans: list[HopPlan] = []  # training's plan of each non-final hop fit so far
     # per cloud: hop 1's inputs at hop 2's rows, then each later non-final
-    # hop's operator cut to the next hop's rows
+    # hop's whole operator
     carried: list[list[np.ndarray | _OctantMeans]] = [[] for _ in runs]
     parent_ids = [0]
     for h in range(n_hops):
@@ -653,7 +647,7 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
                 kept.clear()
             else:
                 run.cut_to(h + 1)
-                kept.append(x[: budgets[1]].copy() if h == 0 else x.head(budgets[h + 1]))
+                kept.append(x if h else x[: budgets[1]].copy())
                 if h == 0:
                     run.hop2_table = run.hop2_table.astype(np.int32)
             return moments

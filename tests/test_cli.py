@@ -191,7 +191,8 @@ class TestTrain:
         out = tmp_path / "x.rph"
         rc = main(["train", "--input-dir", str(clouds), "--output", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: coords too large")
+        # the first file in name order is loaded first, and the error names it
+        assert capsys.readouterr().err.startswith(f"error: {clouds / '000.xyz'}: coords too large")
         assert not out.exists()
 
     def test_duplicate_config_key(self, workspace, capsys, tmp_path):
@@ -284,7 +285,8 @@ class TestRegister:
             "--output", str(tmp_path / "r.txt"),
         ])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: coords too large")
+        # the source is loaded first, and the error names its file
+        assert capsys.readouterr().err.startswith(f"error: {paths['source']}: coords too large")
 
     def test_corrupt_model_file(self, workspace, capsys, tmp_path):
         # a header length far past the end of the file

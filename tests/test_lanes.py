@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -45,7 +46,7 @@ def _recording_lanes(monkeypatch, module) -> list:
 
     def recording(fn, items):
         items = list(items)
-        results = _two_lanes(fn, items)
+        results = list(_two_lanes(fn, items))
         calls.append((items, results))
         return results
 
@@ -67,11 +68,11 @@ def _wait_child(pid: int, seconds: float) -> int | None:
 
 class TestTwoLanes:
     def test_results_in_input_order(self):
-        assert _two_lanes(lambda x: x * x, range(7)) == [x * x for x in range(7)]
-        assert _two_lanes(lambda x: x, []) == []
+        assert list(_two_lanes(lambda x: x * x, range(7))) == [x * x for x in range(7)]
+        assert list(_two_lanes(lambda x: x, [])) == []
 
     def test_even_items_on_caller_odd_on_one_worker(self):
-        names = _two_lanes(lambda _: threading.current_thread().name, range(6))
+        names = list(_two_lanes(lambda _: threading.current_thread().name, range(6)))
         caller = threading.current_thread().name
         assert names[0::2] == [caller] * 3
         assert len(set(names[1::2])) == 1 and names[1] != caller
@@ -83,7 +84,7 @@ class TestTwoLanes:
             return x
 
         with pytest.raises(ValueError, match="item 1"):
-            _two_lanes(fn, range(4))
+            list(_two_lanes(fn, range(4)))
 
     def test_worker_jobs_settled_before_raise(self):
         running, done = threading.Event(), []
@@ -98,7 +99,7 @@ class TestTwoLanes:
             return x
 
         with pytest.raises(KeyError):
-            _two_lanes(fn, range(8))
+            list(_two_lanes(fn, range(8)))
         # the running job finished before the raise; the queued ones never start
         assert done == [1]
         time.sleep(0.2)
@@ -113,20 +114,32 @@ class TestTwoLanes:
 
         if fails:
             with pytest.raises(ValueError, match="item 2"):
-                _two_lanes(fn, range(6))
+                list(_two_lanes(fn, range(6)))
         else:
-            assert _two_lanes(fn, range(6)) == list(range(6))
+            assert list(_two_lanes(fn, range(6))) == list(range(6))
         assert not [t.name for t in threading.enumerate() if t.name.startswith("rpointhop-lane")]
 
+    def test_a_result_taken_and_dropped_is_freed_before_the_call_ends(self):
+        # the lanes hold no result they have handed back, from either lane
+        class Result:
+            pass
+
+        taken: list[weakref.ref] = []
+        for result in _two_lanes(lambda _: Result(), range(7)):
+            assert [r() for r in taken] == [None] * len(taken)
+            taken.append(weakref.ref(result))
+        del result
+        assert [r() for r in taken] == [None] * 7
+
     def test_forked_child_gets_its_own_worker(self):
-        _two_lanes(lambda x: x, range(2))  # the parent has run a lane call
+        list(_two_lanes(lambda x: x, range(2)))  # the parent has run a lane call
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork in a threaded process
             pid = os.fork()
         if pid == 0:  # child: inherits no worker thread, and its call starts its own
             code = 1
             try:
-                code = 0 if _two_lanes(lambda x: x + 1, range(4)) == [1, 2, 3, 4] else 1
+                code = 0 if list(_two_lanes(lambda x: x + 1, range(4))) == [1, 2, 3, 4] else 1
             finally:
                 os._exit(code)  # never back into the test runner
         code = _wait_child(pid, 30.0)
@@ -258,6 +271,25 @@ class TestBitIdentity:
         monkeypatch.setattr(pipeline, "_two_lanes", _inline)
         save_model(train(tiny_corpus, TINY_CONFIG), tmp_path / "inline.rph")
         assert (tmp_path / "inline.rph").read_bytes() == (tmp_path / "lanes.rph").read_bytes()
+
+    @pytest.mark.parametrize("slow", [0, 1], ids=["even_items_slow", "odd_items_slow"])
+    def test_train_model_bytes_with_one_lane_behind(self, tiny_corpus, monkeypatch, tmp_path, slow):
+        # train merges each hop's moments as the lanes hand them back; with
+        # either lane's items slowed, the merge still runs in corpus order
+        def slowed(fn, items):
+            def step(item):
+                i, x = item
+                if i % 2 == slow:
+                    time.sleep(0.005)
+                return fn(x)
+
+            return _two_lanes(step, enumerate(items))
+
+        monkeypatch.setattr(pipeline, "_two_lanes", slowed)
+        save_model(train(tiny_corpus, TINY_CONFIG), tmp_path / "slowed.rph")
+        monkeypatch.setattr(pipeline, "_two_lanes", _inline)
+        save_model(train(tiny_corpus, TINY_CONFIG), tmp_path / "inline.rph")
+        assert (tmp_path / "inline.rph").read_bytes() == (tmp_path / "slowed.rph").read_bytes()
 
     def test_extract_and_register(self, tiny_corpus, tiny_model, monkeypatch):
         # extraction and matching use the lanes; inlined, every stage runs

@@ -254,7 +254,7 @@ class TestOctants:
         [(12, 30, 9, 5), (10, 40, 16, 21), (9, 20, 8, 1), (7, 50, 12, 24), (6, 16, 8, 17)],
     )
     def test_prefixes_match_column_loop(self, p, n, k, c):
-        # every row prefix, 0 rows included, of the whole and as a head
+        # every row prefix, 0 rows included
         rng = np.random.default_rng(p * c + k)
         proj = rng.normal(size=(p, k, 3))
         proj[rng.random(proj.shape) < 0.1] = 0.0
@@ -268,11 +268,6 @@ class TestOctants:
             got = means.dense(values, rows)
             assert got.shape == want[:rows].shape
             assert got.tobytes() == want[:rows].tobytes(), rows
-            # the head alone: the same bits, on arrays of its own
-            head = means.head(rows)
-            assert len(head) == rows and head.dense(values).tobytes() == want[:rows].tobytes(), rows
-            assert sorted(vars(head)) == ["indices", "indptr"]
-            assert all(a.base is None for a in (head.indptr, head.indices))
 
     def test_hop1_layout_matches_one_hot_oracle(self):
         # hop 1 averages the projections themselves, one value row per
@@ -536,8 +531,8 @@ class TestTrain:
         # hold hop h + 1's rows, hop 1's whole inputs are gone, hop 2's
         # neighbor rows are int32, and each cloud carries the first n_2 rows
         # of its hop-1 inputs, a copy, and for each later non-final hop it
-        # has passed that hop's operator cut to the next hop's rows, not the
-        # operator hop_inputs built; at the final hop it carries nothing.
+        # has passed the whole operator hop_inputs built; at the final hop it
+        # carries nothing.
         # Each hop makes one lane call, for its values, inputs and moments
         steps = []
         monkeypatch.setattr(pipeline, "_two_lanes", lambda fn, items: steps.append(fn) or [fn(x) for x in items])
@@ -563,7 +558,7 @@ class TestTrain:
             rows = budgets[min(h + 1, last)]
             carried = _carried(steps[-1])
             assert len(carried) == len(runs)
-            for run, kept in zip(runs, carried):
+            for i, (run, kept) in enumerate(zip(runs, carried)):
                 held = (run.coords, run.orig_indices, run.axes, run.eigen_gaps, run.min_margin)
                 assert [len(a) for a in held] == [rows] * 5, h + 1
                 if h == 0:
@@ -572,9 +567,10 @@ class TestTrain:
                     assert kept == [], h + 1
                 else:
                     assert kept[0].shape == (budgets[1], 24, 1) and kept[0].base is None, h + 1
-                    assert all(isinstance(op, _OctantMeans) for op in kept[1:]), h + 1
-                    assert [len(op) for op in kept[1:]] == budgets[2 : h + 2], h + 1
-            assert all(r() is None for r in built[h]), h + 1
+                    assert all(op is built[g][i]() for g, op in enumerate(kept[1:], 1)), h + 1
+                    assert [len(op) for op in kept[1:]] == budgets[1 : h + 1], h + 1
+            if h in (0, last):  # hop 1 keeps a copy of its rows, the final hop nothing
+                assert all(r() is None for r in built[h]), h + 1
             return fit(moments)
 
         monkeypatch.setattr(pipeline._HopRun, "hop_inputs", recording)
@@ -587,21 +583,25 @@ class TestTrain:
 
     def test_later_fits_hold_hop1_rows_and_an_operator_per_hop_passed(self, tiny_corpus, monkeypatch):
         # with the lanes run serially, at every later hop's fit each cloud
-        # carries its hop-1 rows and one operator per later non-final hop it
-        # has passed (nothing at the final hop), and every array
-        # _apply_blocks returned, the values a cloud's step rebuilt, is
-        # already gone
+        # carries its hop-1 rows and, whole, the operator hop_inputs built
+        # at each later non-final hop it has passed (nothing at the final
+        # hop), and every array _apply_blocks returned, the values a cloud's
+        # step rebuilt, is already gone
         steps = []
         monkeypatch.setattr(pipeline, "_two_lanes", lambda fn, items: steps.append(fn) or [fn(x) for x in items])
         config = FOUR_HOP_CONFIG
         budgets = [hop.num_points for hop in config.hops]
         rebuilt: list[weakref.ref] = []
+        built: dict[int, list[weakref.ref]] = {}  # later hop -> each cloud's operator
         hop_inputs, apply_blocks, fit = pipeline._HopRun.hop_inputs, pipeline._apply_blocks, pipeline.saab_fit
         hop = [0]  # the hop whose inputs were built last
 
         def recording(run, h):
             hop[0] = h
-            return hop_inputs(run, h)
+            x, neighbors = hop_inputs(run, h)
+            if h:
+                built.setdefault(h, []).append(weakref.ref(x))
+            return x, neighbors
 
         def applying(plan, x, n, values=None):
             out = apply_blocks(plan, x, n, values)
@@ -616,11 +616,12 @@ class TestTrain:
                 checked.add(h)
                 final = h == len(budgets) - 1
                 carried = _carried(steps[-1])
-                for kept in carried:
+                for i, kept in enumerate(carried):
                     if final:
                         assert kept == []
                     else:
-                        assert [len(a) for a in kept] == budgets[1 : h + 2]
+                        assert [len(a) for a in kept] == budgets[1:2] + budgets[1 : h + 1]
+                        assert all(op is built[g][i]() for g, op in enumerate(kept[1:], 1)), h + 1
                 # hop h's step applies the plans of hops 1..h
                 assert len(rebuilt) == h * (h + 1) // 2 * len(carried) and all(r() is None for r in rebuilt), h + 1
             return fit(moments)
@@ -632,6 +633,44 @@ class TestTrain:
         assert checked == {1, 2, 3}
         # hop 2's step rebuilds hop 2's values, hop 3's those of hops 2 and 3, hop 4's those of hops 2-4
         assert len(rebuilt) == 6 * len(tiny_corpus)
+
+    def test_each_clouds_moments_go_once_merged(self, tiny_corpus, monkeypatch):
+        # with the real lanes, train merges each cloud's moments as the
+        # lanes hand them back: when the calling thread starts a cloud's
+        # step, the moments of every cloud but the two before it are gone
+        # (the merge holds the last pair it read), and at every fit no
+        # cloud's are alive
+        lanes, fit = pipeline._two_lanes, pipeline.saab_fit
+        taken: list[dict[int, weakref.ref]] = []  # per hop: cloud -> its moments
+        alive, checked = [], []
+
+        def recording(fn, items):
+            if not isinstance(items, range):  # farthest point sampling's half-stacks
+                return lanes(fn, items)
+            held: dict[int, weakref.ref] = {}
+            taken.append(held)
+
+            def step(i):
+                if threading.current_thread() is threading.main_thread():
+                    checked.append(i)
+                    alive.extend((len(taken), j) for j, r in list(held.items()) if j < i - 2 and r() is not None)
+                moments = fn(i)
+                held[i] = weakref.ref(moments)
+                return moments
+
+            return lanes(step, items)
+
+        def checking_fit(moments):
+            alive.extend(("fit", j) for held in taken for j, r in held.items() if r() is not None)
+            return fit(moments)
+
+        monkeypatch.setattr(pipeline, "_two_lanes", recording)
+        monkeypatch.setattr(pipeline, "saab_fit", checking_fit)
+        train(tiny_corpus, TINY_CONFIG)
+        n = len(tiny_corpus)
+        assert [len(held) for held in taken] == [n] * len(TINY_CONFIG.hops)
+        assert checked == list(range(0, n, 2)) * len(TINY_CONFIG.hops)
+        assert alive == []
 
     @staticmethod
     def _check_layers_fit_merged_cloud_moments(model, corpus):
