@@ -23,7 +23,10 @@ residual under the true motion is below the consensus radius, 0.05) and,
 for the least-squares estimate, the consensus (``ransac_estimate``) and the
 consensus refined by ICP, the geodesic rotation error's p50 and p90, the
 count of trials over 5 degrees and the count of refusals. A refused trial
-scores as the identity, as in perfbench. Errors use perfbench's
+scores as the identity, as in perfbench. ``extract_sha256`` is the SHA-256
+of every array of every ``FeatureSet`` the set extracted (dtype, shape and
+bytes, in trial and field order), so whether a change keeps extraction's
+bits is one run of this script on each side. Errors use perfbench's
 ``rotation_error_deg`` and its median and 90th percentile, so the
 ``full180_panel`` least-squares p50 is perfbench ``register``'s
 ``rot_err_p50_deg`` and the ``part45_panel`` consensus+ICP p50 is
@@ -53,6 +56,7 @@ Python, numpy and scipy versions. BLAS threads are as the environment sets
 them; the outputs other than the train seconds do not depend on them.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -118,10 +122,16 @@ def trained(corpus, config, tmp: Path):
     return rpointhop.load_model(path), hashlib.sha256(path.read_bytes()).hexdigest()[:8], green
 
 
-def trial_outcome(model, trial, params: MatchParams):
-    """(inlier pairs, matched pairs, {estimate: rotation or None when refused})."""
+def trial_outcome(model, trial, params: MatchParams, digest):
+    """(inlier pairs, matched pairs, {estimate: rotation or None when refused});
+    every extracted array is fed to ``digest``: its dtype, shape and bytes."""
     seed = int(seeded_rng(trial.seed).integers(2**63))
     target_fs, source_fs = extract_pair(model, trial.target, trial.source, seed)
+    for fs in (target_fs, source_fs):
+        for f in dataclasses.fields(fs):
+            a = getattr(fs, f.name)
+            digest.update(f"{a.dtype.str} {a.shape}".encode())
+            digest.update(a.tobytes())
     corr = match(target_fs, source_fs, params)
     moved = corr.target_coords @ trial.rotation.T + trial.translation
     inliers = int(np.count_nonzero(np.linalg.norm(moved - corr.source_coords, axis=1) < params.ransac.inlier_radius))
@@ -152,9 +162,10 @@ def run_set(model, trials, params: MatchParams) -> dict:
     inliers = pairs = 0
     errors = {name: [] for name in ESTIMATES}
     refused = dict.fromkeys(ESTIMATES, 0)
+    digest = hashlib.sha256()
     for trial in trials:
         try:
-            kept, matched, rotations = trial_outcome(model, trial, params)
+            kept, matched, rotations = trial_outcome(model, trial, params, digest)
         except MatchingError:
             kept, matched, rotations = 0, 0, dict.fromkeys(ESTIMATES)
         inliers, pairs = inliers + kept, pairs + matched
@@ -163,6 +174,7 @@ def run_set(model, trials, params: MatchParams) -> dict:
             errors[name].append(rotation_error_deg(np.eye(3) if rotation is None else rotation, trial.rotation))
     record = {"trials": len(trials), "inlier_share": inliers / pairs if pairs else 0.0}
     record.update({name: summary(errors[name], refused[name]) for name in ESTIMATES})
+    record["extract_sha256"] = digest.hexdigest()
     return record
 
 

@@ -46,17 +46,23 @@ print(peak, seconds, faults, digest)
 """
 
 
-def main() -> None:
+def measure(clouds: int, config: str) -> tuple[float, float, int, str]:
+    """One fresh process's (peak MB, train seconds, minor faults, model
+    hash) for ``train`` of ``config``, a ``ModelConfig(...)`` expression, on
+    ``clouds`` corpus clouds."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = CHILD.format(clouds=clouds, config=config)
+    out = subprocess.run([sys.executable, "-c", child], env=env, check=True, capture_output=True, text=True)
+    peak, wall, minflt, digest = out.stdout.split()
+    return round(float(peak), 1), round(float(wall), 3), int(minflt), digest
+
+
+def main() -> None:
     peaks, seconds, faults, digests = {}, {}, {}, {}
     for name, config in MODELS.items():
         for clouds in (50, 100):
-            child = CHILD.format(clouds=clouds, config=config)
-            out = subprocess.run([sys.executable, "-c", child], env=env, check=True, capture_output=True, text=True)
-            peak, wall, minflt, digest = out.stdout.split()
             key = f"{name}_{clouds}"
-            peaks[key], seconds[key], faults[key] = round(float(peak), 1), round(float(wall), 3), int(minflt)
-            digests[key] = digest
+            peaks[key], seconds[key], faults[key], digests[key] = measure(clouds, config)
     print(json.dumps({"peak_mb": peaks, "train_s": seconds, "minflt": faults, "model_sha256": digests}))
 
 

@@ -60,7 +60,6 @@ because every quantity is expressed in the per-point resolved frames.
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
@@ -211,10 +210,12 @@ class FeatureSet:
 def _two_lanes(fn: Callable, items: Iterable) -> Iterator:
     """``fn(x) for x in items``, yielded in input order: the even-indexed
     items run on the calling thread as they are taken, the odd-indexed ones
-    on one worker thread per call, all submitted at the first take; numpy
-    releases the GIL in its heavy kernels, so the two overlap. No result is
-    held here once handed back. The worker is joined when the results run
-    out, so no thread outlives a call for a forked child to lose.
+    on one worker thread per call, all submitted at the first take
+    (``Executor.map``); numpy releases the GIL in its heavy kernels, so the
+    two overlap. No result is held here once handed back: ``Executor.map``
+    drops each future as it hands its result back. The worker is joined
+    when the results run out or the caller stops taking them, so no thread
+    outlives a call for a forked child to lose.
 
     The items must be independent, and ``fn`` must not use the lanes itself.
     When items fail, the earliest one's exception is raised, once the worker's
@@ -223,9 +224,9 @@ def _two_lanes(fn: Callable, items: Iterable) -> Iterator:
     items = list(items)
     lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rpointhop-lane")
     try:
-        jobs = deque(lane.submit(fn, x) for x in items[1::2])
+        odd = lane.map(fn, items[1::2])
         for i, x in enumerate(items):
-            yield jobs.popleft().result() if i % 2 else fn(x)
+            yield next(odd) if i % 2 else fn(x)
     finally:
         lane.shutdown(cancel_futures=True)
 
@@ -391,49 +392,37 @@ def _prefix_table(table: np.ndarray, points: np.ndarray, k: int, rows: int) -> n
 class _HopRun:
     """Per-cloud working state shared by training and extraction.
 
-    A run starts (:func:`_start_runs`) from the cloud's ``sampled`` indices,
-    its hop-1 sample, and the ``picks`` of the one farthest point sampling
-    run over that sample, to the hop-2 budget (None for a one-hop model).
-    The working cloud is stored farthest-first: the n_2 picks, then the
-    other points in sampling order (a one-hop run keeps sampling order).
-    Hop h's points are its first n_h rows, exactly what sampling each hop
-    from the previous one gives (see ``fps_indices``).
+    :func:`_start_runs` writes the working cloud: its ``coords`` and their
+    ``orig_indices`` into the input cloud, in farthest-first order (the
+    hop-2 picks, then the rest of the hop-1 sample in sampling order), so
+    hop h's points are its first n_h rows, exactly what sampling each hop
+    from the previous one gives (see ``fps_indices``). The constructor only
+    stores them.
 
-    Hop h computes frames, signs and octant means at its first
-    ``counts[h]`` points: a fit reads every point of every hop, and
-    extraction reads at hop h only the points that hop h + 1 keeps (all of
-    them at the final hop). Every per-point array thus holds a prefix of the
-    working cloud's rows, and each hop cuts them all to its count
-    (:meth:`cut_to`); :func:`train` makes the same cut once a cloud's
-    moments are taken, so the run holds only the next hop's rows across a
-    fit. A later hop's inputs are an operator over values at its points,
-    which the caller keeps: extraction the previous hop's plan outputs, and
-    training what it rebuilds them from (:func:`train`). A run holds only
-    the geometry that both share. A hop's neighbor index covers all of its
-    points.
+    :meth:`hop_inputs` is the only thing that moves a run. Hop h computes
+    frames, signs and octant means at its first ``counts[h]`` points: a fit
+    reads every point of every hop, and extraction reads at hop h only the
+    points that hop h + 1 keeps (all of them at the final hop). Hop 1 writes
+    the per-point arrays, the frames ``axes`` and the diagnostics
+    ``eigen_gaps`` and ``min_margin`` (later hops fold their margins into
+    it), and ``hop2_table``, hop 2's neighbor rows, read off hop 1's exact
+    table (:func:`_prefix_table`) and held as int32 until hop 2 takes them. Once a non-final hop's inputs are built,
+    the run is cut to hop h + 1's rows (:meth:`_cut_to`), so between hops
+    it holds only the next hop's rows, and no other table. A later hop's
+    inputs are an operator over values at its points, which the caller
+    keeps: extraction the previous hop's plan outputs, and training what it
+    rebuilds them from (:func:`train`). A hop's neighbor index covers all of
+    its points.
     Hop-1 frames are computed once and reused at all hops, with signs
-    re-resolved per hop against the hop's own neighborhood. Hop 2's neighbor
-    rows are read off hop 1's exact table (:func:`_prefix_table`) while hop
-    1 holds it.
+    re-resolved per hop against the hop's own neighborhood.
     """
 
-    def __init__(
-        self,
-        coords_full: np.ndarray,
-        sampled: np.ndarray,
-        picks: np.ndarray | None,
-        config: ModelConfig,
-        fit: bool,
-    ) -> None:
+    def __init__(self, coords: np.ndarray, orig_indices: np.ndarray, config: ModelConfig, fit: bool) -> None:
         budgets = [hop.num_points for hop in config.hops]
         self.config = config
         self.counts = budgets if fit else budgets[1:] + budgets[-1:]
-        if picks is not None:
-            rest = np.ones(budgets[0], dtype=bool)
-            rest[picks] = False
-            sampled = sampled[np.concatenate([picks, np.flatnonzero(rest)])]
-        self.orig_indices = sampled
-        self.coords = coords_full[sampled]
+        self.coords = coords
+        self.orig_indices = orig_indices
         self.hop2_table: np.ndarray | None = None  # hop 2's neighbor rows, set by hop 1
 
     def hop_inputs(self, h: int) -> tuple[np.ndarray | _OctantMeans, np.ndarray]:
@@ -443,22 +432,25 @@ class _HopRun:
         its :class:`_OctantMeans` over values at its points, which
         :func:`_moments` and :func:`_apply_blocks` make dense with those
         values a block of channels at a time.
-        Later hops first cut the working cloud and the per-point arrays to
-        their rows. The only table the run keeps is hop 2's neighbor rows,
-        from hop 1 until hop 2 reads them, so training holds no other table
-        per cloud."""
+        Before a non-final hop returns, it cuts the working cloud and the
+        per-point arrays to hop h + 1's rows; nothing is cut at the final
+        hop, whose rows a caller reads off the run."""
         hop, count = self.config.hops[h], self.counts[h]
         if h == 0:
-            return self._hop1_inputs(hop, count)
-        self.cut_to(h)
-        neighbors, self.hop2_table = self.hop2_table, None
-        if neighbors is None:
-            neighbors, _ = KnnIndex(self.coords).query(self.coords[:count], hop.k_neighbors)
-        means, margins = build_later_hop_attributes(self.coords, neighbors, self.axes)
-        np.minimum(self.min_margin, margins.min(axis=1), out=self.min_margin)
-        return means, neighbors
+            inputs = self._hop1_inputs(hop, count)
+        else:
+            table, self.hop2_table = self.hop2_table, None
+            if table is None:
+                table, _ = KnnIndex(self.coords).query(self.coords[:count], hop.k_neighbors)
+            neighbors = table.astype(np.intp, copy=False)  # hop 2's rows are held as int32
+            means, margins = build_later_hop_attributes(self.coords, neighbors, self.axes)
+            np.minimum(self.min_margin, margins.min(axis=1), out=self.min_margin)
+            inputs = means, neighbors
+        if h + 1 < len(self.config.hops):
+            self._cut_to(h + 1)
+        return inputs
 
-    def cut_to(self, h: int) -> None:
+    def _cut_to(self, h: int) -> None:
         """Cut the working cloud to hop h's points and the per-point arrays
         to its first ``counts[h]`` rows; arrays already that short stay."""
         rows, count = self.config.hops[h].num_points, self.counts[h]
@@ -478,7 +470,8 @@ class _HopRun:
         if len(config.hops) > 1:
             hop2 = config.hops[1]
             points = self.coords[: hop2.num_points]
-            self.hop2_table = _prefix_table(table, points, hop2.k_neighbors, self.counts[1])
+            # int32 while held: train holds it per cloud across hop 1's fit
+            self.hop2_table = _prefix_table(table, points, hop2.k_neighbors, self.counts[1]).astype(np.int32)
         self.axes, eigenvalues = local_pca_batch(self.coords, table[:, : config.k_lrf])
         self.eigen_gaps = np.minimum(
             eigenvalues[:, 0] - eigenvalues[:, 1], eigenvalues[:, 1] - eigenvalues[:, 2]
@@ -495,7 +488,8 @@ def _start_runs(
     fit: bool = False,
 ) -> list[_HopRun]:
     """One :class:`_HopRun` per (N, 3) cloud of ``clouds``, sampled with its
-    seed of ``seeds``.
+    seed of ``seeds``, its working cloud written here in farthest-first
+    order.
 
     Each cloud is sampled down to the hop-1 budget in input order, so the
     first cloud below the budget raises its :class:`CloudTooSmallError`.
@@ -504,8 +498,9 @@ def _start_runs(
     (the first holding ceil(B/2) of its B clouds), one per lane
     (:func:`_two_lanes`); for an extraction's one or two clouds, in one call
     on the calling thread (the :mod:`~rpointhop.spatial` docstring says
-    why). Each cloud's picks are those of its own run. A one-hop model
-    samples no further.
+    why). Each cloud's picks are those of its own run, and its working
+    cloud is its picks, then the rest of its sample in sampling order. A
+    one-hop model samples no further and keeps sampling order.
     """
     budgets = [hop.num_points for hop in config.hops]
     full, sampled = [], []
@@ -515,12 +510,13 @@ def _start_runs(
             raise CloudTooSmallError(f"cloud has {n} points but hop 1 needs {budgets[0]}")
         full.append(cloud)
         sampled.append(sample_indices(n, budgets[0], seed))
-    picks: Sequence[np.ndarray | None] = [None] * len(full)
     if len(budgets) > 1:
         stack = np.stack([cloud[idx] for cloud, idx in zip(full, sampled)])
         parts = np.array_split(stack, 2) if fit else [stack]
         picks = np.concatenate(list(_two_lanes(lambda part: fps_indices(part, budgets[1]), parts)))
-    return [_HopRun(cloud, idx, p, config, fit) for cloud, idx, p in zip(full, sampled, picks)]
+        positions = np.arange(budgets[0])
+        sampled = [idx[np.concatenate([p, np.setdiff1d(positions, p)])] for idx, p in zip(sampled, picks)]
+    return [_HopRun(cloud[idx], idx, config, fit) for cloud, idx in zip(full, sampled)]
 
 
 _CHANNEL_BLOCK = 32  # the widest block of channels whose later-hop dense means a lane holds at once
@@ -589,16 +585,16 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
     moments are merged in corpus order as the lanes hand them back, so the
     model's bits do not depend on which lane ran what.
 
-    A cloud's step of hop h builds the hop's values and inputs, takes their
-    moments, and keeps only what later steps read. Right after its moments,
-    its run is cut to hop h + 1's rows (:meth:`_HopRun.cut_to`, the cut each
-    hop makes at its start). What else a cloud carries is one list of kept
-    inputs: hop 1 keeps its inputs' first n_2 rows, the only ones hop 1's
-    plan reads (and hop 2's neighbor rows as int32, in its run), a later
-    non-final hop the whole :class:`_OctantMeans` it built, of whose rows
-    its plan reads the first n_{h+1}, not its values, and the final hop
-    nothing. A kept operator is its sparsity pattern alone: 4 bytes per
-    neighbor and 32 per point.
+    A cloud's step of hop h rebuilds the hop's values, calls
+    :meth:`_HopRun.hop_inputs`, takes the moments and keeps only what later
+    steps read; it writes nothing in the run, which ``hop_inputs`` has
+    already cut to hop h + 1's rows (with hop 2's neighbor rows as int32).
+    What else a cloud carries is one list of kept inputs, which only this
+    step writes: hop 1 keeps its inputs' first n_2 rows, the only ones hop
+    1's plan reads, a later non-final hop the whole :class:`_OctantMeans`
+    it built, of whose rows its plan reads the first n_{h+1}, not its
+    values, and the final hop nothing. A kept operator is its sparsity
+    pattern alone: 4 bytes per neighbor and 32 per point.
     So hop h's step (h >= 2) rebuilds hop h's values from that list,
     applying training's plans of hops 1..h - 1 in turn, each at the next
     hop's rows, and drops them with its moments: no corpus-wide set of a
@@ -635,21 +631,18 @@ def train(corpus: Sequence[PointCloud], config: ModelConfig = ModelConfig()) -> 
         final = h == n_hops - 1
 
         def step(i: int) -> SampleMoments:
-            """Hop h's moments of cloud i; its run then keeps only what
-            later steps read."""
-            run, kept = runs[i], carried[i]
+            """Hop h's moments of cloud i, which then keeps only what later
+            steps read."""
+            kept = carried[i]
             values = None
             for j, inputs in enumerate(kept):  # hop j + 1's inputs to hop j + 2's values
                 values = _apply_blocks(plans[j], inputs, budgets[j + 1], values)
-            x, _ = run.hop_inputs(h)
+            x, _ = runs[i].hop_inputs(h)
             moments = _moments(x, values)
             if final:
                 kept.clear()
             else:
-                run.cut_to(h + 1)
                 kept.append(x if h else x[: budgets[1]].copy())
-                if h == 0:
-                    run.hop2_table = run.hop2_table.astype(np.int32)
             return moments
 
         moments = reduce(SampleMoments.merge, _two_lanes(step, range(len(runs))))

@@ -119,6 +119,31 @@ class TestTwoLanes:
             assert list(_two_lanes(fn, range(6))) == list(range(6))
         assert not [t.name for t in threading.enumerate() if t.name.startswith("rpointhop-lane")]
 
+    def test_a_caller_that_stops_early_settles_the_worker(self):
+        # the caller takes item 0's result while the worker runs item 1 and
+        # then closes the call: item 1 finishes before close() returns, the
+        # queued odd items never start, and the worker is joined
+        started, finished = [], []
+        worker_busy = threading.Event()
+
+        def fn(x):
+            started.append(x)
+            if x == 0:
+                assert worker_busy.wait(10.0)
+            else:
+                worker_busy.set()
+            time.sleep(0.5 if x == 1 else 0.05)  # item 1 still runs when the caller closes
+            finished.append(x)
+            return x
+
+        results = _two_lanes(fn, range(10))
+        assert next(results) == 0
+        results.close()
+        assert sorted(started) == sorted(finished) == [0, 1]
+        time.sleep(0.2)
+        assert sorted(started) == [0, 1]
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("rpointhop-lane")]
+
     def test_a_result_taken_and_dropped_is_freed_before_the_call_ends(self):
         # the lanes hold no result they have handed back, from either lane
         class Result:

@@ -1075,14 +1075,19 @@ class TestFarthestFirstRows:
         assert np.array_equal(run.coords, cloud.coords[run.orig_indices])
         for h, n in enumerate(budgets[1:], start=1):
             assert np.array_equal(run.orig_indices[:n], nested[h])
-        for h, n in enumerate(budgets):
-            x, neighbors = run.hop_inputs(h)
-            assert np.array_equal(run.coords, cloud.coords[run.orig_indices])
+        # a fit computes every point; extraction only those the next hop keeps
+        wants = list(budgets) if fit else [*budgets[1:], budgets[-1]]
+        for h, want in enumerate(wants):
+            # a hop's rows, as the previous hop_inputs call cut the run to them
             if h:
                 assert np.array_equal(run.orig_indices, nested[h])
-            # a fit computes every point; extraction only those the next hop keeps
-            want = n if fit else budgets[min(h + 1, len(budgets) - 1)]
-            assert len(x) == len(neighbors) == len(run.axes) == len(run.min_margin) == want
+                assert len(run.axes) == len(run.min_margin) == want
+            x, neighbors = run.hop_inputs(h)
+            assert np.array_equal(run.coords, cloud.coords[run.orig_indices])
+            assert len(x) == len(neighbors) == want
+        # nothing is cut at the final hop
+        assert len(run.orig_indices) == budgets[-1]
+        assert len(run.axes) == len(run.min_margin) == wants[-1]
 
 
 class TestHop2Table:
